@@ -10,6 +10,11 @@
 //! | [`walk_length_for_top_k`] | Equation 4, `s_k = c·k·(n/k)^{1−α}/(1−α)` |
 //! | [`expected_fetches`] | Theorem 8, `1 + (2(1−α)/nR)^{1/α−1}·s^{1/α}` |
 //! | [`top_k_fetches`] | Corollary 9, `1 + c^{1/α} k / ((1−α)(R/2)^{1/α−1})` |
+//!
+//! Equation 4 and Corollary 9 together are the whole price of a personalized
+//! query — `s_k` visits and that many fetches — and [`crate::personalized`] holds
+//! its implementation to it: time `O(s + Σ fetched out-degree)`, scratch `O(s)`,
+//! neither growing with `n` beyond what `s_k` itself asks for.
 
 /// Expected walk-segment update work when the `t`-th edge arrives (Theorem 4):
 /// `nR / (t ε²)` walk steps.

@@ -30,6 +30,7 @@ pub mod incremental;
 pub mod personalized;
 pub mod query;
 pub mod salsa;
+mod sparse;
 pub mod telem;
 pub mod walker;
 

@@ -19,6 +19,19 @@
 //! (Corollary 9), with the walk length set by [`crate::bounds::walk_length_for_top_k`]
 //! (Equation 4).
 //!
+//! # Cost model: a query costs its walk, not the graph
+//!
+//! The paper's price for a query is its walk length `s` (Equation 4) plus its
+//! fetches (Theorem 8 / Corollary 9); no term grows with the node count `n`, and
+//! neither does this module.  One query takes `O(s + Σ fetched out-degree)` time and
+//! `O(s)` scratch: visit counts live in a sparse node table inside
+//! [`PersonalizedWalkResult`] (one entry per *distinct* node visited, reset and
+//! enumerated through its own entry list), the walker's fetched-node memory is
+//! keyed through the same table type, and [`PersonalizedWalkResult::top_k_with`] is
+//! a partial selection over the visited nodes.  Nothing `n`-long is allocated,
+//! zeroed, scanned or sorted per query; only [`PersonalizedWalkResult::frequencies`]
+//! materialises a dense vector, on demand.
+//!
 //! # The read path is shared, not exclusive
 //!
 //! The walker reads its two stores purely through `&self` APIs — [`WalkIndexView`]
@@ -32,18 +45,27 @@
 //! thread, at any interleaving with writers or other readers.
 
 use crate::query::query_rng;
+use crate::sparse::{select_top_k, NodeTable};
 use ppr_graph::{GraphView, NodeId};
 use ppr_store::{AdjacencyFetch, SocialStore, WalkIndexView, WalkStore};
 use ppr_telemetry::Clock;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Outcome of one stitched personalized walk.
+///
+/// Visit counts are held sparsely — one entry per distinct node visited — so a
+/// result costs `O(walk)` to fill, reset, enumerate and rank whatever the size of
+/// the graph it walked (see the [module docs](self)).  Read them through
+/// [`Self::count`], [`Self::counts`], [`Self::frequency`] or the dense
+/// [`Self::frequencies`].
 #[derive(Debug, Clone, Default)]
 pub struct PersonalizedWalkResult {
-    /// Visit counts per node (the empirical personalized distribution).
-    pub visits: Vec<u64>,
+    /// Visit count per visited node (the empirical personalized distribution).
+    counts: NodeTable,
+    /// Node count of the store last walked: the length of [`Self::frequencies`].
+    node_count: usize,
     /// Total number of visits recorded (≥ the requested length; the final appended
     /// segment may overshoot).
     pub total_visits: u64,
@@ -66,16 +88,27 @@ pub struct PersonalizedWalkResult {
 }
 
 impl PersonalizedWalkResult {
+    /// Number of visits to `node`.
+    pub fn count(&self, node: NodeId) -> u64 {
+        self.counts.get(node).unwrap_or(0)
+    }
+
+    /// `(node, visit count)` for every visited node, in first-visit order.
+    pub fn counts(&self) -> impl Iterator<Item = (NodeId, u64)> + '_ {
+        self.counts.iter()
+    }
+
     /// Normalised visit frequency of `node`.
     pub fn frequency(&self, node: NodeId) -> f64 {
         if self.total_visits == 0 {
             0.0
         } else {
-            self.visits[node.index()] as f64 / self.total_visits as f64
+            self.count(node) as f64 / self.total_visits as f64
         }
     }
 
-    /// The full normalised personalized score vector.
+    /// The full normalised personalized score vector, materialised densely (one
+    /// entry per node of the store walked).
     pub fn frequencies(&self) -> Vec<f64> {
         let mut out = Vec::new();
         self.frequencies_into(&mut out);
@@ -87,15 +120,10 @@ impl PersonalizedWalkResult {
     /// `Vec` per call.
     pub fn frequencies_into(&self, out: &mut Vec<f64>) {
         out.clear();
-        if self.total_visits == 0 {
-            out.resize(self.visits.len(), 0.0);
-            return;
+        out.resize(self.node_count, 0.0);
+        for (node, count) in self.counts() {
+            out[node.index()] = count as f64 / self.total_visits as f64;
         }
-        out.extend(
-            self.visits
-                .iter()
-                .map(|&v| v as f64 / self.total_visits as f64),
-        );
     }
 
     /// The top-`k` nodes by visit count, skipping every node in `exclude`, as
@@ -104,11 +132,14 @@ impl PersonalizedWalkResult {
         self.top_k_with(k, exclude, &mut TopKScratch::default())
     }
 
-    /// [`Self::top_k`] with a caller-owned accumulator: the `O(touched nodes)`
+    /// [`Self::top_k`] with a caller-owned accumulator: the `O(visited nodes)`
     /// candidate buffer lives in `scratch` and is reused across calls, so a batch
     /// of queries allocates nothing here beyond the `k`-element answer itself.
-    /// Same candidates, same ordering, same ties — bit-identical to
-    /// [`Self::top_k`].
+    ///
+    /// Candidates are the visited nodes outside `exclude`; the `k` best under the
+    /// total order *(count descending, node id ascending)* are found by partial
+    /// selection and only those are sorted — the same list a full sort of every
+    /// candidate would give, in `O(visited + k log k)`.
     pub fn top_k_with(
         &self,
         k: usize,
@@ -117,26 +148,21 @@ impl PersonalizedWalkResult {
     ) -> Vec<(NodeId, f64)> {
         let candidates = &mut scratch.candidates;
         candidates.clear();
-        candidates.extend(
-            self.visits
-                .iter()
-                .enumerate()
-                .filter(|&(i, &count)| count > 0 && !exclude.contains(&NodeId::from_index(i)))
-                .map(|(i, &count)| (NodeId::from_index(i), count)),
-        );
-        candidates.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        candidates.truncate(k);
+        candidates.extend(self.counts().filter(|(node, _)| !exclude.contains(node)));
+        scratch.examined += self.counts.len() as u64;
+        select_top_k(candidates, k, |a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         candidates
             .iter()
             .map(|&(node, count)| (node, count as f64 / self.total_visits.max(1) as f64))
             .collect()
     }
 
-    /// Resets the result in place for reuse by another walk over `n` nodes,
-    /// keeping the visit buffer's allocation.
-    fn reset_for(&mut self, n: usize) {
-        self.visits.clear();
-        self.visits.resize(n, 0);
+    /// Resets the result in place for reuse by another walk over `node_count`
+    /// nodes, keeping the count table's allocation; costs `O(previous walk's
+    /// distinct nodes)`.
+    pub(crate) fn reset_for(&mut self, node_count: usize) {
+        self.counts.clear();
+        self.node_count = node_count;
         self.total_visits = 0;
         self.fetches = 0;
         self.segments_used = 0;
@@ -145,27 +171,63 @@ impl PersonalizedWalkResult {
         self.budget_exhausted = false;
         self.deadline_exhausted = false;
     }
+
+    /// Records one visit to `node`.
+    #[inline]
+    pub(crate) fn visit(&mut self, node: NodeId) {
+        *self.counts.entry(node) += 1;
+        self.total_visits += 1;
+    }
+
+    /// Count-table slots reset by reuse over this result's lifetime: the whole
+    /// per-query reset cost, `O(distinct nodes)` of the walk being replaced.
+    pub fn slots_reset(&self) -> u64 {
+        self.counts.slots_reset()
+    }
+
+    /// Heap bytes held by the count table (capacity, not length) — bounded by the
+    /// longest walk recorded, never by the graph.
+    pub fn heap_bytes(&self) -> usize {
+        self.counts.heap_bytes()
+    }
 }
 
 /// Reusable accumulator for [`PersonalizedWalkResult::top_k_with`]: holds the
-/// `O(touched nodes)` candidate buffer so selection allocates nothing in steady
+/// `O(visited nodes)` candidate buffer so selection allocates nothing in steady
 /// state when one scratch serves a stream of queries.
 #[derive(Debug, Default)]
 pub struct TopKScratch {
     candidates: Vec<(NodeId, u64)>,
+    /// Visited nodes examined as candidates over the scratch's lifetime.
+    examined: u64,
+}
+
+impl TopKScratch {
+    /// Visited nodes examined as candidates over the scratch's lifetime: the
+    /// selection's whole input, `O(distinct nodes)` per query.
+    pub fn examined(&self) -> u64 {
+        self.examined
+    }
+
+    /// Heap bytes held by the candidate buffer (capacity, not length).
+    pub fn heap_bytes(&self) -> usize {
+        self.candidates.capacity() * std::mem::size_of::<(NodeId, u64)>()
+    }
 }
 
 /// Reusable per-walk working memory for [`PersonalizedWalker::walk_query_into`]:
-/// the fetched-node map plus a pool of recycled adjacency buffers.  One scratch
-/// serves any number of walks sequentially; reuse never changes a walk's bits
-/// (the map is drained before every walk, and adjacency buffers are refilled
-/// from scratch by each fetch).
+/// the nodes fetched so far, found through a node table, with their adjacency
+/// buffers recycled from walk to walk.  One scratch serves any number of walks
+/// sequentially; reuse never changes a walk's bits (the table is cleared before
+/// every walk, and each fetch refills its buffer from scratch).
 #[derive(Debug, Default)]
 pub struct WalkScratch {
-    memory: HashMap<NodeId, FetchedNode>,
-    /// Emptied adjacency buffers recycled from the previous walk's fetches; the
-    /// pool never exceeds the largest single-walk fetch set.
-    spare_adjacency: Vec<Vec<NodeId>>,
+    /// Node → position in `fetched` (the first `index.len()` entries are live).
+    index: NodeTable,
+    /// This walk's fetched nodes in fetch order, followed by retired entries
+    /// whose adjacency buffers the next fetches reuse; never longer than the
+    /// largest single-walk fetch set.
+    fetched: Vec<FetchedNode>,
 }
 
 impl WalkScratch {
@@ -174,24 +236,48 @@ impl WalkScratch {
         WalkScratch::default()
     }
 
-    /// Readies the scratch for the next walk: drains the fetched-node map and
-    /// recycles its adjacency buffers.
+    /// Readies the scratch for the next walk: forgets every fetched node, keeping
+    /// the buffers.
     fn begin(&mut self) {
-        for (_, fetched) in self.memory.drain() {
-            let mut buf = fetched.out_neighbors;
-            buf.clear();
-            self.spare_adjacency.push(buf);
-        }
+        self.index.clear();
     }
 
-    /// An empty adjacency buffer, recycled when one is pooled.
-    fn take_buffer(&mut self) -> Vec<NodeId> {
-        self.spare_adjacency.pop().unwrap_or_default()
+    /// The in-memory state of `node`, if this walk already fetched it.
+    #[inline]
+    fn fetched_mut(&mut self, node: NodeId) -> Option<&mut FetchedNode> {
+        let at = self.index.get(node)?;
+        Some(&mut self.fetched[at as usize])
+    }
+
+    /// Registers `node` as fetched and hands out its (emptied, recycled)
+    /// adjacency buffer to fill.
+    fn admit(&mut self, node: NodeId) -> &mut Vec<NodeId> {
+        let at = self.index.len();
+        *self.index.entry(node) = at as u64;
+        if at == self.fetched.len() {
+            self.fetched.push(FetchedNode::default());
+        }
+        let state = &mut self.fetched[at];
+        state.next_unused_segment = 0;
+        state.out_neighbors.clear();
+        &mut state.out_neighbors
+    }
+
+    /// Heap bytes held (capacity, not length): the node table, the fetched-node
+    /// entries and their adjacency buffers.
+    pub fn heap_bytes(&self) -> usize {
+        self.index.heap_bytes()
+            + self.fetched.capacity() * std::mem::size_of::<FetchedNode>()
+            + self
+                .fetched
+                .iter()
+                .map(|f| f.out_neighbors.capacity() * std::mem::size_of::<NodeId>())
+                .sum::<usize>()
     }
 }
 
 /// Per-node state the walker keeps in main memory after fetching the node.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct FetchedNode {
     out_neighbors: Vec<NodeId>,
     next_unused_segment: usize,
@@ -329,32 +415,27 @@ impl<'a, W: WalkIndexView, S: AdjacencyFetch> PersonalizedWalker<'a, W, S> {
         );
         assert!(length >= 1, "the walk must record at least one visit");
 
-        let n = self.store.node_count();
         let r = self.walks.r();
-        result.reset_for(n);
+        result.reset_for(self.store.node_count());
         scratch.begin();
         // The deadline clock is read once per walk: every fetch compares against
         // this walk's own expiry, so each query in a batch gets the full budget.
         let expiry = self
             .deadline
             .map(|(clock, budget)| (clock, clock.now_nanos().saturating_add(budget)));
-        let visit = |node: NodeId, result: &mut PersonalizedWalkResult| {
-            result.visits[node.index()] += 1;
-            result.total_visits += 1;
-        };
 
         let mut current = seed;
-        visit(seed, result);
+        result.visit(seed);
 
         while (result.total_visits as usize) < length {
             if rng.gen_bool(self.epsilon) {
                 result.resets += 1;
                 current = seed;
-                visit(seed, result);
+                result.visit(seed);
                 continue;
             }
 
-            match scratch.memory.get_mut(&current) {
+            match scratch.fetched_mut(current) {
                 Some(state) if state.next_unused_segment < r => {
                     // Consume one cached segment: append its continuation, then reset.
                     let slot = state.next_unused_segment;
@@ -362,11 +443,11 @@ impl<'a, W: WalkIndexView, S: AdjacencyFetch> PersonalizedWalker<'a, W, S> {
                     let id = ppr_store::SegmentId::new(current, slot, r);
                     result.segments_used += 1;
                     for &node in self.walks.segment_path(id).iter().skip(1) {
-                        visit(node, result);
+                        result.visit(node);
                     }
                     result.resets += 1;
                     current = seed;
-                    visit(seed, result);
+                    result.visit(seed);
                 }
                 Some(state) => {
                     // All cached segments consumed: take a single in-memory random step.
@@ -374,12 +455,12 @@ impl<'a, W: WalkIndexView, S: AdjacencyFetch> PersonalizedWalker<'a, W, S> {
                         // Dangling node: the surfer's session ends, i.e. reset.
                         result.resets += 1;
                         current = seed;
-                        visit(seed, result);
+                        result.visit(seed);
                     } else {
                         let next = state.out_neighbors[rng.gen_range(0..state.out_neighbors.len())];
                         result.random_steps += 1;
                         current = next;
-                        visit(next, result);
+                        result.visit(next);
                     }
                 }
                 None => {
@@ -395,15 +476,7 @@ impl<'a, W: WalkIndexView, S: AdjacencyFetch> PersonalizedWalker<'a, W, S> {
                         result.deadline_exhausted = true;
                         break;
                     }
-                    let mut out_neighbors = scratch.take_buffer();
-                    self.store.fetch_out(current, &mut out_neighbors);
-                    scratch.memory.insert(
-                        current,
-                        FetchedNode {
-                            out_neighbors,
-                            next_unused_segment: 0,
-                        },
-                    );
+                    self.store.fetch_out(current, scratch.admit(current));
                     result.fetches += 1;
                 }
             }
@@ -440,9 +513,58 @@ mod tests {
     use ppr_graph::generators::{directed_cycle, preferential_attachment};
     use ppr_graph::{DynamicGraph, Edge};
     use ppr_store::{FrozenGraph, FrozenWalks};
+    use proptest::prelude::*;
 
     fn engine(graph: &DynamicGraph, r: usize, seed: u64) -> IncrementalPageRank {
         IncrementalPageRank::from_graph(graph, MonteCarloConfig::new(0.2, r).with_seed(seed))
+    }
+
+    /// The dense per-node visit vector of a result.
+    fn visits(result: &PersonalizedWalkResult) -> Vec<u64> {
+        let mut dense = vec![0; result.node_count];
+        for (node, count) in result.counts() {
+            dense[node.index()] = count;
+        }
+        dense
+    }
+
+    /// A result holding exactly the given dense visit vector.
+    fn result_of(visits: &[u64]) -> PersonalizedWalkResult {
+        let mut result = PersonalizedWalkResult::default();
+        refill(&mut result, visits);
+        result
+    }
+
+    /// Resets `result` in place and records the given dense visit vector.
+    fn refill(result: &mut PersonalizedWalkResult, visits: &[u64]) {
+        result.reset_for(visits.len());
+        for (i, &count) in visits.iter().enumerate() {
+            for _ in 0..count {
+                result.visit(NodeId::from_index(i));
+            }
+        }
+    }
+
+    /// The selection [`PersonalizedWalkResult::top_k_with`] replaced, kept as its
+    /// oracle: scan every node densely, collect the visited ones outside
+    /// `exclude`, fully sort, truncate.
+    fn top_k_reference(
+        result: &PersonalizedWalkResult,
+        k: usize,
+        exclude: &HashSet<NodeId>,
+    ) -> Vec<(NodeId, f64)> {
+        let mut candidates: Vec<(NodeId, u64)> = visits(result)
+            .iter()
+            .enumerate()
+            .filter(|&(i, &count)| count > 0 && !exclude.contains(&NodeId::from_index(i)))
+            .map(|(i, &count)| (NodeId::from_index(i), count))
+            .collect();
+        candidates.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        candidates.truncate(k);
+        candidates
+            .iter()
+            .map(|&(node, count)| (node, count as f64 / result.total_visits.max(1) as f64))
+            .collect()
     }
 
     #[test]
@@ -452,8 +574,8 @@ mod tests {
         let mut walker = PersonalizedWalker::new(eng.social_store(), eng.walk_store(), 0.2, 7);
         let result = walker.walk(NodeId(0), 500);
         assert!(result.total_visits >= 500);
-        assert_eq!(result.visits.iter().sum::<u64>(), result.total_visits);
-        assert!(result.visits[0] > 0, "the seed is always visited");
+        assert_eq!(visits(&result).iter().sum::<u64>(), result.total_visits);
+        assert!(result.count(NodeId(0)) > 0, "the seed is always visited");
         assert!(!result.budget_exhausted);
     }
 
@@ -469,7 +591,8 @@ mod tests {
         let result = walker.walk(NodeId(0), 2_000);
         for node in 3..6 {
             assert_eq!(
-                result.visits[node], 0,
+                result.count(NodeId(node)),
+                0,
                 "unreachable node {node} was visited"
             );
         }
@@ -492,7 +615,7 @@ mod tests {
             eng.social_store().metrics().fetches,
             "walker fetch count must agree with the store's accounting"
         );
-        let touched = result.visits.iter().filter(|&&v| v > 0).count() as u64;
+        let touched = result.counts().count() as u64;
         assert!(
             result.fetches <= touched,
             "each fetch targets a distinct visited node ({} fetches, {touched} touched)",
@@ -564,11 +687,8 @@ mod tests {
 
     #[test]
     fn result_top_k_respects_exclusions_and_order() {
-        let result = PersonalizedWalkResult {
-            visits: vec![10, 5, 7, 0, 3],
-            total_visits: 25,
-            ..PersonalizedWalkResult::default()
-        };
+        let result = result_of(&[10, 5, 7, 0, 3]);
+        assert_eq!(result.total_visits, 25);
         let exclude: HashSet<NodeId> = [NodeId(0)].into_iter().collect();
         let top = result.top_k(2, &exclude);
         assert_eq!(top.len(), 2);
@@ -592,11 +712,12 @@ mod tests {
         let walker = PersonalizedWalker::new(eng.social_store(), eng.walk_store(), 0.2, 0);
         let a = walker.walk_query(NodeId(3), 2_000, 99, 7);
         let b = walker.walk_query(NodeId(3), 2_000, 99, 7);
-        assert_eq!(a.visits, b.visits, "same stream, same walk");
+        assert_eq!(visits(&a), visits(&b), "same stream, same walk");
         assert_eq!(a.fetches, b.fetches);
         let c = walker.walk_query(NodeId(3), 2_000, 99, 8);
         assert_ne!(
-            a.visits, c.visits,
+            visits(&a),
+            visits(&c),
             "different query ids draw different walks"
         );
     }
@@ -614,7 +735,7 @@ mod tests {
         for qid in 0..4u64 {
             let a = live.walk_query(NodeId(5), 1_500, 41, qid);
             let b = pinned.walk_query(NodeId(5), 1_500, 41, qid);
-            assert_eq!(a.visits, b.visits, "query {qid} diverges across views");
+            assert_eq!(visits(&a), visits(&b), "query {qid} diverges across views");
             assert_eq!(a.fetches, b.fetches);
             assert_eq!(a.segments_used, b.segments_used);
         }
@@ -637,7 +758,7 @@ mod tests {
         assert!(cut.total_visits < full.total_visits);
         // Replaying the budgeted query is bit-identical too.
         let again = bounded.walk_query(NodeId(1), 5_000, 5, 0);
-        assert_eq!(cut.visits, again.visits);
+        assert_eq!(visits(&cut), visits(&again));
         // A generous budget never trips.
         let roomy = PersonalizedWalker::new(eng.social_store(), eng.walk_store(), 0.2, 0)
             .with_fetch_budget(full.fetches);
@@ -657,7 +778,7 @@ mod tests {
             let seed = NodeId((qid % 5) as u32);
             walker.walk_query_into(seed, 1_200, 77, qid, &mut scratch, &mut pooled);
             let fresh = walker.walk_query(seed, 1_200, 77, qid);
-            assert_eq!(pooled.visits, fresh.visits, "query {qid} diverges");
+            assert_eq!(visits(&pooled), visits(&fresh), "query {qid} diverges");
             assert_eq!(pooled.fetches, fresh.fetches);
             assert_eq!(pooled.segments_used, fresh.segments_used);
             assert_eq!(pooled.total_visits, fresh.total_visits);
@@ -678,7 +799,7 @@ mod tests {
         let roomy = PersonalizedWalker::new(eng.social_store(), eng.walk_store(), 0.2, 0)
             .with_deadline_budget(&clock, 1);
         let timed = roomy.walk_query(NodeId(1), 5_000, 5, 0);
-        assert_eq!(timed.visits, full.visits);
+        assert_eq!(visits(&timed), visits(&full));
         assert!(!timed.deadline_exhausted);
 
         // A zero budget expires at the first fetch: a deterministic partial
@@ -695,7 +816,8 @@ mod tests {
         assert!(cut.total_visits < full.total_visits);
         let again = strict.walk_query(NodeId(1), 5_000, 5, 0);
         assert_eq!(
-            cut.visits, again.visits,
+            visits(&cut),
+            visits(&again),
             "deadline cuts replay bit-identically"
         );
 
@@ -704,9 +826,86 @@ mod tests {
         clock.advance(1_000_000);
         let after = roomy.walk_query(NodeId(1), 5_000, 5, 0);
         assert_eq!(
-            after.visits, full.visits,
+            visits(&after),
+            visits(&full),
             "budget is per walk, not per walker"
         );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Partial selection ≡ the dense scan + full sort it replaced, on count
+        /// vectors with heavy ties, arbitrary exclusions, the edge values of `k`,
+        /// and one result + one scratch reused across node counts that grow and
+        /// shrink between walks.
+        #[test]
+        fn top_k_selection_equals_the_full_sort_reference(
+            walks in proptest::collection::vec(
+                (
+                    proptest::collection::vec(0u64..4, 1..260),
+                    proptest::collection::hash_set(0u32..300, 0..48),
+                ),
+                1..5,
+            ),
+        ) {
+            let mut reused = PersonalizedWalkResult::default();
+            let mut scratch = TopKScratch::default();
+            for (counts, exclude) in &walks {
+                let exclude: HashSet<NodeId> = exclude.iter().map(|&i| NodeId(i)).collect();
+                refill(&mut reused, counts);
+                let fresh = result_of(counts);
+                prop_assert_eq!(visits(&reused), counts.clone());
+                prop_assert_eq!(reused.frequencies(), fresh.frequencies());
+                let candidates = counts
+                    .iter()
+                    .enumerate()
+                    .filter(|&(i, &c)| c > 0 && !exclude.contains(&NodeId::from_index(i)))
+                    .count();
+                for k in [0, 1, 10, candidates, candidates + 7] {
+                    let expected = top_k_reference(&fresh, k, &exclude);
+                    prop_assert_eq!(expected.len(), k.min(candidates));
+                    prop_assert_eq!(reused.top_k_with(k, &exclude, &mut scratch), expected.clone());
+                    prop_assert_eq!(fresh.top_k(k, &exclude), expected);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// One scratch and one result carried across graphs of different sizes
+        /// (growth and shrink): every pooled walk equals the allocating walk on
+        /// the same stream, so neither the fetched-node table nor the count table
+        /// leaks state from a previous walk or depends on `n`.
+        #[test]
+        fn walk_query_into_equals_walk_query_across_graph_sizes(
+            sizes in proptest::collection::vec(20usize..220, 2..5),
+            query_seed in 0u64..1_000,
+        ) {
+            let mut scratch = WalkScratch::new();
+            let mut pooled = PersonalizedWalkResult::default();
+            for (g, &n) in sizes.iter().enumerate() {
+                let graph = preferential_attachment(n, 3, query_seed + g as u64);
+                let eng = engine(&graph, 2, 7 + g as u64);
+                let walker = PersonalizedWalker::new(eng.social_store(), eng.walk_store(), 0.2, 0);
+                for qid in 0..4u64 {
+                    let seed = NodeId::from_index((qid as usize * 13 + g) % n);
+                    walker.walk_query_into(seed, 600, query_seed, qid, &mut scratch, &mut pooled);
+                    let fresh = walker.walk_query(seed, 600, query_seed, qid);
+                    prop_assert_eq!(visits(&pooled), visits(&fresh));
+                    for node in 0..n {
+                        let node = NodeId::from_index(node);
+                        prop_assert_eq!(pooled.count(node), fresh.count(node));
+                    }
+                    prop_assert!(pooled.counts().eq(fresh.counts()), "same first-visit order");
+                    prop_assert_eq!(pooled.fetches, fresh.fetches);
+                    prop_assert_eq!(pooled.segments_used, fresh.segments_used);
+                    prop_assert_eq!(pooled.total_visits, fresh.total_visits);
+                }
+            }
+        }
     }
 
     #[test]

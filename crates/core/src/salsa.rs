@@ -31,6 +31,8 @@
 
 use crate::batch::{self, BatchProfile, CandidateSet};
 use crate::config::{MonteCarloConfig, RerouteStrategy};
+use crate::personalized::PersonalizedWalkResult;
+use crate::sparse::select_top_k;
 use crate::walker;
 use ppr_graph::{DynamicGraph, Edge, GraphView, NodeId};
 use ppr_store::{
@@ -75,9 +77,11 @@ pub fn salsa_estimates_from<V: WalkIndexView>(walks: &V) -> SalsaEstimates {
 /// Personalized SALSA authority scores on any [`GraphView`]: a direct alternating
 /// walk of `walk_length` visits with ε-resets to `seed` before forward steps,
 /// drawing from the supplied stream.  [`IncrementalSalsa::personalized_authorities`]
-/// is this function over the live graph with the engine's seed derivation; the
-/// serving layer runs it against a pinned [`ppr_store::FrozenGraph`] with a
-/// `(query_seed, query_id)` stream.
+/// is this function over the live graph with the engine's seed derivation.
+///
+/// This is the dense form — an `n`-long score vector, `O(n)` to build — kept as
+/// the reference the sparse [`personalized_authorities_into`] is checked against;
+/// a server answering top-`k` queries uses the sparse one.
 pub fn personalized_authorities_on<G: GraphView + ?Sized>(
     graph: &G,
     seed: NodeId,
@@ -85,14 +89,59 @@ pub fn personalized_authorities_on<G: GraphView + ?Sized>(
     epsilon: f64,
     rng: &mut SmallRng,
 ) -> Vec<f64> {
+    let n = graph.node_count();
+    let mut auth_visits = vec![0u64; n];
+    let mut total_auth = 0u64;
+    authority_walk(graph, seed, walk_length, epsilon, rng, |node| {
+        auth_visits[node.index()] += 1;
+        total_auth += 1;
+    });
+
+    if total_auth == 0 {
+        return vec![0.0; n];
+    }
+    auth_visits
+        .iter()
+        .map(|&v| v as f64 / total_auth as f64)
+        .collect()
+}
+
+/// [`personalized_authorities_on`] into a sparse, reusable accumulator: the same
+/// walk on the same stream, its authority visits recorded in `acc` (reset first;
+/// `total_visits` is the number of authority visits), so the query costs
+/// `O(walk_length)` whatever the graph size.  `acc.frequencies()` is exactly the
+/// dense score vector, and — every score being a count over the one shared total —
+/// [`PersonalizedWalkResult::top_k_with`] on `acc` is exactly [`top_k_scores`] on
+/// that vector.  The serving layer answers `SalsaAuthorities` this way against a
+/// pinned [`ppr_store::FrozenGraph`] with a `(query_seed, query_id)` stream.
+pub fn personalized_authorities_into<G: GraphView + ?Sized>(
+    graph: &G,
+    seed: NodeId,
+    walk_length: usize,
+    epsilon: f64,
+    rng: &mut SmallRng,
+    acc: &mut PersonalizedWalkResult,
+) {
+    acc.reset_for(graph.node_count());
+    authority_walk(graph, seed, walk_length, epsilon, rng, |node| {
+        acc.visit(node)
+    });
+}
+
+/// The alternating walk behind both personalized-authority forms: calls
+/// `authority_visit` for every authority position reached.
+fn authority_walk<G: GraphView + ?Sized>(
+    graph: &G,
+    seed: NodeId,
+    walk_length: usize,
+    epsilon: f64,
+    rng: &mut SmallRng,
+    mut authority_visit: impl FnMut(NodeId),
+) {
     assert!(
         seed.index() < graph.node_count(),
         "seed node {seed} outside the graph"
     );
-    let n = graph.node_count();
-    let mut auth_visits = vec![0u64; n];
-    let mut total_auth = 0u64;
-
     let mut current = seed;
     let mut forward = true;
     let mut visits = 0usize;
@@ -110,8 +159,7 @@ pub fn personalized_authorities_on<G: GraphView + ?Sized>(
                 forward = true;
             } else {
                 let next = out[rng.gen_range(0..out.len())];
-                auth_visits[next.index()] += 1;
-                total_auth += 1;
+                authority_visit(next);
                 current = next;
                 forward = false;
             }
@@ -125,19 +173,14 @@ pub fn personalized_authorities_on<G: GraphView + ?Sized>(
             forward = true;
         }
     }
-
-    if total_auth == 0 {
-        return vec![0.0; n];
-    }
-    auth_visits
-        .iter()
-        .map(|&v| v as f64 / total_auth as f64)
-        .collect()
 }
 
-/// Top-`k` of a personalized score vector, skipping `exclude` (the seed and its
-/// friends), ties broken by node id — the paper's recommender post-processing,
-/// shared by the engine and the serving layer.
+/// Top-`k` of a score vector, skipping `exclude` (the seed and its friends) and
+/// every non-positive score, ties broken by node id — the paper's recommender
+/// post-processing, shared by the engine and the serving layer.  A NaN is not
+/// positive and is skipped like a zero; the rest are ranked by
+/// [`f64::total_cmp`] (no comparison can fail), and only the `k` survivors of a
+/// partial selection are sorted.
 pub fn top_k_scores(scores: &[f64], exclude: &HashSet<usize>, k: usize) -> Vec<(NodeId, f64)> {
     let mut candidates: Vec<(usize, f64)> = scores
         .iter()
@@ -145,8 +188,9 @@ pub fn top_k_scores(scores: &[f64], exclude: &HashSet<usize>, k: usize) -> Vec<(
         .filter(|&(i, &s)| s > 0.0 && !exclude.contains(&i))
         .map(|(i, &s)| (i, s))
         .collect();
-    candidates.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-    candidates.truncate(k);
+    select_top_k(&mut candidates, k, |a, b| {
+        b.1.total_cmp(&a.1).then(a.0.cmp(&b.0))
+    });
     candidates
         .into_iter()
         .map(|(i, s)| (NodeId::from_index(i), s))
@@ -1083,6 +1127,86 @@ mod tests {
             assert_ne!(node, NodeId(1), "existing friends are excluded");
             assert_ne!(node, NodeId(2), "existing friends are excluded");
         }
+    }
+
+    #[test]
+    fn sparse_personalized_authorities_equal_the_dense_reference() {
+        use crate::query::query_rng;
+        let mut acc = PersonalizedWalkResult::default();
+        let mut scratch = crate::TopKScratch::default();
+        // One accumulator reused across graphs of different sizes, big to small.
+        for (n, graph_seed) in [(400usize, 3u64), (60, 5), (900, 7)] {
+            let g = preferential_attachment(n, 4, graph_seed);
+            for qid in 0..6u64 {
+                let seed = NodeId::from_index((qid as usize * 17) % n);
+                let dense =
+                    personalized_authorities_on(&g, seed, 1_500, 0.2, &mut query_rng(11, qid));
+                personalized_authorities_into(
+                    &g,
+                    seed,
+                    1_500,
+                    0.2,
+                    &mut query_rng(11, qid),
+                    &mut acc,
+                );
+                assert_eq!(acc.frequencies(), dense, "n = {n}, query {qid}");
+                let friends: Vec<NodeId> = std::iter::once(seed)
+                    .chain(g.out_neighbors(seed).iter().copied())
+                    .collect();
+                let by_index: HashSet<usize> = friends.iter().map(|f| f.index()).collect();
+                let by_node: HashSet<NodeId> = friends.into_iter().collect();
+                for k in [0, 1, 10, n] {
+                    assert_eq!(
+                        acc.top_k_with(k, &by_node, &mut scratch),
+                        top_k_scores(&dense, &by_index, k),
+                        "n = {n}, query {qid}, k = {k}"
+                    );
+                }
+            }
+        }
+        // A seed with no out-edges records nothing: all-zero scores, empty list.
+        let lonely = DynamicGraph::with_nodes(3);
+        personalized_authorities_into(&lonely, NodeId(1), 50, 0.2, &mut query_rng(1, 0), &mut acc);
+        assert_eq!(acc.total_visits, 0);
+        assert_eq!(acc.frequencies(), vec![0.0; 3]);
+        assert!(acc.top_k(5, &HashSet::new()).is_empty());
+    }
+
+    #[test]
+    fn top_k_scores_ranks_ties_by_node_and_never_compares_a_nan() {
+        // Heavy ties: 4 distinct positive values over 300 entries, zeros and
+        // negatives mixed in; the reference is the full sort this replaced.
+        let scores: Vec<f64> = (0..300usize)
+            .map(|i| [0.25, 0.0, 0.5, 0.125, -1.0, 0.25, 1.0][(i * 31) % 7])
+            .collect();
+        let exclude: HashSet<usize> = (0..300).step_by(9).collect();
+        let mut reference: Vec<(usize, f64)> = scores
+            .iter()
+            .copied()
+            .enumerate()
+            .filter(|&(i, s)| s > 0.0 && !exclude.contains(&i))
+            .collect();
+        reference.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+        for k in [0, 1, 10, 120, reference.len(), 1_000] {
+            let expected: Vec<(NodeId, f64)> = reference
+                .iter()
+                .take(k)
+                .map(|&(i, s)| (NodeId::from_index(i), s))
+                .collect();
+            assert_eq!(top_k_scores(&scores, &exclude, k), expected, "k = {k}");
+        }
+        // A NaN is not a positive score: skipped, never ranked, never a panic.
+        let with_nan = [0.5, f64::NAN, 0.75, f64::NAN, 0.5, f64::INFINITY];
+        assert_eq!(
+            top_k_scores(&with_nan, &HashSet::new(), 10),
+            vec![
+                (NodeId(5), f64::INFINITY),
+                (NodeId(2), 0.75),
+                (NodeId(0), 0.5),
+                (NodeId(4), 0.5)
+            ]
+        );
+        assert!(top_k_scores(&[f64::NAN; 4], &HashSet::new(), 2).is_empty());
     }
 
     #[test]

@@ -16,9 +16,14 @@
 //!   the batch-local map with *no lock at all* — Corollary 9's fetch bound
 //!   amortized across the batch.
 //! * **Pooled scratch.**  The context also carries every per-query buffer the
-//!   answer path needs (walk memory, visit counts, exclusion sets, top-k
-//!   accumulator, global-rank scores), so steady-state batch serving performs no
-//!   per-query allocation beyond the `k`-element answers themselves.
+//!   answer path needs (walk memory, visit counts, exclusion set, top-k
+//!   accumulator, global-rank scores), so steady-state serving performs no
+//!   per-query allocation beyond the `k`-element answers themselves.  A single
+//!   [`crate::ServeHandle::serve`] is a batch of one through the same pool.
+//!   The personalized and SALSA-authority buffers are sized by the walk, not by
+//!   the graph (`O(walk_length)` per context — see
+//!   [`ppr_core::personalized`]'s cost model), so a context outlives node growth
+//!   and a pool of them stays small at any `n`.
 //! * **Deadline budgets.**  [`QueryBatch::with_deadline`] extends the Corollary 9
 //!   fetch budget into a per-query *time* budget over an injectable
 //!   [`Clock`]: each query starts its own timer, and an expired walk returns a
@@ -115,9 +120,10 @@ impl QueryBatch {
 /// answer path needs.
 ///
 /// One context serves one *lane* of a batch (a sequence of queries on one
-/// thread).  The local layer is cleared at batch start — adjacency is only valid
-/// for the generation the batch pinned — while the scratch buffers persist across
-/// batches through the session's context pool, so steady-state batch serving
+/// thread).  The local layer lives exactly as long as the lane — adjacency is
+/// only valid for the generation the batch pinned, and is dropped when the
+/// context goes back to the pool — while the scratch buffers persist across
+/// batches through the session's context pool, so steady-state serving
 /// allocates nothing per query.  Contexts never affect answers: the walker's own
 /// per-walk memory already makes each walk's fetch *count* independent of any
 /// cache layer below it, and every buffer here is fully reset before reuse.
@@ -130,12 +136,11 @@ pub struct StitchContext {
     pub(crate) saved: u64,
     /// Walk working memory (fetched-node map + recycled adjacency buffers).
     pub(crate) walk: WalkScratch,
-    /// The walk outcome buffer (visit counts reused across queries).
+    /// The walk outcome buffer (sparse visit counts reused across queries;
+    /// SALSA-authority walks record into it too).
     pub(crate) result: PersonalizedWalkResult,
     /// Seed + friends exclusion set, rebuilt per query into the same allocation.
     pub(crate) exclude: HashSet<NodeId>,
-    /// Index-keyed exclusion set for score-vector selections (SALSA/global).
-    pub(crate) exclude_indices: HashSet<usize>,
     /// Top-k candidate accumulator.
     pub(crate) topk: TopKScratch,
     /// Score vector buffer for global-rank queries.
@@ -143,17 +148,22 @@ pub struct StitchContext {
 }
 
 impl StitchContext {
-    /// Readies the context for a new batch: drops the previous batch's local
-    /// adjacency layer (it belonged to another pin) and resets the saved-fetch
-    /// counter.  Scratch buffers are kept — they are reset per query.
-    pub(crate) fn begin_batch(&mut self) {
-        self.local.clear();
-        self.saved = 0;
-    }
-
-    /// Fetches answered by the batch-local layer since [`Self::begin_batch`].
+    /// Fetches answered by the batch-local layer in the lane being served.
     pub(crate) fn saved(&self) -> u64 {
         self.saved
+    }
+
+    /// Heap bytes held across every buffer of the context (capacity, not
+    /// length).
+    #[cfg(test)]
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.local.capacity() * size_of::<(NodeId, Arc<Vec<NodeId>>)>()
+            + self.walk.heap_bytes()
+            + self.result.heap_bytes()
+            + self.exclude.capacity() * size_of::<NodeId>()
+            + self.topk.heap_bytes()
+            + self.scores.capacity() * size_of::<f64>()
     }
 }
 
@@ -193,16 +203,18 @@ impl AdjacencyFetch for StitchFetch<'_> {
     }
 }
 
-/// The session-wide pool of [`StitchContext`]s: batch entry points pop one per
-/// lane and push it back when the lane completes, so a steady stream of batches
-/// reuses the same walk memory, visit buffers, and accumulators indefinitely.
+/// The session-wide pool of [`StitchContext`]s: every serve entry point pops one
+/// per lane (a single query is a lane of one) and pushes it back when the lane
+/// completes, so a steady stream of queries reuses the same walk memory, visit
+/// buffers, and accumulators indefinitely.
 #[derive(Debug, Default)]
 pub(crate) struct ScratchPool {
     pool: Mutex<Vec<StitchContext>>,
 }
 
 impl ScratchPool {
-    /// Pops a pooled context, or makes a fresh one (first batches warm the pool).
+    /// Pops a pooled context, or makes a fresh one (first lanes warm the pool);
+    /// either way its local layer is empty and its saved-fetch counter zero.
     pub(crate) fn take(&self) -> StitchContext {
         self.pool
             .lock()
@@ -211,9 +223,16 @@ impl ScratchPool {
             .unwrap_or_default()
     }
 
-    /// Returns a lane's context to the pool.  Bounded: the pool never holds more
-    /// contexts than the widest reader fan-out that ever ran.
-    pub(crate) fn put(&self, ctx: StitchContext) {
+    /// Returns a finished lane's context to the pool.  The lane ends here: its
+    /// local adjacency layer is dropped — it belonged to the lane's pin, and an
+    /// idle context holding those `Arc`s would keep superseded lists alive and
+    /// make the committer deep-copy any list it next edits — and its
+    /// saved-fetch counter reset; scratch buffers are kept (they are reset per
+    /// query).  Bounded: the pool never holds more contexts than the widest
+    /// reader fan-out that ever ran.
+    pub(crate) fn put(&self, mut ctx: StitchContext) {
+        ctx.local.clear();
+        ctx.saved = 0;
         let mut pool = self.pool.lock().expect("scratch pool poisoned");
         if pool.len() < 64 {
             pool.push(ctx);

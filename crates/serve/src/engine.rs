@@ -590,8 +590,10 @@ impl ServeHandle {
     }
 
     /// Pins the current generation and answers one query on the
-    /// `(session query_seed, query_id)` stream.  With telemetry attached the
-    /// call is traced (`query.latency` over `query.pin` → `query.walk` →
+    /// `(session query_seed, query_id)` stream — a batch of one through the
+    /// same pooled context [`ServeHandle::serve_batch`] uses, so a steady
+    /// stream of single queries allocates no scratch.  With telemetry attached
+    /// the call is traced (`query.latency` over `query.pin` → `query.walk` →
     /// `query.topk`) — tracing never changes the answer's bits.
     pub fn serve(&self, query_id: u64, query: &Query) -> Served {
         let spans = self.spans.as_deref();
@@ -600,7 +602,11 @@ impl ServeHandle {
             let _pin = spans.map(|s| s.tele.time(&s.pin));
             self.pin()
         };
-        view.answer_instrumented(self.query_seed, query_id, query, spans)
+        let mut ctx = self.scratch.take();
+        let served =
+            view.answer_in_context(self.query_seed, query_id, query, &mut ctx, None, spans);
+        self.scratch.put(ctx);
+        served
     }
 
     /// Serves a whole [`QueryBatch`] on the calling thread under **one**
@@ -621,7 +627,6 @@ impl ServeHandle {
             self.pin()
         };
         let mut ctx = self.scratch.take();
-        ctx.begin_batch();
         let mut out = Vec::with_capacity(batch.len());
         for (query_id, query) in &batch.jobs {
             let _latency = spans.map(|s| s.tele.time(&s.latency));

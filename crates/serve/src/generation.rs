@@ -17,7 +17,7 @@ use crate::batch::{DeadlineBudget, StitchContext, StitchFetch};
 use crate::cache::FetchCache;
 use crate::telem::QuerySpans;
 use ppr_core::query::query_rng;
-use ppr_core::salsa::{personalized_authorities_on, salsa_estimates_from, top_k_scores};
+use ppr_core::salsa::{personalized_authorities_into, salsa_estimates_from, top_k_scores};
 use ppr_core::PersonalizedWalker;
 use ppr_graph::{GraphView, NodeId};
 use ppr_store::{FrozenGraph, FrozenWalks, WalkIndexView};
@@ -158,38 +158,25 @@ impl PinnedView {
     }
 
     /// Answers one query on the `(query_seed, query_id)` stream.  Pure in the
-    /// pinned generation: any thread, any interleaving, same bits.
+    /// pinned generation: any thread, any interleaving, same bits.  For callers
+    /// holding only a view: the query runs in a context of its own, which costs
+    /// what the walk fills it with; a [`crate::ServeHandle`] reuses pooled ones.
     pub fn answer(&self, query_seed: u64, query_id: u64, query: &Query) -> Served {
-        self.answer_instrumented(query_seed, query_id, query, None)
-    }
-
-    /// [`PinnedView::answer`] with optional query-lifecycle instruments: the
-    /// walk and top-k phases are timed (`query.walk` / `query.topk`), and the
-    /// served / fetch / budget-exhaustion counters recorded.  Instrumentation
-    /// only observes — the returned [`Served`] is bit-identical to the
-    /// uninstrumented call.
-    pub(crate) fn answer_instrumented(
-        &self,
-        query_seed: u64,
-        query_id: u64,
-        query: &Query,
-        spans: Option<&QuerySpans>,
-    ) -> Served {
-        // A throwaway context: empty maps and vectors cost nothing until the
-        // query fills them, exactly like the per-query buffers this path always
-        // allocated.  The batch entry points pass a pooled context instead.
         let mut ctx = StitchContext::default();
-        self.answer_in_context(query_seed, query_id, query, &mut ctx, None, spans)
+        self.answer_in_context(query_seed, query_id, query, &mut ctx, None, None)
     }
 
-    /// The shared execution core behind [`PinnedView::answer`] and the batched
-    /// entry points: answers one query *through* a [`StitchContext`] — the
-    /// batch-local fetch layer plus pooled per-query scratch — with an optional
-    /// per-query [`DeadlineBudget`].  Every buffer in `ctx` is reset before use
-    /// and the fetch layers only change where adjacency bytes come from, so the
-    /// answer is bit-identical to a context-free, deadline-free serve of the
-    /// same `(generation, query_seed, query_id)` — unless the deadline actually
-    /// expires, which (by construction) cannot happen with `deadline: None`.
+    /// The one execution path behind [`PinnedView::answer`] and every
+    /// [`crate::ServeHandle`] / [`crate::ReaderPool`] entry point: answers one
+    /// query *through* a [`StitchContext`] — the batch-local fetch layer plus
+    /// pooled per-query scratch — with an optional per-query [`DeadlineBudget`]
+    /// and optional instruments (`query.walk` / `query.topk` spans, served /
+    /// fetch / exhaustion counters; they only observe).  Every buffer in `ctx`
+    /// is reset before use and the fetch layers only change where adjacency
+    /// bytes come from, so the answer is a pure function of `(generation,
+    /// query_seed, query_id)` whatever context serves it — unless the deadline
+    /// actually expires, which (by construction) cannot happen with
+    /// `deadline: None`.
     pub(crate) fn answer_in_context(
         &self,
         query_seed: u64,
@@ -263,14 +250,13 @@ impl PinnedView {
                 let total = generation.walks.total_visits().max(1) as f64;
                 ctx.scores.clear();
                 ctx.scores.extend(counts.iter().map(|&c| c as f64 / total));
-                ctx.exclude_indices.clear();
                 Served {
                     query_id,
                     epoch: generation.epoch,
                     fetches: 0,
                     budget_exhausted: false,
                     deadline_exhausted: false,
-                    answer: Answer::Ranked(top_k_scores(&ctx.scores, &ctx.exclude_indices, k)),
+                    answer: Answer::Ranked(top_k_scores(&ctx.scores, &HashSet::new(), k)),
                 }
             }
             Query::SalsaAuthorities {
@@ -284,28 +270,26 @@ impl PinnedView {
                     "SALSA queries need a SALSA generation"
                 );
                 let mut rng = query_rng(query_seed, query_id);
-                let scores = {
+                {
                     let _walk = spans.map(|s| s.tele.time(&s.walk));
-                    personalized_authorities_on(
+                    personalized_authorities_into(
                         &generation.graph,
                         seed,
                         walk_length,
                         generation.epsilon,
                         &mut rng,
-                    )
-                };
+                        &mut ctx.result,
+                    );
+                }
                 let _topk = spans.map(|s| s.tele.time(&s.topk));
                 self.friends_exclude_into(seed, &mut ctx.exclude);
-                ctx.exclude_indices.clear();
-                ctx.exclude_indices
-                    .extend(ctx.exclude.iter().map(|n| n.index()));
                 Served {
                     query_id,
                     epoch: generation.epoch,
                     fetches: 0,
                     budget_exhausted: false,
                     deadline_exhausted: false,
-                    answer: Answer::Ranked(top_k_scores(&scores, &ctx.exclude_indices, k)),
+                    answer: Answer::Ranked(ctx.result.top_k_with(k, &ctx.exclude, &mut ctx.topk)),
                 }
             }
             Query::HubAuthorityTopK { k } => {
@@ -316,7 +300,7 @@ impl PinnedView {
                 );
                 let _topk = spans.map(|s| s.tele.time(&s.topk));
                 let estimates = salsa_estimates_from(&generation.walks);
-                ctx.exclude_indices.clear();
+                let nothing = HashSet::new();
                 Served {
                     query_id,
                     epoch: generation.epoch,
@@ -324,8 +308,8 @@ impl PinnedView {
                     budget_exhausted: false,
                     deadline_exhausted: false,
                     answer: Answer::HubsAuthorities {
-                        hubs: top_k_scores(&estimates.hubs, &ctx.exclude_indices, k),
-                        authorities: top_k_scores(&estimates.authorities, &ctx.exclude_indices, k),
+                        hubs: top_k_scores(&estimates.hubs, &nothing, k),
+                        authorities: top_k_scores(&estimates.authorities, &nothing, k),
                     },
                 }
             }

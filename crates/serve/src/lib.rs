@@ -486,6 +486,124 @@ mod tests {
     }
 
     #[test]
+    fn pooled_contexts_hold_no_adjacency_after_their_lane() {
+        // Two identical sessions; only one ever serves.  Once the generation the
+        // reader fetched from is superseded (its fetch cache goes with it), every
+        // adjacency list must be referenced exactly as often as in the session
+        // that never had a reader — an idle pooled context pins nothing, so the
+        // committer's `Arc::make_mut` keeps editing lists in place.
+        let stream = edges(120, 981);
+        let build = || {
+            let config = MonteCarloConfig::new(0.2, 3).with_seed(983);
+            let mut engine = IncrementalPageRank::new_empty(120, config);
+            engine.apply_arrivals(&stream);
+            QueryEngine::new(engine, 29)
+        };
+        let query = |seed: u32| Query::PersonalizedTopK {
+            seed: NodeId(seed),
+            k: 4,
+            walk_length: 900,
+            fetch_budget: None,
+        };
+        let (mut served, mut control) = (build(), build());
+        let handle = served.handle();
+        let pool = ReaderPool::new(2);
+        let jobs: Vec<(u64, Query)> = (0..8).map(|qid| (qid, query(qid as u32 % 5))).collect();
+        assert!(handle.serve_batch(&QueryBatch::of(&jobs))[0].fetches > 0);
+        pool.serve_batch(&handle, &QueryBatch::of(&jobs));
+        handle.serve(9, &query(3));
+        // Every context is back in the pool, and none kept its local layer.
+        let mut idle = Vec::new();
+        for _ in 0..3 {
+            let ctx = handle.scratch_pool().take();
+            assert!(ctx.local.is_empty(), "a pooled context kept adjacency");
+            assert_eq!(ctx.saved(), 0);
+            idle.push(ctx);
+        }
+        assert!(
+            idle.iter().any(|ctx| ctx.result.total_visits > 0),
+            "the lanes above ran through pooled contexts"
+        );
+        idle.into_iter()
+            .for_each(|ctx| handle.scratch_pool().put(ctx));
+
+        for session in [&mut served, &mut control] {
+            session.commit_arrivals(&[Edge::new(100, 101)]);
+        }
+        let (after_readers, never_read) = (served.pin(), control.pin());
+        for node in 0..120 {
+            let node = NodeId(node);
+            assert_eq!(
+                Arc::strong_count(&after_readers.graph().shared_out_neighbors(node)),
+                Arc::strong_count(&never_read.graph().shared_out_neighbors(node)),
+                "adjacency of {node} is still pinned by an idle context"
+            );
+        }
+    }
+
+    #[test]
+    fn personalized_query_cost_is_independent_of_the_node_count() {
+        // The same 200-query script against a 2k-node and a 64k-node graph, one
+        // handle each (so one pooled context each).  Counted, not timed: what a
+        // query resets and examines is its own distinct visited nodes — never a
+        // function of n — and the context it leaves behind is sized by the walk.
+        const WALK: usize = 2_000;
+        const QUERIES: u64 = 200;
+        let mut heaps = Vec::new();
+        for n in [2_000usize, 64_000] {
+            // Preferential attachment only points at older nodes; one extra
+            // out-edge per node to anywhere lets a walk from an old seed roam
+            // the whole graph, so the two sizes really are different walks.
+            let mut links = edges(n, 1201);
+            links.extend((0..n as u32).map(|i| Edge::new(i, (i * 7919 + 13) % n as u32)));
+            let graph = DynamicGraph::from_edges(&links, n);
+            let config = MonteCarloConfig::new(0.2, 2).with_seed(1203);
+            let serving = QueryEngine::new(IncrementalPageRank::from_graph(&graph, config), 23);
+            let handle = serving.handle();
+            let (mut visits, mut distinct, mut last_distinct) = (0u64, 0u64, 0u64);
+            for qid in 0..QUERIES {
+                let query = Query::PersonalizedTopK {
+                    seed: NodeId((qid * 37 % 2_000) as u32),
+                    k: 10,
+                    walk_length: WALK,
+                    fetch_budget: None,
+                };
+                handle.serve(qid, &query);
+                let ctx = handle.scratch_pool().take();
+                assert!(ctx.result.total_visits >= WALK as u64);
+                visits += ctx.result.total_visits;
+                last_distinct = ctx.result.counts().count() as u64;
+                distinct += last_distinct;
+                handle.scratch_pool().put(ctx);
+            }
+            let ctx = handle.scratch_pool().take();
+            // Exactly the visited nodes are examined, exactly the previous
+            // query's are reset: O(walk) each, at either size.
+            assert_eq!(ctx.topk.examined(), distinct, "n = {n}");
+            assert_eq!(
+                ctx.result.slots_reset(),
+                distinct - last_distinct,
+                "n = {n}"
+            );
+            assert!(
+                ctx.result.slots_reset() + ctx.topk.examined() <= visits + QUERIES,
+                "n = {n}: {distinct} distinct nodes over {visits} visits"
+            );
+            heaps.push(ctx.heap_bytes());
+        }
+        // A dense per-context visit array alone would be n × 8 B = 512 KB at 64k
+        // nodes; the whole context (out-degrees here are ≤ 5, so the fetched
+        // adjacency copies are O(walk) too) stays within a constant × the walk
+        // length.
+        for (heap, n) in heaps.iter().zip([2_000, 64_000]) {
+            assert!(
+                *heap <= 32 * WALK,
+                "n = {n}: context holds {heap} B for {WALK}-visit walks"
+            );
+        }
+    }
+
+    #[test]
     fn deadline_budgets_cut_walks_deterministically_under_a_manual_clock() {
         use ppr_telemetry::ManualClock;
         let stream = edges(100, 971);

@@ -125,7 +125,6 @@ impl ReaderPool {
             let mut ctx = handle.scratch_pool().take();
             let done = done_tx.clone();
             self.execute(move || {
-                ctx.begin_batch();
                 let spans = spans.as_deref();
                 let mut results = Vec::with_capacity(jobs.len());
                 for (slot, query_id, query) in jobs {
