@@ -1,15 +1,16 @@
-//! Shared batching machinery for the engines' `apply_arrivals` paths: arrival
-//! grouping, the split-RNG seed derivation, and the candidate/reconcile plumbing the
-//! deterministic parallel reroute is built on.
+//! Batching machinery of [`crate::engine`]'s `apply_arrivals` / `apply_deletions`:
+//! per-pivot grouping, the split-RNG seed derivation, and the candidate/reconcile
+//! plumbing the deterministic parallel reroute is built on.
 //!
 //! # The deterministic repair pipeline
 //!
-//! Both engines process a batch of arrivals in three phases:
+//! The engine processes a batch (of arrivals or of deletions) in three phases:
 //!
-//! 1. **Candidate generation** (read-only, parallel): arrival groups are formed per
-//!    pivot node; for every group and every segment visiting its pivot, an independent
-//!    RNG stream — seeded from `(engine seed, batch index, pivot, segment)` via
-//!    `repair_seed` — flips the reroute coins over the segment's *pre-batch* path and,
+//! 1. **Candidate generation** (read-only, parallel): groups are formed per pivot
+//!    node; for every group and every segment visiting its pivot, an independent RNG
+//!    stream — seeded from `(engine seed, batch index, pivot, segment, direction)` via
+//!    `repair_seed` — decides over the segment's *pre-batch* path whether it must be
+//!    repaired (reroute coins for arrivals, a deterministic scan for deletions) and,
 //!    on a hit, generates the candidate replacement path against the post-batch graph.
 //!    Because every `(group, segment)` pair has its own stream and only reads immutable
 //!    state, candidates can be computed in any order, by any number of threads, split
@@ -32,56 +33,57 @@
 //! every worker's output deterministic in isolation.
 
 use ppr_graph::{Edge, NodeId};
-use ppr_store::{SegmentId, SocialStore, WalkIndex};
+use ppr_store::{SegmentId, WalkIndex};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-/// One pivot node's share of a batch: the pivot, its relevant degree from *before* the
-/// batch, and the forced reroute targets its new edges contribute, in arrival order.
-pub(crate) type ArrivalGroup = (NodeId, usize, Vec<NodeId>);
-
-/// Groups a batch of arrivals by pivot node in first-arrival order, capturing each
-/// pivot's pre-batch degree.
-///
-/// Must be called **before** any edge of the batch is inserted into `store`: the
-/// captured degree is the pivot's degree with no batch edge applied, which is what the
-/// `k/(d₀+k)` reservoir composition of the per-edge coins needs.  `key` maps an edge to
-/// `(pivot, forced_target)` — `(source, target)` for PageRank and SALSA's forward
-/// direction, `(target, source)` for SALSA's backward direction — and `degree` reads
-/// the pivot's relevant degree (out-degree for forward steps, in-degree for backward).
-pub(crate) fn group_arrivals(
-    store: &SocialStore,
-    edges: &[Edge],
-    key: impl Fn(Edge) -> (NodeId, NodeId),
-    degree: impl Fn(&SocialStore, NodeId) -> usize,
-) -> Vec<ArrivalGroup> {
-    let mut groups: Vec<ArrivalGroup> = Vec::new();
-    let mut index: HashMap<NodeId, usize> = HashMap::new();
-    for &edge in edges {
-        let (pivot, target) = key(edge);
-        let slot = *index.entry(pivot).or_insert_with(|| {
-            groups.push((pivot, degree(store, pivot), Vec::new()));
-            groups.len() - 1
-        });
-        groups[slot].2.push(target);
-    }
-    groups
+/// One pivot node's share of a batch.  Forward groups key on edge sources (the steps
+/// leaving the pivot along out-edges changed), backward groups on edge targets (SALSA's
+/// steps leaving the pivot along in-edges).
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct Group {
+    pub pivot: NodeId,
+    /// The pivot's degree in the group's direction from *before* the batch (arrival
+    /// groups only; deletion repairs are deterministic and never read it).
+    pub prior_degree: usize,
+    /// The far endpoints of the pivot's batch edges, in batch order.
+    pub targets: Vec<NodeId>,
+    pub forward: bool,
 }
 
-/// Groups a batch of *successfully removed* edges per source node in
-/// first-occurrence order.  Unlike arrivals, no pre-batch degree capture is needed:
-/// deletion rerouting is deterministic — a segment reroutes iff it traverses an edge
-/// that no longer exists after the batch — so a group only carries the pivot and its
-/// removed targets.
-pub(crate) fn group_deletions(edges: &[Edge]) -> Vec<(NodeId, Vec<NodeId>)> {
-    let mut groups: Vec<(NodeId, Vec<NodeId>)> = Vec::new();
+/// Groups a batch of edges by pivot node — the source when `forward`, the target
+/// otherwise — in first-occurrence order, keeping multiplicity, and stamping each group
+/// with `prior_degree(pivot)`.
+///
+/// For arrivals this must be called **before** any edge of the batch is inserted:
+/// the captured degree (out-degree for forward groups, in-degree for backward) is the
+/// pivot's degree with no batch edge applied, which is what the `k/(d₀+k)` reservoir
+/// composition of the per-edge coins needs.  Deletions group the *successfully
+/// removed* edges and need no degree: a segment reroutes iff it traverses an edge
+/// that no longer exists after the batch.
+pub(crate) fn group_by_pivot(
+    edges: &[Edge],
+    forward: bool,
+    prior_degree: impl Fn(NodeId) -> usize,
+) -> Vec<Group> {
+    let mut groups: Vec<Group> = Vec::new();
     let mut index: HashMap<NodeId, usize> = HashMap::new();
     for &edge in edges {
-        let slot = *index.entry(edge.source).or_insert_with(|| {
-            groups.push((edge.source, Vec::new()));
+        let (pivot, target) = if forward {
+            (edge.source, edge.target)
+        } else {
+            (edge.target, edge.source)
+        };
+        let slot = *index.entry(pivot).or_insert_with(|| {
+            groups.push(Group {
+                pivot,
+                prior_degree: prior_degree(pivot),
+                targets: Vec::new(),
+                forward,
+            });
             groups.len() - 1
         });
-        groups[slot].1.push(edge.target);
+        groups[slot].targets.push(target);
     }
     groups
 }
@@ -335,7 +337,16 @@ pub(crate) fn reconcile_candidates(sets: &[CandidateSet]) -> Vec<(usize, usize)>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppr_store::WalkStore;
+    use ppr_store::{SocialStore, WalkStore};
+
+    fn group(pivot: u32, prior_degree: usize, targets: &[u32], forward: bool) -> Group {
+        Group {
+            pivot: NodeId(pivot),
+            prior_degree,
+            targets: targets.iter().map(|&t| NodeId(t)).collect(),
+            forward,
+        }
+    }
 
     #[test]
     fn groups_preserve_first_arrival_order_and_pre_batch_degrees() {
@@ -347,18 +358,10 @@ mod tests {
             Edge::new(2, 3),
             Edge::new(0, 1),
         ];
-        let groups = group_arrivals(
-            &store,
-            &batch,
-            |e| (e.source, e.target),
-            |s, n| s.out_degree(n),
-        );
+        let groups = group_by_pivot(&batch, true, |n| store.out_degree(n));
         assert_eq!(
             groups,
-            vec![
-                (NodeId(2), 1, vec![NodeId(1), NodeId(3)]),
-                (NodeId(0), 0, vec![NodeId(3), NodeId(1)]),
-            ]
+            vec![group(2, 1, &[1, 3], true), group(0, 0, &[3, 1], true)]
         );
     }
 
@@ -366,13 +369,8 @@ mod tests {
     fn backward_key_groups_by_target_with_in_degrees() {
         let store = SocialStore::new(3, 1);
         let batch = [Edge::new(0, 2), Edge::new(1, 2)];
-        let groups = group_arrivals(
-            &store,
-            &batch,
-            |e| (e.target, e.source),
-            |s, n| s.in_degree(n),
-        );
-        assert_eq!(groups, vec![(NodeId(2), 0, vec![NodeId(0), NodeId(1)])]);
+        let groups = group_by_pivot(&batch, false, |n| store.in_degree(n));
+        assert_eq!(groups, vec![group(2, 0, &[0, 1], false)]);
     }
 
     #[test]
@@ -443,15 +441,12 @@ mod tests {
             Edge::new(5, 1), // parallel deletion
             Edge::new(5, 2),
         ];
-        let groups = group_deletions(&batch);
+        let groups = group_by_pivot(&batch, true, |_| 0);
         assert_eq!(
             groups,
-            vec![
-                (NodeId(5), vec![NodeId(1), NodeId(1), NodeId(2)]),
-                (NodeId(0), vec![NodeId(3)]),
-            ]
+            vec![group(5, 0, &[1, 1, 2], true), group(0, 0, &[3], true)]
         );
-        assert!(group_deletions(&[]).is_empty());
+        assert!(group_by_pivot(&[], true, |_| 0).is_empty());
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Durable engines: `create_durable` / `open` / `checkpoint` on both Monte Carlo
-//! engines, built on `ppr-persist`.
+//! Durable engines: `create_durable` / `open` / `checkpoint` on [`WalkEngine`] of
+//! either walk kind, built on `ppr-persist`.
 //!
 //! # The recovery contract
 //!
@@ -44,8 +44,7 @@
 //! automatically, so crash recovery never needs manual cleanup.
 
 use crate::config::{MonteCarloConfig, RerouteStrategy};
-use crate::incremental::IncrementalPageRank;
-use crate::salsa::IncrementalSalsa;
+use crate::engine::{PageRank, WalkEngine, WalkKind};
 use ppr_graph::{Edge, GraphView};
 use ppr_persist::dir::StoreDir;
 use ppr_persist::graph::{decode_graph, encode_graph};
@@ -65,10 +64,7 @@ pub use ppr_persist::{PersistError, PersistResult};
 
 /// A PageRank engine whose walk store is the file-backed
 /// [`ppr_persist::DiskWalkStore`] — checkpoints write back only dirty pages.
-pub type DurablePageRank = IncrementalPageRank<DiskWalkStore>;
-
-const ENGINE_PAGERANK: u8 = 1;
-const ENGINE_SALSA: u8 = 2;
+pub type DurablePageRank = WalkEngine<PageRank, DiskWalkStore>;
 
 /// Runtime durability options (not persisted; chosen per process).
 #[derive(Debug, Clone, Copy)]
@@ -503,14 +499,10 @@ fn attach_fresh<W: PersistentWalkStore>(
     })
 }
 
-// ---------------------------------------------------------------------------------
-// IncrementalPageRank
-// ---------------------------------------------------------------------------------
-
-impl<W: WalkIndexMut + PersistentWalkStore + Sync> IncrementalPageRank<W> {
+impl<K: WalkKind, W: WalkIndexMut + PersistentWalkStore + Sync> WalkEngine<K, W> {
     fn engine_meta(&self) -> EngineMeta {
         EngineMeta {
-            kind: ENGINE_PAGERANK,
+            kind: K::TAG,
             config: self.config,
             threads: self.threads,
             batch_index: self.batch_index,
@@ -521,10 +513,11 @@ impl<W: WalkIndexMut + PersistentWalkStore + Sync> IncrementalPageRank<W> {
         }
     }
 
-    /// Opens a durable PageRank engine from `root`, performing full crash recovery:
-    /// latest valid snapshot, WAL-tail replay, torn-tail truncation.  The recovered
-    /// engine is bit-identical to the one that crashed (up to the at-most-one
-    /// unsynced batch).
+    /// Opens a durable engine from `root`, performing full crash recovery: latest
+    /// valid snapshot, WAL-tail replay (arrival and deletion records alike, each as
+    /// the batch it was logged as, on its split RNG streams), torn-tail truncation.
+    /// The recovered engine is bit-identical to the one that crashed (up to the
+    /// at-most-one unsynced batch).  Fails if the directory holds the other walk kind.
     pub fn open(root: impl AsRef<Path>) -> PersistResult<Self> {
         Self::open_with(root, DurabilityOptions::default())
     }
@@ -532,29 +525,26 @@ impl<W: WalkIndexMut + PersistentWalkStore + Sync> IncrementalPageRank<W> {
     /// [`Self::open`] with explicit durability options.
     pub fn open_with(root: impl AsRef<Path>, options: DurabilityOptions) -> PersistResult<Self> {
         let recovered = load_store::<W>(StoreDir::open(root.as_ref().to_path_buf())?)?;
-        if recovered.meta.kind != ENGINE_PAGERANK {
-            return Err(format_err(
-                "store directory holds a SALSA engine, not PageRank".to_string(),
-            ));
-        }
         let meta = recovered.meta;
-        let mut engine = IncrementalPageRank {
-            store: recovered.social,
-            walks: recovered.walks,
-            config: meta.config,
-            rng: SmallRng::from_state(meta.rng),
-            work: meta.work,
-            initialization_steps: meta.initialization_steps,
-            threads: meta.threads,
-            batch_index: meta.batch_index,
-            scratch: Vec::new(),
-            candidate_sets: Vec::new(),
-            phase1_times: Vec::new(),
-            rewrites: ppr_store::SegmentRewrites::new(),
-            profile: crate::batch::BatchProfile::default(),
-            durability: None,
-            wal_seq: meta.wal_seq,
-        };
+        if meta.kind != K::TAG {
+            return Err(format_err(format!(
+                "store directory holds an engine of kind {}, not {} (kind {})",
+                meta.kind,
+                K::NAME,
+                K::TAG
+            )));
+        }
+        let mut engine = WalkEngine::assemble(
+            recovered.social,
+            recovered.walks,
+            meta.config,
+            SmallRng::from_state(meta.rng),
+            meta.threads,
+        );
+        engine.work = meta.work;
+        engine.initialization_steps = meta.initialization_steps;
+        engine.batch_index = meta.batch_index;
+        engine.wal_seq = meta.wal_seq;
         let next_seq = replay_records(meta.wal_seq, &recovered.replay, |op, edges| match op {
             WalOp::Arrivals => {
                 engine.apply_arrivals(edges);
@@ -605,19 +595,21 @@ impl<W: WalkIndexMut + PersistentWalkStore + Sync> IncrementalPageRank<W> {
         self.durability.as_ref()
     }
 
-    fn make_durable(
-        mut self,
-        root: impl Into<std::path::PathBuf>,
-        options: DurabilityOptions,
-    ) -> PersistResult<Self> {
+    fn make_durable(mut self, root: impl AsRef<Path>) -> PersistResult<Self> {
         let meta = self.engine_meta();
-        let log = attach_fresh(root, options, &meta, &self.store, &mut self.walks)?;
+        let log = attach_fresh(
+            root.as_ref().to_path_buf(),
+            DurabilityOptions::default(),
+            &meta,
+            &self.store,
+            &mut self.walks,
+        )?;
         self.durability = Some(log);
         Ok(self)
     }
 }
 
-impl<W: WalkIndexMut + Sync> IncrementalPageRank<W> {
+impl<K: WalkKind, W: WalkIndexMut + Sync> WalkEngine<K, W> {
     /// Switches the attached WAL (if any, and if fsyncing) into group-commit mode;
     /// see [`DurableLog::begin_group_commit`].
     pub fn wal_group_commit(&mut self) -> Option<GroupCommit> {
@@ -634,7 +626,7 @@ impl<W: WalkIndexMut + Sync> IncrementalPageRank<W> {
     }
 }
 
-impl IncrementalPageRank<WalkStore> {
+impl<K: WalkKind> WalkEngine<K, WalkStore> {
     /// Builds a flat-store engine over `graph` and initialises a durable store
     /// directory at `root` (generation-0 snapshot plus an empty WAL).
     pub fn create_durable(
@@ -642,12 +634,11 @@ impl IncrementalPageRank<WalkStore> {
         graph: impl Into<SocialStore>,
         config: MonteCarloConfig,
     ) -> PersistResult<Self> {
-        Self::from_graph(graph, config)
-            .make_durable(root.as_ref().to_path_buf(), DurabilityOptions::default())
+        Self::from_graph(graph, config).make_durable(root)
     }
 }
 
-impl IncrementalPageRank<ShardedWalkStore> {
+impl<K: WalkKind> WalkEngine<K, ShardedWalkStore> {
     /// Builds a sharded engine over `graph` and initialises a durable store
     /// directory at `root`.  The shard count is recorded in the snapshot; `open`
     /// restores it.
@@ -658,12 +649,11 @@ impl IncrementalPageRank<ShardedWalkStore> {
         shards: usize,
         threads: usize,
     ) -> PersistResult<Self> {
-        Self::from_graph_sharded(graph, config, shards, threads)
-            .make_durable(root.as_ref().to_path_buf(), DurabilityOptions::default())
+        Self::from_graph_sharded(graph, config, shards, threads).make_durable(root)
     }
 }
 
-impl DurablePageRank {
+impl<K: WalkKind> WalkEngine<K, DiskWalkStore> {
     /// Builds an engine over the file-backed [`DiskWalkStore`] and initialises a
     /// durable store directory at `root`.  Subsequent [`Self::checkpoint`] calls
     /// write back only the heap pages the batches since the last checkpoint dirtied.
@@ -673,159 +663,20 @@ impl DurablePageRank {
         config: MonteCarloConfig,
     ) -> PersistResult<Self> {
         let store = graph.into();
-        let walks = DiskWalkStore::new(store.node_count(), config.r);
-        Self::with_store(store, walks, config, 1)
-            .make_durable(root.as_ref().to_path_buf(), DurabilityOptions::default())
-    }
-}
-
-// ---------------------------------------------------------------------------------
-// IncrementalSalsa
-// ---------------------------------------------------------------------------------
-
-impl<W: WalkIndexMut + PersistentWalkStore + Sync> IncrementalSalsa<W> {
-    fn engine_meta(&self) -> EngineMeta {
-        EngineMeta {
-            kind: ENGINE_SALSA,
-            config: self.config,
-            threads: self.threads,
-            batch_index: self.batch_index,
-            wal_seq: self.wal_seq,
-            rng: self.rng.state(),
-            initialization_steps: 0,
-            work: self.work,
-        }
-    }
-
-    /// Opens a durable SALSA engine from `root` with full crash recovery (see
-    /// [`IncrementalPageRank::open`]; the mechanism is identical).  SALSA deletions
-    /// replay through the sequential per-edge path, whose RNG state the snapshot
-    /// carries, so recovery is bit-exact for it as well.
-    pub fn open(root: impl AsRef<Path>) -> PersistResult<Self> {
-        Self::open_with(root, DurabilityOptions::default())
-    }
-
-    /// [`Self::open`] with explicit durability options.
-    pub fn open_with(root: impl AsRef<Path>, options: DurabilityOptions) -> PersistResult<Self> {
-        let recovered = load_store::<W>(StoreDir::open(root.as_ref().to_path_buf())?)?;
-        if recovered.meta.kind != ENGINE_SALSA {
-            return Err(format_err(
-                "store directory holds a PageRank engine, not SALSA".to_string(),
-            ));
-        }
-        let meta = recovered.meta;
-        let mut engine = IncrementalSalsa {
-            store: recovered.social,
-            walks: recovered.walks,
-            config: meta.config,
-            rng: SmallRng::from_state(meta.rng),
-            work: meta.work,
-            threads: meta.threads,
-            batch_index: meta.batch_index,
-            scratch: Vec::new(),
-            visiting: Vec::new(),
-            candidate_sets: Vec::new(),
-            phase1_times: Vec::new(),
-            rewrites: ppr_store::SegmentRewrites::new(),
-            profile: crate::batch::BatchProfile::default(),
-            durability: None,
-            wal_seq: meta.wal_seq,
-        };
-        let next_seq = replay_records(meta.wal_seq, &recovered.replay, |op, edges| match op {
-            WalOp::Arrivals => {
-                engine.apply_arrivals(edges);
-            }
-            WalOp::Deletions => {
-                for &edge in edges {
-                    engine.remove_edge(edge);
-                }
-            }
-        })?;
-        engine.wal_seq = next_seq;
-        let mut writer = recovered.writer;
-        writer.set_fsync(options.fsync_wal);
-        engine.durability = Some(DurableLog {
-            dir: recovered.dir,
-            lock: recovered.lock,
-            gen: recovered.current_gen,
-            last_good: recovered.snap_gen,
-            writer,
-            options,
-            group: None,
-        });
-        Ok(engine)
-    }
-
-    /// Writes a new snapshot generation and rotates the WAL (see
-    /// [`IncrementalPageRank::checkpoint`]).
-    pub fn checkpoint(&mut self) -> PersistResult<u64> {
-        let Some(log) = self.durability.take() else {
-            return Err(format_err(
-                "engine has no durable store attached; build it with create_durable or open"
-                    .to_string(),
-            ));
-        };
-        let meta = self.engine_meta();
-        let (log, result) = run_checkpoint(log, &meta, &self.store, &mut self.walks);
-        self.durability = Some(log);
-        result
-    }
-
-    /// `true` when the engine logs to a durable store directory.
-    pub fn is_durable(&self) -> bool {
-        self.durability.is_some()
-    }
-
-    fn make_durable(
-        mut self,
-        root: impl Into<std::path::PathBuf>,
-        options: DurabilityOptions,
-    ) -> PersistResult<Self> {
-        let meta = self.engine_meta();
-        let log = attach_fresh(root, options, &meta, &self.store, &mut self.walks)?;
-        self.durability = Some(log);
-        Ok(self)
-    }
-}
-
-impl<W: WalkIndexMut + Sync> IncrementalSalsa<W> {
-    /// Switches the attached WAL (if any, and if fsyncing) into group-commit mode;
-    /// see [`DurableLog::begin_group_commit`].
-    pub fn wal_group_commit(&mut self) -> Option<GroupCommit> {
-        self.durability
-            .as_mut()
-            .and_then(DurableLog::begin_group_commit)
-    }
-
-    /// Leaves WAL group-commit mode with one final covering sync.
-    pub fn wal_end_group_commit(&mut self) {
-        if let Some(log) = self.durability.as_mut() {
-            log.end_group_commit();
-        }
-    }
-}
-
-impl IncrementalSalsa<WalkStore> {
-    /// Builds a flat-store SALSA engine over `graph` and initialises a durable store
-    /// directory at `root`.
-    pub fn create_durable(
-        root: impl AsRef<Path>,
-        graph: impl Into<SocialStore>,
-        config: MonteCarloConfig,
-    ) -> PersistResult<Self> {
-        Self::from_graph(graph, config)
-            .make_durable(root.as_ref().to_path_buf(), DurabilityOptions::default())
+        let walks = DiskWalkStore::new(store.node_count(), K::segments_per_node(config.r));
+        Self::with_store(store, walks, config, 1).make_durable(root)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Salsa;
 
     #[test]
     fn meta_round_trips_exactly() {
         let meta = EngineMeta {
-            kind: ENGINE_PAGERANK,
+            kind: PageRank::TAG,
             config: MonteCarloConfig::new(0.25, 7)
                 .with_seed(99)
                 .with_reroute(RerouteStrategy::FromSource)
@@ -856,7 +707,7 @@ mod tests {
     #[test]
     fn meta_decoding_rejects_nonsense() {
         let meta = EngineMeta {
-            kind: ENGINE_SALSA,
+            kind: Salsa::TAG,
             config: MonteCarloConfig::new(0.2, 3),
             threads: 1,
             batch_index: 0,
@@ -885,7 +736,7 @@ mod tests {
         // f64 at bytes 33..41; decoding it as version 1 must succeed and fall back
         // to the half-dead default, so old directories stay openable.
         let meta = EngineMeta {
-            kind: ENGINE_PAGERANK,
+            kind: PageRank::TAG,
             config: MonteCarloConfig::new(0.25, 7)
                 .with_seed(99)
                 .with_max_segment_length(321),

@@ -1,293 +1,22 @@
-//! Incremental maintenance of Monte Carlo PageRank under edge arrivals and deletions
-//! (Section 2.2: Proposition 2, Lemma 3, Theorem 4, Proposition 5).
+//! Incremental Monte Carlo PageRank (Section 2.2): the [`PageRank`] kind of the shared
+//! [`WalkEngine`], plus the estimators only PageRank segments answer.
 //!
-//! [`IncrementalPageRank`] owns the Social Store (the evolving graph) and the PageRank
-//! Store (the `R` walk segments per node).  When an edge `(u, v)` arrives:
-//!
-//! * only segments that visit `u` can be affected — the store's visit postings find them
-//!   without scanning anything else;
-//! * each visit of such a segment to `u` would have taken the new edge with probability
-//!   `1/outdeg(u)`, so the segment is rerouted at its first visit for which an
-//!   independent coin with that bias comes up heads;
-//! * a rerouted segment keeps its (still valid) prefix and regenerates the suffix —
-//!   or, under [`RerouteStrategy::FromSource`], is regenerated entirely — at an expected
-//!   cost of `O(1/ε)` walk steps.
-//!
-//! Deletions are symmetric: only segments that actually traverse the vanished edge are
-//! rerouted from the point of traversal.
-//!
-//! The engine is generic over the PageRank Store layout: any
-//! [`ppr_store::WalkIndexMut`] works, with the flat [`WalkStore`] as the default and
-//! the sharded [`ShardedWalkStore`] available through
-//! [`IncrementalPageRank::from_graph_sharded`].
-//!
-//! [`IncrementalPageRank::apply_arrivals`] processes a whole batch of arrivals at once,
-//! grouping the coin flips and index maintenance per source node: for a source gaining
-//! `k` edges on top of `d₀` existing ones, every visit reroutes with probability
-//! `k/(d₀+k)` to a uniformly chosen new edge — exactly the distribution the `k`
-//! single-edge updates compose to (each per-edge coin `1/(d₀+i)` composes by the
-//! reservoir argument to `1/(d₀+k)` per new edge).  Repairs run as a deterministic
-//! three-phase pipeline (candidates → reconcile → apply, see [`crate::batch`]): every
-//! `(batch, source, segment)` repair draws from its own split RNG stream, so the result
-//! is **bit-identical for every shard count and thread count**, including the
-//! single-shard sequential engine — `tests/differential_shard.rs` holds the system to
-//! exactly that contract.  With a sharded store, phase 1 fans segment repairs out
-//! across shards with `std::thread::scope`, and phase 3 applies the reconciled plan
-//! with one worker per shard.
-//!
-//! The engine keeps a [`WorkCounter`] so experiments can compare the measured update
-//! work against the `nR ln m / ε²` bound of Theorem 4 and the `nR/(m ε²)` deletion bound
-//! of Proposition 5.  The closed forms this engine instantiates are
-//! [`crate::bounds::per_arrival_update_work`] and [`crate::bounds::total_update_work`]
-//! (Theorem 4) for arrivals, and [`crate::bounds::deletion_update_work`]
-//! (Proposition 5) for deletions.
+//! Maintenance — arrivals, deletions, batching, durability — lives in
+//! [`crate::engine`], shared with SALSA; this module holds the [`IncrementalPageRank`]
+//! alias and the read side: the global estimator of Theorem 1 and the personalized
+//! top-k of Algorithm 1 over the cached segments.
 
-use crate::batch::{self, BatchProfile, CandidateSet};
-use crate::config::{MonteCarloConfig, RerouteStrategy};
+use crate::engine::{PageRank, WalkEngine};
 use crate::estimator::PageRankEstimates;
 use crate::personalized::PersonalizedWalker;
-use crate::walker;
-use ppr_graph::{DynamicGraph, Edge, GraphView, NodeId};
-use ppr_store::{
-    SegmentId, SegmentRewrites, ShardedWalkStore, SocialStore, WalkIndex, WalkIndexMut, WalkStore,
-    WorkCounter,
-};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use ppr_graph::{GraphView, NodeId};
+use ppr_store::{WalkIndexMut, WalkStore};
 
-/// Work performed while processing a single edge arrival or deletion (or a whole
-/// batch, when returned by [`IncrementalPageRank::apply_arrivals`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct UpdateStats {
-    /// Number of walk segments rerouted or rebuilt.
-    pub segments_updated: u64,
-    /// Number of random-walk steps executed to repair them.
-    pub walk_steps: u64,
-    /// Whether any segment was touched at all (if `false`, the arrival was absorbed by
-    /// the `1 − (1 − 1/d)^{W}` filter of Section 2.2 without touching the PageRank
-    /// Store).
-    pub touched_walk_store: bool,
-}
+/// Monte Carlo PageRank with incrementally maintained walk segments: `R` forward
+/// walks per node, generic over the PageRank Store layout (`W`).
+pub type IncrementalPageRank<W = WalkStore> = WalkEngine<PageRank, W>;
 
-impl UpdateStats {
-    pub(crate) fn record_segment(&mut self, steps: u64) {
-        self.segments_updated += 1;
-        self.walk_steps += steps;
-        self.touched_walk_store = true;
-    }
-}
-
-/// Monte Carlo PageRank with incrementally maintained walk segments, generic over the
-/// PageRank Store layout (`W`).
-///
-/// Fields are `pub(crate)` so the durability layer ([`crate::durable`]) can snapshot
-/// and reassemble engines without widening the public API.
-#[derive(Debug)]
-pub struct IncrementalPageRank<W: WalkIndexMut = WalkStore> {
-    pub(crate) store: SocialStore,
-    pub(crate) walks: W,
-    pub(crate) config: MonteCarloConfig,
-    pub(crate) rng: SmallRng,
-    pub(crate) work: WorkCounter,
-    pub(crate) initialization_steps: u64,
-    /// Worker threads used for the batched reroute pipeline (always 1 for a
-    /// single-shard store; results never depend on this).
-    pub(crate) threads: usize,
-    /// Index of the next batch (arrivals or deletions), mixed into every
-    /// repair-stream seed.
-    pub(crate) batch_index: u64,
-    /// Reusable path buffer for segment repairs.
-    pub(crate) scratch: Vec<NodeId>,
-    /// Reusable phase-1 outputs, one per route shard.
-    pub(crate) candidate_sets: Vec<CandidateSet>,
-    /// Reusable per-shard phase-1 timing buffer.
-    pub(crate) phase1_times: Vec<std::time::Duration>,
-    /// Reusable reconciled rewrite plan.
-    pub(crate) rewrites: SegmentRewrites,
-    /// Accumulated wall-time breakdown of the update batches (observability only).
-    pub(crate) profile: BatchProfile,
-    /// Attached write-ahead log; `None` for purely in-memory engines.
-    pub(crate) durability: Option<crate::durable::DurableLog>,
-    /// Sequence number of the next WAL record (count of batches ever logged).
-    pub(crate) wal_seq: u64,
-}
-
-impl IncrementalPageRank {
-    /// Builds the engine over a graph or an existing Social Store, generating `R` walk
-    /// segments per node in a single-shard [`WalkStore`].  Pass the graph by value to
-    /// avoid copying it; `&DynamicGraph` is also accepted (and cloned) for callers that
-    /// keep theirs.
-    pub fn from_graph(graph: impl Into<SocialStore>, config: MonteCarloConfig) -> Self {
-        Self::from_social_store(graph.into(), config)
-    }
-
-    /// Builds the engine over an existing Social Store, generating `R` walk segments per
-    /// node.
-    pub fn from_social_store(store: SocialStore, config: MonteCarloConfig) -> Self {
-        let walks = WalkStore::new(store.node_count(), config.r);
-        Self::with_store(store, walks, config, 1)
-    }
-
-    /// Builds the engine over an empty graph with `node_count` isolated nodes.
-    pub fn new_empty(node_count: usize, config: MonteCarloConfig) -> Self {
-        Self::from_graph(DynamicGraph::with_nodes(node_count), config)
-    }
-}
-
-impl IncrementalPageRank<ShardedWalkStore> {
-    /// Builds the engine over a [`ShardedWalkStore`] split `shards` ways, repairing
-    /// arrival batches with up to `threads` worker threads.  The Social Store is
-    /// re-sharded to the same shard count, so both stores place every node on the same
-    /// shard (the shared [`ppr_store::routing::shard_of`] rule).
-    ///
-    /// Scores, segments, and postings are **bit-identical** to the single-shard
-    /// engine's for every `(shards, threads)` combination; the knobs only change how
-    /// the repair work is scheduled.
-    pub fn from_graph_sharded(
-        graph: impl Into<SocialStore>,
-        config: MonteCarloConfig,
-        shards: usize,
-        threads: usize,
-    ) -> Self {
-        assert!(shards >= 1, "need at least one shard");
-        assert!(threads >= 1, "need at least one worker thread");
-        let store = graph.into();
-        let store = if store.shard_count() == shards {
-            store
-        } else {
-            SocialStore::from_graph(store.into_graph(), shards)
-        };
-        let walks = ShardedWalkStore::new(store.node_count(), config.r, shards);
-        Self::with_store(store, walks, config, threads)
-    }
-}
-
-impl<W: WalkIndexMut + Sync> IncrementalPageRank<W> {
-    pub(crate) fn with_store(
-        store: SocialStore,
-        walks: W,
-        config: MonteCarloConfig,
-        threads: usize,
-    ) -> Self {
-        let node_count = store.node_count();
-        let mut walks = walks;
-        walks.set_compaction_threshold(config.compaction_threshold);
-        let rng = SmallRng::seed_from_u64(config.seed);
-        let mut engine = IncrementalPageRank {
-            store,
-            walks,
-            config,
-            rng,
-            work: WorkCounter::new(),
-            initialization_steps: 0,
-            threads,
-            batch_index: 0,
-            scratch: Vec::new(),
-            candidate_sets: Vec::new(),
-            phase1_times: Vec::new(),
-            rewrites: SegmentRewrites::new(),
-            profile: BatchProfile::default(),
-            durability: None,
-            wal_seq: 0,
-        };
-        for node in 0..node_count {
-            engine.generate_segments_for(NodeId::from_index(node));
-        }
-        engine
-    }
-
-    /// Appends one batch to the attached write-ahead log (no-op for in-memory
-    /// engines).  Called **before** the batch mutates any state, so an acknowledged
-    /// batch is always recoverable.
-    pub(crate) fn log_wal(&mut self, op: ppr_persist::WalOp, edges: &[Edge]) {
-        if let Some(log) = self.durability.as_mut() {
-            log.append(self.wal_seq, op, edges);
-            self.wal_seq += 1;
-        }
-    }
-
-    /// Accumulated wall-time breakdown of every arrival batch since construction (or
-    /// the last [`Self::reset_batch_profile`]): total time plus per-shard times of the
-    /// two parallelizable phases.  [`BatchProfile::critical_path`] turns it into the
-    /// wall time a one-core-per-shard deployment would pay.
-    pub fn batch_profile(&self) -> &BatchProfile {
-        &self.profile
-    }
-
-    /// Resets the accumulated batch profile.
-    pub fn reset_batch_profile(&mut self) {
-        self.profile = BatchProfile::default();
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> &MonteCarloConfig {
-        &self.config
-    }
-
-    /// The Social Store (graph plus fetch accounting).
-    pub fn social_store(&self) -> &SocialStore {
-        &self.store
-    }
-
-    /// The underlying graph.
-    pub fn graph(&self) -> &DynamicGraph {
-        self.store.graph()
-    }
-
-    /// The PageRank Store holding the walk segments.
-    pub fn walk_store(&self) -> &W {
-        &self.walks
-    }
-
-    /// The reconciled rewrite plan of the most recent mutation (arrival batch,
-    /// deletion batch, or single-edge wrapper): exactly the segment rewrites the
-    /// store absorbed, in plan order.  The serving layer replays this plan into its
-    /// copy-on-write generation mirror after each commit; empty when the mutation
-    /// touched no segment.
-    pub fn last_rewrites(&self) -> &SegmentRewrites {
-        &self.rewrites
-    }
-
-    /// Number of worker threads the batched reroute pipeline may use.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Sets the worker-thread budget.  Results are bit-identical for every value; only
-    /// scheduling changes.
-    pub fn set_threads(&mut self, threads: usize) {
-        assert!(threads >= 1, "need at least one worker thread");
-        self.threads = threads;
-    }
-
-    /// Number of nodes currently known to the engine.
-    pub fn node_count(&self) -> usize {
-        self.store.node_count()
-    }
-
-    /// Cumulative update work performed since construction (excluding initialization).
-    pub fn work(&self) -> &WorkCounter {
-        &self.work
-    }
-
-    /// Walk steps spent generating the initial segments (the `nR/ε` initialization cost
-    /// the paper compares the update cost against).
-    pub fn initialization_steps(&self) -> u64 {
-        self.initialization_steps
-    }
-
-    /// Resets the cumulative work counter (initialization cost is kept).
-    pub fn reset_work(&mut self) {
-        self.work = WorkCounter::new();
-    }
-
-    /// Adds an isolated node and generates its walk segments; returns its id.
-    pub fn add_node(&mut self) -> NodeId {
-        let id = NodeId::from_index(self.node_count());
-        self.ensure_nodes(id.index() + 1);
-        id
-    }
-
+impl<W: WalkIndexMut + Sync> WalkEngine<PageRank, W> {
     /// Current PageRank estimates.
     pub fn estimates(&self) -> PageRankEstimates {
         PageRankEstimates::from_store(&self.walks, self.config.epsilon)
@@ -324,514 +53,19 @@ impl<W: WalkIndexMut + Sync> IncrementalPageRank<W> {
         exclude.extend(self.store.graph().out_neighbors(seed).iter().copied());
         result.top_k(k, &exclude)
     }
-
-    /// Processes the arrival of `edge`, repairing every affected walk segment.
-    ///
-    /// A single arrival is exactly a batch of one: this delegates to
-    /// [`Self::apply_arrivals`], so the two paths are on identical RNG streams.
-    pub fn add_edge(&mut self, edge: Edge) -> UpdateStats {
-        self.apply_arrivals(std::slice::from_ref(&edge))
-    }
-
-    /// Processes a whole batch of edge arrivals, grouping the coin flips and the visit
-    /// index maintenance per source node.
-    ///
-    /// All edges are inserted into the Social Store first; then, for every source `u`
-    /// that gained `k` edges on top of `d₀` existing ones, the segments visiting `u` are
-    /// enumerated **once** and each eligible visit reroutes with probability `k/(d₀+k)`
-    /// to a uniformly chosen new edge — the exact composition of the `k` per-edge
-    /// `1/(d₀+i)` coins.  Suffixes are regenerated on the post-batch graph.
-    ///
-    /// Repairs run as the deterministic candidate → reconcile → apply pipeline of
-    /// [`crate::batch`]: each `(source, segment)` repair draws from its own split RNG
-    /// stream, candidate generation fans out over the store's shards (up to
-    /// [`Self::threads`] workers), and when several sources claim the same segment the
-    /// smallest reroute position wins — under the default prefix-preserving reroute,
-    /// the same fixed point the sequential limit-tracking loop reaches (see
-    /// [`crate::batch`] for the [`RerouteStrategy::FromSource`] case) — so results
-    /// are bit-identical at any shard and thread count.
-    ///
-    /// Returns the aggregate statistics over the whole batch.
-    pub fn apply_arrivals(&mut self, edges: &[Edge]) -> UpdateStats {
-        self.rewrites.clear();
-        let mut stats = UpdateStats::default();
-        let Some(needed) = edges
-            .iter()
-            .map(|e| e.source.index().max(e.target.index()) + 1)
-            .max()
-        else {
-            return stats;
-        };
-        self.log_wal(ppr_persist::WalOp::Arrivals, edges);
-        let batch_started = std::time::Instant::now();
-        let arena_before = self.walks.arena_stats();
-        self.ensure_nodes(needed);
-
-        // Group targets per source in first-arrival order, capturing each source's
-        // out-degree from before the batch, then insert every edge.
-        let groups = batch::group_arrivals(
-            &self.store,
-            edges,
-            |e| (e.source, e.target),
-            |s, n| s.out_degree(n),
-        );
-        for &edge in edges {
-            self.store.add_edge(edge);
-        }
-        let batch_index = self.batch_index;
-        self.batch_index += 1;
-        let threads = self.threads;
-
-        // Phase 1: candidate generation, read-only against the pre-batch walk store
-        // and the post-batch graph, partitioned by the shard owning each segment.
-        let mut sets = std::mem::take(&mut self.candidate_sets);
-        let mut phase1_times = std::mem::take(&mut self.phase1_times);
-        {
-            let graph = self.store.graph();
-            let walks = &self.walks;
-            let config = &self.config;
-            let groups = &groups;
-            let shards = walks.route_shards();
-            let r = walks.r();
-            batch::fan_out_candidates(walks, threads, &mut sets, &mut phase1_times, |sid, set| {
-                let mut scratch = std::mem::take(&mut set.scratch);
-                for (gi, (u, prior_degree, targets)) in groups.iter().enumerate() {
-                    for (id, _) in walks.segments_visiting(*u) {
-                        if shards > 1 && (id.index() / r) % shards != sid {
-                            continue;
-                        }
-                        if let Some((pos, steps)) = pagerank_candidate(
-                            graph,
-                            walks,
-                            config,
-                            batch_index,
-                            *u,
-                            *prior_degree,
-                            targets,
-                            id,
-                            &mut scratch,
-                        ) {
-                            set.push(id, pos, gi, steps, &scratch);
-                        }
-                    }
-                }
-                set.scratch = scratch;
-            });
-        }
-
-        // Phase 2: reconcile conflicting claims (smallest reroute position wins) into
-        // a rewrite plan ordered by segment id.
-        let winners = batch::reconcile_candidates(&sets);
-        let mut rewrites = std::mem::take(&mut self.rewrites);
-        rewrites.clear();
-        let mut touched = vec![false; groups.len()];
-        for &(si, ci) in &winners {
-            let cand = &sets[si].candidates[ci];
-            rewrites.push(cand.seg, sets[si].path(cand));
-            stats.record_segment(cand.steps);
-            touched[cand.group as usize] = true;
-        }
-
-        // Phase 3: the store applies the plan (parallel per shard when it can).
-        self.walks.apply_rewrites(&rewrites, threads);
-        self.profile.record(
-            batch_started.elapsed(),
-            &phase1_times,
-            self.walks.last_apply_shard_times(),
-        );
-        self.profile
-            .record_compactions(&arena_before, &self.walks.arena_stats());
-        self.candidate_sets = sets;
-        self.phase1_times = phase1_times;
-        self.rewrites = rewrites;
-
-        for (gi, (_, _, targets)) in groups.iter().enumerate() {
-            if !touched[gi] {
-                self.work.arrivals_filtered += targets.len() as u64;
-            }
-        }
-        self.work.edges_processed += edges.len() as u64;
-        self.work.segments_updated += stats.segments_updated;
-        self.work.walk_steps += stats.walk_steps;
-        stats
-    }
-
-    /// Processes the deletion of `edge`, repairing every segment that traversed it.
-    /// Returns `None` if the edge was not present.
-    ///
-    /// A single deletion is exactly a batch of one: this delegates to
-    /// [`Self::apply_deletions`], so the two paths are on identical RNG streams.
-    pub fn remove_edge(&mut self, edge: Edge) -> Option<UpdateStats> {
-        if !self.store.graph().has_edge(edge) {
-            return None;
-        }
-        Some(self.apply_deletions(std::slice::from_ref(&edge)))
-    }
-
-    /// Processes a whole batch of edge deletions, grouping the repair work per source
-    /// node exactly as [`Self::apply_arrivals`] groups arrivals.
-    ///
-    /// All present edges are removed from the Social Store first; then, for every
-    /// source `u` that lost edges, the segments visiting `u` are enumerated **once**
-    /// and each segment's *earliest* traversal of a fully deleted edge (one with no
-    /// surviving parallel copy) is repaired: under the default prefix-preserving
-    /// strategy the still-valid prefix is kept and the suffix regenerates on the
-    /// post-deletion graph.  Absent edges are skipped.
-    ///
-    /// Repairs run through the same deterministic candidate → reconcile → apply
-    /// pipeline as arrivals, with one split RNG stream per `(batch, source, segment)`
-    /// repair; when several sources claim one segment, the smallest reroute position
-    /// wins — which is the segment's globally earliest invalidated traversal, so the
-    /// kept prefix never traverses a deleted edge.  Results are **bit-identical at
-    /// any shard and thread count**, which is what makes deletion batches WAL
-    /// records just like arrival batches (one record kind each).
-    pub fn apply_deletions(&mut self, edges: &[Edge]) -> UpdateStats {
-        self.rewrites.clear();
-        let mut stats = UpdateStats::default();
-        if edges.is_empty() {
-            return stats;
-        }
-        self.log_wal(ppr_persist::WalOp::Deletions, edges);
-        let batch_started = std::time::Instant::now();
-        let arena_before = self.walks.arena_stats();
-
-        // Remove every present edge from the Social Store up front, so candidate
-        // generation sees the post-batch graph (as it does for arrivals).
-        let mut removed: Vec<Edge> = Vec::with_capacity(edges.len());
-        for &edge in edges {
-            if self.store.remove_edge(edge) {
-                removed.push(edge);
-            }
-        }
-        self.work.edges_processed += removed.len() as u64;
-        if removed.is_empty() {
-            return stats;
-        }
-
-        // Group per source; a group reroutes only over targets with no surviving
-        // parallel copy — while a copy exists, every traversal remains a legal step
-        // whose distribution the arrival-time reroutes already account for.
-        let groups: Vec<(NodeId, Vec<NodeId>)> = batch::group_deletions(&removed)
-            .into_iter()
-            .map(|(u, targets)| {
-                let mut gone: Vec<NodeId> = targets
-                    .into_iter()
-                    .filter(|&t| {
-                        !self.store.graph().has_edge(Edge {
-                            source: u,
-                            target: t,
-                        })
-                    })
-                    .collect();
-                gone.sort_unstable();
-                gone.dedup();
-                (u, gone)
-            })
-            .collect();
-        let batch_index = self.batch_index;
-        self.batch_index += 1;
-        let threads = self.threads;
-
-        // Phase 1: per group, find each visiting segment's earliest invalidated
-        // traversal and draw its replacement suffix from the repair's own stream.
-        let mut sets = std::mem::take(&mut self.candidate_sets);
-        let mut phase1_times = std::mem::take(&mut self.phase1_times);
-        {
-            let graph = self.store.graph();
-            let walks = &self.walks;
-            let config = &self.config;
-            let groups = &groups;
-            let shards = walks.route_shards();
-            let r = walks.r();
-            batch::fan_out_candidates(walks, threads, &mut sets, &mut phase1_times, |sid, set| {
-                let mut scratch = std::mem::take(&mut set.scratch);
-                for (gi, (u, gone)) in groups.iter().enumerate() {
-                    if gone.is_empty() {
-                        continue;
-                    }
-                    for (id, _) in walks.segments_visiting(*u) {
-                        if shards > 1 && (id.index() / r) % shards != sid {
-                            continue;
-                        }
-                        if let Some((pos, steps)) = deletion_candidate(
-                            graph,
-                            walks,
-                            config,
-                            batch_index,
-                            *u,
-                            gone,
-                            id,
-                            &mut scratch,
-                        ) {
-                            set.push(id, pos, gi, steps, &scratch);
-                        }
-                    }
-                }
-                set.scratch = scratch;
-            });
-        }
-
-        // Phase 2: reconcile.  The winner's position is the minimum over per-group
-        // first hits, i.e. the segment's globally earliest invalidated traversal, so
-        // its kept prefix is valid on the post-deletion graph.
-        let winners = batch::reconcile_candidates(&sets);
-        let mut rewrites = std::mem::take(&mut self.rewrites);
-        rewrites.clear();
-        let mut touched = vec![false; groups.len()];
-        for &(si, ci) in &winners {
-            let cand = &sets[si].candidates[ci];
-            rewrites.push(cand.seg, sets[si].path(cand));
-            stats.record_segment(cand.steps);
-            touched[cand.group as usize] = true;
-        }
-
-        // Phase 3: the store applies the plan.
-        self.walks.apply_rewrites(&rewrites, threads);
-        self.profile.record(
-            batch_started.elapsed(),
-            &phase1_times,
-            self.walks.last_apply_shard_times(),
-        );
-        self.profile
-            .record_compactions(&arena_before, &self.walks.arena_stats());
-        self.candidate_sets = sets;
-        self.phase1_times = phase1_times;
-        self.rewrites = rewrites;
-
-        for (gi, (u, _)) in groups.iter().enumerate() {
-            if !touched[gi] {
-                self.work.arrivals_filtered +=
-                    removed.iter().filter(|e| e.source == *u).count() as u64;
-            }
-        }
-        self.work.segments_updated += stats.segments_updated;
-        self.work.walk_steps += stats.walk_steps;
-        stats
-    }
-
-    /// Verifies that every stored segment is a valid walk in the *current* graph: it
-    /// starts at its source node and every consecutive pair of visits is an existing
-    /// edge.  This is the invariant incremental maintenance must preserve.
-    pub fn validate_segments(&self) -> Result<(), String> {
-        let graph = self.store.graph();
-        for node in graph.nodes() {
-            for id in self.walks.segment_ids_of(node) {
-                let path = self.walks.segment_path(id);
-                if path.is_empty() {
-                    return Err(format!("segment {id:?} of node {node} was never generated"));
-                }
-                if path.first() != Some(&node) {
-                    return Err(format!(
-                        "segment {id:?} starts at {:?}, expected {node}",
-                        path.first()
-                    ));
-                }
-                for pair in path.windows(2) {
-                    let edge = Edge {
-                        source: pair[0],
-                        target: pair[1],
-                    };
-                    if !graph.has_edge(edge) {
-                        return Err(format!("segment {id:?} traverses missing edge {edge}"));
-                    }
-                }
-            }
-        }
-        self.walks.check_consistency()
-    }
-
-    // ----- internal helpers -------------------------------------------------------
-
-    fn ensure_nodes(&mut self, n: usize) {
-        let before = self.store.node_count();
-        if n <= before {
-            return;
-        }
-        self.store.ensure_nodes(n);
-        self.walks.ensure_nodes(n);
-        for node in before..n {
-            self.generate_segments_for(NodeId::from_index(node));
-        }
-    }
-
-    fn generate_segments_for(&mut self, node: NodeId) {
-        for slot in 0..self.config.r {
-            let id = SegmentId::new(node, slot, self.config.r);
-            let steps = walker::pagerank_segment_into(
-                self.store.graph(),
-                node,
-                self.config.epsilon,
-                self.config.max_segment_length,
-                &mut self.rng,
-                &mut self.scratch,
-            );
-            self.initialization_steps += steps;
-            self.walks.set_segment(id, &self.scratch);
-        }
-    }
-}
-
-/// Decides whether (and where) segment `id` must be repaired for the deletion group
-/// of source `u`, whose fully deleted targets are `gone` (sorted).  Unlike arrivals,
-/// detection is deterministic: the segment repairs iff it traverses `u -> t` for some
-/// `t ∈ gone`, at its earliest such position.  On a hit, generates the replacement
-/// path into `scratch` against the post-deletion graph, drawing from the repair's own
-/// split RNG stream, and returns `(reroute position, walk steps)`.
-///
-/// Reads only the segment's pre-batch path; when several groups claim one segment,
-/// reconciliation keeps the smallest position — the globally earliest invalidated
-/// traversal — whose kept prefix therefore contains no deleted edge.
-#[allow(clippy::too_many_arguments)]
-fn deletion_candidate<W: WalkIndex>(
-    graph: &DynamicGraph,
-    walks: &W,
-    config: &MonteCarloConfig,
-    batch_index: u64,
-    u: NodeId,
-    gone: &[NodeId],
-    id: SegmentId,
-    scratch: &mut Vec<NodeId>,
-) -> Option<(usize, u64)> {
-    let path = walks.segment_path(id);
-    let pos = path
-        .windows(2)
-        .position(|w| w[0] == u && gone.binary_search(&w[1]).is_ok())?;
-    let mut rng =
-        SmallRng::seed_from_u64(batch::repair_seed(config.seed, batch_index, u, id, false));
-    let steps = match config.reroute {
-        RerouteStrategy::FromUpdatePoint => {
-            scratch.clear();
-            scratch.extend_from_slice(&path[..=pos]);
-            walker::extend_pagerank_walk(
-                graph,
-                scratch,
-                config.epsilon,
-                config.max_segment_length,
-                &mut rng,
-            )
-        }
-        RerouteStrategy::FromSource => walker::pagerank_segment_into(
-            graph,
-            walks.source_of(id),
-            config.epsilon,
-            config.max_segment_length,
-            &mut rng,
-            scratch,
-        ),
-    };
-    Some((pos, steps))
-}
-
-/// Decides whether (and where) segment `id` reroutes for a group of `targets.len()`
-/// new edges out of `u` (on top of `prior_degree` pre-batch ones), drawing from the
-/// repair's own split RNG stream.  On a hit, generates the full replacement path into
-/// `scratch` against the post-batch graph and returns `(reroute position, walk steps)`.
-///
-/// Reads only the segment's pre-batch path.  Under
-/// [`RerouteStrategy::FromUpdatePoint`] this is sound because a reroute by another
-/// group only changes the path *after* its own reroute position, and reconciliation
-/// keeps the smallest position — coins flipped on stale suffix positions can only
-/// produce candidates that lose, never a wrong winner.  Under
-/// [`RerouteStrategy::FromSource`] the winning group differs from the old sequential
-/// first-group-wins rule, but any winner regenerates the whole segment as a fresh
-/// from-source walk on the post-batch graph, and the segment regenerates iff any
-/// group's coin hits under both rules — so the choice of winner only selects which RNG
-/// stream draws the (identically distributed) replacement.
-///
-/// A candidate that later loses reconciliation wastes its generated walk (rare:
-/// several pivots of one batch must hit the same segment); only applied repairs are
-/// charged to [`UpdateStats`]/[`WorkCounter`], so `walk_steps` counts the work the
-/// store actually absorbed.
-#[allow(clippy::too_many_arguments)]
-fn pagerank_candidate<W: WalkIndex>(
-    graph: &DynamicGraph,
-    walks: &W,
-    config: &MonteCarloConfig,
-    batch_index: u64,
-    u: NodeId,
-    prior_degree: usize,
-    targets: &[NodeId],
-    id: SegmentId,
-    scratch: &mut Vec<NodeId>,
-) -> Option<(usize, u64)> {
-    let path = walks.segment_path(id);
-    if path.is_empty() {
-        return None;
-    }
-    let k = targets.len();
-    let last_index = path.len() - 1;
-    let mut rng =
-        SmallRng::seed_from_u64(batch::repair_seed(config.seed, batch_index, u, id, false));
-
-    // Decide where (if anywhere) the segment must be rerouted.
-    let mut reroute_at: Option<(usize, NodeId)> = None;
-    for (pos, &visit) in path.iter().enumerate() {
-        if visit != u {
-            continue;
-        }
-        if pos < last_index {
-            // At an interior visit the surfer took one of the `prior_degree + k`
-            // now-existing edges uniformly; it lands on a new one with probability
-            // k/(d₀+k) (the reservoir composition of the k per-edge 1/(d₀+i) coins),
-            // each new edge being equally likely.
-            if rng.gen_bool(k as f64 / (prior_degree + k) as f64) {
-                let target = walker::pick_new_target(&mut rng, targets);
-                reroute_at = Some((pos, target));
-                break;
-            }
-        } else if prior_degree == 0 {
-            // The segment ended at u because u was dangling; now that u has outgoing
-            // edges the surfer would have continued with probability 1 − ε, choosing
-            // uniformly among the new edges.
-            if rng.gen_bool(1.0 - config.epsilon) {
-                let target = walker::pick_new_target(&mut rng, targets);
-                reroute_at = Some((pos, target));
-                break;
-            }
-        }
-        // A final visit to a non-dangling u ended with an ε-reset, which the new
-        // edges do not affect.
-    }
-
-    let (pos, target) = reroute_at?;
-    let steps = match config.reroute {
-        RerouteStrategy::FromUpdatePoint => {
-            scratch.clear();
-            scratch.extend_from_slice(&path[..=pos]);
-            let mut steps = 0u64;
-            if scratch.len() < config.max_segment_length {
-                scratch.push(target);
-                steps += 1;
-                steps += walker::extend_pagerank_walk(
-                    graph,
-                    scratch,
-                    config.epsilon,
-                    config.max_segment_length,
-                    &mut rng,
-                );
-            }
-            steps
-        }
-        RerouteStrategy::FromSource => walker::pagerank_segment_into(
-            graph,
-            walks.source_of(id),
-            config.epsilon,
-            config.max_segment_length,
-            &mut rng,
-            scratch,
-        ),
-    };
-    Some((pos, steps))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{MonteCarloConfig, RerouteStrategy};
+    use crate::engine::UpdateStats;
     use ppr_baselines::power_iteration::{power_iteration, PowerIterationConfig};
     use ppr_graph::generators::{
         directed_cycle, example1_gadget, preferential_attachment_edges,
         PreferentialAttachmentConfig,
     };
+    use ppr_graph::{DynamicGraph, Edge};
     use ppr_store::WalkIndexView;
 
     fn config(r: usize, seed: u64) -> MonteCarloConfig {
@@ -991,6 +225,37 @@ mod tests {
         assert!(
             tvd < fresh_tvd * 2.0 + 0.02,
             "incremental TVD {tvd:.4} should be comparable to fresh TVD {fresh_tvd:.4}"
+        );
+    }
+
+    #[test]
+    fn estimates_track_power_iteration_after_mixed_arrivals_and_deletions() {
+        // The same stream as the arrival-only build above, but every fourth arrival
+        // is followed by the deletion of a pseudo-randomly chosen live edge — a
+        // quarter of all edges vanish again — and held to the same tolerance.
+        let pa = PreferentialAttachmentConfig::new(300, 4, 17);
+        let edges = preferential_attachment_edges(&pa);
+        let mut engine = IncrementalPageRank::new_empty(300, config(20, 23));
+        let mut live: Vec<Edge> = Vec::new();
+        let mut deleted = 0usize;
+        for (i, &edge) in edges.iter().enumerate() {
+            engine.add_edge(edge);
+            live.push(edge);
+            if i % 4 == 3 {
+                let victim = live.swap_remove((i * 7919) % live.len());
+                engine.remove_edge(victim).expect("victim is live");
+                deleted += 1;
+            }
+        }
+        assert!(deleted * 5 >= edges.len(), "at least 20 % of edges deleted");
+        assert_eq!(engine.graph().edge_count(), live.len());
+        engine.validate_segments().unwrap();
+
+        let exact = power_iteration(engine.graph(), &PowerIterationConfig::with_epsilon(0.2));
+        let tvd = engine.estimates().total_variation_distance(&exact.scores);
+        assert!(
+            tvd < 0.12,
+            "estimates must survive a mixed history as well as an arrival-only one, TVD = {tvd:.4}"
         );
     }
 

@@ -9,9 +9,9 @@
 //!    (Theorem 1) — [`estimator`];
 //! 2. under random-permutation edge arrivals the segments can be kept up to date with
 //!    only `O(nR ln m / ε²)` total work over `m` arrivals (Theorem 4), and deletions cost
-//!    `O(nR/(m ε²))` each (Proposition 5) — [`incremental`];
+//!    `O(nR/(m ε²))` each (Proposition 5) — [`engine`];
 //! 3. the same machinery extends to SALSA with a constant-factor overhead (Theorem 6) —
-//!    [`salsa`];
+//!    the same [`engine`] under a second [`WalkKind`], queried through [`salsa`];
 //! 4. the cached segments can be stitched into long personalized walks that find the
 //!    top-k personalized PageRank nodes with `O(k / R^{(1−α)/α})` fetches against the
 //!    social store under a power-law score model (Theorem 8, Corollary 9) —
@@ -25,6 +25,7 @@ pub mod batch;
 pub mod bounds;
 pub mod config;
 pub mod durable;
+pub mod engine;
 pub mod estimator;
 pub mod incremental;
 pub mod personalized;
@@ -37,8 +38,9 @@ pub mod walker;
 pub use batch::BatchProfile;
 pub use config::{MonteCarloConfig, RerouteStrategy};
 pub use durable::{DurabilityOptions, DurablePageRank, PersistError, PersistResult};
+pub use engine::{PageRank, Salsa, UpdateStats, WalkEngine, WalkKind};
 pub use estimator::PageRankEstimates;
-pub use incremental::{IncrementalPageRank, UpdateStats};
+pub use incremental::IncrementalPageRank;
 pub use personalized::{PersonalizedWalkResult, PersonalizedWalker, TopKScratch, WalkScratch};
 pub use ppr_persist::GroupCommit;
 pub use query::{query_rng, query_stream_seed};

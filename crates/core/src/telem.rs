@@ -1,7 +1,7 @@
-//! Telemetry adapters for the incremental engines.
+//! Telemetry adapters for the incremental engine.
 //!
 //! [`MetricSource`] impls for this crate's stats structs, plus an
-//! `emit_telemetry` method on each engine that folds *every* layer the engine
+//! `emit_telemetry` method on the engine that folds *every* layer the engine
 //! owns — Social Store access counts, cumulative update work, batch wall-time
 //! profile, the walk store's own counters (arena; plus pager / residency /
 //! on-disk compaction for [`ppr_persist::DiskWalkStore`]), and the attached
@@ -9,8 +9,7 @@
 //! `TelemetrySnapshot` see the whole stack.
 
 use crate::batch::BatchProfile;
-use crate::incremental::{IncrementalPageRank, UpdateStats};
-use crate::salsa::IncrementalSalsa;
+use crate::engine::{UpdateStats, WalkEngine, WalkKind};
 use ppr_store::index::WalkIndexMut;
 use ppr_telemetry::{MetricSource, SnapshotBuilder};
 
@@ -39,27 +38,13 @@ impl MetricSource for UpdateStats {
     }
 }
 
-impl<W: WalkIndexMut> IncrementalPageRank<W> {
+impl<K: WalkKind, W: WalkIndexMut> WalkEngine<K, W> {
     /// Emits every observability layer this engine owns into `out`: Social
     /// Store access metrics (`store.*`), cumulative update work (`work.*`),
     /// the batch wall-time profile (`batch.*`), the walk store's counters
     /// (`arena.*` always; `disk.*` / `pager.*` / `residency.*` /
     /// `shard_load.*` per layout), and WAL counters (`wal.*`) when a durable
-    /// log is attached.
-    pub fn emit_telemetry(&self, out: &mut SnapshotBuilder) {
-        out.source("store", &self.store.metrics());
-        out.source("work", &self.work);
-        out.source("batch", &self.profile);
-        self.walks.emit_telemetry(out);
-        if let Some(log) = &self.durability {
-            out.source("wal", &log.wal_stats());
-        }
-    }
-}
-
-impl<W: WalkIndexMut> IncrementalSalsa<W> {
-    /// Emits every observability layer this engine owns into `out`; see
-    /// [`IncrementalPageRank::emit_telemetry`] — the layout is identical.
+    /// log is attached.  The layout is the same for both walk kinds.
     pub fn emit_telemetry(&self, out: &mut SnapshotBuilder) {
         out.source("store", &self.store.metrics());
         out.source("work", &self.work);
@@ -75,6 +60,7 @@ impl<W: WalkIndexMut> IncrementalSalsa<W> {
 mod tests {
     use super::*;
     use crate::config::MonteCarloConfig;
+    use crate::{IncrementalPageRank, IncrementalSalsa};
     use ppr_graph::{DynamicGraph, Edge};
     use ppr_telemetry::TelemetrySnapshot;
 

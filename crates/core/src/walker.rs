@@ -57,6 +57,46 @@ pub fn pagerank_segment_into<R: Rng + ?Sized>(
     extend_pagerank_walk(graph, buf, epsilon, max_length, rng)
 }
 
+/// Continues a walk whose current node is `path.last()`, pushing newly visited nodes
+/// onto `path` until the first reset / node with no edge in the required direction /
+/// the `max_length` cap, and returns the number of steps taken.  `step_forward(pos)`
+/// is the direction of the step leaving position `pos` of `path`: forward steps follow
+/// a uniformly random out-edge and are preceded by the ε reset coin, backward steps
+/// follow a uniformly random in-edge unconditionally.  Every stored segment is drawn
+/// by this loop — a PageRank walk never steps backward, a SALSA walk alternates — so
+/// the two kinds draw from `rng` in the same order for the same sequence of directions.
+pub fn extend_walk<R: Rng + ?Sized>(
+    graph: &DynamicGraph,
+    path: &mut Vec<NodeId>,
+    epsilon: f64,
+    max_length: usize,
+    rng: &mut R,
+    step_forward: impl Fn(usize) -> bool,
+) -> u64 {
+    let mut steps = 0u64;
+    let mut current = *path.last().expect("walk must have a current node");
+    while path.len() < max_length {
+        let forward = step_forward(path.len() - 1);
+        if forward && rng.gen_bool(epsilon) {
+            break;
+        }
+        let next = if forward {
+            graph.random_out_neighbor(current, rng)
+        } else {
+            graph.random_in_neighbor(current, rng)
+        };
+        match next {
+            Some(node) => {
+                path.push(node);
+                current = node;
+                steps += 1;
+            }
+            None => break,
+        }
+    }
+    steps
+}
+
 /// Continues a PageRank walk whose current node is `path.last()`, pushing newly visited
 /// nodes onto `path` until the first reset / dangling node / the `max_length` cap.
 /// Returns the number of steps taken.
@@ -67,22 +107,7 @@ pub fn extend_pagerank_walk<R: Rng + ?Sized>(
     max_length: usize,
     rng: &mut R,
 ) -> u64 {
-    let mut steps = 0u64;
-    let mut current = *path.last().expect("walk must have a current node");
-    while path.len() < max_length {
-        if rng.gen_bool(epsilon) {
-            break;
-        }
-        match graph.random_out_neighbor(current, rng) {
-            Some(next) => {
-                path.push(next);
-                current = next;
-                steps += 1;
-            }
-            None => break,
-        }
-    }
-    steps
+    extend_walk(graph, path, epsilon, max_length, rng, |_| true)
 }
 
 /// Generates one SALSA walk segment starting at `start`.
@@ -136,33 +161,15 @@ pub fn salsa_segment_into<R: Rng + ?Sized>(
 pub fn extend_salsa_walk<R: Rng + ?Sized>(
     graph: &DynamicGraph,
     path: &mut Vec<NodeId>,
-    mut forward: bool,
+    forward: bool,
     epsilon: f64,
     max_length: usize,
     rng: &mut R,
 ) -> u64 {
-    let mut steps = 0u64;
-    let mut current = *path.last().expect("walk must have a current node");
-    while path.len() < max_length {
-        if forward && rng.gen_bool(epsilon) {
-            break;
-        }
-        let next = if forward {
-            graph.random_out_neighbor(current, rng)
-        } else {
-            graph.random_in_neighbor(current, rng)
-        };
-        match next {
-            Some(node) => {
-                path.push(node);
-                current = node;
-                steps += 1;
-                forward = !forward;
-            }
-            None => break,
-        }
-    }
-    steps
+    let first = path.len().saturating_sub(1);
+    extend_walk(graph, path, epsilon, max_length, rng, |pos| {
+        ((pos - first) % 2 == 0) == forward
+    })
 }
 
 /// Picks the forced reroute target among a batch group's new edges, uniformly.

@@ -46,7 +46,7 @@ const HEADER_LEN: u64 = 8 + 4 + 4;
 pub enum WalOp {
     /// A batch for `apply_arrivals`.
     Arrivals,
-    /// A batch for `apply_deletions` (or a per-edge `remove_edge` replay).
+    /// A batch for `apply_deletions` (a `remove_edge` logs a batch of one).
     Deletions,
 }
 

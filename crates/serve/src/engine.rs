@@ -43,7 +43,7 @@ use crate::batch::{QueryBatch, ScratchPool};
 use crate::generation::{EngineKind, Generation, PinnedView, Query, Served};
 use crate::telem::{CommitSpans, QuerySpans};
 use crate::FetchCache;
-use ppr_core::{GroupCommit, IncrementalPageRank, IncrementalSalsa, UpdateStats};
+use ppr_core::{GroupCommit, Salsa, UpdateStats, WalkEngine, WalkKind};
 use ppr_graph::{DynamicGraph, Edge, GraphView, NodeId};
 use ppr_store::{
     FrozenGraph, FrozenWalks, SegmentRewrites, TouchedChunks, WalkIndexMut, WalkIndexView,
@@ -59,7 +59,7 @@ use std::thread::JoinHandle;
 pub enum WriteOp<'a> {
     /// An edge-arrival batch (`apply_arrivals`).
     Arrivals(&'a [Edge]),
-    /// An edge-deletion batch (`apply_deletions` / per-edge `remove_edge`).
+    /// An edge-deletion batch (`apply_deletions`).
     Deletions(&'a [Edge]),
 }
 
@@ -132,8 +132,8 @@ impl OpsRecorder {
 }
 
 /// The engine surface [`QueryEngine`] serves: apply a write op while recording its
-/// exact effect on a frozen mirror.  Implemented by both Monte Carlo engines over
-/// every store layout.
+/// exact effect on a frozen mirror.  Implemented by [`WalkEngine`] of either walk
+/// kind over every store layout.
 pub trait ServeEngine {
     /// Which engine family this is (decides segment interpretation in queries).
     fn kind(&self) -> EngineKind;
@@ -174,31 +174,13 @@ pub trait ServeEngine {
     }
 }
 
-/// Records the segments of nodes the batch created (store node count was `from`
-/// before the batch applied), through the recorder's pooled plan buffers.
-fn record_growth<W: WalkIndexView + ?Sized>(store: &W, from: usize, rec: &mut OpsRecorder) {
-    let to = store.node_count();
-    if to <= from {
-        return;
-    }
-    rec.push_growth(store, from, to);
-}
-
-/// Records one applied plan (growth first: the plan may rewrite segments of nodes
-/// that did not exist at the previous generation).
-fn record_plan<W: WalkIndexView + ?Sized>(
-    store: &W,
-    from: usize,
-    plan: &SegmentRewrites,
-    rec: &mut OpsRecorder,
-) {
-    record_growth(store, from, rec);
-    rec.push_rewrites(plan);
-}
-
-impl<W: WalkIndexMut + Sync> ServeEngine for IncrementalPageRank<W> {
+impl<K: WalkKind, W: WalkIndexMut + Sync> ServeEngine for WalkEngine<K, W> {
     fn kind(&self) -> EngineKind {
-        EngineKind::PageRank
+        if K::TAG == Salsa::TAG {
+            EngineKind::Salsa
+        } else {
+            EngineKind::PageRank
+        }
     }
 
     fn epsilon(&self) -> f64 {
@@ -219,64 +201,14 @@ impl<W: WalkIndexMut + Sync> ServeEngine for IncrementalPageRank<W> {
             WriteOp::Arrivals(edges) => self.apply_arrivals(edges),
             WriteOp::Deletions(edges) => self.apply_deletions(edges),
         };
-        record_plan(self.walk_store(), before, self.last_rewrites(), rec);
-        stats
-    }
-
-    fn group_commit(&mut self) -> Option<GroupCommit> {
-        self.wal_group_commit()
-    }
-
-    fn end_group_commit(&mut self) {
-        self.wal_end_group_commit();
-    }
-
-    fn emit_metrics(&self, out: &mut SnapshotBuilder) {
-        self.emit_telemetry(out);
-    }
-}
-
-impl<W: WalkIndexMut + Sync> ServeEngine for IncrementalSalsa<W> {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Salsa
-    }
-
-    fn epsilon(&self) -> f64 {
-        self.config().epsilon
-    }
-
-    fn live_graph(&self) -> &DynamicGraph {
-        self.graph()
-    }
-
-    fn freeze_walks(&self, epoch: u64) -> FrozenWalks {
-        FrozenWalks::from_index(self.walk_store(), epoch)
-    }
-
-    fn apply_and_record(&mut self, op: WriteOp<'_>, rec: &mut OpsRecorder) -> UpdateStats {
-        match op {
-            WriteOp::Arrivals(edges) => {
-                let before = self.walk_store().node_count();
-                let stats = self.apply_arrivals(edges);
-                record_plan(self.walk_store(), before, self.last_rewrites(), rec);
-                stats
-            }
-            WriteOp::Deletions(edges) => {
-                // SALSA deletions run per edge through the sequential path; each
-                // records its own plan, so the mirror advances edge by edge.
-                let mut stats = UpdateStats::default();
-                for &edge in edges {
-                    let before = self.walk_store().node_count();
-                    if let Some(s) = self.remove_edge(edge) {
-                        stats.segments_updated += s.segments_updated;
-                        stats.walk_steps += s.walk_steps;
-                        stats.touched_walk_store |= s.touched_walk_store;
-                    }
-                    record_plan(self.walk_store(), before, self.last_rewrites(), rec);
-                }
-                stats
-            }
+        // Growth first: the plan may rewrite segments of nodes that did not exist
+        // at the previous generation.
+        let after = self.walk_store().node_count();
+        if after > before {
+            rec.push_growth(self.walk_store(), before, after);
         }
+        rec.push_rewrites(self.last_rewrites());
+        stats
     }
 
     fn group_commit(&mut self) -> Option<GroupCommit> {
@@ -410,7 +342,7 @@ struct Committer {
 
 impl Committer {
     /// Replays the task's edge batch on a mirror adjacency view in batch order —
-    /// both Monte Carlo engines mutate the live graph strictly per edge in batch
+    /// the engine (either walk kind) mutates the live graph strictly per edge in batch
     /// order (arrivals push, deletions first-occurrence `swap_remove`, absent
     /// edges skipped), so replay reproduces the live lists element-for-element,
     /// which queries rely on (sampling picks neighbours by list position).

@@ -118,12 +118,6 @@ pub trait WalkIndex: WalkIndexView {
     /// The segments visiting `node` with their multiplicities, in segment-id order.
     fn segments_visiting(&self, node: NodeId) -> impl Iterator<Item = (SegmentId, u32)> + '_;
 
-    /// Collects the ids of the segments visiting `node` into `out` (cleared first).
-    fn collect_visiting(&self, node: NodeId, out: &mut Vec<SegmentId>) {
-        out.clear();
-        out.extend(self.segments_visiting(node).map(|(id, _)| id));
-    }
-
     /// Number of distinct segments visiting `node`.
     fn distinct_visitors(&self, node: NodeId) -> usize {
         self.segments_visiting(node).count()
@@ -398,9 +392,6 @@ mod tests {
             WalkIndex::segments_visiting(&store, NodeId(2)).collect::<Vec<_>>(),
             vec![(id, 2)]
         );
-        let mut buf = Vec::new();
-        WalkIndex::collect_visiting(&store, NodeId(2), &mut buf);
-        assert_eq!(buf, vec![id]);
         assert_eq!(WalkIndex::distinct_visitors(&store, NodeId(2)), 1);
         assert_eq!(WalkIndexView::visit_count(&store, NodeId(2)), 2);
         assert_eq!(WalkIndexView::visit_counts(&store), vec![0, 1, 2, 0]);

@@ -17,7 +17,7 @@
 //!   merge.
 //!
 //! Consumers read the store through the [`crate::WalkIndex`] API (`segment_path`,
-//! `positions_of`, `collect_visiting`, …); no engine touches raw segment vectors.
+//! `positions_of`, `segments_visiting`, …); no engine touches raw segment vectors.
 
 use crate::arena::{ArenaStats, StepArena};
 use crate::postings::{PostingsIter, VisitPostings};
@@ -327,14 +327,6 @@ impl WalkStore {
         self.postings[node.index()].iter()
     }
 
-    /// Collects the ids of the segments visiting `node` into `out` (cleared first).
-    /// This is the arrival hot path: a reusable buffer keeps it allocation-free in
-    /// steady state.
-    pub fn collect_visiting(&self, node: NodeId, out: &mut Vec<SegmentId>) {
-        out.clear();
-        out.extend(self.postings[node.index()].iter().map(|(id, _)| id));
-    }
-
     /// Number of distinct segments visiting `node`.
     pub fn distinct_visitors(&self, node: NodeId) -> usize {
         self.postings[node.index()].distinct()
@@ -581,24 +573,6 @@ mod tests {
             "steady-state rewrites must be in place"
         );
         assert!(store.check_consistency().is_ok());
-    }
-
-    #[test]
-    fn collect_visiting_matches_segments_visiting() {
-        let mut store = WalkStore::new(5, 2);
-        store.set_segment(SegmentId::new(NodeId(0), 0, 2), &path(&[0, 2, 3]));
-        store.set_segment(SegmentId::new(NodeId(1), 1, 2), &path(&[1, 2]));
-        let mut buf = Vec::new();
-        store.collect_visiting(NodeId(2), &mut buf);
-        let from_iter: Vec<SegmentId> = store
-            .segments_visiting(NodeId(2))
-            .map(|(id, _)| id)
-            .collect();
-        assert_eq!(buf, from_iter);
-        assert_eq!(buf.len(), 2);
-        // The buffer is cleared on reuse.
-        store.collect_visiting(NodeId(4), &mut buf);
-        assert!(buf.is_empty());
     }
 
     #[test]

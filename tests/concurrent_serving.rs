@@ -25,7 +25,10 @@
 //! count and any read/write interleaving.
 
 use fast_ppr::prelude::*;
-use fast_ppr::serve::{Answer, PinnedView, Query, QueryBatch, ServeEngine, Served};
+use fast_ppr::serve::{
+    Answer, MirrorOp, OpsRecorder, PinnedView, Query, QueryBatch, ServeEngine, Served, WriteOp,
+};
+use ppr_core::{WalkEngine, WalkKind};
 use ppr_graph::generators::{preferential_attachment_edges, PreferentialAttachmentConfig};
 use ppr_graph::stream::random_permutation;
 use ppr_graph::Edge;
@@ -98,9 +101,9 @@ fn query_for(qid: u64) -> Query {
 }
 
 /// Byte-compares one published generation against a freshly frozen reference state.
-fn assert_generation_matches_reference(
+fn assert_generation_matches_reference<K: WalkKind>(
     view: &PinnedView,
-    reference: &IncrementalPageRank,
+    reference: &WalkEngine<K>,
     context: &str,
 ) {
     let ref_walks = FrozenWalks::from_index(reference.walk_store(), view.epoch());
@@ -450,7 +453,7 @@ fn batched_serving_is_bit_identical_on_every_store_layout() {
 #[test]
 fn salsa_serving_is_deterministic_under_a_live_writer() {
     // The SALSA flavour of the harness: hub/authority and personalized-authority
-    // queries against pinned generations while arrivals and per-edge deletions
+    // queries against pinned generations while arrivals and a deletion batch
     // commit; every answer replays identically.
     let pa = PreferentialAttachmentConfig::new(80, 4, 721);
     let edges = random_permutation(&preferential_attachment_edges(&pa), 723);
@@ -509,4 +512,38 @@ fn salsa_serving_is_deterministic_under_a_live_writer() {
             assert!(hubs.len() <= 6 && authorities.len() <= 6);
         }
     }
+}
+
+#[test]
+fn salsa_deletion_commit_is_one_plan_and_one_generation() {
+    // A 32-edge SALSA deletion batch is one batched repair, like PageRank's: the
+    // engine records one rewrite plan (no per-edge mirror steps), the serving layer
+    // publishes one generation, and that generation equals the single-threaded
+    // replay of the same two batches.
+    let pa = PreferentialAttachmentConfig::new(80, 4, 731);
+    let edges = random_permutation(&preferential_attachment_edges(&pa), 733);
+    let victims: Vec<Edge> = edges.iter().copied().step_by(5).take(32).collect();
+    let config = MonteCarloConfig::new(0.2, 2).with_seed(739);
+
+    let mut reference = IncrementalSalsa::new_empty(80, config);
+    reference.apply_arrivals(&edges);
+    let mut recorder = OpsRecorder::default();
+    let replayed = reference.apply_and_record(WriteOp::Deletions(&victims), &mut recorder);
+    let ops = recorder.take_ops();
+    assert!(
+        matches!(ops.as_slice(), [MirrorOp::Rewrites(plan)] if !plan.is_empty()),
+        "a deletion batch records exactly one rewrite plan, got {} ops",
+        ops.len()
+    );
+
+    let mut serving = QueryEngine::new(IncrementalSalsa::new_empty(80, config), QUERY_SEED);
+    serving.commit_arrivals(&edges);
+    let (epoch, commits) = (serving.epoch(), serving.commit_stats().commits);
+    let served = serving.commit_deletions(&victims);
+    assert_eq!(served, replayed, "commit stats equal the direct replay's");
+    assert_eq!(serving.epoch(), epoch + 1, "one epoch per deletion commit");
+    assert_eq!(serving.commit_stats().commits, commits + 1);
+    let view = serving.pin();
+    assert_eq!(view.epoch(), epoch + 1);
+    assert_generation_matches_reference(&view, &reference, "salsa deletion commit");
 }

@@ -494,10 +494,15 @@ fn salsa_engine_survives_crash_recovery() {
     for chunk in edges.chunks(40) {
         reference.apply_arrivals(chunk);
     }
+    // Deletions before the crash: one multi-edge batch, then singletons; after it,
+    // one more batch.
     let victims: Vec<Edge> = edges.iter().copied().step_by(9).take(20).collect();
-    for &edge in &victims {
+    let (logged, resumed) = victims.split_at(12);
+    reference.apply_deletions(&logged[..8]);
+    for &edge in &logged[8..] {
         reference.remove_edge(edge);
     }
+    reference.apply_deletions(resumed);
 
     let tmp = TempDir::new("salsa-restart");
     let root = tmp.path().join("store");
@@ -512,17 +517,17 @@ fn salsa_engine_survives_crash_recovery() {
     for chunk in &chunks[checkpoint_after..] {
         engine.apply_arrivals(chunk);
     }
-    // Crash mid-deletion-stream: SALSA deletions consume the engine's sequential
-    // RNG, whose state travels in the snapshot — replay must resume it exactly.
-    for &edge in &victims[..victims.len() / 2] {
+    // Crash mid-deletion-stream: every `WalOp::Deletions` record — the 8-edge batch
+    // and the singletons alike — replays through `apply_deletions` as the batch it
+    // was logged as, on the same split RNG streams.
+    engine.apply_deletions(&logged[..8]);
+    for &edge in &logged[8..] {
         engine.remove_edge(edge);
     }
     drop(engine);
 
     let mut recovered = IncrementalSalsa::<WalkStore>::open(&root).expect("salsa recovery");
-    for &edge in &victims[victims.len() / 2..] {
-        recovered.remove_edge(edge);
-    }
+    recovered.apply_deletions(resumed);
     assert_stores_identical(recovered.walk_store(), reference.walk_store(), "salsa");
     let ea = recovered.estimates();
     let eb = reference.estimates();

@@ -96,6 +96,53 @@ fn deletions_keep_estimates_consistent() {
     );
 }
 
+/// A deletion repair re-samples the invalidated step but must not flip that step's
+/// reset coin again: the stored segment already records that it came up "continue".
+/// On `0→{1,2}, 1→0, 2→0`, deleting `(0,1)` repairs about half of all segments at
+/// node 0, so a second coin (an extra ε chance to stop there) would cut node 0's mean
+/// segment length by ~12 % and shift every score by ~11 % against a fresh build.
+#[test]
+fn deletion_repairs_do_not_reflip_the_reset_coin() {
+    let mut graph = DynamicGraph::with_nodes(3);
+    for (source, target) in [(0, 1), (0, 2), (1, 0), (2, 0)] {
+        graph.add_edge(Edge::new(source, target));
+    }
+    let r = 50_000;
+    let mut engine =
+        IncrementalPageRank::from_graph(graph, MonteCarloConfig::new(0.2, r).with_seed(51));
+    let stats = engine.remove_edge(Edge::new(0, 1)).expect("edge exists");
+    assert!(
+        stats.segments_updated as usize > r,
+        "most walks crossed 0→1"
+    );
+    engine.validate_segments().unwrap();
+    let fresh = IncrementalPageRank::from_graph(
+        engine.graph(),
+        MonteCarloConfig::new(0.2, r).with_seed(53),
+    );
+
+    let mean_len_at_0 = |e: &IncrementalPageRank| {
+        let store = e.walk_store();
+        let visits: usize = store
+            .segment_ids_of(NodeId(0))
+            .map(|id| store.segment_len(id))
+            .sum();
+        visits as f64 / r as f64
+    };
+    let (repaired_len, fresh_len) = (mean_len_at_0(&engine), mean_len_at_0(&fresh));
+    assert!(
+        (repaired_len / fresh_len - 1.0).abs() < 0.02,
+        "node 0's mean segment length after the deletion is {repaired_len:.3}, \
+         a fresh build's is {fresh_len:.3} (1/ε = 5)"
+    );
+    for (node, (repaired, fresh)) in engine.scores().iter().zip(fresh.scores()).enumerate() {
+        assert!(
+            (repaired / fresh - 1.0).abs() < 0.02,
+            "score of node {node} after the deletion is {repaired:.4}, fresh build {fresh:.4}"
+        );
+    }
+}
+
 /// Deletion-then-recount invariant: after every deletion, the store's postings and
 /// counters equal a from-scratch recount of the stored paths, no segment traverses a
 /// fully deleted edge, and this holds equally on the flat and the sharded layouts.

@@ -373,6 +373,16 @@ proptest! {
             }
         }
         prop_assert!(engine.validate_segments().is_ok());
+        // One deletion batch over every edge the ops named (present, absent and
+        // parallel alike) keeps the invariant too.
+        let named: Vec<Edge> = ops
+            .iter()
+            .map(|op| match op {
+                Op::Add(edge) | Op::Remove(edge) => *edge,
+            })
+            .collect();
+        engine.apply_deletions(&named);
+        prop_assert!(engine.validate_segments().is_ok());
         let estimates = engine.estimates();
         let hub_sum: f64 = estimates.hubs.iter().sum();
         let auth_sum: f64 = estimates.authorities.iter().sum();
