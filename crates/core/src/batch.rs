@@ -1,20 +1,37 @@
 //! Batching machinery of [`crate::engine`]'s `apply_arrivals` / `apply_deletions`:
-//! per-pivot grouping, the split-RNG seed derivation, and the candidate/reconcile
-//! plumbing the deterministic parallel reroute is built on.
+//! per-pivot grouping, the split-RNG seed derivation, the detection scans that decide
+//! which segments a batch must open, and the candidate/reconcile plumbing the
+//! deterministic parallel reroute is built on.
 //!
 //! # The deterministic repair pipeline
 //!
 //! The engine processes a batch (of arrivals or of deletions) in three phases:
 //!
-//! 1. **Candidate generation** (read-only, parallel): groups are formed per pivot
-//!    node; for every group and every segment visiting its pivot, an independent RNG
-//!    stream — seeded from `(engine seed, batch index, pivot, segment, direction)` via
-//!    `repair_seed` — decides over the segment's *pre-batch* path whether it must be
-//!    repaired (reroute coins for arrivals, a deterministic scan for deletions) and,
-//!    on a hit, generates the candidate replacement path against the post-batch graph.
-//!    Because every `(group, segment)` pair has its own stream and only reads immutable
-//!    state, candidates can be computed in any order, by any number of threads, split
-//!    any way across shards, with bit-identical results.
+//! 1. **Detection, then candidate generation.**  Groups are formed per pivot node, and
+//!    each group first names the segments it *may* repair, as `Probes`, without
+//!    reading a single path:
+//!    * an **arrival** group flips its `k/(d₀+k)` coins by *skip sampling*
+//!      (`sample_arrival_probes`): one **coin stream** per `(engine seed, batch,
+//!      pivot, direction)` (`coin_seed`) draws the geometric gaps between heads over
+//!      the pivot's visit slots — its postings in `SegmentId` order, each posting's
+//!      occurrences in path order — so the scan does nothing but add up counts until
+//!      a head falls inside a posting.  Work is proportional to the heads, which is
+//!      what Theorem 4 charges, not to the visits; when the first gap already
+//!      overshoots `W(pivot)` the group touches nothing — the `(1 − 1/d)^W` filter of
+//!      Section 2.2;
+//!    * a **deletion** group lists the segments visiting its *lighter endpoint*
+//!      (`deletion_probes`): a segment traversing `pivot → t` visits both nodes, so
+//!      whichever side has fewer visits is a complete candidate list.
+//!
+//!    Then, read-only and in parallel, every probe opens its segment's *pre-batch*
+//!    path and decides: an arrival probe maps its heads to path positions, drops the
+//!    ineligible ones and reroutes at the first survivor; a deletion probe looks for
+//!    the earliest traversal of a deleted edge.  On a hit the replacement path is
+//!    generated against the post-batch graph from the **repair stream** of that
+//!    `(engine seed, batch, pivot, segment, direction)` (`repair_seed`).  The coin
+//!    stream depends only on the postings' logical content and every repair stream
+//!    only on its own coordinates, so candidates can be computed in any order, by any
+//!    number of threads, split any way across shards, with bit-identical results.
 //! 2. **Reconciliation** (sequential, cheap): when several groups claim the same
 //!    segment, the candidate with the **smallest reroute position** wins.  Under
 //!    prefix-preserving reroutes this is exactly the fixed point the sequential
@@ -28,12 +45,14 @@
 //!    [`ppr_store::WalkStore`], one worker thread per shard for the
 //!    [`ppr_store::ShardedWalkStore`].
 //!
-//! The fan-out in phase 1 partitions segments by their *owning shard* (the shard of
-//! their source node, [`ppr_store::WalkIndex::route_shards`] wide), which also keeps
-//! every worker's output deterministic in isolation.
+//! The fan-out in phase 1 partitions probes by their segment's *owning shard* (the
+//! shard of its source node, [`ppr_store::WalkIndex::route_shards`] wide), which also
+//! keeps every worker's output deterministic in isolation.
 
 use ppr_graph::{Edge, NodeId};
 use ppr_store::{SegmentId, WalkIndex};
+use rand::rngs::SmallRng;
+use rand::Rng;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
@@ -103,10 +122,22 @@ pub(crate) fn repair_seed(
     segment: SegmentId,
     backward: bool,
 ) -> u64 {
+    split_seed(seed, batch, pivot, segment.index() as u64 + 1, backward)
+}
+
+/// Derives the RNG seed of one `(batch, pivot, direction)` arrival **coin stream** —
+/// lane 0 of the split, which no repair stream uses (theirs are `segment + 1`), so
+/// the coins that choose the reroute positions and the draws that regenerate a suffix
+/// never share a stream.
+pub(crate) fn coin_seed(seed: u64, batch: u64, pivot: NodeId, backward: bool) -> u64 {
+    split_seed(seed, batch, pivot, 0, backward)
+}
+
+fn split_seed(seed: u64, batch: u64, pivot: NodeId, lane: u64, backward: bool) -> u64 {
     let mut x = seed
         ^ batch.wrapping_mul(0x9E37_79B9_7F4A_7C15)
         ^ (pivot.0 as u64 + 1).wrapping_mul(0xD1B5_4A32_D192_ED03)
-        ^ (segment.index() as u64 + 1).wrapping_mul(0x2545_F491_4F6C_DD1D)
+        ^ lane.wrapping_mul(0x2545_F491_4F6C_DD1D)
         ^ ((backward as u64) << 63);
     // splitmix64 finalizer: decorrelates the streams of neighbouring ids.
     x ^= x >> 30;
@@ -114,6 +145,131 @@ pub(crate) fn repair_seed(
     x ^= x >> 27;
     x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
+}
+
+/// One segment phase 1 must open: group `group` may repair `seg`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Probe {
+    pub group: u32,
+    pub seg: SegmentId,
+    start: u32,
+    len: u32,
+}
+
+/// The output of a batch's detection scans: every `(group, segment)` pair whose path
+/// phase 1 has to read, plus — for arrival probes — the heads the coin stream drew
+/// among that segment's visits to the pivot.  Buffers are reused across batches.
+#[derive(Debug, Default)]
+pub(crate) struct Probes {
+    pub probes: Vec<Probe>,
+    picks: Vec<u32>,
+    /// Scratch for the deletion scan's sort + dedup.
+    ids: Vec<SegmentId>,
+    /// Postings entries the scans stepped over (observability only).
+    pub postings_scanned: u64,
+}
+
+impl Probes {
+    pub fn clear(&mut self) {
+        self.probes.clear();
+        self.picks.clear();
+        self.postings_scanned = 0;
+    }
+
+    /// The heads of an arrival probe: increasing indices into the segment's visits to
+    /// the pivot, in path order (`0` = its first visit).  Empty for deletion probes.
+    pub fn picks(&self, probe: &Probe) -> &[u32] {
+        &self.picks[probe.start as usize..(probe.start + probe.len) as usize]
+    }
+}
+
+/// Tails before the next head of a `Bernoulli(p)` coin stream, `ln_q = ln(1 − p)`:
+/// `⌊ln U / ln(1 − p)⌋` for `U` uniform on `(0, 1]`.  At `p = 1` the quotient is `0`
+/// for every `U`, so every slot is a head.
+fn geometric_gap(rng: &mut SmallRng, ln_q: f64) -> u64 {
+    let u = 1.0 - rng.gen_range(0.0..1.0);
+    // The quotient is non-negative; the cast saturates on a gap past `u64::MAX`.
+    (u.ln() / ln_q) as u64
+}
+
+/// The arrival scan of group `group`: flips an independent `Bernoulli(p)` coin on every
+/// visit slot of `pivot` by drawing the gaps between heads from `coins`, and records a
+/// [`Probe`] for each segment holding at least one head.  Slots are numbered along the
+/// pivot's postings in `SegmentId` order — identical in every store layout — so the
+/// heads are a pure function of the stream and the postings' logical content.
+pub(crate) fn sample_arrival_probes<W: WalkIndex>(
+    walks: &W,
+    group: usize,
+    pivot: NodeId,
+    p: f64,
+    coins: &mut SmallRng,
+    out: &mut Probes,
+) {
+    let ln_q = (1.0 - p).ln();
+    let visits = walks.visit_count(pivot);
+    let mut head = geometric_gap(coins, ln_q);
+    let mut cum = 0u64;
+    for (seg, count) in walks.segments_visiting(pivot) {
+        if head >= visits {
+            break;
+        }
+        out.postings_scanned += 1;
+        let end = cum + count as u64;
+        if head < end {
+            let start = out.picks.len() as u32;
+            while head < end {
+                out.picks.push((head - cum) as u32);
+                head = head
+                    .saturating_add(1)
+                    .saturating_add(geometric_gap(coins, ln_q));
+            }
+            out.probes.push(Probe {
+                group: group as u32,
+                seg,
+                start,
+                len: out.picks.len() as u32 - start,
+            });
+        }
+        cum = end;
+    }
+}
+
+/// The deletion scan of group `group`, whose `targets` are the pivot's fully deleted
+/// neighbours: records a [`Probe`] for every segment that can traverse a deleted edge.
+/// Such a segment visits the pivot *and* a target, so the candidates are read off
+/// whichever side `scan_targets(W(pivot), Σ W(target))` selects — the engine passes
+/// "the lighter one"; detection itself then reads each candidate's path, so the choice
+/// never changes which segments are repaired, or where.
+pub(crate) fn deletion_probes<W: WalkIndex>(
+    walks: &W,
+    group: usize,
+    pivot: NodeId,
+    targets: &[NodeId],
+    scan_targets: impl Fn(u64, u64) -> bool,
+    out: &mut Probes,
+) {
+    let target_visits = targets.iter().map(|&t| walks.visit_count(t)).sum();
+    let scanned = if scan_targets(walks.visit_count(pivot), target_visits) {
+        targets
+    } else {
+        std::slice::from_ref(&pivot)
+    };
+    let mut ids = std::mem::take(&mut out.ids);
+    ids.clear();
+    for &node in scanned {
+        ids.extend(walks.segments_visiting(node).map(|(seg, _)| seg));
+    }
+    out.postings_scanned += ids.len() as u64;
+    // Several targets can share a visitor; one node's postings are already a set.
+    ids.sort_unstable();
+    ids.dedup();
+    out.probes.extend(ids.iter().map(|&seg| Probe {
+        group: group as u32,
+        seg,
+        start: 0,
+        len: 0,
+    }));
+    out.ids = ids;
 }
 
 /// One proposed segment repair: group `group` reroutes `seg` at path position `pos`,
@@ -244,6 +400,13 @@ pub struct BatchProfile {
     pub compaction_time: Duration,
     /// Live walk steps the compaction passes copied (4 bytes each).
     pub compaction_steps_moved: u64,
+    /// Postings entries the detection scans stepped over to find the segments a
+    /// batch might repair.
+    pub postings_scanned: u64,
+    /// Segment paths phase 1 read to decide (and, on a hit, start) a repair.  The
+    /// distance between this and `WorkCounter::segments_updated` is how far phase 1
+    /// is from the reroutes it found.
+    pub paths_read: u64,
 }
 
 impl BatchProfile {
@@ -260,6 +423,12 @@ impl BatchProfile {
         self.total += total;
         Self::add_shard_times(&mut self.phase1_shard_times, phase1);
         Self::add_shard_times(&mut self.apply_shard_times, apply);
+    }
+
+    /// Charges one batch's detection scans to the profile.
+    pub(crate) fn record_scan(&mut self, probes: &Probes) {
+        self.postings_scanned += probes.postings_scanned;
+        self.paths_read += probes.probes.len() as u64;
     }
 
     /// Charges the arena-compaction delta of one batch (stats captured before and
@@ -383,6 +552,102 @@ mod tests {
         assert_ne!(base, repair_seed(7, 0, NodeId(0), SegmentId(0), true));
         // Deterministic: the same coordinates always give the same stream.
         assert_eq!(base, repair_seed(7, 0, NodeId(0), SegmentId(0), false));
+        // The group's coin stream is none of its repair streams, and splits on the
+        // same axes.
+        let coins = coin_seed(7, 0, NodeId(0), false);
+        assert!((0..64).all(|s| coins != repair_seed(7, 0, NodeId(0), SegmentId(s), false)));
+        assert_ne!(coins, coin_seed(8, 0, NodeId(0), false));
+        assert_ne!(coins, coin_seed(7, 1, NodeId(0), false));
+        assert_ne!(coins, coin_seed(7, 0, NodeId(1), false));
+        assert_ne!(coins, coin_seed(7, 0, NodeId(0), true));
+    }
+
+    /// `(segment, heads)` of every probe, in scan order.
+    fn probe_list(probes: &Probes) -> Vec<(SegmentId, Vec<u32>)> {
+        probes
+            .probes
+            .iter()
+            .map(|p| (p.seg, probes.picks(p).to_vec()))
+            .collect()
+    }
+
+    #[test]
+    fn arrival_probes_depend_on_the_postings_content_not_the_layout() {
+        use ppr_store::{ShardedWalkStore, WalkIndexMut};
+        use rand::SeedableRng;
+        let mut flat = WalkStore::new(8, 2);
+        let mut sharded = ShardedWalkStore::new(8, 2, 3);
+        for node in 0..8u32 {
+            for slot in 0..2 {
+                let path: Vec<NodeId> = [node, 0, (node + slot as u32) % 8, 0, 3]
+                    .iter()
+                    .map(|&v| NodeId(v))
+                    .collect();
+                let id = SegmentId::new(NodeId(node), slot, 2);
+                flat.set_segment(id, &path);
+                sharded.set_segment(id, &path);
+            }
+        }
+        for p in [0.05, 0.5, 1.0] {
+            let (mut a, mut b) = (Probes::default(), Probes::default());
+            let mut coins = SmallRng::seed_from_u64(coin_seed(3, 9, NodeId(0), false));
+            sample_arrival_probes(&flat, 4, NodeId(0), p, &mut coins, &mut a);
+            let mut coins = SmallRng::seed_from_u64(coin_seed(3, 9, NodeId(0), false));
+            sample_arrival_probes(&sharded, 4, NodeId(0), p, &mut coins, &mut b);
+            assert_eq!(probe_list(&a), probe_list(&b), "p = {p}");
+            assert!(a.probes.iter().all(|probe| probe.group == 4));
+            // Heads index a segment's visits to the pivot, increasing.
+            for (seg, picks) in probe_list(&a) {
+                let visits = flat
+                    .segments_visiting(NodeId(0))
+                    .find(|v| v.0 == seg)
+                    .unwrap()
+                    .1;
+                assert!(picks.windows(2).all(|w| w[0] < w[1]));
+                assert!(picks.iter().all(|&i| i < visits), "{seg:?}: {picks:?}");
+            }
+            if p == 1.0 {
+                let heads: usize = probe_list(&a).iter().map(|(_, picks)| picks.len()).sum();
+                assert_eq!(
+                    heads as u64,
+                    flat.visit_count(NodeId(0)),
+                    "every slot is a head"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn deletion_probes_list_the_chosen_endpoints_visitors_once() {
+        let mut store = WalkStore::new(6, 1);
+        let seg = |n: u32| SegmentId::new(NodeId(n), 0, 1);
+        let path = |nodes: &[u32]| nodes.iter().map(|&n| NodeId(n)).collect::<Vec<_>>();
+        // Node 0 is a hub every segment passes; 4 and 5 are visited by two in all.
+        for n in 0..6u32 {
+            store.set_segment(seg(n), &path(&[n, 0]));
+        }
+        store.set_segment(seg(1), &path(&[1, 0, 4, 0, 5]));
+        store.set_segment(seg(2), &path(&[2, 0, 5]));
+        let targets = [NodeId(4), NodeId(5)];
+        let lighter = |pivot_visits: u64, target_visits: u64| target_visits < pivot_visits;
+
+        let mut probes = Probes::default();
+        deletion_probes(&store, 2, NodeId(0), &targets, lighter, &mut probes);
+        // W(0) = 8 against W(4) + W(5) = 5: the targets' visitors, each once.
+        let segs: Vec<SegmentId> = probes.probes.iter().map(|p| p.seg).collect();
+        assert_eq!(segs, vec![seg(1), seg(2), seg(4), seg(5)]);
+        assert_eq!(probes.postings_scanned, 5);
+        assert!(probes
+            .probes
+            .iter()
+            .all(|p| p.group == 2 && probes.picks(p).is_empty()));
+
+        // From the hub's side of the same edges the pivot is the lighter endpoint.
+        probes.clear();
+        deletion_probes(&store, 0, NodeId(4), &[NodeId(0)], lighter, &mut probes);
+        let segs: Vec<SegmentId> = probes.probes.iter().map(|p| p.seg).collect();
+        assert_eq!(segs, vec![seg(1), seg(4)]);
+        assert_eq!(probes.postings_scanned, 2);
     }
 
     #[test]

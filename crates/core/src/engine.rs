@@ -27,21 +27,40 @@
 //! current graph iff every one of its steps is such a pick.
 //!
 //! **Arrivals.**  When `p` gains `k` `d`-edges on top of `d₀` existing ones, only
-//! `d`-steps leaving `p` are affected, and the store's visit postings find the
-//! segments holding them without scanning anything else.  Each such step would have
-//! landed on a new edge with probability `k/(d₀+k)`, uniformly among the new ones —
-//! exactly what `k` single-edge updates compose to (each per-edge coin `1/(d₀+i)`
-//! composes by the reservoir argument to `1/(d₀+k)` per new edge).  So the segment is
-//! rerouted at its first such step whose `k/(d₀+k)` coin comes up heads: the prefix up
-//! to `p` stays, the step goes to a uniformly chosen new neighbour, and the rest is
-//! regenerated on the post-batch graph at an expected cost of `O(1/ε)` steps.  A
-//! segment that *ended* at `p` because `p` had no `d`-edge (`d₀ = 0`) continues with
-//! the probability the walk itself would have: `1 − ε` if the next step is forward
-//! (the reset coin precedes it), `1` if backward.  A segment that ended at a `p` with
-//! `d₀ > 0` ended on a reset, which new edges do not affect.
+//! `d`-steps leaving `p` are affected.  Each such step would have landed on a new edge
+//! with probability `k/(d₀+k)`, uniformly among the new ones — exactly what `k`
+//! single-edge updates compose to (each per-edge coin `1/(d₀+i)` composes by the
+//! reservoir argument to `1/(d₀+k)` per new edge).  So the segment is rerouted at its
+//! first such step whose `k/(d₀+k)` coin comes up heads: the prefix up to `p` stays,
+//! the step goes to a uniformly chosen new neighbour, and the rest is regenerated on
+//! the post-batch graph at an expected cost of `O(1/ε)` steps.  A segment that *ended*
+//! at `p` because `p` had no `d`-edge (`d₀ = 0`) continues with the probability the
+//! walk itself would have: `1 − ε` if the next step is forward (the reset coin
+//! precedes it), `1` if backward.  A segment that ended at a `p` with `d₀ > 0` ended
+//! on a reset, which new edges do not affect.
+//!
+//! **Two streams.**  Theorem 4 charges an arrival for the `W(p)/d(p)` steps it
+//! reroutes, not for the `W(p)` visits it could have rerouted, so the coins are not
+//! flipped visit by visit.  The group `(p, d)` has one coin probability — `k/(d₀+k)`,
+//! or the continuation probability above when `d₀ = 0` — and one **coin stream**
+//! (`batch::coin_seed`), from which `batch::sample_arrival_probes` draws the
+//! geometric gaps between heads over *every* visit slot of `p`, walking `p`'s postings
+//! without opening a path until a head falls inside one.  Only then is that segment
+//! read, its heads mapped to positions, and the heads on *ineligible* visits dropped:
+//! visits whose step goes the other direction, and terminal visits when `d₀ > 0` (or
+//! non-terminal ones when `d₀ = 0`).  This thinning is exact: the slots' coins are
+//! independent, eligibility is a property of the stored path and not of any coin, so
+//! the coins on the eligible slots are still independent `Bernoulli(p)` — discarding
+//! the others conditions on nothing.  The segment reroutes at its first surviving
+//! head, and everything drawn from there on — the new neighbour, the regenerated
+//! suffix — comes from the **repair stream** of that `(batch, pivot, segment,
+//! direction)` (`batch::repair_seed`), which no coin ever touches.
 //!
 //! **Deletions.**  Detection is deterministic: a segment is invalid iff it traverses,
-//! in the matching direction, an edge with no surviving parallel copy.  It is repaired
+//! in the matching direction, an edge with no surviving parallel copy.  Such a segment
+//! visits both endpoints, so the candidates are read off the postings of whichever
+//! has fewer visits (`batch::deletion_probes`) — a hub losing the edge from one
+//! young follower is found through the follower.  It is repaired
 //! at its *earliest* invalidated step: the prefix up to the pivot stays, **that step
 //! is re-sampled** among the pivot's remaining `d`-edges, and the rest is regenerated.
 //! The reset coin of that step is *not* flipped again: the stored segment records that
@@ -57,13 +76,14 @@
 //! # Batches
 //!
 //! [`WalkEngine::apply_arrivals`] and [`WalkEngine::apply_deletions`] run whole batches
-//! through the deterministic candidate → reconcile → apply pipeline of
+//! through the deterministic detect → candidate → reconcile → apply pipeline of
 //! [`crate::batch`]: forward groups per source (and, for SALSA, backward groups per
-//! target), one split RNG stream per `(batch, pivot, segment, direction)` repair,
-//! candidates computed read-only against the pre-batch walks and the post-batch graph,
-//! the smallest reroute position winning when several groups claim one segment.
+//! target), one coin stream per arrival group and one repair stream per `(batch,
+//! pivot, segment, direction)`, candidates computed read-only against the pre-batch
+//! walks and the post-batch graph, the smallest reroute position winning when several
+//! groups claim one segment.
 //! Reading only the pre-batch path is sound: a reroute by another group only changes
-//! the path *after* its own position, so coins flipped on stale suffix positions can
+//! the path *after* its own position, so heads that land on stale suffix positions can
 //! only produce candidates that lose, never a wrong winner; for deletions the minimum
 //! over per-group first hits is the segment's globally earliest invalidated step, so
 //! the kept prefix traverses no deleted edge.  (Under `FromSource` any winner
@@ -82,7 +102,7 @@
 //! [`crate::bounds::deletion_update_work`] (Proposition 5) and
 //! [`crate::bounds::salsa_total_update_work`] (Theorem 6).
 
-use crate::batch::{self, BatchProfile, CandidateSet, Group};
+use crate::batch::{self, BatchProfile, CandidateSet, Group, Probes};
 use crate::config::{MonteCarloConfig, RerouteStrategy};
 use crate::walker;
 use ppr_graph::{DynamicGraph, Edge, GraphView, NodeId};
@@ -91,7 +111,7 @@ use ppr_store::{
     WalkStore, WorkCounter,
 };
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::collections::HashSet;
 use std::marker::PhantomData;
 use std::time::Instant;
@@ -195,6 +215,8 @@ pub struct WalkEngine<K: WalkKind, W: WalkIndexMut = WalkStore> {
     pub(crate) batch_index: u64,
     /// Reusable path buffer for segment generation.
     scratch: Vec<NodeId>,
+    /// Reusable detection-scan output.
+    probes: Probes,
     /// Reusable phase-1 outputs, one per route shard.
     candidate_sets: Vec<CandidateSet>,
     /// Reusable per-shard phase-1 timing buffer.
@@ -276,6 +298,7 @@ impl<K: WalkKind, W: WalkIndexMut + Sync> WalkEngine<K, W> {
             threads,
             batch_index: 0,
             scratch: Vec::new(),
+            probes: Probes::default(),
             candidate_sets: Vec::new(),
             phase1_times: Vec::new(),
             rewrites: SegmentRewrites::new(),
@@ -408,8 +431,8 @@ impl<K: WalkKind, W: WalkIndexMut + Sync> WalkEngine<K, W> {
     /// Nodes the batch names for the first time are created (and their segments
     /// generated) first; then every pivot's pre-batch degree is captured, all edges
     /// are inserted into the Social Store, and for every pivot that gained `k` edges
-    /// on top of `d₀` the segments visiting it are enumerated **once**, each eligible
-    /// step rerouting with probability `k/(d₀+k)` to a uniformly chosen new edge.
+    /// on top of `d₀` the visits to it are skip-sampled **once**, each eligible step
+    /// rerouting with probability `k/(d₀+k)` to a uniformly chosen new edge.
     /// Suffixes are regenerated on the post-batch graph.
     ///
     /// Returns the aggregate statistics over the whole batch.
@@ -441,6 +464,7 @@ impl<K: WalkKind, W: WalkIndexMut + Sync> WalkEngine<K, W> {
             edges,
             started,
             &arena_before,
+            arrival_probes::<W>,
             arrival_candidate::<K, W>,
         )
     }
@@ -461,12 +485,27 @@ impl<K: WalkKind, W: WalkIndexMut + Sync> WalkEngine<K, W> {
     /// [`Self::apply_arrivals`] (see the [module docs](self)).
     ///
     /// All present edges are removed from the Social Store first (absent ones are
-    /// skipped); then, for every pivot that lost edges, the segments visiting it are
-    /// enumerated **once** and each segment's *earliest* traversal of a fully deleted
+    /// skipped); then, for every pivot that lost edges, the segments visiting the
+    /// lighter endpoint — the pivot, or the neighbours it lost — are enumerated
+    /// **once** and each segment's *earliest* traversal of a fully deleted
     /// edge (one with no surviving parallel copy — while a copy exists, every
     /// traversal remains a legal step whose distribution the arrival-time reroutes
     /// already account for) is repaired on the post-deletion graph.
     pub fn apply_deletions(&mut self, edges: &[Edge]) -> UpdateStats {
+        self.apply_deletions_scanning(edges, |pivot_visits, target_visits| {
+            target_visits < pivot_visits
+        })
+    }
+
+    /// [`Self::apply_deletions`] with the endpoint rule spelled out:
+    /// `scan_targets(W(pivot), Σ W(target))` picks, per group, whose postings list the
+    /// candidates.  The rewrites never depend on it — the tests that say so are why it
+    /// is a parameter.
+    pub(crate) fn apply_deletions_scanning(
+        &mut self,
+        edges: &[Edge],
+        scan_targets: impl Fn(u64, u64) -> bool,
+    ) -> UpdateStats {
         self.rewrites.clear();
         if edges.is_empty() {
             return UpdateStats::default();
@@ -505,6 +544,16 @@ impl<K: WalkKind, W: WalkIndexMut + Sync> WalkEngine<K, W> {
             &removed,
             started,
             &arena_before,
+            |repair, gi, group, probes| {
+                batch::deletion_probes(
+                    repair.walks,
+                    gi,
+                    group.pivot,
+                    &group.targets,
+                    &scan_targets,
+                    probes,
+                )
+            },
             deletion_candidate::<K, W>,
         )
     }
@@ -576,16 +625,17 @@ impl<K: WalkKind, W: WalkIndexMut + Sync> WalkEngine<K, W> {
     }
 
     /// Runs one batch's repairs — `groups` formed over the batch's effective `edges`,
-    /// the Social Store already at its post-batch state — through the three-phase
-    /// pipeline of [`crate::batch`], with `candidate` deciding whether (and how) one
-    /// group repairs one segment, and charges the work.
+    /// the Social Store already at its post-batch state — through the pipeline of
+    /// [`crate::batch`]: `detect` names the segments each group may repair, `candidate`
+    /// decides whether (and how) one group repairs one of them; then charges the work.
     fn repair(
         &mut self,
         groups: &[Group],
         edges: &[Edge],
         started: Instant,
         arena_before: &ArenaStats,
-        candidate: impl Fn(&Repair<'_, W>, &Group, SegmentId, &mut Vec<NodeId>) -> Option<(usize, u64)>
+        detect: impl Fn(&Repair<'_, W>, usize, &Group, &mut Probes),
+        candidate: impl Fn(&Repair<'_, W>, &Group, SegmentId, &[u32], &mut Vec<NodeId>) -> Option<(usize, u64)>
             + Sync,
     ) -> UpdateStats {
         let threads = self.threads;
@@ -597,7 +647,14 @@ impl<K: WalkKind, W: WalkIndexMut + Sync> WalkEngine<K, W> {
         };
         self.batch_index += 1;
 
-        // Phase 1: candidate generation, read-only against the pre-batch walk store
+        // Phase 1a: detection — postings only, no path is read.
+        let mut probes = std::mem::take(&mut self.probes);
+        probes.clear();
+        for (gi, group) in groups.iter().enumerate() {
+            detect(&repair, gi, group, &mut probes);
+        }
+
+        // Phase 1b: candidate generation, read-only against the pre-batch walk store
         // and the post-batch graph, partitioned by the shard owning each segment.
         let mut sets = std::mem::take(&mut self.candidate_sets);
         let mut phase1_times = std::mem::take(&mut self.phase1_times);
@@ -610,19 +667,23 @@ impl<K: WalkKind, W: WalkIndexMut + Sync> WalkEngine<K, W> {
             &mut phase1_times,
             |sid, set| {
                 let mut scratch = std::mem::take(&mut set.scratch);
-                for (gi, group) in groups.iter().enumerate() {
-                    for (id, _) in repair.walks.segments_visiting(group.pivot) {
-                        if shards > 1 && (id.index() / segments) % shards != sid {
-                            continue;
-                        }
-                        if let Some((pos, steps)) = candidate(&repair, group, id, &mut scratch) {
-                            set.push(id, pos, gi, steps, &scratch);
-                        }
+                for probe in &probes.probes {
+                    if shards > 1 && (probe.seg.index() / segments) % shards != sid {
+                        continue;
+                    }
+                    let group = &groups[probe.group as usize];
+                    let picks = probes.picks(probe);
+                    if let Some((pos, steps)) =
+                        candidate(&repair, group, probe.seg, picks, &mut scratch)
+                    {
+                        set.push(probe.seg, pos, probe.group as usize, steps, &scratch);
                     }
                 }
                 set.scratch = scratch;
             },
         );
+        self.profile.record_scan(&probes);
+        self.probes = probes;
 
         // Phase 2: reconcile conflicting claims (smallest reroute position wins) into
         // a rewrite plan ordered by segment id.
@@ -722,52 +783,95 @@ fn extend_segment<K: WalkKind>(
     )
 }
 
-/// Decides whether (and where) segment `id` reroutes for one arrival group, drawing
-/// from the repair's own stream, and on a hit generates the full replacement path
-/// into `scratch` against the post-batch graph.  Returns `(reroute position, steps)`.
+/// The coin probability of an arrival group: `k/(d₀+k)` per step leaving the pivot,
+/// or — when the pivot had no edge in the group's direction, so every eligible visit
+/// is a segment that stopped there for want of one — the probability the walk itself
+/// continues: past the reset coin if the step is forward, certainly if backward.
+fn arrival_coin_probability(group: &Group, epsilon: f64) -> f64 {
+    if group.prior_degree > 0 {
+        let k = group.targets.len();
+        k as f64 / (group.prior_degree + k) as f64
+    } else if group.forward {
+        1.0 - epsilon
+    } else {
+        1.0
+    }
+}
+
+/// The detection scan of one arrival group: skip-samples the group's coin stream over
+/// the pivot's visit slots.
+fn arrival_probes<W: WalkIndex>(
+    repair: &Repair<'_, W>,
+    gi: usize,
+    group: &Group,
+    probes: &mut Probes,
+) {
+    let mut coins = SmallRng::seed_from_u64(batch::coin_seed(
+        repair.config.seed,
+        repair.batch_index,
+        group.pivot,
+        !group.forward,
+    ));
+    batch::sample_arrival_probes(
+        repair.walks,
+        gi,
+        group.pivot,
+        arrival_coin_probability(group, repair.config.epsilon),
+        &mut coins,
+        probes,
+    );
+}
+
+/// Maps an arrival probe's heads — `picks`, increasing indices into `path`'s visits to
+/// the pivot — to path positions and returns the first *eligible* one: a visit whose
+/// step goes in the group's direction, non-terminal if the pivot had edges (a final
+/// visit there ended on a reset), terminal if it had none (the segment stopped for
+/// want of an edge).
+fn first_eligible_pick<K: WalkKind>(
+    path: &[NodeId],
+    r: usize,
+    slot: usize,
+    group: &Group,
+    picks: &[u32],
+) -> Option<usize> {
+    let last_index = path.len().checked_sub(1)?;
+    let mut picks = picks.iter().copied();
+    let mut pick = picks.next()?;
+    let mut occurrence = 0u32;
+    for (pos, &visit) in path.iter().enumerate() {
+        if visit != group.pivot {
+            continue;
+        }
+        if occurrence == pick {
+            if K::step_forward(r, slot, pos) == group.forward
+                && (pos == last_index) == (group.prior_degree == 0)
+            {
+                return Some(pos);
+            }
+            pick = picks.next()?;
+        }
+        occurrence += 1;
+    }
+    None
+}
+
+/// Decides whether (and where) segment `id` reroutes for one arrival group, given the
+/// heads its coin stream drew among the segment's visits to the pivot, and on a hit
+/// generates the full replacement path into `scratch` against the post-batch graph
+/// from the repair's own stream.  Returns `(reroute position, steps)`.
 fn arrival_candidate<K: WalkKind, W: WalkIndex>(
     repair: &Repair<'_, W>,
     group: &Group,
     id: SegmentId,
+    picks: &[u32],
     scratch: &mut Vec<NodeId>,
 ) -> Option<(usize, u64)> {
     let path = repair.walks.segment_path(id);
-    if path.is_empty() {
-        return None;
-    }
     let config = repair.config;
     let slot = id.slot(repair.walks.r());
-    let k = group.targets.len();
-    let last_index = path.len() - 1;
+    let pos = first_eligible_pick::<K>(path, config.r, slot, group, picks)?;
     let mut rng = repair.rng(group, id);
-
-    let mut reroute_at: Option<(usize, NodeId)> = None;
-    for (pos, &visit) in path.iter().enumerate() {
-        if visit != group.pivot || K::step_forward(config.r, slot, pos) != group.forward {
-            continue;
-        }
-        let hit_probability = if pos < last_index {
-            // The step leaving this visit now has `d₀ + k` choices.
-            k as f64 / (group.prior_degree + k) as f64
-        } else if group.prior_degree == 0 {
-            // The segment stopped here for want of an edge; it continues as the walk
-            // itself would — past the reset coin if the step is forward.
-            if group.forward {
-                1.0 - config.epsilon
-            } else {
-                1.0
-            }
-        } else {
-            // A final visit to a pivot that had edges ended on a reset.
-            continue;
-        };
-        if rng.gen_bool(hit_probability) {
-            reroute_at = Some((pos, walker::pick_new_target(&mut rng, &group.targets)));
-            break;
-        }
-    }
-
-    let (pos, target) = reroute_at?;
+    let target = walker::pick_new_target(&mut rng, &group.targets);
     let steps = match config.reroute {
         RerouteStrategy::FromUpdatePoint => {
             scratch.clear();
@@ -801,6 +905,7 @@ fn deletion_candidate<K: WalkKind, W: WalkIndex>(
     repair: &Repair<'_, W>,
     group: &Group,
     id: SegmentId,
+    _picks: &[u32],
     scratch: &mut Vec<NodeId>,
 ) -> Option<(usize, u64)> {
     let path = repair.walks.segment_path(id);
@@ -840,4 +945,301 @@ fn deletion_candidate<K: WalkKind, W: WalkIndex>(
         ),
     };
     Some((pos, steps))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use rand::Rng;
+
+    const PIVOT: NodeId = NodeId(0);
+    const EPSILON: f64 = 0.2;
+
+    /// The per-visit coin loop the skip sampler replaced, kept as its distributional
+    /// reference: walks the path, flips one coin per eligible visit to the pivot, and
+    /// returns the position of the first head.
+    fn reference_first_hit<K: WalkKind>(
+        path: &[NodeId],
+        r: usize,
+        slot: usize,
+        group: &Group,
+        rng: &mut SmallRng,
+    ) -> Option<usize> {
+        let last_index = path.len().checked_sub(1)?;
+        let k = group.targets.len();
+        for (pos, &visit) in path.iter().enumerate() {
+            if visit != group.pivot || K::step_forward(r, slot, pos) != group.forward {
+                continue;
+            }
+            let hit_probability = if pos < last_index {
+                k as f64 / (group.prior_degree + k) as f64
+            } else if group.prior_degree == 0 {
+                if group.forward {
+                    1.0 - EPSILON
+                } else {
+                    1.0
+                }
+            } else {
+                continue;
+            };
+            if rng.gen_bool(hit_probability) {
+                return Some(pos);
+            }
+        }
+        None
+    }
+
+    fn store_of(segments: usize, paths: &[(u32, usize, &[u32])]) -> WalkStore {
+        let mut store = WalkStore::new(9, segments);
+        for node in 0..9u32 {
+            for slot in 0..segments {
+                store.set_segment(
+                    SegmentId::new(NodeId(node), slot, segments),
+                    &[NodeId(node)],
+                );
+            }
+        }
+        for &(source, slot, path) in paths {
+            let path: Vec<NodeId> = path.iter().map(|&v| NodeId(v)).collect();
+            store.set_segment(SegmentId::new(NodeId(source), slot, segments), &path);
+        }
+        store
+    }
+
+    /// A pivot that had edges both ways: segments visit it several times, at both
+    /// step parities, in the middle and at the end.
+    fn busy_store(segments: usize) -> WalkStore {
+        store_of(
+            segments,
+            &[
+                (1, 0, &[1, 0, 2, 0, 3, 0, 4]),
+                (1, 1, &[1, 0, 2, 0, 3, 0]),
+                (0, 0, &[0, 5, 0, 6, 0]),
+                (0, 1, &[0, 5, 0, 6, 0, 7]),
+                (2, 0, &[2, 0, 0, 0, 3]),
+                (3, 0, &[3, 4]),
+                (4, 1, &[4, 0]),
+            ],
+        )
+    }
+
+    /// A pivot with no edge in one direction: its visits whose step would go that way
+    /// (the even positions of slot `dangling`'s parity, the odd ones of the other) are
+    /// all terminal; the other direction is visited freely.
+    fn dangling_store(dangling: usize) -> WalkStore {
+        let other = 1 - dangling;
+        store_of(
+            2,
+            &[
+                (1, dangling, &[1, 0, 2, 0, 3, 0, 4]),
+                (1, other, &[1, 0]),
+                (0, dangling, &[0]),
+                (0, other, &[0, 5, 0]),
+                (2, dangling, &[2, 0, 3, 6, 0]),
+                (4, other, &[4, 0]),
+            ],
+        )
+    }
+
+    /// Draws `DRAWS` coin streams over `store` for `group` through the sampler and, on
+    /// independent streams, through the per-visit reference, and compares: the head
+    /// count per draw against `Binomial(W, p)`, and — per segment — the distribution of
+    /// the reroute position (or none).
+    fn assert_sampler_matches_reference<K: WalkKind>(r: usize, store: &WalkStore, group: &Group) {
+        const DRAWS: u64 = 4_000;
+        let p = arrival_coin_probability(group, EPSILON);
+        let visits = store.visit_count(PIVOT) as f64;
+        let segments = store.r();
+        let visitors: Vec<SegmentId> = store.segments_visiting(PIVOT).map(|(id, _)| id).collect();
+        // outcome[segment][position], with `path.len()` standing for "no reroute".
+        let tally = || -> Vec<Vec<u64>> {
+            visitors
+                .iter()
+                .map(|&id| vec![0; store.segment_len(id) + 1])
+                .collect()
+        };
+        let (mut sampled, mut reference) = (tally(), tally());
+        let (mut heads_sum, mut heads_squares) = (0f64, 0f64);
+        let mut probes = Probes::default();
+        for draw in 0..DRAWS {
+            probes.clear();
+            let mut coins =
+                SmallRng::seed_from_u64(batch::coin_seed(17, draw, PIVOT, !group.forward));
+            batch::sample_arrival_probes(store, 0, PIVOT, p, &mut coins, &mut probes);
+            let heads: usize = probes.probes.iter().map(|q| probes.picks(q).len()).sum();
+            heads_sum += heads as f64;
+            heads_squares += (heads * heads) as f64;
+            for (vi, &id) in visitors.iter().enumerate() {
+                let path = store.segment_path(id);
+                let slot = id.slot(segments);
+                let picks = probes
+                    .probes
+                    .iter()
+                    .find(|q| q.seg == id)
+                    .map_or(&[][..], |q| probes.picks(q));
+                let hit = first_eligible_pick::<K>(path, r, slot, group, picks);
+                sampled[vi][hit.unwrap_or(path.len())] += 1;
+                let mut rng = SmallRng::seed_from_u64(batch::repair_seed(
+                    23,
+                    draw,
+                    PIVOT,
+                    id,
+                    !group.forward,
+                ));
+                let hit = reference_first_hit::<K>(path, r, slot, group, &mut rng);
+                reference[vi][hit.unwrap_or(path.len())] += 1;
+            }
+        }
+
+        let draws = DRAWS as f64;
+        let mean = heads_sum / draws;
+        let variance = heads_squares / draws - mean * mean;
+        let label = format!(
+            "{}, d₀ = {}, k = {}, forward = {}",
+            K::NAME,
+            group.prior_degree,
+            group.targets.len(),
+            group.forward
+        );
+        // Binomial(W, p): mean W·p, variance W·p·q, fourth central moment
+        // W·p·q·(1 + 3(W − 2)·p·q); each estimate is held to 5σ of its own error.
+        let pq = p * (1.0 - p);
+        let (want_mean, want_variance) = (visits * p, visits * pq);
+        let fourth_moment = want_variance * (1.0 + 3.0 * (visits - 2.0) * pq);
+        assert!(
+            (mean - want_mean).abs() <= 5.0 * (want_variance / draws).sqrt() + 1e-9,
+            "{label}: {mean} heads per draw, expected W·p = {want_mean}"
+        );
+        let variance_error = ((fourth_moment - want_variance * want_variance) / draws).sqrt();
+        assert!(
+            (variance - want_variance).abs() <= 5.0 * variance_error + 1e-9,
+            "{label}: head-count variance {variance}, expected W·p·(1−p) = {want_variance}"
+        );
+        let mut rerouted = 0u64;
+        for (vi, &id) in visitors.iter().enumerate() {
+            for (pos, (&got, &want)) in sampled[vi].iter().zip(&reference[vi]).enumerate() {
+                // Two independent estimates of one frequency: 5σ of their difference.
+                let q = (got + want) as f64 / (2.0 * draws);
+                let tolerance = 5.0 * (2.0 * q * (1.0 - q) / draws).sqrt() + 1e-9;
+                assert!(
+                    (got as f64 - want as f64).abs() / draws <= tolerance,
+                    "{label}, segment {id:?}, position {pos}: sampler {got}, reference {want}"
+                );
+            }
+            rerouted += DRAWS - sampled[vi].last().unwrap();
+        }
+        assert!(rerouted > 0, "{label}: the scenario must reroute something");
+    }
+
+    fn group(prior_degree: usize, k: usize, forward: bool) -> Group {
+        Group {
+            pivot: PIVOT,
+            prior_degree,
+            targets: (0..k).map(|i| NodeId(1 + (i % 8) as u32)).collect(),
+            forward,
+        }
+    }
+
+    #[test]
+    fn skip_sampled_coins_match_the_per_visit_reference() {
+        // SALSA, both parities (r = 1: slot 0 starts forward, slot 1 backward), and
+        // the corners: one edge on top of three, k > d₀, p → 1.
+        for forward in [true, false] {
+            for (prior_degree, k) in [(3, 1), (1, 4), (1, 999)] {
+                assert_sampler_matches_reference::<Salsa>(
+                    1,
+                    &busy_store(2),
+                    &group(prior_degree, k, forward),
+                );
+            }
+        }
+        // d₀ = 0: forward continues past the reset coin, backward certainly; only
+        // the terminal visits in the group's direction are eligible.
+        assert_sampler_matches_reference::<Salsa>(1, &dangling_store(0), &group(0, 2, true));
+        assert_sampler_matches_reference::<Salsa>(1, &dangling_store(1), &group(0, 2, false));
+        // PageRank: every slot steps forward.
+        for (prior_degree, k) in [(3, 1), (1, 4), (1, 999)] {
+            assert_sampler_matches_reference::<PageRank>(
+                2,
+                &busy_store(2),
+                &group(prior_degree, k, true),
+            );
+        }
+        let ends_at_pivot = store_of(2, &[(1, 0, &[1, 0]), (2, 1, &[2, 3, 0]), (0, 0, &[0])]);
+        assert_sampler_matches_reference::<PageRank>(2, &ends_at_pivot, &group(0, 3, true));
+    }
+
+    #[test]
+    fn a_head_past_the_last_visit_touches_no_posting() {
+        // The Section 2.2 filter: a first gap that overshoots W(pivot) ends the scan
+        // before it starts.  At p = 1/1000 over 15 visits that is almost every draw.
+        let store = busy_store(2);
+        let mut probes = Probes::default();
+        let mut filtered = 0;
+        for draw in 0..200 {
+            probes.clear();
+            let mut coins = SmallRng::seed_from_u64(batch::coin_seed(5, draw, PIVOT, false));
+            batch::sample_arrival_probes(&store, 0, PIVOT, 1e-3, &mut coins, &mut probes);
+            if probes.probes.is_empty() {
+                assert_eq!(probes.postings_scanned, 0, "draw {draw}");
+                filtered += 1;
+            }
+        }
+        assert!(filtered > 150, "only {filtered} of 200 draws were filtered");
+    }
+
+    fn rewrites_of<K: WalkKind>(engine: &WalkEngine<K>) -> Vec<(SegmentId, Vec<NodeId>)> {
+        engine
+            .last_rewrites()
+            .iter()
+            .map(|(id, path)| (id, path.to_vec()))
+            .collect()
+    }
+
+    /// Builds three identical engines, deletes `doomed` from each under a different
+    /// endpoint rule, and checks the rewrites agree bit for bit.
+    fn assert_endpoint_never_changes_rewrites<K: WalkKind>(
+        arrivals: &[Edge],
+        doomed: &[Edge],
+        seed: u64,
+    ) {
+        let build = || {
+            let config = MonteCarloConfig::new(0.25, 2).with_seed(seed);
+            let mut engine = WalkEngine::<K>::new_empty(12, config);
+            for batch in arrivals.chunks(5) {
+                engine.apply_arrivals(batch);
+            }
+            engine
+        };
+        let (mut lighter, mut pivots, mut targets) = (build(), build(), build());
+        let stats = lighter.apply_deletions(doomed);
+        let by_pivot = pivots.apply_deletions_scanning(doomed, |_, _| false);
+        let by_targets = targets.apply_deletions_scanning(doomed, |_, _| true);
+        assert_eq!(stats, by_pivot);
+        assert_eq!(stats, by_targets);
+        assert_eq!(rewrites_of(&lighter), rewrites_of(&pivots));
+        assert_eq!(rewrites_of(&lighter), rewrites_of(&targets));
+        lighter.validate_segments().unwrap();
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Deletion detection reads every candidate's path, so which endpoint's
+        /// postings supplied the candidates is invisible in the result.
+        #[test]
+        fn deletion_rewrites_do_not_depend_on_the_scanned_endpoint(
+            arrivals in proptest::collection::vec((0u32..12, 0u32..12), 10..80),
+            picks in proptest::collection::vec(0usize..80, 1..12),
+            seed in 0u64..1_000,
+        ) {
+            let arrivals: Vec<Edge> = arrivals.iter().map(|&(s, t)| Edge::new(s, t)).collect();
+            // Mostly live edges, some named twice, plus one that may be absent.
+            let mut doomed: Vec<Edge> = picks.iter().map(|&i| arrivals[i % arrivals.len()]).collect();
+            doomed.push(Edge::new(11, 0));
+            assert_endpoint_never_changes_rewrites::<PageRank>(&arrivals, &doomed, seed);
+            assert_endpoint_never_changes_rewrites::<Salsa>(&arrivals, &doomed, seed);
+        }
+    }
 }

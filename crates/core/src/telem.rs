@@ -3,8 +3,9 @@
 //! [`MetricSource`] impls for this crate's stats structs, plus an
 //! `emit_telemetry` method on the engine that folds *every* layer the engine
 //! owns — Social Store access counts, cumulative update work, batch wall-time
-//! profile, the walk store's own counters (arena; plus pager / residency /
-//! on-disk compaction for [`ppr_persist::DiskWalkStore`]), and the attached
+//! profile, the search effort of the reroute scans, the walk store's own
+//! counters (arena; plus pager / residency / on-disk compaction for
+//! [`ppr_persist::DiskWalkStore`]), and the attached
 //! WAL — into one snapshot builder.  This is what lets a single
 //! `TelemetrySnapshot` see the whole stack.
 
@@ -41,7 +42,9 @@ impl MetricSource for UpdateStats {
 impl<K: WalkKind, W: WalkIndexMut> WalkEngine<K, W> {
     /// Emits every observability layer this engine owns into `out`: Social
     /// Store access metrics (`store.*`), cumulative update work (`work.*`),
-    /// the batch wall-time profile (`batch.*`), the walk store's counters
+    /// the batch wall-time profile (`batch.*`), what phase 1 scanned and read to
+    /// find the reroutes `work.segments_updated` counts (`reroute.*`), the walk
+    /// store's counters
     /// (`arena.*` always; `disk.*` / `pager.*` / `residency.*` /
     /// `shard_load.*` per layout), and WAL counters (`wal.*`) when a durable
     /// log is attached.  The layout is the same for both walk kinds.
@@ -49,6 +52,10 @@ impl<K: WalkKind, W: WalkIndexMut> WalkEngine<K, W> {
         out.source("store", &self.store.metrics());
         out.source("work", &self.work);
         out.source("batch", &self.profile);
+        out.scoped("reroute", |out| {
+            out.counter("postings_scanned", self.profile.postings_scanned);
+            out.counter("paths_read", self.profile.paths_read);
+        });
         self.walks.emit_telemetry(out);
         if let Some(log) = &self.durability {
             out.source("wal", &log.wal_stats());
@@ -83,6 +90,11 @@ mod tests {
         assert!(snap.counter("engine.store.fetches").is_some());
         assert!(snap.counter("engine.work.walk_steps").is_some());
         assert!(snap.counter("engine.batch.total_nanos").is_some());
+        // The arrival out of node 0 (out-degree 1, so p = 1/2 over a handful of
+        // visits) read at least the paths it rerouted.
+        let paths_read = snap.counter("engine.reroute.paths_read").unwrap();
+        assert!(paths_read >= snap.counter("engine.work.segments_updated").unwrap());
+        assert!(snap.counter("engine.reroute.postings_scanned").unwrap() >= paths_read);
         assert!(snap.counter("engine.arena.in_place_writes").is_some());
         // In-memory engine: no WAL layer.
         assert_eq!(snap.counter("engine.wal.appended"), None);

@@ -29,6 +29,7 @@ use crate::metrics::ShardLoad;
 use crate::postings::VisitPostings;
 use crate::routing;
 use crate::segment::SegmentId;
+use crate::walks::common_prefix_len;
 use ppr_graph::NodeId;
 use std::time::{Duration, Instant};
 
@@ -81,12 +82,14 @@ impl WalkShard {
         for k in 0..rewrites.len() {
             let (id, new_path) = rewrites.get(k);
             let old_path = &old_steps[old_bounds[k]..old_bounds[k + 1]];
-            for &v in old_path {
+            // Only the visits past the common prefix change (see `set_segment_impl`).
+            let kept = common_prefix_len(old_path, new_path);
+            for &v in &old_path[kept..] {
                 if v.index() % shard_count == shard {
                     self.record_visit(v.index() / shard_count, id, -1);
                 }
             }
-            for &v in new_path {
+            for &v in &new_path[kept..] {
                 if v.index() % shard_count == shard {
                     self.record_visit(v.index() / shard_count, id, 1);
                 }
@@ -235,11 +238,15 @@ impl ShardedWalkStore {
         let owner = self.shard_of_segment(id);
         let slot = self.local_slot(id);
 
-        // Stage the old path: its visits live on arbitrary shards, but the slice
-        // borrows the owner shard's arena, which is about to be rewritten.
+        // Only the visits past the common prefix of the old and new path are
+        // re-indexed: a reroute keeps everything up to its pivot.  Stage the old
+        // suffix: its visits live on arbitrary shards, but the slice borrows the owner
+        // shard's arena, which is about to be rewritten.
+        let old_path = self.shards[owner].arena.path(slot);
+        let kept = common_prefix_len(old_path, path);
         let mut old = std::mem::take(&mut self.stage_steps);
         old.clear();
-        old.extend_from_slice(self.shards[owner].arena.path(slot));
+        old.extend_from_slice(&old_path[kept..]);
         for &v in &old {
             self.shards[v.index() % self.shard_count].record_visit(
                 v.index() / self.shard_count,
@@ -249,7 +256,7 @@ impl ShardedWalkStore {
         }
         self.stage_steps = old;
 
-        for &v in path {
+        for &v in &path[kept..] {
             self.shards[v.index() % self.shard_count].record_visit(
                 v.index() / self.shard_count,
                 id,
@@ -688,6 +695,36 @@ mod tests {
             .shard_loads()
             .iter()
             .all(|l| l == &ShardLoad::default()));
+    }
+
+    #[test]
+    fn rewrites_re_index_only_past_the_common_prefix_on_both_apply_paths() {
+        // One rewrite keeping `[0, 1]` and swapping a two-visit tail for one visit:
+        // three postings updates, whether through `set_segment` or a planned apply.
+        let id = SegmentId::new(NodeId(0), 0, 1);
+        let other = SegmentId::new(NodeId(3), 0, 1);
+        let mut plan = SegmentRewrites::new();
+        plan.push(id, &path(&[0, 1, 2]));
+        plan.push(other, &path(&[3, 1]));
+        for threads in [1usize, 4] {
+            let mut direct = ShardedWalkStore::new(4, 1, 2);
+            direct.set_segment(id, &path(&[0, 1, 3, 3]));
+            let mut planned = direct.clone();
+            direct.reset_shard_loads();
+            planned.reset_shard_loads();
+
+            direct.set_segment(id, &path(&[0, 1, 2]));
+            direct.set_segment(other, &path(&[3, 1]));
+            planned.apply_rewrites(&plan, threads);
+            for store in [&direct, &planned] {
+                let updates: u64 = store.shard_loads().iter().map(|l| l.postings_updates).sum();
+                assert_eq!(updates, 3 + 2, "{threads} threads");
+                assert_eq!(store.segment_path(id), path(&[0, 1, 2]).as_slice());
+                assert_eq!(store.visit_count(NodeId(3)), 1);
+                assert!(store.check_consistency().is_ok());
+            }
+            assert_eq!(direct.shard_loads(), planned.shard_loads());
+        }
     }
 
     #[test]

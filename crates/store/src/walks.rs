@@ -24,6 +24,12 @@ use crate::postings::{PostingsIter, VisitPostings};
 use crate::segment::SegmentId;
 use ppr_graph::NodeId;
 
+/// Length of the longest common prefix of two paths: the visits a rewrite from `old`
+/// to `new` leaves in place, which no index has to hear about.
+pub(crate) fn common_prefix_len(old: &[NodeId], new: &[NodeId]) -> usize {
+    old.iter().zip(new).take_while(|(a, b)| a == b).count()
+}
+
 /// Storage for `R` random-walk segments per node, indexed by visited node.
 #[derive(Debug, Clone)]
 pub struct WalkStore {
@@ -276,7 +282,10 @@ impl WalkStore {
     }
 
     /// Replaces the path of segment `id`, keeping every index consistent.  A rewrite
-    /// that fits the segment's arena slot performs no heap allocation.
+    /// that fits the segment's arena slot performs no heap allocation, and only the
+    /// visits past the common prefix of the old and new path are re-indexed — a
+    /// reroute keeps everything up to its pivot, so the kept visits never churn a
+    /// hub's postings.
     ///
     /// # Panics
     ///
@@ -290,19 +299,25 @@ impl WalkStore {
                 "segment {id:?} must start at its source node {source}"
             );
         }
-        for &v in path {
+        let old_path = self.arena.path(id.index());
+        let kept = common_prefix_len(old_path, path);
+        for &v in &path[kept..] {
             assert!(
-                v.index() < self.node_count(),
+                v.index() < self.visit_counts.len(),
                 "segment visits node {v} outside the store (node_count = {})",
-                self.node_count()
+                self.visit_counts.len()
             );
         }
-        self.remove_from_index(id);
-        for &v in path {
+        for &v in &old_path[kept..] {
+            self.postings[v.index()].record(id, -1);
+            self.visit_counts[v.index()] -= 1;
+        }
+        self.total_visits -= (old_path.len() - kept) as u64;
+        for &v in &path[kept..] {
             self.postings[v.index()].record(id, 1);
             self.visit_counts[v.index()] += 1;
         }
-        self.total_visits += path.len() as u64;
+        self.total_visits += (path.len() - kept) as u64;
         self.arena.write(id.index(), path);
     }
 
@@ -455,6 +470,41 @@ mod tests {
         assert_eq!(store.visit_count(NodeId(3)), 1);
         assert_eq!(store.total_visits(), 2);
         assert_eq!(store.distinct_visitors(NodeId(1)), 0);
+        assert!(store.check_consistency().is_ok());
+    }
+
+    #[test]
+    fn rewrites_re_index_only_past_the_common_prefix() {
+        assert_eq!(
+            common_prefix_len(&path(&[0, 1, 2]), &path(&[0, 1, 3, 2])),
+            2
+        );
+        assert_eq!(common_prefix_len(&path(&[0, 1]), &path(&[0, 1])), 2);
+        assert_eq!(common_prefix_len(&[], &path(&[0])), 0);
+
+        // A hub (node 1) visited by many segments: rerouting one of them past the hub
+        // must leave the hub's postings alone — no pending delta for the kept visits.
+        let mut store = WalkStore::new(40, 1);
+        for n in 2..40u32 {
+            store.set_segment(SegmentId::new(NodeId(n), 0, 1), &path(&[n, 1, 0]));
+        }
+        store.postings[1].merge();
+        let id = SegmentId::new(NodeId(7), 0, 1);
+        for tail in [&[3u32, 3][..], &[], &[0], &[1, 0]] {
+            let mut new_path = path(&[7, 1]);
+            new_path.extend(path(tail));
+            store.set_segment(id, &new_path);
+            assert_eq!(store.segment_path(id), new_path.as_slice());
+            assert!(store.check_consistency().is_ok());
+        }
+        // Only the last rewrite revisits the hub past the prefix; its extra visit is
+        // the one pending entry.
+        assert_eq!(store.postings[1].pending_delta(), 1);
+        assert_eq!(store.postings[1].count_of(id), 2);
+        // A rewrite that diverges at the source's successor drops the hub visits.
+        store.set_segment(id, &path(&[7, 2]));
+        assert_eq!(store.postings[1].count_of(id), 0);
+        assert_eq!(store.visit_count(NodeId(1)), 37);
         assert!(store.check_consistency().is_ok());
     }
 

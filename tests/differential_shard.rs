@@ -298,15 +298,16 @@ fn pinned_arrival_script() -> Vec<Vec<Edge>> {
 
 #[test]
 fn arrival_only_histories_keep_their_pinned_digests() {
-    // Arrivals (with node growth) are held to exact RNG streams: these digests were
-    // recorded while PageRank and SALSA still had an engine each, and the one
-    // `WalkEngine` had to reproduce them.  Re-pin only in a PR that states it changes
-    // arrival RNG streams.  Deletion histories are deliberately not pinned.
+    // Arrivals (with node growth) are held to exact RNG streams.  Re-pin only in a PR
+    // that states it changes arrival RNG streams — last done by the PR that moved the
+    // reroute coins off the per-segment repair stream onto one skip-sampled coin
+    // stream per `(batch, pivot, direction)`: this change alters arrival RNG streams
+    // (and nothing about deletions).  Deletion histories are deliberately not pinned.
     const PINNED: [(u64, u64); 4] = [
-        (1014, 6444730655916004188),
-        (2554, 6460425981557008665),
-        (399, 4409879648796652417),
-        (1254, 10840512708127643115),
+        (920, 2357357892586109657),
+        (2526, 8605347573499262585),
+        (343, 450252412985468504),
+        (1134, 5352309793781967337),
     ];
     let script = pinned_arrival_script();
     let mut observed = Vec::new();
