@@ -1,5 +1,5 @@
 //! Criterion benches for the PageRank Store's memory layout: edge-arrival reroute
-//! throughput (per-edge vs batched, against the flat step arena + CSR visit postings)
+//! throughput (per-edge vs batched, against the flat step arena + blocked visit postings)
 //! and estimator refresh, on a preferential-attachment graph.
 //!
 //! This is the perf trail for the arena/postings refactor: the reroute hot path used to
@@ -102,7 +102,7 @@ fn bench_hub_burst(c: &mut Criterion) {
 
 /// Estimator refresh: reading all `W(v)` counters out of the store into normalised
 /// score vectors.  The counters are kept eagerly exact, so this measures a pure dense
-/// scan regardless of how many postings deltas are pending.
+/// scan that never touches a node's postings.
 fn bench_estimator_refresh(c: &mut Criterion) {
     let mut group = c.benchmark_group("store_layout_estimator");
     let (engine, _) = warm_engine();

@@ -14,11 +14,12 @@
 //!      (`sample_arrival_probes`): one **coin stream** per `(engine seed, batch,
 //!      pivot, direction)` (`coin_seed`) draws the geometric gaps between heads over
 //!      the pivot's visit slots — its postings in `SegmentId` order, each posting's
-//!      occurrences in path order — so the scan does nothing but add up counts until
-//!      a head falls inside a posting.  Work is proportional to the heads, which is
-//!      what Theorem 4 charges, not to the visits; when the first gap already
-//!      overshoots `W(pivot)` the group touches nothing — the `(1 − 1/d)^W` filter of
-//!      Section 2.2;
+//!      occurrences in path order — and the scan *seeks* each head
+//!      ([`ppr_store::postings::PostingsIter::seek`]), skipping whole blocks of
+//!      postings by their visit sums: O(blocks + heads · block) per group, not
+//!      O(postings).  Work is proportional to the heads, which is what Theorem 4
+//!      charges, not to the visits; when the first gap already overshoots `W(pivot)`
+//!      the group touches nothing — the `(1 − 1/d)^W` filter of Section 2.2;
 //!    * a **deletion** group lists the segments visiting its *lighter endpoint*
 //!      (`deletion_probes`): a segment traversing `pivot → t` visits both nodes, so
 //!      whichever side has fewer visits is a complete candidate list.
@@ -165,7 +166,8 @@ pub(crate) struct Probes {
     picks: Vec<u32>,
     /// Scratch for the deletion scan's sort + dedup.
     ids: Vec<SegmentId>,
-    /// Postings entries the scans stepped over (observability only).
+    /// Postings entries — and, where a scan skipped whole blocks of them, block sums —
+    /// the scans read (observability only).
     pub postings_scanned: u64,
 }
 
@@ -196,7 +198,8 @@ fn geometric_gap(rng: &mut SmallRng, ln_q: f64) -> u64 {
 /// visit slot of `pivot` by drawing the gaps between heads from `coins`, and records a
 /// [`Probe`] for each segment holding at least one head.  Slots are numbered along the
 /// pivot's postings in `SegmentId` order — identical in every store layout — so the
-/// heads are a pure function of the stream and the postings' logical content.
+/// heads are a pure function of the stream and the postings' logical content.  The
+/// scan seeks from head to head, so the postings between them cost it nothing.
 pub(crate) fn sample_arrival_probes<W: WalkIndex>(
     walks: &W,
     group: usize,
@@ -208,30 +211,30 @@ pub(crate) fn sample_arrival_probes<W: WalkIndex>(
     let ln_q = (1.0 - p).ln();
     let visits = walks.visit_count(pivot);
     let mut head = geometric_gap(coins, ln_q);
-    let mut cum = 0u64;
-    for (seg, count) in walks.segments_visiting(pivot) {
-        if head >= visits {
-            break;
-        }
-        out.postings_scanned += 1;
-        let end = cum + count as u64;
-        if head < end {
-            let start = out.picks.len() as u32;
-            while head < end {
-                out.picks.push((head - cum) as u32);
-                head = head
-                    .saturating_add(1)
-                    .saturating_add(geometric_gap(coins, ln_q));
-            }
-            out.probes.push(Probe {
-                group: group as u32,
-                seg,
-                start,
-                len: out.picks.len() as u32 - start,
-            });
-        }
-        cum = end;
+    if head >= visits {
+        return;
     }
+    let mut cursor = walks.segments_visiting(pivot);
+    while head < visits {
+        let (seg, count, first) = cursor
+            .seek(head)
+            .expect("W(pivot) counts the visit slots of the pivot's postings");
+        let end = first + count as u64;
+        let start = out.picks.len() as u32;
+        while head < end {
+            out.picks.push((head - first) as u32);
+            head = head
+                .saturating_add(1)
+                .saturating_add(geometric_gap(coins, ln_q));
+        }
+        out.probes.push(Probe {
+            group: group as u32,
+            seg,
+            start,
+            len: out.picks.len() as u32 - start,
+        });
+    }
+    out.postings_scanned += cursor.scanned();
 }
 
 /// The deletion scan of group `group`, whose `targets` are the pivot's fully deleted
@@ -373,10 +376,11 @@ pub(crate) fn fan_out_candidates<W, F>(
     });
 }
 
-/// Wall-time breakdown of the most recent arrival batches, accumulated per engine
-/// since construction (or the last reset): the total time spent in `apply_arrivals`,
-/// plus the per-shard times of the two parallelizable phases (candidate generation and
-/// plan application).
+/// Wall-time breakdown of the update batches, accumulated per engine since
+/// construction (or the last reset): the total time spent in `apply_arrivals` /
+/// `apply_deletions`, the wall time of each repair phase (detection, candidate
+/// generation, plan application), and the per-shard times of the two parallelizable
+/// ones.
 ///
 /// The point of the per-shard split is measuring scalability independently of the
 /// machine the measurement runs on: [`BatchProfile::critical_path`] charges each
@@ -387,9 +391,17 @@ pub(crate) fn fan_out_candidates<W, F>(
 pub struct BatchProfile {
     /// Total wall time spent inside `apply_arrivals` (and `apply_deletions`).
     pub total: Duration,
-    /// Per-shard wall time of candidate generation (phase 1).
+    /// Wall time of the detection scans (phase 1a): postings only.
+    pub detect: Duration,
+    /// Wall time of candidate generation (phase 1b), all shards.
+    pub candidates: Duration,
+    /// Wall time of plan application (phase 3), all shards: arena writes plus the
+    /// postings updates past each rewrite's kept prefix.
+    pub apply: Duration,
+    /// Per-shard wall time of candidate generation (phase 1b).
     pub phase1_shard_times: Vec<Duration>,
-    /// Per-shard wall time of plan application (phase 3).
+    /// Per-shard wall time of plan application (phase 3); one entry — the whole
+    /// phase — for a store that applies a plan in one pass.
     pub apply_shard_times: Vec<Duration>,
     /// Arena compaction passes triggered by the profiled batches.  Compactions run
     /// inline on the apply path, so they are the latency-tail component the ROADMAP's
@@ -571,48 +583,98 @@ mod tests {
             .collect()
     }
 
+    /// The scan [`sample_arrival_probes`] replaced, kept as its reference: adds up the
+    /// count of every posting of the pivot until the last head is placed.
+    fn sample_arrival_probes_linear<W: WalkIndex>(
+        walks: &W,
+        pivot: NodeId,
+        p: f64,
+        coins: &mut SmallRng,
+    ) -> (Vec<(SegmentId, Vec<u32>)>, u64) {
+        let ln_q = (1.0 - p).ln();
+        let visits = walks.visit_count(pivot);
+        let mut head = geometric_gap(coins, ln_q);
+        let (mut probes, mut scanned, mut cum) = (Vec::new(), 0u64, 0u64);
+        for (seg, count) in walks.segments_visiting(pivot) {
+            if head >= visits {
+                break;
+            }
+            scanned += 1;
+            let end = cum + count as u64;
+            let mut picks = Vec::new();
+            while head < end {
+                picks.push((head - cum) as u32);
+                head = head
+                    .saturating_add(1)
+                    .saturating_add(geometric_gap(coins, ln_q));
+            }
+            if !picks.is_empty() {
+                probes.push((seg, picks));
+            }
+            cum = end;
+        }
+        (probes, scanned)
+    }
+
     #[test]
     fn arrival_probes_depend_on_the_postings_content_not_the_layout() {
         use ppr_store::{ShardedWalkStore, WalkIndexMut};
         use rand::SeedableRng;
-        let mut flat = WalkStore::new(8, 2);
-        let mut sharded = ShardedWalkStore::new(8, 2, 3);
-        for node in 0..8u32 {
-            for slot in 0..2 {
-                let path: Vec<NodeId> = [node, 0, (node + slot as u32) % 8, 0, 3]
-                    .iter()
-                    .map(|&v| NodeId(v))
-                    .collect();
-                let id = SegmentId::new(NodeId(node), slot, 2);
-                flat.set_segment(id, &path);
-                sharded.set_segment(id, &path);
+        // Node 0 is the pivot: first a handful of postings, then several blocks of
+        // them (the seeking scan skips whole blocks; the linear one never did).
+        for (nodes, r, ps) in [(8u32, 2, [0.05, 0.5, 1.0]), (4_000, 1, [0.001, 0.05, 1.0])] {
+            let mut flat = WalkStore::new(nodes as usize, r);
+            let mut sharded = ShardedWalkStore::new(nodes as usize, r, 3);
+            for node in 0..nodes {
+                for slot in 0..r {
+                    let path: Vec<NodeId> = [node, 0, (node + slot as u32) % 8, 0, 3]
+                        .iter()
+                        .map(|&v| NodeId(v))
+                        .collect();
+                    let id = SegmentId::new(NodeId(node), slot, r);
+                    flat.set_segment(id, &path);
+                    sharded.set_segment(id, &path);
+                }
             }
-        }
-        for p in [0.05, 0.5, 1.0] {
-            let (mut a, mut b) = (Probes::default(), Probes::default());
-            let mut coins = SmallRng::seed_from_u64(coin_seed(3, 9, NodeId(0), false));
-            sample_arrival_probes(&flat, 4, NodeId(0), p, &mut coins, &mut a);
-            let mut coins = SmallRng::seed_from_u64(coin_seed(3, 9, NodeId(0), false));
-            sample_arrival_probes(&sharded, 4, NodeId(0), p, &mut coins, &mut b);
-            assert_eq!(probe_list(&a), probe_list(&b), "p = {p}");
-            assert!(a.probes.iter().all(|probe| probe.group == 4));
-            // Heads index a segment's visits to the pivot, increasing.
-            for (seg, picks) in probe_list(&a) {
-                let visits = flat
-                    .segments_visiting(NodeId(0))
-                    .find(|v| v.0 == seg)
-                    .unwrap()
-                    .1;
-                assert!(picks.windows(2).all(|w| w[0] < w[1]));
-                assert!(picks.iter().all(|&i| i < visits), "{seg:?}: {picks:?}");
-            }
-            if p == 1.0 {
-                let heads: usize = probe_list(&a).iter().map(|(_, picks)| picks.len()).sum();
-                assert_eq!(
-                    heads as u64,
-                    flat.visit_count(NodeId(0)),
-                    "every slot is a head"
-                );
+            assert!(flat.distinct_visitors(NodeId(0)) >= (nodes as usize).min(3 * 128));
+            for p in ps {
+                let coins = || SmallRng::seed_from_u64(coin_seed(3, 9, NodeId(0), false));
+                let (mut a, mut b) = (Probes::default(), Probes::default());
+                sample_arrival_probes(&flat, 4, NodeId(0), p, &mut coins(), &mut a);
+                sample_arrival_probes(&sharded, 4, NodeId(0), p, &mut coins(), &mut b);
+                assert_eq!(probe_list(&a), probe_list(&b), "p = {p}");
+                let (linear, linear_scanned) =
+                    sample_arrival_probes_linear(&flat, NodeId(0), p, &mut coins());
+                assert_eq!(probe_list(&a), linear, "p = {p}");
+                assert!(!linear.is_empty(), "p = {p}: the stream must place a head");
+                if p == 0.001 {
+                    // A handful of heads among 8 000 slots: some block sums and part
+                    // of a block per head, against every posting up to the last one.
+                    assert!(
+                        a.postings_scanned * 2 <= linear_scanned,
+                        "{} against {linear_scanned}",
+                        a.postings_scanned
+                    );
+                }
+                assert!(a.probes.iter().all(|probe| probe.group == 4));
+                // Heads index a segment's visits to the pivot, increasing.
+                for (seg, picks) in probe_list(&a) {
+                    let visits = flat
+                        .segments_visiting(NodeId(0))
+                        .find(|v| v.0 == seg)
+                        .unwrap()
+                        .1;
+                    assert!(picks.windows(2).all(|w| w[0] < w[1]));
+                    assert!(picks.iter().all(|&i| i < visits), "{seg:?}: {picks:?}");
+                }
+                if p == 1.0 {
+                    let heads: usize = linear.iter().map(|(_, picks)| picks.len()).sum();
+                    assert_eq!(
+                        heads as u64,
+                        flat.visit_count(NodeId(0)),
+                        "every slot is a head"
+                    );
+                }
             }
         }
     }

@@ -648,14 +648,17 @@ impl<K: WalkKind, W: WalkIndexMut + Sync> WalkEngine<K, W> {
         self.batch_index += 1;
 
         // Phase 1a: detection — postings only, no path is read.
+        let phase_started = Instant::now();
         let mut probes = std::mem::take(&mut self.probes);
         probes.clear();
         for (gi, group) in groups.iter().enumerate() {
             detect(&repair, gi, group, &mut probes);
         }
+        self.profile.detect += phase_started.elapsed();
 
         // Phase 1b: candidate generation, read-only against the pre-batch walk store
         // and the post-batch graph, partitioned by the shard owning each segment.
+        let phase_started = Instant::now();
         let mut sets = std::mem::take(&mut self.candidate_sets);
         let mut phase1_times = std::mem::take(&mut self.phase1_times);
         let shards = repair.walks.route_shards();
@@ -682,6 +685,7 @@ impl<K: WalkKind, W: WalkIndexMut + Sync> WalkEngine<K, W> {
                 set.scratch = scratch;
             },
         );
+        self.profile.candidates += phase_started.elapsed();
         self.profile.record_scan(&probes);
         self.probes = probes;
 
@@ -702,12 +706,16 @@ impl<K: WalkKind, W: WalkIndexMut + Sync> WalkEngine<K, W> {
         stats.touched_walk_store = stats.segments_updated > 0;
 
         // Phase 3: the store applies the plan (parallel per shard when it can).
+        let phase_started = Instant::now();
         self.walks.apply_rewrites(&rewrites, threads);
-        self.profile.record(
-            started.elapsed(),
-            &phase1_times,
-            self.walks.last_apply_shard_times(),
-        );
+        let apply = phase_started.elapsed();
+        self.profile.apply += apply;
+        let apply_shard_times = match self.walks.last_apply_shard_times() {
+            [] => std::slice::from_ref(&apply),
+            per_shard => per_shard,
+        };
+        self.profile
+            .record(started.elapsed(), &phase1_times, apply_shard_times);
         self.profile
             .record_compactions(arena_before, &self.walks.arena_stats());
         self.candidate_sets = sets;

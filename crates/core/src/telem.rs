@@ -17,6 +17,9 @@ use ppr_telemetry::{MetricSource, SnapshotBuilder};
 impl MetricSource for BatchProfile {
     fn emit(&self, out: &mut SnapshotBuilder) {
         out.counter("total_nanos", self.total.as_nanos() as u64);
+        out.counter("detect_nanos", self.detect.as_nanos() as u64);
+        out.counter("candidates_nanos", self.candidates.as_nanos() as u64);
+        out.counter("apply_nanos", self.apply.as_nanos() as u64);
         out.counter("compactions", self.compactions);
         out.counter("compaction_nanos", self.compaction_time.as_nanos() as u64);
         out.counter("compaction_steps_moved", self.compaction_steps_moved);
@@ -89,7 +92,14 @@ mod tests {
         let snap = TelemetrySnapshot::from_builder(0, out);
         assert!(snap.counter("engine.store.fetches").is_some());
         assert!(snap.counter("engine.work.walk_steps").is_some());
-        assert!(snap.counter("engine.batch.total_nanos").is_some());
+        // Where the batch went: the three phases, for the flat store too.
+        let phases: u64 = ["detect_nanos", "candidates_nanos", "apply_nanos"]
+            .iter()
+            .map(|phase| snap.counter(&format!("engine.batch.{phase}")).unwrap())
+            .sum();
+        assert!(phases > 0);
+        assert!(phases <= snap.counter("engine.batch.total_nanos").unwrap());
+        assert_eq!(engine.batch_profile().apply_shard_times.len(), 1);
         // The arrival out of node 0 (out-degree 1, so p = 1/2 over a handful of
         // visits) read at least the paths it rerouted.
         let paths_read = snap.counter("engine.reroute.paths_read").unwrap();

@@ -892,7 +892,7 @@ impl ppr_store::WalkIndexView for DiskWalkStore {
 }
 
 impl WalkIndex for DiskWalkStore {
-    fn segments_visiting(&self, node: NodeId) -> impl Iterator<Item = (SegmentId, u32)> + '_ {
+    fn segments_visiting(&self, node: NodeId) -> ppr_store::postings::PostingsIter<'_> {
         self.resident.segments_visiting(node)
     }
 

@@ -494,7 +494,7 @@ impl PagedWalks {
 
     /// Decodes the section into a flat [`WalkStore`] on the bulk-load fast path:
     /// paths stream out of the paged heap, the serialized postings become the index
-    /// **directly** (no per-step replay through the delta overlay), and paths and
+    /// **directly** (packed blocks, no `record` call per stored step), and paths and
     /// index are cross-checked in one sorted pass inside
     /// [`WalkStore::bulk_load`] — cold open costs a file scan plus one sort instead
     /// of an incremental index rebuild.

@@ -24,6 +24,7 @@
 //! plan to the store, which is free to apply it with one thread or many — the result is
 //! identical either way.
 
+use crate::postings::PostingsIter;
 use crate::segment::SegmentId;
 use crate::walks::WalkStore;
 use ppr_graph::NodeId;
@@ -115,8 +116,11 @@ pub trait WalkIndexView {
 /// [`WalkIndexView`] plus the visit postings (which segments an update must inspect),
 /// shard routing, and arena observability.
 pub trait WalkIndex: WalkIndexView {
-    /// The segments visiting `node` with their multiplicities, in segment-id order.
-    fn segments_visiting(&self, node: NodeId) -> impl Iterator<Item = (SegmentId, u32)> + '_;
+    /// The segments visiting `node` with their multiplicities, in segment-id order:
+    /// an iterator that is also the one cursor a detection scan seeks visit slots
+    /// with ([`PostingsIter::seek`]).  Every layout keeps [`crate::VisitPostings`] per
+    /// node and hands out theirs.
+    fn segments_visiting(&self, node: NodeId) -> PostingsIter<'_>;
 
     /// Number of distinct segments visiting `node`.
     fn distinct_visitors(&self, node: NodeId) -> usize {
@@ -331,7 +335,7 @@ impl WalkIndexView for WalkStore {
 }
 
 impl WalkIndex for WalkStore {
-    fn segments_visiting(&self, node: NodeId) -> impl Iterator<Item = (SegmentId, u32)> + '_ {
+    fn segments_visiting(&self, node: NodeId) -> PostingsIter<'_> {
         WalkStore::segments_visiting(self, node)
     }
 

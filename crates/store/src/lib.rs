@@ -12,8 +12,8 @@
 //!   `1 - (1 - 1/d(v))^{W(v)}` filter that decides whether an arriving edge needs to
 //!   touch the PageRank Store at all.  This is [`walks::WalkStore`], built from a flat
 //!   step [`arena`] (one shared buffer of walk steps with per-segment slots) and
-//!   CSR-style visit [`postings`] (sorted `(SegmentId, count)` runs with a lazily
-//!   merged delta overlay).
+//!   visit [`postings`] (blocked sorted `(SegmentId, count)` runs: O(log W(v) + block)
+//!   per recorded step, O(blocks + heads · block) per arrival scan).
 //!
 //! Engines consume the PageRank Store exclusively through the API layer in
 //! [`index`]: read-only queries through [`index::WalkIndexView`], maintenance reads

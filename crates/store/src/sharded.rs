@@ -26,10 +26,10 @@
 use crate::arena::{ArenaStats, StepArena};
 use crate::index::{SegmentRewrites, WalkIndex, WalkIndexMut, WalkIndexView};
 use crate::metrics::ShardLoad;
-use crate::postings::VisitPostings;
+use crate::postings::{PostingsIter, VisitPostings};
 use crate::routing;
 use crate::segment::SegmentId;
-use crate::walks::common_prefix_len;
+use crate::walks::{common_prefix_len, forget_visits};
 use ppr_graph::NodeId;
 use std::time::{Duration, Instant};
 
@@ -57,12 +57,13 @@ impl WalkShard {
 
     fn record_visit(&mut self, local: usize, id: SegmentId, change: i32) {
         self.postings[local].record(id, change);
+        let visits = change.unsigned_abs() as u64;
         if change >= 0 {
-            self.visit_counts[local] += change as u64;
-            self.total_visits += change as u64;
+            self.visit_counts[local] += visits;
+            self.total_visits += visits;
         } else {
-            self.visit_counts[local] -= (-change) as u64;
-            self.total_visits -= (-change) as u64;
+            forget_visits(&mut self.visit_counts, local, visits);
+            self.total_visits -= visits;
         }
         self.load.postings_updates += 1;
     }
@@ -117,8 +118,8 @@ pub struct ShardedWalkStore {
     /// any arena write) and for the sequential `set_segment` path.
     stage_steps: Vec<NodeId>,
     stage_bounds: Vec<usize>,
-    /// Wall time each shard spent applying the plans of the most recent
-    /// [`WalkIndexMut::apply_rewrites`] call that ran per-shard passes.
+    /// Wall time each shard spent on its pass of the most recent
+    /// [`WalkIndexMut::apply_rewrites`] call; empty if that call ran none.
     last_apply_times: Vec<Duration>,
 }
 
@@ -179,8 +180,9 @@ impl ShardedWalkStore {
     }
 
     /// Wall time each shard spent on its pass of the most recent
-    /// [`WalkIndexMut::apply_rewrites`] call that ran per-shard passes (empty before
-    /// the first such call).  On a machine with fewer cores than shards — or with
+    /// [`WalkIndexMut::apply_rewrites`] call (empty when that call ran no per-shard
+    /// passes: an empty plan, one shard, or a plan rewriting a segment twice).  On a
+    /// machine with fewer cores than shards — or with
     /// `threads = 1` — the slowest entry is the phase's critical path: the wall time a
     /// fully parallel deployment would pay.
     pub fn last_apply_shard_times(&self) -> &[Duration] {
@@ -379,7 +381,7 @@ impl crate::index::WalkIndexView for ShardedWalkStore {
 }
 
 impl WalkIndex for ShardedWalkStore {
-    fn segments_visiting(&self, node: NodeId) -> impl Iterator<Item = (SegmentId, u32)> + '_ {
+    fn segments_visiting(&self, node: NodeId) -> PostingsIter<'_> {
         self.shards[self.shard_of(node)].postings[routing::local_index(node, self.shard_count)]
             .iter()
     }
@@ -455,6 +457,7 @@ impl WalkIndexMut for ShardedWalkStore {
     /// writes of its segments, in plan order.  Single-owner writes make the result
     /// bit-identical to the sequential loop at any thread count.
     fn apply_rewrites(&mut self, rewrites: &SegmentRewrites, threads: usize) {
+        self.last_apply_times.clear();
         if rewrites.is_empty() {
             return;
         }
@@ -489,7 +492,6 @@ impl WalkIndexMut for ShardedWalkStore {
 
         let shard_count = self.shard_count;
         let r = self.r;
-        self.last_apply_times.clear();
         self.last_apply_times.resize(shard_count, Duration::ZERO);
         if threads <= 1 {
             // Same per-shard passes, sequentially; the recorded per-shard times make

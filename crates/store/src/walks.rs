@@ -10,11 +10,11 @@
 //!   cap)` slots, so a steady-state reroute rewrites its slot **in place with zero heap
 //!   allocations** (see [`crate::arena`]);
 //! * for every node, the segments visiting it and their multiplicities, as compact
-//!   CSR-style [`VisitPostings`] — a sorted `(SegmentId, count)` run with a small delta
-//!   overlay merged lazily (see [`crate::postings`]);
+//!   [`VisitPostings`] — a blocked sorted `(SegmentId, count)` run updated in
+//!   O(log W(v) + block) per stored step (see [`crate::postings`]);
 //! * the exact running totals: per-node visit counts (`X_v` / `W(v)` in the paper) and
-//!   their sum, maintained eagerly on every write so the estimator never waits on a
-//!   merge.
+//!   their sum, maintained eagerly on every write so the estimator never sums a
+//!   node's postings.
 //!
 //! Consumers read the store through the [`crate::WalkIndex`] API (`segment_path`,
 //! `positions_of`, `segments_visiting`, …); no engine touches raw segment vectors.
@@ -28,6 +28,18 @@ use ppr_graph::NodeId;
 /// to `new` leaves in place, which no index has to hear about.
 pub(crate) fn common_prefix_len(old: &[NodeId], new: &[NodeId]) -> usize {
     old.iter().zip(new).take_while(|(a, b)| a == b).count()
+}
+
+/// Takes `visits` off `counts[node]` (`node` indexes `counts`: shard-local in a sharded
+/// store).  A counter that would go negative means the index and the stored paths
+/// have diverged: a checked failure in every build, never a wrapped `W(v)`.
+pub(crate) fn forget_visits(counts: &mut [u64], node: usize, visits: u64) {
+    counts[node] = counts[node].checked_sub(visits).unwrap_or_else(|| {
+        panic!(
+            "cannot take {visits} visits off node {node}, which counts {}",
+            counts[node]
+        )
+    });
 }
 
 /// Storage for `R` random-walk segments per node, indexed by visited node.
@@ -58,9 +70,8 @@ impl WalkStore {
     }
 
     /// Bulk-load constructor for decode paths: installs every segment path and a
-    /// **pre-computed** postings index in one pass, instead of replaying per-step
-    /// `record` calls through the delta overlay (which costs an order of magnitude
-    /// more on cold open).  The supplied index is fully cross-checked against the
+    /// **pre-computed** postings index in one pass, instead of replaying one `record`
+    /// call per stored step.  The supplied index is fully cross-checked against the
     /// paths — one global sort of `(node, segment)` visit keys, compared run by run
     /// against the postings — so a divergent index is rejected, never installed.
     pub fn bulk_load<'a>(
@@ -310,7 +321,7 @@ impl WalkStore {
         }
         for &v in &old_path[kept..] {
             self.postings[v.index()].record(id, -1);
-            self.visit_counts[v.index()] -= 1;
+            forget_visits(&mut self.visit_counts, v.index(), 1);
         }
         self.total_visits -= (old_path.len() - kept) as u64;
         for &v in &path[kept..] {
@@ -331,7 +342,7 @@ impl WalkStore {
         let old_path = self.arena.path(id.index());
         for &v in old_path {
             self.postings[v.index()].record(id, -1);
-            self.visit_counts[v.index()] -= 1;
+            forget_visits(&mut self.visit_counts, v.index(), 1);
         }
         self.total_visits -= old_path.len() as u64;
     }
@@ -483,12 +494,12 @@ mod tests {
         assert_eq!(common_prefix_len(&[], &path(&[0])), 0);
 
         // A hub (node 1) visited by many segments: rerouting one of them past the hub
-        // must leave the hub's postings alone — no pending delta for the kept visits.
+        // must leave the hub's postings alone — no update for the kept visits.
         let mut store = WalkStore::new(40, 1);
         for n in 2..40u32 {
             store.set_segment(SegmentId::new(NodeId(n), 0, 1), &path(&[n, 1, 0]));
         }
-        store.postings[1].merge();
+        let records_before = store.postings[1].cost.records;
         let id = SegmentId::new(NodeId(7), 0, 1);
         for tail in [&[3u32, 3][..], &[], &[0], &[1, 0]] {
             let mut new_path = path(&[7, 1]);
@@ -498,14 +509,25 @@ mod tests {
             assert!(store.check_consistency().is_ok());
         }
         // Only the last rewrite revisits the hub past the prefix; its extra visit is
-        // the one pending entry.
-        assert_eq!(store.postings[1].pending_delta(), 1);
+        // the one update the hub's postings saw.
+        assert_eq!(store.postings[1].cost.records, records_before + 1);
         assert_eq!(store.postings[1].count_of(id), 2);
         // A rewrite that diverges at the source's successor drops the hub visits.
         store.set_segment(id, &path(&[7, 2]));
         assert_eq!(store.postings[1].count_of(id), 0);
         assert_eq!(store.visit_count(NodeId(1)), 37);
         assert!(store.check_consistency().is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot take 1 visits off node 2, which counts 0")]
+    fn a_visit_counter_never_wraps_below_zero() {
+        let mut store = WalkStore::new(3, 1);
+        let id = SegmentId::new(NodeId(1), 0, 1);
+        store.set_segment(id, &path(&[1, 2]));
+        // Force the divergence no public call can produce.
+        store.visit_counts[2] = 0;
+        store.set_segment(id, &path(&[1]));
     }
 
     #[test]

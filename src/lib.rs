@@ -9,7 +9,7 @@
 //!   generators, and edge-arrival streams.
 //! * [`store`] ([`ppr_store`]) — the Social Store (FlockDB stand-in) and the PageRank
 //!   Store holding cached walk segments, both with explicit fetch/work accounting.  The
-//!   PageRank Store is backed by a flat step arena plus CSR-style visit postings, and
+//!   PageRank Store is backed by a flat step arena plus blocked visit postings, and
 //!   every engine consumes it through the `WalkIndex` API layer.
 //! * [`persist`] ([`ppr_persist`]) — durability: checksummed generation snapshots, an
 //!   edge-event write-ahead log, and the file-backed `DiskWalkStore`; the engines'

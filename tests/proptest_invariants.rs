@@ -86,7 +86,7 @@ fn expand_path(node: u32, n: u32, mut seed: u64) -> Vec<NodeId> {
 }
 
 /// Recounts, from the stored paths alone, every index the store maintains; used to
-/// check the CSR postings + delta overlay and the eager counters stay exact.
+/// check the blocked postings and the eager counters stay exact.
 fn assert_store_matches_recount(store: &WalkStore, n: u32) {
     let mut counts = vec![0u64; n as usize];
     let mut postings = vec![std::collections::HashMap::<SegmentId, u32>::new(); n as usize];
@@ -220,7 +220,7 @@ proptest! {
         prop_assert!(estimates.raw().iter().all(|&s| (0.0..=1.0 + 1e-9).contains(&s)));
     }
 
-    /// The arena + CSR-postings walk store stays exactly consistent with a from-scratch
+    /// The arena + postings walk store stays exactly consistent with a from-scratch
     /// recount of all stored segments under arbitrary interleaved set/clear sequences,
     /// and `total_visits == Σ visit_counts` always holds.
     #[test]
