@@ -52,12 +52,13 @@ use ppr_persist::io::{corrupt, format_err, ByteReader, ByteWriter};
 use ppr_persist::layout::PersistentWalkStore;
 use ppr_persist::lock::StoreLock;
 use ppr_persist::snapshot::{
-    SnapshotFile, SnapshotWriter, SECTION_GRAPH, SECTION_META, SECTION_WALKS,
+    AtomicFile, SnapshotFile, SnapshotWriter, SECTION_GRAPH, SECTION_META,
 };
 use ppr_persist::wal::{self, GroupCommit, WalRecord, WalWriter};
 use ppr_persist::{DiskWalkStore, PagedWalks, WalOp};
 use ppr_store::{ShardedWalkStore, SocialStore, WalkIndexMut, WalkStore, WorkCounter};
 use rand::rngs::SmallRng;
+use std::io::{Seek, Write};
 use std::path::Path;
 
 pub use ppr_persist::{PersistError, PersistResult};
@@ -99,6 +100,9 @@ pub struct DurableLog {
     /// The active WAL group-commit handle, if the serving layer switched the log
     /// into pipelined durability.  Carried (and rebound) across WAL rotations.
     group: Option<GroupCommit>,
+    /// Whether [`DurableLog::take_sync_nanos`] has been called: the WAL writer then
+    /// times its fsyncs, and so must every writer a rotation replaces it with.
+    times_syncs: bool,
 }
 
 impl DurableLog {
@@ -141,6 +145,14 @@ impl DurableLog {
         self.writer
             .end_group_commit()
             .expect("final group-commit sync failed; cannot break durability silently");
+    }
+
+    /// Drains the nanoseconds batch appends have spent in their own `fdatasync`
+    /// since the last call (see [`WalWriter::take_sync_nanos`]); the first call
+    /// starts the timing.
+    pub fn take_sync_nanos(&mut self) -> u64 {
+        self.times_syncs = true;
+        self.writer.take_sync_nanos()
     }
 
     /// The active generation number.
@@ -258,7 +270,29 @@ fn decode_meta(payload: &[u8], version: u32) -> PersistResult<EngineMeta> {
     })
 }
 
-/// Writes one complete generation snapshot and invokes the store's post-publish hook.
+/// Streams one complete generation snapshot into `sink`, section by section as the
+/// encoders produce the bytes.
+fn stream_generation<S: Write + Seek, W: PersistentWalkStore>(
+    sink: S,
+    meta: &EngineMeta,
+    social: &SocialStore,
+    walks: &mut W,
+) -> PersistResult<S> {
+    let mut snap = SnapshotWriter::new(sink)?;
+    snap.begin_section(SECTION_META)?;
+    snap.write(&encode_meta(meta))?;
+    snap.end_section()?;
+    snap.begin_section(SECTION_GRAPH)?;
+    encode_graph(social.graph(), social.shard_count() as u32, |chunk| {
+        snap.write(chunk)
+    })?;
+    snap.end_section()?;
+    walks.encode_walks(&mut snap)?;
+    snap.finish()
+}
+
+/// Writes one complete generation snapshot — atomically: an error on the way leaves
+/// no file, temp or final — and invokes the store's post-publish hook.
 fn write_generation<W: PersistentWalkStore>(
     dir: &StoreDir,
     gen: u64,
@@ -266,17 +300,9 @@ fn write_generation<W: PersistentWalkStore>(
     social: &SocialStore,
     walks: &mut W,
 ) -> PersistResult<()> {
-    let mut snap = SnapshotWriter::new();
-    snap.add_section(SECTION_META, encode_meta(meta));
-    snap.add_section(
-        SECTION_GRAPH,
-        encode_graph(social.graph(), social.shard_count() as u32),
-    );
-    snap.add_section(SECTION_WALKS, walks.encode_walks()?);
     let path = dir.snapshot_path(gen);
-    snap.write_to(&path)?;
-    walks.after_checkpoint(&path)?;
-    Ok(())
+    stream_generation(AtomicFile::create(&path)?, meta, social, walks)?.publish()?;
+    walks.after_checkpoint(&path)
 }
 
 /// Everything recovered from a store directory, before engine assembly.
@@ -298,12 +324,10 @@ fn try_load_generation<W: PersistentWalkStore>(
     dir: &StoreDir,
     gen: u64,
 ) -> PersistResult<(EngineMeta, SocialStore, W)> {
-    let path = dir.snapshot_path(gen);
-    let mut snap = SnapshotFile::open(&path)?;
+    let mut snap = SnapshotFile::open(&dir.snapshot_path(gen))?;
     let meta = decode_meta(&snap.read_section(SECTION_META)?, snap.version())?;
     let (graph, shard_count) = decode_graph(&snap.read_section(SECTION_GRAPH)?)?;
-    drop(snap);
-    let walks = W::decode_walks(PagedWalks::open(&path)?)?;
+    let walks = W::decode_walks(PagedWalks::from_snapshot(snap)?)?;
     // Surface deferred corruption (a demand-paged store leaves its heap unread)
     // while generation fallback is still possible; see `verify_walks`.
     walks.verify_walks()?;
@@ -434,6 +458,9 @@ fn run_checkpoint<W: PersistentWalkStore>(
     match attempt {
         Ok(mut writer) => {
             writer.set_fsync(log.options.fsync_wal);
+            if log.times_syncs {
+                writer.take_sync_nanos();
+            }
             // An active group-commit handle survives rotation: rebind it onto the
             // fresh WAL so the committer thread's syncs land on the right file, and
             // the superseded appends are credited durable (the snapshot holds them).
@@ -458,6 +485,7 @@ fn run_checkpoint<W: PersistentWalkStore>(
                     writer,
                     options: log.options,
                     group: log.group,
+                    times_syncs: log.times_syncs,
                 },
                 Ok(new_gen),
             )
@@ -496,6 +524,7 @@ fn attach_fresh<W: PersistentWalkStore>(
         writer,
         options,
         group: None,
+        times_syncs: false,
     })
 }
 
@@ -564,6 +593,7 @@ impl<K: WalkKind, W: WalkIndexMut + PersistentWalkStore + Sync> WalkEngine<K, W>
             writer,
             options,
             group: None,
+            times_syncs: false,
         });
         Ok(engine)
     }
@@ -623,6 +653,12 @@ impl<K: WalkKind, W: WalkIndexMut + Sync> WalkEngine<K, W> {
         if let Some(log) = self.durability.as_mut() {
             log.end_group_commit();
         }
+    }
+
+    /// Drains the time the attached WAL (if any) has spent in per-batch `fdatasync`
+    /// since the last call; see [`DurableLog::take_sync_nanos`].
+    pub fn take_wal_sync_nanos(&mut self) -> Option<u64> {
+        self.durability.as_mut().map(DurableLog::take_sync_nanos)
     }
 }
 

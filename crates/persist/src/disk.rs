@@ -17,11 +17,20 @@
 //!
 //! * every segment owns a capacity-reserved slot of the on-disk heap (the same
 //!   power-of-two rule as the in-memory arena), and the store tracks exactly which
-//!   heap *pages* its writes have touched since the last checkpoint;
-//! * [`PersistentWalkStore::encode_walks`] re-renders only the dirty pages and
-//!   streams every clean page **byte-for-byte out of the previous generation's
-//!   file** without admitting it to the cache — write-back never faults the whole
-//!   store resident;
+//!   heap *pages* its writes have touched since the last checkpoint (a bitmap: one
+//!   bit set per page per write);
+//! * [`PersistentWalkStore::encode_walks`] streams the next generation through a
+//!   [`WalksStream`] one page at a time: a dirty page is rendered into a page-sized
+//!   buffer and checksummed; a clean page is carried **byte-for-byte from the
+//!   previous generation** — its cached frame if it has one, else read from the
+//!   file without being admitted — together with its already-validated CRC-table
+//!   entry, so it is not checksummed at all.  The heap is never assembled in
+//!   memory and write-back never faults the whole store resident;
+//! * the next generation's [`PagedWalks`] is put together from the parts in hand
+//!   while they are written (frozen directory, CRC table, and every page just
+//!   written offered to its cache under the usual admission policy — frames move
+//!   from the old cache to the new one, they are not copied), so
+//!   [`PersistentWalkStore::after_checkpoint`] only opens the published file;
 //! * a segment that outgrows its reservation relocates to the heap tail, leaving
 //!   garbage that a half-dead-rule **file compaction** repacks (counted, timed, and
 //!   reported like the in-memory compactions).
@@ -37,21 +46,22 @@
 
 use crate::io::{corrupt, format_err, PersistResult};
 use crate::layout::{
-    assemble_walks_payload, file_reservation, FileSlot, PagedWalks, PersistentWalkStore,
-    WalksHeader, FILLER_WORD, WALKS_PAGE_SIZE,
+    file_reservation, render_steps, FileSlot, PagedWalks, PersistentWalkStore, WalksHeader,
+    WalksStream, FILLER_WORD, STEPS_PER_PAGE, WALKS_PAGE_SIZE,
 };
 use crate::pager::PagerStats;
+use crate::snapshot::SnapshotWriter;
 use ppr_graph::NodeId;
 use ppr_store::arena::ArenaStats;
 use ppr_store::{SegmentId, SegmentRewrites, WalkIndex, WalkIndexMut, WalkStore};
 use std::borrow::Cow;
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
+use std::fs::File;
+use std::io::{Seek, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
-use std::sync::Mutex;
-
-const STEPS_PER_PAGE: u64 = (WALKS_PAGE_SIZE / 4) as u64;
+use std::sync::{Arc, Mutex};
 
 /// Residency policy of a demand-paged [`DiskWalkStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -194,10 +204,12 @@ impl Drop for FaultCell {
 struct FaultState {
     /// One cell per slot; a null pointer means not yet decoded (or trimmed).
     cells: Vec<FaultCell>,
-    /// The slot layout of the generation faults read from.  Frozen at open /
-    /// checkpoint, so live-directory relocations and compactions never redirect a
-    /// fault at a region the previous generation's file doesn't have.
-    prev_dir: Vec<FileSlot>,
+    /// The slot layout of the generation faults read from — the one frozen
+    /// allocation its [`PagedWalks`] holds, so live-directory relocations and
+    /// compactions never redirect a fault at a region the previous generation's
+    /// file doesn't have.  Slots past its end were created since and live in the
+    /// arena.
+    prev_dir: Arc<[FileSlot]>,
     /// Steps currently held by cached decoded paths.
     resident_steps: AtomicU64,
     /// Trim threshold for `resident_steps` (the page budget in step equivalents).
@@ -220,8 +232,9 @@ pub struct DiskWalkStore {
     live: u64,
     /// Garbage capacity abandoned by relocations.
     dead: u64,
-    /// Heap pages whose bytes changed since the last checkpoint.
-    dirty: BTreeSet<u32>,
+    /// Heap pages whose bytes changed since the last checkpoint: bit `p % 64` of
+    /// word `p / 64`, grown with the heap.
+    dirty: Vec<u64>,
     /// Set when no previous generation can serve clean pages (fresh store, or a file
     /// compaction moved everything).
     all_dirty: bool,
@@ -238,13 +251,23 @@ pub struct DiskWalkStore {
     /// source.  Behind a mutex because faults happen under `&self` from concurrent
     /// query threads.
     prev: Option<Mutex<PagedWalks>>,
-    /// Heap image of the most recent encode, kept until [`after_checkpoint`] seeds
-    /// the next generation's page cache with it (so write-back never re-reads pages
-    /// it just wrote).
+    /// The generation the most recent encode streamed, waiting for
+    /// [`after_checkpoint`] to say where it was published.
     ///
     /// [`after_checkpoint`]: PersistentWalkStore::after_checkpoint
-    pending_heap: Option<Vec<u8>>,
+    next: Option<StreamedGeneration>,
     stats: DiskStoreStats,
+}
+
+/// What an encode leaves for [`PersistentWalkStore::after_checkpoint`]: the next
+/// generation's reader — directory frozen, cache policy applied, the pages just
+/// written admitted — and what it still lacks, a file.
+#[derive(Debug)]
+struct StreamedGeneration {
+    walks: PagedWalks,
+    page_crcs: Vec<u32>,
+    /// Absolute offset of heap page 0 in the snapshot file.
+    heap_at: u64,
 }
 
 impl DiskWalkStore {
@@ -259,13 +282,13 @@ impl DiskWalkStore {
             heap_len: 0,
             live: 0,
             dead: 0,
-            dirty: BTreeSet::new(),
+            dirty: Vec::new(),
             all_dirty: true,
             in_arena: vec![true; node_count * r],
             fault: None,
             budget: PageBudget::from_env(),
             prev: None,
-            pending_heap: None,
+            next: None,
             stats: DiskStoreStats::default(),
         }
     }
@@ -330,7 +353,7 @@ impl DiskWalkStore {
             let pin_dir = self
                 .fault
                 .as_ref()
-                .map(|f| f.prev_dir.as_slice())
+                .map(|f| &f.prev_dir[..])
                 .unwrap_or(&self.dir);
             let mut walks = prev.lock().expect("page-cache mutex poisoned");
             apply_cache_policy(
@@ -363,8 +386,14 @@ impl DiskWalkStore {
         if self.all_dirty {
             self.page_count() as usize
         } else {
-            self.dirty.len()
+            self.dirty.iter().map(|w| w.count_ones() as usize).sum()
         }
+    }
+
+    fn is_dirty(&self, page: u32) -> bool {
+        self.dirty
+            .get(page as usize / 64)
+            .is_some_and(|word| word >> (page % 64) & 1 == 1)
     }
 
     fn page_count(&self) -> u32 {
@@ -375,10 +404,14 @@ impl DiskWalkStore {
         if cap == 0 {
             return;
         }
-        let first = (offset / STEPS_PER_PAGE) as u32;
-        let last = ((offset + cap as u64 - 1) / STEPS_PER_PAGE) as u32;
+        let words = (self.page_count() as usize).div_ceil(64);
+        if self.dirty.len() < words {
+            self.dirty.resize(words, 0);
+        }
+        let first = (offset / STEPS_PER_PAGE) as usize;
+        let last = ((offset + cap as u64 - 1) / STEPS_PER_PAGE) as usize;
         for page in first..=last {
-            self.dirty.insert(page);
+            self.dirty[page / 64] |= 1 << (page % 64);
         }
     }
 
@@ -622,14 +655,7 @@ impl DiskWalkStore {
             if s.len == 0 || s.offset + (s.len as u64) <= start_step || s.offset >= end_step {
                 continue;
             }
-            let path = self.path_of(slot)?;
-            let from = s.offset.max(start_step);
-            let to = (s.offset + s.len as u64).min(end_step);
-            for step in from..to {
-                let word = path[(step - s.offset) as usize].0;
-                let at = ((step - start_step) * 4) as usize;
-                out[at..at + 4].copy_from_slice(&word.to_le_bytes());
-            }
+            render_steps(out, page, s.offset, self.path_of(slot)?);
         }
         Ok(())
     }
@@ -917,7 +943,6 @@ impl WalkIndexMut for DiskWalkStore {
             self.in_arena.resize(slots, true);
             if let Some(fault) = &mut self.fault {
                 fault.cells.resize_with(slots, FaultCell::new);
-                fault.prev_dir.resize(slots, FileSlot::default());
             }
         }
     }
@@ -960,39 +985,15 @@ impl WalkIndexMut for DiskWalkStore {
 }
 
 impl PersistentWalkStore for DiskWalkStore {
-    /// Page-granular write-back: dirty pages are rendered from the resident image
-    /// (faulting any untouched slots that share them), clean pages are streamed
-    /// byte-for-byte out of the previous generation's file **without** admitting
-    /// them to the cache — a checkpoint never faults the store resident.
-    fn encode_walks(&mut self) -> PersistResult<Vec<u8>> {
-        let page_count = self.page_count();
-        let mut heap = vec![0xFFu8; page_count as usize * WALKS_PAGE_SIZE];
-        let prev_pages = self
-            .prev
-            .as_ref()
-            .map(|p| {
-                p.lock()
-                    .expect("page-cache mutex poisoned")
-                    .header()
-                    .page_count()
-            })
-            .unwrap_or(0);
-        for page in 0..page_count {
-            let range = page as usize * WALKS_PAGE_SIZE..(page as usize + 1) * WALKS_PAGE_SIZE;
-            let reusable = !self.all_dirty && !self.dirty.contains(&page) && page < prev_pages;
-            if reusable {
-                let prev = self.prev.as_ref().expect("prev_pages > 0 implies a source");
-                // Tight lock scope: render_page below may fault, which takes this
-                // same mutex.
-                prev.lock()
-                    .expect("page-cache mutex poisoned")
-                    .stream_page(page, &mut heap[range])?;
-                self.stats.pages_reused += 1;
-            } else {
-                self.render_page(page, &mut heap[range])?;
-                self.stats.pages_rewritten += 1;
-            }
-        }
+    /// Page-granular write-back, streamed: dirty pages are rendered from the
+    /// resident image (faulting any untouched slots that share them) and
+    /// checksummed; clean pages are carried byte-for-byte from the previous
+    /// generation — moved out of its cache, or read from its file **without** being
+    /// admitted — under the CRC its table already holds.  A checkpoint never
+    /// assembles the heap and never faults the store resident.
+    fn encode_walks<S: Write + Seek>(&mut self, out: &mut SnapshotWriter<S>) -> PersistResult<()> {
+        // A generation streamed earlier but never published holds page frames.
+        self.next = None;
         let header = WalksHeader {
             r: self.resident.r() as u32,
             shard_count: 1,
@@ -1001,12 +1002,70 @@ impl PersistentWalkStore for DiskWalkStore {
             heap_len: self.heap_len,
             page_size: WALKS_PAGE_SIZE as u32,
         };
-        let postings = crate::layout::encode_postings(&self.resident);
-        let payload = assemble_walks_payload(&header, &self.dir, &postings, &heap);
-        self.pending_heap = Some(heap);
+        let mut next = PagedWalks::unwritten(header, self.dir.as_slice().into());
+        apply_cache_policy(
+            self.budget,
+            self.resident.visit_counts(),
+            &self.dir,
+            self.resident.r(),
+            &mut next,
+        )?;
+        // The previous generation's frames: a clean page's moves on to `next`, a
+        // dirty page's is the buffer its new image is rendered into.  (Its emptied
+        // cache stays valid — render_page may fault through it below.)
+        let mut carried = match &self.prev {
+            Some(prev) => prev
+                .lock()
+                .expect("page-cache mutex poisoned")
+                .take_frames(),
+            None => Vec::new(),
+        };
+        let prev_pages = carried.len() as u32;
+
+        let mut stream = WalksStream::begin(out, header, &self.dir, &self.resident)?;
+        let (mut rewritten, mut reused) = (0u64, 0u64);
+        let mut spare: Option<Box<[u8]>> = None;
+        for page in 0..header.page_count() {
+            let cached = carried.get_mut(page as usize).and_then(Option::take);
+            let was_cached = cached.is_some();
+            let mut image = cached
+                .or_else(|| spare.take())
+                .unwrap_or_else(|| vec![0u8; WALKS_PAGE_SIZE].into_boxed_slice());
+            let clean = !self.all_dirty && !self.is_dirty(page) && page < prev_pages;
+            let crc = if clean {
+                let prev = self.prev.as_ref().expect("prev_pages > 0 implies a source");
+                // Tight lock scope: render_page below may fault, which takes this
+                // same mutex.
+                let mut prev = prev.lock().expect("page-cache mutex poisoned");
+                if !was_cached {
+                    prev.stream_page(page, &mut image)?;
+                }
+                reused += 1;
+                Some(prev.page_crc(page)?)
+            } else {
+                self.render_page(page, &mut image)?;
+                rewritten += 1;
+                None
+            };
+            stream.page(&image, crc)?;
+            // Keep the page we just wrote warm (within policy: pins always, the rest
+            // while the budget has room): the next write-back's clean pages then
+            // move on from memory instead of being re-read (and re-validated).
+            if let Some(idle) = next.preload(page, image)? {
+                spare = Some(idle);
+            }
+        }
+        let (page_crcs, heap_at) = stream.finish()?;
+        self.next = Some(StreamedGeneration {
+            walks: next,
+            page_crcs,
+            heap_at,
+        });
+        self.stats.pages_rewritten += rewritten;
+        self.stats.pages_reused += reused;
         // Rendering dirty pages may have faulted slot paths in; shed the cold ones.
         self.trim_fault_cells();
-        Ok(payload)
+        Ok(())
     }
 
     /// Demand-paged open: installs the slot directory and the postings index only —
@@ -1031,7 +1090,8 @@ impl PersistentWalkStore for DiskWalkStore {
         )
         .map_err(corrupt)?;
 
-        let dir = walks.dir().to_vec();
+        let prev_dir = walks.frozen_dir();
+        let dir = prev_dir.to_vec();
         let mut by_offset = BTreeMap::new();
         let mut live = 0u64;
         let mut reserved = 0u64;
@@ -1057,7 +1117,7 @@ impl PersistentWalkStore for DiskWalkStore {
         )?;
         let fault = FaultState {
             cells: (0..dir.len()).map(|_| FaultCell::new()).collect(),
-            prev_dir: dir.clone(),
+            prev_dir,
             resident_steps: AtomicU64::new(0),
             budget_steps: budget.budget_steps(),
         };
@@ -1069,54 +1129,48 @@ impl PersistentWalkStore for DiskWalkStore {
             heap_len: header.heap_len,
             live,
             dead,
-            dirty: BTreeSet::new(),
+            dirty: Vec::new(),
             all_dirty: false,
             in_arena,
             fault: Some(fault),
             budget,
             prev: Some(Mutex::new(walks)),
-            pending_heap: None,
+            next: None,
             stats: DiskStoreStats::default(),
         };
         store.check_file_layout().map_err(corrupt)?;
         Ok(store)
     }
 
-    /// Streams every heap page against the CRC table without admitting anything —
-    /// one page of scratch, sequential I/O.  Called by the durable open so a rotted
-    /// or torn heap fails the load (and triggers generation fallback) instead of
-    /// panicking at some later demand fault.
+    /// Reads every heap page against the CRC table (an unbounded cache keeps what
+    /// this validates, a bounded one streams it through a page of scratch).  Called
+    /// by the durable open so a rotted or torn heap fails the load (and triggers
+    /// generation fallback) instead of panicking at some later demand fault.
     fn verify_walks(&self) -> PersistResult<()> {
         let Some(prev) = &self.prev else {
             return Ok(());
         };
-        let mut walks = prev.lock().expect("page-cache mutex poisoned");
-        let mut scratch = vec![0u8; WALKS_PAGE_SIZE];
-        for page in 0..walks.header().page_count() {
-            walks.stream_page(page, &mut scratch)?;
-        }
-        Ok(())
+        prev.lock()
+            .expect("page-cache mutex poisoned")
+            .verify_heap()
     }
 
+    /// Completes the reader the encode put together — it only lacked the published
+    /// file — and makes it the fault and clean-page source.  Nothing is re-read and
+    /// nothing is checksummed.
     fn after_checkpoint(&mut self, snap_path: &Path) -> PersistResult<()> {
-        let mut next = PagedWalks::open(snap_path)?;
-        apply_cache_policy(
-            self.budget,
-            self.resident.visit_counts(),
-            &self.dir,
-            self.resident.r(),
-            &mut next,
-        )?;
-        // Keep the pages we just wrote warm (within policy: pins always, the rest
-        // while the budget has room): the next write-back's clean pages then copy
-        // from memory instead of re-reading (and re-validating) the file.
-        if let Some(heap) = self.pending_heap.take() {
-            next.preload_heap(&heap)?;
-        }
+        let StreamedGeneration {
+            mut walks,
+            page_crcs,
+            heap_at,
+        } = self.next.take().ok_or_else(|| {
+            format_err("after_checkpoint without a generation streamed by encode_walks")
+        })?;
+        walks.written_to(File::open(snap_path)?, page_crcs, heap_at);
         if let Some(fault) = &mut self.fault {
-            fault.prev_dir.clone_from(&self.dir);
+            fault.prev_dir = walks.frozen_dir();
         }
-        self.prev = Some(Mutex::new(next));
+        self.prev = Some(Mutex::new(walks));
         self.dirty.clear();
         self.all_dirty = false;
         self.trim_fault_cells();
@@ -1127,7 +1181,10 @@ impl PersistentWalkStore for DiskWalkStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::{SnapshotWriter, SECTION_WALKS};
+    use crate::layout::reference::{assemble_walks_payload, encode_postings};
+    use crate::layout::tests::write_snapshot;
+    use crate::snapshot::tests::{reference_file, FailAfter};
+    use crate::snapshot::{AtomicFile, SnapshotFile, SECTION_GRAPH, SECTION_META, SECTION_WALKS};
     use crate::tempdir::TempDir;
     use ppr_store::WalkIndexView;
 
@@ -1150,11 +1207,334 @@ mod tests {
     }
 
     fn checkpoint_to(store: &mut DiskWalkStore, path: &Path) {
-        let payload = store.encode_walks().unwrap();
-        let mut w = SnapshotWriter::new();
-        w.add_section(SECTION_WALKS, payload);
-        w.write_to(path).unwrap();
+        write_snapshot(path, store);
         store.after_checkpoint(path).unwrap();
+    }
+
+    /// The walks payload as the assemble-in-memory encoder this store used to have
+    /// produced it: the whole heap in one buffer (clean pages copied out of the
+    /// previous generation, the rest rendered), every page checksummed from it.
+    fn reference_payload(store: &DiskWalkStore) -> Vec<u8> {
+        let page_count = store.page_count();
+        let mut heap = vec![0xFFu8; page_count as usize * WALKS_PAGE_SIZE];
+        let prev_pages = store
+            .prev
+            .as_ref()
+            .map(|p| p.lock().unwrap().header().page_count())
+            .unwrap_or(0);
+        for page in 0..page_count {
+            let range = page as usize * WALKS_PAGE_SIZE..(page as usize + 1) * WALKS_PAGE_SIZE;
+            if !store.all_dirty && !store.is_dirty(page) && page < prev_pages {
+                let prev = store.prev.as_ref().unwrap();
+                prev.lock()
+                    .unwrap()
+                    .stream_page(page, &mut heap[range])
+                    .unwrap();
+            } else {
+                store.render_page(page, &mut heap[range]).unwrap();
+            }
+        }
+        let header = WalksHeader {
+            r: store.resident.r() as u32,
+            shard_count: 1,
+            node_count: store.resident.node_count() as u64,
+            slot_count: store.dir.len() as u64,
+            heap_len: store.heap_len,
+            page_size: WALKS_PAGE_SIZE as u32,
+        };
+        let postings = encode_postings(&store.resident);
+        assemble_walks_payload(&header, &store.dir, &postings, &heap)
+    }
+
+    /// Checkpoints `store` to `path` and holds the file to the reference encoder.
+    fn checkpoint_and_compare(store: &mut DiskWalkStore, path: &Path, what: &str) {
+        let expected = reference_file(&[(SECTION_WALKS, reference_payload(store))]);
+        checkpoint_to(store, path);
+        assert!(std::fs::read(path).unwrap() == expected, "{what}");
+        SnapshotFile::verify_all(path).unwrap();
+    }
+
+    /// `n` single-segment nodes whose paths span several heap pages.
+    fn many_pages(n: usize) -> DiskWalkStore {
+        let mut store = DiskWalkStore::new(n, 1);
+        for node in 0..n as u32 {
+            let len = 3 + (node as usize * 7) % 37;
+            let mut p = vec![NodeId(node)];
+            p.extend((1..len as u32).map(|k| NodeId((node + k * 5) % n as u32)));
+            store.set_segment(SegmentId::new(NodeId(node), 0, 1), &p);
+        }
+        store
+    }
+
+    fn grown_path(node: u32, len: usize, n: u32) -> Vec<NodeId> {
+        let mut p = vec![NodeId(node)];
+        p.extend((1..len as u32).map(|k| NodeId((node * 3 + k) % n)));
+        p
+    }
+
+    #[test]
+    fn streamed_generations_equal_the_assembled_reference_byte_for_byte() {
+        let tmp = TempDir::new("disk-identity");
+        let n = 600usize;
+        let mut store = many_pages(n);
+        assert!(store.page_count() > 10);
+        checkpoint_and_compare(&mut store, &tmp.path().join("snap-0.ppr"), "fresh");
+        // Nothing dirty: every page is carried, out of the cache.
+        checkpoint_and_compare(&mut store, &tmp.path().join("snap-1.ppr"), "all clean");
+        assert_eq!(store.stats().pages_reused, store.page_count() as u64);
+
+        // Clean, dirty and relocated pages in one generation: an in-place rewrite,
+        // a shrink, a clear, and two slots outgrowing their reservations (their old
+        // regions stay behind as garbage on pages that remain clean).
+        store.set_segment(SegmentId(7), &grown_path(7, 4, n as u32));
+        store.set_segment(SegmentId(300), &grown_path(300, 2, n as u32));
+        store.clear_segment(SegmentId(450));
+        store.set_segment(SegmentId(20), &grown_path(20, 90, n as u32));
+        store.set_segment(SegmentId(599), &grown_path(599, 1500, n as u32));
+        assert!(store.stats().relocations >= 2);
+        let dirty = store.dirty_pages();
+        assert!(dirty > 2 && dirty < store.page_count() as usize);
+        checkpoint_and_compare(&mut store, &tmp.path().join("snap-2.ppr"), "mixed");
+
+        // Reopened under a two-page cache: clean pages now come from the file.
+        let old = set_thread_page_budget(Some(PageBudget::bounded(2)));
+        let reopened =
+            DiskWalkStore::decode_walks(PagedWalks::open(&tmp.path().join("snap-2.ppr")).unwrap());
+        set_thread_page_budget(old);
+        let mut reopened = reopened.unwrap();
+        reopened.set_segment(SegmentId(8), &grown_path(8, 5, n as u32));
+        reopened.set_segment(SegmentId(21), &grown_path(21, 200, n as u32));
+        checkpoint_and_compare(&mut reopened, &tmp.path().join("snap-3.ppr"), "bounded");
+        assert!(reopened.residency().resident_pages <= 2);
+        checkpoint_and_compare(
+            &mut reopened,
+            &tmp.path().join("snap-4.ppr"),
+            "bounded, clean",
+        );
+
+        // Regrowth until the half-dead rule repacks the file: everything moves.
+        let mut store = DiskWalkStore::new(8, 1);
+        for node in 0..8u32 {
+            store.set_segment(SegmentId(node), &grown_path(node, 5, 8));
+        }
+        checkpoint_and_compare(&mut store, &tmp.path().join("snap-5.ppr"), "small");
+        for len in [9usize, 17, 65, 257, 1025] {
+            for node in 0..8u32 {
+                store.set_segment(SegmentId(node), &grown_path(node, len, 8));
+            }
+        }
+        assert!(store.stats().file_compactions > 0);
+        assert_eq!(store.dirty_pages(), store.page_count() as usize);
+        checkpoint_and_compare(&mut store, &tmp.path().join("snap-6.ppr"), "compacted");
+        checkpoint_and_compare(
+            &mut store,
+            &tmp.path().join("snap-7.ppr"),
+            "after compaction",
+        );
+    }
+
+    #[test]
+    fn a_checkpoint_checksums_dirty_pages_only_and_publishing_checksums_nothing() {
+        let tmp = TempDir::new("disk-crc-cost");
+        let mut store = many_pages(600);
+        checkpoint_to(&mut store, &tmp.path().join("snap-0.ppr"));
+        store.set_segment(SegmentId(7), &grown_path(7, 4, 600));
+        assert_eq!(store.dirty_pages(), 1);
+
+        let before = crate::crc::checksummed_bytes();
+        let path = tmp.path().join("snap-1.ppr");
+        write_snapshot(&path, &mut store);
+        let encoded = crate::crc::checksummed_bytes() - before;
+        store.after_checkpoint(&path).unwrap();
+        assert_eq!(
+            crate::crc::checksummed_bytes() - before,
+            encoded,
+            "after_checkpoint re-read or re-checksummed something"
+        );
+        // Header, directory, postings and page-CRC table once — and of the heap, the
+        // one dirty page.
+        let file_len = std::fs::metadata(&path).unwrap().len();
+        let pages = store.page_count() as u64;
+        let ahead_of_heap = file_len - 32 - pages * WALKS_PAGE_SIZE as u64;
+        assert_eq!(encoded, ahead_of_heap + WALKS_PAGE_SIZE as u64);
+
+        // The published generation was put together from the parts in hand: nothing
+        // was loaded, every page is warm, and no postings bytes ride along.
+        assert_eq!(store.pager_stats(), PagerStats::default());
+        assert_eq!(store.residency().resident_pages, pages as usize);
+        assert_eq!(
+            store
+                .prev
+                .as_ref()
+                .unwrap()
+                .lock()
+                .unwrap()
+                .postings_bytes_held(),
+            0
+        );
+        let reopened = DiskWalkStore::decode_walks(PagedWalks::open(&path).unwrap()).unwrap();
+        assert_eq!(
+            reopened
+                .prev
+                .as_ref()
+                .unwrap()
+                .lock()
+                .unwrap()
+                .postings_bytes_held(),
+            0
+        );
+        assert!(WalkIndexMut::check_consistency(&reopened).is_ok());
+    }
+
+    #[test]
+    fn verification_keeps_its_pages_only_where_that_cannot_evict() {
+        let tmp = TempDir::new("disk-verify");
+        let snap = tmp.path().join("snap-0.ppr");
+        let mut store = many_pages(600);
+        checkpoint_to(&mut store, &snap);
+        let pages = store.page_count() as u64;
+
+        // Unbounded: the integrity pass is the one read and the one checksum a page
+        // gets — touching every path afterwards reads nothing more.
+        let unbounded = DiskWalkStore::decode_walks(PagedWalks::open(&snap).unwrap()).unwrap();
+        unbounded.verify_walks().unwrap();
+        let verified = unbounded.pager_stats();
+        assert_eq!((verified.loads, verified.streamed), (pages, 0));
+        assert_eq!(unbounded.residency().resident_pages, pages as usize);
+        assert!(WalkIndexMut::check_consistency(&unbounded).is_ok());
+        assert_eq!(unbounded.pager_stats().bytes_read, verified.bytes_read);
+
+        // Bounded: streamed through scratch, nothing admitted, nothing evicted.
+        let old = set_thread_page_budget(Some(PageBudget::bounded(2)));
+        let bounded = DiskWalkStore::decode_walks(PagedWalks::open(&snap).unwrap());
+        set_thread_page_budget(old);
+        let bounded = bounded.unwrap();
+        bounded.verify_walks().unwrap();
+        let verified = bounded.pager_stats();
+        assert_eq!((verified.loads, verified.streamed), (0, pages));
+        assert_eq!(verified.evictions, 0);
+        assert_eq!(bounded.residency().resident_pages, 0);
+    }
+
+    #[test]
+    fn the_pager_and_the_fault_state_share_one_frozen_directory() {
+        let tmp = TempDir::new("disk-one-dir");
+        let mut store = many_pages(64);
+        let snap = tmp.path().join("snap-0.ppr");
+        checkpoint_to(&mut store, &snap);
+        let mut reopened = DiskWalkStore::decode_walks(PagedWalks::open(&snap).unwrap()).unwrap();
+        let shared = |store: &DiskWalkStore| {
+            let pager = store.prev.as_ref().unwrap().lock().unwrap().frozen_dir();
+            Arc::ptr_eq(&pager, &store.fault.as_ref().unwrap().prev_dir)
+        };
+        assert!(shared(&reopened));
+        // Growth past the frozen layout leaves it alone: new slots live in the arena.
+        reopened.ensure_nodes(70);
+        reopened.set_segment(SegmentId(69), &grown_path(69, 3, 70));
+        assert!(shared(&reopened));
+        checkpoint_to(&mut reopened, &tmp.path().join("snap-1.ppr"));
+        assert!(shared(&reopened));
+        assert_eq!(reopened.fault.as_ref().unwrap().prev_dir.len(), 70);
+        assert!(WalkIndexMut::check_consistency(&reopened).is_ok());
+    }
+
+    /// A whole generation file the way the engine lays it out: META, GRAPH, WALKS.
+    fn stream_generation<S: Write + Seek>(sink: S, store: &mut DiskWalkStore) -> PersistResult<S> {
+        let mut graph = ppr_graph::DynamicGraph::with_nodes(store.node_count());
+        for node in 0..store.node_count() as u32 {
+            graph.add_edge(ppr_graph::Edge::new(
+                node,
+                (node * 7 + 1) % store.node_count() as u32,
+            ));
+        }
+        let mut snap = SnapshotWriter::new(sink)?;
+        snap.begin_section(SECTION_META)?;
+        snap.write(&[0xA5; 97])?;
+        snap.end_section()?;
+        snap.begin_section(SECTION_GRAPH)?;
+        crate::graph::encode_graph(&graph, 1, |chunk| snap.write(chunk))?;
+        snap.end_section()?;
+        store.encode_walks(&mut snap)?;
+        snap.finish()
+    }
+
+    #[test]
+    fn a_checkpoint_that_runs_out_of_disk_leaves_no_debris() {
+        let tmp = TempDir::new("disk-enospc");
+        let dir = crate::dir::StoreDir::init(tmp.path().join("store")).unwrap();
+        let mut store = many_pages(600);
+        let gen0 = dir.snapshot_path(0);
+        stream_generation(AtomicFile::create(&gen0).unwrap(), &mut store)
+            .unwrap()
+            .publish()
+            .unwrap();
+        store.after_checkpoint(&gen0).unwrap();
+        dir.publish_gen(0).unwrap();
+        let gen0_bytes = std::fs::read(&gen0).unwrap();
+        let listing = |dir: &crate::dir::StoreDir| {
+            let mut names: Vec<_> = std::fs::read_dir(dir.root())
+                .unwrap()
+                .map(|e| e.unwrap().file_name().into_string().unwrap())
+                .collect();
+            names.sort();
+            names
+        };
+        let before = listing(&dir);
+        store.set_segment(SegmentId(7), &grown_path(7, 4, 600));
+        store.set_segment(SegmentId(20), &grown_path(20, 90, 600));
+
+        // The layout of the generation about to be written, from an unfailing run.
+        let whole = stream_generation(std::io::Cursor::new(Vec::new()), &mut store)
+            .unwrap()
+            .into_inner();
+        let probe = tmp.path().join("probe.ppr");
+        std::fs::write(&probe, &whole).unwrap();
+        let snap = SnapshotFile::open(&probe).unwrap();
+        let mut budgets = vec![0, 1, 15, 16, 17, whole.len() as u64 - 1, whole.len() as u64];
+        for info in snap.sections() {
+            // Head, first and last payload byte of every section.
+            for edge in [info.offset - 16, info.offset, info.offset + info.len] {
+                budgets.extend([edge.saturating_sub(1), edge, edge + 1]);
+            }
+        }
+        let walks = PagedWalks::open(&probe).unwrap();
+        let heap_at = walks.heap_file_offset();
+        let pages = walks.header().page_count() as u64;
+        budgets.extend([heap_at - 1, heap_at, heap_at + 1]);
+        budgets.push(heap_at + WALKS_PAGE_SIZE as u64 / 2);
+        budgets.push(heap_at + (pages / 2) * WALKS_PAGE_SIZE as u64 + 1234);
+        drop((snap, walks));
+
+        let gen1 = dir.snapshot_path(1);
+        for budget in budgets {
+            let sink = FailAfter {
+                inner: AtomicFile::create(&gen1).unwrap(),
+                budget,
+            };
+            match stream_generation(sink, &mut store) {
+                Err(crate::io::PersistError::Io(_)) => {}
+                Err(other) => panic!("budget {budget}: unexpected error {other}"),
+                Ok(_) => panic!("budget {budget} is short of the patched heads"),
+            }
+            assert_eq!(listing(&dir), before, "budget {budget} left debris");
+            assert_eq!(dir.current_gen().unwrap(), 0);
+        }
+        assert!(std::fs::read(&gen0).unwrap() == gen0_bytes);
+        // The store went through every failed attempt unharmed: the retry writes
+        // the very bytes the unfailing run produced.
+        let sink = FailAfter {
+            inner: AtomicFile::create(&gen1).unwrap(),
+            budget: u64::MAX,
+        };
+        stream_generation(sink, &mut store)
+            .unwrap()
+            .inner
+            .publish()
+            .unwrap();
+        store.after_checkpoint(&gen1).unwrap();
+        assert!(std::fs::read(&gen1).unwrap() == whole);
+        assert!(!gen1.with_extension("tmp").exists());
+        assert!(WalkIndexMut::check_consistency(&store).is_ok());
     }
 
     #[test]

@@ -6,12 +6,17 @@
 //! same edge multiset on load.  Store metrics (fetch counters) are *not* persisted:
 //! they are observability, and a restart legitimately starts them at zero.
 
-use crate::io::{corrupt, ByteReader, ByteWriter, PersistResult};
+use crate::io::{corrupt, ByteReader, ByteWriter, PersistResult, SPILL_BYTES};
 use ppr_graph::{DynamicGraph, GraphView, NodeId};
 
-/// Encodes `graph` (and the Social Store's shard count) as a graph-section payload.
-pub fn encode_graph(graph: &DynamicGraph, shard_count: u32) -> Vec<u8> {
-    let mut w = ByteWriter::with_capacity(24 + graph.edge_count() * 8);
+/// Encodes `graph` (and the Social Store's shard count) as a graph-section payload,
+/// handed to `emit` in bounded chunks as it is produced.
+pub fn encode_graph(
+    graph: &DynamicGraph,
+    shard_count: u32,
+    mut emit: impl FnMut(&[u8]) -> PersistResult<()>,
+) -> PersistResult<()> {
+    let mut w = ByteWriter::with_capacity(SPILL_BYTES + 8);
     w.put_u32(shard_count);
     w.put_u64(graph.node_count() as u64);
     w.put_u64(graph.edge_count() as u64);
@@ -25,10 +30,12 @@ pub fn encode_graph(graph: &DynamicGraph, shard_count: u32) -> Vec<u8> {
             w.put_u32(list.len() as u32);
             for &v in list {
                 w.put_u32(v.0);
+                w.spill(SPILL_BYTES, &mut emit)?;
             }
+            w.spill(SPILL_BYTES, &mut emit)?;
         }
     }
-    w.into_bytes()
+    w.spill(0, &mut emit)
 }
 
 /// Decodes a graph-section payload back into a graph and the shard count it was
@@ -79,6 +86,16 @@ mod tests {
     use super::*;
     use ppr_graph::Edge;
 
+    fn encoded(graph: &DynamicGraph, shard_count: u32) -> Vec<u8> {
+        let mut payload = Vec::new();
+        encode_graph(graph, shard_count, |chunk| {
+            payload.extend_from_slice(chunk);
+            Ok(())
+        })
+        .unwrap();
+        payload
+    }
+
     #[test]
     fn round_trip_preserves_order_and_shards() {
         let mut g = DynamicGraph::with_nodes(5);
@@ -92,7 +109,7 @@ mod tests {
             g.add_edge(e);
         }
         g.remove_edge(Edge::new(0, 3)); // swap_remove scrambles list order
-        let payload = encode_graph(&g, 3);
+        let payload = encoded(&g, 3);
         let (decoded, shards) = decode_graph(&payload).unwrap();
         assert_eq!(shards, 3);
         assert_eq!(decoded.edge_count(), g.edge_count());
@@ -106,7 +123,7 @@ mod tests {
     fn tampered_payloads_are_rejected() {
         let mut g = DynamicGraph::with_nodes(3);
         g.add_edge(Edge::new(0, 1));
-        let clean = encode_graph(&g, 1);
+        let clean = encoded(&g, 1);
         // Claimed edge count diverges from the lists.
         let mut bad = clean.clone();
         bad[12] ^= 0x01;

@@ -120,7 +120,26 @@ impl ByteWriter {
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
     }
+
+    /// Hands the buffered bytes to `emit` and empties the buffer, once it holds at
+    /// least `limit` bytes — how the streaming section encoders keep their scratch
+    /// bounded however large the section ([`SPILL_BYTES`] inside their loops, `0`
+    /// to drain what is left).
+    pub fn spill(
+        &mut self,
+        limit: usize,
+        emit: &mut impl FnMut(&[u8]) -> PersistResult<()>,
+    ) -> PersistResult<()> {
+        if self.buf.len() >= limit && !self.buf.is_empty() {
+            emit(&self.buf)?;
+            self.buf.clear();
+        }
+        Ok(())
+    }
 }
+
+/// Scratch a streaming section encoder fills before handing it on.
+pub const SPILL_BYTES: usize = 64 * 1024;
 
 /// A little-endian decoder over a byte slice; every read is bounds-checked.
 #[derive(Debug)]
@@ -212,6 +231,26 @@ mod tests {
         assert_eq!(r.get_f64().unwrap(), 0.2);
         assert_eq!(r.get_bytes(4).unwrap(), b"tail");
         assert!(r.expect_end("test").is_ok());
+    }
+
+    #[test]
+    fn spilling_hands_every_byte_on_in_order() {
+        let mut chunks: Vec<Vec<u8>> = Vec::new();
+        let mut emit = |chunk: &[u8]| {
+            chunks.push(chunk.to_vec());
+            Ok(())
+        };
+        let mut w = ByteWriter::new();
+        for v in 0..10u32 {
+            w.put_u32(v);
+            w.spill(16, &mut emit).unwrap();
+        }
+        assert_eq!(w.len(), 8, "two words wait for the final drain");
+        w.spill(0, &mut emit).unwrap();
+        w.spill(0, &mut emit).unwrap(); // nothing left: no empty chunk
+        assert_eq!(chunks.iter().map(Vec::len).collect::<Vec<_>>(), [16, 16, 8]);
+        let words: Vec<u8> = (0..10u32).flat_map(u32::to_le_bytes).collect();
+        assert_eq!(chunks.concat(), words);
     }
 
     #[test]

@@ -24,22 +24,43 @@
 //! heap page carries its own CRC, so the paged reader ([`PagedWalks`]) fully
 //! validates everything it touches without ever reading the whole section.
 //!
-//! Decoding always cross-checks the serialized postings against the stored paths,
-//! so index corruption is detected at open time instead of surfacing as silently
-//! wrong scores.  Flat stores take the bulk-load fast path
+//! # Writing
+//!
+//! Every layout encodes through the one [`WalksStream`], and nothing section-sized
+//! is ever held in memory.  The header (it holds `meta_crc`) and the page-CRC table
+//! (it holds what the pages after it will checksum to) are [deferred] in the
+//! [`SnapshotWriter`]; the directory and the postings — read straight off
+//! [`WalkIndex::segments_visiting`] — go out through one bounded scratch buffer; the
+//! caller then produces the heap one page at a time through a page-sized buffer,
+//! handing over the CRC of any page it carries unchanged from a validated
+//! generation, and [`WalksStream::finish`] fills the two deferred runs in.  Each
+//! byte passes through the CRC kernel once: `meta_crc` and the section's own CRC
+//! are both glued from the pieces' checksums ([`crc32_concat`]).
+//!
+//! # Reading
+//!
+//! [`PagedWalks::open`] reads and checksums the directory, postings and page-CRC
+//! table once; the postings bytes are consumed (and freed) by whichever decode
+//! parses them.  Decoding always cross-checks the serialized postings against the
+//! stored paths, so index corruption is detected at open time instead of surfacing
+//! as silently wrong scores.  Flat stores take the bulk-load fast path
 //! ([`PagedWalks::decode_flat_store`]): the serialized runs become the index
 //! directly and one global sorted pass verifies them.  Sharded stores replay paths
 //! through `WalkIndexMut::set_segment` ([`PagedWalks::rebuild_into`]) and verify
 //! the rebuilt index against the serialized runs.
+//!
+//! [deferred]: SnapshotWriter::defer
 
-use crate::crc::{crc32, Crc32};
-use crate::io::{corrupt, format_err, ByteReader, ByteWriter, PersistResult};
+use crate::crc::{crc32, crc32_concat, Crc32};
+use crate::io::{corrupt, format_err, ByteReader, ByteWriter, PersistResult, SPILL_BYTES};
 use crate::pager::{PageCache, PagerStats};
-use crate::snapshot::{SnapshotFile, SECTION_WALKS};
+use crate::snapshot::{Deferred, SnapshotFile, SnapshotWriter, SECTION_WALKS};
 use ppr_graph::NodeId;
 use ppr_store::{SegmentId, ShardedWalkStore, WalkIndex, WalkIndexMut, WalkStore};
-use std::io::{Read, Seek, SeekFrom};
+use std::fs::File;
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
+use std::sync::Arc;
 
 /// Page size of the walk heap, in bytes (1024 steps per page).
 pub const WALKS_PAGE_SIZE: usize = 4096;
@@ -48,6 +69,8 @@ pub const WALKS_PAGE_SIZE: usize = 4096;
 pub const FILLER_WORD: u32 = u32::MAX;
 
 const HEADER_LEN: usize = 4 + 4 + 8 + 8 + 8 + 4 + 4;
+
+pub(crate) const STEPS_PER_PAGE: u64 = (WALKS_PAGE_SIZE / 4) as u64;
 
 /// One segment's region of the on-disk heap, in steps.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -94,24 +117,18 @@ impl WalksHeader {
         let bytes = self.heap_len * 4;
         bytes.div_ceil(self.page_size as u64) as u32
     }
-}
 
-/// Serializes a store's visit postings (per-node sorted runs plus `total_visits`) —
-/// the one postings wire format, shared by the fresh encoders and the disk store's
-/// write-back path.
-pub(crate) fn encode_postings(store: &impl WalkIndex) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    for node in 0..store.node_count() {
-        let node = NodeId::from_index(node);
-        let run: Vec<(SegmentId, u32)> = store.segments_visiting(node).collect();
-        w.put_u32(run.len() as u32);
-        for (seg, count) in run {
-            w.put_u32(seg.0);
-            w.put_u32(count);
-        }
+    fn encode(&self, meta_crc: u32) -> Vec<u8> {
+        let mut w = ByteWriter::with_capacity(HEADER_LEN);
+        w.put_u32(self.r);
+        w.put_u32(self.shard_count);
+        w.put_u64(self.node_count);
+        w.put_u64(self.slot_count);
+        w.put_u64(self.heap_len);
+        w.put_u32(self.page_size);
+        w.put_u32(meta_crc);
+        w.into_bytes()
     }
-    w.put_u64(store.total_visits());
-    w.into_bytes()
 }
 
 /// Verifies the serialized postings of `raw` against a rebuilt store.
@@ -146,54 +163,6 @@ fn verify_postings(raw: &[u8], store: &impl WalkIndex) -> PersistResult<()> {
     r.expect_end("postings")
 }
 
-/// Assembles a complete walks-section payload from its parts.  `heap` must already
-/// be padded to whole pages of `page_size` bytes.
-pub fn assemble_walks_payload(
-    header: &WalksHeader,
-    dir: &[FileSlot],
-    postings: &[u8],
-    heap: &[u8],
-) -> Vec<u8> {
-    let page_count = header.page_count() as usize;
-    assert_eq!(heap.len(), page_count * header.page_size as usize);
-    assert_eq!(dir.len() as u64, header.slot_count);
-
-    let mut dir_bytes = ByteWriter::with_capacity(dir.len() * 16);
-    for slot in dir {
-        dir_bytes.put_u64(slot.offset);
-        dir_bytes.put_u32(slot.len);
-        dir_bytes.put_u32(slot.cap);
-    }
-    let dir_bytes = dir_bytes.into_bytes();
-
-    let mut crc_table = ByteWriter::with_capacity(page_count * 4);
-    for page in heap.chunks(header.page_size as usize) {
-        crc_table.put_u32(crc32(page));
-    }
-    let crc_table = crc_table.into_bytes();
-
-    let mut meta_crc = Crc32::new();
-    meta_crc.update(&dir_bytes);
-    meta_crc.update(postings);
-    meta_crc.update(&crc_table);
-
-    let mut payload = ByteWriter::with_capacity(
-        HEADER_LEN + dir_bytes.len() + postings.len() + crc_table.len() + heap.len(),
-    );
-    payload.put_u32(header.r);
-    payload.put_u32(header.shard_count);
-    payload.put_u64(header.node_count);
-    payload.put_u64(header.slot_count);
-    payload.put_u64(header.heap_len);
-    payload.put_u32(header.page_size);
-    payload.put_u32(meta_crc.finish());
-    payload.put_bytes(&dir_bytes);
-    payload.put_bytes(postings);
-    payload.put_bytes(&crc_table);
-    payload.put_bytes(heap);
-    payload.into_bytes()
-}
-
 /// Computes a tight fresh layout for `store`: slots in segment-id order, each with
 /// its power-of-two reservation.  Returns the directory and the heap length.
 pub fn fresh_layout(store: &impl WalkIndex) -> (Vec<FileSlot>, u64) {
@@ -213,28 +182,117 @@ pub fn fresh_layout(store: &impl WalkIndex) -> (Vec<FileSlot>, u64) {
     (dir, offset)
 }
 
-/// Renders the heap bytes for `dir` by copying every slot's path out of `store`,
-/// filling reservations and holes with the filler word, padded to whole pages.
-pub fn render_heap(store: &impl WalkIndex, dir: &[FileSlot], heap_len: u64) -> Vec<u8> {
-    let page_count = (heap_len * 4).div_ceil(WALKS_PAGE_SIZE as u64) as usize;
-    let mut heap = vec![0xFFu8; page_count * WALKS_PAGE_SIZE];
-    for (slot, file_slot) in dir.iter().enumerate() {
-        if file_slot.len == 0 {
-            continue;
-        }
-        let path = store.segment_path(SegmentId(slot as u32));
-        debug_assert_eq!(path.len(), file_slot.len as usize);
-        let mut pos = file_slot.offset as usize * 4;
-        for step in path {
-            heap[pos..pos + 4].copy_from_slice(&step.0.to_le_bytes());
-            pos += 4;
-        }
+/// Copies the part of `path`, stored from heap step `offset`, that falls on heap
+/// page `page` into that page's image.
+pub(crate) fn render_steps(image: &mut [u8], page: u32, offset: u64, path: &[NodeId]) {
+    let page_start = page as u64 * STEPS_PER_PAGE;
+    let from = offset.max(page_start);
+    let to = (offset + path.len() as u64).min(page_start + STEPS_PER_PAGE);
+    for step in from..to {
+        let at = ((step - page_start) * 4) as usize;
+        image[at..at + 4].copy_from_slice(&path[(step - offset) as usize].0.to_le_bytes());
     }
-    heap
 }
 
-/// Encodes any store's walk data as a fresh, tightly laid-out walks section.
-pub fn encode_walks_fresh(store: &impl WalkIndex, shard_count: u32) -> Vec<u8> {
+/// One walks section in the writing: begun with the directory and postings, fed the
+/// heap page by page, finished by filling in the header and the page-CRC table (see
+/// the [module docs](self)).
+#[derive(Debug)]
+pub struct WalksStream<'a, S: Write + Seek> {
+    out: &'a mut SnapshotWriter<S>,
+    header: WalksHeader,
+    head: Deferred,
+    table: Deferred,
+    /// CRC-32 of the directory and postings bytes, the front of what `meta_crc`
+    /// covers.
+    meta_crc: u32,
+    page_crcs: Vec<u32>,
+    heap_at: u64,
+}
+
+impl<'a, S: Write + Seek> WalksStream<'a, S> {
+    /// Begins the walks section of `out` and streams everything ahead of the heap:
+    /// `dir` as the slot directory, `index`'s postings and total.
+    pub fn begin(
+        out: &'a mut SnapshotWriter<S>,
+        header: WalksHeader,
+        dir: &[FileSlot],
+        index: &impl WalkIndex,
+    ) -> PersistResult<Self> {
+        assert_eq!(dir.len() as u64, header.slot_count);
+        out.begin_section(SECTION_WALKS)?;
+        let head = out.defer(HEADER_LEN)?;
+        let mut meta_crc = 0;
+        let mut emit = |chunk: &[u8]| {
+            let crc = crc32(chunk);
+            meta_crc = crc32_concat(meta_crc, crc, chunk.len() as u64);
+            out.write_checksummed(chunk, crc)
+        };
+        let mut w = ByteWriter::with_capacity(SPILL_BYTES + 16);
+        for slot in dir {
+            w.put_u64(slot.offset);
+            w.put_u32(slot.len);
+            w.put_u32(slot.cap);
+            w.spill(SPILL_BYTES, &mut emit)?;
+        }
+        for node in 0..index.node_count() {
+            let run = index.segments_visiting(NodeId::from_index(node));
+            w.put_u32(run.remaining() as u32);
+            for (seg, count) in run {
+                w.put_u32(seg.0);
+                w.put_u32(count);
+                w.spill(SPILL_BYTES, &mut emit)?;
+            }
+            w.spill(SPILL_BYTES, &mut emit)?;
+        }
+        w.put_u64(index.total_visits());
+        w.spill(0, &mut emit)?;
+        let table = out.defer(header.page_count() as usize * 4)?;
+        let heap_at = out.position();
+        Ok(WalksStream {
+            out,
+            header,
+            head,
+            table,
+            meta_crc,
+            page_crcs: Vec::with_capacity(header.page_count() as usize),
+            heap_at,
+        })
+    }
+
+    /// Appends the next heap page.  `crc` is the page's table entry when the caller
+    /// carries the page unchanged from a validated generation; a rendered page
+    /// (`None`) is checksummed here.
+    pub fn page(&mut self, image: &[u8], crc: Option<u32>) -> PersistResult<()> {
+        assert_eq!(image.len(), self.header.page_size as usize);
+        let crc = crc.unwrap_or_else(|| crc32(image));
+        self.page_crcs.push(crc);
+        self.out.write_checksummed(image, crc)
+    }
+
+    /// Ends the section.  Returns the page-CRC table and the absolute offset of heap
+    /// page 0 in the sink — what a [`PagedWalks`] over the written bytes needs.
+    pub fn finish(self) -> PersistResult<(Vec<u32>, u64)> {
+        assert_eq!(self.page_crcs.len(), self.header.page_count() as usize);
+        let mut table = ByteWriter::with_capacity(self.page_crcs.len() * 4);
+        for &crc in &self.page_crcs {
+            table.put_u32(crc);
+        }
+        let table = table.into_bytes();
+        let table_crc = self.out.fill(self.table, &table)?;
+        let meta_crc = crc32_concat(self.meta_crc, table_crc, table.len() as u64);
+        self.out.fill(self.head, &self.header.encode(meta_crc))?;
+        self.out.end_section()?;
+        Ok((self.page_crcs, self.heap_at))
+    }
+}
+
+/// Streams any store's walk data as a fresh, tightly laid-out walks section.
+pub fn stream_walks_fresh<S: Write + Seek>(
+    store: &impl WalkIndex,
+    shard_count: u32,
+    out: &mut SnapshotWriter<S>,
+) -> PersistResult<()> {
     let (dir, heap_len) = fresh_layout(store);
     let header = WalksHeader {
         r: store.r() as u32,
@@ -244,9 +302,31 @@ pub fn encode_walks_fresh(store: &impl WalkIndex, shard_count: u32) -> Vec<u8> {
         heap_len,
         page_size: WALKS_PAGE_SIZE as u32,
     };
-    let heap = render_heap(store, &dir, heap_len);
-    let postings = encode_postings(store);
-    assemble_walks_payload(&header, &dir, &postings, &heap)
+    let mut stream = WalksStream::begin(out, header, &dir, store)?;
+    let mut image = vec![0u8; WALKS_PAGE_SIZE];
+    // Slots lie in id order, so one cursor sweeps them as the pages go by.
+    let mut slot = 0;
+    for page in 0..header.page_count() {
+        image.fill(0xFF);
+        let page_end = (page as u64 + 1) * STEPS_PER_PAGE;
+        while let Some(s) = dir.get(slot) {
+            if s.cap > 0 {
+                if s.offset >= page_end {
+                    break;
+                }
+                let path = store.segment_path(SegmentId(slot as u32));
+                debug_assert_eq!(path.len(), s.len as usize);
+                render_steps(&mut image, page, s.offset, path);
+                if s.offset + s.cap as u64 > page_end {
+                    break; // the rest of this slot is the next page's
+                }
+            }
+            slot += 1;
+        }
+        stream.page(&image, None)?;
+    }
+    stream.finish()?;
+    Ok(())
 }
 
 /// A walks section opened for paged reading: directory and postings eagerly read and
@@ -254,7 +334,10 @@ pub fn encode_walks_fresh(store: &impl WalkIndex, shard_count: u32) -> Vec<u8> {
 #[derive(Debug)]
 pub struct PagedWalks {
     header: WalksHeader,
-    dir: Vec<FileSlot>,
+    /// Frozen: the layout of the generation on disk, shared with whoever faults
+    /// paths out of it.
+    dir: Arc<[FileSlot]>,
+    /// The serialized postings, held only until a decode parses them.
     postings_raw: Vec<u8>,
     page_crcs: Vec<u32>,
     cache: PageCache,
@@ -263,7 +346,11 @@ pub struct PagedWalks {
 impl PagedWalks {
     /// Opens the walks section of the snapshot at `path`.
     pub fn open(path: &Path) -> PersistResult<Self> {
-        let snap = SnapshotFile::open(path)?;
+        PagedWalks::from_snapshot(SnapshotFile::open(path)?)
+    }
+
+    /// Opens the walks section of an already opened snapshot.
+    pub fn from_snapshot(snap: SnapshotFile) -> PersistResult<Self> {
         let info = snap.section(SECTION_WALKS)?;
         let mut file = snap.into_file();
         if info.len < HEADER_LEN as u64 {
@@ -320,13 +407,23 @@ impl PagedWalks {
         let postings_len = usize::try_from(postings_len)
             .map_err(|_| corrupt("walks postings too large for this platform"))?;
 
-        let mut meta = vec![0u8; dir_len + postings_len + crc_len];
-        file.read_exact(&mut meta)?;
-        if crc32(&meta) != meta_crc {
+        // Each region is read into its own buffer and checksummed as it arrives, so
+        // the postings can be handed on (and freed) without a copy.
+        let mut running = Crc32::new();
+        let mut read_region = |len: usize| -> PersistResult<Vec<u8>> {
+            let mut bytes = vec![0u8; len];
+            file.read_exact(&mut bytes)?;
+            running.update(&bytes);
+            Ok(bytes)
+        };
+        let dir_bytes = read_region(dir_len)?;
+        let postings_raw = read_region(postings_len)?;
+        let crc_bytes = read_region(crc_len)?;
+        if running.finish() != meta_crc {
             return Err(corrupt("walks directory/postings checksum mismatch"));
         }
         let mut dir = Vec::with_capacity(header.slot_count as usize);
-        let mut reader = ByteReader::new(&meta[..dir_len]);
+        let mut reader = ByteReader::new(&dir_bytes);
         for _ in 0..header.slot_count {
             dir.push(FileSlot {
                 offset: reader.get_u64()?,
@@ -334,21 +431,42 @@ impl PagedWalks {
                 cap: reader.get_u32()?,
             });
         }
-        let postings_raw = meta[dir_len..dir_len + postings_len].to_vec();
         let mut page_crcs = Vec::with_capacity(page_count as usize);
-        let mut reader = ByteReader::new(&meta[dir_len + postings_len..]);
+        let mut reader = ByteReader::new(&crc_bytes);
         for _ in 0..page_count {
             page_crcs.push(reader.get_u32()?);
         }
-        let heap_base = info.offset + (HEADER_LEN + meta.len()) as u64;
+        let heap_base = info.offset + (meta_end + postings_len + crc_len) as u64;
         let cache = PageCache::new(file, heap_base, WALKS_PAGE_SIZE, page_count);
         Ok(PagedWalks {
             header,
-            dir,
+            dir: dir.into(),
             postings_raw,
             page_crcs,
             cache,
         })
+    }
+
+    /// The reader of a generation that is being written: geometry and layout known,
+    /// no postings bytes (its writer holds the live index), no page CRCs and no file
+    /// yet.  Cache policy and [`PagedWalks::preload`] work at once;
+    /// [`PagedWalks::written_to`] completes it.
+    pub(crate) fn unwritten(header: WalksHeader, dir: Arc<[FileSlot]>) -> Self {
+        PagedWalks {
+            header,
+            dir,
+            postings_raw: Vec::new(),
+            page_crcs: Vec::new(),
+            cache: PageCache::unwritten(WALKS_PAGE_SIZE, header.page_count()),
+        }
+    }
+
+    /// Completes an [`unwritten`](Self::unwritten) reader once its generation is
+    /// published: what [`WalksStream::finish`] returned, and the file to fault from.
+    pub(crate) fn written_to(&mut self, file: File, page_crcs: Vec<u32>, heap_at: u64) {
+        assert_eq!(page_crcs.len(), self.header.page_count() as usize);
+        self.page_crcs = page_crcs;
+        self.cache.attach(file, heap_at);
     }
 
     /// The section's parsed header.
@@ -359,6 +477,17 @@ impl PagedWalks {
     /// The slot directory, indexed by segment id.
     pub fn dir(&self) -> &[FileSlot] {
         &self.dir
+    }
+
+    /// The slot directory as the shared, frozen allocation the reader itself holds.
+    pub(crate) fn frozen_dir(&self) -> Arc<[FileSlot]> {
+        Arc::clone(&self.dir)
+    }
+
+    /// Serialized postings bytes still held (none once a decode has parsed them).
+    #[cfg(test)]
+    pub(crate) fn postings_bytes_held(&self) -> usize {
+        self.postings_raw.len()
     }
 
     /// Page-cache access counters.
@@ -398,26 +527,35 @@ impl PagedWalks {
         self.cache.base_offset()
     }
 
-    /// Seeds the page cache from an in-memory heap image (the bytes a checkpoint
-    /// just wrote), so follow-up write-backs copy clean pages from memory instead of
-    /// re-reading the file.  Admission follows the cache's policy: pinned pages
-    /// always enter, unpinned pages only while there is room under the budget.
-    pub fn preload_heap(&mut self, heap: &[u8]) -> PersistResult<()> {
-        let page_size = self.header.page_size as usize;
-        for (index, page) in heap.chunks(page_size).enumerate() {
-            if page.len() == page_size {
-                self.cache.preload(index as u32, page)?;
-            }
-        }
-        Ok(())
+    /// Offers the cache the validated image of page `index` under its admission
+    /// policy (see [`PageCache::preload`]): pinned pages always enter, unpinned pages
+    /// only while there is room under the budget.  The buffer the cache does not
+    /// keep comes back.
+    pub(crate) fn preload(
+        &mut self,
+        index: u32,
+        image: Box<[u8]>,
+    ) -> PersistResult<Option<Box<[u8]>>> {
+        self.cache.preload(index, image)
+    }
+
+    /// Takes every resident page image out of the cache (see
+    /// [`PageCache::take_frames`]).
+    pub(crate) fn take_frames(&mut self) -> Vec<Option<Box<[u8]>>> {
+        self.cache.take_frames()
+    }
+
+    /// The CRC-table entry of page `index`.
+    pub(crate) fn page_crc(&self, index: u32) -> PersistResult<u32> {
+        self.page_crcs
+            .get(index as usize)
+            .copied()
+            .ok_or_else(|| corrupt(format!("heap page {index} out of range")))
     }
 
     /// Reads one validated heap page.
     pub fn read_page(&mut self, index: u32) -> PersistResult<&[u8]> {
-        let crc = *self
-            .page_crcs
-            .get(index as usize)
-            .ok_or_else(|| corrupt(format!("heap page {index} out of range")))?;
+        let crc = self.page_crc(index)?;
         self.cache.read_page(index, crc)
     }
 
@@ -425,11 +563,26 @@ impl PagedWalks {
     /// (cache hits are served from memory; misses stream from the file).  This is
     /// the checkpoint write-back path for clean pages.
     pub fn stream_page(&mut self, index: u32, out: &mut [u8]) -> PersistResult<()> {
-        let crc = *self
-            .page_crcs
-            .get(index as usize)
-            .ok_or_else(|| corrupt(format!("heap page {index} out of range")))?;
+        let crc = self.page_crc(index)?;
         self.cache.read_page_into(index, crc, out)
+    }
+
+    /// Reads every heap page against the CRC table, so a rotted or torn heap fails
+    /// here and not at some later demand fault.  An unbounded cache keeps what it
+    /// has just validated — admission can never cost it an eviction, and the first
+    /// touch of a page is then not a second read and a second checksum; a bounded
+    /// one streams through a page of scratch and admits nothing.
+    pub(crate) fn verify_heap(&mut self) -> PersistResult<()> {
+        let admit = self.cache.budget().is_none();
+        let mut scratch = vec![0u8; WALKS_PAGE_SIZE];
+        for page in 0..self.header.page_count() {
+            if admit {
+                self.read_page(page)?;
+            } else {
+                self.stream_page(page, &mut scratch)?;
+            }
+        }
+        Ok(())
     }
 
     /// Reads the `len` steps starting at heap offset `offset` (in steps) into `out`
@@ -473,9 +626,11 @@ impl PagedWalks {
     /// Parses the serialized visit postings into per-node [`ppr_store::VisitPostings`] plus the
     /// claimed total visit count.  This is the index half of the walks section —
     /// demand-paged opens install it directly (paths stay on disk), the flat decode
-    /// pairs it with a full heap scan.
-    pub fn parse_postings(&self) -> PersistResult<(Vec<ppr_store::VisitPostings>, u64)> {
-        let mut reader = ByteReader::new(&self.postings_raw);
+    /// pairs it with a full heap scan.  The serialized bytes are consumed: they are
+    /// freed when this returns.
+    pub fn parse_postings(&mut self) -> PersistResult<(Vec<ppr_store::VisitPostings>, u64)> {
+        let raw = std::mem::take(&mut self.postings_raw);
+        let mut reader = ByteReader::new(&raw);
         let mut postings = Vec::with_capacity(self.header.node_count as usize);
         for _ in 0..self.header.node_count {
             let count = reader.get_u32()? as usize;
@@ -576,7 +731,7 @@ impl PagedWalks {
             }
             store.set_segment(id, &path);
         }
-        verify_postings(&self.postings_raw, store)
+        verify_postings(&std::mem::take(&mut self.postings_raw), store)
     }
 }
 
@@ -586,16 +741,17 @@ impl PagedWalks {
 /// same recovery pipeline serves the flat [`WalkStore`], the [`ShardedWalkStore`],
 /// and the file-backed [`crate::disk::DiskWalkStore`].
 pub trait PersistentWalkStore: WalkIndexMut + Sized {
-    /// Encodes this store's walk data as a walks-section payload.  (`&mut` so
-    /// file-backed stores can stream clean pages out of their previous generation.)
-    fn encode_walks(&mut self) -> PersistResult<Vec<u8>>;
+    /// Streams this store's walk data into `out` as its walks section (through a
+    /// [`WalksStream`]).  (`&mut` so file-backed stores can carry clean pages over
+    /// from their previous generation.)
+    fn encode_walks<S: Write + Seek>(&mut self, out: &mut SnapshotWriter<S>) -> PersistResult<()>;
 
     /// Rebuilds the store from an open walks section.
     fn decode_walks(walks: PagedWalks) -> PersistResult<Self>;
 
-    /// Hook invoked after the snapshot containing this store's payload has been
-    /// durably published at `snap_path`; file-backed stores re-anchor their clean-page
-    /// source here.
+    /// Hook invoked after the snapshot `encode_walks` streamed into has been durably
+    /// published at `snap_path`; file-backed stores re-anchor their fault and
+    /// clean-page source here.
     fn after_checkpoint(&mut self, snap_path: &Path) -> PersistResult<()> {
         let _ = snap_path;
         Ok(())
@@ -612,8 +768,8 @@ pub trait PersistentWalkStore: WalkIndexMut + Sized {
 }
 
 impl PersistentWalkStore for WalkStore {
-    fn encode_walks(&mut self) -> PersistResult<Vec<u8>> {
-        Ok(encode_walks_fresh(self, 1))
+    fn encode_walks<S: Write + Seek>(&mut self, out: &mut SnapshotWriter<S>) -> PersistResult<()> {
+        stream_walks_fresh(self, 1, out)
     }
 
     fn decode_walks(mut walks: PagedWalks) -> PersistResult<Self> {
@@ -622,8 +778,8 @@ impl PersistentWalkStore for WalkStore {
 }
 
 impl PersistentWalkStore for ShardedWalkStore {
-    fn encode_walks(&mut self) -> PersistResult<Vec<u8>> {
-        Ok(encode_walks_fresh(self, self.shard_count() as u32))
+    fn encode_walks<S: Write + Seek>(&mut self, out: &mut SnapshotWriter<S>) -> PersistResult<()> {
+        stream_walks_fresh(self, self.shard_count() as u32, out)
     }
 
     fn decode_walks(mut walks: PagedWalks) -> PersistResult<Self> {
@@ -638,12 +794,121 @@ impl PersistentWalkStore for ShardedWalkStore {
     }
 }
 
+/// The assemble-in-memory encoder [`WalksStream`] replaced, kept as the byte
+/// reference the streamed sections are held to.
 #[cfg(test)]
-mod tests {
+pub(crate) mod reference {
     use super::*;
-    use crate::snapshot::SnapshotWriter;
+
+    /// Serializes a store's visit postings (per-node sorted runs plus `total_visits`).
+    pub(crate) fn encode_postings(store: &impl WalkIndex) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        for node in 0..store.node_count() {
+            let node = NodeId::from_index(node);
+            let run: Vec<(SegmentId, u32)> = store.segments_visiting(node).collect();
+            w.put_u32(run.len() as u32);
+            for (seg, count) in run {
+                w.put_u32(seg.0);
+                w.put_u32(count);
+            }
+        }
+        w.put_u64(store.total_visits());
+        w.into_bytes()
+    }
+
+    /// Assembles a complete walks-section payload from its parts.  `heap` must
+    /// already be padded to whole pages of `page_size` bytes.
+    pub(crate) fn assemble_walks_payload(
+        header: &WalksHeader,
+        dir: &[FileSlot],
+        postings: &[u8],
+        heap: &[u8],
+    ) -> Vec<u8> {
+        let page_count = header.page_count() as usize;
+        assert_eq!(heap.len(), page_count * header.page_size as usize);
+        assert_eq!(dir.len() as u64, header.slot_count);
+
+        let mut dir_bytes = ByteWriter::with_capacity(dir.len() * 16);
+        for slot in dir {
+            dir_bytes.put_u64(slot.offset);
+            dir_bytes.put_u32(slot.len);
+            dir_bytes.put_u32(slot.cap);
+        }
+        let dir_bytes = dir_bytes.into_bytes();
+
+        let mut crc_table = ByteWriter::with_capacity(page_count * 4);
+        for page in heap.chunks(header.page_size as usize) {
+            crc_table.put_u32(crc32(page));
+        }
+        let crc_table = crc_table.into_bytes();
+
+        let mut meta_crc = Crc32::new();
+        meta_crc.update(&dir_bytes);
+        meta_crc.update(postings);
+        meta_crc.update(&crc_table);
+
+        let mut payload = ByteWriter::with_capacity(
+            HEADER_LEN + dir_bytes.len() + postings.len() + crc_table.len() + heap.len(),
+        );
+        payload.put_u32(header.r);
+        payload.put_u32(header.shard_count);
+        payload.put_u64(header.node_count);
+        payload.put_u64(header.slot_count);
+        payload.put_u64(header.heap_len);
+        payload.put_u32(header.page_size);
+        payload.put_u32(meta_crc.finish());
+        payload.put_bytes(&dir_bytes);
+        payload.put_bytes(postings);
+        payload.put_bytes(&crc_table);
+        payload.put_bytes(heap);
+        payload.into_bytes()
+    }
+
+    /// Renders the heap bytes for `dir` by copying every slot's path out of `store`,
+    /// filling reservations and holes with the filler word, padded to whole pages.
+    pub(crate) fn render_heap(store: &impl WalkIndex, dir: &[FileSlot], heap_len: u64) -> Vec<u8> {
+        let page_count = (heap_len * 4).div_ceil(WALKS_PAGE_SIZE as u64) as usize;
+        let mut heap = vec![0xFFu8; page_count * WALKS_PAGE_SIZE];
+        for (slot, file_slot) in dir.iter().enumerate() {
+            if file_slot.len == 0 {
+                continue;
+            }
+            let path = store.segment_path(SegmentId(slot as u32));
+            let mut pos = file_slot.offset as usize * 4;
+            for step in path {
+                heap[pos..pos + 4].copy_from_slice(&step.0.to_le_bytes());
+                pos += 4;
+            }
+        }
+        heap
+    }
+
+    /// Encodes any store's walk data as a fresh, tightly laid-out walks payload.
+    pub(crate) fn encode_walks_fresh(store: &impl WalkIndex, shard_count: u32) -> Vec<u8> {
+        let (dir, heap_len) = fresh_layout(store);
+        let header = WalksHeader {
+            r: store.r() as u32,
+            shard_count,
+            node_count: store.node_count() as u64,
+            slot_count: dir.len() as u64,
+            heap_len,
+            page_size: WALKS_PAGE_SIZE as u32,
+        };
+        let heap = render_heap(store, &dir, heap_len);
+        let postings = encode_postings(store);
+        assemble_walks_payload(&header, &dir, &postings, &heap)
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::reference::*;
+    use super::*;
+    use crate::snapshot::tests::reference_file;
+    use crate::snapshot::AtomicFile;
     use crate::tempdir::TempDir;
     use ppr_store::WalkIndexView;
+    use std::io::Cursor;
 
     fn sample_store() -> WalkStore {
         let mut store = WalkStore::new(6, 2);
@@ -660,10 +925,66 @@ mod tests {
         store
     }
 
-    fn write_snapshot(path: &Path, payload: Vec<u8>) {
-        let mut w = SnapshotWriter::new();
-        w.add_section(SECTION_WALKS, payload);
-        w.write_to(path).unwrap();
+    /// The bytes of a snapshot file holding just `store`'s streamed walks section.
+    pub(crate) fn streamed_file(store: &mut impl PersistentWalkStore) -> Vec<u8> {
+        let mut w = SnapshotWriter::new(Cursor::new(Vec::new())).unwrap();
+        store.encode_walks(&mut w).unwrap();
+        w.finish().unwrap().into_inner()
+    }
+
+    /// Streams `store`'s walks section into a snapshot file at `path`.
+    pub(crate) fn write_snapshot(path: &Path, store: &mut impl PersistentWalkStore) {
+        let mut w = SnapshotWriter::new(AtomicFile::create(path).unwrap()).unwrap();
+        store.encode_walks(&mut w).unwrap();
+        w.finish().unwrap().publish().unwrap();
+    }
+
+    fn write_payload(path: &Path, payload: Vec<u8>) {
+        std::fs::write(path, reference_file(&[(SECTION_WALKS, payload)])).unwrap();
+    }
+
+    /// A store whose slots straddle page ends, leave a page half empty and skip ids:
+    /// `n` nodes, `r` = 2, slot lengths cycling through the reservation classes.
+    fn paged_store<W: WalkIndexMut>(mut store: W) -> W {
+        let n = store.node_count() as u32;
+        for node in 0..n {
+            for k in 0..2usize {
+                let len = [0usize, 1, 5, 16, 17, 40, 70, 300, 1030][(node as usize * 2 + k) % 9];
+                let mut path = vec![NodeId(node); len.min(1)];
+                path.extend((1..len as u32).map(|i| NodeId((node * 7 + i * 13) % n)));
+                store.set_segment(SegmentId::new(NodeId(node), k, 2), &path);
+            }
+        }
+        store
+    }
+
+    #[test]
+    fn streamed_sections_equal_the_assembled_reference_byte_for_byte() {
+        let mut flat = paged_store(WalkStore::new(97, 2));
+        let expected = reference_file(&[(SECTION_WALKS, encode_walks_fresh(&flat, 1))]);
+        assert!(expected.len() > 20 * WALKS_PAGE_SIZE, "many pages");
+        assert_eq!(streamed_file(&mut flat), expected);
+
+        let mut sharded = paged_store(ShardedWalkStore::new(97, 2, 3));
+        let expected = reference_file(&[(SECTION_WALKS, encode_walks_fresh(&sharded, 3))]);
+        assert_eq!(streamed_file(&mut sharded), expected);
+
+        // Degenerate geometry: no segment written, so no heap page at all.
+        let mut empty = WalkStore::new(4, 1);
+        let expected = reference_file(&[(SECTION_WALKS, encode_walks_fresh(&empty, 1))]);
+        assert_eq!(streamed_file(&mut empty), expected);
+    }
+
+    #[test]
+    fn a_streamed_section_is_checksummed_once() {
+        let mut store = paged_store(WalkStore::new(97, 2));
+        let file_len = streamed_file(&mut store).len() as u64;
+        let before = crate::crc::checksummed_bytes();
+        let _ = streamed_file(&mut store);
+        let checksummed = crate::crc::checksummed_bytes() - before;
+        // Everything but the file header and the section head goes through the
+        // kernel, once.
+        assert_eq!(checksummed, file_len - 32);
     }
 
     #[test]
@@ -671,11 +992,12 @@ mod tests {
         let dir = TempDir::new("layout-roundtrip");
         let path = dir.path().join("snap.ppr");
         let mut store = sample_store();
-        write_snapshot(&path, store.encode_walks().unwrap());
+        write_snapshot(&path, &mut store);
 
         let walks = PagedWalks::open(&path).unwrap();
         assert_eq!(walks.header().node_count, 6);
         assert_eq!(walks.header().shard_count, 1);
+        assert!(walks.postings_bytes_held() > 0);
         let rebuilt = WalkStore::decode_walks(walks).unwrap();
         assert_eq!(rebuilt.total_visits(), store.total_visits());
         assert_eq!(rebuilt.visit_counts(), store.visit_counts());
@@ -687,6 +1009,23 @@ mod tests {
             );
         }
         assert!(rebuilt.check_consistency().is_ok());
+    }
+
+    #[test]
+    fn parsing_consumes_the_postings_bytes() {
+        let dir = TempDir::new("layout-consume");
+        let path = dir.path().join("snap.ppr");
+        write_snapshot(&path, &mut sample_store());
+        let mut walks = PagedWalks::open(&path).unwrap();
+        let (postings, total) = walks.parse_postings().unwrap();
+        assert_eq!(postings.len(), 6);
+        assert_eq!(total, sample_store().total_visits());
+        assert_eq!(walks.postings_bytes_held(), 0);
+
+        let mut walks = PagedWalks::open(&path).unwrap();
+        let mut sharded = ShardedWalkStore::new(6, 2, 2);
+        walks.rebuild_into(&mut sharded).unwrap();
+        assert_eq!(walks.postings_bytes_held(), 0);
     }
 
     #[test]
@@ -703,7 +1042,7 @@ mod tests {
             p.extend(path_steps.into_iter().skip(1));
             store.set_segment(id, &p);
         }
-        write_snapshot(&path, store.encode_walks().unwrap());
+        write_snapshot(&path, &mut store);
 
         let rebuilt = ShardedWalkStore::decode_walks(PagedWalks::open(&path).unwrap()).unwrap();
         assert_eq!(rebuilt.shard_count(), 3);
@@ -723,11 +1062,9 @@ mod tests {
         assert_eq!(file_reservation(1), 16);
         assert_eq!(file_reservation(16), 16);
         assert_eq!(file_reservation(17), 32);
-        let mut store = sample_store();
-        let payload = store.encode_walks().unwrap();
         let dir = TempDir::new("layout-caps");
         let path = dir.path().join("snap.ppr");
-        write_snapshot(&path, payload);
+        write_snapshot(&path, &mut sample_store());
         let walks = PagedWalks::open(&path).unwrap();
         for slot in walks.dir() {
             if slot.cap != 0 {
@@ -743,8 +1080,7 @@ mod tests {
     fn heap_page_corruption_is_caught_on_read() {
         let dir = TempDir::new("layout-pagecrc");
         let path = dir.path().join("snap.ppr");
-        let mut store = sample_store();
-        write_snapshot(&path, store.encode_walks().unwrap());
+        write_snapshot(&path, &mut sample_store());
         // Flip a byte in the last page of the file (heap region).
         let mut bytes = std::fs::read(&path).unwrap();
         let n = bytes.len();
@@ -774,7 +1110,7 @@ mod tests {
         let mut bogus = encode_postings(&store);
         let len = bogus.len();
         bogus[len - 9] ^= 0x01; // corrupt total_visits
-        write_snapshot(
+        write_payload(
             &path,
             assemble_walks_payload(&header, &slot_dir, &bogus, &heap),
         );
@@ -782,7 +1118,7 @@ mod tests {
         let result = WalkStore::decode_walks(PagedWalks::open(&path).unwrap());
         assert!(matches!(result, Err(crate::io::PersistError::Corrupt(_))));
         // The unmodified encode still loads.
-        write_snapshot(&path, store.encode_walks().unwrap());
+        write_snapshot(&path, &mut store);
         assert!(WalkStore::decode_walks(PagedWalks::open(&path).unwrap()).is_ok());
     }
 }

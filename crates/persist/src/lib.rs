@@ -7,16 +7,17 @@
 //! to avoid.  This crate is the durability layer that closes that gap:
 //!
 //! * [`snapshot`] — a versioned, sectioned, checksummed **snapshot container**,
-//!   written atomically per generation (temp file + rename), holding the engine
-//!   metadata, the Social Store's graph ([`graph`]), and the PageRank Store's walk
-//!   data in a paged layout aligned to arena segments ([`layout`]);
+//!   streamed section by section and published atomically per generation (temp
+//!   file + rename), holding the engine metadata, the Social Store's graph
+//!   ([`graph`]), and the PageRank Store's walk data in a paged layout aligned to
+//!   arena segments ([`layout`]) — every byte through the [`crc`] kernel once;
 //! * [`wal`] — an append-only, CRC-framed **write-ahead log** of the exact
 //!   `&[Edge]` batches the engines consume, fsynced per batch, with torn-tail
 //!   truncation on recovery.  Because the repair pipeline is deterministic, replaying
 //!   the log over its snapshot reproduces the engine **bit-identically**;
 //! * [`disk`] — [`disk::DiskWalkStore`], a file-backed `WalkIndex`/`WalkIndexMut`
-//!   implementation whose checkpoints re-encode only dirty heap pages and stream
-//!   clean pages out of the previous generation through a page cache ([`pager`]);
+//!   implementation whose checkpoints re-encode only dirty heap pages and carry
+//!   clean pages over from the previous generation through a page cache ([`pager`]);
 //! * [`dir`] — the generation-numbered store directory with its atomically published
 //!   `CURRENT` pointer and previous-generation fallback;
 //! * [`lock`] — the `LOCK` file enforcing the single-writer-per-directory contract
@@ -54,6 +55,6 @@ pub use layout::{PagedWalks, PersistentWalkStore};
 pub use lock::StoreLock;
 pub use pager::PagerStats;
 pub use shim::{IoOp, IoShim, ShimGuard, SlowDisk};
-pub use snapshot::{SnapshotFile, SnapshotWriter};
+pub use snapshot::{AtomicFile, SnapshotFile, SnapshotWriter};
 pub use tempdir::TempDir;
 pub use wal::{GroupCommit, WalOp, WalRecord, WalStats, WalWriter};

@@ -19,6 +19,12 @@
 //! from memory but streams misses file-to-file **without admission** — cloning a
 //! generation never faults the whole store resident.  Hit/miss/eviction/streamed
 //! counters make every regime observable in the persistence bench.
+//!
+//! Frames also travel *between* generations without being copied: a checkpoint
+//! takes the previous generation's frames ([`PageCache::take_frames`]) and offers
+//! each page it writes to the next generation's cache ([`PageCache::preload`]),
+//! which exists — [`PageCache::unwritten`], with its budget and pins — before the
+//! file it will read from does ([`PageCache::attach`]).
 
 use crate::crc::crc32;
 use crate::io::{corrupt, PersistResult};
@@ -55,7 +61,9 @@ struct Frame {
 /// A bounded read cache over a fixed-size-page region of a file.
 #[derive(Debug)]
 pub struct PageCache {
-    file: File,
+    /// `None` while the generation this cache reads is still being written: until
+    /// [`PageCache::attach`] only preloaded pages can be served.
+    file: Option<File>,
     /// Byte offset of page 0 within the file.
     base: u64,
     page_size: usize,
@@ -79,9 +87,18 @@ impl PageCache {
     /// Wraps `file` from byte offset `base`, exposing `page_count` pages of
     /// `page_size` bytes each.  The cache starts unbounded with no pins.
     pub fn new(file: File, base: u64, page_size: usize, page_count: u32) -> Self {
+        let mut cache = PageCache::unwritten(page_size, page_count);
+        cache.attach(file, base);
+        cache
+    }
+
+    /// A cache over `page_count` pages of a file that does not exist yet.  Budget,
+    /// pins and preloads work as on any cache; a miss is an error until
+    /// [`PageCache::attach`] supplies the file.
+    pub fn unwritten(page_size: usize, page_count: u32) -> Self {
         PageCache {
-            file,
-            base,
+            file: None,
+            base: 0,
             page_size,
             page_count,
             frames: (0..page_count).map(|_| None).collect(),
@@ -92,6 +109,12 @@ impl PageCache {
             ever_resident: vec![false; page_count as usize],
             stats: PagerStats::default(),
         }
+    }
+
+    /// Binds the cache to its backing `file`, whose page 0 starts at byte `base`.
+    pub fn attach(&mut self, file: File, base: u64) {
+        self.file = Some(file);
+        self.base = base;
     }
 
     /// Number of pages in the region.
@@ -189,10 +212,15 @@ impl PageCache {
     /// Reads the page's bytes from the file into `out` (no CRC check, no counters
     /// beyond `bytes_read`).
     fn read_from_file(&mut self, index: u32, out: &mut [u8]) -> PersistResult<()> {
-        self.file.seek(SeekFrom::Start(
+        let file = self.file.as_mut().ok_or_else(|| {
+            corrupt(format!(
+                "heap page {index} read before its generation was published"
+            ))
+        })?;
+        file.seek(SeekFrom::Start(
             self.base + index as u64 * self.page_size as u64,
         ))?;
-        self.file.read_exact(out)?;
+        file.read_exact(out)?;
         self.stats.bytes_read += self.page_size as u64;
         Ok(())
     }
@@ -250,15 +278,18 @@ impl PageCache {
         }
     }
 
-    /// Seeds the cache with an already-validated page image (used after a checkpoint
-    /// to keep just-written pages warm instead of re-reading them from disk).
+    /// Offers the cache an already-validated page image (a checkpoint keeps the
+    /// pages it just wrote warm instead of re-reading them from disk).  The frame
+    /// is moved in, never copied, and the buffer the cache does not keep comes back
+    /// for reuse: the offered one when declined, the superseded image when the page
+    /// was already resident.
     ///
     /// Out-of-range indices and wrong-length images are hard errors — a caller that
     /// trips either has corrupted its geometry bookkeeping.  Admission is a policy
     /// decision, not an error: pinned pages always enter (evicting unpinned ones if
     /// needed); unpinned pages enter only while there is room under the budget —
     /// warming the cache never evicts demand-faulted pages.
-    pub fn preload(&mut self, index: u32, bytes: &[u8]) -> PersistResult<()> {
+    pub fn preload(&mut self, index: u32, bytes: Box<[u8]>) -> PersistResult<Option<Box<[u8]>>> {
         self.check_range(index)?;
         if bytes.len() != self.page_size {
             return Err(corrupt(format!(
@@ -268,18 +299,30 @@ impl PageCache {
             )));
         }
         if let Some(frame) = self.frames[index as usize].as_mut() {
-            frame.bytes.copy_from_slice(bytes);
-            return Ok(());
+            return Ok(Some(std::mem::replace(&mut frame.bytes, bytes)));
         }
         if !self.pinned[index as usize] {
             if let Some(limit) = self.budget {
                 if self.resident >= limit {
-                    return Ok(());
+                    return Ok(Some(bytes));
                 }
             }
         }
-        self.admit(index, bytes.to_vec().into_boxed_slice());
-        Ok(())
+        self.admit(index, bytes);
+        Ok(None)
+    }
+
+    /// Hands every resident frame to the caller, indexed by page, and leaves the
+    /// cache empty — still valid: a later read faults from the file again.  The
+    /// checkpoint encoder takes the previous generation's frames this way, so a
+    /// page carried into the next generation is moved, not duplicated.
+    pub fn take_frames(&mut self) -> Vec<Option<Box<[u8]>>> {
+        self.clock.clear();
+        self.resident = 0;
+        self.frames
+            .iter_mut()
+            .map(|slot| slot.take().map(|frame| frame.bytes))
+            .collect()
     }
 
     /// Reads page `index`, demand-faulting it from the file on a miss and verifying
@@ -451,16 +494,56 @@ mod tests {
         let pages = [[1u8; 8], [2u8; 8]];
         let (_dir, file, crcs) = setup(&pages);
         let mut cache = PageCache::new(file, 4, 8, 2);
-        assert!(cache.preload(2, &[0u8; 8]).is_err(), "out of range");
-        assert!(cache.preload(0, &[0u8; 4]).is_err(), "wrong length");
+        assert!(
+            cache.preload(2, Box::new([0u8; 8])).is_err(),
+            "out of range"
+        );
+        assert!(
+            cache.preload(0, Box::new([0u8; 4])).is_err(),
+            "wrong length"
+        );
         cache.set_budget(Some(1));
         cache.read_page(0, crcs[0]).unwrap();
-        // At budget: an unpinned preload is declined rather than evicting a
-        // demand-faulted page.
-        cache.preload(1, &pages[1]).unwrap();
+        // At budget: an unpinned preload is declined (and handed back) rather than
+        // evicting a demand-faulted page.
+        let declined = cache.preload(1, Box::new(pages[1])).unwrap();
+        assert_eq!(declined.as_deref(), Some(&pages[1][..]));
         assert!(cache.frames[0].is_some());
         assert!(cache.frames[1].is_none());
         assert_eq!(cache.stats().evictions, 0);
+    }
+
+    #[test]
+    fn frames_move_from_one_generation_to_the_next_before_its_file_exists() {
+        let pages = [[1u8; 8], [2u8; 8], [3u8; 8]];
+        let (dir, file, crcs) = setup(&pages);
+        let mut old = PageCache::new(file, 4, 8, 3);
+        old.read_page(0, crcs[0]).unwrap();
+        old.read_page(2, crcs[2]).unwrap();
+        let mut carried = old.take_frames();
+        assert_eq!(old.resident_pages(), 0);
+        assert_eq!(carried.iter().filter(|f| f.is_some()).count(), 2);
+        // The emptied cache still serves reads, as re-faults.
+        assert_eq!(old.read_page(0, crcs[0]).unwrap(), &pages[0]);
+        assert_eq!(old.stats().refaults, 1);
+
+        let mut next = PageCache::unwritten(8, 3);
+        next.set_budget(Some(2));
+        next.set_pinned_pages(&[2]).unwrap();
+        for (index, frame) in carried.iter_mut().enumerate() {
+            if let Some(frame) = frame.take() {
+                assert!(next.preload(index as u32, frame).unwrap().is_none());
+            }
+        }
+        assert_eq!(next.resident_pages(), 2);
+        assert_eq!(next.pinned_resident_pages(), 1);
+        assert_eq!(next.read_page(2, crcs[2]).unwrap(), &pages[2]);
+        // A miss has nowhere to go until the file is attached.
+        assert!(next.read_page(1, crcs[1]).is_err());
+        next.attach(File::open(dir.path().join("paged.bin")).unwrap(), 4);
+        assert_eq!(next.read_page(1, crcs[1]).unwrap(), &pages[1]);
+        assert_eq!(next.stats().loads, 1);
+        assert_eq!(next.stats().hits, 1);
     }
 
     #[test]

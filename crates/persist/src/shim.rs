@@ -4,8 +4,9 @@
 //! The scenario chaos harness (`ppr-scenario`) needs to inject *slow-disk stalls*
 //! into a running durable engine without changing a single bit of what the engine
 //! writes or reads — stalls move timing, never data, and the differential oracles
-//! assert exactly that.  This module is the seam: the WAL writer and the snapshot
-//! writer call `notify` immediately before each physical write/sync, and any
+//! assert exactly that.  This module is the seam: the WAL writer calls `notify`
+//! immediately before each physical write/sync, the snapshot writer once per
+//! generation, before the fsync + rename that publish it, and any
 //! number of installed [`IoShim`]s observe the call (counting it, sleeping in it,
 //! or both) before the I/O proceeds.
 //!
@@ -26,7 +27,8 @@ pub enum IoOp {
     WalAppend,
     /// A WAL `fdatasync` is about to run (fsync-on-batch contract).
     WalSync,
-    /// A snapshot generation file is about to be written (atomic tmp + rename).
+    /// A snapshot generation, streamed to its temp sibling, is about to be made
+    /// durable and renamed into place (bytes = the file's length).
     SnapshotWrite,
 }
 

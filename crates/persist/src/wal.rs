@@ -36,6 +36,7 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 const MAGIC: &[u8; 8] = b"PPRWAL01";
 const VERSION: u32 = 1;
@@ -284,6 +285,9 @@ pub struct WalWriter {
     appended: u64,
     /// Individual (non-group) `fdatasync` calls issued by the append path.
     fsyncs: u64,
+    /// Nanoseconds those calls took since [`WalWriter::take_sync_nanos`] last
+    /// drained them; `None` (no clock is read) until it is first called.
+    sync_nanos: Option<u64>,
     /// When set, appends skip their individual fsync and bump the group's append
     /// counter instead; durability is driven through [`GroupCommit::sync_upto`].
     group: Option<Arc<GroupShared>>,
@@ -325,6 +329,7 @@ impl WalWriter {
             fsync: true,
             appended: 0,
             fsyncs: 0,
+            sync_nanos: None,
             group: None,
         })
     }
@@ -349,6 +354,7 @@ impl WalWriter {
                 fsync: true,
                 appended: 0,
                 fsyncs: 0,
+                sync_nanos: None,
                 group: None,
             },
         ))
@@ -378,11 +384,26 @@ impl WalWriter {
             group.appended.fetch_add(1, Ordering::AcqRel);
         } else if self.fsync {
             crate::shim::notify(crate::shim::IoOp::WalSync, 0);
-            self.file.sync_data()?;
+            match &mut self.sync_nanos {
+                Some(total) => {
+                    let started = Instant::now();
+                    self.file.sync_data()?;
+                    *total += started.elapsed().as_nanos() as u64;
+                }
+                None => self.file.sync_data()?,
+            }
             self.fsyncs += 1;
         }
         self.appended += 1;
         Ok(())
+    }
+
+    /// Drains the time appends have spent waiting in their own `fdatasync` since the
+    /// last call, in nanoseconds.  The first call starts the timing (and returns 0):
+    /// a writer nobody asks pays no clock reads.  Group-commit syncs are not the
+    /// append path's and are not counted.
+    pub fn take_sync_nanos(&mut self) -> u64 {
+        self.sync_nanos.replace(0).unwrap_or(0)
     }
 
     /// Number of records appended through this writer.
@@ -455,6 +476,36 @@ mod tests {
 
     fn edges(pairs: &[(u32, u32)]) -> Vec<Edge> {
         pairs.iter().map(|&(s, t)| Edge::new(s, t)).collect()
+    }
+
+    #[test]
+    fn fsync_waits_are_timed_only_once_someone_asks() {
+        let dir = TempDir::new("wal-sync-nanos");
+        let mut writer = WalWriter::create(&dir.path().join("wal.log")).unwrap();
+        writer
+            .append(0, WalOp::Arrivals, &edges(&[(0, 1)]))
+            .unwrap();
+        assert_eq!(writer.sync_nanos, None, "no clock is read unasked");
+        assert_eq!(
+            writer.take_sync_nanos(),
+            0,
+            "the first call starts the timing"
+        );
+        writer
+            .append(1, WalOp::Arrivals, &edges(&[(1, 2)]))
+            .unwrap();
+        writer
+            .append(2, WalOp::Arrivals, &edges(&[(2, 3)]))
+            .unwrap();
+        assert!(writer.take_sync_nanos() > 0);
+        assert_eq!(writer.take_sync_nanos(), 0, "drained");
+        // An unsynced append has nothing to wait for.
+        writer.set_fsync(false);
+        writer
+            .append(3, WalOp::Arrivals, &edges(&[(3, 4)]))
+            .unwrap();
+        assert_eq!(writer.take_sync_nanos(), 0);
+        assert_eq!(writer.stats().fsyncs, 3);
     }
 
     #[test]

@@ -165,6 +165,15 @@ pub trait ServeEngine {
     /// Leaves WAL group-commit mode with one final covering sync.
     fn end_group_commit(&mut self) {}
 
+    /// Drains the nanoseconds [`ServeEngine::apply_and_record`] calls have spent
+    /// waiting for their own WAL `fdatasync` since the last call (the first call
+    /// starts the timing) — what lets an inline commit book that wait under
+    /// `commit.wal_sync` instead of `commit.apply`.  The default (in-memory
+    /// engines) has no WAL.
+    fn take_wal_sync_nanos(&mut self) -> Option<u64> {
+        None
+    }
+
     /// Emits the live engine's own telemetry layers (`store.*`, `work.*`,
     /// `batch.*`, the walk store's counters, `wal.*` when durable) into `out` —
     /// what lets [`QueryEngine::telemetry_snapshot`] fold the whole stack into
@@ -217,6 +226,10 @@ impl<K: WalkKind, W: WalkIndexMut + Sync> ServeEngine for WalkEngine<K, W> {
 
     fn end_group_commit(&mut self) {
         self.wal_end_group_commit();
+    }
+
+    fn take_wal_sync_nanos(&mut self) -> Option<u64> {
+        WalkEngine::take_wal_sync_nanos(self)
     }
 
     fn emit_metrics(&self, out: &mut SnapshotBuilder) {
@@ -691,6 +704,8 @@ impl<E: ServeEngine> QueryEngine<E> {
             .expect("commit mode always recoverable");
         committer.spans = Some(spans.clone());
         self.mode = CommitMode::Inline(Box::new(committer));
+        // From here on the WAL times the fsync inside each inline apply.
+        self.engine.take_wal_sync_nanos();
         self.telemetry = Some(tele.clone());
         self.spans = Some(spans);
         self.query_spans = Some(Arc::new(QuerySpans::new(tele)));
@@ -862,10 +877,20 @@ impl<E: ServeEngine> QueryEngine<E> {
             WriteOp::Arrivals(_) => GraphOp::Arrivals,
             WriteOp::Deletions(_) => GraphOp::Deletions,
         };
-        let stats = {
-            let _apply = self.spans.as_ref().map(|s| s.tele.time(&s.apply));
-            self.engine.apply_and_record(op, &mut self.recorder)
-        };
+        let timed = self.spans.as_ref().filter(|s| s.tele.is_enabled());
+        let timed = timed.map(|s| (s, s.tele.now_nanos()));
+        let stats = self.engine.apply_and_record(op, &mut self.recorder);
+        if let Some((s, started)) = timed {
+            // An inline durable commit fsyncs its WAL record inside the apply: that
+            // wait is `commit.wal_sync`'s (as on the pipelined path), not the
+            // reroute's.
+            let elapsed = s.tele.now_nanos().saturating_sub(started);
+            let sync = self.engine.take_wal_sync_nanos().unwrap_or(0);
+            s.apply.record(elapsed.saturating_sub(sync));
+            if sync > 0 {
+                s.wal_sync.record(sync);
+            }
+        }
         // Every append this batch made (durable engines append before mutating) is
         // at or below the group's current watermark.
         let wal_mark = self.group.as_ref().map(|group| group.appended());

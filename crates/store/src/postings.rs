@@ -380,6 +380,13 @@ impl PostingsIter<'_> {
         }
     }
 
+    /// Postings the cursor has not yielded yet, in O(blocks) — what lets a writer
+    /// put a run's count ahead of its entries without collecting them.
+    pub fn remaining(&self) -> usize {
+        let ahead: usize = self.blocks.clone().map(|b| b.entries.len()).sum();
+        self.entries.len() + ahead
+    }
+
     /// Block sums and postings [`Self::seek`] has read so far (observability only).
     pub fn scanned(&self) -> u64 {
         self.scanned
@@ -444,6 +451,11 @@ mod tests {
         let run: Vec<Entry> = model.iter().map(|(&id, &count)| (id, count)).collect();
         assert_eq!(p.iter().collect::<Vec<_>>(), run);
         assert_eq!(p.distinct(), run.len());
+        let mut cursor = p.iter();
+        for yielded in 0..=run.len() {
+            assert_eq!(cursor.remaining(), run.len() - yielded);
+            cursor.next();
+        }
         assert_eq!(p.is_empty(), run.is_empty());
         let total: u64 = run.iter().map(|&(_, count)| count as u64).sum();
         assert_eq!(p.total(), total);

@@ -12,11 +12,11 @@
 
 use ppr_graph::NodeId;
 use ppr_persist::layout::{PagedWalks, PersistentWalkStore, WALKS_PAGE_SIZE};
-use ppr_persist::snapshot::{SnapshotWriter, SECTION_WALKS};
+use ppr_persist::snapshot::SnapshotWriter;
 use ppr_persist::{set_thread_page_budget, DiskWalkStore, PageBudget, TempDir};
 use ppr_store::{SegmentId, StoreDigest, WalkIndexMut, WalkIndexView};
 use proptest::prelude::*;
-use std::io::{Seek, SeekFrom, Write};
+use std::io::{Cursor, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 const N: u32 = 48;
@@ -75,10 +75,10 @@ fn expand_path(node: u32, n: u32, mut seed: u64) -> Vec<NodeId> {
 }
 
 fn checkpoint_to(store: &mut DiskWalkStore, path: &Path) {
-    let payload = store.encode_walks().expect("encode_walks");
-    let mut w = SnapshotWriter::new();
-    w.add_section(SECTION_WALKS, payload);
-    w.write_to(path).expect("write snapshot");
+    let mut w = SnapshotWriter::new(Cursor::new(Vec::new())).expect("start snapshot");
+    store.encode_walks(&mut w).expect("encode_walks");
+    let file = w.finish().expect("finish snapshot").into_inner();
+    std::fs::write(path, file).expect("write snapshot");
     store.after_checkpoint(path).expect("after_checkpoint");
 }
 

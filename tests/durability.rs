@@ -607,6 +607,69 @@ fn checkpoint_retries_after_a_crash_between_wal_create_and_publish() {
 }
 
 #[test]
+fn a_checkpoint_that_fails_mid_stream_leaves_no_debris_and_retries() {
+    // Under a two-page cache a checkpoint carries its clean pages out of the
+    // previous generation's *file*; a rotted one is met mid-stream, long after the
+    // temp file of the new generation was started.
+    let tmp = TempDir::new("failed-checkpoint");
+    let root = tmp.path().join("store");
+    let budget = ppr_persist::PageBudget::bounded(2);
+    let previous = ppr_persist::set_thread_page_budget(Some(budget));
+    let pa = PreferentialAttachmentConfig::new(400, 4, 673);
+    let graph = DynamicGraph::from_edges(&preferential_attachment_edges(&pa), 400);
+    let config = MonteCarloConfig::new(0.2, 4).with_seed(673);
+    let mut engine = DurablePageRank::create_durable_disk(&root, graph, config).unwrap();
+    // One arrival out of a cold node: a few pages dirty, most of the heap clean.
+    engine.apply_arrivals(&[Edge::new(399, 398)]);
+    let dirty = engine.walk_store().dirty_pages();
+    assert!(dirty < 8, "{dirty} dirty pages");
+    let listing = || {
+        let mut names: Vec<String> = std::fs::read_dir(&root)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    };
+    let before = listing();
+
+    let snap0 = root.join("snap-000000.ppr");
+    let clean = std::fs::read(&snap0).unwrap();
+    let mut rotted = clean.clone();
+    // The heap is the tail of the file: one flipped byte in each of its last pages
+    // (whichever of them the arrival left clean will be read).
+    for page in 0..16 {
+        rotted[clean.len() - 100 - page * 4096] ^= 0x10;
+    }
+    std::fs::write(&snap0, &rotted).unwrap();
+    let error = engine.checkpoint().unwrap_err();
+    assert!(
+        matches!(error, ppr_core::PersistError::Corrupt(_)),
+        "{error}"
+    );
+    assert_eq!(listing(), before, "the failed attempt left files behind");
+    assert_eq!(
+        std::fs::read_to_string(root.join("CURRENT"))
+            .unwrap()
+            .trim(),
+        "0"
+    );
+    assert!(std::fs::read(&snap0).unwrap() == rotted);
+
+    // The engine stayed durable on generation 0; once the disk is healthy again the
+    // same call goes through.
+    std::fs::write(&snap0, &clean).unwrap();
+    engine.apply_arrivals(&[Edge::new(1, 2)]);
+    assert_eq!(engine.checkpoint().unwrap(), 1, "retry must succeed");
+    let edges = engine.graph().edge_count();
+    drop(engine);
+    let reopened = DurablePageRank::open(&root).unwrap();
+    ppr_persist::set_thread_page_budget(previous);
+    assert_eq!(reopened.graph().edge_count(), edges);
+    reopened.validate_segments().unwrap();
+}
+
+#[test]
 fn checkpoint_generations_rotate_and_prune() {
     let tmp = TempDir::new("rotation");
     let root = tmp.path().join("store");

@@ -10,7 +10,7 @@
 use fast_ppr::prelude::*;
 use ppr_graph::{CsrGraph, Edge};
 use ppr_persist::layout::{PagedWalks, PersistentWalkStore};
-use ppr_persist::snapshot::{SnapshotFile, SnapshotWriter, SECTION_WALKS};
+use ppr_persist::snapshot::{SnapshotFile, SnapshotWriter};
 use ppr_persist::TempDir;
 use ppr_scenario::{ChaosPlan, DurableChaos, Phase, PhaseKind, ScenarioRunner};
 use ppr_store::{SegmentId, StoreDigest, WalkIndexView};
@@ -503,13 +503,19 @@ fn arb_snap_op(n: u32) -> impl Strategy<Value = SnapOp> {
     ]
 }
 
-/// Writes one store's walks payload into a snapshot file and decodes it back.
+/// Streams one store's walks section into a snapshot file at `path`.
+fn write_walks_snapshot<W: PersistentWalkStore>(store: &mut W, path: &std::path::Path) {
+    let mut writer = SnapshotWriter::new(std::io::Cursor::new(Vec::new())).expect("start");
+    store.encode_walks(&mut writer).expect("encode");
+    let file = writer.finish().expect("finish").into_inner();
+    std::fs::write(path, file).expect("write snapshot");
+}
+
+/// Writes one store's walks section into a snapshot file and decodes it back.
 fn roundtrip_walks<W: PersistentWalkStore>(store: &mut W, tag: &str) -> W {
     let dir = TempDir::new(tag);
     let path = dir.path().join("snap.ppr");
-    let mut writer = SnapshotWriter::new();
-    writer.add_section(SECTION_WALKS, store.encode_walks().expect("encode"));
-    writer.write_to(&path).expect("write snapshot");
+    write_walks_snapshot(store, &path);
     W::decode_walks(PagedWalks::open(&path).expect("open walks")).expect("decode")
 }
 
@@ -598,9 +604,7 @@ proptest! {
         );
         let dir = TempDir::new("prop-corrupt");
         let path = dir.path().join("snap.ppr");
-        let mut writer = SnapshotWriter::new();
-        writer.add_section(SECTION_WALKS, engine.walk_store().clone().encode_walks().unwrap());
-        writer.write_to(&path).unwrap();
+        write_walks_snapshot(&mut engine.walk_store().clone(), &path);
 
         let mut bytes = std::fs::read(&path).unwrap();
         let flip_at = ((bytes.len() - 1) as f64 * position) as usize;

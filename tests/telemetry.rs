@@ -80,6 +80,46 @@ fn concurrent_recording_merges_every_thread_shard() {
 }
 
 #[test]
+fn an_inline_durable_commit_books_its_fsync_under_wal_sync() {
+    // Inline commits fsync the WAL inside the engine's apply.  With a registry
+    // attached that wait is timed by the WAL writer and recorded as
+    // `commit.wal_sync` — one sample per commit, as on the pipelined path — and
+    // carved out of `commit.apply`; a checkpoint's WAL rotation keeps it so.
+    let edges = preferential_attachment_edges(&PreferentialAttachmentConfig::new(96, 4, 0xF00D));
+    let config = MonteCarloConfig::new(0.2, 3).with_seed(0xD15C);
+    let dir = TempDir::new("telemetry-inline-sync");
+    let engine = DurablePageRank::create_durable_disk(
+        dir.path().join("store"),
+        DynamicGraph::with_nodes(96),
+        config,
+    )
+    .expect("create disk durable");
+
+    let tele = Telemetry::new();
+    let mut serving = QueryEngine::new(engine, 17).with_telemetry(&tele);
+    let chunks: Vec<_> = edges.chunks(48).collect();
+    let (first, rest) = chunks.split_at(chunks.len() / 2);
+    for chunk in first {
+        serving.commit_arrivals(chunk);
+    }
+    serving.engine_mut().checkpoint().expect("checkpoint");
+    for chunk in rest {
+        serving.commit_arrivals(chunk);
+    }
+
+    let snap = serving.telemetry_snapshot().expect("registry attached");
+    let commits = serving.epoch();
+    assert_eq!(snap.counter("wal.fsyncs"), Some(rest.len() as u64));
+    for stage in ["commit.apply", "commit.wal_sync", "commit.publish"] {
+        let hist = snap.histogram(stage).expect(stage);
+        assert_eq!(hist.count, commits, "{stage}: one sample per commit");
+    }
+    #[cfg(feature = "telemetry")]
+    assert!(snap.histogram("commit.wal_sync").unwrap().sum > 0);
+    serving.into_engine();
+}
+
+#[test]
 fn one_collect_sees_every_layer_of_a_durable_disk_session() {
     // The tentpole acceptance: a single `telemetry_snapshot()` of a pipelined,
     // durable, disk-backed serving session must cover the Social Store, the
