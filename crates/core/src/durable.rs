@@ -708,6 +708,9 @@ impl<K: WalkKind> WalkEngine<K, DiskWalkStore> {
 mod tests {
     use super::*;
     use crate::engine::Salsa;
+    use ppr_graph::{DynamicGraph, NodeId};
+    use ppr_persist::TempDir;
+    use ppr_store::StoreDigest;
 
     #[test]
     fn meta_round_trips_exactly() {
@@ -799,6 +802,103 @@ mod tests {
         );
         // The same bytes read as version 2 are rejected, not misread.
         assert!(decode_meta(&v1, 2).is_err());
+    }
+
+    /// Builds an engine over `graph` into `walks(node_count, segments per node)` in
+    /// bulk and through the per-segment reference, holds the two to each other —
+    /// draws, digest, every path and posting, arena geometry, and through `Debug`
+    /// every remaining field (slot offsets and capacities, postings blocks, shard
+    /// loads, file slots) — then makes both durable and compares their first
+    /// snapshot files byte for byte.
+    fn assert_bulk_build_equals_reference<K: WalkKind, W>(
+        graph: &DynamicGraph,
+        config: MonteCarloConfig,
+        shards: usize,
+        walks: impl Fn(usize, usize) -> W,
+        what: &str,
+    ) where
+        W: PersistentWalkStore + Sync + std::fmt::Debug,
+    {
+        let what = format!("{} {what}, n = {}", K::NAME, graph.node_count());
+        let build = |per_segment: bool| {
+            let store = SocialStore::from_graph(graph.clone(), shards);
+            let walks = walks(store.node_count(), K::segments_per_node(config.r));
+            if per_segment {
+                WalkEngine::<K, W>::with_store_per_segment(store, walks, config, shards)
+            } else {
+                WalkEngine::<K, W>::with_store(store, walks, config, shards)
+            }
+        };
+        let (bulk, reference) = (build(false), build(true));
+        assert_eq!(
+            bulk.initialization_steps(),
+            reference.initialization_steps(),
+            "{what}"
+        );
+        assert_eq!(bulk.rng.state(), reference.rng.state(), "{what}");
+        let (a, b) = (bulk.walk_store(), reference.walk_store());
+        assert_eq!(StoreDigest::of(a), StoreDigest::of(b), "{what}");
+        assert_eq!(a.arena_stats(), b.arena_stats(), "{what}");
+        for node in 0..graph.node_count() {
+            let node = NodeId::from_index(node);
+            for id in a.segment_ids_of(node) {
+                assert_eq!(a.segment_path(id), b.segment_path(id), "{what}: {id:?}");
+            }
+            assert!(
+                a.segments_visiting(node).eq(b.segments_visiting(node)),
+                "{what}: postings of {node}"
+            );
+        }
+        assert_eq!(format!("{a:?}"), format!("{b:?}"), "{what}");
+        bulk.validate_segments().unwrap();
+
+        let tmp = TempDir::new("bulk-build");
+        let snapshot = |engine: WalkEngine<K, W>, name: &str| {
+            let root = tmp.path().join(name);
+            drop(engine.make_durable(&root).unwrap());
+            std::fs::read(StoreDir::open(root).unwrap().snapshot_path(0)).unwrap()
+        };
+        assert!(
+            snapshot(bulk, "bulk") == snapshot(reference, "reference"),
+            "{what}: first snapshot files differ"
+        );
+    }
+
+    fn assert_every_layout_builds_like_the_reference<K: WalkKind>(
+        graph: &DynamicGraph,
+        config: MonteCarloConfig,
+    ) {
+        assert_bulk_build_equals_reference::<K, _>(graph, config, 1, WalkStore::new, "flat");
+        for shards in [1, 4] {
+            assert_bulk_build_equals_reference::<K, _>(
+                graph,
+                config,
+                shards,
+                |n, r| ShardedWalkStore::new(n, r, shards),
+                &format!("{shards} shards"),
+            );
+        }
+        assert_bulk_build_equals_reference::<K, _>(graph, config, 1, DiskWalkStore::new, "disk");
+    }
+
+    #[test]
+    fn bulk_construction_equals_the_per_segment_loop() {
+        let cases = [
+            (DynamicGraph::with_nodes(0), MonteCarloConfig::new(0.2, 3)),
+            (DynamicGraph::with_nodes(70), MonteCarloConfig::new(0.2, 2)),
+            (
+                ppr_graph::generators::preferential_attachment(200, 4, 31),
+                MonteCarloConfig::new(0.25, 1).with_seed(5),
+            ),
+            (
+                ppr_graph::generators::preferential_attachment(400, 3, 32),
+                MonteCarloConfig::new(0.2, 3).with_seed(6),
+            ),
+        ];
+        for (graph, config) in &cases {
+            assert_every_layout_builds_like_the_reference::<PageRank>(graph, *config);
+            assert_every_layout_builds_like_the_reference::<Salsa>(graph, *config);
+        }
     }
 
     #[test]

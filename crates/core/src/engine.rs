@@ -19,6 +19,18 @@
 //!   [`WalkEngine::from_graph_sharded`], the file-backed `DiskWalkStore` through
 //!   [`crate::durable`].
 //!
+//! # Construction
+//!
+//! The PageRank Store starts as `nR/ε` visits built once, so construction is priced
+//! as one pass over them.  Every constructor draws each node's segments — node by
+//! node, slot by slot, from the one construction stream — into a single
+//! [`SegmentRewrites`] plan, and installs the plan with one
+//! [`WalkIndexMut::fill`]: the store writes its arena in plan order and counts its
+//! visit index once, with no postings update per visit.  A draw reads the graph
+//! and never the walks, so the draws, `initialization_steps` and every path are
+//! those of installing each segment as soon as it is drawn.  Nodes an arrival
+//! batch creates later are drawn the same way and installed segment by segment.
+//!
 //! # The reroute argument
 //!
 //! A step of direction `d` leaving node `p` picks uniformly among `p`'s `d`-edges
@@ -309,7 +321,29 @@ impl<K: WalkKind, W: WalkIndexMut + Sync> WalkEngine<K, W> {
         }
     }
 
+    /// Builds the engine around an empty `walks`: draws every node's segments into
+    /// one plan, then installs it with a single [`WalkIndexMut::fill`] (see the
+    /// [module docs](self#construction)).
     pub(crate) fn with_store(
+        store: SocialStore,
+        mut walks: W,
+        config: MonteCarloConfig,
+        threads: usize,
+    ) -> Self {
+        let node_count = store.node_count();
+        walks.set_compaction_threshold(config.compaction_threshold);
+        let rng = SmallRng::seed_from_u64(config.seed.wrapping_add(K::SEED_SALT));
+        let mut engine = Self::assemble(store, walks, config, rng, threads);
+        let mut plan = SegmentRewrites::new();
+        engine.draw_segments(0..node_count, &mut plan);
+        engine.walks.fill(&plan);
+        engine
+    }
+
+    /// The per-segment construction [`Self::with_store`] replaced, kept as its
+    /// reference: the same draws, each installed with its own `set_segment`.
+    #[cfg(test)]
+    pub(crate) fn with_store_per_segment(
         store: SocialStore,
         mut walks: W,
         config: MonteCarloConfig,
@@ -602,11 +636,37 @@ impl<K: WalkKind, W: WalkIndexMut + Sync> WalkEngine<K, W> {
         }
         self.store.ensure_nodes(n);
         self.walks.ensure_nodes(n);
-        for node in before..n {
-            self.generate_segments_for(NodeId::from_index(node));
+        let mut plan = SegmentRewrites::new();
+        self.draw_segments(before..n, &mut plan);
+        for (id, path) in plan.iter() {
+            self.walks.set_segment(id, path);
         }
     }
 
+    /// Draws every segment of `nodes`, node by node and slot by slot, from the
+    /// construction stream into `plan`, charging the steps to
+    /// `initialization_steps`.  A draw reads the graph only, never the walks, so
+    /// drawing a whole node range before installing any of it takes exactly the
+    /// draws the per-segment loop did.
+    fn draw_segments(&mut self, nodes: std::ops::Range<usize>, plan: &mut SegmentRewrites) {
+        let segments = K::segments_per_node(self.config.r);
+        for node in nodes {
+            let node = NodeId::from_index(node);
+            for slot in 0..segments {
+                self.initialization_steps += fresh_segment::<K>(
+                    self.store.graph(),
+                    &self.config,
+                    node,
+                    slot,
+                    &mut self.rng,
+                    &mut self.scratch,
+                );
+                plan.push(SegmentId::new(node, slot, segments), &self.scratch);
+            }
+        }
+    }
+
+    #[cfg(test)]
     fn generate_segments_for(&mut self, node: NodeId) {
         let segments = K::segments_per_node(self.config.r);
         for slot in 0..segments {

@@ -368,14 +368,6 @@ impl DiskWalkStore {
         Ok(())
     }
 
-    /// Freezes an epoch-pinned, copy-on-write snapshot view (see
-    /// [`ppr_store::FrozenWalks`]) — the disk store serves queries exactly like the
-    /// in-memory layouts.  On a demand-paged store this faults every live segment
-    /// once (the frozen mirror is O(store) regardless).
-    pub fn snapshot_view(&self, epoch: u64) -> ppr_store::FrozenWalks {
-        ppr_store::FrozenWalks::from_index(self, epoch)
-    }
-
     /// Current heap geometry as `(heap_len_steps, live_steps, garbage_steps)`.
     pub fn heap_geometry(&self) -> (u64, u64, u64) {
         (self.heap_len, self.live, self.dead)
@@ -959,6 +951,17 @@ impl WalkIndexMut for DiskWalkStore {
         self.update_file_slot(id.index(), 0);
     }
 
+    /// Fills the resident store in bulk, then reserves the file slots in plan order
+    /// (slot order, for a construction plan) — the heap layout, and so every
+    /// snapshot byte, is the sequential loop's.  An empty store has nothing on
+    /// disk to materialize first.
+    fn fill(&mut self, plan: &SegmentRewrites) {
+        self.resident.fill(plan);
+        for (id, path) in plan.iter() {
+            self.update_file_slot(id.index(), path.len());
+        }
+    }
+
     fn apply_rewrites(&mut self, rewrites: &SegmentRewrites, _threads: usize) {
         for (id, path) in rewrites.iter() {
             self.set_segment(id, path);
@@ -1192,7 +1195,7 @@ mod tests {
     fn snapshot_view_freezes_the_resident_image() {
         let mut store = DiskWalkStore::new(6, 2);
         store.set_segment(SegmentId::new(NodeId(2), 1, 2), &path_of(&[2, 5, 0]));
-        let view = store.snapshot_view(7);
+        let view = ppr_store::FrozenWalks::from_index(&store, 7);
         assert_eq!(view.epoch(), 7);
         assert_eq!(view.node_count(), 6);
         assert_eq!(view.total_visits(), store.total_visits());
@@ -1535,6 +1538,28 @@ mod tests {
         assert!(std::fs::read(&gen1).unwrap() == whole);
         assert!(!gen1.with_extension("tmp").exists());
         assert!(WalkIndexMut::check_consistency(&store).is_ok());
+    }
+
+    #[test]
+    fn fill_lays_out_the_heap_like_the_set_segment_loop() {
+        let tmp = TempDir::new("disk-fill");
+        let mut looped = many_pages(600);
+        let mut plan = SegmentRewrites::new();
+        for slot in 0..600u32 {
+            plan.push(SegmentId(slot), looped.segment_path(SegmentId(slot)));
+        }
+        let mut filled = DiskWalkStore::new(600, 1);
+        filled.fill(&plan);
+        assert_eq!(filled.dir, looped.dir);
+        assert_eq!(filled.by_offset, looped.by_offset);
+        assert_eq!(filled.heap_geometry(), looped.heap_geometry());
+        assert_eq!(filled.stats(), looped.stats());
+        assert_eq!(filled.arena_stats(), looped.arena_stats());
+        assert!(WalkIndexMut::check_consistency(&filled).is_ok());
+        let (a, b) = (tmp.path().join("filled.ppr"), tmp.path().join("looped.ppr"));
+        checkpoint_to(&mut filled, &a);
+        checkpoint_to(&mut looped, &b);
+        assert!(std::fs::read(&a).unwrap() == std::fs::read(&b).unwrap());
     }
 
     #[test]

@@ -218,6 +218,15 @@ impl StepArena {
         }
     }
 
+    /// Every slot's `(offset, len, cap)`: the layout two arenas are compared by.
+    #[cfg(test)]
+    pub(crate) fn geometry(&self) -> Vec<(usize, u32, u32)> {
+        self.slots
+            .iter()
+            .map(|s| (s.offset, s.len, s.cap))
+            .collect()
+    }
+
     /// Capacity reserved for a path of `len` steps: next power of two, at least
     /// [`MIN_SLOT_CAP`].
     #[inline]

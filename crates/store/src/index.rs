@@ -18,7 +18,8 @@
 //! without touching a single engine.
 //!
 //! [`WalkIndexMut`] is the matching write surface: growing the node set, rewriting or
-//! clearing one segment, and applying a whole [`SegmentRewrites`] plan at once.  The
+//! clearing one segment, filling an empty store from a construction plan with one
+//! bulk index build, and applying a whole [`SegmentRewrites`] plan at once.  The
 //! plan-based entry point is what makes parallel maintenance possible: the engines
 //! compute every repair against the immutable pre-batch store, then hand the finished
 //! plan to the store, which is free to apply it with one thread or many — the result is
@@ -254,6 +255,18 @@ pub trait WalkIndexMut: WalkIndex {
     /// Clears the segment with the given id (used before regenerating it from scratch).
     fn clear_segment(&mut self, id: SegmentId);
 
+    /// Installs a whole plan into a store that holds no visits yet — engine
+    /// construction's one write.  Must leave exactly the state the sequential
+    /// [`WalkIndexMut::set_segment`] loop over the plan would (arena geometry
+    /// included), but builds the visit index once, in bulk, instead of one postings
+    /// update per visit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the store already holds visits, or on a path
+    /// [`WalkIndexMut::set_segment`] would reject.
+    fn fill(&mut self, plan: &SegmentRewrites);
+
     /// Recomputes the visit index from scratch and compares it against the maintained
     /// counters and postings.
     fn check_consistency(&self) -> Result<(), String>;
@@ -355,6 +368,10 @@ impl WalkIndexMut for WalkStore {
 
     fn clear_segment(&mut self, id: SegmentId) {
         WalkStore::clear_segment(self, id);
+    }
+
+    fn fill(&mut self, plan: &SegmentRewrites) {
+        WalkStore::fill(self, plan);
     }
 
     fn check_consistency(&self) -> Result<(), String> {

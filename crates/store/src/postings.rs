@@ -333,6 +333,19 @@ impl VisitPostings {
     pub fn is_empty(&self) -> bool {
         self.head.entries.is_empty() && self.tail.is_none()
     }
+
+    /// Whether every block sits at its exact capacity and every block but the last
+    /// is full — the shape [`Self::from_sorted_run`] builds.
+    #[cfg(test)]
+    pub(crate) fn is_packed(&self) -> bool {
+        let blocks: Vec<&Block> = self.blocks().collect();
+        blocks
+            .iter()
+            .all(|block| block.entries.capacity() == block.entries.len())
+            && blocks[..blocks.len() - 1]
+                .iter()
+                .all(|block| block.entries.len() == CHUNK)
+    }
 }
 
 /// Forward-only cursor over a [`VisitPostings`]: an iterator of `(segment, count)` in

@@ -29,7 +29,7 @@ use crate::metrics::ShardLoad;
 use crate::postings::{PostingsIter, VisitPostings};
 use crate::routing;
 use crate::segment::SegmentId;
-use crate::walks::{common_prefix_len, forget_visits};
+use crate::walks::{common_prefix_len, forget_visits, CountedIndex};
 use ppr_graph::NodeId;
 use std::time::{Duration, Instant};
 
@@ -210,12 +210,6 @@ impl ShardedWalkStore {
         for shard in &mut self.shards {
             shard.arena.set_compaction_threshold(ratio);
         }
-    }
-
-    /// Freezes an epoch-pinned, copy-on-write snapshot view of the store (see
-    /// [`crate::view::FrozenWalks`]).
-    pub fn snapshot_view(&self, epoch: u64) -> crate::view::FrozenWalks {
-        crate::view::FrozenWalks::from_index(self, epoch)
     }
 
     fn assert_valid_path(&self, id: SegmentId, path: &[NodeId]) {
@@ -421,6 +415,39 @@ impl WalkIndexMut for ShardedWalkStore {
 
     fn set_segment(&mut self, id: SegmentId, path: &[NodeId]) {
         self.set_segment_impl(id, path);
+    }
+
+    /// Writes every owned segment into its shard's arena in plan order, then counts
+    /// the visit index once over all segments and hands each shard the postings and
+    /// counters of the nodes it owns.  The shard loads read as the sequential loop's
+    /// would: one postings update per stored visit.
+    fn fill(&mut self, plan: &SegmentRewrites) {
+        assert_eq!(
+            self.total_visits(),
+            0,
+            "fill builds the index of an empty store, and this one holds visits"
+        );
+        for (id, path) in plan.iter() {
+            self.assert_valid_path(id, path);
+            let slot = self.local_slot(id);
+            let owner = self.shard_of_segment(id);
+            let shard = &mut self.shards[owner];
+            shard.arena.write(slot, path);
+            shard.load.segments_rewritten += 1;
+            shard.load.steps_written += path.len() as u64;
+        }
+        let counted = CountedIndex::count(self.node_count, self.node_count * self.r, |s| {
+            self.segment_path(SegmentId(s as u32))
+        });
+        let nodes = CountedIndex::postings(counted.runs).zip(counted.visit_counts);
+        for (g, (postings, visits)) in nodes.enumerate() {
+            let shard = &mut self.shards[g % self.shard_count];
+            let local = g / self.shard_count;
+            shard.postings[local] = postings;
+            shard.visit_counts[local] = visits;
+            shard.total_visits += visits;
+            shard.load.postings_updates += visits;
+        }
     }
 
     fn clear_segment(&mut self, id: SegmentId) {
@@ -666,6 +693,55 @@ mod tests {
             par.apply_rewrites(&plan, 4);
             assert_eq!(par.visit_counts(), seq.visit_counts());
         }
+    }
+
+    #[test]
+    fn fill_equals_the_set_segment_loop_on_every_shard() {
+        let (n, r) = (90u32, 3usize);
+        let mut plan = SegmentRewrites::new();
+        for g in 0..n {
+            for slot in 0..r {
+                let len = (g as usize * 5 + slot) % 9;
+                // Every other visit lands on hub node 7, which ends up with several
+                // postings blocks on its shard.
+                let p: Vec<u32> = (0..len as u32)
+                    .map(|k| match k {
+                        0 => g,
+                        k if k % 2 == 1 => 7,
+                        k => (g + k * 11) % n,
+                    })
+                    .collect();
+                plan.push(SegmentId::new(NodeId(g), slot, r), &path(&p));
+            }
+        }
+        for shard_count in [1usize, 2, 3, 4] {
+            let mut filled = ShardedWalkStore::new(n as usize, r, shard_count);
+            filled.fill(&plan);
+            let mut looped = ShardedWalkStore::new(n as usize, r, shard_count);
+            for (id, p) in plan.iter() {
+                looped.set_segment(id, p);
+            }
+            let mut flat = WalkStore::new(n as usize, r);
+            flat.fill(&plan);
+            assert_matches_walk_store(&filled, &flat);
+            assert_matches_walk_store(&looped, &flat);
+            assert_eq!(filled.shard_loads(), looped.shard_loads());
+            assert_eq!(filled.shard_visit_totals(), looped.shard_visit_totals());
+            for (a, b) in filled.shards.iter().zip(&looped.shards) {
+                assert_eq!(a.arena.geometry(), b.arena.geometry());
+                assert_eq!(a.arena.stats(), b.arena.stats());
+                assert!(a.postings.iter().all(|p| p.cost.records == 0));
+                assert!(a.postings.iter().all(VisitPostings::is_packed));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "fill builds the index of an empty store")]
+    fn fill_refuses_a_store_that_holds_visits() {
+        let mut store = ShardedWalkStore::new(4, 1, 2);
+        store.set_segment(SegmentId(1), &path(&[1, 2]));
+        store.fill(&SegmentRewrites::new());
     }
 
     #[test]

@@ -27,6 +27,17 @@
 //! clone as the next generation (see `ppr-serve`).  Readers pin a generation by
 //! cloning one `Arc` and then proceed without any further synchronisation: every
 //! chunk they can reach is immutable.
+//!
+//! # Construction
+//!
+//! The mirror is seeded once per serving session — every restart — and the seed is
+//! one pass over the data.  [`FrozenWalks::from_index`] sweeps the store's paths in
+//! segment order, sizing each walk chunk's buffer once before filling it, and copies
+//! the visit counts chunk by chunk; [`FrozenGraph::from_graph`] builds each adjacency leaf
+//! straight from the graph's lists.  Neither goes through a copy-on-write
+//! `Spine::get_mut` or a per-visit counter update: those price a batch, and a seed
+//! is not one.  A demand-paged store's segments fault in through
+//! [`WalkIndexView::segment_path`], each once.
 
 use crate::index::WalkIndexView;
 use crate::segment::SegmentId;
@@ -49,6 +60,14 @@ pub const COUNTS_PER_CHUNK: usize = 128;
 /// (see `AdjChunk`), so copying one is a memcpy of the member nodes' lists — small
 /// chunks keep the bill per touched endpoint down to a few hundred bytes.
 pub const NODES_PER_GRAPH_CHUNK: usize = 16;
+
+/// A seeded walk chunk reserves `1 / SEED_HEADROOM` more steps than it holds.  Commits
+/// rewrite a chunk's segments in its own buffer whenever the chunk is not shared, and
+/// a quarter of headroom absorbs their length changes there; seeded at exact
+/// capacity, every rewrite that lengthened a chunk reallocated it, and the serving
+/// window's peak resident set read 1–2 % higher on four of the five benchmark
+/// workloads.
+const SEED_HEADROOM: usize = 4;
 
 /// Leaf chunks per walk-spine block (see `Spine`); `B ≈ √C` for a few-thousand-node
 /// store's segment chunk count `C`.
@@ -104,6 +123,28 @@ impl<T: Clone, const B: usize> Spine<T, B> {
         Spine {
             root: Arc::new(Vec::new()),
             len: 0,
+            copies: SpineCopyStats::default(),
+        }
+    }
+
+    /// A spine over `leaves`, in order: each leaf moved into its own `Arc` once and
+    /// grouped `B` to a block — no copy-on-write bookkeeping, nothing shared yet.
+    fn from_leaves(leaves: impl Iterator<Item = T>) -> Self {
+        let mut blocks: Vec<Vec<Arc<T>>> = Vec::new();
+        let mut len = 0;
+        for leaf in leaves {
+            if len % B == 0 {
+                blocks.push(Vec::with_capacity(B));
+            }
+            blocks
+                .last_mut()
+                .expect("a block was opened for this leaf")
+                .push(Arc::new(leaf));
+            len += 1;
+        }
+        Spine {
+            root: Arc::new(blocks.into_iter().map(Arc::new).collect()),
+            len,
             copies: SpineCopyStats::default(),
         }
     }
@@ -292,20 +333,87 @@ pub struct FrozenWalks {
     counts: Spine<Vec<u64>, COUNT_BLOCK>,
 }
 
+/// Moves node `node`'s visit count by `net` in a view pinned to `epoch`.  A count
+/// that would leave `u64` means the mirror has fallen out of step with the engine it
+/// copies: a checked failure in every build, never a published `W(v)` near 2⁶⁴.
+fn shift_count(count: &mut u64, net: i64, node: usize, epoch: u64) {
+    let Some(shifted) = count.checked_add_signed(net) else {
+        panic!(
+            "cannot move the visit count {count} of node {node} by {net} in the view at \
+             epoch {epoch}"
+        );
+    };
+    *count = shifted;
+}
+
 impl FrozenWalks {
-    /// Freezes a full copy of `store` as epoch `epoch`.  O(store) — done once; later
-    /// generations advance incrementally through [`FrozenWalks::apply_rewrites`].
+    /// Freezes a full copy of `store` as epoch `epoch`.  O(store), done once, in one
+    /// sweep of the store's paths: each [`SEGMENTS_PER_CHUNK`]-segment walk chunk is
+    /// sized once from the segment lengths (plus a quarter of headroom for later
+    /// commits) and filled, and the visit
+    /// counts are copied chunk by chunk from [`WalkIndexView::visit_counts`] — no
+    /// per-visit counter update and no copy-on-write bookkeeping.  Later generations
+    /// advance incrementally through [`FrozenWalks::apply_rewrites`].
     pub fn from_index<W: WalkIndexView + ?Sized>(store: &W, epoch: u64) -> Self {
         let r = store.r();
+        assert!(r >= 1, "need at least one walk segment per node");
         let node_count = store.node_count();
-        let mut frozen = FrozenWalks::empty(r, node_count, epoch);
-        for node in 0..node_count {
-            let node = NodeId::from_index(node);
-            for id in store.segment_ids_of(node) {
+        let segments = node_count * r;
+        let chunks = Spine::from_leaves((0..segments.div_ceil(SEGMENTS_PER_CHUNK)).map(|c| {
+            let ids = (c * SEGMENTS_PER_CHUNK..segments.min((c + 1) * SEGMENTS_PER_CHUNK))
+                .map(|slot| SegmentId(slot as u32));
+            let len: usize = ids.clone().map(|id| store.segment_len(id)).sum();
+            let mut chunk = WalkChunk {
+                bounds: Vec::with_capacity(SEGMENTS_PER_CHUNK + 1),
+                steps: Vec::with_capacity(len + len / SEED_HEADROOM),
+            };
+            chunk.bounds.push(0);
+            for id in ids {
+                chunk.steps.extend_from_slice(store.segment_path(id));
+                chunk.bounds.push(chunk.steps.len() as u32);
+            }
+            chunk
+                .bounds
+                .resize(SEGMENTS_PER_CHUNK + 1, chunk.steps.len() as u32);
+            chunk
+        }));
+        let counts =
+            Spine::from_leaves(store.visit_counts().chunks(COUNTS_PER_CHUNK).map(|counts| {
+                let mut leaf = vec![0; COUNTS_PER_CHUNK];
+                leaf[..counts.len()].copy_from_slice(counts);
+                leaf
+            }));
+        let frozen = FrozenWalks {
+            r,
+            node_count,
+            total_visits: store.total_visits(),
+            epoch,
+            chunks,
+            counts,
+        };
+        debug_assert_eq!(
+            frozen
+                .chunks
+                .iter()
+                .map(|chunk| chunk.steps.len() as u64)
+                .sum::<u64>(),
+            frozen.total_visits,
+            "the store's paths and its visit total disagree"
+        );
+        frozen
+    }
+
+    /// The per-segment seed [`FrozenWalks::from_index`] replaced, kept as its
+    /// reference: an empty view advanced by one [`FrozenWalks::set_segment`] per
+    /// segment.
+    #[cfg(test)]
+    pub(crate) fn from_index_per_segment<W: WalkIndexView + ?Sized>(store: &W, epoch: u64) -> Self {
+        let mut frozen = FrozenWalks::empty(store.r(), store.node_count(), epoch);
+        for node in 0..store.node_count() {
+            for id in store.segment_ids_of(NodeId::from_index(node)) {
                 frozen.set_segment(id, store.segment_path(id));
             }
         }
-        debug_assert_eq!(frozen.total_visits, store.total_visits());
         frozen
     }
 
@@ -344,7 +452,8 @@ impl FrozenWalks {
     }
 
     /// Grows the view to address at least `n` nodes (new nodes start with empty
-    /// segments; mirror the engine with [`FrozenWalks::sync_segments_from`]).
+    /// segments; the committer installs the engine's with
+    /// [`FrozenWalks::set_segment_recording`]).
     pub fn ensure_nodes(&mut self, n: usize) {
         if n <= self.node_count {
             return;
@@ -371,9 +480,9 @@ impl FrozenWalks {
             let old_len = chunk.path(local).len();
             // Old visits out, new visits in; both paths address nodes inside the view.
             for k in 0..old_len {
-                let v = chunk.path(local)[k];
-                let counts = self.counts.get_mut(v.index() / COUNTS_PER_CHUNK);
-                counts[v.index() % COUNTS_PER_CHUNK] -= 1;
+                let v = chunk.path(local)[k].index();
+                let counts = self.counts.get_mut(v / COUNTS_PER_CHUNK);
+                shift_count(&mut counts[v % COUNTS_PER_CHUNK], -1, v, self.epoch);
             }
             chunk.set(local, path);
             old_len
@@ -453,7 +562,7 @@ impl FrozenWalks {
                 if net != 0 {
                     touched.deltas.push((node, net));
                     let count = &mut chunk[node as usize % COUNTS_PER_CHUNK];
-                    *count = (*count as i64 + net as i64) as u64;
+                    shift_count(count, net as i64, node as usize, self.epoch);
                 }
             }
         }
@@ -515,28 +624,10 @@ impl FrozenWalks {
         for &(node, net) in &touched.deltas {
             let chunk = self.counts.get_mut(node as usize / COUNTS_PER_CHUNK);
             let count = &mut chunk[node as usize % COUNTS_PER_CHUNK];
-            *count = (*count as i64 + net as i64) as u64;
+            shift_count(count, net as i64, node as usize, self.epoch);
         }
         self.total_visits = front.total_visits;
         self.epoch = front.epoch;
-    }
-
-    /// Copies the segments of nodes `from..to` out of a live store — the node-growth
-    /// companion of [`FrozenWalks::apply_rewrites`]: segments generated for brand-new
-    /// nodes never appear in a rewrite plan.
-    pub fn sync_segments_from<W: WalkIndexView + ?Sized>(
-        &mut self,
-        store: &W,
-        from: usize,
-        to: usize,
-    ) {
-        self.ensure_nodes(to);
-        for node in from..to {
-            let node = NodeId::from_index(node);
-            for id in store.segment_ids_of(node) {
-                self.set_segment(id, store.segment_path(id));
-            }
-        }
     }
 }
 
@@ -608,6 +699,34 @@ impl AdjChunk {
         }
     }
 
+    /// One direction's adjacency spine over `node_count` nodes, `list` giving each
+    /// node's neighbours: every non-empty list copied once into its own `Arc`, every
+    /// empty one (and every slot past the last node) pointing at `empty`.
+    fn spine<'g>(
+        node_count: usize,
+        empty: &Arc<Vec<NodeId>>,
+        list: impl Fn(NodeId) -> &'g [NodeId],
+    ) -> Spine<AdjChunk, GRAPH_BLOCK> {
+        Spine::from_leaves((0..node_count.div_ceil(NODES_PER_GRAPH_CHUNK)).map(|c| {
+            let nodes = c * NODES_PER_GRAPH_CHUNK..(c + 1) * NODES_PER_GRAPH_CHUNK;
+            let lists = nodes
+                .map(|v| {
+                    let list = if v < node_count {
+                        list(NodeId::from_index(v))
+                    } else {
+                        &[]
+                    };
+                    if list.is_empty() {
+                        Arc::clone(empty)
+                    } else {
+                        Arc::new(list.to_vec())
+                    }
+                })
+                .collect();
+            AdjChunk { lists }
+        }))
+    }
+
     #[inline]
     fn list(&self, local: usize) -> &[NodeId] {
         &self.lists[local]
@@ -619,8 +738,9 @@ impl AdjChunk {
 /// direction — an edge commit touches its source's out-chunk and its target's
 /// in-chunk, never the other direction of either endpoint.
 ///
-/// Cloning is cheap; [`FrozenGraph::refresh_nodes`] advances it by one batch, copying
-/// only the chunks holding endpoints the batch touched.
+/// Cloning is cheap; replaying a batch's edges ([`FrozenGraph::add_edge`],
+/// [`FrozenGraph::remove_edge`]) advances it, copying only the chunks holding
+/// endpoints the batch touched.
 #[derive(Debug, Clone)]
 pub struct FrozenGraph {
     node_count: usize,
@@ -644,12 +764,19 @@ impl FrozenGraph {
         }
     }
 
-    /// Freezes a full copy of `graph`.  O(graph) — done once per serving session.
+    /// Freezes a full copy of `graph`.  O(graph), done once per serving session: each
+    /// adjacency chunk is built directly from the graph's lists, empty lists sharing
+    /// the one empty list.
     pub fn from_graph<G: GraphView + ?Sized>(graph: &G) -> Self {
-        let mut frozen = FrozenGraph::empty();
-        frozen.ensure_nodes(graph.node_count());
-        frozen.refresh_nodes(graph, graph.nodes());
-        frozen
+        let node_count = graph.node_count();
+        let empty = Arc::new(Vec::new());
+        FrozenGraph {
+            node_count,
+            edge_count: graph.edge_count(),
+            out: AdjChunk::spine(node_count, &empty, |v| graph.out_neighbors(v)),
+            incoming: AdjChunk::spine(node_count, &empty, |v| graph.in_neighbors(v)),
+            empty,
+        }
     }
 
     /// Grows the view to address at least `n` nodes (new nodes start isolated).
@@ -669,73 +796,6 @@ impl FrozenGraph {
     /// [`FrozenWalks::take_copy_stats`]).
     pub fn take_copy_stats(&mut self) -> SpineCopyStats {
         self.out.take_copies().merge(self.incoming.take_copies())
-    }
-
-    /// Re-copies the adjacency lists of `nodes` out of `graph` (which must already
-    /// reflect the batch), keeping `edge_count` in sync with the source graph.  The
-    /// writer calls this with the distinct endpoints of each committed batch.
-    pub fn refresh_nodes<G: GraphView + ?Sized>(
-        &mut self,
-        graph: &G,
-        nodes: impl IntoIterator<Item = NodeId>,
-    ) {
-        self.ensure_nodes(graph.node_count());
-        for node in nodes {
-            self.refresh_out(graph, node);
-            self.refresh_in(graph, node);
-        }
-        self.edge_count = graph.edge_count();
-    }
-
-    /// Direction-split refresh for edge batches: an edge only changes its source's
-    /// out-list and its target's in-list, so the writer refreshes exactly those —
-    /// half the work of refreshing both directions of every endpoint.  Both node
-    /// sets must come from the post-batch `graph`.
-    pub fn refresh_endpoints<G: GraphView + ?Sized>(
-        &mut self,
-        graph: &G,
-        sources: impl IntoIterator<Item = NodeId>,
-        targets: impl IntoIterator<Item = NodeId>,
-    ) {
-        self.ensure_nodes(graph.node_count());
-        for node in sources {
-            self.refresh_out(graph, node);
-        }
-        for node in targets {
-            self.refresh_in(graph, node);
-        }
-        self.edge_count = graph.edge_count();
-    }
-
-    fn refresh_out<G: GraphView + ?Sized>(&mut self, graph: &G, node: NodeId) {
-        self.set_out_list(node, Arc::new(graph.out_neighbors(node).to_vec()));
-    }
-
-    fn refresh_in<G: GraphView + ?Sized>(&mut self, graph: &G, node: NodeId) {
-        self.set_in_list(node, Arc::new(graph.in_neighbors(node).to_vec()));
-    }
-
-    /// Replaces one node's out-list with an already-materialised shared list in one
-    /// pointer swap.  Empty lists collapse onto the shared empty list.
-    pub fn set_out_list(&mut self, node: NodeId, list: Arc<Vec<NodeId>>) {
-        let list = if list.is_empty() {
-            Arc::clone(&self.empty)
-        } else {
-            list
-        };
-        let chunk = self.out.get_mut(node.index() / NODES_PER_GRAPH_CHUNK);
-        chunk.lists[node.index() % NODES_PER_GRAPH_CHUNK] = list;
-    }
-
-    /// The in-list counterpart of [`FrozenGraph::set_out_list`].
-    pub fn set_in_list(&mut self, node: NodeId, list: Arc<Vec<NodeId>>) {
-        let list = if list.is_empty() {
-            Arc::clone(&self.empty)
-        } else {
-            list
-        };
-        let chunk = self.incoming.get_mut(node.index() / NODES_PER_GRAPH_CHUNK);
-        chunk.lists[node.index() % NODES_PER_GRAPH_CHUNK] = list;
     }
 
     /// Replays one edge arrival — bit-exactly `DynamicGraph::add_edge`: the target
@@ -795,7 +855,7 @@ impl FrozenGraph {
     }
 
     /// Stamps the view's edge count (the committer sets it to the post-batch value
-    /// the writer recorded; the `refresh_*` paths read it off the live graph).
+    /// the writer recorded).
     pub fn set_edge_count(&mut self, edges: usize) {
         self.edge_count = edges;
     }
@@ -894,6 +954,50 @@ mod tests {
         }
     }
 
+    /// Holds the bulk seed of `store` to the per-segment reference, field by field and
+    /// leaf by leaf, and to the store itself; returns the bulk seed.
+    fn assert_seed_matches_reference<W: WalkIndexView>(
+        store: &W,
+        epoch: u64,
+        context: &str,
+    ) -> FrozenWalks {
+        let bulk = FrozenWalks::from_index(store, epoch);
+        let reference = FrozenWalks::from_index_per_segment(store, epoch);
+        assert_eq!(
+            (bulk.r, bulk.node_count, bulk.total_visits, bulk.epoch),
+            (
+                reference.r,
+                reference.node_count,
+                reference.total_visits,
+                reference.epoch
+            ),
+            "{context}: header"
+        );
+        assert_eq!(
+            bulk.chunks.len, reference.chunks.len,
+            "{context}: walk chunks"
+        );
+        for (c, (a, b)) in bulk.chunks.iter().zip(reference.chunks.iter()).enumerate() {
+            assert_eq!(a.bounds, b.bounds, "{context}: bounds of chunk {c}");
+            assert_eq!(a.steps, b.steps, "{context}: steps of chunk {c}");
+            let len = a.steps.len();
+            assert!(
+                (len..=len + len / SEED_HEADROOM).contains(&a.steps.capacity()),
+                "{context}: chunk {c} holds {len} steps in a buffer of {}",
+                a.steps.capacity()
+            );
+        }
+        assert_eq!(
+            bulk.counts.len, reference.counts.len,
+            "{context}: count chunks"
+        );
+        for (c, (a, b)) in bulk.counts.iter().zip(reference.counts.iter()).enumerate() {
+            assert_eq!(a, b, "{context}: count chunk {c}");
+        }
+        assert_views_equal(&bulk, store, context);
+        bulk
+    }
+
     #[test]
     fn freeze_reproduces_the_store_exactly() {
         let mut store = WalkStore::new(150, 3);
@@ -901,9 +1005,16 @@ mod tests {
             let id = SegmentId::new(NodeId(n), (n as usize) % 3, 3);
             store.set_segment(id, &path(&[n, (n + 7) % 150, (n + 1) % 150]));
         }
-        let frozen = FrozenWalks::from_index(&store, 9);
+        let frozen = assert_seed_matches_reference(&store, 9, "full freeze");
         assert_eq!(frozen.epoch(), 9);
-        assert_views_equal(&frozen, &store, "full freeze");
+        // Visits spread over count chunks, a partial last walk chunk, and no nodes.
+        let mut store = WalkStore::new(300, 1);
+        for n in (0..300u32).step_by(7) {
+            let id = SegmentId::new(NodeId(n), 0, 1);
+            store.set_segment(id, &path(&[n, 299 - n, 131, 299 - n]));
+        }
+        assert_seed_matches_reference(&store, 1, "sparse");
+        assert_seed_matches_reference(&WalkStore::new(0, 2), 0, "no nodes");
     }
 
     #[test]
@@ -952,13 +1063,25 @@ mod tests {
 
     #[test]
     fn node_growth_syncs_new_segments() {
+        // The committer's growth op: grow the mirror, install the new nodes' segments
+        // recording what they touched, then catch a lagging twin up from the record.
         let mut store = WalkStore::new(4, 2);
         store.set_segment(SegmentId::new(NodeId(1), 0, 2), &path(&[1, 2]));
         let mut frozen = FrozenWalks::from_index(&store, 0);
+        let mut twin = frozen.clone();
         store.ensure_nodes(70); // crosses a chunk boundary
-        store.set_segment(SegmentId::new(NodeId(69), 1, 2), &path(&[69, 1]));
-        frozen.sync_segments_from(&store, 4, 70);
+        let grown = SegmentId::new(NodeId(69), 1, 2);
+        store.set_segment(grown, &path(&[69, 1]));
+        frozen.ensure_nodes(70);
+        let mut touched = TouchedChunks::default();
+        for node in 4..70 {
+            for id in store.segment_ids_of(NodeId::from_index(node)) {
+                frozen.set_segment_recording(id, store.segment_path(id), &mut touched);
+            }
+        }
         assert_views_equal(&frozen, &store, "after growth");
+        twin.sync_touched_from(&frozen, &mut touched);
+        assert_views_equal(&twin, &store, "twin after growth");
     }
 
     #[test]
@@ -976,7 +1099,8 @@ mod tests {
         let pinned = frozen.clone();
         graph.add_edge(Edge::new(3, 100));
         graph.remove_edge(Edge::new(64, 65));
-        frozen.refresh_nodes(&graph, [NodeId(3), NodeId(100), NodeId(64), NodeId(65)]);
+        frozen.add_edge(Edge::new(3, 100));
+        assert!(frozen.remove_edge(Edge::new(64, 65)));
         assert_eq!(frozen.out_neighbors(NodeId(3)), &[NodeId(4), NodeId(100)]);
         assert_eq!(frozen.out_neighbors(NodeId(64)), &[] as &[NodeId]);
         assert_eq!(frozen.edge_count(), 129);
@@ -991,23 +1115,63 @@ mod tests {
 
     #[test]
     fn store_snapshot_view_wrappers_freeze_identically() {
-        // The per-layout convenience wrappers are the discoverable entry point the
-        // serving docs name; they must be exactly FrozenWalks::from_index.
-        let mut flat = WalkStore::new(9, 2);
-        flat.set_segment(SegmentId::new(NodeId(1), 0, 2), &path(&[1, 4, 7]));
-        let view = flat.snapshot_view(3);
+        // Every layout freezes through the one FrozenWalks::from_index; the flat and
+        // the sharded store holding the same walks freeze to the same view.
+        let mut flat = WalkStore::new(70, 2);
+        let mut sharded = crate::ShardedWalkStore::new(70, 2, 3);
+        for n in (0..70u32).step_by(3) {
+            let id = SegmentId::new(NodeId(n), n as usize % 2, 2);
+            let p = path(&[n, 4, (n * 5) % 70, 4]);
+            flat.set_segment(id, &p);
+            crate::WalkIndexMut::set_segment(&mut sharded, id, &p);
+        }
+        let view = assert_seed_matches_reference(&flat, 3, "flat");
         assert_eq!(view.epoch(), 3);
-        assert_views_equal(&view, &flat, "flat snapshot_view");
+        let view = assert_seed_matches_reference(&sharded, 3, "sharded");
+        assert_views_equal(&view, &flat, "sharded against flat");
+    }
 
-        let mut sharded = crate::ShardedWalkStore::new(9, 2, 3);
-        crate::WalkIndexMut::set_segment(
-            &mut sharded,
-            SegmentId::new(NodeId(1), 0, 2),
-            &path(&[1, 4, 7]),
-        );
-        let view = sharded.snapshot_view(4);
-        assert_eq!(view.epoch(), 4);
-        assert_views_equal(&view, &sharded, "sharded snapshot_view");
+    /// A mirror, at `epoch`, of one segment `[1, 2]`, and the plan shrinking it to `[1]`.
+    fn mirror_of_one_segment(epoch: u64) -> (FrozenWalks, SegmentRewrites) {
+        let mut store = WalkStore::new(3, 1);
+        store.set_segment(SegmentId(1), &path(&[1, 2]));
+        let mut shrink = SegmentRewrites::new();
+        shrink.push(SegmentId(1), &path(&[1]));
+        (FrozenWalks::from_index(&store, epoch), shrink)
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "cannot move the visit count 0 of node 2 by -1 in the view at epoch 5"
+    )]
+    fn set_segment_never_wraps_a_visit_count() {
+        let (mut mirror, _) = mirror_of_one_segment(5);
+        mirror.counts.get_mut(0)[2] = 0; // out of step with the store it copies
+        mirror.set_segment(SegmentId(1), &path(&[1]));
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "cannot move the visit count 0 of node 2 by -1 in the view at epoch 6"
+    )]
+    fn apply_rewrites_never_wraps_a_visit_count() {
+        let (mut mirror, shrink) = mirror_of_one_segment(6);
+        mirror.counts.get_mut(0)[2] = 0;
+        mirror.apply_rewrites(&shrink);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "cannot move the visit count 0 of node 2 by -1 in the view at epoch 7"
+    )]
+    fn sync_touched_from_never_wraps_a_visit_count() {
+        let (mut front, shrink) = mirror_of_one_segment(7);
+        let mut back = front.clone();
+        let mut touched = TouchedChunks::default();
+        front.apply_rewrites_recording(&shrink, &mut touched);
+        front.set_epoch(8);
+        back.counts.get_mut(0)[2] = 0;
+        back.sync_touched_from(&front, &mut touched);
     }
 
     #[test]
@@ -1082,36 +1246,39 @@ mod tests {
 
     #[test]
     fn graph_setters_match_refresh_and_collapse_empty_lists() {
+        // A replayed mirror and a fresh freeze of the post-batch graph agree; the
+        // freeze points every empty list — isolated, emptied, or padding past the
+        // last node — at the one shared empty list.
         let mut graph = DynamicGraph::with_nodes(70);
         graph.add_edge(Edge::new(1, 2));
-        let mut via_refresh = FrozenGraph::from_graph(&graph);
-        let mut via_setters = via_refresh.clone();
-
+        let mut replayed = FrozenGraph::from_graph(&graph);
         graph.add_edge(Edge::new(1, 69));
         graph.remove_edge(Edge::new(1, 2));
-        via_refresh.refresh_endpoints(&graph, [NodeId(1)], [NodeId(2), NodeId(69)]);
-
-        via_setters.set_out_list(NodeId(1), Arc::new(graph.out_neighbors(NodeId(1)).to_vec()));
-        via_setters.set_in_list(NodeId(2), Arc::new(graph.in_neighbors(NodeId(2)).to_vec()));
-        via_setters.set_in_list(
-            NodeId(69),
-            Arc::new(graph.in_neighbors(NodeId(69)).to_vec()),
-        );
-        via_setters.set_edge_count(graph.edge_count());
+        replayed.add_edge(Edge::new(1, 69));
+        replayed.remove_edge(Edge::new(1, 2));
+        let fresh = FrozenGraph::from_graph(&graph);
 
         for n in 0..70u32 {
             assert_eq!(
-                via_setters.out_neighbors(NodeId(n)),
-                via_refresh.out_neighbors(NodeId(n))
+                replayed.out_neighbors(NodeId(n)),
+                fresh.out_neighbors(NodeId(n))
             );
             assert_eq!(
-                via_setters.in_neighbors(NodeId(n)),
-                via_refresh.in_neighbors(NodeId(n))
+                replayed.in_neighbors(NodeId(n)),
+                fresh.in_neighbors(NodeId(n))
             );
         }
-        assert_eq!(via_setters.edge_count(), via_refresh.edge_count());
-        // The emptied in-list collapsed onto the shared empty slice.
-        assert!(via_setters.in_neighbors(NodeId(2)).is_empty());
+        assert_eq!(replayed.edge_count(), fresh.edge_count());
+        let shares_empty = |lists: &Spine<AdjChunk, GRAPH_BLOCK>, node: usize| {
+            let list = &lists.get(node / NODES_PER_GRAPH_CHUNK).lists[node % NODES_PER_GRAPH_CHUNK];
+            Arc::ptr_eq(list, &fresh.empty)
+        };
+        for node in [0, 2, 68, 75, 79] {
+            assert!(shares_empty(&fresh.incoming, node), "in-list of {node}");
+        }
+        assert!(!shares_empty(&fresh.incoming, 69));
+        assert!(!shares_empty(&fresh.out, 1));
+        assert!(shares_empty(&fresh.out, 2));
     }
 
     #[test]
@@ -1142,17 +1309,19 @@ mod tests {
             assert_eq!(mirror.remove_edge(e), graph.remove_edge(e));
         }
 
-        for n in 0..8u32 {
-            assert_eq!(
-                mirror.out_neighbors(NodeId(n)),
-                graph.out_neighbors(NodeId(n))
-            );
-            assert_eq!(
-                mirror.in_neighbors(NodeId(n)),
-                graph.in_neighbors(NodeId(n))
-            );
+        // A fresh freeze of the resulting graph copies the same lists, in order.
+        let frozen = FrozenGraph::from_graph(&graph);
+        for view in [&mirror, &frozen] {
+            for n in 0..8u32 {
+                assert_eq!(
+                    view.out_neighbors(NodeId(n)),
+                    graph.out_neighbors(NodeId(n))
+                );
+                assert_eq!(view.in_neighbors(NodeId(n)), graph.in_neighbors(NodeId(n)));
+            }
+            assert_eq!(view.edge_count(), graph.edge_count());
         }
-        assert_eq!(mirror.edge_count(), graph.edge_count());
+        assert_eq!(frozen.out_neighbors(NodeId(0)), path(&[3, 2]));
     }
 
     #[test]

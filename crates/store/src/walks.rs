@@ -42,6 +42,81 @@ pub(crate) fn forget_visits(counts: &mut [u64], node: usize, visits: u64) {
     });
 }
 
+/// The visit index of a whole set of segment paths, counted in bulk: the per-node
+/// `(segment, visits)` runs, the `W(v)` counters and their sum.  Two sweeps over the
+/// paths in segment order — one counts each node's visits and distinct visiting
+/// segments, the other fills runs allocated at exactly that length — so building it
+/// costs O(visits) with no sort and no postings `record` call.
+pub(crate) struct CountedIndex {
+    /// Per node, strictly increasing by segment, counts positive.
+    pub(crate) runs: Vec<Vec<(SegmentId, u32)>>,
+    pub(crate) visit_counts: Vec<u64>,
+    pub(crate) total_visits: u64,
+}
+
+impl CountedIndex {
+    /// Indexes segments `0..segments`, whose paths `path_of` returns; every visit must
+    /// address one of `node_count` nodes.
+    pub(crate) fn count<'a>(
+        node_count: usize,
+        segments: usize,
+        path_of: impl Fn(usize) -> &'a [NodeId],
+    ) -> Self {
+        /// One node's first-sweep tally, kept together so a visit touches one line.
+        #[derive(Clone, Copy, Default)]
+        struct Tally {
+            visits: u64,
+            distinct: u32,
+            /// One past the last segment seen visiting the node.
+            last_visitor: u32,
+        }
+        let mut tallies = vec![Tally::default(); node_count];
+        for segment in 0..segments {
+            let tag = segment as u32 + 1;
+            for &v in path_of(segment) {
+                let tally = &mut tallies[v.index()];
+                tally.visits += 1;
+                if tally.last_visitor != tag {
+                    tally.last_visitor = tag;
+                    tally.distinct += 1;
+                }
+            }
+        }
+        let mut runs: Vec<Vec<(SegmentId, u32)>> = tallies
+            .iter()
+            .map(|tally| Vec::with_capacity(tally.distinct as usize))
+            .collect();
+        let visit_counts: Vec<u64> = tallies.iter().map(|tally| tally.visits).collect();
+        drop(tallies);
+        for segment in 0..segments {
+            let id = SegmentId(segment as u32);
+            for &v in path_of(segment) {
+                let run = &mut runs[v.index()];
+                match run.last_mut() {
+                    Some((last, count)) if *last == id => *count += 1,
+                    _ => run.push((id, 1)),
+                }
+            }
+        }
+        let total_visits = visit_counts.iter().sum();
+        CountedIndex {
+            runs,
+            visit_counts,
+            total_visits,
+        }
+    }
+
+    /// The runs as packed [`VisitPostings`], node by node.
+    pub(crate) fn postings(
+        runs: Vec<Vec<(SegmentId, u32)>>,
+    ) -> impl Iterator<Item = VisitPostings> {
+        runs.into_iter().map(|run| {
+            VisitPostings::from_sorted_run(run)
+                .expect("a counted run is strictly increasing with positive counts")
+        })
+    }
+}
+
 /// Storage for `R` random-walk segments per node, indexed by visited node.
 #[derive(Debug, Clone)]
 pub struct WalkStore {
@@ -72,7 +147,7 @@ impl WalkStore {
     /// Bulk-load constructor for decode paths: installs every segment path and a
     /// **pre-computed** postings index in one pass, instead of replaying one `record`
     /// call per stored step.  The supplied index is fully cross-checked against the
-    /// paths — one global sort of `(node, segment)` visit keys, compared run by run
+    /// paths — the index [`Self::fill`] would count from them, compared run by run
     /// against the postings — so a divergent index is rejected, never installed.
     pub fn bulk_load<'a>(
         node_count: usize,
@@ -90,8 +165,6 @@ impl WalkStore {
             ));
         }
         let mut arena = StepArena::new(node_count * r);
-        let mut visit_counts = vec![0u64; node_count];
-        let mut keys: Vec<u64> = Vec::new();
         for (id, path) in segments {
             if id.index() >= node_count * r {
                 return Err(format!("segment {id:?} outside the store"));
@@ -101,29 +174,19 @@ impl WalkStore {
                     return Err(format!("segment {id:?} does not start at its source"));
                 }
             }
-            for &v in path {
-                if v.index() >= node_count {
-                    return Err(format!("segment {id:?} visits node {v} outside the store"));
-                }
-                visit_counts[v.index()] += 1;
-                keys.push(((v.0 as u64) << 32) | id.0 as u64);
+            if let Some(v) = path.iter().find(|v| v.index() >= node_count) {
+                return Err(format!("segment {id:?} visits node {v} outside the store"));
             }
             arena.write(id.index(), path);
         }
-        keys.sort_unstable();
-        let mut i = 0usize;
-        for (v, node_postings) in postings.iter().enumerate() {
+        let counted = CountedIndex::count(node_count, node_count * r, |slot| arena.path(slot));
+        for (v, (run, node_postings)) in counted.runs.iter().zip(&postings).enumerate() {
             let mut expect = node_postings.iter();
-            while i < keys.len() && (keys[i] >> 32) as usize == v {
-                let seg = keys[i] as u32;
-                let mut count = 0u32;
-                while i < keys.len() && (keys[i] >> 32) as usize == v && keys[i] as u32 == seg {
-                    count += 1;
-                    i += 1;
-                }
-                if expect.next() != Some((SegmentId(seg), count)) {
+            for &(segment, count) in run {
+                if expect.next() != Some((segment, count)) {
                     return Err(format!(
-                        "postings of node {v} disagree with the stored paths at segment {seg}"
+                        "postings of node {v} disagree with the stored paths at segment {}",
+                        segment.0
                     ));
                 }
             }
@@ -133,14 +196,47 @@ impl WalkStore {
                 ));
             }
         }
-        let total_visits = keys.len() as u64;
         Ok(WalkStore {
             r,
             arena,
             postings,
-            visit_counts,
-            total_visits,
+            visit_counts: counted.visit_counts,
+            total_visits: counted.total_visits,
         })
+    }
+
+    /// Installs a whole plan into a store that holds no visits yet, observationally
+    /// the sequential [`Self::set_segment`] loop over it: the arena is written in plan
+    /// order (so its geometry is the loop's), then the visit index is counted in two
+    /// sweeps of the stored paths, every node's postings packed by
+    /// [`VisitPostings::from_sorted_run`] — no `record` call per visit, no sort.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the store already holds visits, or on a path [`Self::set_segment`]
+    /// would reject.
+    pub fn fill(&mut self, plan: &crate::SegmentRewrites) {
+        assert_eq!(
+            self.total_visits, 0,
+            "fill builds the index of an empty store, and this one holds visits"
+        );
+        let node_count = self.node_count();
+        for (id, path) in plan.iter() {
+            let source = self.source_of(id);
+            assert!(
+                path.first().is_none_or(|&first| first == source),
+                "segment {id:?} must start at its source node {source}"
+            );
+            if let Some(v) = path.iter().find(|v| v.index() >= node_count) {
+                panic!("segment visits node {v} outside the store (node_count = {node_count})");
+            }
+            self.arena.write(id.index(), path);
+        }
+        let arena = &self.arena;
+        let counted = CountedIndex::count(node_count, arena.slot_count(), |slot| arena.path(slot));
+        self.postings = CountedIndex::postings(counted.runs).collect();
+        self.visit_counts = counted.visit_counts;
+        self.total_visits = counted.total_visits;
     }
 
     /// Demand-paging constructor: installs a pre-parsed postings index and the visit
@@ -385,13 +481,6 @@ impl WalkStore {
     /// [`crate::arena::StepArena::set_compaction_threshold`]).
     pub fn set_compaction_threshold(&mut self, ratio: f64) {
         self.arena.set_compaction_threshold(ratio);
-    }
-
-    /// Freezes an epoch-pinned, copy-on-write snapshot view of the store (see
-    /// [`crate::view::FrozenWalks`]): readers on other threads query the view while
-    /// this store keeps mutating.
-    pub fn snapshot_view(&self, epoch: u64) -> crate::view::FrozenWalks {
-        crate::view::FrozenWalks::from_index(self, epoch)
     }
 
     /// The probability `1 - (1 - 1/d)^{W(v)}` used by Section 2.2 to decide, on arrival
@@ -688,6 +777,76 @@ mod tests {
             );
         }
         assert!(loaded.check_consistency().is_ok());
+    }
+
+    /// A construction-shaped plan over `n` nodes: every segment visits hub node 0
+    /// (so its postings span several blocks), some segments are empty, one is long
+    /// enough to outgrow the minimum reservation; plus a second write of an early
+    /// segment and an entry out of segment order.
+    fn construction_plan(n: u32, r: usize) -> crate::SegmentRewrites {
+        let mut plan = crate::SegmentRewrites::new();
+        for node in 0..n {
+            for slot in 0..r {
+                let id = SegmentId::new(NodeId(node), slot, r);
+                let len = match (node as usize + slot) % 7 {
+                    0 => 0,
+                    1 => 40,
+                    k => k,
+                };
+                let mut p = vec![node];
+                p.extend((1..len as u32).map(|k| if k % 2 == 1 { 0 } else { (node * 3 + k) % n }));
+                plan.push(id, &path(if len == 0 { &[] } else { &p }));
+            }
+        }
+        if n > 2 {
+            plan.push(SegmentId::new(NodeId(1), 0, r), &path(&[1, 2, 0]));
+            plan.push(SegmentId::new(NodeId(0), r - 1, r), &path(&[0, 0, n - 1]));
+        }
+        plan
+    }
+
+    #[test]
+    fn fill_equals_the_set_segment_loop_without_a_single_record() {
+        for (n, r) in [(300u32, 2usize), (20, 1), (0, 3)] {
+            let plan = construction_plan(n, r);
+            let mut filled = WalkStore::new(n as usize, r);
+            filled.fill(&plan);
+            let mut looped = WalkStore::new(n as usize, r);
+            for (id, p) in plan.iter() {
+                looped.set_segment(id, p);
+            }
+            assert_eq!(filled.arena.geometry(), looped.arena.geometry(), "n = {n}");
+            assert_eq!(filled.arena_stats(), looped.arena_stats());
+            assert_eq!(filled.visit_counts(), looped.visit_counts());
+            assert_eq!(filled.total_visits(), looped.total_visits());
+            for v in 0..n {
+                let node = NodeId(v);
+                assert_eq!(
+                    filled.segments_visiting(node).collect::<Vec<_>>(),
+                    looped.segments_visiting(node).collect::<Vec<_>>(),
+                    "postings of node {v}"
+                );
+            }
+            assert!(filled.check_consistency().is_ok());
+            assert!(filled.postings.iter().all(|p| p.cost.records == 0));
+            assert!(filled.postings.iter().all(VisitPostings::is_packed));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "fill builds the index of an empty store")]
+    fn fill_refuses_a_store_that_holds_visits() {
+        let mut store = WalkStore::new(20, 1);
+        store.set_segment(SegmentId(3), &path(&[3, 4]));
+        store.fill(&construction_plan(20, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "must start at its source node")]
+    fn fill_rejects_what_set_segment_rejects() {
+        let mut plan = crate::SegmentRewrites::new();
+        plan.push(SegmentId(0), &path(&[1, 2]));
+        WalkStore::new(3, 1).fill(&plan);
     }
 
     #[test]

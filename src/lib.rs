@@ -58,6 +58,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![forbid(unsafe_code)]
 
 pub use ppr_analysis as analysis;
 pub use ppr_baselines as baselines;

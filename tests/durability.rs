@@ -272,6 +272,114 @@ fn restart_equivalence_disk_layout_with_page_reuse() {
     );
 }
 
+/// The per-segment mirror seed `FrozenWalks::from_index` replaced, kept as its
+/// reference: an empty view advanced by one `set_segment` per segment.
+fn per_segment_seed<W: WalkIndexView>(store: &W, epoch: u64) -> FrozenWalks {
+    let mut frozen = FrozenWalks::empty(store.r(), store.node_count(), epoch);
+    for node in 0..store.node_count() {
+        for id in store.segment_ids_of(NodeId::from_index(node)) {
+            frozen.set_segment(id, store.segment_path(id));
+        }
+    }
+    frozen
+}
+
+/// Seeds a mirror of `store` in bulk — first, so on a just-opened demand-paged
+/// store the bulk seed is the one that faults — and holds it to the reference.
+fn assert_seed_matches_reference<W: WalkIndex>(store: &W, context: &str) {
+    let bulk = FrozenWalks::from_index(store, 5);
+    let reference = per_segment_seed(store, 5);
+    assert_eq!(bulk.epoch(), reference.epoch(), "{context}: epoch");
+    assert_stores_view_equal(
+        &bulk,
+        &reference,
+        &format!("{context}, against the reference"),
+    );
+    assert_stores_view_equal(&bulk, store, &format!("{context}, against the store"));
+}
+
+/// The query surface of two stores (or views), visit counts and paths.
+fn assert_stores_view_equal<A: WalkIndexView, B: WalkIndexView>(a: &A, b: &B, context: &str) {
+    assert_eq!(
+        (a.node_count(), a.r(), a.total_visits()),
+        (b.node_count(), b.r(), b.total_visits()),
+        "{context}: shape"
+    );
+    assert_eq!(
+        a.visit_counts(),
+        b.visit_counts(),
+        "{context}: visit counts"
+    );
+    for g in 0..a.node_count() {
+        for id in a.segment_ids_of(NodeId::from_index(g)) {
+            assert_eq!(a.segment_path(id), b.segment_path(id), "{context}: {id:?}");
+        }
+    }
+}
+
+/// One layout's life for the seed oracle: fresh, after growth and deletions, and
+/// reopened from its checkpoint under a two-page cache.
+fn assert_seeds_match_through_a_life<W>(
+    root: &std::path::Path,
+    create: impl FnOnce(&std::path::Path) -> IncrementalPageRank<W>,
+    ops: &[Op],
+    layout: &str,
+) where
+    W: WalkIndexMut + PersistentWalkStore + Sync,
+{
+    let mut engine = create(root);
+    let born_with = engine.node_count();
+    assert_seed_matches_reference(engine.walk_store(), &format!("{layout}, fresh"));
+    for op in ops {
+        apply_op(&mut engine, op);
+    }
+    assert!(
+        engine.node_count() > born_with,
+        "{layout}: the schedule grows the graph"
+    );
+    let context = format!("{layout}, after growth and deletions");
+    assert_seed_matches_reference(engine.walk_store(), &context);
+    engine.checkpoint().unwrap();
+    drop(engine);
+    let old = ppr_persist::set_thread_page_budget(Some(ppr_persist::PageBudget::bounded(2)));
+    let reopened = IncrementalPageRank::<W>::open(root);
+    ppr_persist::set_thread_page_budget(old);
+    let reopened = reopened.unwrap();
+    let context = format!("{layout}, reopened under a 2-page cache");
+    assert_seed_matches_reference(reopened.walk_store(), &context);
+}
+
+#[test]
+fn mirror_seed_equals_the_per_segment_reference_on_every_layout() {
+    let ops = schedule(631);
+    let config = MonteCarloConfig::new(0.2, 3).with_seed(633);
+    let born = || DynamicGraph::with_nodes(NODES / 4);
+    let tmp = TempDir::new("mirror-seed");
+    assert_seeds_match_through_a_life(
+        &tmp.path().join("flat"),
+        |root| IncrementalPageRank::create_durable(root, born(), config).unwrap(),
+        &ops,
+        "flat",
+    );
+    for threads in thread_counts() {
+        assert_seeds_match_through_a_life(
+            &tmp.path().join(format!("sharded-{threads}")),
+            |root| {
+                IncrementalPageRank::create_durable_sharded(root, born(), config, 3, threads)
+                    .unwrap()
+            },
+            &ops,
+            &format!("3 shards, {threads} threads"),
+        );
+    }
+    assert_seeds_match_through_a_life(
+        &tmp.path().join("disk"),
+        |root| DurablePageRank::create_durable_disk(root, born(), config).unwrap(),
+        &ops,
+        "disk",
+    );
+}
+
 #[test]
 fn corrupt_current_snapshot_falls_back_to_the_previous_generation() {
     let ops = schedule(619);
