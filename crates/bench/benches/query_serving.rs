@@ -1,8 +1,7 @@
 //! Criterion benches for snapshot-isolated query serving (`ppr-serve`).
 //!
-//! Three questions, three report blocks (printed like `sharded_reroute`'s
-//! critical-path report, so the numbers land in CI logs even though CI only
-//! compiles benches):
+//! Three questions, three report blocks (printed, so the numbers land in CI logs
+//! even though CI only compiles benches):
 //!
 //! * **Write-path overhead** — the writer must keep the PR 2 `incremental_update`
 //!   baseline: replaying the same arrival suffix through `QueryEngine::commit`

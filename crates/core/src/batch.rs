@@ -1,7 +1,7 @@
 //! Batching machinery of [`crate::engine`]'s `apply_arrivals` / `apply_deletions`:
 //! per-pivot grouping, the split-RNG seed derivation, the detection scans that decide
 //! which segments a batch must open, and the candidate/reconcile plumbing the
-//! deterministic parallel reroute is built on.
+//! deterministic reroute is built on.
 //!
 //! # The deterministic repair pipeline
 //!
@@ -24,15 +24,15 @@
 //!      (`deletion_probes`): a segment traversing `pivot → t` visits both nodes, so
 //!      whichever side has fewer visits is a complete candidate list.
 //!
-//!    Then, read-only and in parallel, every probe opens its segment's *pre-batch*
-//!    path and decides: an arrival probe maps its heads to path positions, drops the
+//!    Then, read-only, every probe opens its segment's *pre-batch* path and
+//!    decides: an arrival probe maps its heads to path positions, drops the
 //!    ineligible ones and reroutes at the first survivor; a deletion probe looks for
 //!    the earliest traversal of a deleted edge.  On a hit the replacement path is
 //!    generated against the post-batch graph from the **repair stream** of that
 //!    `(engine seed, batch, pivot, segment, direction)` (`repair_seed`).  The coin
 //!    stream depends only on the postings' logical content and every repair stream
-//!    only on its own coordinates, so candidates can be computed in any order, by any
-//!    number of threads, split any way across shards, with bit-identical results.
+//!    only on its own coordinates, so candidates can be computed in any order with
+//!    bit-identical results.
 //! 2. **Reconciliation** (sequential, cheap): when several groups claim the same
 //!    segment, the candidate with the **smallest reroute position** wins.  Under
 //!    prefix-preserving reroutes this is exactly the fixed point the sequential
@@ -41,21 +41,15 @@
 //!    positions — but stated order-independently.  Under from-source reroutes any
 //!    winner regenerates the whole segment on the post-batch graph, so the rule only
 //!    selects which RNG stream draws the (identically distributed) replacement.
-//! 3. **Apply** ([`ppr_store::WalkIndexMut::apply_rewrites`]): the winning rewrites,
-//!    sorted by segment id, are applied by the store — sequentially for the flat
-//!    [`ppr_store::WalkStore`], one worker thread per shard for the
-//!    [`ppr_store::ShardedWalkStore`].
-//!
-//! The fan-out in phase 1 partitions probes by their segment's *owning shard* (the
-//! shard of its source node, [`ppr_store::WalkIndex::route_shards`] wide), which also
-//! keeps every worker's output deterministic in isolation.
+//! 3. **Apply** ([`ppr_store::WalkIndexMut::apply_rewrites`]): the store applies the
+//!    winning rewrites, sorted by segment id.
 
 use ppr_graph::{Edge, NodeId};
 use ppr_store::{SegmentId, WalkIndex};
 use rand::rngs::SmallRng;
 use rand::Rng;
 use std::collections::HashMap;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One pivot node's share of a batch.  Forward groups key on edge sources (the steps
 /// leaving the pivot along out-edges changed), backward groups on edge targets (SALSA's
@@ -110,12 +104,10 @@ pub(crate) fn group_by_pivot(
 
 /// Derives the RNG seed of one `(batch, pivot, segment)` repair stream.
 ///
-/// The split is deliberately finer than one stream per shard: seeding per repair
-/// stream makes the candidate computation independent of *which* shard or thread
-/// executes it, so the sharded engine is bit-identical to the single-shard engine at
-/// any `(shard count, thread count)` — the property the differential harness locks in.
-/// `backward` distinguishes SALSA's two walk directions, which can both touch the same
-/// `(pivot, segment)` pair in one batch.
+/// Seeding per repair stream makes each candidate independent of every other one
+/// and of the order the candidates are computed in.  `backward` distinguishes
+/// SALSA's two walk directions, which can both touch the same `(pivot, segment)`
+/// pair in one batch.
 pub(crate) fn repair_seed(
     seed: u64,
     batch: u64,
@@ -276,8 +268,8 @@ pub(crate) fn deletion_probes<W: WalkIndex>(
 }
 
 /// One proposed segment repair: group `group` reroutes `seg` at path position `pos`,
-/// replacing its path with `start..start + len` of the owning [`CandidateSet`]'s flat
-/// path buffer, at a cost of `steps` regenerated walk steps.
+/// replacing its path with `start..start + len` of the [`CandidateSet`]'s flat path
+/// buffer, at a cost of `steps` regenerated walk steps.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Candidate {
     pub seg: SegmentId,
@@ -288,15 +280,12 @@ pub(crate) struct Candidate {
     len: u32,
 }
 
-/// One phase-1 worker's output: its candidates plus the flat buffer holding their
-/// replacement paths.  Buffers are reused across batches.
+/// Phase 1's output: the candidates plus the flat buffer holding their replacement
+/// paths.  Buffers are reused across batches.
 #[derive(Debug, Default)]
 pub(crate) struct CandidateSet {
     pub candidates: Vec<Candidate>,
     paths: Vec<NodeId>,
-    /// Per-worker scratch path for generating one candidate (taken/restored around
-    /// generation so workers stay allocation-free in steady state).
-    pub scratch: Vec<NodeId>,
 }
 
 impl CandidateSet {
@@ -325,84 +314,22 @@ impl CandidateSet {
     }
 }
 
-/// Runs `worker(shard, set)` for every route shard of `walks`, filling one
-/// [`CandidateSet`] per shard — sequentially when `threads <= 1` (or the store has a
-/// single shard), otherwise fanned out over `min(threads, shards)` scoped threads.
-/// Workers receive disjoint output sets and must only read shared state, so the filled
-/// sets are identical for every `threads` value.  `times` receives the wall time each
-/// shard's worker took (observability only; see [`BatchProfile`]).
-pub(crate) fn fan_out_candidates<W, F>(
-    walks: &W,
-    threads: usize,
-    sets: &mut Vec<CandidateSet>,
-    times: &mut Vec<Duration>,
-    worker: F,
-) where
-    W: WalkIndex + Sync,
-    F: Fn(usize, &mut CandidateSet) + Sync,
-{
-    let shards = walks.route_shards();
-    sets.resize_with(shards, CandidateSet::default);
-    for set in sets.iter_mut() {
-        set.clear();
-    }
-    times.clear();
-    times.resize(shards, Duration::ZERO);
-    let workers = if shards > 1 { threads.min(shards) } else { 1 };
-    if workers <= 1 {
-        for (sid, (set, time)) in sets.iter_mut().zip(times.iter_mut()).enumerate() {
-            let start = Instant::now();
-            worker(sid, set);
-            *time = start.elapsed();
-        }
-        return;
-    }
-    let chunk = shards.div_ceil(workers);
-    let worker = &worker;
-    std::thread::scope(|scope| {
-        for ((ci, set_chunk), time_chunk) in sets
-            .chunks_mut(chunk)
-            .enumerate()
-            .zip(times.chunks_mut(chunk))
-        {
-            scope.spawn(move || {
-                for ((off, set), time) in set_chunk.iter_mut().enumerate().zip(time_chunk) {
-                    let start = Instant::now();
-                    worker(ci * chunk + off, set);
-                    *time = start.elapsed();
-                }
-            });
-        }
-    });
-}
-
 /// Wall-time breakdown of the update batches, accumulated per engine since
 /// construction (or the last reset): the total time spent in `apply_arrivals` /
-/// `apply_deletions`, the wall time of each repair phase (detection, candidate
-/// generation, plan application), and the per-shard times of the two parallelizable
-/// ones.
-///
-/// The point of the per-shard split is measuring scalability independently of the
-/// machine the measurement runs on: [`BatchProfile::critical_path`] charges each
-/// parallel phase its *slowest shard* instead of the shard sum, which is the wall time
-/// a deployment with one core per shard would pay.  Profiles are observability only —
-/// they never influence results.
+/// `apply_deletions` and the wall time of each repair phase (detection, candidate
+/// generation, plan application).  Profiles are observability only — they never
+/// influence results.
 #[derive(Debug, Clone, Default)]
 pub struct BatchProfile {
     /// Total wall time spent inside `apply_arrivals` (and `apply_deletions`).
     pub total: Duration,
     /// Wall time of the detection scans (phase 1a): postings only.
     pub detect: Duration,
-    /// Wall time of candidate generation (phase 1b), all shards.
+    /// Wall time of candidate generation (phase 1b).
     pub candidates: Duration,
-    /// Wall time of plan application (phase 3), all shards: arena writes plus the
-    /// postings updates past each rewrite's kept prefix.
+    /// Wall time of plan application (phase 3): arena writes plus the postings
+    /// updates past each rewrite's kept prefix.
     pub apply: Duration,
-    /// Per-shard wall time of candidate generation (phase 1b).
-    pub phase1_shard_times: Vec<Duration>,
-    /// Per-shard wall time of plan application (phase 3); one entry — the whole
-    /// phase — for a store that applies a plan in one pass.
-    pub apply_shard_times: Vec<Duration>,
     /// Arena compaction passes triggered by the profiled batches.  Compactions run
     /// inline on the apply path, so they are the latency-tail component the ROADMAP's
     /// "compaction policy tuning" item asks to measure.
@@ -422,21 +349,6 @@ pub struct BatchProfile {
 }
 
 impl BatchProfile {
-    fn add_shard_times(acc: &mut Vec<Duration>, times: &[Duration]) {
-        if acc.len() < times.len() {
-            acc.resize(times.len(), Duration::ZERO);
-        }
-        for (a, t) in acc.iter_mut().zip(times) {
-            *a += *t;
-        }
-    }
-
-    pub(crate) fn record(&mut self, total: Duration, phase1: &[Duration], apply: &[Duration]) {
-        self.total += total;
-        Self::add_shard_times(&mut self.phase1_shard_times, phase1);
-        Self::add_shard_times(&mut self.apply_shard_times, apply);
-    }
-
     /// Charges one batch's detection scans to the profile.
     pub(crate) fn record_scan(&mut self, probes: &Probes) {
         self.postings_scanned += probes.postings_scanned;
@@ -455,63 +367,34 @@ impl BatchProfile {
             Duration::from_nanos(after.compaction_nanos - before.compaction_nanos);
         self.compaction_steps_moved += after.compaction_steps_moved - before.compaction_steps_moved;
     }
-
-    /// The accumulated wall time with each parallel phase charged its slowest shard:
-    /// `sequential residue + max(phase 1) + max(apply)`.  With one shard this equals
-    /// [`BatchProfile::total`]; with `S` balanced shards it approaches `total / S`
-    /// plus the residue.
-    pub fn critical_path(&self) -> Duration {
-        let phase1_sum: Duration = self.phase1_shard_times.iter().sum();
-        let apply_sum: Duration = self.apply_shard_times.iter().sum();
-        let residue = self
-            .total
-            .saturating_sub(phase1_sum)
-            .saturating_sub(apply_sum);
-        residue
-            + self
-                .phase1_shard_times
-                .iter()
-                .max()
-                .copied()
-                .unwrap_or_default()
-            + self
-                .apply_shard_times
-                .iter()
-                .max()
-                .copied()
-                .unwrap_or_default()
-    }
 }
 
-/// Reconciles the candidates of all shards: for every segment claimed by more than one
-/// group, the candidate with the smallest reroute position wins (positions are visits
-/// to distinct pivots, so no tie is possible).  Returns `(set index, candidate index)`
-/// winners sorted by segment id — a deterministic plan order regardless of how phase 1
-/// was scheduled.
-pub(crate) fn reconcile_candidates(sets: &[CandidateSet]) -> Vec<(usize, usize)> {
-    let mut best: HashMap<SegmentId, (usize, usize)> = HashMap::new();
-    for (si, set) in sets.iter().enumerate() {
-        for (ci, cand) in set.candidates.iter().enumerate() {
-            match best.entry(cand.seg) {
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert((si, ci));
-                }
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    let (bsi, bci) = *e.get();
-                    let incumbent = sets[bsi].candidates[bci].pos;
-                    debug_assert_ne!(
-                        incumbent, cand.pos,
-                        "two groups claimed the same reroute position"
-                    );
-                    if cand.pos < incumbent {
-                        e.insert((si, ci));
-                    }
+/// Reconciles the candidates: for every segment claimed by more than one group, the
+/// candidate with the smallest reroute position wins (positions are visits to
+/// distinct pivots, so no tie is possible).  Returns the winners' candidate indices
+/// sorted by segment id — a deterministic plan order whatever order phase 1 produced
+/// them in.
+pub(crate) fn reconcile_candidates(set: &CandidateSet) -> Vec<usize> {
+    let mut best: HashMap<SegmentId, usize> = HashMap::new();
+    for (ci, cand) in set.candidates.iter().enumerate() {
+        match best.entry(cand.seg) {
+            std::collections::hash_map::Entry::Vacant(e) => {
+                e.insert(ci);
+            }
+            std::collections::hash_map::Entry::Occupied(mut e) => {
+                let incumbent = set.candidates[*e.get()].pos;
+                debug_assert_ne!(
+                    incumbent, cand.pos,
+                    "two groups claimed the same reroute position"
+                );
+                if cand.pos < incumbent {
+                    e.insert(ci);
                 }
             }
         }
     }
-    let mut winners: Vec<(usize, usize)> = best.into_values().collect();
-    winners.sort_by_key(|&(si, ci)| sets[si].candidates[ci].seg);
+    let mut winners: Vec<usize> = best.into_values().collect();
+    winners.sort_by_key(|&ci| set.candidates[ci].seg);
     winners
 }
 
@@ -531,7 +414,7 @@ mod tests {
 
     #[test]
     fn groups_preserve_first_arrival_order_and_pre_batch_degrees() {
-        let mut store = SocialStore::new(4, 1);
+        let mut store = SocialStore::new(4);
         store.add_edge(Edge::new(2, 0)); // node 2 has pre-batch out-degree 1
         let batch = [
             Edge::new(2, 1),
@@ -548,7 +431,7 @@ mod tests {
 
     #[test]
     fn backward_key_groups_by_target_with_in_degrees() {
-        let store = SocialStore::new(3, 1);
+        let store = SocialStore::new(3);
         let batch = [Edge::new(0, 2), Edge::new(1, 2)];
         let groups = group_by_pivot(&batch, false, |n| store.in_degree(n));
         assert_eq!(groups, vec![group(2, 0, &[0, 1], false)]);
@@ -618,22 +501,30 @@ mod tests {
 
     #[test]
     fn arrival_probes_depend_on_the_postings_content_not_the_layout() {
-        use ppr_store::{ShardedWalkStore, WalkIndexMut};
         use rand::SeedableRng;
         // Node 0 is the pivot: first a handful of postings, then several blocks of
         // them (the seeking scan skips whole blocks; the linear one never did).
         for (nodes, r, ps) in [(8u32, 2, [0.05, 0.5, 1.0]), (4_000, 1, [0.001, 0.05, 1.0])] {
             let mut flat = WalkStore::new(nodes as usize, r);
-            let mut sharded = ShardedWalkStore::new(nodes as usize, r, 3);
+            // The same walks in another arena geometry: written in reverse, every slot
+            // relocated out of an outgrown first draft.
+            let mut relocated = WalkStore::new(nodes as usize, r);
+            let path = |node: u32, slot: usize| -> Vec<NodeId> {
+                [node, 0, (node + slot as u32) % 8, 0, 3]
+                    .iter()
+                    .map(|&v| NodeId(v))
+                    .collect()
+            };
             for node in 0..nodes {
                 for slot in 0..r {
-                    let path: Vec<NodeId> = [node, 0, (node + slot as u32) % 8, 0, 3]
-                        .iter()
-                        .map(|&v| NodeId(v))
-                        .collect();
+                    flat.set_segment(SegmentId::new(NodeId(node), slot, r), &path(node, slot));
+                }
+            }
+            for node in (0..nodes).rev() {
+                for slot in 0..r {
                     let id = SegmentId::new(NodeId(node), slot, r);
-                    flat.set_segment(id, &path);
-                    sharded.set_segment(id, &path);
+                    relocated.set_segment(id, &[NodeId(node); 20]);
+                    relocated.set_segment(id, &path(node, slot));
                 }
             }
             assert!(flat.distinct_visitors(NodeId(0)) >= (nodes as usize).min(3 * 128));
@@ -641,7 +532,7 @@ mod tests {
                 let coins = || SmallRng::seed_from_u64(coin_seed(3, 9, NodeId(0), false));
                 let (mut a, mut b) = (Probes::default(), Probes::default());
                 sample_arrival_probes(&flat, 4, NodeId(0), p, &mut coins(), &mut a);
-                sample_arrival_probes(&sharded, 4, NodeId(0), p, &mut coins(), &mut b);
+                sample_arrival_probes(&relocated, 4, NodeId(0), p, &mut coins(), &mut b);
                 assert_eq!(probe_list(&a), probe_list(&b), "p = {p}");
                 let (linear, linear_scanned) =
                     sample_arrival_probes_linear(&flat, NodeId(0), p, &mut coins());
@@ -725,39 +616,12 @@ mod tests {
 
     #[test]
     fn reconcile_picks_minimum_position_and_sorts_by_segment() {
-        let mut a = CandidateSet::default();
-        let mut b = CandidateSet::default();
-        a.push(SegmentId(5), 4, 0, 1, &[NodeId(0)]);
-        b.push(SegmentId(5), 2, 1, 1, &[NodeId(1)]); // earlier position wins
-        b.push(SegmentId(1), 7, 2, 1, &[NodeId(2)]);
-        let winners = reconcile_candidates(&[a, b]);
-        assert_eq!(winners, vec![(1, 1), (1, 0)]); // SegmentId(1) first, then (5)
-    }
-
-    #[test]
-    fn fan_out_fills_one_set_per_shard_for_any_thread_count() {
-        let store = WalkStore::new(4, 1); // single route shard
-        let mut sets = Vec::new();
-        let mut times = Vec::new();
-        fan_out_candidates(&store, 8, &mut sets, &mut times, |sid, set| {
-            set.push(SegmentId(sid as u32), sid, 0, 0, &[]);
-        });
-        assert_eq!(sets.len(), 1);
-        assert_eq!(times.len(), 1);
-        assert_eq!(sets[0].candidates.len(), 1);
-
-        let sharded = ppr_store::ShardedWalkStore::new(12, 1, 3);
-        for threads in [1usize, 2, 8] {
-            fan_out_candidates(&sharded, threads, &mut sets, &mut times, |sid, set| {
-                set.push(SegmentId(sid as u32), sid, 0, 0, &[]);
-            });
-            assert_eq!(sets.len(), 3);
-            assert_eq!(times.len(), 3);
-            for (sid, set) in sets.iter().enumerate() {
-                assert_eq!(set.candidates.len(), 1);
-                assert_eq!(set.candidates[0].seg, SegmentId(sid as u32));
-            }
-        }
+        let mut set = CandidateSet::default();
+        set.push(SegmentId(5), 4, 0, 1, &[NodeId(0)]);
+        set.push(SegmentId(5), 2, 1, 1, &[NodeId(1)]); // earlier position wins
+        set.push(SegmentId(1), 7, 2, 1, &[NodeId(2)]);
+        let winners = reconcile_candidates(&set);
+        assert_eq!(winners, vec![2, 1]); // SegmentId(1) first, then (5)
     }
 
     #[test]
@@ -796,26 +660,5 @@ mod tests {
         assert_eq!(profile.compactions, 2);
         assert_eq!(profile.compaction_time, Duration::from_nanos(2_000));
         assert_eq!(profile.compaction_steps_moved, 240);
-    }
-
-    #[test]
-    fn batch_profile_critical_path_charges_the_slowest_shard() {
-        let mut profile = BatchProfile::default();
-        profile.record(
-            Duration::from_millis(10),
-            &[Duration::from_millis(4), Duration::from_millis(2)],
-            &[Duration::from_millis(1), Duration::from_millis(2)],
-        );
-        // residue = 10 - 6 - 3 = 1ms; critical path = 1 + 4 + 2 = 7ms.
-        assert_eq!(profile.critical_path(), Duration::from_millis(7));
-        // Accumulation is element-wise, so a second identical batch doubles it.
-        profile.record(
-            Duration::from_millis(10),
-            &[Duration::from_millis(4), Duration::from_millis(2)],
-            &[Duration::from_millis(1), Duration::from_millis(2)],
-        );
-        assert_eq!(profile.critical_path(), Duration::from_millis(14));
-        // An empty profile has a zero critical path.
-        assert_eq!(BatchProfile::default().critical_path(), Duration::ZERO);
     }
 }

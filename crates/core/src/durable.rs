@@ -15,7 +15,7 @@
 //!    stream seeded by `(engine seed, batch index, pivot, segment)`, and the
 //!    engine's own sequential RNG state is part of the snapshot metadata — so
 //!    replaying the logged batches over a snapshot reproduces scores, postings, and
-//!    paths byte for byte, at any shard or thread count.
+//!    paths byte for byte.
 //! 3. **Snapshots are atomic, logs truncate cleanly.**  Snapshots are immutable
 //!    generation files published by renaming `CURRENT`; a crash mid-checkpoint
 //!    leaves the previous generation authoritative.  A crash mid-append leaves a
@@ -56,7 +56,7 @@ use ppr_persist::snapshot::{
 };
 use ppr_persist::wal::{self, GroupCommit, WalRecord, WalWriter};
 use ppr_persist::{DiskWalkStore, PagedWalks, WalOp};
-use ppr_store::{ShardedWalkStore, SocialStore, WalkIndexMut, WalkStore, WorkCounter};
+use ppr_store::{SocialStore, WalkIndexMut, WalkStore, WorkCounter};
 use rand::rngs::SmallRng;
 use std::io::{Seek, Write};
 use std::path::Path;
@@ -177,7 +177,6 @@ impl DurableLog {
 struct EngineMeta {
     kind: u8,
     config: MonteCarloConfig,
-    threads: usize,
     batch_index: u64,
     wal_seq: u64,
     rng: [u64; 4],
@@ -197,7 +196,8 @@ fn encode_meta(m: &EngineMeta) -> Vec<u8> {
     });
     w.put_u64(m.config.max_segment_length as u64);
     w.put_f64(m.config.compaction_threshold);
-    w.put_u64(m.threads as u64);
+    // A retired worker-thread count: kept in the bytes as 1, ignored on read.
+    w.put_u64(1);
     w.put_u64(m.batch_index);
     w.put_u64(m.wal_seq);
     for word in m.rng {
@@ -243,7 +243,7 @@ fn decode_meta(payload: &[u8], version: u32) -> PersistResult<EngineMeta> {
         .with_reroute(reroute)
         .with_max_segment_length(max_segment_length)
         .with_compaction_threshold(compaction_threshold);
-    let threads = r.get_len()?.max(1);
+    r.get_u64()?; // the retired worker-thread count
     let batch_index = r.get_u64()?;
     let wal_seq = r.get_u64()?;
     let rng = [r.get_u64()?, r.get_u64()?, r.get_u64()?, r.get_u64()?];
@@ -261,7 +261,6 @@ fn decode_meta(payload: &[u8], version: u32) -> PersistResult<EngineMeta> {
     Ok(EngineMeta {
         kind,
         config,
-        threads,
         batch_index,
         wal_seq,
         rng,
@@ -283,9 +282,7 @@ fn stream_generation<S: Write + Seek, W: PersistentWalkStore>(
     snap.write(&encode_meta(meta))?;
     snap.end_section()?;
     snap.begin_section(SECTION_GRAPH)?;
-    encode_graph(social.graph(), social.shard_count() as u32, |chunk| {
-        snap.write(chunk)
-    })?;
+    encode_graph(social.graph(), |chunk| snap.write(chunk))?;
     snap.end_section()?;
     walks.encode_walks(&mut snap)?;
     snap.finish()
@@ -326,7 +323,7 @@ fn try_load_generation<W: PersistentWalkStore>(
 ) -> PersistResult<(EngineMeta, SocialStore, W)> {
     let mut snap = SnapshotFile::open(&dir.snapshot_path(gen))?;
     let meta = decode_meta(&snap.read_section(SECTION_META)?, snap.version())?;
-    let (graph, shard_count) = decode_graph(&snap.read_section(SECTION_GRAPH)?)?;
+    let graph = decode_graph(&snap.read_section(SECTION_GRAPH)?)?;
     let walks = W::decode_walks(PagedWalks::from_snapshot(snap)?)?;
     // Surface deferred corruption (a demand-paged store leaves its heap unread)
     // while generation fallback is still possible; see `verify_walks`.
@@ -338,7 +335,7 @@ fn try_load_generation<W: PersistentWalkStore>(
             graph.node_count()
         )));
     }
-    let social = SocialStore::from_graph(graph, shard_count as usize);
+    let social = SocialStore::from_graph(graph);
     Ok((meta, social, walks))
 }
 
@@ -352,9 +349,9 @@ fn load_store<W: PersistentWalkStore>(dir: StoreDir) -> PersistResult<Recovered<
     let current_gen = dir.current_gen()?;
     // Bit rot can land in format-sensitive bytes (a version field corrupts into a
     // Format error just as easily as a payload byte corrupts into a Corrupt one),
-    // so *every* load failure falls back to older generations.  A genuine caller
-    // error — opening a sharded store with the flat engine — fails identically at
-    // every generation, so the scan ends by returning the primary error anyway.
+    // so *every* load failure falls back to older generations.  A store this build
+    // cannot read — one written split across shards — fails identically at every
+    // generation, so the scan ends by returning the primary error anyway.
     let (snap_gen, (meta, social, walks)) = match try_load_generation::<W>(&dir, current_gen) {
         Ok(parts) => (current_gen, parts),
         Err(primary) => {
@@ -528,12 +525,11 @@ fn attach_fresh<W: PersistentWalkStore>(
     })
 }
 
-impl<K: WalkKind, W: WalkIndexMut + PersistentWalkStore + Sync> WalkEngine<K, W> {
+impl<K: WalkKind, W: WalkIndexMut + PersistentWalkStore> WalkEngine<K, W> {
     fn engine_meta(&self) -> EngineMeta {
         EngineMeta {
             kind: K::TAG,
             config: self.config,
-            threads: self.threads,
             batch_index: self.batch_index,
             wal_seq: self.wal_seq,
             rng: self.rng.state(),
@@ -568,7 +564,6 @@ impl<K: WalkKind, W: WalkIndexMut + PersistentWalkStore + Sync> WalkEngine<K, W>
             recovered.walks,
             meta.config,
             SmallRng::from_state(meta.rng),
-            meta.threads,
         );
         engine.work = meta.work;
         engine.initialization_steps = meta.initialization_steps;
@@ -639,7 +634,7 @@ impl<K: WalkKind, W: WalkIndexMut + PersistentWalkStore + Sync> WalkEngine<K, W>
     }
 }
 
-impl<K: WalkKind, W: WalkIndexMut + Sync> WalkEngine<K, W> {
+impl<K: WalkKind, W: WalkIndexMut> WalkEngine<K, W> {
     /// Switches the attached WAL (if any, and if fsyncing) into group-commit mode;
     /// see [`DurableLog::begin_group_commit`].
     pub fn wal_group_commit(&mut self) -> Option<GroupCommit> {
@@ -674,21 +669,6 @@ impl<K: WalkKind> WalkEngine<K, WalkStore> {
     }
 }
 
-impl<K: WalkKind> WalkEngine<K, ShardedWalkStore> {
-    /// Builds a sharded engine over `graph` and initialises a durable store
-    /// directory at `root`.  The shard count is recorded in the snapshot; `open`
-    /// restores it.
-    pub fn create_durable_sharded(
-        root: impl AsRef<Path>,
-        graph: impl Into<SocialStore>,
-        config: MonteCarloConfig,
-        shards: usize,
-        threads: usize,
-    ) -> PersistResult<Self> {
-        Self::from_graph_sharded(graph, config, shards, threads).make_durable(root)
-    }
-}
-
 impl<K: WalkKind> WalkEngine<K, DiskWalkStore> {
     /// Builds an engine over the file-backed [`DiskWalkStore`] and initialises a
     /// durable store directory at `root`.  Subsequent [`Self::checkpoint`] calls
@@ -700,7 +680,7 @@ impl<K: WalkKind> WalkEngine<K, DiskWalkStore> {
     ) -> PersistResult<Self> {
         let store = graph.into();
         let walks = DiskWalkStore::new(store.node_count(), K::segments_per_node(config.r));
-        Self::with_store(store, walks, config, 1).make_durable(root)
+        Self::with_store(store, walks, config).make_durable(root)
     }
 }
 
@@ -720,7 +700,6 @@ mod tests {
                 .with_seed(99)
                 .with_reroute(RerouteStrategy::FromSource)
                 .with_max_segment_length(321),
-            threads: 4,
             batch_index: 17,
             wal_seq: 23,
             rng: [1, 2, 3, 4],
@@ -735,7 +714,6 @@ mod tests {
         let decoded = decode_meta(&encode_meta(&meta), ppr_persist::snapshot::VERSION).unwrap();
         assert_eq!(decoded.kind, meta.kind);
         assert_eq!(decoded.config, meta.config);
-        assert_eq!(decoded.threads, meta.threads);
         assert_eq!(decoded.batch_index, meta.batch_index);
         assert_eq!(decoded.wal_seq, meta.wal_seq);
         assert_eq!(decoded.rng, meta.rng);
@@ -748,7 +726,6 @@ mod tests {
         let meta = EngineMeta {
             kind: Salsa::TAG,
             config: MonteCarloConfig::new(0.2, 3),
-            threads: 1,
             batch_index: 0,
             wal_seq: 0,
             rng: [9, 0, 0, 0],
@@ -779,7 +756,6 @@ mod tests {
             config: MonteCarloConfig::new(0.25, 7)
                 .with_seed(99)
                 .with_max_segment_length(321),
-            threads: 4,
             batch_index: 17,
             wal_seq: 23,
             rng: [1, 2, 3, 4],
@@ -794,7 +770,6 @@ mod tests {
         let decoded = decode_meta(&v1, 1).unwrap();
         assert_eq!(decoded.config.epsilon, meta.config.epsilon);
         assert_eq!(decoded.config.max_segment_length, 321);
-        assert_eq!(decoded.threads, 4);
         assert_eq!(decoded.rng, meta.rng);
         assert_eq!(
             decoded.config.compaction_threshold,
@@ -807,26 +782,25 @@ mod tests {
     /// Builds an engine over `graph` into `walks(node_count, segments per node)` in
     /// bulk and through the per-segment reference, holds the two to each other —
     /// draws, digest, every path and posting, arena geometry, and through `Debug`
-    /// every remaining field (slot offsets and capacities, postings blocks, shard
-    /// loads, file slots) — then makes both durable and compares their first
-    /// snapshot files byte for byte.
+    /// every remaining field (slot offsets and capacities, postings blocks, file
+    /// slots) — then makes both durable and compares their first snapshot files byte
+    /// for byte.
     fn assert_bulk_build_equals_reference<K: WalkKind, W>(
         graph: &DynamicGraph,
         config: MonteCarloConfig,
-        shards: usize,
         walks: impl Fn(usize, usize) -> W,
         what: &str,
     ) where
-        W: PersistentWalkStore + Sync + std::fmt::Debug,
+        W: PersistentWalkStore + std::fmt::Debug,
     {
         let what = format!("{} {what}, n = {}", K::NAME, graph.node_count());
         let build = |per_segment: bool| {
-            let store = SocialStore::from_graph(graph.clone(), shards);
+            let store = SocialStore::from_graph(graph.clone());
             let walks = walks(store.node_count(), K::segments_per_node(config.r));
             if per_segment {
-                WalkEngine::<K, W>::with_store_per_segment(store, walks, config, shards)
+                WalkEngine::<K, W>::with_store_per_segment(store, walks, config)
             } else {
-                WalkEngine::<K, W>::with_store(store, walks, config, shards)
+                WalkEngine::<K, W>::with_store(store, walks, config)
             }
         };
         let (bulk, reference) = (build(false), build(true));
@@ -868,17 +842,8 @@ mod tests {
         graph: &DynamicGraph,
         config: MonteCarloConfig,
     ) {
-        assert_bulk_build_equals_reference::<K, _>(graph, config, 1, WalkStore::new, "flat");
-        for shards in [1, 4] {
-            assert_bulk_build_equals_reference::<K, _>(
-                graph,
-                config,
-                shards,
-                |n, r| ShardedWalkStore::new(n, r, shards),
-                &format!("{shards} shards"),
-            );
-        }
-        assert_bulk_build_equals_reference::<K, _>(graph, config, 1, DiskWalkStore::new, "disk");
+        assert_bulk_build_equals_reference::<K, _>(graph, config, WalkStore::new, "flat");
+        assert_bulk_build_equals_reference::<K, _>(graph, config, DiskWalkStore::new, "disk");
     }
 
     #[test]

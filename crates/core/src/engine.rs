@@ -15,9 +15,8 @@
 //!   backward (target-keyed) groups, an RNG salt and a snapshot tag — every line of
 //!   maintenance, durability and serving is shared;
 //! * the **store layout** `W`: any [`ppr_store::WalkIndexMut`] — the flat
-//!   [`WalkStore`] by default, the sharded [`ShardedWalkStore`] through
-//!   [`WalkEngine::from_graph_sharded`], the file-backed `DiskWalkStore` through
-//!   [`crate::durable`].
+//!   [`WalkStore`] by default, the file-backed `DiskWalkStore` (which wraps it)
+//!   through [`crate::durable`].
 //!
 //! # Construction
 //!
@@ -103,8 +102,9 @@
 //! rule only selects which stream draws the identically distributed replacement.)  A
 //! candidate that loses wastes its generated walk — rare, and never charged to
 //! [`UpdateStats`]/[`WorkCounter`], which count the work the store absorbed.  Results
-//! are **bit-identical for every shard count and thread count**
-//! (`tests/differential_shard.rs`), which is what makes both batch kinds WAL records.
+//! depend only on the engine seed, the batch index and the batch's edges — never on
+//! the order candidates are computed in — which is what makes both batch kinds WAL
+//! records.
 //! A single-edge [`WalkEngine::add_edge`] / [`WalkEngine::remove_edge`] is a batch of
 //! one, on the same streams.
 //!
@@ -119,8 +119,8 @@ use crate::config::{MonteCarloConfig, RerouteStrategy};
 use crate::walker;
 use ppr_graph::{DynamicGraph, Edge, GraphView, NodeId};
 use ppr_store::{
-    ArenaStats, SegmentId, SegmentRewrites, ShardedWalkStore, SocialStore, WalkIndex, WalkIndexMut,
-    WalkStore, WorkCounter,
+    ArenaStats, SegmentId, SegmentRewrites, SocialStore, WalkIndex, WalkIndexMut, WalkStore,
+    WorkCounter,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -219,9 +219,6 @@ pub struct WalkEngine<K: WalkKind, W: WalkIndexMut = WalkStore> {
     pub(crate) rng: SmallRng,
     pub(crate) work: WorkCounter,
     pub(crate) initialization_steps: u64,
-    /// Worker threads used for the batched reroute pipeline (always 1 for a
-    /// single-shard store; results never depend on this).
-    pub(crate) threads: usize,
     /// Index of the next batch (arrivals or deletions), mixed into every
     /// repair-stream seed.
     pub(crate) batch_index: u64,
@@ -229,10 +226,8 @@ pub struct WalkEngine<K: WalkKind, W: WalkIndexMut = WalkStore> {
     scratch: Vec<NodeId>,
     /// Reusable detection-scan output.
     probes: Probes,
-    /// Reusable phase-1 outputs, one per route shard.
-    candidate_sets: Vec<CandidateSet>,
-    /// Reusable per-shard phase-1 timing buffer.
-    phase1_times: Vec<std::time::Duration>,
+    /// Reusable phase-1 output.
+    candidates: CandidateSet,
     /// Reusable reconciled rewrite plan.
     rewrites: SegmentRewrites,
     /// Accumulated wall-time breakdown of the update batches (observability only).
@@ -246,13 +241,13 @@ pub struct WalkEngine<K: WalkKind, W: WalkIndexMut = WalkStore> {
 
 impl<K: WalkKind> WalkEngine<K> {
     /// Builds the engine over a graph or an existing Social Store, generating every
-    /// node's segments in a single-shard [`WalkStore`].  Pass the graph by value to
+    /// node's segments in a [`WalkStore`].  Pass the graph by value to
     /// avoid copying it; `&DynamicGraph` is also accepted (and cloned) for callers that
     /// keep theirs.
     pub fn from_graph(graph: impl Into<SocialStore>, config: MonteCarloConfig) -> Self {
         let store = graph.into();
         let walks = WalkStore::new(store.node_count(), K::segments_per_node(config.r));
-        Self::with_store(store, walks, config, 1)
+        Self::with_store(store, walks, config)
     }
 
     /// Builds the engine over an empty graph with `node_count` isolated nodes.
@@ -261,36 +256,7 @@ impl<K: WalkKind> WalkEngine<K> {
     }
 }
 
-impl<K: WalkKind> WalkEngine<K, ShardedWalkStore> {
-    /// Builds the engine over a [`ShardedWalkStore`] split `shards` ways, repairing
-    /// batches with up to `threads` worker threads.  The Social Store is re-sharded to
-    /// the same shard count, so both stores place every node on the same shard (the
-    /// shared [`ppr_store::routing::shard_of`] rule).
-    ///
-    /// Scores, segments, and postings are **bit-identical** to the single-shard
-    /// engine's for every `(shards, threads)` combination; the knobs only change how
-    /// the repair work is scheduled.
-    pub fn from_graph_sharded(
-        graph: impl Into<SocialStore>,
-        config: MonteCarloConfig,
-        shards: usize,
-        threads: usize,
-    ) -> Self {
-        assert!(shards >= 1, "need at least one shard");
-        assert!(threads >= 1, "need at least one worker thread");
-        let store = graph.into();
-        let store = if store.shard_count() == shards {
-            store
-        } else {
-            SocialStore::from_graph(store.into_graph(), shards)
-        };
-        let segments = K::segments_per_node(config.r);
-        let walks = ShardedWalkStore::new(store.node_count(), segments, shards);
-        Self::with_store(store, walks, config, threads)
-    }
-}
-
-impl<K: WalkKind, W: WalkIndexMut + Sync> WalkEngine<K, W> {
+impl<K: WalkKind, W: WalkIndexMut> WalkEngine<K, W> {
     /// Assembles an engine around existing stores without generating anything (the
     /// recovery path fills in the persisted counters afterwards).
     pub(crate) fn assemble(
@@ -298,7 +264,6 @@ impl<K: WalkKind, W: WalkIndexMut + Sync> WalkEngine<K, W> {
         walks: W,
         config: MonteCarloConfig,
         rng: SmallRng,
-        threads: usize,
     ) -> Self {
         WalkEngine {
             store,
@@ -307,12 +272,10 @@ impl<K: WalkKind, W: WalkIndexMut + Sync> WalkEngine<K, W> {
             rng,
             work: WorkCounter::new(),
             initialization_steps: 0,
-            threads,
             batch_index: 0,
             scratch: Vec::new(),
             probes: Probes::default(),
-            candidate_sets: Vec::new(),
-            phase1_times: Vec::new(),
+            candidates: CandidateSet::default(),
             rewrites: SegmentRewrites::new(),
             profile: BatchProfile::default(),
             durability: None,
@@ -324,16 +287,11 @@ impl<K: WalkKind, W: WalkIndexMut + Sync> WalkEngine<K, W> {
     /// Builds the engine around an empty `walks`: draws every node's segments into
     /// one plan, then installs it with a single [`WalkIndexMut::fill`] (see the
     /// [module docs](self#construction)).
-    pub(crate) fn with_store(
-        store: SocialStore,
-        mut walks: W,
-        config: MonteCarloConfig,
-        threads: usize,
-    ) -> Self {
+    pub(crate) fn with_store(store: SocialStore, mut walks: W, config: MonteCarloConfig) -> Self {
         let node_count = store.node_count();
         walks.set_compaction_threshold(config.compaction_threshold);
         let rng = SmallRng::seed_from_u64(config.seed.wrapping_add(K::SEED_SALT));
-        let mut engine = Self::assemble(store, walks, config, rng, threads);
+        let mut engine = Self::assemble(store, walks, config, rng);
         let mut plan = SegmentRewrites::new();
         engine.draw_segments(0..node_count, &mut plan);
         engine.walks.fill(&plan);
@@ -347,12 +305,11 @@ impl<K: WalkKind, W: WalkIndexMut + Sync> WalkEngine<K, W> {
         store: SocialStore,
         mut walks: W,
         config: MonteCarloConfig,
-        threads: usize,
     ) -> Self {
         let node_count = store.node_count();
         walks.set_compaction_threshold(config.compaction_threshold);
         let rng = SmallRng::seed_from_u64(config.seed.wrapping_add(K::SEED_SALT));
-        let mut engine = Self::assemble(store, walks, config, rng, threads);
+        let mut engine = Self::assemble(store, walks, config, rng);
         for node in 0..node_count {
             engine.generate_segments_for(NodeId::from_index(node));
         }
@@ -370,9 +327,7 @@ impl<K: WalkKind, W: WalkIndexMut + Sync> WalkEngine<K, W> {
     }
 
     /// Accumulated wall-time breakdown of every batch since construction (or the last
-    /// [`Self::reset_batch_profile`]): total time plus per-shard times of the two
-    /// parallelizable phases.  [`BatchProfile::critical_path`] turns it into the wall
-    /// time a one-core-per-shard deployment would pay.
+    /// [`Self::reset_batch_profile`]): total time plus the time of each repair phase.
     pub fn batch_profile(&self) -> &BatchProfile {
         &self.profile
     }
@@ -409,18 +364,6 @@ impl<K: WalkKind, W: WalkIndexMut + Sync> WalkEngine<K, W> {
     /// touched no segment.
     pub fn last_rewrites(&self) -> &SegmentRewrites {
         &self.rewrites
-    }
-
-    /// Number of worker threads the batched reroute pipeline may use.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Sets the worker-thread budget.  Results are bit-identical for every value; only
-    /// scheduling changes.
-    pub fn set_threads(&mut self, threads: usize) {
-        assert!(threads >= 1, "need at least one worker thread");
-        self.threads = threads;
     }
 
     /// Number of nodes currently known to the engine.
@@ -695,10 +638,14 @@ impl<K: WalkKind, W: WalkIndexMut + Sync> WalkEngine<K, W> {
         started: Instant,
         arena_before: &ArenaStats,
         detect: impl Fn(&Repair<'_, W>, usize, &Group, &mut Probes),
-        candidate: impl Fn(&Repair<'_, W>, &Group, SegmentId, &[u32], &mut Vec<NodeId>) -> Option<(usize, u64)>
-            + Sync,
+        candidate: impl Fn(
+            &Repair<'_, W>,
+            &Group,
+            SegmentId,
+            &[u32],
+            &mut Vec<NodeId>,
+        ) -> Option<(usize, u64)>,
     ) -> UpdateStats {
-        let threads = self.threads;
         let repair = Repair {
             graph: self.store.graph(),
             walks: &self.walks,
@@ -717,34 +664,19 @@ impl<K: WalkKind, W: WalkIndexMut + Sync> WalkEngine<K, W> {
         self.profile.detect += phase_started.elapsed();
 
         // Phase 1b: candidate generation, read-only against the pre-batch walk store
-        // and the post-batch graph, partitioned by the shard owning each segment.
+        // and the post-batch graph.
         let phase_started = Instant::now();
-        let mut sets = std::mem::take(&mut self.candidate_sets);
-        let mut phase1_times = std::mem::take(&mut self.phase1_times);
-        let shards = repair.walks.route_shards();
-        let segments = repair.walks.r();
-        batch::fan_out_candidates(
-            repair.walks,
-            threads,
-            &mut sets,
-            &mut phase1_times,
-            |sid, set| {
-                let mut scratch = std::mem::take(&mut set.scratch);
-                for probe in &probes.probes {
-                    if shards > 1 && (probe.seg.index() / segments) % shards != sid {
-                        continue;
-                    }
-                    let group = &groups[probe.group as usize];
-                    let picks = probes.picks(probe);
-                    if let Some((pos, steps)) =
-                        candidate(&repair, group, probe.seg, picks, &mut scratch)
-                    {
-                        set.push(probe.seg, pos, probe.group as usize, steps, &scratch);
-                    }
-                }
-                set.scratch = scratch;
-            },
-        );
+        let mut set = std::mem::take(&mut self.candidates);
+        set.clear();
+        for probe in &probes.probes {
+            let group = &groups[probe.group as usize];
+            let picks = probes.picks(probe);
+            if let Some((pos, steps)) =
+                candidate(&repair, group, probe.seg, picks, &mut self.scratch)
+            {
+                set.push(probe.seg, pos, probe.group as usize, steps, &self.scratch);
+            }
+        }
         self.profile.candidates += phase_started.elapsed();
         self.profile.record_scan(&probes);
         self.probes = probes;
@@ -755,9 +687,9 @@ impl<K: WalkKind, W: WalkIndexMut + Sync> WalkEngine<K, W> {
         let mut touched: HashSet<(NodeId, bool)> = HashSet::new();
         let mut rewrites = std::mem::take(&mut self.rewrites);
         rewrites.clear();
-        for (si, ci) in batch::reconcile_candidates(&sets) {
-            let cand = &sets[si].candidates[ci];
-            rewrites.push(cand.seg, sets[si].path(cand));
+        for ci in batch::reconcile_candidates(&set) {
+            let cand = &set.candidates[ci];
+            rewrites.push(cand.seg, set.path(cand));
             stats.segments_updated += 1;
             stats.walk_steps += cand.steps;
             let group = &groups[cand.group as usize];
@@ -765,21 +697,14 @@ impl<K: WalkKind, W: WalkIndexMut + Sync> WalkEngine<K, W> {
         }
         stats.touched_walk_store = stats.segments_updated > 0;
 
-        // Phase 3: the store applies the plan (parallel per shard when it can).
+        // Phase 3: the store applies the plan.
         let phase_started = Instant::now();
-        self.walks.apply_rewrites(&rewrites, threads);
-        let apply = phase_started.elapsed();
-        self.profile.apply += apply;
-        let apply_shard_times = match self.walks.last_apply_shard_times() {
-            [] => std::slice::from_ref(&apply),
-            per_shard => per_shard,
-        };
-        self.profile
-            .record(started.elapsed(), &phase1_times, apply_shard_times);
+        self.walks.apply_rewrites(&rewrites);
+        self.profile.apply += phase_started.elapsed();
+        self.profile.total += started.elapsed();
         self.profile
             .record_compactions(arena_before, &self.walks.arena_stats());
-        self.candidate_sets = sets;
-        self.phase1_times = phase1_times;
+        self.candidates = set;
         self.rewrites = rewrites;
 
         // An edge was absorbed by the Section 2.2 filter when neither its source's

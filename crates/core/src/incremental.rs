@@ -16,7 +16,7 @@ use ppr_store::{WalkIndexMut, WalkStore};
 /// walks per node, generic over the PageRank Store layout (`W`).
 pub type IncrementalPageRank<W = WalkStore> = WalkEngine<PageRank, W>;
 
-impl<W: WalkIndexMut + Sync> WalkEngine<PageRank, W> {
+impl<W: WalkIndexMut> WalkEngine<PageRank, W> {
     /// Current PageRank estimates.
     pub fn estimates(&self) -> PageRankEstimates {
         PageRankEstimates::from_store(&self.walks, self.config.epsilon)
@@ -66,7 +66,6 @@ mod tests {
         PreferentialAttachmentConfig,
     };
     use ppr_graph::{DynamicGraph, Edge};
-    use ppr_store::WalkIndexView;
 
     fn config(r: usize, seed: u64) -> MonteCarloConfig {
         MonteCarloConfig::new(0.2, r).with_seed(seed)
@@ -313,80 +312,6 @@ mod tests {
             assert_eq!(sa, sb, "edge {i}: stats must match");
         }
         assert_eq!(a.scores(), b.scores());
-    }
-
-    #[test]
-    fn sharded_engine_is_bit_identical_to_single_shard() {
-        // The full differential harness lives in tests/differential_shard.rs; this is
-        // the in-crate smoke version of the same contract.
-        let pa = PreferentialAttachmentConfig::new(80, 3, 59);
-        let edges = preferential_attachment_edges(&pa);
-        let mut flat = IncrementalPageRank::new_empty(80, config(4, 61));
-        let mut sharded = IncrementalPageRank::from_graph_sharded(
-            DynamicGraph::with_nodes(80),
-            config(4, 61),
-            4,
-            4,
-        );
-        for chunk in edges.chunks(37) {
-            let sa = flat.apply_arrivals(chunk);
-            let sb = sharded.apply_arrivals(chunk);
-            assert_eq!(sa, sb, "batch stats must match");
-        }
-        assert_eq!(flat.scores(), sharded.scores());
-        assert_eq!(
-            flat.walk_store().total_visits(),
-            sharded.walk_store().total_visits()
-        );
-        assert_eq!(
-            WalkIndexView::visit_counts(flat.walk_store()),
-            sharded.walk_store().visit_counts()
-        );
-        sharded.validate_segments().unwrap();
-    }
-
-    #[test]
-    fn thread_count_never_changes_results() {
-        let pa = PreferentialAttachmentConfig::new(60, 3, 67);
-        let edges = preferential_attachment_edges(&pa);
-        let mut one = IncrementalPageRank::from_graph_sharded(
-            DynamicGraph::with_nodes(60),
-            config(3, 71),
-            3,
-            1,
-        );
-        let mut many = IncrementalPageRank::from_graph_sharded(
-            DynamicGraph::with_nodes(60),
-            config(3, 71),
-            3,
-            4,
-        );
-        for chunk in edges.chunks(25) {
-            one.apply_arrivals(chunk);
-            many.apply_arrivals(chunk);
-            // Retargeting the thread budget mid-stream must not matter either.
-            many.set_threads(if many.threads() == 4 { 2 } else { 4 });
-        }
-        assert_eq!(one.scores(), many.scores());
-        assert_eq!(
-            one.walk_store().visit_counts(),
-            many.walk_store().visit_counts()
-        );
-    }
-
-    #[test]
-    fn sharded_engine_reshards_the_social_store_to_match() {
-        let engine =
-            IncrementalPageRank::from_graph_sharded(directed_cycle(9), config(2, 73), 3, 2);
-        assert_eq!(engine.social_store().shard_count(), 3);
-        assert_eq!(engine.walk_store().shard_count(), 3);
-        for node in 0..9u32 {
-            assert_eq!(
-                engine.social_store().shard_of(NodeId(node)),
-                engine.walk_store().shard_of(NodeId(node))
-            );
-        }
-        engine.validate_segments().unwrap();
     }
 
     #[test]

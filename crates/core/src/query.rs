@@ -1,8 +1,8 @@
 //! Split RNG streams for queries: the read-side analogue of the write path's
 //! `repair_seed` streams.
 //!
-//! PR 3 made *writes* deterministic at any shard/thread count by giving every
-//! `(batch, pivot, segment)` repair its own RNG stream.  This module extends the same
+//! *Writes* are deterministic because every `(batch, pivot, segment)` repair draws
+//! from its own RNG stream.  This module extends the same
 //! contract to *reads*: a query draws from a stream derived purely from
 //! `(query_seed, query_id)`, never from engine state or a walker's call history — so
 //! the answer to a query is a function of the store generation it reads and nothing

@@ -23,11 +23,6 @@ impl MetricSource for BatchProfile {
         out.counter("compactions", self.compactions);
         out.counter("compaction_nanos", self.compaction_time.as_nanos() as u64);
         out.counter("compaction_steps_moved", self.compaction_steps_moved);
-        out.gauge(
-            "critical_path_nanos",
-            self.critical_path().as_nanos() as f64,
-        );
-        out.gauge("shards", self.phase1_shard_times.len() as f64);
     }
 }
 
@@ -48,8 +43,8 @@ impl<K: WalkKind, W: WalkIndexMut> WalkEngine<K, W> {
     /// the batch wall-time profile (`batch.*`), what phase 1 scanned and read to
     /// find the reroutes `work.segments_updated` counts (`reroute.*`), the walk
     /// store's counters
-    /// (`arena.*` always; `disk.*` / `pager.*` / `residency.*` /
-    /// `shard_load.*` per layout), and WAL counters (`wal.*`) when a durable
+    /// (`arena.*` always; `disk.*` / `pager.*` / `residency.*` for the disk
+    /// layout), and WAL counters (`wal.*`) when a durable
     /// log is attached.  The layout is the same for both walk kinds.
     pub fn emit_telemetry(&self, out: &mut SnapshotBuilder) {
         out.source("store", &self.store.metrics());
@@ -99,7 +94,6 @@ mod tests {
             .sum();
         assert!(phases > 0);
         assert!(phases <= snap.counter("engine.batch.total_nanos").unwrap());
-        assert_eq!(engine.batch_profile().apply_shard_times.len(), 1);
         // The arrival out of node 0 (out-degree 1, so p = 1/2 over a handful of
         // visits) read at least the paths it rerouted.
         let paths_read = snap.counter("engine.reroute.paths_read").unwrap();

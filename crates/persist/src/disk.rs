@@ -962,7 +962,7 @@ impl WalkIndexMut for DiskWalkStore {
         }
     }
 
-    fn apply_rewrites(&mut self, rewrites: &SegmentRewrites, _threads: usize) {
+    fn apply_rewrites(&mut self, rewrites: &SegmentRewrites) {
         for (id, path) in rewrites.iter() {
             self.set_segment(id, path);
         }
@@ -999,7 +999,6 @@ impl PersistentWalkStore for DiskWalkStore {
         self.next = None;
         let header = WalksHeader {
             r: self.resident.r() as u32,
-            shard_count: 1,
             node_count: self.resident.node_count() as u64,
             slot_count: self.dir.len() as u64,
             heap_len: self.heap_len,
@@ -1078,12 +1077,6 @@ impl PersistentWalkStore for DiskWalkStore {
     /// [`WalkIndexMut::check_consistency`].
     fn decode_walks(mut walks: PagedWalks) -> PersistResult<Self> {
         let header = *walks.header();
-        if header.shard_count != 1 {
-            return Err(format_err(format!(
-                "snapshot holds a {}-shard store; open it with the sharded engine",
-                header.shard_count
-            )));
-        }
         let (postings, total) = walks.parse_postings()?;
         let resident = WalkStore::from_postings_index(
             header.node_count as usize,
@@ -1239,7 +1232,6 @@ mod tests {
         }
         let header = WalksHeader {
             r: store.resident.r() as u32,
-            shard_count: 1,
             node_count: store.resident.node_count() as u64,
             slot_count: store.dir.len() as u64,
             heap_len: store.heap_len,
@@ -1455,7 +1447,7 @@ mod tests {
         snap.write(&[0xA5; 97])?;
         snap.end_section()?;
         snap.begin_section(SECTION_GRAPH)?;
-        crate::graph::encode_graph(&graph, 1, |chunk| snap.write(chunk))?;
+        crate::graph::encode_graph(&graph, |chunk| snap.write(chunk))?;
         snap.end_section()?;
         store.encode_walks(&mut snap)?;
         snap.finish()

@@ -7,17 +7,17 @@
 //! they are observability, and a restart legitimately starts them at zero.
 
 use crate::io::{corrupt, ByteReader, ByteWriter, PersistResult, SPILL_BYTES};
+use crate::snapshot::{check_shard_count, SHARD_COUNT};
 use ppr_graph::{DynamicGraph, GraphView, NodeId};
 
-/// Encodes `graph` (and the Social Store's shard count) as a graph-section payload,
-/// handed to `emit` in bounded chunks as it is produced.
+/// Encodes `graph` as a graph-section payload, handed to `emit` in bounded chunks as
+/// it is produced.
 pub fn encode_graph(
     graph: &DynamicGraph,
-    shard_count: u32,
     mut emit: impl FnMut(&[u8]) -> PersistResult<()>,
 ) -> PersistResult<()> {
     let mut w = ByteWriter::with_capacity(SPILL_BYTES + 8);
-    w.put_u32(shard_count);
+    w.put_u32(SHARD_COUNT);
     w.put_u64(graph.node_count() as u64);
     w.put_u64(graph.edge_count() as u64);
     for direction in [true, false] {
@@ -38,14 +38,11 @@ pub fn encode_graph(
     w.spill(0, &mut emit)
 }
 
-/// Decodes a graph-section payload back into a graph and the shard count it was
-/// stored with.
-pub fn decode_graph(payload: &[u8]) -> PersistResult<(DynamicGraph, u32)> {
+/// Decodes a graph-section payload back into a graph.  A section written for a
+/// store split across shards is refused with a `Format` error.
+pub fn decode_graph(payload: &[u8]) -> PersistResult<DynamicGraph> {
     let mut r = ByteReader::new(payload);
-    let shard_count = r.get_u32()?;
-    if shard_count == 0 {
-        return Err(corrupt("graph section claims zero shards"));
-    }
+    check_shard_count(r.get_u32()?, "graph section")?;
     let node_count = r.get_len()?;
     let edge_count = r.get_u64()?;
     let read_lists = |r: &mut ByteReader<'_>| -> PersistResult<Vec<Vec<NodeId>>> {
@@ -78,7 +75,7 @@ pub fn decode_graph(payload: &[u8]) -> PersistResult<(DynamicGraph, u32)> {
             graph.edge_count()
         )));
     }
-    Ok((graph, shard_count))
+    Ok(graph)
 }
 
 #[cfg(test)]
@@ -86,9 +83,9 @@ mod tests {
     use super::*;
     use ppr_graph::Edge;
 
-    fn encoded(graph: &DynamicGraph, shard_count: u32) -> Vec<u8> {
+    fn encoded(graph: &DynamicGraph) -> Vec<u8> {
         let mut payload = Vec::new();
-        encode_graph(graph, shard_count, |chunk| {
+        encode_graph(graph, |chunk| {
             payload.extend_from_slice(chunk);
             Ok(())
         })
@@ -109,9 +106,10 @@ mod tests {
             g.add_edge(e);
         }
         g.remove_edge(Edge::new(0, 3)); // swap_remove scrambles list order
-        let payload = encoded(&g, 3);
-        let (decoded, shards) = decode_graph(&payload).unwrap();
-        assert_eq!(shards, 3);
+        let payload = encoded(&g);
+        // The shard-count field stays in the bytes, always 1.
+        assert_eq!(payload[..4], 1u32.to_le_bytes());
+        let decoded = decode_graph(&payload).unwrap();
         assert_eq!(decoded.edge_count(), g.edge_count());
         for node in g.nodes() {
             assert_eq!(decoded.out_neighbors(node), g.out_neighbors(node));
@@ -123,16 +121,21 @@ mod tests {
     fn tampered_payloads_are_rejected() {
         let mut g = DynamicGraph::with_nodes(3);
         g.add_edge(Edge::new(0, 1));
-        let clean = encoded(&g, 1);
+        let clean = encoded(&g);
         // Claimed edge count diverges from the lists.
         let mut bad = clean.clone();
         bad[12] ^= 0x01;
         assert!(decode_graph(&bad).is_err());
         // Truncation.
         assert!(decode_graph(&clean[..clean.len() - 1]).is_err());
-        // Zero shards.
-        let mut bad = clean;
-        bad[0] = 0;
-        assert!(decode_graph(&bad).is_err());
+        // Any shard count but 1: zero, or a store split three ways.
+        for shards in [0u32, 3] {
+            let mut bad = clean.clone();
+            bad[..4].copy_from_slice(&shards.to_le_bytes());
+            assert!(matches!(
+                decode_graph(&bad),
+                Err(crate::io::PersistError::Format(_))
+            ));
+        }
     }
 }

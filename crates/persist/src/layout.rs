@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! payload := header | dir | postings | page_crcs | heap
-//! header  := r u32 | shard_count u32 | node_count u64 | slot_count u64
+//! header  := r u32 | shard_count u32 (always 1) | node_count u64 | slot_count u64
 //!          | heap_len u64 (steps) | page_size u32 | meta_crc u32
 //! dir     := slot_count × (offset u64 | len u32 | cap u32)      (steps, not bytes)
 //! postings:= per node (count u32 | (segment u32, visits u32)*count) | total_visits u64
@@ -43,20 +43,20 @@
 //! table once; the postings bytes are consumed (and freed) by whichever decode
 //! parses them.  Decoding always cross-checks the serialized postings against the
 //! stored paths, so index corruption is detected at open time instead of surfacing
-//! as silently wrong scores.  Flat stores take the bulk-load fast path
+//! as silently wrong scores.  The flat store takes the bulk-load fast path
 //! ([`PagedWalks::decode_flat_store`]): the serialized runs become the index
-//! directly and one global sorted pass verifies them.  Sharded stores replay paths
-//! through `WalkIndexMut::set_segment` ([`PagedWalks::rebuild_into`]) and verify
-//! the rebuilt index against the serialized runs.
+//! directly and one global sorted pass verifies them.
 //!
 //! [deferred]: SnapshotWriter::defer
 
 use crate::crc::{crc32, crc32_concat, Crc32};
 use crate::io::{corrupt, format_err, ByteReader, ByteWriter, PersistResult, SPILL_BYTES};
 use crate::pager::{PageCache, PagerStats};
-use crate::snapshot::{Deferred, SnapshotFile, SnapshotWriter, SECTION_WALKS};
+use crate::snapshot::{
+    check_shard_count, Deferred, SnapshotFile, SnapshotWriter, SECTION_WALKS, SHARD_COUNT,
+};
 use ppr_graph::NodeId;
-use ppr_store::{SegmentId, ShardedWalkStore, WalkIndex, WalkIndexMut, WalkStore};
+use ppr_store::{SegmentId, WalkIndex, WalkIndexMut, WalkStore};
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
@@ -94,13 +94,12 @@ pub fn file_reservation(len: usize) -> u32 {
     }
 }
 
-/// Parsed fixed-size header of a walks section.
+/// Parsed fixed-size header of a walks section.  The on-disk shard count (always 1)
+/// is checked on open and not kept.
 #[derive(Debug, Clone, Copy)]
 pub struct WalksHeader {
     /// Segments per node.
     pub r: u32,
-    /// Shard count of the store that wrote the section (1 for flat layouts).
-    pub shard_count: u32,
     /// Nodes addressed by the store.
     pub node_count: u64,
     /// Total segment slots (`node_count * r`).
@@ -121,7 +120,7 @@ impl WalksHeader {
     fn encode(&self, meta_crc: u32) -> Vec<u8> {
         let mut w = ByteWriter::with_capacity(HEADER_LEN);
         w.put_u32(self.r);
-        w.put_u32(self.shard_count);
+        w.put_u32(SHARD_COUNT);
         w.put_u64(self.node_count);
         w.put_u64(self.slot_count);
         w.put_u64(self.heap_len);
@@ -129,38 +128,6 @@ impl WalksHeader {
         w.put_u32(meta_crc);
         w.into_bytes()
     }
-}
-
-/// Verifies the serialized postings of `raw` against a rebuilt store.
-fn verify_postings(raw: &[u8], store: &impl WalkIndex) -> PersistResult<()> {
-    let mut r = ByteReader::new(raw);
-    for node in 0..store.node_count() {
-        let node_id = NodeId::from_index(node);
-        let count = r.get_u32()? as usize;
-        let mut rebuilt = store.segments_visiting(node_id);
-        for k in 0..count {
-            let seg = SegmentId(r.get_u32()?);
-            let visits = r.get_u32()?;
-            if rebuilt.next() != Some((seg, visits)) {
-                return Err(corrupt(format!(
-                    "serialized posting {k} of node {node} disagrees with the rebuilt index"
-                )));
-            }
-        }
-        if rebuilt.next().is_some() {
-            return Err(corrupt(format!(
-                "rebuilt index has postings for node {node} the snapshot lacks"
-            )));
-        }
-    }
-    let total = r.get_u64()?;
-    if total != store.total_visits() {
-        return Err(corrupt(format!(
-            "serialized total_visits {total} disagrees with the rebuilt {}",
-            store.total_visits()
-        )));
-    }
-    r.expect_end("postings")
 }
 
 /// Computes a tight fresh layout for `store`: slots in segment-id order, each with
@@ -290,13 +257,11 @@ impl<'a, S: Write + Seek> WalksStream<'a, S> {
 /// Streams any store's walk data as a fresh, tightly laid-out walks section.
 pub fn stream_walks_fresh<S: Write + Seek>(
     store: &impl WalkIndex,
-    shard_count: u32,
     out: &mut SnapshotWriter<S>,
 ) -> PersistResult<()> {
     let (dir, heap_len) = fresh_layout(store);
     let header = WalksHeader {
         r: store.r() as u32,
-        shard_count,
         node_count: store.node_count() as u64,
         slot_count: dir.len() as u64,
         heap_len,
@@ -360,9 +325,10 @@ impl PagedWalks {
         let mut head = vec![0u8; HEADER_LEN];
         file.read_exact(&mut head)?;
         let mut r = ByteReader::new(&head);
+        let segments = r.get_u32()?;
+        check_shard_count(r.get_u32()?, "walks section")?;
         let header = WalksHeader {
-            r: r.get_u32()?,
-            shard_count: r.get_u32()?,
+            r: segments,
             node_count: r.get_u64()?,
             slot_count: r.get_u64()?,
             heap_len: r.get_u64()?,
@@ -655,12 +621,6 @@ impl PagedWalks {
     /// of an incremental index rebuild.
     pub fn decode_flat_store(&mut self) -> PersistResult<WalkStore> {
         let header = *self.header();
-        if header.shard_count != 1 {
-            return Err(format_err(format!(
-                "snapshot holds a {}-shard store; open it with the sharded engine",
-                header.shard_count
-            )));
-        }
         // Stream every non-empty slot's path into one flat buffer.
         let mut steps: Vec<NodeId> = Vec::new();
         let mut bounds: Vec<(SegmentId, usize, usize)> = Vec::new();
@@ -695,51 +655,13 @@ impl PagedWalks {
         }
         Ok(store)
     }
-
-    /// Rebuilds every segment of the section into `store` (which must already be
-    /// sized for the section's node count and `r`), then verifies the rebuilt
-    /// postings and counters against the serialized ones.
-    pub fn rebuild_into<W: WalkIndexMut>(&mut self, store: &mut W) -> PersistResult<()> {
-        if store.node_count() as u64 != self.header.node_count
-            || store.r() as u64 != self.header.r as u64
-        {
-            return Err(format_err(
-                "store dimensions do not match the walks section".to_string(),
-            ));
-        }
-        let mut path = Vec::new();
-        for slot in 0..self.header.slot_count as u32 {
-            let file_slot = self.dir[slot as usize];
-            if file_slot.len == 0 {
-                continue;
-            }
-            self.read_steps(file_slot.offset, file_slot.len, &mut path)?;
-            let id = SegmentId(slot);
-            let source = id.source(self.header.r as usize);
-            if path.first() != Some(&source) {
-                return Err(corrupt(format!(
-                    "segment {slot} does not start at its source node {source}"
-                )));
-            }
-            if let Some(bad) = path
-                .iter()
-                .find(|v| v.index() as u64 >= self.header.node_count)
-            {
-                return Err(corrupt(format!(
-                    "segment {slot} visits node {bad} outside the store"
-                )));
-            }
-            store.set_segment(id, &path);
-        }
-        verify_postings(&std::mem::take(&mut self.postings_raw), store)
-    }
 }
 
 /// A store layout that can round-trip through the snapshot walks section.
 ///
 /// The engines' durable `open`/`checkpoint` APIs are generic over this trait, so the
-/// same recovery pipeline serves the flat [`WalkStore`], the [`ShardedWalkStore`],
-/// and the file-backed [`crate::disk::DiskWalkStore`].
+/// same recovery pipeline serves the flat [`WalkStore`] and the file-backed
+/// [`crate::disk::DiskWalkStore`].
 pub trait PersistentWalkStore: WalkIndexMut + Sized {
     /// Streams this store's walk data into `out` as its walks section (through a
     /// [`WalksStream`]).  (`&mut` so file-backed stores can carry clean pages over
@@ -769,28 +691,11 @@ pub trait PersistentWalkStore: WalkIndexMut + Sized {
 
 impl PersistentWalkStore for WalkStore {
     fn encode_walks<S: Write + Seek>(&mut self, out: &mut SnapshotWriter<S>) -> PersistResult<()> {
-        stream_walks_fresh(self, 1, out)
+        stream_walks_fresh(self, out)
     }
 
     fn decode_walks(mut walks: PagedWalks) -> PersistResult<Self> {
         walks.decode_flat_store()
-    }
-}
-
-impl PersistentWalkStore for ShardedWalkStore {
-    fn encode_walks<S: Write + Seek>(&mut self, out: &mut SnapshotWriter<S>) -> PersistResult<()> {
-        stream_walks_fresh(self, self.shard_count() as u32, out)
-    }
-
-    fn decode_walks(mut walks: PagedWalks) -> PersistResult<Self> {
-        let header = *walks.header();
-        let mut store = ShardedWalkStore::new(
-            header.node_count as usize,
-            header.r as usize,
-            header.shard_count as usize,
-        );
-        walks.rebuild_into(&mut store)?;
-        Ok(store)
     }
 }
 
@@ -851,7 +756,7 @@ pub(crate) mod reference {
             HEADER_LEN + dir_bytes.len() + postings.len() + crc_table.len() + heap.len(),
         );
         payload.put_u32(header.r);
-        payload.put_u32(header.shard_count);
+        payload.put_u32(SHARD_COUNT);
         payload.put_u64(header.node_count);
         payload.put_u64(header.slot_count);
         payload.put_u64(header.heap_len);
@@ -884,11 +789,10 @@ pub(crate) mod reference {
     }
 
     /// Encodes any store's walk data as a fresh, tightly laid-out walks payload.
-    pub(crate) fn encode_walks_fresh(store: &impl WalkIndex, shard_count: u32) -> Vec<u8> {
+    pub(crate) fn encode_walks_fresh(store: &impl WalkIndex) -> Vec<u8> {
         let (dir, heap_len) = fresh_layout(store);
         let header = WalksHeader {
             r: store.r() as u32,
-            shard_count,
             node_count: store.node_count() as u64,
             slot_count: dir.len() as u64,
             heap_len,
@@ -907,7 +811,6 @@ pub(crate) mod tests {
     use crate::snapshot::tests::reference_file;
     use crate::snapshot::AtomicFile;
     use crate::tempdir::TempDir;
-    use ppr_store::WalkIndexView;
     use std::io::Cursor;
 
     fn sample_store() -> WalkStore {
@@ -961,17 +864,13 @@ pub(crate) mod tests {
     #[test]
     fn streamed_sections_equal_the_assembled_reference_byte_for_byte() {
         let mut flat = paged_store(WalkStore::new(97, 2));
-        let expected = reference_file(&[(SECTION_WALKS, encode_walks_fresh(&flat, 1))]);
+        let expected = reference_file(&[(SECTION_WALKS, encode_walks_fresh(&flat))]);
         assert!(expected.len() > 20 * WALKS_PAGE_SIZE, "many pages");
         assert_eq!(streamed_file(&mut flat), expected);
 
-        let mut sharded = paged_store(ShardedWalkStore::new(97, 2, 3));
-        let expected = reference_file(&[(SECTION_WALKS, encode_walks_fresh(&sharded, 3))]);
-        assert_eq!(streamed_file(&mut sharded), expected);
-
         // Degenerate geometry: no segment written, so no heap page at all.
         let mut empty = WalkStore::new(4, 1);
-        let expected = reference_file(&[(SECTION_WALKS, encode_walks_fresh(&empty, 1))]);
+        let expected = reference_file(&[(SECTION_WALKS, encode_walks_fresh(&empty))]);
         assert_eq!(streamed_file(&mut empty), expected);
     }
 
@@ -996,7 +895,6 @@ pub(crate) mod tests {
 
         let walks = PagedWalks::open(&path).unwrap();
         assert_eq!(walks.header().node_count, 6);
-        assert_eq!(walks.header().shard_count, 1);
         assert!(walks.postings_bytes_held() > 0);
         let rebuilt = WalkStore::decode_walks(walks).unwrap();
         assert_eq!(rebuilt.total_visits(), store.total_visits());
@@ -1021,37 +919,19 @@ pub(crate) mod tests {
         assert_eq!(postings.len(), 6);
         assert_eq!(total, sample_store().total_visits());
         assert_eq!(walks.postings_bytes_held(), 0);
-
-        let mut walks = PagedWalks::open(&path).unwrap();
-        let mut sharded = ShardedWalkStore::new(6, 2, 2);
-        walks.rebuild_into(&mut sharded).unwrap();
-        assert_eq!(walks.postings_bytes_held(), 0);
     }
 
     #[test]
-    fn sharded_encode_round_trips_and_guards_the_layout() {
-        let dir = TempDir::new("layout-sharded");
+    fn a_multi_shard_walks_section_is_refused() {
+        let dir = TempDir::new("layout-shards");
         let path = dir.path().join("snap.ppr");
-        let mut store = ShardedWalkStore::new(6, 2, 3);
-        for slot in 0..6u32 {
-            let source = NodeId(slot / 2);
-            let path_steps = vec![source, NodeId((slot as usize % 6) as u32)];
-            let id = SegmentId::new(source, slot as usize % 2, 2);
-            // Only write valid paths: start at source.
-            let mut p = vec![source];
-            p.extend(path_steps.into_iter().skip(1));
-            store.set_segment(id, &p);
-        }
-        write_snapshot(&path, &mut store);
-
-        let rebuilt = ShardedWalkStore::decode_walks(PagedWalks::open(&path).unwrap()).unwrap();
-        assert_eq!(rebuilt.shard_count(), 3);
-        assert_eq!(rebuilt.visit_counts(), store.visit_counts());
-        assert!(WalkIndexMut::check_consistency(&rebuilt).is_ok());
-
-        // A flat store refuses a sharded section.
+        let mut payload = encode_walks_fresh(&sample_store());
+        // The shard-count field follows `r`; the meta CRC does not cover the header.
+        assert_eq!(payload[4..8], 1u32.to_le_bytes());
+        payload[4..8].copy_from_slice(&3u32.to_le_bytes());
+        write_payload(&path, payload);
         assert!(matches!(
-            WalkStore::decode_walks(PagedWalks::open(&path).unwrap()),
+            PagedWalks::open(&path),
             Err(crate::io::PersistError::Format(_))
         ));
     }
@@ -1100,7 +980,6 @@ pub(crate) mod tests {
         let (slot_dir, heap_len) = fresh_layout(&store);
         let header = WalksHeader {
             r: 2,
-            shard_count: 1,
             node_count: 6,
             slot_count: 12,
             heap_len,

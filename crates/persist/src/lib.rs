@@ -27,8 +27,8 @@
 //!   that must never change a bit of what is written).
 //!
 //! The engine-facing `open`/`checkpoint` APIs live in `ppr-core::durable`, built on
-//! the [`layout::PersistentWalkStore`] trait this crate implements for the flat,
-//! sharded, and disk-backed store layouts.
+//! the [`layout::PersistentWalkStore`] trait this crate implements for the flat and
+//! the disk-backed store layouts.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -56,6 +56,23 @@ pub const SECTION_GRAPH: u32 = 2;
 /// Section tag: the PageRank Store's walk data (paged heap + postings).
 pub const SECTION_WALKS: u32 = 3;
 
+/// The shard count the graph section and the walks header carry.  Both fields date
+/// from a layout that could split a store across shards; this build writes 1 and
+/// refuses any other value ([`check_shard_count`]).
+pub(crate) const SHARD_COUNT: u32 = 1;
+
+/// Refuses a section written for a store split across shards: a typed `Format`
+/// error, since the bytes are intact but describe a layout this build cannot load.
+pub(crate) fn check_shard_count(claimed: u32, section: &str) -> PersistResult<()> {
+    if claimed == SHARD_COUNT {
+        Ok(())
+    } else {
+        Err(format_err(format!(
+            "{section} claims {claimed} shards; this build reads only unsharded stores"
+        )))
+    }
+}
+
 /// Byte offset of `section_count` in the file header.
 const COUNT_AT: u64 = 12;
 const FILE_HEADER_LEN: u64 = 16;

@@ -196,7 +196,7 @@ impl DurableChaos {
 
 impl<W> ReplayHooks<IncrementalPageRank<W>> for DurableChaos
 where
-    W: WalkIndexMut + PersistentWalkStore + Sync,
+    W: WalkIndexMut + PersistentWalkStore,
 {
     fn on_checkpoint(
         &mut self,

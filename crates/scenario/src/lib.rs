@@ -1,7 +1,7 @@
 //! `ppr-scenario`: a deterministic workload simulator and chaos harness for the
 //! fast-ppr stack.
 //!
-//! The workspace's differential oracles (shard equivalence, restart equivalence,
+//! The workspace's differential oracles (layout equivalence, restart equivalence,
 //! serving fidelity) all prove the same shape of statement: *two executions that
 //! should be equal, are, bit for bit*.  What they lacked was a shared source of
 //! realistic executions.  This crate provides it:

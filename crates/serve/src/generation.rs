@@ -170,10 +170,10 @@ impl PinnedView {
     /// [`crate::ServeHandle`] / [`crate::ReaderPool`] entry point: answers one
     /// query *through* a [`StitchContext`] — the batch-local fetch layer plus
     /// pooled per-query scratch — with an optional per-query [`DeadlineBudget`]
-    /// and optional instruments (`query.walk` / `query.topk` spans, served /
-    /// fetch / exhaustion counters; they only observe).  Every buffer in `ctx`
-    /// is reset before use and the fetch layers only change where adjacency
-    /// bytes come from, so the answer is a pure function of `(generation,
+    /// and optional instruments (`query.walk` / `query.topk` / `query.global_topk`
+    /// spans, served / fetch / exhaustion counters; they only observe).  Every
+    /// buffer in `ctx` is reset before use and the fetch layers only change where
+    /// adjacency bytes come from, so the answer is a pure function of `(generation,
     /// query_seed, query_id)` whatever context serves it — unless the deadline
     /// actually expires, which (by construction) cannot happen with
     /// `deadline: None`.
@@ -245,7 +245,7 @@ impl PinnedView {
                     "global-rank queries need a PageRank generation (for SALSA, \
                      hub/authority rank is HubAuthorityTopK)"
                 );
-                let _topk = spans.map(|s| s.tele.time(&s.topk));
+                let _topk = spans.map(|s| s.tele.time(&s.global_topk));
                 let counts = generation.walks.visit_counts();
                 let total = generation.walks.total_visits().max(1) as f64;
                 ctx.scores.clear();

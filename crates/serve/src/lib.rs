@@ -121,23 +121,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_engines_serve_through_the_same_mirror_path() {
-        let stream = edges(90, 907);
-        let config = MonteCarloConfig::new(0.2, 3).with_seed(909);
-        let engine =
-            IncrementalPageRank::from_graph_sharded(DynamicGraph::with_nodes(90), config, 4, 2);
-        let mut serving = QueryEngine::new(engine, 2);
-        for chunk in stream.chunks(64) {
-            serving.commit_arrivals(chunk);
-        }
-        assert_walks_equal(
-            serving.pin().walks(),
-            serving.engine().walk_store(),
-            "sharded final",
-        );
-    }
-
-    #[test]
     fn salsa_generations_mirror_arrivals_and_per_edge_deletions() {
         let stream = edges(80, 911);
         let config = MonteCarloConfig::new(0.2, 3).with_seed(913);

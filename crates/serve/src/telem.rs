@@ -5,7 +5,8 @@
 //! times the commit lifecycle (`commit.apply` → `commit.mirror` →
 //! `commit.wal_sync` → `commit.publish`) and `QuerySpans` times the query lifecycle
 //! (`query.pin` → `query.walk` → `query.topk`, under an overall
-//! `query.latency`) and counts served queries, fetches, budget/deadline
+//! `query.latency`; a global-rank query times its scan as `query.global_topk`)
+//! and counts served queries, fetches, budget/deadline
 //! exhaustions, and the batch-serving instruments (`query.batch_size`,
 //! `query.batch_fetch_saved`).  Both bundles hold [`Histogram`]/[`Counter`] handles created
 //! once at [`crate::QueryEngine::with_telemetry`] time, so recording on the
@@ -81,8 +82,10 @@ pub(crate) struct QuerySpans {
     pub(crate) pin: Histogram,
     /// `query.walk`: the stitched/direct walk phase (walking queries only).
     pub(crate) walk: Histogram,
-    /// `query.topk`: scoring, exclusion, and top-k selection.
+    /// `query.topk`: scoring, exclusion, and top-k selection of a walking query.
     pub(crate) topk: Histogram,
+    /// `query.global_topk`: a global-rank query's scan of every visit count.
+    pub(crate) global_topk: Histogram,
     /// `query.latency`: the whole serve call, pin included.
     pub(crate) latency: Histogram,
     /// `query.fetches`: Social-Store fetches per query (Corollary 9 budget).
@@ -105,6 +108,7 @@ impl QuerySpans {
             pin: tele.histogram("query.pin"),
             walk: tele.histogram("query.walk"),
             topk: tele.histogram("query.topk"),
+            global_topk: tele.histogram("query.global_topk"),
             latency: tele.histogram("query.latency"),
             fetches: tele.histogram("query.fetches"),
             served: tele.counter("query.served"),

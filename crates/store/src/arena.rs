@@ -63,21 +63,6 @@ pub struct ArenaStats {
     pub buffer_len: usize,
 }
 
-impl ArenaStats {
-    /// Adds another arena's counters into this one (used by sharded stores to report
-    /// one aggregate over their per-shard arenas).
-    pub fn merge(&mut self, other: &ArenaStats) {
-        self.in_place_writes += other.in_place_writes;
-        self.relocations += other.relocations;
-        self.compactions += other.compactions;
-        self.compaction_nanos += other.compaction_nanos;
-        self.compaction_steps_moved += other.compaction_steps_moved;
-        self.live_steps += other.live_steps;
-        self.dead_steps += other.dead_steps;
-        self.buffer_len += other.buffer_len;
-    }
-}
-
 /// A flat arena of walk steps with per-segment slots.
 #[derive(Debug, Clone)]
 pub struct StepArena {

@@ -7,9 +7,9 @@
 //! surface, so harnesses that hold many final states (the scenario corpus runs one
 //! reference plus a fault matrix per scenario) can compare them without keeping
 //! whole stores alive.  The fold order is the store's own deterministic iteration
-//! order, which every layout (flat, sharded, disk) already produces identically —
-//! that identity is exactly what `tests/differential_shard.rs` proves field by
-//! field, and the digest is its compressed form.
+//! order, which every layout (flat, disk) already produces identically, whatever
+//! its arena geometry — the digest is the compressed form of a field-by-field
+//! comparison.
 //!
 //! A digest match is a fingerprint, not a proof: harnesses should still do one
 //! full field-by-field comparison per configuration (collisions are astronomically
@@ -78,9 +78,7 @@ impl StoreDigest {
 mod tests {
     use super::*;
     use crate::segment::SegmentId;
-    use crate::sharded::ShardedWalkStore;
     use crate::walks::WalkStore;
-    use crate::WalkIndexMut;
 
     fn path(nodes: &[u32]) -> Vec<NodeId> {
         nodes.iter().map(|&n| NodeId(n)).collect()
@@ -90,14 +88,20 @@ mod tests {
     fn identical_state_digests_identically_across_layouts() {
         let (n, r) = (10usize, 2usize);
         let mut flat = WalkStore::new(n, r);
-        let mut sharded = ShardedWalkStore::new(n, r, 3);
+        // The same walks written in reverse order, each after an outgrown first
+        // draft: every slot relocates, so the arena geometry differs.
+        let mut relocated = WalkStore::new(n, r);
+        let p = |node: u32| path(&[node, (node + 1) % n as u32, (node + 5) % n as u32]);
         for node in 0..n as u32 {
-            let id = SegmentId::new(NodeId(node), 0, r);
-            let p = path(&[node, (node + 1) % n as u32, (node + 5) % n as u32]);
-            flat.set_segment(id, &p);
-            sharded.set_segment(id, &p);
+            flat.set_segment(SegmentId::new(NodeId(node), 0, r), &p(node));
         }
-        assert_eq!(StoreDigest::of(&flat), StoreDigest::of(&sharded));
+        for node in (0..n as u32).rev() {
+            let id = SegmentId::new(NodeId(node), 0, r);
+            relocated.set_segment(id, &[NodeId(node); 20]);
+            relocated.set_segment(id, &p(node));
+        }
+        assert_ne!(flat.arena_stats(), relocated.arena_stats());
+        assert_eq!(StoreDigest::of(&flat), StoreDigest::of(&relocated));
     }
 
     #[test]

@@ -11,19 +11,17 @@
 //! writes.
 //!
 //! [`WalkIndex`] extends the view with the *maintenance* read surface — the visit
-//! postings that find the segments an arriving edge can disturb, the shard-routing
-//! width, and the arena counters.  The Monte Carlo engines' update paths are written
-//! against this trait, so the storage layout can evolve — the flat-arena
-//! [`WalkStore`], the sharded [`crate::ShardedWalkStore`], file-backed stores —
-//! without touching a single engine.
+//! postings that find the segments an arriving edge can disturb, and the arena
+//! counters.  The Monte Carlo engines' update paths are written against this trait,
+//! so they run unchanged over the flat-arena [`WalkStore`] and over the file-backed
+//! store that wraps it.
 //!
 //! [`WalkIndexMut`] is the matching write surface: growing the node set, rewriting or
 //! clearing one segment, filling an empty store from a construction plan with one
 //! bulk index build, and applying a whole [`SegmentRewrites`] plan at once.  The
-//! plan-based entry point is what makes parallel maintenance possible: the engines
-//! compute every repair against the immutable pre-batch store, then hand the finished
-//! plan to the store, which is free to apply it with one thread or many — the result is
-//! identical either way.
+//! engines compute every repair against the immutable pre-batch store, then hand the
+//! finished plan to the store, which a file-backed layout uses to track the pages a
+//! batch dirties.
 
 use crate::postings::PostingsIter;
 use crate::segment::SegmentId;
@@ -97,7 +95,7 @@ pub trait WalkIndexView {
 
     /// The full visit-count vector, indexed by node.  Stores that keep the counters
     /// in one flat vector borrow (`Cow::Borrowed`); only stores that stripe them —
-    /// per shard, per generation chunk — materialize an owned vector.
+    /// per generation chunk — materialize an owned vector.
     fn visit_counts(&self) -> Cow<'_, [u64]>;
 
     /// Sum of all visit counts (total stored walk length).
@@ -114,8 +112,8 @@ pub trait WalkIndexView {
 }
 
 /// Maintenance-side read access to a PageRank Store: the full query surface of
-/// [`WalkIndexView`] plus the visit postings (which segments an update must inspect),
-/// shard routing, and arena observability.
+/// [`WalkIndexView`] plus the visit postings (which segments an update must inspect)
+/// and arena observability.
 pub trait WalkIndex: WalkIndexView {
     /// The segments visiting `node` with their multiplicities, in segment-id order:
     /// an iterator that is also the one cursor a detection scan seeks visit slots
@@ -128,22 +126,15 @@ pub trait WalkIndex: WalkIndexView {
         self.segments_visiting(node).count()
     }
 
-    /// Number of shards repair work against this store can be routed over (`1` for the
-    /// single-shard [`WalkStore`]).  Engines use this as the partition width of their
-    /// parallel reroute fan-out; the answer never affects results, only scheduling.
-    fn route_shards(&self) -> usize {
-        1
-    }
-
-    /// Allocation- and compaction-behaviour counters of the backing step arena(s),
-    /// aggregated over shards for sharded layouts.  Observability only — engines use
-    /// the deltas to charge compaction pauses to the batch that triggered them.
+    /// Allocation- and compaction-behaviour counters of the backing step arena.
+    /// Observability only — engines use the deltas to charge compaction pauses to the
+    /// batch that triggered them.
     fn arena_stats(&self) -> crate::arena::ArenaStats;
 
     /// Emits this store's observability counters into a telemetry snapshot
     /// builder.  The default covers what every layout has — the arena stats —
-    /// under the `arena` segment; layouts with more to say (shard loads,
-    /// pager residency, on-disk compaction) override and extend this.
+    /// under the `arena` segment; layouts with more to say (pager residency,
+    /// on-disk compaction) override and extend this.
     fn emit_telemetry(&self, out: &mut ppr_telemetry::SnapshotBuilder) {
         out.source("arena", &self.arena_stats());
     }
@@ -236,9 +227,7 @@ impl SegmentRewrites {
 /// postings, the `W(v)` counters, and `total_visits` describe exactly the union of the
 /// currently stored segment paths ([`WalkIndexMut::check_consistency`] verifies this
 /// from scratch).  [`WalkIndexMut::apply_rewrites`] must be observationally equivalent
-/// to calling [`WalkIndexMut::set_segment`] for each plan entry in order, for every
-/// `threads` value — that equivalence is what lets a sharded store parallelize the
-/// apply without the engines caring.
+/// to calling [`WalkIndexMut::set_segment`] for each plan entry in order.
 pub trait WalkIndexMut: WalkIndex {
     /// Grows the store to address at least `n` nodes (new nodes start with empty
     /// segments).
@@ -271,21 +260,13 @@ pub trait WalkIndexMut: WalkIndex {
     /// counters and postings.
     fn check_consistency(&self) -> Result<(), String>;
 
-    /// Applies a whole rewrite plan, optionally with up to `threads` worker threads.
-    /// Must produce exactly the state sequential [`WalkIndexMut::set_segment`] calls
-    /// would; the default implementation is that sequential loop.
-    fn apply_rewrites(&mut self, rewrites: &SegmentRewrites, threads: usize) {
-        let _ = threads;
+    /// Applies a whole rewrite plan.  Must produce exactly the state sequential
+    /// [`WalkIndexMut::set_segment`] calls would; the default implementation is that
+    /// sequential loop.
+    fn apply_rewrites(&mut self, rewrites: &SegmentRewrites) {
         for (id, path) in rewrites.iter() {
             self.set_segment(id, path);
         }
-    }
-
-    /// Wall time each shard spent on the most recent [`Self::apply_rewrites`] call, if
-    /// the store partitions that work per shard (empty for single-shard layouts).
-    /// Observability only — never affects results.
-    fn last_apply_shard_times(&self) -> &[std::time::Duration] {
-        &[]
     }
 
     /// Sets the backing arena's compaction trigger: relocation garbage above `ratio`
@@ -420,7 +401,6 @@ mod tests {
         let p = WalkIndexView::update_probability(&store, NodeId(2), 2);
         assert!((p - 0.75).abs() < 1e-12);
         assert_eq!(WalkIndexView::update_probability(&store, NodeId(2), 0), 0.0);
-        assert_eq!(WalkIndex::route_shards(&store), 1);
     }
 
     #[test]
@@ -477,7 +457,7 @@ mod tests {
         plan.push(SegmentId::new(NodeId(0), 0, 1), &[NodeId(0), NodeId(2)]);
 
         let mut via_plan = WalkStore::new(3, 1);
-        via_plan.apply_rewrites(&plan, 8);
+        via_plan.apply_rewrites(&plan);
         let mut via_calls = WalkStore::new(3, 1);
         for (id, path) in plan.iter() {
             WalkIndexMut::set_segment(&mut via_calls, id, path);

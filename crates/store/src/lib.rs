@@ -18,12 +18,9 @@
 //! Engines consume the PageRank Store exclusively through the API layer in
 //! [`index`]: read-only queries through [`index::WalkIndexView`], maintenance reads
 //! through [`index::WalkIndex`], writes through [`index::WalkIndexMut`] — so the
-//! memory layout can keep evolving without touching them.  Two live layouts ship
-//! here: the single-shard [`walks::WalkStore`] and the
-//! [`sharded::ShardedWalkStore`], which splits the arena and the postings into `S`
-//! shards keyed by `node_id % S` (the same [`routing`] rule as the Social Store) and
-//! applies whole rewrite plans with one worker thread per shard.  The [`view`]
-//! module adds the serving side: [`view::FrozenWalks`] / [`view::FrozenGraph`] are
+//! memory layout can keep evolving without touching them.  [`walks::WalkStore`] is
+//! the one in-memory layout; the file-backed store of `ppr-persist` wraps it.  The
+//! [`view`] module adds the serving side: [`view::FrozenWalks`] / [`view::FrozenGraph`] are
 //! epoch-pinned, chunked copy-on-write snapshots of the two stores that readers on
 //! other threads query lock-free while a writer keeps mutating the live layout.
 
@@ -36,9 +33,7 @@ pub mod digest;
 pub mod index;
 pub mod metrics;
 pub mod postings;
-pub mod routing;
 pub mod segment;
-pub mod sharded;
 pub mod social;
 pub mod telem;
 pub mod view;
@@ -47,10 +42,9 @@ pub mod walks;
 pub use arena::ArenaStats;
 pub use digest::StoreDigest;
 pub use index::{SegmentRewrites, WalkIndex, WalkIndexMut, WalkIndexView};
-pub use metrics::{ShardLoad, StoreMetrics, WorkCounter};
+pub use metrics::{StoreMetrics, WorkCounter};
 pub use postings::VisitPostings;
 pub use segment::SegmentId;
-pub use sharded::ShardedWalkStore;
 pub use social::SocialStore;
 pub use view::{AdjacencyFetch, FrozenGraph, FrozenWalks, SpineCopyStats, TouchedChunks};
 pub use walks::WalkStore;

@@ -75,29 +75,6 @@ define_atomic_store_metrics!(
     edge_deletions,
 );
 
-/// Per-shard write-load counters of a sharded PageRank Store
-/// ([`crate::ShardedWalkStore`]), mirroring the per-shard fetch counters the
-/// [`crate::SocialStore`] keeps for reads: experiments can verify that the modulo
-/// placement spreads reroute work evenly and spot hot shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ShardLoad {
-    /// Segments whose arena slot this shard rewrote (it owns their source node).
-    pub segments_rewritten: u64,
-    /// Walk steps written into this shard's arena by those rewrites.
-    pub steps_written: u64,
-    /// Individual `±1` postings updates applied to nodes owned by this shard.
-    pub postings_updates: u64,
-}
-
-impl ShardLoad {
-    /// Adds another shard's totals into this one.
-    pub fn merge(&mut self, other: &ShardLoad) {
-        self.segments_rewritten += other.segments_rewritten;
-        self.steps_written += other.steps_written;
-        self.postings_updates += other.postings_updates;
-    }
-}
-
 /// Accumulator for the update work performed by the incremental engines.
 ///
 /// One unit of `walk_steps` corresponds to one random-walk step re-simulated, which is

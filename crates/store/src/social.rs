@@ -4,22 +4,18 @@
 //! and is accessed randomly; the cost charged to the personalized-PageRank algorithm is
 //! the number of *fetch* operations it issues, where a fetch at node `u` returns all of
 //! `u`'s outgoing edges (and, at the algorithm level, the `R` cached walk segments
-//! starting at `u`).  [`SocialStore`] wraps a [`DynamicGraph`], counts every access, and
-//! simulates the sharded layout of a distributed store so experiments can also inspect
-//! per-shard load.
+//! starting at `u`).  [`SocialStore`] wraps a [`DynamicGraph`] and counts every access.
 
 use crate::metrics::{AtomicStoreMetrics, StoreMetrics};
 use ppr_graph::{DynamicGraph, Edge, GraphView, NodeId};
 use rand::Rng;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 
 /// The social graph behind an instrumented access API.
 #[derive(Debug)]
 pub struct SocialStore {
     graph: DynamicGraph,
     metrics: AtomicStoreMetrics,
-    shard_count: usize,
-    shard_fetches: Vec<AtomicU64>,
 }
 
 /// Result of a fetch operation: the full out-adjacency of the fetched node.
@@ -37,19 +33,16 @@ pub struct Fetched<'a> {
 }
 
 impl SocialStore {
-    /// Creates a store over `n` isolated nodes, sharded `shard_count` ways.
-    pub fn new(n: usize, shard_count: usize) -> Self {
-        Self::from_graph(DynamicGraph::with_nodes(n), shard_count)
+    /// Creates a store over `n` isolated nodes.
+    pub fn new(n: usize) -> Self {
+        Self::from_graph(DynamicGraph::with_nodes(n))
     }
 
     /// Wraps an existing graph.
-    pub fn from_graph(graph: DynamicGraph, shard_count: usize) -> Self {
-        assert!(shard_count >= 1, "need at least one shard");
+    pub fn from_graph(graph: DynamicGraph) -> Self {
         SocialStore {
             graph,
             metrics: AtomicStoreMetrics::default(),
-            shard_count,
-            shard_fetches: (0..shard_count).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
@@ -69,18 +62,6 @@ impl SocialStore {
         self.graph.edge_count()
     }
 
-    /// The shard a node lives on — the shared [`crate::routing::shard_of`] modulo rule,
-    /// so the Social Store and a [`crate::ShardedWalkStore`] with the same shard count
-    /// always agree on a node's placement.
-    pub fn shard_of(&self, node: NodeId) -> usize {
-        crate::routing::shard_of(node, self.shard_count)
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shard_count
-    }
-
     /// Fetch operation: returns the full out-adjacency of `node` and counts one fetch
     /// (plus the volume of data returned) against the store metrics.
     pub fn fetch(&self, node: NodeId) -> Fetched<'_> {
@@ -89,7 +70,6 @@ impl SocialStore {
         self.metrics
             .edges_returned
             .fetch_add(out_neighbors.len() as u64, Ordering::Relaxed);
-        self.shard_fetches[self.shard_of(node)].fetch_add(1, Ordering::Relaxed);
         Fetched {
             node,
             out_neighbors,
@@ -149,26 +129,14 @@ impl SocialStore {
     /// Atomically (per counter) snapshots and zeroes the access metrics: the
     /// interval read used by telemetry samplers.  Unlike a `metrics()` +
     /// `reset_metrics()` pair, no concurrent increment can land in both the
-    /// returned window and the next one.  Per-shard fetch counts are left
-    /// untouched (they remain cumulative).
+    /// returned window and the next one.
     pub fn metrics_and_reset(&self) -> StoreMetrics {
         self.metrics.snapshot_and_reset()
     }
 
-    /// Resets all access metrics (including per-shard counts) to zero.
+    /// Resets all access metrics to zero.
     pub fn reset_metrics(&self) {
         self.metrics.reset();
-        for shard in &self.shard_fetches {
-            shard.store(0, Ordering::Relaxed);
-        }
-    }
-
-    /// Per-shard fetch counts since the last reset.
-    pub fn shard_fetch_counts(&self) -> Vec<u64> {
-        self.shard_fetches
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect()
     }
 
     /// Consumes the store and returns the underlying graph.
@@ -191,22 +159,22 @@ impl crate::view::AdjacencyFetch for SocialStore {
     }
 }
 
-/// Wraps a graph in a single-shard store without copying it.  This is the conversion
+/// Wraps a graph in a store without copying it.  This is the conversion
 /// the engines' `from_graph` constructors use, so building an engine over a large graph
 /// never doubles peak memory.
 impl From<DynamicGraph> for SocialStore {
     fn from(graph: DynamicGraph) -> Self {
-        SocialStore::from_graph(graph, 1)
+        SocialStore::from_graph(graph)
     }
 }
 
-/// Clones the graph into a single-shard store.  Prefer passing the graph by value (the
+/// Clones the graph into a store.  Prefer passing the graph by value (the
 /// [`From<DynamicGraph>`] impl) when the original is no longer needed — the reference
 /// form exists so read-only callers (tests, benches replaying one graph many times) can
 /// keep theirs.
 impl From<&DynamicGraph> for SocialStore {
     fn from(graph: &DynamicGraph) -> Self {
-        SocialStore::from_graph(graph.clone(), 1)
+        SocialStore::from_graph(graph.clone())
     }
 }
 
@@ -219,7 +187,7 @@ mod tests {
 
     #[test]
     fn fetch_returns_adjacency_and_counts() {
-        let mut store = SocialStore::new(3, 2);
+        let mut store = SocialStore::new(3);
         store.add_edge(Edge::new(0, 1));
         store.add_edge(Edge::new(0, 2));
         let fetched = store.fetch(NodeId(0));
@@ -229,11 +197,13 @@ mod tests {
         assert_eq!(metrics.fetches, 1);
         assert_eq!(metrics.edges_returned, 2);
         assert_eq!(metrics.edge_insertions, 2);
+        store.reset_metrics();
+        assert_eq!(store.metrics(), StoreMetrics::default());
     }
 
     #[test]
     fn fetching_a_dangling_node_returns_empty_but_still_counts() {
-        let store = SocialStore::new(2, 1);
+        let store = SocialStore::new(2);
         let fetched = store.fetch(NodeId(1));
         assert!(fetched.out_neighbors.is_empty());
         assert_eq!(store.metrics().fetches, 1);
@@ -242,7 +212,7 @@ mod tests {
 
     #[test]
     fn sampled_neighbor_queries_are_counted_separately() {
-        let store = SocialStore::from_graph(directed_cycle(5), 1);
+        let store = SocialStore::from_graph(directed_cycle(5));
         let mut rng = SmallRng::seed_from_u64(1);
         let v = store.sample_out_neighbor(NodeId(0), &mut rng);
         assert_eq!(v, Some(NodeId(1)));
@@ -253,7 +223,7 @@ mod tests {
 
     #[test]
     fn add_and_remove_edges_update_metrics() {
-        let mut store = SocialStore::new(2, 1);
+        let mut store = SocialStore::new(2);
         store.add_edge(Edge::new(0, 1));
         assert!(store.remove_edge(Edge::new(0, 1)));
         assert!(!store.remove_edge(Edge::new(0, 1)));
@@ -265,7 +235,7 @@ mod tests {
 
     #[test]
     fn add_edge_grows_node_set() {
-        let mut store = SocialStore::new(1, 1);
+        let mut store = SocialStore::new(1);
         store.add_edge(Edge::new(0, 9));
         assert_eq!(store.node_count(), 10);
         assert_eq!(store.out_degree(NodeId(0)), 1);
@@ -273,51 +243,8 @@ mod tests {
     }
 
     #[test]
-    fn shard_placement_and_counters() {
-        let store = SocialStore::from_graph(directed_cycle(6), 3);
-        assert_eq!(store.shard_count(), 3);
-        assert_eq!(store.shard_of(NodeId(4)), 1);
-        store.fetch(NodeId(0));
-        store.fetch(NodeId(3));
-        store.fetch(NodeId(1));
-        assert_eq!(store.shard_fetch_counts(), vec![2, 1, 0]);
-        store.reset_metrics();
-        assert_eq!(store.shard_fetch_counts(), vec![0, 0, 0]);
-        assert_eq!(store.metrics(), StoreMetrics::default());
-    }
-
-    #[test]
-    #[should_panic(expected = "need at least one shard")]
-    fn zero_shards_rejected() {
-        let _ = SocialStore::new(1, 0);
-    }
-
-    #[test]
-    fn shard_placement_never_disagrees_with_the_sharded_walk_store() {
-        // Regression: `shard_of` used to be an inline `node % shard_count` here and a
-        // separate computation in the PageRank Store; both now route through
-        // `routing::shard_of`, and this test pins the agreement for good.
-        for shard_count in 1..9usize {
-            let social = SocialStore::new(64, shard_count);
-            let walks = crate::ShardedWalkStore::new(64, 2, shard_count);
-            for node in 0..64u32 {
-                let node = NodeId(node);
-                assert_eq!(
-                    social.shard_of(node),
-                    walks.shard_of(node),
-                    "stores disagree on node {node} with {shard_count} shards"
-                );
-                assert_eq!(
-                    social.shard_of(node),
-                    crate::routing::shard_of(node, shard_count)
-                );
-            }
-        }
-    }
-
-    #[test]
     fn into_graph_returns_underlying_graph() {
-        let store = SocialStore::from_graph(directed_cycle(4), 1);
+        let store = SocialStore::from_graph(directed_cycle(4));
         let graph = store.into_graph();
         assert_eq!(graph.node_count(), 4);
         assert_eq!(graph.edge_count(), 4);

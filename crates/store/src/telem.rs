@@ -6,7 +6,7 @@
 //! here are relative (`fetches`, not `store.fetches`).
 
 use crate::arena::ArenaStats;
-use crate::metrics::{ShardLoad, StoreMetrics, WorkCounter};
+use crate::metrics::{StoreMetrics, WorkCounter};
 use crate::view::SpineCopyStats;
 use ppr_telemetry::{MetricSource, SnapshotBuilder};
 
@@ -17,14 +17,6 @@ impl MetricSource for StoreMetrics {
         out.counter("sampled_neighbor_queries", self.sampled_neighbor_queries);
         out.counter("edge_insertions", self.edge_insertions);
         out.counter("edge_deletions", self.edge_deletions);
-    }
-}
-
-impl MetricSource for ShardLoad {
-    fn emit(&self, out: &mut SnapshotBuilder) {
-        out.counter("segments_rewritten", self.segments_rewritten);
-        out.counter("steps_written", self.steps_written);
-        out.counter("postings_updates", self.postings_updates);
     }
 }
 

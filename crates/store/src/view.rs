@@ -1115,20 +1115,27 @@ mod tests {
 
     #[test]
     fn store_snapshot_view_wrappers_freeze_identically() {
-        // Every layout freezes through the one FrozenWalks::from_index; the flat and
-        // the sharded store holding the same walks freeze to the same view.
+        // Every store freezes through the one FrozenWalks::from_index; two stores
+        // holding the same walks in different arena geometries (one written in
+        // reverse, every slot relocated) freeze to the same view.
         let mut flat = WalkStore::new(70, 2);
-        let mut sharded = crate::ShardedWalkStore::new(70, 2, 3);
-        for n in (0..70u32).step_by(3) {
-            let id = SegmentId::new(NodeId(n), n as usize % 2, 2);
-            let p = path(&[n, 4, (n * 5) % 70, 4]);
-            flat.set_segment(id, &p);
-            crate::WalkIndexMut::set_segment(&mut sharded, id, &p);
+        let mut relocated = WalkStore::new(70, 2);
+        let ids = (0..70u32)
+            .step_by(3)
+            .map(|n| SegmentId::new(NodeId(n), n as usize % 2, 2));
+        for id in ids.clone() {
+            let n = id.source(2).0;
+            flat.set_segment(id, &path(&[n, 4, (n * 5) % 70, 4]));
+        }
+        for id in ids.rev() {
+            let n = id.source(2).0;
+            relocated.set_segment(id, &[NodeId(n); 20]);
+            relocated.set_segment(id, &path(&[n, 4, (n * 5) % 70, 4]));
         }
         let view = assert_seed_matches_reference(&flat, 3, "flat");
         assert_eq!(view.epoch(), 3);
-        let view = assert_seed_matches_reference(&sharded, 3, "sharded");
-        assert_views_equal(&view, &flat, "sharded against flat");
+        let view = assert_seed_matches_reference(&relocated, 3, "relocated");
+        assert_views_equal(&view, &flat, "relocated against flat");
     }
 
     /// A mirror, at `epoch`, of one segment `[1, 2]`, and the plan shrinking it to `[1]`.

@@ -26,14 +26,14 @@ use ppr_graph::NodeId;
 
 /// Length of the longest common prefix of two paths: the visits a rewrite from `old`
 /// to `new` leaves in place, which no index has to hear about.
-pub(crate) fn common_prefix_len(old: &[NodeId], new: &[NodeId]) -> usize {
+fn common_prefix_len(old: &[NodeId], new: &[NodeId]) -> usize {
     old.iter().zip(new).take_while(|(a, b)| a == b).count()
 }
 
-/// Takes `visits` off `counts[node]` (`node` indexes `counts`: shard-local in a sharded
-/// store).  A counter that would go negative means the index and the stored paths
-/// have diverged: a checked failure in every build, never a wrapped `W(v)`.
-pub(crate) fn forget_visits(counts: &mut [u64], node: usize, visits: u64) {
+/// Takes `visits` off `counts[node]`.  A counter that would go negative means the
+/// index and the stored paths have diverged: a checked failure in every build, never
+/// a wrapped `W(v)`.
+fn forget_visits(counts: &mut [u64], node: usize, visits: u64) {
     counts[node] = counts[node].checked_sub(visits).unwrap_or_else(|| {
         panic!(
             "cannot take {visits} visits off node {node}, which counts {}",
@@ -47,17 +47,17 @@ pub(crate) fn forget_visits(counts: &mut [u64], node: usize, visits: u64) {
 /// paths in segment order — one counts each node's visits and distinct visiting
 /// segments, the other fills runs allocated at exactly that length — so building it
 /// costs O(visits) with no sort and no postings `record` call.
-pub(crate) struct CountedIndex {
+struct CountedIndex {
     /// Per node, strictly increasing by segment, counts positive.
-    pub(crate) runs: Vec<Vec<(SegmentId, u32)>>,
-    pub(crate) visit_counts: Vec<u64>,
-    pub(crate) total_visits: u64,
+    runs: Vec<Vec<(SegmentId, u32)>>,
+    visit_counts: Vec<u64>,
+    total_visits: u64,
 }
 
 impl CountedIndex {
     /// Indexes segments `0..segments`, whose paths `path_of` returns; every visit must
     /// address one of `node_count` nodes.
-    pub(crate) fn count<'a>(
+    fn count<'a>(
         node_count: usize,
         segments: usize,
         path_of: impl Fn(usize) -> &'a [NodeId],
@@ -107,9 +107,7 @@ impl CountedIndex {
     }
 
     /// The runs as packed [`VisitPostings`], node by node.
-    pub(crate) fn postings(
-        runs: Vec<Vec<(SegmentId, u32)>>,
-    ) -> impl Iterator<Item = VisitPostings> {
+    fn postings(runs: Vec<Vec<(SegmentId, u32)>>) -> impl Iterator<Item = VisitPostings> {
         runs.into_iter().map(|run| {
             VisitPostings::from_sorted_run(run)
                 .expect("a counted run is strictly increasing with positive counts")

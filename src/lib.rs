@@ -89,7 +89,6 @@ pub mod prelude {
     pub use ppr_scenario::{ChaosPlan, Scenario, ScenarioRunner, Trace};
     pub use ppr_serve::{QueryEngine, ReaderPool, ServeHandle};
     pub use ppr_store::index::{WalkIndex, WalkIndexMut, WalkIndexView};
-    pub use ppr_store::sharded::ShardedWalkStore;
     pub use ppr_store::social::SocialStore;
     pub use ppr_store::view::{FrozenGraph, FrozenWalks};
     pub use ppr_store::walks::WalkStore;

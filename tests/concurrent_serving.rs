@@ -24,6 +24,9 @@
 //! and bit-identical for a fixed `(query_seed, query_id)` at any reader-thread
 //! count and any read/write interleaving.
 
+mod common;
+
+use common::thread_counts;
 use fast_ppr::prelude::*;
 use fast_ppr::serve::{
     Answer, MirrorOp, OpsRecorder, PinnedView, Query, QueryBatch, ServeEngine, Served, WriteOp,
@@ -37,17 +40,6 @@ use std::sync::Mutex;
 
 const NODES: usize = 130;
 const QUERY_SEED: u64 = 0xC0FFEE;
-
-/// Reader-thread counts to exercise: `PPR_TEST_THREADS` pins one (the CI matrix).
-fn thread_counts() -> Vec<usize> {
-    match std::env::var("PPR_TEST_THREADS") {
-        Ok(v) => vec![v
-            .trim()
-            .parse()
-            .expect("PPR_TEST_THREADS must be a positive integer")],
-        Err(_) => vec![1, 4],
-    }
-}
 
 /// One write op of the committed schedule.
 #[derive(Debug, Clone)]
@@ -421,7 +413,7 @@ fn assert_batched_serving_matches_sequential<E: ServeEngine>(ops: &[Op], engine:
 fn batched_serving_is_bit_identical_on_every_store_layout() {
     // The tentpole acceptance differential: one pin per batch, a shared
     // stitch-fetch layer, and pooled scratch must be invisible in the answer
-    // bits — on the flat, sharded, and disk-backed walk stores alike.
+    // bits — on the flat and the disk-backed walk stores alike.
     let ops = schedule(741);
     let config = MonteCarloConfig::new(0.2, 3).with_seed(743);
 
@@ -429,16 +421,6 @@ fn batched_serving_is_bit_identical_on_every_store_layout() {
         &ops,
         IncrementalPageRank::<WalkStore>::new_empty(NODES, config),
         "flat in-memory",
-    );
-    assert_batched_serving_matches_sequential(
-        &ops,
-        IncrementalPageRank::<ShardedWalkStore>::from_graph_sharded(
-            DynamicGraph::with_nodes(NODES),
-            config,
-            3,
-            2,
-        ),
-        "sharded",
     );
     let dir = ppr_persist::TempDir::new("batched-serving-disk");
     let engine = DurablePageRank::create_durable_disk(

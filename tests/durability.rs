@@ -1,9 +1,7 @@
 //! Restart-equivalence differential harness: crash anywhere, recover, resume —
 //! and the result is byte-identical to an engine that never crashed.
 //!
-//! This extends the PR 3 differential harness (`tests/differential_shard.rs`) into
-//! the durability dimension.  The oracle: for a seeded stream of mixed
-//! arrival/deletion batches,
+//! The oracle: for a seeded stream of mixed arrival/deletion batches,
 //!
 //! ```text
 //! (full in-memory run)
@@ -12,9 +10,8 @@
 //! ```
 //!
 //! with **byte-identical** scores, visit counts, postings, stored paths, and work
-//! counters — at the flat, sharded, and disk-backed store layouts, for checkpoint
-//! positions k ∈ {0, mid, N}, honouring the `PPR_TEST_THREADS` CI matrix.  The
-//! corruption half: a flipped byte in the current snapshot falls back to the
+//! counters — at the flat and disk-backed store layouts, for checkpoint positions
+//! k ∈ {0, mid, N}.  The corruption half: a flipped byte in the current snapshot falls back to the
 //! previous generation (replaying both WALs), and a torn WAL tail recovers cleanly
 //! to the last fully synced batch.
 
@@ -23,21 +20,12 @@ use ppr_core::durable::DurablePageRank;
 use ppr_graph::generators::{preferential_attachment_edges, PreferentialAttachmentConfig};
 use ppr_graph::stream::random_permutation;
 use ppr_graph::Edge;
+use ppr_persist::dir::StoreDir;
 use ppr_persist::layout::PersistentWalkStore;
+use ppr_persist::snapshot::{SnapshotFile, SnapshotWriter, SECTION_GRAPH, SECTION_WALKS};
 use ppr_persist::TempDir;
 
 const NODES: usize = 120;
-
-/// Worker-thread counts to exercise: `PPR_TEST_THREADS` pins one (the CI matrix).
-fn thread_counts() -> Vec<usize> {
-    match std::env::var("PPR_TEST_THREADS") {
-        Ok(v) => vec![v
-            .trim()
-            .parse()
-            .expect("PPR_TEST_THREADS must be an integer")],
-        Err(_) => vec![1, 4],
-    }
-}
 
 /// One durable operation: an arrival batch or a deletion batch.
 #[derive(Debug, Clone)]
@@ -68,7 +56,7 @@ fn schedule(seed: u64) -> Vec<Op> {
     ops
 }
 
-fn apply_op<W: WalkIndexMut + Sync>(engine: &mut IncrementalPageRank<W>, op: &Op) {
+fn apply_op<W: WalkIndexMut>(engine: &mut IncrementalPageRank<W>, op: &Op) {
     match op {
         Op::Arrive(batch) => {
             engine.apply_arrivals(batch);
@@ -120,7 +108,7 @@ fn crash_recover_resume<W>(
     context: &str,
 ) -> IncrementalPageRank<W>
 where
-    W: WalkIndexMut + PersistentWalkStore + Sync,
+    W: WalkIndexMut + PersistentWalkStore,
 {
     let gen = engine
         .checkpoint()
@@ -169,47 +157,6 @@ fn restart_equivalence_flat_layout() {
         );
         assert_stores_identical(recovered.walk_store(), reference.walk_store(), &context);
         recovered.validate_segments().unwrap();
-    }
-}
-
-#[test]
-fn restart_equivalence_sharded_layout() {
-    let ops = schedule(607);
-    let config = MonteCarloConfig::new(0.2, 3).with_seed(611);
-    // The cross-layout reference is the plain FLAT in-memory engine: recovery must
-    // preserve PR 3's bit-identity across layouts, not just within one.
-    let mut reference = IncrementalPageRank::new_empty(NODES, config);
-    for op in &ops {
-        apply_op(&mut reference, op);
-    }
-
-    for threads in thread_counts() {
-        for k in [0, ops.len() / 2, ops.len()] {
-            let tmp = TempDir::new("sharded-restart");
-            let root = tmp.path().join("store");
-            let mut engine = IncrementalPageRank::create_durable_sharded(
-                &root,
-                DynamicGraph::with_nodes(NODES),
-                config,
-                4,
-                threads,
-            )
-            .expect("create_durable_sharded");
-            for op in &ops[..k] {
-                apply_op(&mut engine, op);
-            }
-            let context = format!(
-                "sharded, {threads} threads, checkpoint at {k}/{}",
-                ops.len()
-            );
-            let recovered = crash_recover_resume(engine, &root, &ops, k, &context);
-            assert_eq!(recovered.threads(), threads, "{context}: threads restored");
-            assert_eq!(recovered.walk_store().shard_count(), 4, "{context}: shards");
-            assert_eq!(recovered.scores(), reference.scores(), "{context}: scores");
-            assert_eq!(recovered.work(), reference.work(), "{context}: work");
-            assert_stores_identical(recovered.walk_store(), reference.walk_store(), &context);
-            recovered.validate_segments().unwrap();
-        }
     }
 }
 
@@ -325,7 +272,7 @@ fn assert_seeds_match_through_a_life<W>(
     ops: &[Op],
     layout: &str,
 ) where
-    W: WalkIndexMut + PersistentWalkStore + Sync,
+    W: WalkIndexMut + PersistentWalkStore,
 {
     let mut engine = create(root);
     let born_with = engine.node_count();
@@ -361,17 +308,6 @@ fn mirror_seed_equals_the_per_segment_reference_on_every_layout() {
         &ops,
         "flat",
     );
-    for threads in thread_counts() {
-        assert_seeds_match_through_a_life(
-            &tmp.path().join(format!("sharded-{threads}")),
-            |root| {
-                IncrementalPageRank::create_durable_sharded(root, born(), config, 3, threads)
-                    .unwrap()
-            },
-            &ops,
-            &format!("3 shards, {threads} threads"),
-        );
-    }
     assert_seeds_match_through_a_life(
         &tmp.path().join("disk"),
         |root| DurablePageRank::create_durable_disk(root, born(), config).unwrap(),
@@ -659,23 +595,6 @@ fn store_directories_reject_misuse() {
     );
     // Opening with the wrong engine kind must fail.
     assert!(IncrementalSalsa::<WalkStore>::open(&root).is_err());
-    // A sharded snapshot cannot be opened by the flat engine (the reverse — reading
-    // a flat snapshot as a 1-shard ShardedWalkStore — is legitimate interop).
-    let sharded_root = tmp.path().join("sharded");
-    drop(
-        IncrementalPageRank::create_durable_sharded(
-            &sharded_root,
-            DynamicGraph::with_nodes(10),
-            config,
-            3,
-            1,
-        )
-        .unwrap(),
-    );
-    assert!(matches!(
-        IncrementalPageRank::<WalkStore>::open(&sharded_root),
-        Err(ppr_core::PersistError::Format(_))
-    ));
     // Opening a directory that is not a store must fail.
     assert!(IncrementalPageRank::<WalkStore>::open(tmp.path().join("nope")).is_err());
     // An in-memory engine cannot checkpoint.
@@ -686,6 +605,67 @@ fn store_directories_reject_misuse() {
     let reopened = IncrementalPageRank::<WalkStore>::open(&root).unwrap();
     assert_eq!(reopened.node_count(), 10);
     reopened.validate_segments().unwrap();
+}
+
+/// Rewrites the generation-0 snapshot under `root` with the graph section's and the
+/// walks header's shard-count fields set to `graph_shards` and `walks_shards`.  Every
+/// section goes back through the snapshot writer, so every CRC in the file is valid.
+fn rewrite_shard_counts(root: &std::path::Path, graph_shards: u32, walks_shards: u32) {
+    let path = StoreDir::open(root).unwrap().snapshot_path(0);
+    let mut snap = SnapshotFile::open(&path).unwrap();
+    let tags: Vec<u32> = snap.sections().iter().map(|section| section.tag).collect();
+    let mut writer = SnapshotWriter::new(std::io::Cursor::new(Vec::new())).unwrap();
+    for tag in tags {
+        let mut payload = snap.read_section(tag).unwrap();
+        match tag {
+            SECTION_GRAPH => payload[..4].copy_from_slice(&graph_shards.to_le_bytes()),
+            // The walks header opens with `r u32 | shard_count u32`.
+            SECTION_WALKS => payload[4..8].copy_from_slice(&walks_shards.to_le_bytes()),
+            _ => {}
+        }
+        writer.begin_section(tag).unwrap();
+        writer.write(&payload).unwrap();
+        writer.end_section().unwrap();
+    }
+    drop(snap);
+    std::fs::write(&path, writer.finish().unwrap().into_inner()).unwrap();
+    SnapshotFile::verify_all(&path).expect("the rewritten snapshot checksums clean");
+}
+
+#[test]
+fn a_multi_shard_snapshot_is_refused_with_a_typed_error() {
+    // A snapshot that claims a store split three ways — in its graph section, in its
+    // walks header, or in both — is well-formed bytes this build cannot load: `open`
+    // must return a Format error on the flat and the disk layout alike, never panic
+    // and never build a store.  The (1, 1) rewrite is the control: the same rewrite
+    // with the true shard count opens.
+    let tmp = TempDir::new("multi-shard");
+    let config = MonteCarloConfig::new(0.2, 2).with_seed(657);
+    for (graph_shards, walks_shards) in [(1, 1), (3, 3), (3, 1), (1, 3)] {
+        let root = tmp
+            .path()
+            .join(format!("store-{graph_shards}-{walks_shards}"));
+        let engine =
+            IncrementalPageRank::create_durable(&root, preferential_attachment(30, 2, 659), config)
+                .unwrap();
+        drop(engine);
+        rewrite_shard_counts(&root, graph_shards, walks_shards);
+        let context = format!("graph claims {graph_shards}, walks claim {walks_shards}");
+        let results = [
+            IncrementalPageRank::<WalkStore>::open(&root).map(drop),
+            DurablePageRank::open(&root).map(drop),
+        ];
+        for result in results {
+            if (graph_shards, walks_shards) == (1, 1) {
+                result.unwrap_or_else(|e| panic!("{context}: {e}"));
+            } else {
+                assert!(
+                    matches!(result, Err(ppr_core::PersistError::Format(_))),
+                    "{context}: {result:?}"
+                );
+            }
+        }
+    }
 }
 
 #[test]

@@ -5,9 +5,11 @@
 use fast_ppr::prelude::*;
 use ppr_analysis::ranking::{top_k_indices, top_k_overlap};
 use ppr_baselines::power_iteration::PowerIterationConfig;
+use ppr_core::RerouteStrategy;
 use ppr_graph::generators::{preferential_attachment_edges, PreferentialAttachmentConfig};
 use ppr_graph::stream::random_permutation;
 use ppr_graph::Edge;
+use ppr_store::StoreDigest;
 use std::collections::HashSet;
 
 /// Builds the whole system incrementally from an empty graph and checks that the
@@ -145,31 +147,36 @@ fn deletion_repairs_do_not_reflip_the_reset_coin() {
 
 /// Deletion-then-recount invariant: after every deletion, the store's postings and
 /// counters equal a from-scratch recount of the stored paths, no segment traverses a
-/// fully deleted edge, and this holds equally on the flat and the sharded layouts.
-/// (`remove_edge` had unit tests but no end-to-end/property coverage; this also seeds
-/// the ROADMAP's "batched deletions" item with a correctness oracle.)
+/// fully deleted edge, and this holds equally on the flat and the disk-backed
+/// layouts.  (`remove_edge` had unit tests but no end-to-end/property coverage; this
+/// also seeds the ROADMAP's "batched deletions" item with a correctness oracle.)
 #[test]
 fn deletions_keep_stores_exactly_consistent_on_both_layouts() {
     let nodes = 120;
     let edges = preferential_attachment_edges(&PreferentialAttachmentConfig::new(nodes, 5, 47));
     let config = MonteCarloConfig::new(0.2, 6).with_seed(49);
     let mut flat = IncrementalPageRank::new_empty(nodes, config);
-    let mut sharded =
-        IncrementalPageRank::from_graph_sharded(DynamicGraph::with_nodes(nodes), config, 4, 4);
+    let dir = ppr_persist::TempDir::new("deletions-disk");
+    let mut disk = DurablePageRank::create_durable_disk(
+        dir.path().join("store"),
+        DynamicGraph::with_nodes(nodes),
+        config,
+    )
+    .expect("create disk durable");
     flat.apply_arrivals(&edges);
-    sharded.apply_arrivals(&edges);
+    disk.apply_arrivals(&edges);
 
     let victims: Vec<Edge> = edges.iter().copied().step_by(4).take(120).collect();
     for (i, &edge) in victims.iter().enumerate() {
         let a = flat.remove_edge(edge);
-        let b = sharded.remove_edge(edge);
+        let b = disk.remove_edge(edge);
         assert_eq!(a, b, "deletion {i} stats diverge between layouts");
         if i % 20 == 0 {
             // Recount from scratch: every maintained index must match exactly.
             flat.walk_store().check_consistency().unwrap();
-            WalkIndexMut::check_consistency(sharded.walk_store()).unwrap();
+            WalkIndexMut::check_consistency(disk.walk_store()).unwrap();
             flat.validate_segments().unwrap();
-            sharded.validate_segments().unwrap();
+            disk.validate_segments().unwrap();
         }
         // A fully deleted edge may no longer be traversed by any stored segment.
         if !flat.graph().has_edge(edge) {
@@ -183,10 +190,10 @@ fn deletions_keep_stores_exactly_consistent_on_both_layouts() {
             }
         }
     }
-    assert_eq!(flat.scores(), sharded.scores());
+    assert_eq!(flat.scores(), disk.scores());
     assert_eq!(
         WalkIndexView::visit_counts(flat.walk_store()),
-        sharded.walk_store().visit_counts()
+        disk.walk_store().visit_counts()
     );
 }
 
@@ -291,4 +298,68 @@ fn recommenders_produce_disjoint_from_friends_rankings() {
     for (node, _) in salsa_top {
         assert!(!friends.contains(&node) && node != seed);
     }
+}
+
+/// The arrival-only script behind the pinned digests: 40 nodes growing to 60 under
+/// permuted preferential-attachment arrivals, in singleton and mixed-size batches.
+fn pinned_arrival_script() -> Vec<Vec<Edge>> {
+    let pa = PreferentialAttachmentConfig::new(60, 3, 457);
+    let edges = random_permutation(&preferential_attachment_edges(&pa), 461);
+    let mut batches = Vec::new();
+    let mut rest = &edges[..];
+    for &len in [1usize, 5, 1, 24, 2, 48].iter().cycle() {
+        if rest.is_empty() {
+            break;
+        }
+        let (batch, tail) = rest.split_at(len.min(rest.len()));
+        batches.push(batch.to_vec());
+        rest = tail;
+    }
+    batches
+}
+
+#[test]
+fn arrival_only_histories_keep_their_pinned_digests() {
+    // Arrivals (with node growth) are held to exact RNG streams.  Re-pin only in a PR
+    // that states it changes arrival RNG streams — last done by the PR that moved the
+    // reroute coins off the per-segment repair stream onto one skip-sampled coin
+    // stream per `(batch, pivot, direction)`: this change alters arrival RNG streams
+    // (and nothing about deletions).  Deletion histories are deliberately not pinned.
+    const PINNED: [(u64, u64); 4] = [
+        (920, 2357357892586109657),
+        (2526, 8605347573499262585),
+        (343, 450252412985468504),
+        (1134, 5352309793781967337),
+    ];
+    let script = pinned_arrival_script();
+    let mut observed = Vec::new();
+    for reroute in [
+        RerouteStrategy::FromUpdatePoint,
+        RerouteStrategy::FromSource,
+    ] {
+        let config = MonteCarloConfig::new(0.2, 3)
+            .with_seed(463)
+            .with_reroute(reroute);
+        let mut pagerank = IncrementalPageRank::new_empty(40, config);
+        let mut salsa = IncrementalSalsa::new_empty(40, config);
+        for batch in &script {
+            pagerank.apply_arrivals(batch);
+            salsa.apply_arrivals(batch);
+        }
+        assert_eq!(
+            pagerank.node_count(),
+            60,
+            "the script must grow the node set"
+        );
+        for digest in [
+            StoreDigest::of(pagerank.walk_store()),
+            StoreDigest::of(salsa.walk_store()),
+        ] {
+            observed.push((digest.total_visits, digest.fingerprint));
+        }
+    }
+    assert_eq!(
+        observed, PINNED,
+        "order: PageRank, SALSA under FromUpdatePoint; then under FromSource"
+    );
 }

@@ -7,22 +7,16 @@
 //! arbitrary operation sequences and check those invariants, plus structural properties
 //! of the graph substrate and the analysis toolkit.
 
+mod common;
+
 use fast_ppr::prelude::*;
 use ppr_graph::{CsrGraph, Edge};
 use ppr_persist::layout::{PagedWalks, PersistentWalkStore};
 use ppr_persist::snapshot::{SnapshotFile, SnapshotWriter};
 use ppr_persist::TempDir;
 use ppr_scenario::{ChaosPlan, DurableChaos, Phase, PhaseKind, ScenarioRunner};
-use ppr_store::{SegmentId, StoreDigest, WalkIndexView};
+use ppr_store::{SegmentId, StoreDigest};
 use proptest::prelude::*;
-
-/// Worker-thread count for sharded-engine properties: honours the CI matrix variable.
-fn proptest_threads() -> usize {
-    std::env::var("PPR_TEST_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(4)
-}
 
 /// An arbitrary edge among `n` nodes.
 fn arb_edge(n: u32) -> impl Strategy<Value = Edge> {
@@ -123,48 +117,6 @@ fn assert_store_matches_recount(store: &WalkStore, n: u32) {
             postings[node as usize].len()
         );
     }
-    assert!(store.check_consistency().is_ok());
-}
-
-/// Recounts a sharded store from its stored paths alone and checks every shard-local
-/// index against it: each shard's postings and counters must equal a from-scratch
-/// recount restricted to the nodes it owns, and the union over shards must equal the
-/// global recount.
-fn assert_sharded_store_matches_recount(store: &ShardedWalkStore, n: u32) {
-    let shard_count = store.shard_count();
-    let mut counts = vec![0u64; n as usize];
-    let mut postings = vec![std::collections::HashMap::<SegmentId, u32>::new(); n as usize];
-    let mut per_shard_total = vec![0u64; shard_count];
-    for node in 0..n {
-        for id in store.segment_ids_of(NodeId(node)) {
-            for &v in store.segment_path(id) {
-                counts[v.index()] += 1;
-                *postings[v.index()].entry(id).or_insert(0) += 1;
-                per_shard_total[v.index() % shard_count] += 1;
-            }
-        }
-    }
-    // Per-shard restriction: every node's postings live on its owner shard and match
-    // the recount; the shard totals partition the global total.
-    for node in 0..n {
-        let id = NodeId(node);
-        assert_eq!(store.shard_of(id), node as usize % shard_count);
-        assert_eq!(
-            store.visit_count(id),
-            counts[node as usize],
-            "W(v) drifted for node {node}"
-        );
-        let from_store: std::collections::HashMap<SegmentId, u32> =
-            store.segments_visiting(id).collect();
-        assert_eq!(
-            from_store, postings[node as usize],
-            "postings for node {node} disagree with a from-scratch recount"
-        );
-    }
-    assert_eq!(store.shard_visit_totals(), per_shard_total);
-    // Union over shards equals the global recount.
-    assert_eq!(store.visit_counts(), counts);
-    assert_eq!(store.total_visits(), counts.iter().sum::<u64>());
     assert!(store.check_consistency().is_ok());
 }
 
@@ -280,82 +232,6 @@ proptest! {
         assert_store_matches_recount(engine.walk_store(), 14);
     }
 
-    /// Under arbitrary interleaved arrivals and removals driven through the sharded
-    /// engine, each shard's postings equal a from-scratch recount restricted to its
-    /// nodes, the union over shards equals the global recount, and the sharded engine
-    /// remains byte-identical to the single-shard engine fed the same operations.
-    #[test]
-    fn sharded_store_invariants_hold_under_arbitrary_updates(
-        ops in proptest::collection::vec(arb_op(14), 1..60),
-        r in 1usize..4,
-        seed in 0u64..1_000,
-        shards in 2usize..6,
-        batch in 1usize..8,
-    ) {
-        let config = MonteCarloConfig::new(0.25, r).with_seed(seed);
-        let mut flat = IncrementalPageRank::new_empty(14, config);
-        let mut engine = IncrementalPageRank::from_graph_sharded(
-            DynamicGraph::with_nodes(14),
-            config,
-            shards,
-            proptest_threads(),
-        );
-        let mut pending: Vec<Edge> = Vec::new();
-        for op in &ops {
-            match op {
-                Op::Add(edge) => {
-                    pending.push(*edge);
-                    if pending.len() == batch {
-                        prop_assert_eq!(
-                            flat.apply_arrivals(&pending),
-                            engine.apply_arrivals(&pending)
-                        );
-                        pending.clear();
-                    }
-                }
-                Op::Remove(edge) => {
-                    flat.apply_arrivals(&pending);
-                    engine.apply_arrivals(&pending);
-                    pending.clear();
-                    prop_assert_eq!(flat.remove_edge(*edge), engine.remove_edge(*edge));
-                }
-            }
-        }
-        prop_assert_eq!(flat.apply_arrivals(&pending), engine.apply_arrivals(&pending));
-        prop_assert!(engine.validate_segments().is_ok());
-        assert_sharded_store_matches_recount(engine.walk_store(), 14);
-        prop_assert_eq!(flat.scores(), engine.scores());
-        prop_assert_eq!(
-            WalkIndexView::visit_counts(flat.walk_store()),
-            engine.walk_store().visit_counts()
-        );
-    }
-
-    /// Direct store writes through the `WalkIndexMut` surface keep a sharded store
-    /// exactly consistent with a from-scratch recount, mirroring the single-shard
-    /// store property above.
-    #[test]
-    fn sharded_walk_store_postings_match_recount_under_arbitrary_rewrites(
-        ops in proptest::collection::vec(arb_store_op(10, 3), 1..150),
-        shards in 1usize..5,
-    ) {
-        let n = 10u32;
-        let r = 3usize;
-        let mut store = ShardedWalkStore::new(n as usize, r, shards);
-        for op in &ops {
-            match *op {
-                StoreOp::Set { node, slot, path_seed } => {
-                    let path = expand_path(node, n, path_seed);
-                    store.set_segment(SegmentId::new(NodeId(node), slot, r), &path);
-                }
-                StoreOp::Clear { node, slot } => {
-                    store.clear_segment(SegmentId::new(NodeId(node), slot, r));
-                }
-            }
-        }
-        assert_sharded_store_matches_recount(&store, n);
-    }
-
     /// The SALSA engine maintains its alternating-walk invariant under arbitrary updates.
     #[test]
     fn salsa_engine_invariants_hold_under_arbitrary_updates(
@@ -462,7 +338,7 @@ proptest! {
 /// Drives an engine over an arbitrary interleaved arrival/deletion history (the same
 /// operation model as the invariant properties above) and returns it for snapshot
 /// round-trip checks.
-fn engine_after_history<W: WalkIndexMut + Sync>(
+fn engine_after_history<W: WalkIndexMut>(
     mut engine: IncrementalPageRank<W>,
     ops: &[SnapOp],
     batch: usize,
@@ -559,33 +435,6 @@ proptest! {
         let decoded = roundtrip_walks(&mut original, "prop-flat");
         assert_same_store(&decoded, engine.walk_store());
         assert_store_matches_recount(&decoded, 14);
-    }
-
-    /// The same round trip at the sharded layout: the decoded store recounts exactly
-    /// per shard and matches the original byte for byte.
-    #[test]
-    fn snapshot_roundtrip_reproduces_sharded_store(
-        ops in proptest::collection::vec(arb_snap_op(14), 1..60),
-        r in 1usize..4,
-        seed in 0u64..1_000,
-        shards in 2usize..6,
-        batch in 1usize..8,
-    ) {
-        let engine = engine_after_history(
-            IncrementalPageRank::from_graph_sharded(
-                DynamicGraph::with_nodes(14),
-                MonteCarloConfig::new(0.25, r).with_seed(seed),
-                shards,
-                proptest_threads(),
-            ),
-            &ops,
-            batch,
-        );
-        let mut original = engine.walk_store().clone();
-        let decoded = roundtrip_walks(&mut original, "prop-sharded");
-        prop_assert_eq!(decoded.shard_count(), shards);
-        assert_same_store(&decoded, engine.walk_store());
-        assert_sharded_store_matches_recount(&decoded, 14);
     }
 
     /// Corruption detection: flipping any single byte of a snapshot makes both the
@@ -784,10 +633,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// The scenario engine's differential contract holds for *arbitrary* scenarios,
-    /// not just the curated corpus: compilation is pure, the flat and sharded
-    /// layouts replay to bit-identical answers and stores, and a durable replay
-    /// with a crash-and-recover injected at an arbitrary trace point still matches
-    /// the clean in-memory run exactly.
+    /// not just the curated corpus: compilation is pure, and a durable replay with
+    /// a crash-and-recover injected at an arbitrary trace point, served at the
+    /// matrix reader count, still matches the clean single-reader in-memory run
+    /// exactly.
     #[test]
     fn arbitrary_scenarios_uphold_every_differential_oracle(
         scenario in arb_scenario(),
@@ -805,19 +654,6 @@ proptest! {
         );
         let ref_digest = StoreDigest::of(flat.walk_store());
 
-        // Sharded in-memory replay: answers and stores bit-identical.
-        let (sharded, sharded_out) = ScenarioRunner::new(proptest_threads()).replay(
-            &trace,
-            IncrementalPageRank::from_graph_sharded(
-                DynamicGraph::with_nodes(n),
-                config,
-                3,
-                proptest_threads(),
-            ),
-        );
-        prop_assert_eq!(&sharded_out.answers, &clean.answers, "sharded answers diverge");
-        assert_same_store(flat.walk_store(), sharded.walk_store());
-
         // Durable flat replay with a crash at an arbitrary event index.
         let crash_at = ((trace.events.len() - 1) as f64 * crash_position) as usize;
         let plan = ChaosPlan::crash_at(crash_at);
@@ -830,8 +666,9 @@ proptest! {
         )
         .expect("create durable");
         let mut chaos = DurableChaos::new(&root);
+        let readers = *common::thread_counts().last().expect("at least one width");
         let (durable, durable_out) =
-            ScenarioRunner::new(proptest_threads()).replay_with(&trace, engine, &plan, &mut chaos);
+            ScenarioRunner::new(readers).replay_with(&trace, engine, &plan, &mut chaos);
         prop_assert_eq!(chaos.crashes(), 1, "the crash must fire");
         prop_assert_eq!(&durable_out.answers, &clean.answers, "post-crash answers diverge");
         prop_assert_eq!(

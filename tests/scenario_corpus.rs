@@ -1,11 +1,10 @@
 //! The scenario-corpus chaos harness: every named scenario, replayed through every
-//! durable store layout at every thread count **with faults injected**, must end
+//! durable store layout at every reader count **with faults injected**, must end
 //! bit-identical to its clean single-threaded in-memory replay.
 //!
 //! This is the composition of every differential oracle the workspace has built:
 //!
-//! * shard equivalence (`tests/differential_shard.rs`) — the flat, sharded, and
-//!   disk layouts replay identically;
+//! * layout equivalence — the flat and disk layouts replay identically;
 //! * restart equivalence (`tests/durability.rs`) — crash anywhere, recover,
 //!   resume ≡ never crashed;
 //! * serving fidelity (`tests/concurrent_serving.rs`) — answers are pure in
@@ -16,23 +15,14 @@
 //! pages, and stalls the disk — and every served answer, final score vector, and
 //! store digest must still match the reference run exactly.
 //!
-//! Thread counts honour `PPR_TEST_THREADS` (the CI matrix runs 1 and 4).
+//! Reader counts honour `PPR_TEST_THREADS` (the CI matrix runs 1 and 4).
 
+mod common;
+
+use common::thread_counts;
 use fast_ppr::prelude::*;
 use ppr_scenario::{corpus, ChaosPlan, DurableChaos, Fault, ScenarioRunner};
 use ppr_store::StoreDigest;
-
-/// Thread counts to exercise: `PPR_TEST_THREADS` pins one (the CI matrix), default
-/// covers the sequential and the parallel scheduling paths.
-fn thread_counts() -> Vec<usize> {
-    match std::env::var("PPR_TEST_THREADS") {
-        Ok(v) => vec![v
-            .trim()
-            .parse()
-            .expect("PPR_TEST_THREADS must be a positive integer")],
-        Err(_) => vec![1, 4],
-    }
-}
 
 /// Full field-by-field store comparison — the diff-producing complement of the
 /// [`StoreDigest`] fingerprint checks.
@@ -65,8 +55,8 @@ fn assert_stores_identical<A: WalkIndex, B: WalkIndex>(a: &A, b: &B, context: &s
 }
 
 /// The harness core: replays `scenario` clean (single reader, in memory), then with
-/// fault injection through the flat, sharded, and disk durable layouts at every
-/// thread count, asserting bit-identical answers, scores, and store state.
+/// fault injection through the flat and disk durable layouts at every reader count,
+/// asserting bit-identical answers, scores, and store state.
 fn corpus_scenario_survives_chaos(scenario: ppr_scenario::Scenario) {
     let trace = Trace::compile(&scenario);
     assert_eq!(
@@ -121,33 +111,6 @@ fn corpus_scenario_survives_chaos(scenario: ppr_scenario::Scenario) {
             // this produces the diff when something breaks.
             assert_stores_identical(reference.walk_store(), after.walk_store(), &context);
             after.validate_segments().expect("segments stay valid");
-        }
-
-        // Sharded durable layout.
-        {
-            let dir =
-                ppr_persist::TempDir::new(&format!("corpus-{}-sharded-{threads}", scenario.name));
-            let root = dir.path().join("store");
-            let engine = IncrementalPageRank::<ShardedWalkStore>::create_durable_sharded(
-                &root,
-                DynamicGraph::with_nodes(n),
-                config,
-                3,
-                threads,
-            )
-            .expect("create sharded durable");
-            let mut chaos = DurableChaos::new(&root);
-            let (after, outcome) =
-                ScenarioRunner::new(threads).replay_with(&trace, engine, &plan, &mut chaos);
-            let context = format!("{} sharded durable, {threads} threads", scenario.name);
-            assert!(chaos.crashes() > 0, "{context}: faults must actually fire");
-            assert_eq!(outcome.answers, clean.answers, "{context}: served answers");
-            assert_eq!(
-                StoreDigest::of(after.walk_store()),
-                ref_digest,
-                "{context}: store digest"
-            );
-            assert_eq!(after.scores(), ref_scores, "{context}: scores");
         }
 
         // Disk-backed durable layout.

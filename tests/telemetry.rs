@@ -195,3 +195,41 @@ fn one_collect_sees_every_layer_of_a_durable_disk_session() {
     drop(handle);
     serving.into_engine();
 }
+
+#[test]
+fn a_global_rank_query_times_under_its_own_span() {
+    // A global-rank query scans every visit count; it books that scan as
+    // `query.global_topk`, so `query.topk` times only the walking queries' top-k.
+    let edges = preferential_attachment_edges(&PreferentialAttachmentConfig::new(64, 3, 0xB0B));
+    let config = MonteCarloConfig::new(0.2, 2).with_seed(0xB0C);
+    let mut engine = IncrementalPageRank::new_empty(64, config);
+    engine.apply_arrivals(&edges);
+    let tele = Telemetry::new();
+    let serving = QueryEngine::new(engine, 23).with_telemetry(&tele);
+    let handle = serving.handle();
+    let count = |name: &str| {
+        let snap = serving.telemetry_snapshot().expect("registry attached");
+        snap.histogram(name).map_or(0, |h| h.count)
+    };
+    handle.serve(
+        0,
+        &ppr_serve::Query::PersonalizedTopK {
+            seed: NodeId(3),
+            k: 4,
+            walk_length: 400,
+            fetch_budget: None,
+        },
+    );
+    let topk = count("query.topk");
+    handle.serve(1, &ppr_serve::Query::GlobalTopK { k: 5 });
+    assert_eq!(
+        count("query.topk"),
+        topk,
+        "a global-rank query must not time under query.topk"
+    );
+    #[cfg(feature = "telemetry")]
+    {
+        assert_eq!(topk, 1);
+        assert_eq!(count("query.global_topk"), 1);
+    }
+}

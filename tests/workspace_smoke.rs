@@ -61,7 +61,7 @@ fn every_prelude_reexport_resolves_and_composes() {
     assert!(result.fetches > 0);
 
     // ppr_store: SocialStore, WalkStore.
-    let store = SocialStore::new(10, 2);
+    let store = SocialStore::new(10);
     assert_eq!(store.node_count(), 10);
     let walks = WalkStore::new(10, 2);
     assert_eq!(walks.r(), 2);
