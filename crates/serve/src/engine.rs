@@ -42,7 +42,6 @@
 use crate::batch::{QueryBatch, ScratchPool};
 use crate::generation::{EngineKind, Generation, PinnedView, Query, Served};
 use crate::telem::{CommitSpans, QuerySpans};
-use crate::FetchCache;
 use ppr_core::{GroupCommit, Salsa, UpdateStats, WalkEngine, WalkKind};
 use ppr_graph::{DynamicGraph, Edge, GraphView, NodeId};
 use ppr_store::{
@@ -449,7 +448,6 @@ impl Committer {
             epsilon: self.epsilon,
             walks: front_walks,
             graph: front_graph,
-            cache: FetchCache::new(),
         });
         let superseded = {
             let mut slot = self.published.lock().expect("generation slot poisoned");
@@ -556,12 +554,11 @@ impl ServeHandle {
     }
 
     /// Serves a whole [`QueryBatch`] on the calling thread under **one**
-    /// generation pin: all queries run against a pooled batch context
-    /// ([`crate::StitchContext`]) layered over the pinned generation's fetch
-    /// cache, with any batch deadline applied per query.  Answers come back in
-    /// batch order and are bit-identical to calling [`ServeHandle::serve`] per
-    /// query (absent an expiring deadline) — see the
-    /// [batch module docs](crate::batch).  For a fanned-out batch use
+    /// generation pin: all queries run through one pooled per-query scratch and
+    /// fetch straight from the pinned generation, with any batch deadline
+    /// applied per query.  Answers come back in batch order and are
+    /// bit-identical to calling [`ServeHandle::serve`] per query (absent an
+    /// expiring deadline) — see the [batch module docs](crate::batch).  For a fanned-out batch use
     /// [`crate::ReaderPool::serve_batch`].
     pub fn serve_batch(&self, batch: &QueryBatch) -> Vec<Served> {
         let spans = self.spans.as_deref();
@@ -585,9 +582,6 @@ impl ServeHandle {
                 spans,
             ));
         }
-        if let Some(s) = spans {
-            s.batch_fetch_saved.add(ctx.saved());
-        }
         self.scratch.put(ctx);
         out
     }
@@ -598,7 +592,7 @@ impl ServeHandle {
         self.spans.as_ref()
     }
 
-    /// The session's shared batch-context pool.
+    /// The session's shared per-query scratch pool.
     pub(crate) fn scratch_pool(&self) -> &Arc<ScratchPool> {
         &self.scratch
     }
@@ -653,7 +647,6 @@ impl<E: ServeEngine> QueryEngine<E> {
             epsilon: engine.epsilon(),
             walks: mirror_walks.clone(),
             graph: mirror_graph.clone(),
-            cache: FetchCache::new(),
         });
         let published = Arc::new(Mutex::new(generation));
         let committed = Arc::new((Mutex::new(0), Condvar::new()));
@@ -800,9 +793,8 @@ impl<E: ServeEngine> QueryEngine<E> {
     /// One whole-stack observability snapshot through the attached registry:
     /// the live engine's layers ([`ServeEngine::emit_metrics`]: `store.*`,
     /// `work.*`, `batch.*`, the walk store's counters, `wal.*` when durable),
-    /// the commit path (`commit.*` counters plus the stage histograms), the
-    /// current generation's fetch cache (`cache.*`), serving gauges
-    /// (`serve.*`), and every query-lifecycle histogram readers recorded.
+    /// the commit path (`commit.*` counters plus the stage histograms), serving
+    /// gauges (`serve.*`), and every query-lifecycle histogram readers recorded.
     /// Returns `None` until [`QueryEngine::with_telemetry`] attaches a
     /// registry.
     pub fn telemetry_snapshot(&self) -> Option<TelemetrySnapshot> {
@@ -810,7 +802,6 @@ impl<E: ServeEngine> QueryEngine<E> {
         let adapter = |out: &mut SnapshotBuilder| {
             self.engine.emit_metrics(out);
             out.source("commit", &self.commit_stats());
-            out.source("cache", &self.pin().cache_stats());
             out.scoped("serve", |out| {
                 out.gauge("epoch", self.epoch as f64);
                 out.gauge("published_epoch", self.pin().epoch() as f64);

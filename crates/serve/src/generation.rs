@@ -1,8 +1,8 @@
 //! Generations and pinned views: the read side of the serving layer.
 //!
 //! A [`Generation`] is one committed state of the serving engine: an epoch number, a
-//! frozen PageRank Store view, a frozen Social-Store adjacency view, and that
-//! generation's shared [`FetchCache`].  Everything reachable from a generation is
+//! frozen PageRank Store view and a frozen Social-Store adjacency view, which every
+//! query fetches from directly.  Everything reachable from a generation is
 //! immutable, so a reader *pins* one by cloning an `Arc` and then runs whole queries
 //! without acquiring any lock: no step of a walk, no score lookup, no top-k sort
 //! synchronises with the writer or with other readers.
@@ -13,15 +13,13 @@
 //! bit-identical to the same query replayed against the same generation on a single
 //! thread.  `tests/concurrent_serving.rs` holds the layer to exactly that contract.
 
-use crate::batch::{DeadlineBudget, StitchContext, StitchFetch};
-use crate::cache::FetchCache;
+use crate::batch::{DeadlineBudget, QueryScratch};
 use crate::telem::QuerySpans;
 use ppr_core::query::query_rng;
 use ppr_core::salsa::{personalized_authorities_into, salsa_estimates_from, top_k_scores};
 use ppr_core::PersonalizedWalker;
 use ppr_graph::{GraphView, NodeId};
 use ppr_store::{FrozenGraph, FrozenWalks, WalkIndexView};
-use std::cell::{Cell, RefCell};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -43,7 +41,6 @@ pub struct Generation {
     pub(crate) epsilon: f64,
     pub(crate) walks: FrozenWalks,
     pub(crate) graph: FrozenGraph,
-    pub(crate) cache: FetchCache,
 }
 
 /// A reader's pinned generation: cheap to clone, lock-free to query.
@@ -144,11 +141,6 @@ impl PinnedView {
         &self.0.graph
     }
 
-    /// This generation's shared fetched-adjacency cache statistics.
-    pub fn cache_stats(&self) -> crate::cache::FetchCacheStats {
-        self.0.cache.stats()
-    }
-
     /// Rebuilds the seed node's exclusion set for recommender queries — itself
     /// plus its direct friends at this generation — into a reusable allocation.
     fn friends_exclude_into(&self, seed: NodeId, exclude: &mut HashSet<NodeId>) {
@@ -159,30 +151,29 @@ impl PinnedView {
 
     /// Answers one query on the `(query_seed, query_id)` stream.  Pure in the
     /// pinned generation: any thread, any interleaving, same bits.  For callers
-    /// holding only a view: the query runs in a context of its own, which costs
-    /// what the walk fills it with; a [`crate::ServeHandle`] reuses pooled ones.
+    /// holding only a view: the query runs in scratch of its own, which costs
+    /// what the walk fills it with; a [`crate::ServeHandle`] reuses pooled scratch.
     pub fn answer(&self, query_seed: u64, query_id: u64, query: &Query) -> Served {
-        let mut ctx = StitchContext::default();
+        let mut ctx = QueryScratch::default();
         self.answer_in_context(query_seed, query_id, query, &mut ctx, None, None)
     }
 
     /// The one execution path behind [`PinnedView::answer`] and every
     /// [`crate::ServeHandle`] / [`crate::ReaderPool`] entry point: answers one
-    /// query *through* a [`StitchContext`] — the batch-local fetch layer plus
-    /// pooled per-query scratch — with an optional per-query [`DeadlineBudget`]
-    /// and optional instruments (`query.walk` / `query.topk` / `query.global_topk`
-    /// spans, served / fetch / exhaustion counters; they only observe).  Every
-    /// buffer in `ctx` is reset before use and the fetch layers only change where
-    /// adjacency bytes come from, so the answer is a pure function of `(generation,
-    /// query_seed, query_id)` whatever context serves it — unless the deadline
-    /// actually expires, which (by construction) cannot happen with
-    /// `deadline: None`.
+    /// query in a [`QueryScratch`] (pooled per-query buffers), fetching adjacency
+    /// straight from the pinned generation's graph, with an optional per-query
+    /// [`DeadlineBudget`] and optional instruments (`query.walk` / `query.topk` /
+    /// `query.global_topk` spans, served / fetch / exhaustion counters; they only
+    /// observe).  Every buffer in `ctx` is reset before use, so the answer is a
+    /// pure function of `(generation, query_seed, query_id)` whatever scratch
+    /// serves it — unless the deadline actually expires, which (by construction)
+    /// cannot happen with `deadline: None`.
     pub(crate) fn answer_in_context(
         &self,
         query_seed: u64,
         query_id: u64,
         query: &Query,
-        ctx: &mut StitchContext,
+        ctx: &mut QueryScratch,
         deadline: Option<&DeadlineBudget>,
         spans: Option<&QuerySpans>,
     ) -> Served {
@@ -200,14 +191,12 @@ impl PinnedView {
                     "personalized PageRank queries need a PageRank generation \
                      (SALSA generations store 2R alternating segments)"
                 );
-                let store = StitchFetch {
-                    graph: &generation.graph,
-                    cache: &generation.cache,
-                    local: RefCell::new(&mut ctx.local),
-                    saved: Cell::new(0),
-                };
-                let mut walker =
-                    PersonalizedWalker::new(&store, &generation.walks, generation.epsilon, 0);
+                let mut walker = PersonalizedWalker::new(
+                    &generation.graph,
+                    &generation.walks,
+                    generation.epsilon,
+                    0,
+                );
                 if let Some(budget) = fetch_budget {
                     walker = walker.with_fetch_budget(budget);
                 }
@@ -228,7 +217,6 @@ impl PinnedView {
                 let _topk = spans.map(|s| s.tele.time(&s.topk));
                 self.friends_exclude_into(seed, &mut ctx.exclude);
                 let answer = Answer::Ranked(ctx.result.top_k_with(k, &ctx.exclude, &mut ctx.topk));
-                ctx.saved += store.saved.get();
                 Served {
                     query_id,
                     epoch: generation.epoch,

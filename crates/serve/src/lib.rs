@@ -16,8 +16,9 @@
 //!   clone, and from then on a query never takes a lock — not per step, not per
 //!   score.  A reader overlapping a write batch simply keeps serving from its
 //!   pinned generation; there are no torn reads by construction.
-//! * Queries — personalized top-k (with Corollary 9 fetch budgets and a shared
-//!   per-generation [`FetchCache`]), global rank, SALSA hub/authority — draw from
+//! * Queries — personalized top-k (with Corollary 9 fetch budgets, fetching
+//!   adjacency straight from the pinned `FrozenGraph`), global rank, SALSA
+//!   hub/authority — draw from
 //!   `(query_seed, query_id)` split RNG streams, so every answer is a pure function
 //!   of `(generation, query_seed, query_id)`: bit-identical at any reader-thread
 //!   count and any read/write interleaving.  `tests/concurrent_serving.rs` is the
@@ -25,8 +26,7 @@
 //! * [`ReaderPool`] is a small fixed thread pool for fanning query batches out; the
 //!   `query_serving` bench pins QPS scaling at 1/2/4/8 readers with and without a
 //!   concurrent writer.
-//! * [`QueryBatch`] is the batched execution path: one generation pin per batch, a
-//!   batch-local [`StitchContext`] fetch layer over the generation's [`FetchCache`],
+//! * [`QueryBatch`] is the batched execution path: one generation pin per batch,
 //!   pooled per-query scratch, and per-query deadline budgets over an injectable
 //!   clock — amortized cost, bit-identical answers (see [`batch`]).
 
@@ -35,14 +35,12 @@
 #![forbid(unsafe_code)]
 
 pub mod batch;
-pub mod cache;
 pub mod engine;
 pub mod generation;
 pub mod pool;
 pub mod telem;
 
-pub use batch::{DeadlineBudget, QueryBatch, StitchContext};
-pub use cache::{FetchCache, FetchCacheStats};
+pub use batch::{DeadlineBudget, QueryBatch};
 pub use engine::{
     CommitStats, MirrorOp, OpsRecorder, QueryEngine, ServeEngine, ServeHandle, WriteOp,
 };
@@ -157,7 +155,7 @@ mod tests {
 
     #[test]
     fn served_personalized_top_k_matches_the_engine_query() {
-        // The serving path (frozen views + shared fetch cache) answers the engine's
+        // The serving path (frozen views, pooled scratch) answers the engine's
         // own personalized query bit-identically: same (query_seed = engine seed,
         // query_id = seed node) stream, same generation.
         let stream = edges(150, 917);
@@ -202,7 +200,7 @@ mod tests {
     }
 
     #[test]
-    fn pinned_readers_survive_later_commits_and_cache_is_per_generation() {
+    fn pinned_readers_survive_later_commits() {
         let stream = edges(100, 927);
         let config = MonteCarloConfig::new(0.2, 3).with_seed(929);
         let engine = IncrementalPageRank::new_empty(100, config);
@@ -222,10 +220,6 @@ mod tests {
         }
         let after = pinned.answer(7, 11, &query);
         assert_eq!(before, after, "a pinned generation is immutable");
-        assert!(
-            pinned.cache_stats().hits > 0,
-            "the second identical walk hits the generation cache"
-        );
         // The current generation differs (the graph moved on).
         assert!(serving.pin().epoch() > pinned.epoch());
     }
@@ -394,7 +388,6 @@ mod tests {
         // One snapshot sees the engine layers and the serving layer together.
         assert!(snap.counter("store.fetches").is_some());
         assert!(snap.counter("arena.in_place_writes").is_some());
-        assert!(snap.counter("cache.misses").is_some());
         assert_eq!(snap.gauge("serve.pipeline_window"), Some(0.0));
 
         // Attaching telemetry to a pipelined session bounces the pipeline and
@@ -433,8 +426,8 @@ mod tests {
                 (
                     qid,
                     Query::PersonalizedTopK {
-                        // Duplicate seeds on purpose: the batch-local layer
-                        // must share fetches without perturbing any walk.
+                        // Duplicate seeds on purpose: queries sharing a seed
+                        // and a pooled scratch must not perturb any walk.
                         seed: NodeId((qid % 7) as u32),
                         k: 4,
                         walk_length: 900,
@@ -470,59 +463,36 @@ mod tests {
     }
 
     #[test]
-    fn pooled_contexts_hold_no_adjacency_after_their_lane() {
-        // Two identical sessions; only one ever serves.  Once the generation the
-        // reader fetched from is superseded (its fetch cache goes with it), every
-        // adjacency list must be referenced exactly as often as in the session
-        // that never had a reader — an idle pooled context pins nothing, so the
-        // committer's `Arc::make_mut` keeps editing lists in place.
+    fn pooled_scratch_returns_to_the_pool_after_every_lane() {
         let stream = edges(120, 981);
-        let build = || {
-            let config = MonteCarloConfig::new(0.2, 3).with_seed(983);
-            let mut engine = IncrementalPageRank::new_empty(120, config);
-            engine.apply_arrivals(&stream);
-            QueryEngine::new(engine, 29)
-        };
+        let config = MonteCarloConfig::new(0.2, 3).with_seed(983);
+        let mut engine = IncrementalPageRank::new_empty(120, config);
+        engine.apply_arrivals(&stream);
+        let serving = QueryEngine::new(engine, 29);
         let query = |seed: u32| Query::PersonalizedTopK {
             seed: NodeId(seed),
             k: 4,
             walk_length: 900,
             fetch_budget: None,
         };
-        let (mut served, mut control) = (build(), build());
-        let handle = served.handle();
+        let handle = serving.handle();
         let pool = ReaderPool::new(2);
         let jobs: Vec<(u64, Query)> = (0..8).map(|qid| (qid, query(qid as u32 % 5))).collect();
         assert!(handle.serve_batch(&QueryBatch::of(&jobs))[0].fetches > 0);
         pool.serve_batch(&handle, &QueryBatch::of(&jobs));
         handle.serve(9, &query(3));
-        // Every context is back in the pool, and none kept its local layer.
-        let mut idle = Vec::new();
-        for _ in 0..3 {
-            let ctx = handle.scratch_pool().take();
-            assert!(ctx.local.is_empty(), "a pooled context kept adjacency");
-            assert_eq!(ctx.saved(), 0);
-            idle.push(ctx);
-        }
-        assert!(
-            idle.iter().any(|ctx| ctx.result.total_visits > 0),
-            "the lanes above ran through pooled contexts"
+        // Every lane above handed its scratch back: the single-thread lanes
+        // reused one, the two-lane fan-out added a second, nothing else was made.
+        let idle: Vec<_> = (0..3).map(|_| handle.scratch_pool().take()).collect();
+        assert_eq!(
+            idle.iter()
+                .filter(|ctx| ctx.result.total_visits > 0)
+                .count(),
+            2,
+            "the lanes above ran through pooled scratch"
         );
         idle.into_iter()
             .for_each(|ctx| handle.scratch_pool().put(ctx));
-
-        for session in [&mut served, &mut control] {
-            session.commit_arrivals(&[Edge::new(100, 101)]);
-        }
-        let (after_readers, never_read) = (served.pin(), control.pin());
-        for node in 0..120 {
-            let node = NodeId(node);
-            assert_eq!(
-                Arc::strong_count(&after_readers.graph().shared_out_neighbors(node)),
-                Arc::strong_count(&never_read.graph().shared_out_neighbors(node)),
-                "adjacency of {node} is still pinned by an idle context"
-            );
-        }
     }
 
     #[test]
@@ -633,7 +603,7 @@ mod tests {
 
     #[cfg(feature = "telemetry")]
     #[test]
-    fn batch_telemetry_counts_sizes_and_saved_fetches() {
+    fn batch_telemetry_counts_sizes_and_deadlines() {
         let stream = edges(90, 981);
         let config = MonteCarloConfig::new(0.2, 3).with_seed(983);
         let tele = ppr_telemetry::Telemetry::new();
@@ -641,8 +611,7 @@ mod tests {
             QueryEngine::new(IncrementalPageRank::new_empty(90, config), 23).with_telemetry(&tele);
         serving.commit_arrivals(&stream);
         let handle = serving.handle();
-        // Eight walks from one seed: within a query the walker's own memory
-        // dedups, but across queries the batch-local layer answers repeats.
+        // Eight walks from one seed in one batch.
         let jobs: Vec<(u64, Query)> = (0..8u64)
             .map(|qid| {
                 (
@@ -661,10 +630,6 @@ mod tests {
         let sizes = snap.histogram("query.batch_size").expect("batch sizes");
         assert_eq!(sizes.count, 1);
         assert_eq!(sizes.sum, 8);
-        assert!(
-            snap.counter("query.batch_fetch_saved").unwrap_or(0) > 0,
-            "repeated seeds must hit the batch-local layer"
-        );
         assert_eq!(snap.counter("query.deadline_exhausted"), Some(0));
 
         // An instantly-expiring deadline shows up on the exhaustion counter.

@@ -6,7 +6,7 @@
 //! query_id)`, the pool's scheduling — which worker runs which query, in which
 //! order, overlapping which commits — can never change a result, only its latency.
 
-use crate::batch::{QueryBatch, StitchContext};
+use crate::batch::{QueryBatch, QueryScratch};
 use crate::engine::ServeHandle;
 use crate::generation::{Query, Served};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -93,12 +93,11 @@ impl ReaderPool {
     /// The batch is split into `min(threads, len)` lanes by the deterministic
     /// assignment `lane = slot % lanes` — which worker answers which query is
     /// fixed by the batch shape, never by scheduling.  Each lane runs its
-    /// queries through one pooled [`StitchContext`] (batch-local fetch layer +
-    /// reusable scratch), and answers return in submission order.  Because each
-    /// answer is a pure function of `(pinned generation, query_seed, query_id)`,
-    /// the results are bit-identical to [`ReaderPool::serve_all`] and to
-    /// [`ServeHandle::serve_batch`] — lanes change who pays which fetch, never
-    /// any answer (absent an expiring deadline).
+    /// queries through one pooled per-query scratch, and answers return in
+    /// submission order.  Because each answer is a pure function of `(pinned
+    /// generation, query_seed, query_id)`, the results are bit-identical to [`ReaderPool::serve_all`] and to
+    /// [`ServeHandle::serve_batch`] — lanes change which thread runs which
+    /// query, never any answer (absent an expiring deadline).
     pub fn serve_batch(&self, handle: &ServeHandle, batch: &QueryBatch) -> Vec<Served> {
         let spans = handle.query_spans().map(Arc::clone);
         if let Some(s) = spans.as_deref() {
@@ -109,7 +108,7 @@ impl ReaderPool {
             handle.pin()
         };
         let lanes = self.threads().min(batch.len().max(1));
-        let (done_tx, done_rx) = channel::<(Vec<(usize, Served)>, StitchContext)>();
+        let (done_tx, done_rx) = channel::<(Vec<(usize, Served)>, QueryScratch)>();
         for lane in 0..lanes {
             let jobs: Vec<(usize, u64, Query)> = batch
                 .jobs
@@ -145,9 +144,6 @@ impl ReaderPool {
         drop(done_tx);
         let mut out: Vec<Option<Served>> = vec![None; batch.len()];
         for (results, ctx) in done_rx {
-            if let Some(s) = spans.as_deref() {
-                s.batch_fetch_saved.add(ctx.saved());
-            }
             handle.scratch_pool().put(ctx);
             for (slot, served) in results {
                 out[slot] = Some(served);

@@ -1,18 +1,16 @@
 //! Telemetry adapters and span bundles for the serving layer.
 //!
-//! [`MetricSource`] impls for [`CommitStats`] and [`FetchCacheStats`], plus
-//! two crate-private pre-created span bundles the hot paths use: `CommitSpans`
-//! times the commit lifecycle (`commit.apply` → `commit.mirror` →
-//! `commit.wal_sync` → `commit.publish`) and `QuerySpans` times the query lifecycle
-//! (`query.pin` → `query.walk` → `query.topk`, under an overall
-//! `query.latency`; a global-rank query times its scan as `query.global_topk`)
-//! and counts served queries, fetches, budget/deadline
-//! exhaustions, and the batch-serving instruments (`query.batch_size`,
-//! `query.batch_fetch_saved`).  Both bundles hold [`Histogram`]/[`Counter`] handles created
-//! once at [`crate::QueryEngine::with_telemetry`] time, so recording on the
-//! hot path is handle-local — no registry lock, no allocation.
+//! The [`MetricSource`] impl for [`CommitStats`], plus two crate-private
+//! pre-created span bundles the hot paths use: `CommitSpans` times the commit
+//! lifecycle (`commit.apply` → `commit.mirror` → `commit.wal_sync` →
+//! `commit.publish`) and `QuerySpans` times the query lifecycle (`query.pin` →
+//! `query.walk` → `query.topk`, under an overall `query.latency`; a global-rank
+//! query times its scan as `query.global_topk`) and counts served queries,
+//! fetches, budget/deadline exhaustions, and queries per batch
+//! (`query.batch_size`).  Both bundles hold [`Histogram`]/[`Counter`] handles
+//! created once at [`crate::QueryEngine::with_telemetry`] time, so recording on
+//! the hot path is handle-local — no registry lock, no allocation.
 
-use crate::cache::FetchCacheStats;
 use crate::engine::CommitStats;
 use ppr_telemetry::{Counter, Histogram, MetricSource, SnapshotBuilder, Telemetry};
 
@@ -32,14 +30,6 @@ impl MetricSource for CommitStats {
             self.wal_appends_synced,
             self.wal_fsyncs,
         );
-    }
-}
-
-impl MetricSource for FetchCacheStats {
-    fn emit(&self, out: &mut SnapshotBuilder) {
-        out.counter("hits", self.hits);
-        out.counter("misses", self.misses);
-        out.ratio("hit_rate", self.hits, self.hits + self.misses);
     }
 }
 
@@ -98,8 +88,6 @@ pub(crate) struct QuerySpans {
     pub(crate) deadline_exhausted: Counter,
     /// `query.batch_size`: queries per served batch.
     pub(crate) batch_size: Histogram,
-    /// `query.batch_fetch_saved`: fetches answered by a batch-local stitch layer.
-    pub(crate) batch_fetch_saved: Counter,
 }
 
 impl QuerySpans {
@@ -115,7 +103,6 @@ impl QuerySpans {
             budget_exhausted: tele.counter("query.budget_exhausted"),
             deadline_exhausted: tele.counter("query.deadline_exhausted"),
             batch_size: tele.histogram("query.batch_size"),
-            batch_fetch_saved: tele.counter("query.batch_fetch_saved"),
             tele: tele.clone(),
         }
     }
@@ -139,20 +126,5 @@ mod tests {
         let snap = TelemetrySnapshot::from_builder(0, out);
         assert_eq!(snap.counter("commit.commits"), Some(4));
         assert_eq!(snap.gauge("commit.wal_appends_per_fsync"), Some(4.0));
-    }
-
-    #[test]
-    fn fetch_cache_hit_rate_guards_the_empty_cache() {
-        let mut out = SnapshotBuilder::new();
-        out.source("cache", &FetchCacheStats::default());
-        let snap = TelemetrySnapshot::from_builder(0, out);
-        assert_eq!(snap.gauge("cache.hit_rate"), Some(0.0));
-
-        let stats = FetchCacheStats { hits: 3, misses: 1 };
-        assert!((stats.hit_rate() - 0.75).abs() < 1e-12);
-        let mut out = SnapshotBuilder::new();
-        out.source("cache", &stats);
-        let snap = TelemetrySnapshot::from_builder(0, out);
-        assert_eq!(snap.gauge("cache.hit_rate"), Some(0.75));
     }
 }

@@ -859,14 +859,6 @@ impl FrozenGraph {
     pub fn set_edge_count(&mut self, edges: usize) {
         self.edge_count = edges;
     }
-
-    /// The node's out-adjacency as a shared list (what a fetch materialises).
-    pub fn shared_out_neighbors(&self, node: NodeId) -> Arc<Vec<NodeId>> {
-        Arc::clone(
-            &self.out.get(node.index() / NODES_PER_GRAPH_CHUNK).lists
-                [node.index() % NODES_PER_GRAPH_CHUNK],
-        )
-    }
 }
 
 impl GraphView for FrozenGraph {
@@ -898,7 +890,7 @@ impl GraphView for FrozenGraph {
 /// The paper's data-access model for personalized queries: one *fetch* brings a
 /// node's full out-adjacency into the walker's memory.  The walker is generic over
 /// this trait, so the same query runs against the live [`crate::SocialStore`] (with
-/// its fetch metrics), a pinned [`FrozenGraph`] generation, or a caching wrapper.
+/// its fetch metrics) or a pinned [`FrozenGraph`] generation.
 pub trait AdjacencyFetch {
     /// Number of nodes the store addresses.
     fn node_count(&self) -> usize;

@@ -45,8 +45,8 @@ fn main() {
     }
 
     // Batched read path: the same query shape through `QueryBatch`, pinning the
-    // generation once per batch of 16 and sharing stitch-fetch state, so the
-    // batch-size histogram and the batch_fetch_saved counter record too.
+    // generation once per batch of 16 and reusing pooled scratch, so the
+    // batch-size histogram records too.
     for group in 0..4u64 {
         let mut batch = QueryBatch::new();
         for slot in 0..16u64 {

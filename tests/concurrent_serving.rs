@@ -383,8 +383,8 @@ fn assert_batched_serving_matches_sequential<E: ServeEngine>(ops: &[Op], engine:
             Op::Delete(batch) => serving.commit_deletions(batch),
         };
     }
-    // Duplicate seeds on purpose (qid % 4 repeats the query shapes): batch-local
-    // fetch sharing is heaviest exactly when it must not perturb anything.
+    // Duplicate seeds on purpose (qid % 4 repeats the query shapes): lanes reuse
+    // pooled scratch across identical walks, which must not perturb anything.
     let jobs: Vec<(u64, Query)> = (0..64u64).map(|qid| (qid, query_for(qid))).collect();
     let handle = serving.handle();
     let sequential: Vec<Served> = jobs.iter().map(|(qid, q)| handle.serve(*qid, q)).collect();
@@ -411,9 +411,9 @@ fn assert_batched_serving_matches_sequential<E: ServeEngine>(ops: &[Op], engine:
 
 #[test]
 fn batched_serving_is_bit_identical_on_every_store_layout() {
-    // The tentpole acceptance differential: one pin per batch, a shared
-    // stitch-fetch layer, and pooled scratch must be invisible in the answer
-    // bits — on the flat and the disk-backed walk stores alike.
+    // The batching differential: one pin per batch and pooled scratch must be
+    // invisible in the answer bits — on the flat and the disk-backed walk
+    // stores alike.
     let ops = schedule(741);
     let config = MonteCarloConfig::new(0.2, 3).with_seed(743);
 

@@ -506,8 +506,8 @@ proptest! {
 }
 
 /// An arbitrary serving query: mostly personalized walks over a small seed space
-/// (duplicate seeds within a batch are likely, on purpose — that is where the
-/// batch-local fetch layer shares most), plus some global-rank queries.
+/// (duplicate seeds within a batch are likely, on purpose — a lane then reuses
+/// its pooled scratch across identical walks), plus some global-rank queries.
 fn arb_query(n: u32) -> impl Strategy<Value = ppr_serve::Query> {
     prop_oneof![
         5 => (0..n, 1usize..6, 100usize..500, 0u64..40).prop_map(

@@ -162,7 +162,6 @@ fn one_collect_sees_every_layer_of_a_durable_disk_session() {
         "wal.appended",          // write-ahead log layer
         "commit.commits",        // serve commit path
         "query.served",          // query path
-        "cache.hits",            // per-generation fetch cache
     ] {
         assert!(
             snap.counter(counter).is_some(),
@@ -186,7 +185,7 @@ fn one_collect_sees_every_layer_of_a_durable_disk_session() {
         "every served query records a latency sample"
     );
     assert!(
-        snap.gauge("cache.hit_rate").expect("hit rate present") >= 0.0,
+        snap.gauge("pager.hit_rate").expect("hit rate present") >= 0.0,
         "ratios are guarded, never NaN"
     );
     // Group commit actually coalesced: fsyncs happened and covered appends.
