@@ -537,8 +537,8 @@ impl ServeHandle {
     /// same pooled context [`ServeHandle::serve_batch`] uses, so a steady
     /// stream of single queries allocates no scratch.  With telemetry attached
     /// the call is traced (`query.latency` over `query.pin` → `query.walk` →
-    /// `query.topk`, or `query.global_topk` for a global-rank query) — tracing
-    /// never changes the answer's bits.
+    /// `query.topk`, or `query.global_topk` for a global-rank or hub/authority
+    /// query) — tracing never changes the answer's bits.
     pub fn serve(&self, query_id: u64, query: &Query) -> Served {
         let spans = self.spans.as_deref();
         let _latency = spans.map(|s| s.tele.time(&s.latency));

@@ -286,7 +286,7 @@ impl PinnedView {
                     EngineKind::Salsa,
                     "SALSA queries need a SALSA generation"
                 );
-                let _topk = spans.map(|s| s.tele.time(&s.topk));
+                let _topk = spans.map(|s| s.tele.time(&s.global_topk));
                 let estimates = salsa_estimates_from(&generation.walks);
                 let nothing = HashSet::new();
                 Served {

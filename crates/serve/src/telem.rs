@@ -4,10 +4,10 @@
 //! pre-created span bundles the hot paths use: `CommitSpans` times the commit
 //! lifecycle (`commit.apply` → `commit.mirror` → `commit.wal_sync` →
 //! `commit.publish`) and `QuerySpans` times the query lifecycle (`query.pin` →
-//! `query.walk` → `query.topk`, under an overall `query.latency`; a global-rank
-//! query times its scan as `query.global_topk`) and counts served queries,
-//! fetches, budget/deadline exhaustions, and queries per batch
-//! (`query.batch_size`).  Both bundles hold [`Histogram`]/[`Counter`] handles
+//! `query.walk` → `query.topk`, under an overall `query.latency`; a global-rank or
+//! hub/authority query times its whole-store scan as `query.global_topk`) and
+//! counts served queries, fetches, budget/deadline exhaustions, and queries per
+//! batch (`query.batch_size`).  Both bundles hold [`Histogram`]/[`Counter`] handles
 //! created once at [`crate::QueryEngine::with_telemetry`] time, so recording on
 //! the hot path is handle-local — no registry lock, no allocation.
 
@@ -74,7 +74,9 @@ pub(crate) struct QuerySpans {
     pub(crate) walk: Histogram,
     /// `query.topk`: scoring, exclusion, and top-k selection of a walking query.
     pub(crate) topk: Histogram,
-    /// `query.global_topk`: a global-rank query's scan of every visit count.
+    /// `query.global_topk`: the O(n) scan of a whole-store ranking — a global-rank
+    /// query's pass over every visit count, or a hub/authority query's
+    /// `salsa_estimates_from` over every segment.
     pub(crate) global_topk: Histogram,
     /// `query.latency`: the whole serve call, pin included.
     pub(crate) latency: Histogram,

@@ -14,7 +14,11 @@
 //!   chunk stays shared with the published generations readers still pin.
 //! * [`FrozenGraph`] — the matching frozen Social-Store adjacency (out- and
 //!   in-neighbours, chunked the same way), implementing [`ppr_graph::GraphView`], so
-//!   walks and SALSA queries run against it unchanged.
+//!   walks and SALSA queries run against it unchanged.  Each adjacency leaf is one
+//!   flat, gapped CSR over [`NODES_PER_GRAPH_CHUNK`] nodes — inline list offsets and
+//!   lengths over one payload with slack behind every list — so reading a list is
+//!   one leaf load plus one payload load, and replaying an arrival is a write into
+//!   the list's slack.
 //! * [`AdjacencyFetch`] — the data-access model of the paper's personalized walker
 //!   (Algorithm 1): one *fetch* returns a node's full out-adjacency.  Implemented by
 //!   the live [`crate::SocialStore`] (with fetch accounting) and by [`FrozenGraph`],
@@ -56,9 +60,10 @@ pub const SEGMENTS_PER_CHUNK: usize = 32;
 /// rewritten steps) keeps the number of copied chunks per batch small.
 pub const COUNTS_PER_CHUNK: usize = 128;
 
-/// Nodes per copy-on-write adjacency chunk.  Adjacency chunks are flat CSR arenas
-/// (see `AdjChunk`), so copying one is a memcpy of the member nodes' lists — small
-/// chunks keep the bill per touched endpoint down to a few hundred bytes.
+/// Nodes per copy-on-write adjacency chunk.  An adjacency chunk is one flat, gapped
+/// CSR leaf (see `AdjChunk`), so copying one is one memcpy of its member nodes' lists
+/// and their slack — small chunks keep the bill per touched endpoint down to a few
+/// hundred bytes outside a hub's chunk.
 pub const NODES_PER_GRAPH_CHUNK: usize = 16;
 
 /// A seeded walk chunk reserves `1 / SEED_HEADROOM` more steps than it holds.  Commits
@@ -66,7 +71,9 @@ pub const NODES_PER_GRAPH_CHUNK: usize = 16;
 /// a quarter of headroom absorbs their length changes there; seeded at exact
 /// capacity, every rewrite that lengthened a chunk reallocated it, and the serving
 /// window's peak resident set read 1–2 % higher on four of the five benchmark
-/// workloads.
+/// workloads.  A seeded adjacency list gets the same share of slack in its slot (see
+/// `AdjChunk`), so the arrivals that follow a seed write in place instead of moving
+/// their leaf's later lists.
 const SEED_HEADROOM: usize = 4;
 
 /// Leaf chunks per walk-spine block (see `Spine`); `B ≈ √C` for a few-thousand-node
@@ -680,56 +687,118 @@ impl WalkIndexView for FrozenWalks {
     }
 }
 
+/// The least a full list's slot grows by; above it a full list grows its slot by
+/// half.  Four entries is what a `Vec<NodeId>` first allocates, so a new node's first
+/// edges move its leaf no more often than they would reallocate a live-graph list.
+///
+/// Growth is by half, not doubling, and the payload is resized to fit, not to a
+/// doubled capacity: the slot slack and the vector's spare capacity would otherwise
+/// stack up, and with slots doubling into a doubling payload the peak resident set
+/// read 2 % above the per-list `Vec` layout on `ingest_stream`, where the graph
+/// grows by two thirds while the mirror serves.  Growing by half with exact resizes
+/// read 1–3 % below it on all five benchmark workloads.
+const MIN_LIST_SLOT: usize = 4;
+
+/// What a list's unused slot entries hold.  Never read: a list is its slot's first
+/// `lens[k]` entries.
+const SLACK: NodeId = NodeId(u32::MAX);
+
+/// The slot a seeded list of `len` neighbours gets: its list plus
+/// `1 / SEED_HEADROOM` of slack, rounded up, so the next pushes land in place.  An
+/// empty list gets an empty slot.
+fn seeded_slot(len: usize) -> usize {
+    len + len.div_ceil(SEED_HEADROOM)
+}
+
+/// A payload offset as stored in a leaf's `starts`.
+fn offset(at: usize) -> u32 {
+    u32::try_from(at).expect("an adjacency chunk's payload outgrew u32 offsets")
+}
+
 /// One chunk of frozen adjacency: the neighbour lists (one direction) of
-/// [`NODES_PER_GRAPH_CHUNK`] consecutive nodes, each list its own `Arc`d vector.
-/// Copying a chunk bumps [`NODES_PER_GRAPH_CHUNK`] refcounts — never list payloads,
-/// so a chunk full of hub lists costs the same as a chunk of leaves.  Lists mutate
-/// through `Arc::make_mut`: once a buffer owns its list uniquely (one copy after a
-/// publish pinned it), appending an edge is an amortised O(1) push — never an
-/// O(degree) re-snapshot of a hub's list.
-#[derive(Debug, Clone)]
+/// [`NODES_PER_GRAPH_CHUNK`] consecutive nodes in one flat leaf — a gapped CSR.
+/// List `k` owns the slot `starts[k]..starts[k + 1]` of `payload` and holds its
+/// `lens[k]` neighbours at the front of it; the rest of the slot is slack.
+///
+/// A read is one load of the leaf (both arrays are inline) and one of the payload.
+/// A push writes into the list's slack in O(1); a full list grows its slot by half,
+/// which moves only the chunk's later lists.  A node with no neighbours — and every slot
+/// past the last node — owns an empty slot, so it holds no payload.  Copying a leaf
+/// (copy-on-write after a publish pinned it) copies its whole payload, slack
+/// included.
+#[derive(Debug, Clone, Default)]
 struct AdjChunk {
-    lists: Vec<Arc<Vec<NodeId>>>,
+    /// `starts[k]..starts[k + 1]` is list `k`'s slot; `starts[NODES_PER_GRAPH_CHUNK]`
+    /// is the payload's length.
+    starts: [u32; NODES_PER_GRAPH_CHUNK + 1],
+    /// Neighbours list `k` holds at the front of its slot.
+    lens: [u32; NODES_PER_GRAPH_CHUNK],
+    payload: Vec<NodeId>,
 }
 
 impl AdjChunk {
-    fn new(empty: &Arc<Vec<NodeId>>) -> Self {
-        AdjChunk {
-            lists: vec![Arc::clone(empty); NODES_PER_GRAPH_CHUNK],
-        }
-    }
-
     /// One direction's adjacency spine over `node_count` nodes, `list` giving each
-    /// node's neighbours: every non-empty list copied once into its own `Arc`, every
-    /// empty one (and every slot past the last node) pointing at `empty`.
+    /// node's neighbours: each leaf sized once, every list copied once into a slot
+    /// with `seeded_slot` room.
     fn spine<'g>(
         node_count: usize,
-        empty: &Arc<Vec<NodeId>>,
         list: impl Fn(NodeId) -> &'g [NodeId],
     ) -> Spine<AdjChunk, GRAPH_BLOCK> {
         Spine::from_leaves((0..node_count.div_ceil(NODES_PER_GRAPH_CHUNK)).map(|c| {
-            let nodes = c * NODES_PER_GRAPH_CHUNK..(c + 1) * NODES_PER_GRAPH_CHUNK;
-            let lists = nodes
-                .map(|v| {
-                    let list = if v < node_count {
-                        list(NodeId::from_index(v))
-                    } else {
-                        &[]
-                    };
-                    if list.is_empty() {
-                        Arc::clone(empty)
-                    } else {
-                        Arc::new(list.to_vec())
-                    }
-                })
-                .collect();
-            AdjChunk { lists }
+            let nodes = c * NODES_PER_GRAPH_CHUNK..node_count.min((c + 1) * NODES_PER_GRAPH_CHUNK);
+            let members = nodes.len();
+            let lists = nodes.map(|v| list(NodeId::from_index(v)));
+            let size = lists.clone().map(|list| seeded_slot(list.len())).sum();
+            let mut chunk = AdjChunk {
+                payload: Vec::with_capacity(size),
+                ..AdjChunk::default()
+            };
+            for (k, list) in lists.enumerate() {
+                chunk.starts[k] = offset(chunk.payload.len());
+                chunk.lens[k] = list.len() as u32;
+                chunk.payload.extend_from_slice(list);
+                chunk
+                    .payload
+                    .resize(chunk.starts[k] as usize + seeded_slot(list.len()), SLACK);
+            }
+            let end = offset(chunk.payload.len());
+            chunk.starts[members..].fill(end);
+            chunk
         }))
     }
 
     #[inline]
     fn list(&self, local: usize) -> &[NodeId] {
-        &self.lists[local]
+        let start = self.starts[local] as usize;
+        &self.payload[start..start + self.lens[local] as usize]
+    }
+
+    /// Appends `node` to list `local`: in place while its slot has slack, else after
+    /// growing the slot by half (by at least `MIN_LIST_SLOT`).
+    fn push(&mut self, local: usize, node: NodeId) {
+        let start = self.starts[local] as usize;
+        let end = self.starts[local + 1] as usize;
+        let at = start + self.lens[local] as usize;
+        if at == end {
+            let extra = ((end - start) / 2).max(MIN_LIST_SLOT);
+            let tail = self.payload.len();
+            self.payload.reserve_exact(extra);
+            self.payload.resize(tail + extra, SLACK);
+            self.payload.copy_within(end..tail, end + extra);
+            for start in &mut self.starts[local + 1..] {
+                *start = offset(*start as usize + extra);
+            }
+        }
+        self.payload[at] = node;
+        self.lens[local] += 1;
+    }
+
+    /// `Vec::swap_remove(pos)` on list `local`: its last neighbour takes `pos`'s place.
+    fn swap_remove(&mut self, local: usize, pos: usize) {
+        let start = self.starts[local] as usize;
+        let last = start + self.lens[local] as usize - 1;
+        self.payload[start + pos] = self.payload[last];
+        self.lens[local] -= 1;
     }
 }
 
@@ -747,8 +816,6 @@ pub struct FrozenGraph {
     edge_count: usize,
     out: Spine<AdjChunk, GRAPH_BLOCK>,
     incoming: Spine<AdjChunk, GRAPH_BLOCK>,
-    /// The shared empty list isolated nodes point at.
-    empty: Arc<Vec<NodeId>>,
 }
 
 impl FrozenGraph {
@@ -760,22 +827,19 @@ impl FrozenGraph {
             edge_count: 0,
             out: Spine::new(),
             incoming: Spine::new(),
-            empty: Arc::new(Vec::new()),
         }
     }
 
     /// Freezes a full copy of `graph`.  O(graph), done once per serving session: each
-    /// adjacency chunk is built directly from the graph's lists, empty lists sharing
-    /// the one empty list.
+    /// adjacency leaf is sized once and filled straight from the graph's lists, every
+    /// non-empty list with a quarter of slack for the commits that follow.
     pub fn from_graph<G: GraphView + ?Sized>(graph: &G) -> Self {
         let node_count = graph.node_count();
-        let empty = Arc::new(Vec::new());
         FrozenGraph {
             node_count,
             edge_count: graph.edge_count(),
-            out: AdjChunk::spine(node_count, &empty, |v| graph.out_neighbors(v)),
-            incoming: AdjChunk::spine(node_count, &empty, |v| graph.in_neighbors(v)),
-            empty,
+            out: AdjChunk::spine(node_count, |v| graph.out_neighbors(v)),
+            incoming: AdjChunk::spine(node_count, |v| graph.in_neighbors(v)),
         }
     }
 
@@ -786,10 +850,8 @@ impl FrozenGraph {
         }
         self.node_count = n;
         let chunks = n.div_ceil(NODES_PER_GRAPH_CHUNK);
-        let empty = Arc::clone(&self.empty);
-        self.out.grow_with(chunks, || AdjChunk::new(&empty));
-        let empty = Arc::clone(&self.empty);
-        self.incoming.grow_with(chunks, || AdjChunk::new(&empty));
+        self.out.grow_with(chunks, AdjChunk::default);
+        self.incoming.grow_with(chunks, AdjChunk::default);
     }
 
     /// Drains both adjacency spines' copy-on-write counters (see
@@ -800,30 +862,28 @@ impl FrozenGraph {
 
     /// Replays one edge arrival — bit-exactly `DynamicGraph::add_edge`: the target
     /// is appended to the source's out-list and the source to the target's in-list,
-    /// preserving list order (sampling picks by position).  Amortised O(1): the
-    /// committer's entry point, replacing the old post-batch endpoint re-snapshot
-    /// that cost O(degree) per touched hub.
+    /// preserving list order (sampling picks by position).  Amortised O(1) once the
+    /// two leaves are unshared: a push into a list's slack, or a slot growing by
+    /// half, which moves the leaf's later lists.
     pub fn add_edge(&mut self, edge: Edge) {
         debug_assert!(
             edge.source.index() < self.node_count && edge.target.index() < self.node_count,
             "edge {edge} outside the view; ensure_nodes first"
         );
-        let chunk = self
-            .out
-            .get_mut(edge.source.index() / NODES_PER_GRAPH_CHUNK);
-        Arc::make_mut(&mut chunk.lists[edge.source.index() % NODES_PER_GRAPH_CHUNK])
-            .push(edge.target);
-        let chunk = self
-            .incoming
-            .get_mut(edge.target.index() / NODES_PER_GRAPH_CHUNK);
-        Arc::make_mut(&mut chunk.lists[edge.target.index() % NODES_PER_GRAPH_CHUNK])
-            .push(edge.source);
+        let (source, target) = (edge.source.index(), edge.target.index());
+        self.out
+            .get_mut(source / NODES_PER_GRAPH_CHUNK)
+            .push(source % NODES_PER_GRAPH_CHUNK, edge.target);
+        self.incoming
+            .get_mut(target / NODES_PER_GRAPH_CHUNK)
+            .push(target % NODES_PER_GRAPH_CHUNK, edge.source);
         self.edge_count += 1;
     }
 
     /// Replays one edge deletion — bit-exactly `DynamicGraph::remove_edge`
     /// (first-occurrence `swap_remove` in both directions), returning whether the
-    /// edge was present.  Absent edges leave the view untouched.
+    /// edge was present.  Absent edges leave the view untouched.  A list's slot
+    /// keeps its size.
     pub fn remove_edge(&mut self, edge: Edge) -> bool {
         if edge.source.index() >= self.node_count || edge.target.index() >= self.node_count {
             return false;
@@ -835,21 +895,18 @@ impl FrozenGraph {
         else {
             return false;
         };
-        let chunk = self
-            .out
-            .get_mut(edge.source.index() / NODES_PER_GRAPH_CHUNK);
-        Arc::make_mut(&mut chunk.lists[edge.source.index() % NODES_PER_GRAPH_CHUNK])
-            .swap_remove(pos);
+        let (source, target) = (edge.source.index(), edge.target.index());
+        self.out
+            .get_mut(source / NODES_PER_GRAPH_CHUNK)
+            .swap_remove(source % NODES_PER_GRAPH_CHUNK, pos);
         let pos = self
             .in_neighbors(edge.target)
             .iter()
             .position(|&s| s == edge.source)
             .expect("out/in adjacency lists out of sync");
-        let chunk = self
-            .incoming
-            .get_mut(edge.target.index() / NODES_PER_GRAPH_CHUNK);
-        Arc::make_mut(&mut chunk.lists[edge.target.index() % NODES_PER_GRAPH_CHUNK])
-            .swap_remove(pos);
+        self.incoming
+            .get_mut(target / NODES_PER_GRAPH_CHUNK)
+            .swap_remove(target % NODES_PER_GRAPH_CHUNK, pos);
         self.edge_count -= 1;
         true
     }
@@ -1243,11 +1300,39 @@ mod tests {
         assert!(counts.chunks_copied <= 2, "old + new visit count chunks");
     }
 
+    /// `(list length, slot size)` of `node`'s list in one direction's spine.
+    fn slot_of(lists: &Spine<AdjChunk, GRAPH_BLOCK>, node: usize) -> (usize, usize) {
+        let chunk = lists.get(node / NODES_PER_GRAPH_CHUNK);
+        let local = node % NODES_PER_GRAPH_CHUNK;
+        let slot = chunk.starts[local + 1] - chunk.starts[local];
+        (chunk.lens[local] as usize, slot as usize)
+    }
+
+    /// Asserts two views hold the same lists, element for element, in both directions.
+    fn assert_same_lists<G: GraphView>(view: &FrozenGraph, graph: &G, context: &str) {
+        assert_eq!(GraphView::node_count(view), graph.node_count(), "{context}");
+        assert_eq!(view.edge_count(), graph.edge_count(), "{context}: edges");
+        for n in 0..graph.node_count() {
+            let node = NodeId::from_index(n);
+            assert_eq!(
+                view.out_neighbors(node),
+                graph.out_neighbors(node),
+                "{context}: out-list of {n}"
+            );
+            assert_eq!(
+                view.in_neighbors(node),
+                graph.in_neighbors(node),
+                "{context}: in-list of {n}"
+            );
+        }
+    }
+
     #[test]
     fn graph_setters_match_refresh_and_collapse_empty_lists() {
-        // A replayed mirror and a fresh freeze of the post-batch graph agree; the
-        // freeze points every empty list — isolated, emptied, or padding past the
-        // last node — at the one shared empty list.
+        // A replayed mirror and a fresh freeze of the post-batch graph agree, and a
+        // freeze of the replay is the fresh freeze leaf for leaf.  The freeze gives
+        // every empty list — isolated, emptied, or padding past the last node — an
+        // empty slot, and every other list its length plus a quarter of slack.
         let mut graph = DynamicGraph::with_nodes(70);
         graph.add_edge(Edge::new(1, 2));
         let mut replayed = FrozenGraph::from_graph(&graph);
@@ -1256,28 +1341,114 @@ mod tests {
         replayed.add_edge(Edge::new(1, 69));
         replayed.remove_edge(Edge::new(1, 2));
         let fresh = FrozenGraph::from_graph(&graph);
+        assert_same_lists(&replayed, &graph, "replayed");
+        assert_same_lists(&fresh, &graph, "fresh");
 
-        for n in 0..70u32 {
-            assert_eq!(
-                replayed.out_neighbors(NodeId(n)),
-                fresh.out_neighbors(NodeId(n))
-            );
-            assert_eq!(
-                replayed.in_neighbors(NodeId(n)),
-                fresh.in_neighbors(NodeId(n))
-            );
+        let refrozen = FrozenGraph::from_graph(&replayed);
+        for (lists, again) in [
+            (&fresh.out, &refrozen.out),
+            (&fresh.incoming, &refrozen.incoming),
+        ] {
+            assert_eq!(lists.len, again.len);
+            for (a, b) in lists.iter().zip(again.iter()) {
+                assert_eq!(
+                    (a.starts, a.lens, &a.payload),
+                    (b.starts, b.lens, &b.payload)
+                );
+            }
         }
-        assert_eq!(replayed.edge_count(), fresh.edge_count());
-        let shares_empty = |lists: &Spine<AdjChunk, GRAPH_BLOCK>, node: usize| {
-            let list = &lists.get(node / NODES_PER_GRAPH_CHUNK).lists[node % NODES_PER_GRAPH_CHUNK];
-            Arc::ptr_eq(list, &fresh.empty)
-        };
         for node in [0, 2, 68, 75, 79] {
-            assert!(shares_empty(&fresh.incoming, node), "in-list of {node}");
+            assert_eq!(slot_of(&fresh.incoming, node), (0, 0), "in-list of {node}");
         }
-        assert!(!shares_empty(&fresh.incoming, 69));
-        assert!(!shares_empty(&fresh.out, 1));
-        assert!(shares_empty(&fresh.out, 2));
+        assert_eq!(slot_of(&fresh.incoming, 69), (1, 2));
+        assert_eq!(slot_of(&fresh.out, 1), (1, 2));
+        assert_eq!(slot_of(&fresh.out, 2), (0, 0));
+        // The replay emptied node 2's in-list in place; its slot stays.
+        assert_eq!(slot_of(&replayed.incoming, 2), (0, 2));
+        // Leaves that hold only isolated nodes hold no payload at all.
+        let chunk = fresh.out.get(64 / NODES_PER_GRAPH_CHUNK);
+        assert!(chunk.payload.is_empty() && chunk.payload.capacity() == 0);
+        replayed.ensure_nodes(200);
+        for node in [80, 150, 199, 207] {
+            assert_eq!(slot_of(&replayed.out, node), (0, 0), "grown node {node}");
+        }
+        assert!(replayed
+            .incoming
+            .get(199 / NODES_PER_GRAPH_CHUNK)
+            .payload
+            .is_empty());
+    }
+
+    #[test]
+    fn frozen_graph_replay_matches_dynamic_graph_under_random_churn() {
+        // A seeded loop of arrivals (duplicates included, a third aimed at one hub),
+        // first-occurrence deletions, node growth and pinned clones, replayed on a
+        // mirror next to the live graph.
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        const HUB: u32 = 7;
+        let mut rng = SmallRng::seed_from_u64(0x05EE_DAD1);
+        let mut graph = DynamicGraph::with_nodes(40);
+        for _ in 0..80 {
+            let edge = Edge::new(rng.gen_range(0..40u32), rng.gen_range(0..40u32));
+            graph.add_edge(edge);
+        }
+        let mut mirror = FrozenGraph::from_graph(&graph);
+        let mut hub_slot = slot_of(&mirror.incoming, HUB as usize).1;
+        let mut hub_slot_growths = 0;
+        let mut pins: Vec<(FrozenGraph, DynamicGraph)> = Vec::new();
+        for step in 0..4000 {
+            let n = graph.node_count() as u32;
+            match rng.gen_range(0..20u32) {
+                0..=9 => {
+                    let source = rng.gen_range(0..n);
+                    let target = match rng.gen_range(0..3u32) {
+                        0 => HUB,
+                        // A second copy of one of the source's edges.
+                        1 => graph
+                            .out_neighbors(NodeId(source))
+                            .first()
+                            .map_or(HUB, |t| t.0),
+                        _ => rng.gen_range(0..n),
+                    };
+                    graph.add_edge(Edge::new(source, target));
+                    mirror.add_edge(Edge::new(source, target));
+                    let (_, slot) = slot_of(&mirror.incoming, HUB as usize);
+                    hub_slot_growths += (slot != hub_slot) as usize;
+                    hub_slot = slot;
+                }
+                10..=16 => {
+                    let source = rng.gen_range(0..n);
+                    let out = graph.out_neighbors(NodeId(source));
+                    let target = if out.is_empty() || rng.gen_bool(0.2) {
+                        rng.gen_range(0..n) // most likely absent
+                    } else {
+                        out[rng.gen_range(0..out.len())].0
+                    };
+                    let edge = Edge::new(source, target);
+                    assert_eq!(mirror.remove_edge(edge), graph.remove_edge(edge), "{edge}");
+                }
+                17 => {
+                    let grown = graph.node_count() + rng.gen_range(1..20usize);
+                    graph.ensure_nodes(grown);
+                    mirror.ensure_nodes(grown);
+                }
+                _ => pins.push((mirror.clone(), graph.clone())),
+            }
+            if step % 97 == 0 {
+                assert_same_lists(&mirror, &graph, &format!("step {step}"));
+            }
+        }
+        assert_same_lists(&mirror, &graph, "end");
+        assert!(
+            hub_slot_growths >= 5,
+            "the hub's in-list outgrew its slot {hub_slot_growths} times"
+        );
+        assert!(pins.len() > 100, "{} pins", pins.len());
+        for (k, (pinned, then)) in pins.iter().enumerate() {
+            assert_same_lists(pinned, then, &format!("pin {k}"));
+        }
     }
 
     #[test]

@@ -232,3 +232,41 @@ fn a_global_rank_query_times_under_its_own_span() {
         assert_eq!(count("query.global_topk"), 1);
     }
 }
+
+#[test]
+fn a_hub_authority_query_times_under_the_global_span() {
+    // A hub/authority query scores every node from every stored segment; it books
+    // that scan as `query.global_topk`, so `query.topk` times only the personalized
+    // SALSA query's top-k.
+    let edges = preferential_attachment_edges(&PreferentialAttachmentConfig::new(64, 3, 0xB0D));
+    let config = MonteCarloConfig::new(0.2, 2).with_seed(0xB0E);
+    let mut engine = IncrementalSalsa::new_empty(64, config);
+    engine.apply_arrivals(&edges);
+    let tele = Telemetry::new();
+    let serving = QueryEngine::new(engine, 29).with_telemetry(&tele);
+    let handle = serving.handle();
+    let count = |name: &str| {
+        let snap = serving.telemetry_snapshot().expect("registry attached");
+        snap.histogram(name).map_or(0, |h| h.count)
+    };
+    handle.serve(
+        0,
+        &ppr_serve::Query::SalsaAuthorities {
+            seed: NodeId(3),
+            k: 4,
+            walk_length: 400,
+        },
+    );
+    let topk = count("query.topk");
+    handle.serve(1, &ppr_serve::Query::HubAuthorityTopK { k: 5 });
+    assert_eq!(
+        count("query.topk"),
+        topk,
+        "a hub/authority query must not time under query.topk"
+    );
+    #[cfg(feature = "telemetry")]
+    {
+        assert_eq!(topk, 1);
+        assert_eq!(count("query.global_topk"), 1);
+    }
+}
