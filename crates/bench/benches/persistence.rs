@@ -90,10 +90,22 @@ fn bench_snapshot_write(c: &mut Criterion) {
     );
 }
 
-/// WAL append (fsync on/off) and the recovery replay rate over a logged stream.
+/// WAL append (fsync on/off) of the records an engine writes — each batch's edges
+/// with the rewrites it reconciled — and the recovery replay rate over a logged
+/// stream.
 fn bench_wal(c: &mut Criterion) {
     let edges = workload();
-    let tail: Vec<Edge> = edges[edges.len() - 512..].to_vec();
+    let (head, tail) = edges.split_at(edges.len() - 512);
+    let mut engine =
+        IncrementalPageRank::from_graph(DynamicGraph::from_edges(head, NODES), config());
+    let plans: Vec<_> = tail
+        .chunks(32)
+        .map(|chunk| {
+            engine.apply_arrivals(chunk);
+            engine.last_rewrites().clone()
+        })
+        .collect();
+    let no_growth = ppr_store::SegmentRewrites::new();
     let mut group = c.benchmark_group("wal");
     group.throughput(Throughput::Elements(tail.len() as u64));
 
@@ -108,10 +120,16 @@ fn bench_wal(c: &mut Criterion) {
                     (tmp, writer)
                 },
                 |(tmp, mut writer)| {
-                    for (seq, chunk) in tail.chunks(32).enumerate() {
-                        writer
-                            .append(seq as u64, ppr_persist::WalOp::Arrivals, chunk)
-                            .unwrap();
+                    for (seq, (edges, rewrites)) in tail.chunks(32).zip(&plans).enumerate() {
+                        let record = ppr_persist::BatchRecord {
+                            seq: seq as u64,
+                            op: ppr_persist::WalOp::Arrivals,
+                            edges,
+                            cursors: ppr_persist::WalCursors::default(),
+                            growth: &no_growth,
+                            rewrites,
+                        };
+                        writer.append_batch(&record).unwrap();
                     }
                     drop(writer);
                     tmp
@@ -121,8 +139,8 @@ fn bench_wal(c: &mut Criterion) {
         });
     }
 
-    // Recovery replay: open() = snapshot load + deterministic re-application of the
-    // WAL tail through the ordinary batch pipeline.
+    // Recovery replay: open() = snapshot load + the WAL tail's logged effects
+    // installed as one collapsed plan.
     let replay_edges = 2_048usize;
     let tmp = TempDir::new("bench-wal-replay");
     let root = tmp.path().join("s");
@@ -136,6 +154,13 @@ fn bench_wal(c: &mut Criterion) {
         engine.apply_arrivals(chunk);
     }
     drop(engine);
+    let wal_bytes = std::fs::metadata(root.join("wal-000001.log"))
+        .unwrap()
+        .len();
+    println!(
+        "[persistence] WAL record bytes per edge: {:.1}",
+        wal_bytes as f64 / replay_edges as f64
+    );
     group.throughput(Throughput::Elements(replay_edges as u64));
     group.bench_function(BenchmarkId::from_parameter("recovery_replay"), |b| {
         b.iter(|| black_box(IncrementalPageRank::<ppr_store::WalkStore>::open(&root).unwrap()))
@@ -184,7 +209,7 @@ fn bench_cold_open_vs_rebuild(c: &mut Criterion) {
 /// mid-stream, reporting ingest rate, on-disk snapshot footprint, and the recovery
 /// cost (snapshot load + WAL-tail replay) that workload leaves behind.  The spam
 /// wave is the interesting one: its mass-unfollow deletions land *after* the
-/// checkpoint, so recovery replays the reversal path, not just arrivals.
+/// checkpoint, so recovery installs the reversal's rewrites, not just arrivals'.
 fn report_scenario_durability(_c: &mut Criterion) {
     for scenario in [
         ppr_scenario::corpus::flash_crowd().scaled(2),

@@ -7,7 +7,12 @@
 //! exactly the crash the WAL is for.  It then scars the log tail with garbage
 //! bytes (a torn half-frame), recovers, and asserts the recovered engine is
 //! **byte-identical** to an in-memory oracle that applied exactly the surviving
-//! batches — scores, visit counts, postings, paths, and work counters.
+//! batches — scores, visit counts, postings, paths, and work counters.  Recovery
+//! installs the logged effects of the surviving records (growth segments and
+//! rewrites), so the oracle, which re-runs their batches, is an independent check.
+//! The store is then recovered a second time into the file-backed layout, which
+//! demand-faults every path the replay rewrites through the page cache
+//! `PPR_PAGE_BUDGET` bounds, and held to the same oracle by digest.
 //!
 //! By default the batch schedule is a synthetic preferential-attachment stream
 //! with interleaved deletions.  Pass `--scenario <name>` to crash-test a member
@@ -25,13 +30,13 @@
 //! [--pipelined]`; exits non-zero on any divergence.  CI runs this after the
 //! test suites, once per corpus scenario it pins, plus a pipelined pass.
 
-use ppr_core::{IncrementalPageRank, MonteCarloConfig};
+use ppr_core::{DurablePageRank, IncrementalPageRank, MonteCarloConfig};
 use ppr_graph::generators::{preferential_attachment_edges, PreferentialAttachmentConfig};
 use ppr_graph::stream::random_permutation;
 use ppr_graph::{DynamicGraph, Edge, GraphView, NodeId};
 use ppr_persist::wal::read_records;
 use ppr_persist::{TempDir, WalOp};
-use ppr_store::{WalkIndexView, WalkStore};
+use ppr_store::{StoreDigest, WalkIndexView, WalkStore};
 use std::io::Write as _;
 use std::process::Command;
 use std::time::{Duration, Instant};
@@ -39,10 +44,12 @@ use std::time::{Duration, Instant};
 const DIR_ENV: &str = "PPR_SMOKE_DIR";
 
 /// A crash-test workload: the deterministic batch schedule both processes compute
-/// identically, plus the engine shape it runs against.
+/// identically, plus the engine shape it runs against.  Engines start with no
+/// nodes, and [`number_by_first_mention`] renumbers the schedule so each batch
+/// creates the nodes it names first: the log records growth segments on both
+/// sides of the checkpoint.
 struct Workload {
     name: String,
-    nodes: usize,
     config: MonteCarloConfig,
     /// Batches applied before the child publishes its one checkpoint.
     checkpoint_after: usize,
@@ -68,16 +75,36 @@ fn builtin_workload() -> Workload {
     }
     Workload {
         name: "builtin".into(),
-        nodes: NODES,
         config: MonteCarloConfig::new(0.2, 4).with_seed(4242),
         checkpoint_after: 20,
         ops,
     }
 }
 
+/// Renumbers the nodes of `ops` in the order the schedule first names them, so
+/// node ids grow batch by batch instead of the first batch creating them all.
+/// The graph the schedule builds is the same up to that renumbering.
+fn number_by_first_mention(ops: &mut [(WalOp, Vec<Edge>)]) {
+    let mut ids = std::collections::HashMap::new();
+    for (_, batch) in ops.iter_mut() {
+        for edge in batch.iter_mut() {
+            for node in [&mut edge.source, &mut edge.target] {
+                let next = NodeId::from_index(ids.len());
+                *node = *ids.entry(*node).or_insert(next);
+            }
+        }
+    }
+}
+
 /// Resolves `--scenario <name>` against the corpus, falling back to the builtin
 /// schedule when no scenario was requested.
 fn workload(scenario: Option<&str>) -> Workload {
+    let mut work = named_workload(scenario);
+    number_by_first_mention(&mut work.ops);
+    work
+}
+
+fn named_workload(scenario: Option<&str>) -> Workload {
     let Some(name) = scenario else {
         return builtin_workload();
     };
@@ -92,7 +119,6 @@ fn workload(scenario: Option<&str>) -> Workload {
     let ops = trace.write_batches();
     Workload {
         name: scenario.name.clone(),
-        nodes: scenario.nodes,
         config: scenario.engine_config(),
         // One checkpoint a third of the way in: most of the schedule (including
         // any mass-unfollow reversal) replays from the WAL after the crash.
@@ -126,12 +152,9 @@ fn commit(serving: &mut ppr_serve::QueryEngine<IncrementalPageRank>, op: &(WalOp
 /// Child: build, checkpoint, then log batches until killed.
 fn run_child(work: &Workload, pipelined: bool) -> ! {
     let root = std::env::var(DIR_ENV).expect("child needs the store dir");
-    let mut engine = IncrementalPageRank::create_durable(
-        &root,
-        DynamicGraph::with_nodes(work.nodes),
-        work.config,
-    )
-    .expect("create_durable");
+    let mut engine =
+        IncrementalPageRank::create_durable(&root, DynamicGraph::with_nodes(0), work.config)
+            .expect("create_durable");
     if pipelined {
         // Commit through the pipelined, group-committing serving path: the SIGKILL
         // lands with commits possibly in flight on the commit thread and WAL
@@ -233,8 +256,12 @@ fn run_parent(work: &Workload, scenario: Option<&str>, pipelined: bool) {
 
     // Recover, and hold the result to the in-memory oracle.
     let recovered = IncrementalPageRank::<WalkStore>::open(&root).expect("recovery");
-    let mut oracle = IncrementalPageRank::new_empty(work.nodes, work.config);
-    for op in &work.ops[..work.checkpoint_after + survivors] {
+    let mut oracle = IncrementalPageRank::new_empty(0, work.config);
+    for op in &work.ops[..work.checkpoint_after] {
+        apply(&mut oracle, op);
+    }
+    let checkpointed_nodes = oracle.node_count();
+    for op in &work.ops[work.checkpoint_after..work.checkpoint_after + survivors] {
         apply(&mut oracle, op);
     }
 
@@ -247,7 +274,12 @@ fn run_parent(work: &Workload, scenario: Option<&str>, pipelined: bool) {
         WalkIndexView::visit_counts(b),
         "visit counts diverge"
     );
-    for g in 0..work.nodes {
+    assert_eq!(
+        recovered.node_count(),
+        oracle.node_count(),
+        "node counts diverge"
+    );
+    for g in 0..oracle.node_count() {
         let node = NodeId::from_index(g);
         let pa: Vec<_> = a.segments_visiting(node).collect();
         let pb: Vec<_> = b.segments_visiting(node).collect();
@@ -263,13 +295,33 @@ fn run_parent(work: &Workload, scenario: Option<&str>, pipelined: bool) {
     recovered
         .validate_segments()
         .expect("recovered segments valid");
+    let edges = recovered.graph().edge_count();
+    drop(recovered);
+
+    let paged = DurablePageRank::open(&root).expect("recovery into the disk layout");
+    assert_eq!(
+        StoreDigest::of(paged.walk_store()),
+        StoreDigest::of(oracle.walk_store()),
+        "the disk layout's recovery diverges"
+    );
+    assert_eq!(
+        paged.work(),
+        oracle.work(),
+        "disk layout: work counters diverge"
+    );
+    paged
+        .validate_segments()
+        .expect("disk layout: recovered segments valid");
 
     println!(
         "[recover-smoke] PASS ({}): recovered bit-identically to the oracle at \
-         {} batches ({} edges in the graph)",
+         {} batches ({} edges in the graph, {} of its {} nodes created after the \
+         checkpoint)",
         work.name,
         work.checkpoint_after + survivors,
-        recovered.graph().edge_count()
+        edges,
+        oracle.node_count() - checkpointed_nodes,
+        oracle.node_count()
     );
 }
 

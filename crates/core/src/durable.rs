@@ -9,24 +9,30 @@
 //!
 //! 1. **Batches are the only inputs.**  After construction, engine state evolves
 //!    only through `apply_arrivals` / `apply_deletions` (and per-edge wrappers,
-//!    which *are* singleton batches).  Each call appends its edge batch to the WAL
-//!    before touching any state.
-//! 2. **The pipeline is deterministic.**  Every repair draws from a split RNG
-//!    stream seeded by `(engine seed, batch index, pivot, segment)`, and the
-//!    engine's own sequential RNG state is part of the snapshot metadata — so
-//!    replaying the logged batches over a snapshot reproduces scores, postings, and
-//!    paths byte for byte.
+//!    which *are* singleton batches) and `add_node`.  Each call appends one record
+//!    to the WAL: its edges plus its effects — the segments drawn for the nodes it
+//!    created, the reconciled rewrites as whole paths, and the engine cursors after
+//!    it ([`ppr_persist::WalCursors`]).  The record is written and synced after
+//!    reconcile and before the walk store installs the rewrites, so the call
+//!    returns — acknowledging the batch — only once the record is durable.
+//! 2. **A record's effects are the batch's end state.**  Installing the logged
+//!    paths and setting the logged cursors over the snapshot the log follows
+//!    reproduces scores, postings, and paths byte for byte, without re-running a
+//!    reroute.  Replay draws no random number, so it does not depend on the
+//!    sampler: a tail written by another build replays to the store that build
+//!    held.
 //! 3. **Snapshots are atomic, logs truncate cleanly.**  Snapshots are immutable
 //!    generation files published by renaming `CURRENT`; a crash mid-checkpoint
 //!    leaves the previous generation authoritative.  A crash mid-append leaves a
 //!    torn WAL tail that recovery truncates at the last CRC-valid record.
 //!
 //! Recovery therefore is: read `CURRENT` → load that generation's snapshot (falling
-//! back to the previous generation if the file is corrupt) → replay the WAL tail
-//! through the ordinary batch pipeline → truncate the torn tail, if any → attach the
-//! writer and continue.  The restart-equivalence differential test
-//! (`tests/durability.rs`) holds the whole stack to "crash anywhere, recover,
-//! resume ≡ never crashed".
+//! back to the previous generation if the file is corrupt) → apply the WAL tail's
+//! edges to the graph and install its effects as one collapsed plan (see
+//! [`WalkEngine::open`]) → truncate the torn tail, if any → attach the writer and
+//! continue.  The restart-equivalence differential test (`tests/durability.rs`)
+//! holds the whole stack to "crash anywhere, recover, resume ≡ never crashed", and
+//! this module's tests hold effect replay to re-running the edge batches.
 //!
 //! # Durability semantics
 //!
@@ -55,11 +61,12 @@ use ppr_persist::snapshot::{
     AtomicFile, SnapshotFile, SnapshotWriter, SECTION_GRAPH, SECTION_META,
 };
 use ppr_persist::wal::{self, GroupCommit, WalRecord, WalWriter};
-use ppr_persist::{DiskWalkStore, PagedWalks, WalOp};
-use ppr_store::{SocialStore, WalkIndexMut, WalkStore, WorkCounter};
+use ppr_persist::{BatchRecord, DiskWalkStore, PagedWalks, WalCursors, WalEffects, WalOp};
+use ppr_store::{SegmentId, SegmentRewrites, SocialStore, WalkIndexMut, WalkStore, WorkCounter};
 use rand::rngs::SmallRng;
 use std::io::{Seek, Write};
 use std::path::Path;
+use std::time::Instant;
 
 pub use ppr_persist::{PersistError, PersistResult};
 
@@ -106,15 +113,16 @@ pub struct DurableLog {
 }
 
 impl DurableLog {
-    /// Appends one batch record.
+    /// Appends one batch record — the edges plus their effects — and (by default)
+    /// fsyncs it (see [`WalWriter::append_batch`]).
     ///
     /// # Panics
     ///
     /// Panics if the append fails: the engine promised durability for every
     /// acknowledged batch and can no longer deliver it.
-    pub(crate) fn append(&mut self, seq: u64, op: WalOp, edges: &[Edge]) {
+    pub(crate) fn append(&mut self, record: &BatchRecord<'_>) {
         self.writer
-            .append(seq, op, edges)
+            .append_batch(record)
             .expect("WAL append failed; cannot continue without breaking durability");
     }
 
@@ -404,28 +412,25 @@ fn load_store<W: PersistentWalkStore>(dir: StoreDir) -> PersistResult<Recovered<
     })
 }
 
-/// Replays recovered WAL records through `apply`, enforcing sequence contiguity.
-/// Records the snapshot already absorbed (seq < `start_seq`) are skipped.
-fn replay_records(
-    start_seq: u64,
-    records: &[WalRecord],
-    mut apply: impl FnMut(WalOp, &[Edge]),
-) -> PersistResult<u64> {
-    let mut next = start_seq;
+/// The recovered WAL records the snapshot has not absorbed, checked for sequence
+/// contiguity: records with seq < `start_seq` are skipped, the rest must count up
+/// from it.
+fn tail_records(start_seq: u64, records: &[WalRecord]) -> PersistResult<Vec<&WalRecord>> {
+    let mut tail = Vec::new();
     for record in records {
         if record.seq < start_seq {
             continue;
         }
+        let next = start_seq + tail.len() as u64;
         if record.seq != next {
             return Err(corrupt(format!(
                 "WAL sequence gap: expected record {next}, found {}",
                 record.seq
             )));
         }
-        apply(record.op, &record.edges);
-        next += 1;
+        tail.push(record);
     }
-    Ok(next)
+    Ok(tail)
 }
 
 /// Shared checkpoint driver: writes generation `gen + 1`, rotates the WAL, publishes
@@ -539,17 +544,32 @@ impl<K: WalkKind, W: WalkIndexMut + PersistentWalkStore> WalkEngine<K, W> {
     }
 
     /// Opens a durable engine from `root`, performing full crash recovery: latest
-    /// valid snapshot, WAL-tail replay (arrival and deletion records alike, each as
-    /// the batch it was logged as, on its split RNG streams), torn-tail truncation.
-    /// The recovered engine is bit-identical to the one that crashed (up to the
-    /// at-most-one unsynced batch).  Fails if the directory holds the other walk kind.
+    /// valid snapshot, then the WAL tail's effects, torn-tail truncation.  The tail
+    /// is not re-run: its edges are applied to the graph, its growth segments and
+    /// rewrites fold into one plan of each touched segment's final path, installed
+    /// with one [`WalkIndexMut::apply_rewrites`], and the cursors come from its last
+    /// record — no random number is drawn and no postings list is read.  The
+    /// recovered engine is bit-identical to the one that crashed (up to the
+    /// at-most-one unsynced batch); a disk store's heap layout may differ, since each
+    /// touched segment reserves its file slot once.  A record that fails its checks
+    /// returns [`PersistError::Corrupt`], a version-1 log [`PersistError::Format`].
+    /// Fails if the directory holds the other walk kind.
     pub fn open(root: impl AsRef<Path>) -> PersistResult<Self> {
         Self::open_with(root, DurabilityOptions::default())
     }
 
     /// [`Self::open`] with explicit durability options.
     pub fn open_with(root: impl AsRef<Path>, options: DurabilityOptions) -> PersistResult<Self> {
-        let recovered = load_store::<W>(StoreDir::open(root.as_ref().to_path_buf())?)?;
+        Self::open_replaying(root.as_ref(), options, Self::replay_effects)
+    }
+
+    /// [`Self::open_with`] with the tail replayed by `replay`.
+    fn open_replaying(
+        root: &Path,
+        options: DurabilityOptions,
+        replay: impl FnOnce(&mut Self, &[&WalRecord]) -> PersistResult<()>,
+    ) -> PersistResult<Self> {
+        let recovered = load_store::<W>(StoreDir::open(root.to_path_buf())?)?;
         let meta = recovered.meta;
         if meta.kind != K::TAG {
             return Err(format_err(format!(
@@ -568,16 +588,9 @@ impl<K: WalkKind, W: WalkIndexMut + PersistentWalkStore> WalkEngine<K, W> {
         engine.work = meta.work;
         engine.initialization_steps = meta.initialization_steps;
         engine.batch_index = meta.batch_index;
-        engine.wal_seq = meta.wal_seq;
-        let next_seq = replay_records(meta.wal_seq, &recovered.replay, |op, edges| match op {
-            WalOp::Arrivals => {
-                engine.apply_arrivals(edges);
-            }
-            WalOp::Deletions => {
-                engine.apply_deletions(edges);
-            }
-        })?;
-        engine.wal_seq = next_seq;
+        let tail = tail_records(meta.wal_seq, &recovered.replay)?;
+        replay(&mut engine, &tail)?;
+        engine.wal_seq = meta.wal_seq + tail.len() as u64;
         let mut writer = recovered.writer;
         writer.set_fsync(options.fsync_wal);
         engine.durability = Some(DurableLog {
@@ -591,6 +604,165 @@ impl<K: WalkKind, W: WalkIndexMut + PersistentWalkStore> WalkEngine<K, W> {
             times_syncs: false,
         });
         Ok(engine)
+    }
+
+    /// Recovers a WAL tail from its logged effects, drawing no random number and
+    /// reading no postings list:
+    ///
+    /// 1. every record's edges are applied to the graph, in order;
+    /// 2. the records' growth segments and rewrites fold into one plan holding each
+    ///    touched segment's final path — the last write wins — in segment-id order;
+    /// 3. the walk store installs that plan with one
+    ///    [`WalkIndexMut::apply_rewrites`];
+    /// 4. the cursors are set from the last record, the work counter and
+    ///    `initialization_steps` advanced by every record's deltas.
+    ///
+    /// The plan equals the sequential batches' end state, so every digest does;
+    /// a disk store's heap layout may differ, because each touched segment
+    /// reserves its file slot once instead of once per write.  Every record is
+    /// checked before anything is installed — node counts against the edges and
+    /// the growth, segments against the store shape (see
+    /// [`WalEffects::check_segments`]) — and a record that fails returns
+    /// [`PersistError::Corrupt`].
+    fn replay_effects(&mut self, tail: &[&WalRecord]) -> PersistResult<()> {
+        let segments = K::segments_per_node(self.config.r);
+        // Every segment write of the tail: (segment, record, from rewrites, entry).
+        let mut writes: Vec<(SegmentId, u32, bool, u32)> = Vec::new();
+        let (mut work, mut initialization_steps) = (self.work, self.initialization_steps);
+        let mut last: Option<&WalCursors> = None;
+        for (ri, record) in tail.iter().enumerate() {
+            let effects = record
+                .effects
+                .as_ref()
+                .ok_or_else(|| corrupt(format!("WAL record {} logs no effects", record.seq)))?;
+            let cursors = &effects.cursors;
+            let batch_index = last.map_or(self.batch_index, |c| c.batch_index);
+            if !matches!(cursors.batch_index.checked_sub(batch_index), Some(0 | 1))
+                || cursors.rng.iter().all(|&w| w == 0)
+            {
+                return Err(corrupt(format!(
+                    "WAL record {} logs impossible cursors",
+                    record.seq
+                )));
+            }
+            self.apply_logged_edges(record, effects, segments)?;
+            effects.check_segments(segments, self.store.node_count())?;
+            work.checked_merge(&cursors.work)
+                .ok_or_else(|| corrupt("WAL work overflow"))?;
+            initialization_steps = initialization_steps
+                .checked_add(cursors.initialization_steps)
+                .ok_or_else(|| corrupt("WAL initialization steps overflow"))?;
+            for (rewrite, plan) in [(false, &effects.growth), (true, &effects.rewrites)] {
+                writes.extend(
+                    plan.iter()
+                        .enumerate()
+                        .map(|(k, (id, _))| (id, ri as u32, rewrite, k as u32)),
+                );
+            }
+            last = Some(cursors);
+        }
+        let Some(last) = last else {
+            return Ok(());
+        };
+
+        writes.sort_unstable();
+        let mut plan = SegmentRewrites::new();
+        for (i, &(id, ri, rewrite, k)) in writes.iter().enumerate() {
+            if writes.get(i + 1).is_some_and(|next| next.0 == id) {
+                continue; // a later write of the same segment wins
+            }
+            let effects = tail[ri as usize].effects.as_ref().expect("checked above");
+            let source = if rewrite {
+                &effects.rewrites
+            } else {
+                &effects.growth
+            };
+            plan.push(id, source.get(k as usize).1);
+        }
+        let started = Instant::now();
+        let arena_before = self.walks.arena_stats();
+        self.walks.ensure_nodes(self.store.node_count());
+        self.walks.apply_rewrites(&plan);
+        let installed = started.elapsed();
+        self.profile.apply += installed;
+        self.profile.total += installed;
+        self.profile
+            .record_compactions(&arena_before, &self.walks.arena_stats());
+
+        self.rng = SmallRng::from_state(last.rng);
+        self.batch_index = last.batch_index;
+        self.work = work;
+        self.initialization_steps = initialization_steps;
+        Ok(())
+    }
+
+    /// Applies one logged batch's edges to the Social Store as the engine did, once
+    /// the record's growth plan is checked against them: it holds the segments of
+    /// the nodes the batch created, in slot order, and an arrival record's
+    /// endpoints lie below the node count it leaves — the count before plus the
+    /// plan's whole nodes (a trailing partial node's segments then lie past the
+    /// store [`WalEffects::check_segments`] checks); a deletion record creates no
+    /// node.
+    fn apply_logged_edges(
+        &mut self,
+        record: &WalRecord,
+        effects: &WalEffects,
+        segments: usize,
+    ) -> PersistResult<()> {
+        let before = self.store.node_count();
+        let grown = effects.growth.len();
+        let nodes = before + grown.checked_div(segments).unwrap_or(0);
+        let in_range = |edge: &Edge| edge.source.index() < nodes && edge.target.index() < nodes;
+        let grown_ok = match record.op {
+            WalOp::Arrivals => record.edges.iter().all(in_range),
+            WalOp::Deletions => grown == 0,
+        };
+        if !grown_ok
+            || effects
+                .growth
+                .iter()
+                .enumerate()
+                .any(|(i, (id, _))| id.index() != before * segments + i)
+        {
+            return Err(corrupt(format!(
+                "WAL record {} grows {before} nodes to {nodes} with {} segments",
+                record.seq,
+                effects.growth.len()
+            )));
+        }
+        match record.op {
+            WalOp::Arrivals => {
+                self.store.ensure_nodes(nodes);
+                for &edge in &record.edges {
+                    self.store.add_edge(edge);
+                }
+            }
+            WalOp::Deletions => {
+                for &edge in &record.edges {
+                    self.store.remove_edge(edge);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The edge replay [`Self::replay_effects`] replaced, kept as its reference:
+    /// every tail record re-run through the ordinary batch pipeline.
+    #[cfg(test)]
+    fn replay_edges(&mut self, tail: &[&WalRecord]) -> PersistResult<()> {
+        for record in tail {
+            match record.op {
+                WalOp::Arrivals => self.apply_arrivals(&record.edges),
+                WalOp::Deletions => self.apply_deletions(&record.edges),
+            };
+        }
+        Ok(())
+    }
+
+    /// [`Self::open`] with the tail re-run by [`Self::replay_edges`].
+    #[cfg(test)]
+    fn open_replaying_edges(root: &Path) -> PersistResult<Self> {
+        Self::open_replaying(root, DurabilityOptions::default(), Self::replay_edges)
     }
 
     /// Writes a new snapshot generation, rotates the WAL, and publishes it as
@@ -688,9 +860,11 @@ impl<K: WalkKind> WalkEngine<K, DiskWalkStore> {
 mod tests {
     use super::*;
     use crate::engine::Salsa;
+    use ppr_graph::generators::{preferential_attachment_edges, PreferentialAttachmentConfig};
     use ppr_graph::{DynamicGraph, NodeId};
-    use ppr_persist::TempDir;
+    use ppr_persist::{set_thread_page_budget, PageBudget, TempDir};
     use ppr_store::StoreDigest;
+    use proptest::prelude::*;
 
     #[test]
     fn meta_round_trips_exactly() {
@@ -872,12 +1046,399 @@ mod tests {
             seq,
             op: WalOp::Arrivals,
             edges: vec![],
+            effects: None,
         };
-        let mut applied = 0;
-        let next =
-            replay_records(2, &[rec(0), rec(1), rec(2), rec(3)], |_, _| applied += 1).unwrap();
-        assert_eq!((applied, next), (2, 4));
-        assert!(replay_records(0, &[rec(0), rec(2)], |_, _| {}).is_err());
-        assert_eq!(replay_records(5, &[], |_, _| {}).unwrap(), 5);
+        let records = [rec(0), rec(1), rec(2), rec(3)];
+        let seqs = |tail: Vec<&WalRecord>| tail.iter().map(|r| r.seq).collect::<Vec<_>>();
+        assert_eq!(seqs(tail_records(2, &records).unwrap()), [2, 3]);
+        assert!(tail_records(0, &[rec(0), rec(2)]).is_err());
+        assert!(tail_records(5, &[]).unwrap().is_empty());
+    }
+
+    /// A seeded schedule that grows a 10-node graph to 90 nodes: preferential
+    /// attachment edges in arrival order (so batches keep naming new nodes), in
+    /// batches of mixed size with single-edge calls among them, and every third op
+    /// a deletion batch of delivered edges — the later ones name edges already
+    /// gone, so some delete nothing.
+    fn growth_schedule(seed: u64) -> Vec<(WalOp, Vec<Edge>)> {
+        let edges = preferential_attachment_edges(&PreferentialAttachmentConfig::new(90, 3, seed));
+        let mut ops = Vec::new();
+        let mut start = 0;
+        for &len in [7usize, 1, 23, 12].iter().cycle() {
+            if start >= edges.len() {
+                break;
+            }
+            let end = (start + len).min(edges.len());
+            ops.push((WalOp::Arrivals, edges[start..end].to_vec()));
+            if ops.len() % 3 == 0 {
+                let victims = edges[..end].iter().copied().step_by(5).take(6);
+                ops.push((WalOp::Deletions, victims.collect()));
+            }
+            if ops.len() % 7 == 0 {
+                ops.push((WalOp::Deletions, vec![edges[start]]));
+            }
+            start = end;
+        }
+        ops
+    }
+
+    fn apply_op<K: WalkKind, W: WalkIndexMut>(
+        engine: &mut WalkEngine<K, W>,
+        op: &(WalOp, Vec<Edge>),
+    ) {
+        match op {
+            (WalOp::Arrivals, edges) if edges.len() == 1 => {
+                engine.add_edge(edges[0]);
+            }
+            (WalOp::Arrivals, edges) => {
+                engine.apply_arrivals(edges);
+            }
+            (WalOp::Deletions, edges) if edges.len() == 1 => {
+                engine.remove_edge(edges[0]);
+            }
+            (WalOp::Deletions, edges) => {
+                engine.apply_deletions(edges);
+            }
+        }
+    }
+
+    /// Everything recovery must restore: the store's digest, the graph, and every
+    /// engine cursor.
+    #[derive(Debug, PartialEq)]
+    struct EngineState {
+        digest: StoreDigest,
+        edges: usize,
+        rng: [u64; 4],
+        batch_index: u64,
+        work: WorkCounter,
+        initialization_steps: u64,
+        wal_seq: u64,
+    }
+
+    fn state_of<K: WalkKind, W: WalkIndexMut>(engine: &WalkEngine<K, W>) -> EngineState {
+        EngineState {
+            digest: StoreDigest::of(&engine.walks),
+            edges: engine.graph().edge_count(),
+            rng: engine.rng.state(),
+            batch_index: engine.batch_index,
+            work: engine.work,
+            initialization_steps: engine.initialization_steps,
+            wal_seq: engine.wal_seq,
+        }
+    }
+
+    /// Runs the growth schedule into a durable engine `create` builds at `root`,
+    /// checkpointing a third of the way in, and "crashes" it; returns its state.
+    fn crash_after_schedule<K: WalkKind, W: WalkIndexMut + PersistentWalkStore>(
+        root: &Path,
+        seed: u64,
+        create: &dyn Fn(&Path) -> WalkEngine<K, W>,
+    ) -> EngineState {
+        let ops = growth_schedule(seed);
+        let mut engine = create(root);
+        for op in &ops[..ops.len() / 3] {
+            apply_op(&mut engine, op);
+        }
+        engine.checkpoint().unwrap();
+        let checkpointed_nodes = engine.node_count();
+        for op in &ops[ops.len() / 3..] {
+            apply_op(&mut engine, op);
+        }
+        assert!(
+            engine.node_count() > checkpointed_nodes,
+            "the tail must grow"
+        );
+        let state = state_of(&engine);
+        assert!(state.wal_seq > 20, "the tail must be long");
+        state
+    }
+
+    /// Recovers the same store directory from its effect records and by re-running
+    /// its edge batches, and holds both to the engine that crashed.
+    fn assert_effect_replay_equals_edge_replay<K, W>(
+        create: &dyn Fn(&Path) -> WalkEngine<K, W>,
+        what: &str,
+    ) where
+        K: WalkKind,
+        W: WalkIndexMut + PersistentWalkStore,
+    {
+        let tmp = TempDir::new("effect-replay");
+        let root = tmp.path().join("store");
+        let crashed = crash_after_schedule(&root, 17, create);
+
+        let by_effects = WalkEngine::<K, W>::open(&root).unwrap();
+        assert_eq!(state_of(&by_effects), crashed, "{what}: effect replay");
+        let profile = by_effects.batch_profile();
+        assert!(
+            profile.detect.is_zero() && profile.candidates.is_zero(),
+            "{what}: replay ran detection: {profile:?}"
+        );
+        assert_eq!(profile.paths_read, 0, "{what}");
+        by_effects.validate_segments().unwrap();
+        drop(by_effects);
+
+        let by_edges = WalkEngine::<K, W>::open_replaying_edges(&root).unwrap();
+        assert_eq!(state_of(&by_edges), crashed, "{what}: edge replay");
+    }
+
+    fn assert_every_layout_replays_effects_like_edges<K: WalkKind>(config: MonteCarloConfig) {
+        let graph = || DynamicGraph::with_nodes(10);
+        let what = format!("{}, {:?}", K::NAME, config.reroute);
+        assert_effect_replay_equals_edge_replay::<K, WalkStore>(
+            &|root| WalkEngine::create_durable(root, graph(), config).unwrap(),
+            &format!("{what}, flat"),
+        );
+        let disk = |root: &Path| WalkEngine::create_durable_disk(root, graph(), config).unwrap();
+        assert_effect_replay_equals_edge_replay::<K, DiskWalkStore>(
+            &disk,
+            &format!("{what}, disk"),
+        );
+        let previous = set_thread_page_budget(Some(PageBudget::bounded(2)));
+        assert_effect_replay_equals_edge_replay::<K, DiskWalkStore>(
+            &disk,
+            &format!("{what}, disk under a 2-page cache"),
+        );
+        set_thread_page_budget(previous);
+    }
+
+    #[test]
+    fn effect_replay_equals_edge_replay() {
+        for config in [
+            MonteCarloConfig::new(0.2, 3).with_seed(71),
+            MonteCarloConfig::new(0.25, 2)
+                .with_seed(73)
+                .with_reroute(RerouteStrategy::FromSource),
+        ] {
+            assert_every_layout_replays_effects_like_edges::<PageRank>(config);
+            assert_every_layout_replays_effects_like_edges::<Salsa>(config);
+        }
+    }
+
+    #[test]
+    fn a_node_added_alone_survives_recovery() {
+        let tmp = TempDir::new("add-node");
+        let root = tmp.path().join("store");
+        let config = MonteCarloConfig::new(0.2, 2).with_seed(79);
+        let mut engine =
+            WalkEngine::<PageRank>::create_durable(&root, DynamicGraph::with_nodes(4), config)
+                .unwrap();
+        engine.apply_arrivals(&[Edge::new(0, 1), Edge::new(1, 2)]);
+        let node = engine.add_node();
+        engine.apply_arrivals(&[Edge::new(node.0, 0)]);
+        let crashed = state_of(&engine);
+        drop(engine);
+        let recovered = WalkEngine::<PageRank>::open(&root).unwrap();
+        assert_eq!(recovered.node_count(), 5);
+        assert_eq!(state_of(&recovered), crashed);
+    }
+
+    /// Rewrites the engine seed in META of snapshot `gen` under `root`, every other
+    /// section copied through the snapshot writer (so every CRC stays valid).
+    fn rewrite_engine_seed(root: &Path, gen: u64, seed: u64) {
+        let path = StoreDir::open(root.to_path_buf())
+            .unwrap()
+            .snapshot_path(gen);
+        let mut snap = SnapshotFile::open(&path).unwrap();
+        let tags: Vec<u32> = snap.sections().iter().map(|section| section.tag).collect();
+        let mut writer = SnapshotWriter::new(std::io::Cursor::new(Vec::new())).unwrap();
+        for tag in tags {
+            let mut payload = snap.read_section(tag).unwrap();
+            if tag == SECTION_META {
+                let mut meta = decode_meta(&payload, snap.version()).unwrap();
+                assert_ne!(meta.config.seed, seed);
+                meta.config = meta.config.with_seed(seed);
+                payload = encode_meta(&meta);
+            }
+            writer.begin_section(tag).unwrap();
+            writer.write(&payload).unwrap();
+            writer.end_section().unwrap();
+        }
+        drop(snap);
+        std::fs::write(&path, writer.finish().unwrap().into_inner()).unwrap();
+    }
+
+    #[test]
+    fn recovery_does_not_depend_on_the_sampler() {
+        // A tail replays to the store the crashed engine held even when every repair
+        // stream it would draw is another: the seed they derive from is rewritten
+        // under it.  Re-running the edges on the new streams gives another store.
+        let tmp = TempDir::new("sampler-independence");
+        let root = tmp.path().join("store");
+        let config = MonteCarloConfig::new(0.2, 3).with_seed(83);
+        let create = |root: &Path| {
+            WalkEngine::<PageRank>::create_durable(root, DynamicGraph::with_nodes(10), config)
+                .unwrap()
+        };
+        let crashed = crash_after_schedule(&root, 19, &create);
+        rewrite_engine_seed(&root, 1, 84);
+
+        let recovered = WalkEngine::<PageRank>::open(&root).unwrap();
+        assert_eq!(recovered.config().seed, 84);
+        assert_eq!(state_of(&recovered), crashed);
+        drop(recovered);
+        let rerun = WalkEngine::<PageRank>::open_replaying_edges(&root).unwrap();
+        assert_ne!(StoreDigest::of(rerun.walk_store()), crashed.digest);
+    }
+
+    /// A store whose generation-0 WAL holds three records; the last creates
+    /// nodes 6 and 7 and reroutes into them.
+    fn small_store(root: &Path, seed: u64) -> EngineState {
+        let config = MonteCarloConfig::new(0.25, 2).with_seed(seed);
+        let mut engine =
+            WalkEngine::<PageRank>::create_durable(root, DynamicGraph::with_nodes(6), config)
+                .unwrap();
+        engine.apply_arrivals(&[Edge::new(0, 1), Edge::new(1, 2), Edge::new(2, 0)]);
+        engine.apply_deletions(&[Edge::new(1, 2)]);
+        engine.apply_arrivals(&[Edge::new(3, 1), Edge::new(7, 2), Edge::new(1, 7)]);
+        state_of(&engine)
+    }
+
+    /// Rewrites the generation-0 WAL under `root`, every record passed through
+    /// `edit` and encoded again (so every frame checksums clean).
+    fn rewrite_wal(root: &Path, edit: &dyn Fn(&mut WalRecord)) {
+        let path = root.join("wal-000000.log");
+        let records = wal::read_records(&path).unwrap().records;
+        std::fs::remove_file(&path).unwrap();
+        let mut writer = WalWriter::create(&path).unwrap();
+        for mut record in records {
+            edit(&mut record);
+            match &record.effects {
+                Some(effects) => {
+                    let batch = BatchRecord {
+                        seq: record.seq,
+                        op: record.op,
+                        edges: &record.edges,
+                        cursors: effects.cursors,
+                        growth: &effects.growth,
+                        rewrites: &effects.rewrites,
+                    };
+                    writer.append_batch(&batch).unwrap();
+                }
+                None => writer.append(record.seq, record.op, &record.edges).unwrap(),
+            }
+        }
+    }
+
+    #[test]
+    fn a_record_that_disagrees_with_itself_is_refused() {
+        let tmp = TempDir::new("inconsistent-record");
+        type Edit = fn(&mut WalEffects);
+        let cases: [(&str, Edit); 7] = [
+            ("unchanged", |_| {}),
+            ("an edge to a node without segments", |e| {
+                e.growth = SegmentRewrites::new()
+            }),
+            ("a created node short of a segment", |e| {
+                let mut growth = SegmentRewrites::new();
+                for (id, path) in e.growth.iter().skip(1) {
+                    growth.push(id, path);
+                }
+                e.growth = growth;
+            }),
+            ("half of a node the batch did not create", |e| {
+                let next = SegmentId(e.growth.get(e.growth.len() - 1).0 .0 + 1);
+                e.growth.push(next, &[NodeId(8)]);
+            }),
+            ("a rewrite off its source", |e| {
+                let (id, path) = e.rewrites.get(0);
+                let mut moved = path.to_vec();
+                moved[0] = NodeId((moved[0].0 + 1) % 8);
+                e.rewrites.push(id, &moved);
+            }),
+            ("a batch index that skips", |e| e.cursors.batch_index += 1),
+            ("an all-zero generator", |e| e.cursors.rng = [0; 4]),
+        ];
+        for (i, (what, edit)) in cases.into_iter().enumerate() {
+            let root = tmp.path().join(format!("store-{i}"));
+            let crashed = small_store(&root, 89);
+            rewrite_wal(&root, &|record| {
+                if record.seq == 2 {
+                    edit(record.effects.as_mut().unwrap());
+                }
+            });
+            match WalkEngine::<PageRank>::open(&root) {
+                Ok(recovered) if what == "unchanged" => {
+                    assert_eq!(state_of(&recovered), crashed)
+                }
+                Err(PersistError::Corrupt(_)) if what != "unchanged" => {}
+                other => panic!("{what}: {:?}", other.map(|e| state_of(&e))),
+            }
+        }
+        // An edges-only record cannot be replayed.
+        let root = tmp.path().join("edges-only");
+        small_store(&root, 89);
+        rewrite_wal(&root, &|record| record.effects = None);
+        assert!(matches!(
+            WalkEngine::<PageRank>::open(&root),
+            Err(PersistError::Corrupt(_))
+        ));
+    }
+
+    /// Byte offset of the last frame of the WAL at `path`.
+    fn last_frame_offset(bytes: &[u8]) -> usize {
+        let (mut pos, mut last) = (16, 16);
+        while pos < bytes.len() {
+            last = pos;
+            let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
+            pos += 8 + len;
+        }
+        last
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        /// A record is disk bytes: mutated and re-framed with a fresh CRC, `open`
+        /// must refuse it or recover from it, never panic; without one, the
+        /// mutation reads as a torn tail and recovery keeps the records before it.
+        #[test]
+        fn a_mutated_record_is_refused_or_installed_never_panics(
+            flip in (0usize..1_000_000, 1u32..256),
+            cut in 0usize..1_000_000,
+            truncate in 0u32..2,
+            seed in 0u64..1_000,
+        ) {
+            let tmp = TempDir::new("mutated-record");
+            let root = tmp.path().join("store");
+            small_store(&root, seed);
+
+            let wal_path = root.join("wal-000000.log");
+            let clean = std::fs::read(&wal_path).unwrap();
+            let at = last_frame_offset(&clean);
+            let body = &clean[at + 8..];
+            let mut mutated = body.to_vec();
+            if truncate == 1 {
+                mutated.truncate(cut % body.len());
+            } else {
+                mutated[flip.0 % body.len()] ^= flip.1 as u8;
+            }
+
+            // Without a fresh CRC: a torn tail, recovered to the records before it.
+            let mut torn = clean[..at + 8].to_vec();
+            torn.extend_from_slice(&mutated);
+            std::fs::write(&wal_path, &torn).unwrap();
+            let scan = wal::read_records(&wal_path).unwrap();
+            prop_assert!(scan.torn_tail);
+            prop_assert_eq!(scan.records.len(), 2);
+            let recovered = WalkEngine::<PageRank>::open(&root).unwrap();
+            prop_assert_eq!(recovered.wal_seq, 2);
+            drop(recovered);
+
+            // Re-framed with a fresh CRC: a typed error, or a consistent store in
+            // which every node the record names owns its segments.
+            let mut reframed = clean[..at].to_vec();
+            reframed.extend_from_slice(&(mutated.len() as u32).to_le_bytes());
+            reframed.extend_from_slice(&ppr_persist::crc32(&mutated).to_le_bytes());
+            reframed.extend_from_slice(&mutated);
+            std::fs::write(&wal_path, &reframed).unwrap();
+            if let Ok(recovered) = WalkEngine::<PageRank>::open(&root) {
+                let walks = recovered.walk_store();
+                prop_assert!(walks.check_consistency().is_ok());
+                for node in 0..walks.node_count() {
+                    let node = NodeId::from_index(node);
+                    prop_assert!(walks.segment_ids_of(node).all(|id| walks.segment_len(id) > 0));
+                }
+            }
+        }
     }
 }

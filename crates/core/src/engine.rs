@@ -103,8 +103,9 @@
 //! candidate that loses wastes its generated walk — rare, and never charged to
 //! [`UpdateStats`]/[`WorkCounter`], which count the work the store absorbed.  Results
 //! depend only on the engine seed, the batch index and the batch's edges — never on
-//! the order candidates are computed in — which is what makes both batch kinds WAL
-//! records.
+//! the order candidates are computed in.  A durable engine logs each batch's
+//! reconciled plan, growth segments and cursors between phases 2 and 3, so recovery
+//! installs them instead of re-running the batch ([`crate::durable`]).
 //! A single-edge [`WalkEngine::add_edge`] / [`WalkEngine::remove_edge`] is a batch of
 //! one, on the same streams.
 //!
@@ -118,6 +119,7 @@ use crate::batch::{self, BatchProfile, CandidateSet, Group, Probes};
 use crate::config::{MonteCarloConfig, RerouteStrategy};
 use crate::walker;
 use ppr_graph::{DynamicGraph, Edge, GraphView, NodeId};
+use ppr_persist::{BatchRecord, WalCursors, WalOp};
 use ppr_store::{
     ArenaStats, SegmentId, SegmentRewrites, SocialStore, WalkIndex, WalkIndexMut, WalkStore,
     WorkCounter,
@@ -230,6 +232,8 @@ pub struct WalkEngine<K: WalkKind, W: WalkIndexMut = WalkStore> {
     candidates: CandidateSet,
     /// Reusable reconciled rewrite plan.
     rewrites: SegmentRewrites,
+    /// Reusable plan of the segments drawn for the nodes the current batch created.
+    growth: SegmentRewrites,
     /// Accumulated wall-time breakdown of the update batches (observability only).
     pub(crate) profile: BatchProfile,
     /// Attached write-ahead log; `None` for purely in-memory engines.
@@ -277,6 +281,7 @@ impl<K: WalkKind, W: WalkIndexMut> WalkEngine<K, W> {
             probes: Probes::default(),
             candidates: CandidateSet::default(),
             rewrites: SegmentRewrites::new(),
+            growth: SegmentRewrites::new(),
             profile: BatchProfile::default(),
             durability: None,
             wal_seq: 0,
@@ -316,12 +321,28 @@ impl<K: WalkKind, W: WalkIndexMut> WalkEngine<K, W> {
         engine
     }
 
-    /// Appends one batch to the attached write-ahead log (no-op for in-memory
-    /// engines).  Called **before** the batch mutates any state, so an acknowledged
-    /// batch is always recoverable.
-    fn log_wal(&mut self, op: ppr_persist::WalOp, edges: &[Edge]) {
+    /// Appends the batch's record to the attached write-ahead log (no-op for
+    /// in-memory engines) — its edges and its effects: the growth segments in
+    /// `self.growth`, the reconciled plan in `self.rewrites`, and the cursors after
+    /// the batch, where `work` and `initialization_steps` are what the batch added.
+    /// Called before the walk store installs `self.rewrites`, and returns only
+    /// once the record is durable, so `open` can install the logged paths instead
+    /// of re-running the batch.
+    fn log_wal(&mut self, op: WalOp, edges: &[Edge], work: WorkCounter, initialization_steps: u64) {
         if let Some(log) = self.durability.as_mut() {
-            log.append(self.wal_seq, op, edges);
+            log.append(&BatchRecord {
+                seq: self.wal_seq,
+                op,
+                edges,
+                cursors: WalCursors {
+                    rng: self.rng.state(),
+                    batch_index: self.batch_index,
+                    work,
+                    initialization_steps,
+                },
+                growth: &self.growth,
+                rewrites: &self.rewrites,
+            });
             self.wal_seq += 1;
         }
     }
@@ -387,10 +408,16 @@ impl<K: WalkKind, W: WalkIndexMut> WalkEngine<K, W> {
         self.work = WorkCounter::new();
     }
 
-    /// Adds an isolated node and generates its walk segments; returns its id.
+    /// Adds an isolated node and generates its walk segments; returns its id.  A
+    /// durable engine logs the node as an arrival record with no edges.
     pub fn add_node(&mut self) -> NodeId {
         let id = NodeId::from_index(self.node_count());
+        self.rewrites.clear();
+        self.growth.clear();
+        let initialization_before = self.initialization_steps;
         self.ensure_nodes(id.index() + 1);
+        let grown = self.initialization_steps - initialization_before;
+        self.log_wal(WalOp::Arrivals, &[], WorkCounter::default(), grown);
         id
     }
 
@@ -415,6 +442,7 @@ impl<K: WalkKind, W: WalkIndexMut> WalkEngine<K, W> {
     /// Returns the aggregate statistics over the whole batch.
     pub fn apply_arrivals(&mut self, edges: &[Edge]) -> UpdateStats {
         self.rewrites.clear();
+        self.growth.clear();
         let Some(needed) = edges
             .iter()
             .map(|e| e.source.index().max(e.target.index()) + 1)
@@ -422,10 +450,11 @@ impl<K: WalkKind, W: WalkIndexMut> WalkEngine<K, W> {
         else {
             return UpdateStats::default();
         };
-        self.log_wal(ppr_persist::WalOp::Arrivals, edges);
         let started = Instant::now();
         let arena_before = self.walks.arena_stats();
+        let initialization_before = self.initialization_steps;
         self.ensure_nodes(needed);
+        let grown = self.initialization_steps - initialization_before;
 
         let mut groups = batch::group_by_pivot(edges, true, |n| self.store.out_degree(n));
         if K::BACKWARD_GROUPS {
@@ -436,14 +465,14 @@ impl<K: WalkKind, W: WalkIndexMut> WalkEngine<K, W> {
         for &edge in edges {
             self.store.add_edge(edge);
         }
-        self.repair(
+        let (stats, work) = self.repair(
             &groups,
             edges,
-            started,
-            &arena_before,
             arrival_probes::<W>,
             arrival_candidate::<K, W>,
-        )
+        );
+        self.install(WalOp::Arrivals, edges, &work, grown, started, &arena_before);
+        stats
     }
 
     /// Processes the deletion of `edge`, repairing every segment that traversed it.
@@ -484,16 +513,17 @@ impl<K: WalkKind, W: WalkIndexMut> WalkEngine<K, W> {
         scan_targets: impl Fn(u64, u64) -> bool,
     ) -> UpdateStats {
         self.rewrites.clear();
+        self.growth.clear();
         if edges.is_empty() {
             return UpdateStats::default();
         }
-        self.log_wal(ppr_persist::WalOp::Deletions, edges);
         let started = Instant::now();
         let arena_before = self.walks.arena_stats();
 
         let mut removed = edges.to_vec();
         removed.retain(|&edge| self.store.remove_edge(edge));
         if removed.is_empty() {
+            self.log_wal(WalOp::Deletions, edges, WorkCounter::default(), 0);
             return UpdateStats::default();
         }
 
@@ -516,11 +546,9 @@ impl<K: WalkKind, W: WalkIndexMut> WalkEngine<K, W> {
             group.targets.dedup();
         }
         groups.retain(|group| !group.targets.is_empty());
-        self.repair(
+        let (stats, work) = self.repair(
             &groups,
             &removed,
-            started,
-            &arena_before,
             |repair, gi, group, probes| {
                 batch::deletion_probes(
                     repair.walks,
@@ -532,7 +560,9 @@ impl<K: WalkKind, W: WalkIndexMut> WalkEngine<K, W> {
                 )
             },
             deletion_candidate::<K, W>,
-        )
+        );
+        self.install(WalOp::Deletions, edges, &work, 0, started, &arena_before);
+        stats
     }
 
     /// Verifies that every stored segment is a valid walk of kind `K` in the *current*
@@ -579,11 +609,12 @@ impl<K: WalkKind, W: WalkIndexMut> WalkEngine<K, W> {
         }
         self.store.ensure_nodes(n);
         self.walks.ensure_nodes(n);
-        let mut plan = SegmentRewrites::new();
-        self.draw_segments(before..n, &mut plan);
-        for (id, path) in plan.iter() {
+        let mut growth = std::mem::take(&mut self.growth);
+        self.draw_segments(before..n, &mut growth);
+        for (id, path) in growth.iter() {
             self.walks.set_segment(id, path);
         }
+        self.growth = growth;
     }
 
     /// Draws every segment of `nodes`, node by node and slot by slot, from the
@@ -627,16 +658,16 @@ impl<K: WalkKind, W: WalkIndexMut> WalkEngine<K, W> {
         }
     }
 
-    /// Runs one batch's repairs — `groups` formed over the batch's effective `edges`,
-    /// the Social Store already at its post-batch state — through the pipeline of
+    /// Plans one batch's repairs — `groups` formed over the batch's effective `edges`,
+    /// the Social Store already at its post-batch state — through phases 1 and 2 of
     /// [`crate::batch`]: `detect` names the segments each group may repair, `candidate`
-    /// decides whether (and how) one group repairs one of them; then charges the work.
+    /// decides whether (and how) one group repairs one of them, and the reconciled
+    /// plan lands in `self.rewrites`.  Returns the batch's stats and the work it adds,
+    /// for [`Self::install`] to log and charge.
     fn repair(
         &mut self,
         groups: &[Group],
         edges: &[Edge],
-        started: Instant,
-        arena_before: &ArenaStats,
         detect: impl Fn(&Repair<'_, W>, usize, &Group, &mut Probes),
         candidate: impl Fn(
             &Repair<'_, W>,
@@ -645,7 +676,7 @@ impl<K: WalkKind, W: WalkIndexMut> WalkEngine<K, W> {
             &[u32],
             &mut Vec<NodeId>,
         ) -> Option<(usize, u64)>,
-    ) -> UpdateStats {
+    ) -> (UpdateStats, WorkCounter) {
         let repair = Repair {
             graph: self.store.graph(),
             walks: &self.walks,
@@ -696,29 +727,47 @@ impl<K: WalkKind, W: WalkIndexMut> WalkEngine<K, W> {
             touched.insert((group.pivot, group.forward));
         }
         stats.touched_walk_store = stats.segments_updated > 0;
-
-        // Phase 3: the store applies the plan.
-        let phase_started = Instant::now();
-        self.walks.apply_rewrites(&rewrites);
-        self.profile.apply += phase_started.elapsed();
-        self.profile.total += started.elapsed();
-        self.profile
-            .record_compactions(arena_before, &self.walks.arena_stats());
         self.candidates = set;
         self.rewrites = rewrites;
 
-        // An edge was absorbed by the Section 2.2 filter when neither its source's
-        // forward group nor its target's backward group disturbed any segment.
-        self.work.arrivals_filtered += edges
-            .iter()
-            .filter(|e| {
-                !touched.contains(&(e.source, true)) && !touched.contains(&(e.target, false))
-            })
-            .count() as u64;
-        self.work.edges_processed += edges.len() as u64;
-        self.work.segments_updated += stats.segments_updated;
-        self.work.walk_steps += stats.walk_steps;
-        stats
+        let work = WorkCounter {
+            segments_updated: stats.segments_updated,
+            walk_steps: stats.walk_steps,
+            edges_processed: edges.len() as u64,
+            // An edge was absorbed by the Section 2.2 filter when neither its source's
+            // forward group nor its target's backward group disturbed any segment.
+            arrivals_filtered: edges
+                .iter()
+                .filter(|e| {
+                    !touched.contains(&(e.source, true)) && !touched.contains(&(e.target, false))
+                })
+                .count() as u64,
+        };
+        (stats, work)
+    }
+
+    /// Phase 3: logs the batch (see [`Self::log_wal`]), then the store installs the
+    /// reconciled plan; charges the batch's time and `work`.
+    fn install(
+        &mut self,
+        op: WalOp,
+        edges: &[Edge],
+        work: &WorkCounter,
+        initialization_steps: u64,
+        started: Instant,
+        arena_before: &ArenaStats,
+    ) {
+        let planned = started.elapsed();
+        self.log_wal(op, edges, *work, initialization_steps);
+        let phase_started = Instant::now();
+        self.walks.apply_rewrites(&self.rewrites);
+        let applied = phase_started.elapsed();
+        self.profile.apply += applied;
+        // The profile times the engine, not the WAL append between its phases.
+        self.profile.total += planned + applied;
+        self.profile
+            .record_compactions(arena_before, &self.walks.arena_stats());
+        self.work.merge(work);
     }
 }
 

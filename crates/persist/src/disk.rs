@@ -775,7 +775,7 @@ impl DiskWalkStore {
 
 /// Structural validation of a path read off disk, mirroring what
 /// [`WalkStore::bulk_load`] checks per segment on the eager decode path.
-fn validate_faulted_path(
+pub(crate) fn validate_faulted_path(
     path: &[NodeId],
     slot: usize,
     r: usize,

@@ -96,6 +96,16 @@ impl ByteWriter {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
+    /// Appends `v` as a LEB128 varint: seven bits per byte, low bits first, the
+    /// high bit set on every byte but the last.
+    pub fn put_varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
+    }
+
     /// Appends an `f64` as its IEEE-754 bit pattern (exact round trip).
     pub fn put_f64(&mut self, v: f64) {
         self.put_u64(v.to_bits());
@@ -198,6 +208,30 @@ impl<'a> ByteReader<'a> {
         Ok(u64::from_le_bytes(self.get_bytes(8)?.try_into().unwrap()))
     }
 
+    /// Reads a varint written by [`ByteWriter::put_varint`], rejecting one that
+    /// runs past ten bytes or overflows 64 bits.
+    pub fn get_varint(&mut self) -> PersistResult<u64> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let byte = self.get_u8()?;
+            let bits = u64::from(byte & 0x7f);
+            if shift == 63 && bits > 1 {
+                break;
+            }
+            v |= bits << shift;
+            if byte & 0x80 == 0 {
+                return Ok(v);
+            }
+        }
+        Err(corrupt("varint overflows 64 bits"))
+    }
+
+    /// Reads a varint that must fit a `u32`.
+    pub fn get_varint_u32(&mut self) -> PersistResult<u32> {
+        let v = self.get_varint()?;
+        u32::try_from(v).map_err(|_| corrupt(format!("varint {v} exceeds 32 bits")))
+    }
+
     /// Reads an `f64` written by [`ByteWriter::put_f64`].
     pub fn get_f64(&mut self) -> PersistResult<f64> {
         Ok(f64::from_bits(self.get_u64()?))
@@ -213,6 +247,34 @@ impl<'a> ByteReader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn varints_round_trip_and_refuse_overflow() {
+        let values = [0, 1, 127, 128, 16_383, 16_384, u32::MAX as u64, u64::MAX];
+        let mut w = ByteWriter::new();
+        for v in values {
+            w.put_varint(v);
+        }
+        let bytes = w.into_bytes();
+        assert_eq!(bytes[..4], [0, 1, 127, 0x80]);
+        let mut r = ByteReader::new(&bytes);
+        for v in values {
+            assert_eq!(r.get_varint().unwrap(), v);
+        }
+        r.expect_end("varints").unwrap();
+        assert!(
+            ByteReader::new(&[0xff; 10]).get_varint().is_err(),
+            "overflow"
+        );
+        assert!(
+            ByteReader::new(&[0xff; 11]).get_varint().is_err(),
+            "too long"
+        );
+        assert!(ByteReader::new(&[0x80]).get_varint().is_err(), "truncated");
+        let mut big = ByteWriter::new();
+        big.put_varint(u32::MAX as u64 + 1);
+        assert!(ByteReader::new(&big.into_bytes()).get_varint_u32().is_err());
+    }
 
     #[test]
     fn roundtrip_every_scalar() {

@@ -11,10 +11,12 @@
 //!   file + rename), holding the engine metadata, the Social Store's graph
 //!   ([`graph`]), and the PageRank Store's walk data in a paged layout aligned to
 //!   arena segments ([`layout`]) — every byte through the [`crc`] kernel once;
-//! * [`wal`] — an append-only, CRC-framed **write-ahead log** of the exact
-//!   `&[Edge]` batches the engines consume, fsynced per batch, with torn-tail
-//!   truncation on recovery.  Because the repair pipeline is deterministic, replaying
-//!   the log over its snapshot reproduces the engine **bit-identically**;
+//! * [`wal`] — an append-only, CRC-framed **write-ahead log** of the
+//!   `&[Edge]` batches the engines consume together with their effects (growth
+//!   segments, reconciled rewrites, engine cursors), fsynced per batch, with
+//!   torn-tail truncation on recovery.  Installing the logged paths over the
+//!   snapshot reproduces the engine **bit-identically** without re-running a
+//!   reroute;
 //! * [`disk`] — [`disk::DiskWalkStore`], a file-backed `WalkIndex`/`WalkIndexMut`
 //!   implementation whose checkpoints re-encode only dirty heap pages and carry
 //!   clean pages over from the previous generation through a page cache ([`pager`]);
@@ -57,4 +59,6 @@ pub use pager::PagerStats;
 pub use shim::{IoOp, IoShim, ShimGuard, SlowDisk};
 pub use snapshot::{AtomicFile, SnapshotFile, SnapshotWriter};
 pub use tempdir::TempDir;
-pub use wal::{GroupCommit, WalOp, WalRecord, WalStats, WalWriter};
+pub use wal::{
+    BatchRecord, GroupCommit, WalCursors, WalEffects, WalOp, WalRecord, WalStats, WalWriter,
+};

@@ -1,25 +1,55 @@
-//! The edge-event write-ahead log: an append-only file of CRC-framed arrival and
-//! deletion batches.
+//! The write-ahead log: an append-only file of CRC-framed batch records, each holding
+//! a batch's edges **and its effects**.
 //!
-//! Every record carries exactly the `&[Edge]` batch an engine's `apply_arrivals` /
-//! `apply_deletions` call consumes, plus a monotone sequence number.  Because the
-//! repair pipeline is deterministic (split RNG streams per `(batch, pivot, segment)`),
-//! replaying the records of a log over the snapshot they follow reproduces the
-//! engine's state **bit-identically** — the WAL never needs to store any effect of a
-//! batch, only the batch itself.
+//! A record carries the `&[Edge]` batch an engine's `apply_arrivals` /
+//! `apply_deletions` call consumed, a monotone sequence number, and what the batch
+//! did to the engine ([`WalEffects`]):
+//!
+//! * the segments drawn for the nodes the batch created (its *growth*);
+//! * the reconciled rewrite plan the walk store installed, each rewrite a whole new
+//!   path;
+//! * the engine cursors after the batch ([`WalCursors`]): construction-RNG state,
+//!   batch index, and the work-counter and `initialization_steps` the batch added.
+//!
+//! The node count after the batch is not logged: it is the count before plus the
+//! growth plan's length over the segments each node owns.
+//!
+//! Recovery therefore never re-runs a reroute: it applies the edges to the graph
+//! and installs the logged paths, drawing no random number and reading no postings
+//! list.  A tail written by one build replays to the same store under any other,
+//! whatever its sampler.  [`WalWriter::append`] still writes an *edges-only* record
+//! (no effects) for logs with no engine behind them; an engine never replays one.
 //!
 //! # Framing and durability
 //!
 //! ```text
-//! file   := header record*
-//! header := magic "PPRWAL01" | version u32 | crc u32 (over magic+version)
-//! record := body_len u32 | body_crc u32 | body
-//! body   := seq u64 | kind u8 (1 = arrivals, 2 = deletions) | count u32 | (u32, u32)*count
+//! file    := header record*
+//! header  := magic "PPRWAL01" | version u32 (= 2) | crc u32 (over magic+version)
+//! record  := body_len u32 | body_crc u32 | body
+//! body    := seq u64 | kind u8 (1 = arrivals, 2 = deletions) | count v
+//!            | (source v, target v)*count | effects?
+//! effects := rng u64*4 | batch_index v
+//!            | segments_updated v | walk_steps v | edges_processed v
+//!            | arrivals_filtered v | initialization_steps v
+//!            | plan (growth) | plan (rewrites)
+//! plan    := entries v | (segment-delta v | len v | node v*len)*entries
+//! v       := LEB128 varint: 7 bits a byte, low first, high bit = more
 //! ```
 //!
-//! Appends write the full frame and then (by default) `fdatasync` before returning,
-//! so a batch acknowledged by the engine survives power loss — this is the
-//! fsync-on-batch contract; [`WalWriter::set_fsync`] can relax it for bulk loads.
+//! The work and `initialization_steps` fields are the batch's deltas; every other
+//! cursor is its value after the batch.  A segment-delta is the wrapping
+//! difference from the previous entry's segment id (from 0 for the first), so a
+//! plan in segment-id order spends a byte or two per id.  Varints keep a record
+//! near 3× smaller than 32-bit fields would: walks crowd onto the small ids of
+//! the oldest nodes.  Version 1 logs (edges only, replayed by
+//! re-running every batch) are refused with a typed [`PersistError::Format`]
+//! error: checkpoint with the build that wrote them before upgrading.
+//!
+//! Appends write the full frame and (by default) return only once an `fdatasync`
+//! has made it durable, so a batch acknowledged by the engine survives power loss
+//! — this is the fsync-on-batch contract; [`WalWriter::set_fsync`] can relax it for
+//! bulk loads.  An engine installs a batch's rewrites only once its record is
+//! durable ([`WalWriter::append_batch`] returns).
 //!
 //! A crash mid-append leaves a **torn tail**: a partial frame, or a frame whose CRC
 //! does not match.  [`read_records`] stops at the first invalid frame and reports the
@@ -27,10 +57,13 @@
 //! file there before appending again — recovery keeps every fully synced batch and
 //! cleanly drops the one that was mid-write, which is exactly the at-most-one-batch
 //! loss window the fsync contract promises.
+//!
+//! [`PersistError::Format`]: crate::io::PersistError::Format
 
 use crate::crc::crc32;
 use crate::io::{corrupt, format_err, ByteReader, ByteWriter, PersistResult};
 use ppr_graph::{Edge, NodeId};
+use ppr_store::{SegmentId, SegmentRewrites, WorkCounter};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
@@ -39,10 +72,10 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 const MAGIC: &[u8; 8] = b"PPRWAL01";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 const HEADER_LEN: u64 = 8 + 4 + 4;
 
-/// The kind of edge batch a WAL record replays.
+/// The kind of edge batch a WAL record logs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WalOp {
     /// A batch for `apply_arrivals`.
@@ -68,7 +101,75 @@ impl WalOp {
     }
 }
 
-/// One durable edge batch.
+/// The engine cursors a batch leaves behind: what recovery sets instead of
+/// re-running the batch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct WalCursors {
+    /// The construction stream's state after the batch.
+    pub rng: [u64; 4],
+    /// The engine's batch index after the batch.
+    pub batch_index: u64,
+    /// The work the batch added to the engine's counter.
+    pub work: WorkCounter,
+    /// The construction steps the batch added (its growth segments' steps).
+    pub initialization_steps: u64,
+}
+
+/// What one batch did to the engine, as a decoded record holds it.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct WalEffects {
+    /// The engine cursors after the batch.
+    pub cursors: WalCursors,
+    /// The segments drawn for the nodes the batch created, in segment-id order.
+    pub growth: SegmentRewrites,
+    /// The reconciled rewrites the walk store installed, in plan order.
+    pub rewrites: SegmentRewrites,
+}
+
+impl WalEffects {
+    /// Checks every logged segment against the store shape after the batch —
+    /// `segments_per_node` segments for each of `nodes` nodes — so a path read off
+    /// disk is refused with a typed error before any store sees it: each id is in
+    /// range, each path starts at its segment's source, and every visit names a
+    /// node the store holds.
+    pub fn check_segments(&self, segments_per_node: usize, nodes: usize) -> PersistResult<()> {
+        let slots = nodes
+            .checked_mul(segments_per_node)
+            .ok_or_else(|| corrupt(format!("WAL record for {nodes} nodes")))?;
+        for (id, path) in self.growth.iter().chain(self.rewrites.iter()) {
+            if id.index() >= slots || path.is_empty() {
+                return Err(corrupt(format!(
+                    "WAL record logs segment {} ({} visits) of a {slots}-segment store",
+                    id.0,
+                    path.len()
+                )));
+            }
+            crate::disk::validate_faulted_path(path, id.index(), segments_per_node, nodes)
+                .map_err(|e| corrupt(format!("WAL record: {e}")))?;
+        }
+        Ok(())
+    }
+}
+
+/// One engine batch as [`WalWriter::append_batch`] logs it, borrowed from the
+/// engine's own buffers.
+#[derive(Debug, Clone, Copy)]
+pub struct BatchRecord<'a> {
+    /// The record's sequence number.
+    pub seq: u64,
+    /// Whether the batch is arrivals or deletions.
+    pub op: WalOp,
+    /// The edges of the batch, in the order the engine received them.
+    pub edges: &'a [Edge],
+    /// The engine cursors after the batch.
+    pub cursors: WalCursors,
+    /// The segments drawn for the nodes the batch created.
+    pub growth: &'a SegmentRewrites,
+    /// The reconciled rewrites the walk store installs.
+    pub rewrites: &'a SegmentRewrites,
+}
+
+/// One durable batch record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WalRecord {
     /// Monotone sequence number of the record within the engine's whole history
@@ -78,19 +179,97 @@ pub struct WalRecord {
     pub op: WalOp,
     /// The edges of the batch, in the exact order the engine received them.
     pub edges: Vec<Edge>,
+    /// What the batch did; `None` for an edges-only record ([`WalWriter::append`]).
+    pub effects: Option<WalEffects>,
 }
 
-/// Encodes one record body from a borrowed batch.
-fn encode_body(seq: u64, op: WalOp, edges: &[Edge]) -> Vec<u8> {
-    let mut w = ByteWriter::with_capacity(13 + edges.len() * 8);
+/// Encodes one plan: its entry count, then per entry the segment id (as the
+/// wrapping difference from the previous entry's, so a plan in segment-id order
+/// spends a byte or two on it), the path length and the path.
+fn encode_plan(w: &mut ByteWriter, plan: &SegmentRewrites) {
+    w.put_varint(plan.len() as u64);
+    let mut previous = 0u32;
+    for (id, path) in plan.iter() {
+        w.put_varint(u64::from(id.0.wrapping_sub(previous)));
+        previous = id.0;
+        w.put_varint(path.len() as u64);
+        for node in path {
+            w.put_varint(u64::from(node.0));
+        }
+    }
+}
+
+/// Decodes one plan, never allocating past what the body still holds: an entry
+/// takes at least two bytes and a visit at least one.
+fn decode_plan(r: &mut ByteReader<'_>) -> PersistResult<SegmentRewrites> {
+    let entries = r.get_varint()?;
+    if entries > (r.remaining() / 2) as u64 {
+        return Err(corrupt(format!(
+            "WAL plan of {entries} entries in {} bytes",
+            r.remaining()
+        )));
+    }
+    let mut plan = SegmentRewrites::new();
+    let (mut previous, mut path) = (0u32, Vec::new());
+    for _ in 0..entries {
+        let id = previous.wrapping_add(r.get_varint_u32()?);
+        previous = id;
+        let len = r.get_varint()?;
+        if len > r.remaining() as u64 {
+            return Err(corrupt(format!("WAL path of {len} visits")));
+        }
+        path.clear();
+        for _ in 0..len {
+            path.push(NodeId(r.get_varint_u32()?));
+        }
+        plan.push(SegmentId(id), &path);
+    }
+    Ok(plan)
+}
+
+/// Encodes one whole frame — length, CRC and body — into one buffer.
+fn encode_frame(
+    seq: u64,
+    op: WalOp,
+    edges: &[Edge],
+    effects: Option<(&WalCursors, &SegmentRewrites, &SegmentRewrites)>,
+) -> Vec<u8> {
+    // Room for the fixed fields plus three bytes a varint, enough for most.
+    let plan_bytes = |plan: &SegmentRewrites| {
+        3 * plan.len() * 2 + 3 * plan.iter().map(|(_, p)| p.len()).sum::<usize>()
+    };
+    let effects_len = effects.map_or(0, |(_, growth, rewrites)| {
+        96 + plan_bytes(growth) + plan_bytes(rewrites)
+    });
+    let mut w = ByteWriter::with_capacity(8 + 16 + edges.len() * 6 + effects_len);
+    w.put_u32(0); // body_len, patched below
+    w.put_u32(0); // body_crc, patched below
     w.put_u64(seq);
     w.put_u8(op.to_byte());
-    w.put_u32(edges.len() as u32);
+    w.put_varint(edges.len() as u64);
     for edge in edges {
-        w.put_u32(edge.source.0);
-        w.put_u32(edge.target.0);
+        w.put_varint(u64::from(edge.source.0));
+        w.put_varint(u64::from(edge.target.0));
     }
-    w.into_bytes()
+    if let Some((cursors, growth, rewrites)) = effects {
+        for word in cursors.rng {
+            w.put_u64(word);
+        }
+        w.put_varint(cursors.batch_index);
+        w.put_varint(cursors.work.segments_updated);
+        w.put_varint(cursors.work.walk_steps);
+        w.put_varint(cursors.work.edges_processed);
+        w.put_varint(cursors.work.arrivals_filtered);
+        w.put_varint(cursors.initialization_steps);
+        encode_plan(&mut w, growth);
+        encode_plan(&mut w, rewrites);
+    }
+    let mut frame = w.into_bytes();
+    let body_len = (frame.len() - 8) as u32;
+    let body_crc = crc32(&frame[8..]);
+    frame[..4].copy_from_slice(&body_len.to_le_bytes());
+    frame[4..8].copy_from_slice(&body_crc.to_le_bytes());
+    frame
 }
 
 impl WalRecord {
@@ -98,20 +277,54 @@ impl WalRecord {
         let mut r = ByteReader::new(body);
         let seq = r.get_u64()?;
         let op = WalOp::from_byte(r.get_u8()?)?;
-        let count = r.get_u32()? as usize;
-        if r.remaining() != count * 8 {
+        let count = r.get_varint()?;
+        if count > (r.remaining() / 2) as u64 {
             return Err(corrupt(format!(
                 "WAL record body holds {} bytes for {count} edges",
                 r.remaining()
             )));
         }
-        let mut edges = Vec::with_capacity(count);
+        let mut edges = Vec::with_capacity(count as usize);
         for _ in 0..count {
-            let source = NodeId(r.get_u32()?);
-            let target = NodeId(r.get_u32()?);
+            let source = NodeId(r.get_varint_u32()?);
+            let target = NodeId(r.get_varint_u32()?);
             edges.push(Edge { source, target });
         }
-        Ok(WalRecord { seq, op, edges })
+        if r.remaining() == 0 {
+            return Ok(WalRecord {
+                seq,
+                op,
+                edges,
+                effects: None,
+            });
+        }
+        let rng = [r.get_u64()?, r.get_u64()?, r.get_u64()?, r.get_u64()?];
+        let batch_index = r.get_varint()?;
+        let work = WorkCounter {
+            segments_updated: r.get_varint()?,
+            walk_steps: r.get_varint()?,
+            edges_processed: r.get_varint()?,
+            arrivals_filtered: r.get_varint()?,
+        };
+        let initialization_steps = r.get_varint()?;
+        let growth = decode_plan(&mut r)?;
+        let rewrites = decode_plan(&mut r)?;
+        r.expect_end("WAL record")?;
+        Ok(WalRecord {
+            seq,
+            op,
+            edges,
+            effects: Some(WalEffects {
+                cursors: WalCursors {
+                    rng,
+                    batch_index,
+                    work,
+                    initialization_steps,
+                },
+                growth,
+                rewrites,
+            }),
+        })
     }
 }
 
@@ -368,16 +581,27 @@ impl WalWriter {
         self.fsync = fsync;
     }
 
-    /// Appends one record and (by default) fsyncs it.  Encodes straight from the
-    /// borrowed batch — no clone of the edges on the per-batch hot path.
+    /// Appends one edges-only record (no effects) and (by default) fsyncs it.
+    /// Encodes straight from the borrowed batch — no clone of the edges.
     pub fn append(&mut self, seq: u64, op: WalOp, edges: &[Edge]) -> PersistResult<()> {
-        let body = encode_body(seq, op, edges);
-        let mut frame = Vec::with_capacity(8 + body.len());
-        frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&body).to_le_bytes());
-        frame.extend_from_slice(&body);
+        self.append_frame(&encode_frame(seq, op, edges, None))
+    }
+
+    /// Appends one batch record — the edges plus the effects an engine's recovery
+    /// installs instead of re-running the batch — and (by default) fsyncs it, so
+    /// the caller may install the batch once this returns.
+    pub fn append_batch(&mut self, record: &BatchRecord<'_>) -> PersistResult<()> {
+        self.append_frame(&encode_frame(
+            record.seq,
+            record.op,
+            record.edges,
+            Some((&record.cursors, record.growth, record.rewrites)),
+        ))
+    }
+
+    fn append_frame(&mut self, frame: &[u8]) -> PersistResult<()> {
         crate::shim::notify(crate::shim::IoOp::WalAppend, frame.len());
-        self.file.write_all(&frame)?;
+        self.file.write_all(frame)?;
         if let Some(group) = &self.group {
             // Group commit: publish the append for a later coalesced sync instead of
             // paying an fsync here.
@@ -684,6 +908,117 @@ mod tests {
             .unwrap();
         assert_eq!(group.appended(), 1);
         assert_eq!(read_records(&path).unwrap().records.len(), 2);
+    }
+
+    fn plan(entries: &[(u32, &[u32])]) -> SegmentRewrites {
+        let mut plan = SegmentRewrites::new();
+        for &(id, path) in entries {
+            let path: Vec<NodeId> = path.iter().map(|&v| NodeId(v)).collect();
+            plan.push(SegmentId(id), &path);
+        }
+        plan
+    }
+
+    /// Effects of a batch on a store of 2 segments per node that grew from 3 nodes
+    /// to 4: node 3's two segments, then two rewrites (one of them of node 3's).
+    fn effects() -> WalEffects {
+        WalEffects {
+            cursors: WalCursors {
+                rng: [1, 2, 3, 4],
+                batch_index: 9,
+                work: WorkCounter {
+                    segments_updated: 2,
+                    walk_steps: 5,
+                    edges_processed: 1,
+                    arrivals_filtered: 0,
+                },
+                initialization_steps: 3,
+            },
+            growth: plan(&[(6, &[3]), (7, &[3, 1])]),
+            rewrites: plan(&[(0, &[0, 3, 2]), (6, &[3, 0])]),
+        }
+    }
+
+    fn append_with(writer: &mut WalWriter, seq: u64, edges: &[Edge], effects: &WalEffects) {
+        let record = BatchRecord {
+            seq,
+            op: WalOp::Arrivals,
+            edges,
+            cursors: effects.cursors,
+            growth: &effects.growth,
+            rewrites: &effects.rewrites,
+        };
+        writer.append_batch(&record).unwrap();
+    }
+
+    #[test]
+    fn effect_records_round_trip_beside_edges_only_ones() {
+        let dir = TempDir::new("wal-effects");
+        let path = dir.path().join("wal.log");
+        let mut writer = WalWriter::create(&path).unwrap();
+        let logged = effects();
+        append_with(&mut writer, 0, &edges(&[(0, 3)]), &logged);
+        writer
+            .append(1, WalOp::Deletions, &edges(&[(0, 3)]))
+            .unwrap();
+        append_with(&mut writer, 2, &[], &WalEffects::default());
+        assert_eq!(writer.stats().fsyncs, 3, "every record synced");
+        drop(writer);
+
+        let scan = read_records(&path).unwrap();
+        assert!(!scan.torn_tail);
+        assert_eq!(scan.records[0].edges, edges(&[(0, 3)]));
+        assert_eq!(scan.records[0].effects.as_ref(), Some(&logged));
+        assert_eq!(scan.records[1].effects, None, "an edges-only record");
+        assert_eq!(scan.records[2].effects, Some(WalEffects::default()));
+        logged.check_segments(2, 4).unwrap();
+    }
+
+    #[test]
+    fn logged_segments_are_checked_against_the_store_shape() {
+        let reject = |mutate: &dyn Fn(&mut WalEffects), what: &str| {
+            let mut bad = effects();
+            mutate(&mut bad);
+            assert!(
+                matches!(
+                    bad.check_segments(2, 4),
+                    Err(crate::PersistError::Corrupt(_))
+                ),
+                "{what}"
+            );
+        };
+        reject(
+            &|e| e.rewrites = plan(&[(8, &[4])]),
+            "segment past the store",
+        );
+        reject(
+            &|e| e.rewrites = plan(&[(1, &[1, 2])]),
+            "path off its source",
+        );
+        reject(&|e| e.growth = plan(&[(6, &[])]), "empty path");
+        reject(
+            &|e| e.rewrites = plan(&[(0, &[0, 4])]),
+            "node past the count",
+        );
+        assert!(
+            effects().check_segments(2, usize::MAX).is_err(),
+            "node count overflows"
+        );
+    }
+
+    #[test]
+    fn a_version_1_log_is_refused_with_a_format_error() {
+        let dir = TempDir::new("wal-v1");
+        let path = dir.path().join("wal.log");
+        let mut header = MAGIC.to_vec();
+        header.extend_from_slice(&1u32.to_le_bytes());
+        let crc = crc32(&header);
+        header.extend_from_slice(&crc.to_le_bytes());
+        std::fs::write(&path, &header).unwrap();
+        assert!(matches!(
+            read_records(&path),
+            Err(crate::PersistError::Format(_))
+        ));
     }
 
     #[test]

@@ -883,7 +883,7 @@ impl<E: ServeEngine> QueryEngine<E> {
                 s.wal_sync.record(sync);
             }
         }
-        // Every append this batch made (durable engines append before mutating) is
+        // Every append this batch made (durable engines append inside the apply) is
         // at or below the group's current watermark.
         let wal_mark = self.group.as_ref().map(|group| group.appended());
 

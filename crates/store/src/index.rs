@@ -144,7 +144,7 @@ pub trait WalkIndex: WalkIndexView {
 /// path.  Built by the engines' batched reroute path and consumed by
 /// [`WalkIndexMut::apply_rewrites`]; the flat layout (one id vector, one bounds vector,
 /// one step buffer) keeps plan construction allocation-free in steady state.
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct SegmentRewrites {
     ids: Vec<SegmentId>,
     /// `bounds[k]..bounds[k + 1]` is entry `k`'s slice of `steps`.

@@ -106,6 +106,20 @@ impl WorkCounter {
         self.arrivals_filtered += other.arrivals_filtered;
     }
 
+    /// [`Self::merge`] that leaves this counter untouched and returns `None` when a
+    /// total would overflow (for counts read off disk).
+    pub fn checked_merge(&mut self, other: &WorkCounter) -> Option<()> {
+        *self = WorkCounter {
+            segments_updated: self.segments_updated.checked_add(other.segments_updated)?,
+            walk_steps: self.walk_steps.checked_add(other.walk_steps)?,
+            edges_processed: self.edges_processed.checked_add(other.edges_processed)?,
+            arrivals_filtered: self
+                .arrivals_filtered
+                .checked_add(other.arrivals_filtered)?,
+        };
+        Some(())
+    }
+
     /// Total abstract work: walk steps plus one unit per segment touched.
     pub fn total_work(&self) -> u64 {
         self.walk_steps + self.segments_updated
@@ -172,6 +186,18 @@ mod tests {
         assert_eq!(a.arrivals_filtered, 1);
         assert_eq!(a.total_work(), 18);
         assert!((a.steps_per_edge() - 2.5).abs() < 1e-12);
+
+        let mut checked = b;
+        assert_eq!(checked.checked_merge(&b), Some(()));
+        let mut doubled = b;
+        doubled.merge(&b);
+        assert_eq!(checked, doubled);
+        let full = WorkCounter {
+            walk_steps: u64::MAX,
+            ..b
+        };
+        assert_eq!(checked.checked_merge(&full), None, "one field overflows");
+        assert_eq!(checked, doubled, "and nothing changed");
     }
 
     #[test]

@@ -668,6 +668,67 @@ fn a_multi_shard_snapshot_is_refused_with_a_typed_error() {
     }
 }
 
+/// Rewrites the generation-0 WAL under `root` the way a version-1 build wrote it:
+/// a version-1 header (with its valid CRC) over edges-only frames of `batches`.
+fn write_version_1_log(root: &std::path::Path, batches: &[Vec<Edge>]) {
+    let wal = root.join("wal-000000.log");
+    let staged = root.join("v1.log");
+    let mut writer = ppr_persist::WalWriter::create(&staged).unwrap();
+    for (seq, batch) in batches.iter().enumerate() {
+        writer
+            .append(seq as u64, ppr_persist::WalOp::Arrivals, batch)
+            .unwrap();
+    }
+    drop(writer);
+    let mut bytes = std::fs::read(&staged).unwrap();
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    let crc = ppr_persist::crc32(&bytes[..12]);
+    bytes[12..16].copy_from_slice(&crc.to_le_bytes());
+    std::fs::write(&wal, &bytes).unwrap();
+    std::fs::remove_file(&staged).unwrap();
+}
+
+#[test]
+fn a_version_1_log_is_refused_with_a_typed_error() {
+    // A version-1 log holds edge batches and no effects: this build cannot replay
+    // it, so `open` must return a Format error on the flat and the disk layout
+    // alike, never panic and never build a store.  The control: the same store
+    // with the log its engine wrote opens.
+    let tmp = TempDir::new("wal-v1");
+    let config = MonteCarloConfig::new(0.2, 2).with_seed(663);
+    let batches = vec![
+        vec![Edge::new(0, 1), Edge::new(1, 2)],
+        vec![Edge::new(2, 0), Edge::new(3, 1)],
+    ];
+    for version in [2, 1] {
+        let root = tmp.path().join(format!("store-v{version}"));
+        let mut engine =
+            IncrementalPageRank::create_durable(&root, DynamicGraph::with_nodes(8), config)
+                .unwrap();
+        for batch in &batches {
+            engine.apply_arrivals(batch);
+        }
+        drop(engine);
+        if version == 1 {
+            write_version_1_log(&root, &batches);
+        }
+        let results = [
+            IncrementalPageRank::<WalkStore>::open(&root).map(drop),
+            DurablePageRank::open(&root).map(drop),
+        ];
+        for result in results {
+            if version == 2 {
+                result.unwrap_or_else(|e| panic!("the control must open: {e}"));
+            } else {
+                assert!(
+                    matches!(result, Err(ppr_core::PersistError::Format(_))),
+                    "version-1 log: {result:?}"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn checkpoint_retries_after_a_crash_between_wal_create_and_publish() {
     // A checkpoint that died after creating wal-<gen+1> but before flipping CURRENT
