@@ -90,7 +90,7 @@ fn bench_snapshot_write(c: &mut Criterion) {
     );
 }
 
-/// WAL append (fsync on/off) of the records an engine writes — each batch's edges
+/// WAL append (each record fsynced) of the records an engine writes — each batch's edges
 /// with the rewrites it reconciled — and the recovery replay rate over a logged
 /// stream.
 fn bench_wal(c: &mut Criterion) {
@@ -109,35 +109,32 @@ fn bench_wal(c: &mut Criterion) {
     let mut group = c.benchmark_group("wal");
     group.throughput(Throughput::Elements(tail.len() as u64));
 
-    for (label, fsync) in [("append_fsync", true), ("append_nosync", false)] {
-        group.bench_function(BenchmarkId::from_parameter(label), |b| {
-            b.iter_batched(
-                || {
-                    let tmp = TempDir::new("bench-wal");
-                    let path = tmp.path().join("wal.log");
-                    let mut writer = ppr_persist::WalWriter::create(&path).unwrap();
-                    writer.set_fsync(fsync);
-                    (tmp, writer)
-                },
-                |(tmp, mut writer)| {
-                    for (seq, (edges, rewrites)) in tail.chunks(32).zip(&plans).enumerate() {
-                        let record = ppr_persist::BatchRecord {
-                            seq: seq as u64,
-                            op: ppr_persist::WalOp::Arrivals,
-                            edges,
-                            cursors: ppr_persist::WalCursors::default(),
-                            growth: &no_growth,
-                            rewrites,
-                        };
-                        writer.append_batch(&record).unwrap();
-                    }
-                    drop(writer);
-                    tmp
-                },
-                BatchSize::LargeInput,
-            )
-        });
-    }
+    group.bench_function(BenchmarkId::from_parameter("append_fsync"), |b| {
+        b.iter_batched(
+            || {
+                let tmp = TempDir::new("bench-wal");
+                let path = tmp.path().join("wal.log");
+                let writer = ppr_persist::WalWriter::create(&path).unwrap();
+                (tmp, writer)
+            },
+            |(tmp, mut writer)| {
+                for (seq, (edges, rewrites)) in tail.chunks(32).zip(&plans).enumerate() {
+                    let record = ppr_persist::BatchRecord {
+                        seq: seq as u64,
+                        op: ppr_persist::WalOp::Arrivals,
+                        edges,
+                        cursors: ppr_persist::WalCursors::default(),
+                        growth: &no_growth,
+                        rewrites,
+                    };
+                    writer.append_batch(&record).unwrap();
+                }
+                drop(writer);
+                tmp
+            },
+            BatchSize::LargeInput,
+        )
+    });
 
     // Recovery replay: open() = snapshot load + the WAL tail's logged effects
     // installed as one collapsed plan.

@@ -138,8 +138,6 @@ fn percentile(latencies: &mut [Duration], p: f64) -> Duration {
 /// The headline number of each regime is the direct ratio `serving / bare` — the
 /// acceptance gauge for the O(touched) two-level spine is the per-edge regime
 /// (one commit = one published generation) staying within 2x of the bare engine.
-/// The pipelined column overlaps mirror advance + publish with the next batch's
-/// engine apply (`with_pipeline(4)`, flushed before the clock stops).
 fn report_write_overhead(_c: &mut Criterion) {
     let (prefix, suffix) = stream();
     println!(
@@ -151,7 +149,6 @@ fn report_write_overhead(_c: &mut Criterion) {
     for (label, batch) in [("per_edge", 1usize), ("batch_16", 16), ("batch_256", 256)] {
         let mut best_bare = f64::INFINITY;
         let mut best_commit = f64::INFINITY;
-        let mut best_piped = f64::INFINITY;
         for _ in 0..3 {
             let mut engine =
                 IncrementalPageRank::from_graph(DynamicGraph::from_edges(&prefix, NODES), config());
@@ -167,32 +164,21 @@ fn report_write_overhead(_c: &mut Criterion) {
                 serving.commit_arrivals(chunk);
             }
             best_commit = best_commit.min(t0.elapsed().as_secs_f64());
-
-            let mut serving = serving_engine(&prefix).with_pipeline(4);
-            let t0 = Instant::now();
-            for chunk in suffix.chunks(batch) {
-                serving.commit_arrivals(chunk);
-            }
-            serving.flush_commits();
-            best_piped = best_piped.min(t0.elapsed().as_secs_f64());
             last_stats = Some(serving.commit_stats());
         }
         let bare = suffix.len() as f64 / best_bare;
         println!(
-            "report   {label}: bare {bare:>9.0} edges/s, overhead inline {:.2}x, \
-             pipelined {:.2}x",
+            "report   {label}: bare {bare:>9.0} edges/s, overhead {:.2}x",
             best_commit / best_bare,
-            best_piped / best_bare,
         );
         if let Some(stats) = last_stats.take() {
             println!(
                 "report   {label}: {:.1} leaf chunks + {:.1} spine blocks copied per \
-                 commit, max in-flight {}",
+                 commit",
                 (stats.walk_chunks_copied + stats.count_chunks_copied + stats.graph_chunks_copied)
                     as f64
                     / stats.commits as f64,
                 stats.spine_blocks_copied as f64 / stats.commits as f64,
-                stats.max_inflight,
             );
         }
     }

@@ -2,14 +2,17 @@
 //!
 //! The binary runs itself twice.  The **parent** spawns a **child** (`--child`)
 //! that builds a durable engine, checkpoints once, and then applies WAL-logged
-//! batches forever.  The parent waits for the checkpoint to publish, lets some
-//! batches land, and kills the child with SIGKILL — no destructors, no flushes,
-//! exactly the crash the WAL is for.  It then scars the log tail with garbage
-//! bytes (a torn half-frame), recovers, and asserts the recovered engine is
-//! **byte-identical** to an in-memory oracle that applied exactly the surviving
-//! batches — scores, visit counts, postings, paths, and work counters.  Recovery
-//! installs the logged effects of the surviving records (growth segments and
-//! rewrites), so the oracle, which re-runs their batches, is an independent check.
+//! batches, pausing [`BATCH_GAP`] after each one past the checkpoint.  The parent
+//! waits for the checkpoint to publish and for two post-checkpoint records to be
+//! framed, then kills the child with SIGKILL at once — no destructors, no
+//! flushes, exactly the crash the WAL is for — while it still has batches to
+//! log, and checks that some of them are indeed missing from the log.  It then
+//! scars the log tail with garbage bytes (a torn half-frame), recovers, and
+//! asserts the recovered engine is **byte-identical** to an in-memory oracle
+//! that applied exactly the surviving batches — scores, visit counts, postings,
+//! paths, and work counters.  Recovery installs the logged effects of the
+//! surviving records (growth segments and rewrites), so the oracle, which re-runs
+//! their batches, is an independent check.
 //! The store is then recovered a second time into the file-backed layout, which
 //! demand-faults every path the replay rewrites through the page cache
 //! `PPR_PAGE_BUDGET` bounds, and held to the same oracle by digest.
@@ -20,15 +23,9 @@
 //! scenario's compiled trace (`Trace::write_batches`), so the kill lands inside
 //! a flash crowd's growth, a spam wave's mass-unfollow reversal, etc.
 //!
-//! Pass `--pipelined` to commit through the serving layer's pipelined,
-//! group-committing `QueryEngine` instead of the bare engine: the SIGKILL then
-//! lands with commits in flight on the commit thread and WAL appends covered
-//! only by coalesced syncs — and recovery must still land on the exact prefix of
-//! batches whose records survive in the log.
-//!
-//! Run with `cargo run --release --bin recover-smoke [-- --scenario <name>]
-//! [--pipelined]`; exits non-zero on any divergence.  CI runs this after the
-//! test suites, once per corpus scenario it pins, plus a pipelined pass.
+//! Run with `cargo run --release --bin recover-smoke [-- --scenario <name>]`;
+//! exits non-zero on any divergence.  CI runs this after the test suites, once
+//! per corpus scenario it pins.
 
 use ppr_core::{DurablePageRank, IncrementalPageRank, MonteCarloConfig};
 use ppr_graph::generators::{preferential_attachment_edges, PreferentialAttachmentConfig};
@@ -42,6 +39,14 @@ use std::process::Command;
 use std::time::{Duration, Instant};
 
 const DIR_ENV: &str = "PPR_SMOKE_DIR";
+
+/// The child's pause after each post-checkpoint batch: long enough that the
+/// parent's kill, issued once two records are framed, lands before the schedule
+/// runs out (the shortest pinned schedule logs 10 batches past its checkpoint).
+const BATCH_GAP: Duration = Duration::from_millis(50);
+
+/// Post-checkpoint records the parent waits to see framed before it kills.
+const KILL_AFTER: usize = 2;
 
 /// A crash-test workload: the deterministic batch schedule both processes compute
 /// identically, plus the engine shape it runs against.  Engines start with no
@@ -138,70 +143,41 @@ fn apply(engine: &mut IncrementalPageRank, op: &(WalOp, Vec<Edge>)) {
     }
 }
 
-fn commit(serving: &mut ppr_serve::QueryEngine<IncrementalPageRank>, op: &(WalOp, Vec<Edge>)) {
-    match op.0 {
-        WalOp::Arrivals => {
-            serving.commit_arrivals(&op.1);
-        }
-        WalOp::Deletions => {
-            serving.commit_deletions(&op.1);
-        }
-    }
-}
-
-/// Child: build, checkpoint, then log batches until killed.
-fn run_child(work: &Workload, pipelined: bool) -> ! {
+/// Child: build, checkpoint, then log batches, pausing after each, until killed.
+fn run_child(work: &Workload) -> ! {
     let root = std::env::var(DIR_ENV).expect("child needs the store dir");
     let mut engine =
         IncrementalPageRank::create_durable(&root, DynamicGraph::with_nodes(0), work.config)
             .expect("create_durable");
-    if pipelined {
-        // Commit through the pipelined, group-committing serving path: the SIGKILL
-        // lands with commits possibly in flight on the commit thread and WAL
-        // appends covered only by coalesced syncs.
-        let mut serving = ppr_serve::QueryEngine::new(engine, 1).with_pipeline(4);
-        for op in &work.ops[..work.checkpoint_after] {
-            commit(&mut serving, op);
-        }
-        serving.engine_mut().checkpoint().expect("checkpoint");
-        for op in &work.ops[work.checkpoint_after..] {
-            commit(&mut serving, op);
-        }
-        loop {
-            std::thread::sleep(Duration::from_millis(50));
-        }
-    }
     for op in &work.ops[..work.checkpoint_after] {
         apply(&mut engine, op);
     }
     engine.checkpoint().expect("checkpoint");
     for op in &work.ops[work.checkpoint_after..] {
         apply(&mut engine, op);
+        std::thread::sleep(BATCH_GAP);
     }
-    // Ran out of schedule before the parent killed us; park so the kill still lands
-    // on a fully idle, fully synced process (recovery must then lose nothing).
+    // Ran out of schedule before the parent killed us; park, and the parent's
+    // check that the kill cut the schedule short fails the run.
     loop {
-        std::thread::sleep(Duration::from_millis(50));
+        std::thread::sleep(BATCH_GAP);
     }
 }
 
-fn run_parent(work: &Workload, scenario: Option<&str>, pipelined: bool) {
+fn run_parent(work: &Workload, scenario: Option<&str>) {
     let tmp = TempDir::new("recover-smoke");
     let root = tmp.path().join("store");
     let exe = std::env::current_exe().expect("own path");
     let mut cmd = Command::new(exe);
     cmd.arg("--child");
-    if pipelined {
-        cmd.arg("--pipelined");
-    }
     if let Some(name) = scenario {
         cmd.args(["--scenario", name]);
     }
     let mut child = cmd.env(DIR_ENV, &root).spawn().expect("spawn child");
 
-    // Wait for the child to publish generation 1 and then — so the kill is
-    // guaranteed to land mid-stream rather than mid-startup on a slow runner —
-    // for at least one post-checkpoint batch to be durably framed in its WAL.
+    // Wait for the child to publish generation 1 and then — so the kill lands
+    // mid-stream rather than mid-startup on a slow runner — for `KILL_AFTER`
+    // post-checkpoint batches to be durably framed in its WAL; kill at once.
     let deadline = Instant::now() + Duration::from_secs(60);
     let wal_path = root.join("wal-000001.log");
     loop {
@@ -210,18 +186,17 @@ fn run_parent(work: &Workload, scenario: Option<&str>, pipelined: bool) {
             .unwrap_or(false);
         if checkpointed
             && read_records(&wal_path)
-                .map(|s| !s.records.is_empty())
+                .map(|s| s.records.len() >= KILL_AFTER)
                 .unwrap_or(false)
         {
             break;
         }
         assert!(
             Instant::now() < deadline,
-            "child never checkpointed and logged a batch"
+            "child never checkpointed and logged {KILL_AFTER} batches"
         );
         std::thread::sleep(Duration::from_millis(5));
     }
-    std::thread::sleep(Duration::from_millis(150));
     child.kill().expect("SIGKILL the child");
     child.wait().expect("reap the child");
 
@@ -229,20 +204,19 @@ fn run_parent(work: &Workload, scenario: Option<&str>, pipelined: bool) {
     // how many batches were fully synced.
     let scan = read_records(&wal_path).expect("scan crashed WAL");
     let survivors = scan.records.len();
+    let scheduled = work.ops.len() - work.checkpoint_after;
     println!(
-        "[recover-smoke] workload {}{}: child killed; {survivors} batches in the WAL \
-         (torn tail: {})",
-        work.name,
-        if pipelined {
-            " (pipelined, group-commit)"
-        } else {
-            ""
-        },
-        scan.torn_tail
+        "[recover-smoke] workload {}: child killed; {survivors} of \
+         {scheduled} post-checkpoint batches in the WAL (torn tail: {})",
+        work.name, scan.torn_tail
     );
     assert!(
-        survivors > 0,
+        survivors >= KILL_AFTER,
         "the child should have logged batches past its checkpoint"
+    );
+    assert!(
+        survivors < scheduled,
+        "the kill landed after the child had logged all {scheduled} batches"
     );
 
     // Scar the tail further: garbage bytes where a frame was being written.
@@ -335,10 +309,9 @@ fn main() {
             })
             .as_str()
     });
-    let pipelined = args.iter().any(|a| a == "--pipelined");
     let work = workload(scenario);
     if args.iter().any(|a| a == "--child") {
-        run_child(&work, pipelined);
+        run_child(&work);
     }
-    run_parent(&work, scenario, pipelined);
+    run_parent(&work, scenario);
 }

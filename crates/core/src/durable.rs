@@ -36,10 +36,11 @@
 //!
 //! # Durability semantics
 //!
-//! With the default options every batch is `fdatasync`ed before `apply_*` returns:
-//! an acknowledged batch survives power loss, and at most the one batch that was
-//! mid-write can be lost (and is then *cleanly absent*, never half-applied).  A WAL
-//! append failure panics — an engine that can no longer log cannot honour the
+//! One contract: **write, sync, install**.  Every batch's record is written, then
+//! `fdatasync`ed, then its plan installed, all before `apply_*` returns: an
+//! acknowledged batch survives power loss, and at most the one batch that was
+//! mid-write can be lost (and is then *cleanly absent*, never half-applied).  A
+//! WAL append failure panics — an engine that can no longer log cannot honour the
 //! durability it promised, and limping on in memory would silently break it.
 //!
 //! A store directory admits a **single writer process**, and the contract is
@@ -60,7 +61,7 @@ use ppr_persist::lock::StoreLock;
 use ppr_persist::snapshot::{
     AtomicFile, SnapshotFile, SnapshotWriter, SECTION_GRAPH, SECTION_META,
 };
-use ppr_persist::wal::{self, GroupCommit, WalRecord, WalWriter};
+use ppr_persist::wal::{self, WalRecord, WalWriter};
 use ppr_persist::{BatchRecord, DiskWalkStore, PagedWalks, WalCursors, WalEffects, WalOp};
 use ppr_store::{SegmentId, SegmentRewrites, SocialStore, WalkIndexMut, WalkStore, WorkCounter};
 use rand::rngs::SmallRng;
@@ -73,20 +74,6 @@ pub use ppr_persist::{PersistError, PersistResult};
 /// A PageRank engine whose walk store is the file-backed
 /// [`ppr_persist::DiskWalkStore`] — checkpoints write back only dirty pages.
 pub type DurablePageRank = WalkEngine<PageRank, DiskWalkStore>;
-
-/// Runtime durability options (not persisted; chosen per process).
-#[derive(Debug, Clone, Copy)]
-pub struct DurabilityOptions {
-    /// `fdatasync` the WAL on every batch (the durability contract).  Disable only
-    /// for bulk loads where a crash may cheaply restart the load.
-    pub fsync_wal: bool,
-}
-
-impl Default for DurabilityOptions {
-    fn default() -> Self {
-        DurabilityOptions { fsync_wal: true }
-    }
-}
 
 /// The durability state attached to a running engine: its store directory, active
 /// generation, and open WAL writer.
@@ -103,18 +90,14 @@ pub struct DurableLog {
     /// the known-corrupt snapshot is never left as the only fallback.
     last_good: u64,
     writer: WalWriter,
-    options: DurabilityOptions,
-    /// The active WAL group-commit handle, if the serving layer switched the log
-    /// into pipelined durability.  Carried (and rebound) across WAL rotations.
-    group: Option<GroupCommit>,
     /// Whether [`DurableLog::take_sync_nanos`] has been called: the WAL writer then
     /// times its fsyncs, and so must every writer a rotation replaces it with.
     times_syncs: bool,
 }
 
 impl DurableLog {
-    /// Appends one batch record — the edges plus their effects — and (by default)
-    /// fsyncs it (see [`WalWriter::append_batch`]).
+    /// Appends one batch record — the edges plus their effects — and fsyncs it
+    /// (see [`WalWriter::append_batch`]).
     ///
     /// # Panics
     ///
@@ -124,35 +107,6 @@ impl DurableLog {
         self.writer
             .append_batch(record)
             .expect("WAL append failed; cannot continue without breaking durability");
-    }
-
-    /// Switches the WAL into group-commit mode and returns the handle driving its
-    /// coalesced syncs (see [`ppr_persist::GroupCommit`]).  Returns `None` when the
-    /// log was opened with `fsync_wal: false` — there are no syncs to coalesce, and
-    /// appends stay exactly as cheap as they already were.  Idempotent: a second
-    /// call returns a clone of the active handle.
-    pub fn begin_group_commit(&mut self) -> Option<GroupCommit> {
-        if !self.options.fsync_wal {
-            return None;
-        }
-        if let Some(group) = &self.group {
-            return Some(group.clone());
-        }
-        let group = self
-            .writer
-            .begin_group_commit()
-            .expect("duplicating the WAL handle for group commit failed");
-        self.group = Some(group.clone());
-        Some(group)
-    }
-
-    /// Leaves group-commit mode: one final coalesced sync covers every outstanding
-    /// append, then appends go back to fsyncing individually.
-    pub fn end_group_commit(&mut self) {
-        self.group = None;
-        self.writer
-            .end_group_commit()
-            .expect("final group-commit sync failed; cannot break durability silently");
     }
 
     /// Drains the nanoseconds batch appends have spent in their own `fdatasync`
@@ -168,8 +122,8 @@ impl DurableLog {
         self.gen
     }
 
-    /// Point-in-time WAL counters (appends, fsyncs, group-commit watermarks) of
-    /// the open writer; see [`ppr_persist::WalStats`].
+    /// Point-in-time WAL counters (appends, fsyncs) of the open writer; see
+    /// [`ppr_persist::WalStats`].
     pub fn wal_stats(&self) -> ppr_persist::WalStats {
         self.writer.stats()
     }
@@ -459,17 +413,8 @@ fn run_checkpoint<W: PersistentWalkStore>(
     })();
     match attempt {
         Ok(mut writer) => {
-            writer.set_fsync(log.options.fsync_wal);
             if log.times_syncs {
                 writer.take_sync_nanos();
-            }
-            // An active group-commit handle survives rotation: rebind it onto the
-            // fresh WAL so the committer thread's syncs land on the right file, and
-            // the superseded appends are credited durable (the snapshot holds them).
-            if let Some(group) = &log.group {
-                writer
-                    .adopt_group(group)
-                    .expect("rebinding group commit to the rotated WAL failed");
             }
             // Keep everything from the last known-good snapshot up: normally that is
             // the generation just superseded, but after a fallback recovery it is
@@ -485,8 +430,6 @@ fn run_checkpoint<W: PersistentWalkStore>(
                     // base; the next checkpoint may prune everything below it.
                     last_good: new_gen,
                     writer,
-                    options: log.options,
-                    group: log.group,
                     times_syncs: log.times_syncs,
                 },
                 Ok(new_gen),
@@ -500,7 +443,6 @@ fn run_checkpoint<W: PersistentWalkStore>(
 /// empty WAL, `CURRENT` published.
 fn attach_fresh<W: PersistentWalkStore>(
     root: impl Into<std::path::PathBuf>,
-    options: DurabilityOptions,
     meta: &EngineMeta,
     social: &SocialStore,
     walks: &mut W,
@@ -515,8 +457,7 @@ fn attach_fresh<W: PersistentWalkStore>(
     if wal_path.exists() {
         std::fs::remove_file(&wal_path)?;
     }
-    let mut writer = WalWriter::create(&wal_path)?;
-    writer.set_fsync(options.fsync_wal);
+    let writer = WalWriter::create(&wal_path)?;
     dir.publish_gen(0)?;
     Ok(DurableLog {
         dir,
@@ -524,8 +465,6 @@ fn attach_fresh<W: PersistentWalkStore>(
         gen: 0,
         last_good: 0,
         writer,
-        options,
-        group: None,
         times_syncs: false,
     })
 }
@@ -555,18 +494,12 @@ impl<K: WalkKind, W: WalkIndexMut + PersistentWalkStore> WalkEngine<K, W> {
     /// returns [`PersistError::Corrupt`], a version-1 log [`PersistError::Format`].
     /// Fails if the directory holds the other walk kind.
     pub fn open(root: impl AsRef<Path>) -> PersistResult<Self> {
-        Self::open_with(root, DurabilityOptions::default())
+        Self::open_replaying(root.as_ref(), Self::replay_effects)
     }
 
-    /// [`Self::open`] with explicit durability options.
-    pub fn open_with(root: impl AsRef<Path>, options: DurabilityOptions) -> PersistResult<Self> {
-        Self::open_replaying(root.as_ref(), options, Self::replay_effects)
-    }
-
-    /// [`Self::open_with`] with the tail replayed by `replay`.
+    /// [`Self::open`] with the tail replayed by `replay`.
     fn open_replaying(
         root: &Path,
-        options: DurabilityOptions,
         replay: impl FnOnce(&mut Self, &[&WalRecord]) -> PersistResult<()>,
     ) -> PersistResult<Self> {
         let recovered = load_store::<W>(StoreDir::open(root.to_path_buf())?)?;
@@ -591,16 +524,12 @@ impl<K: WalkKind, W: WalkIndexMut + PersistentWalkStore> WalkEngine<K, W> {
         let tail = tail_records(meta.wal_seq, &recovered.replay)?;
         replay(&mut engine, &tail)?;
         engine.wal_seq = meta.wal_seq + tail.len() as u64;
-        let mut writer = recovered.writer;
-        writer.set_fsync(options.fsync_wal);
         engine.durability = Some(DurableLog {
             dir: recovered.dir,
             lock: recovered.lock,
             gen: recovered.current_gen,
             last_good: recovered.snap_gen,
-            writer,
-            options,
-            group: None,
+            writer: recovered.writer,
             times_syncs: false,
         });
         Ok(engine)
@@ -762,7 +691,7 @@ impl<K: WalkKind, W: WalkIndexMut + PersistentWalkStore> WalkEngine<K, W> {
     /// [`Self::open`] with the tail re-run by [`Self::replay_edges`].
     #[cfg(test)]
     fn open_replaying_edges(root: &Path) -> PersistResult<Self> {
-        Self::open_replaying(root, DurabilityOptions::default(), Self::replay_edges)
+        Self::open_replaying(root, Self::replay_edges)
     }
 
     /// Writes a new snapshot generation, rotates the WAL, and publishes it as
@@ -796,7 +725,6 @@ impl<K: WalkKind, W: WalkIndexMut + PersistentWalkStore> WalkEngine<K, W> {
         let meta = self.engine_meta();
         let log = attach_fresh(
             root.as_ref().to_path_buf(),
-            DurabilityOptions::default(),
             &meta,
             &self.store,
             &mut self.walks,
@@ -807,21 +735,6 @@ impl<K: WalkKind, W: WalkIndexMut + PersistentWalkStore> WalkEngine<K, W> {
 }
 
 impl<K: WalkKind, W: WalkIndexMut> WalkEngine<K, W> {
-    /// Switches the attached WAL (if any, and if fsyncing) into group-commit mode;
-    /// see [`DurableLog::begin_group_commit`].
-    pub fn wal_group_commit(&mut self) -> Option<GroupCommit> {
-        self.durability
-            .as_mut()
-            .and_then(DurableLog::begin_group_commit)
-    }
-
-    /// Leaves WAL group-commit mode with one final covering sync.
-    pub fn wal_end_group_commit(&mut self) {
-        if let Some(log) = self.durability.as_mut() {
-            log.end_group_commit();
-        }
-    }
-
     /// Drains the time the attached WAL (if any) has spent in per-batch `fdatasync`
     /// since the last call; see [`DurableLog::take_sync_nanos`].
     pub fn take_wal_sync_nanos(&mut self) -> Option<u64> {

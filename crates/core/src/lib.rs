@@ -38,11 +38,10 @@ pub mod walker;
 
 pub use batch::BatchProfile;
 pub use config::{MonteCarloConfig, RerouteStrategy};
-pub use durable::{DurabilityOptions, DurablePageRank, PersistError, PersistResult};
+pub use durable::{DurablePageRank, PersistError, PersistResult};
 pub use engine::{PageRank, Salsa, UpdateStats, WalkEngine, WalkKind};
 pub use estimator::PageRankEstimates;
 pub use incremental::IncrementalPageRank;
 pub use personalized::{PersonalizedWalkResult, PersonalizedWalker, TopKScratch, WalkScratch};
-pub use ppr_persist::GroupCommit;
 pub use query::{query_rng, query_stream_seed};
 pub use salsa::{IncrementalSalsa, SalsaEstimates};

@@ -59,6 +59,4 @@ pub use pager::PagerStats;
 pub use shim::{IoOp, IoShim, ShimGuard, SlowDisk};
 pub use snapshot::{AtomicFile, SnapshotFile, SnapshotWriter};
 pub use tempdir::TempDir;
-pub use wal::{
-    BatchRecord, GroupCommit, WalCursors, WalEffects, WalOp, WalRecord, WalStats, WalWriter,
-};
+pub use wal::{BatchRecord, WalCursors, WalEffects, WalOp, WalRecord, WalStats, WalWriter};

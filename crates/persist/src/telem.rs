@@ -2,7 +2,7 @@
 //!
 //! Pure reads of already-snapshotted values; the I/O hot paths that fill the
 //! structs are untouched.  Names are relative — collectors choose the
-//! namespace (`pager.loads`, `wal.group_fsyncs`, …) via
+//! namespace (`pager.loads`, `wal.fsyncs`, …) via
 //! [`SnapshotBuilder::source`].
 
 use crate::disk::{DiskStoreStats, ResidencyStats};
@@ -53,13 +53,6 @@ impl MetricSource for WalStats {
     fn emit(&self, out: &mut SnapshotBuilder) {
         out.counter("appended", self.appended);
         out.counter("fsyncs", self.fsyncs);
-        out.gauge("group_active", if self.group_active { 1.0 } else { 0.0 });
-        out.counter("group_appended", self.group_appended);
-        out.counter("group_durable", self.group_durable);
-        out.counter("group_fsyncs", self.group_fsyncs);
-        out.counter("group_synced", self.group_synced);
-        // Appends made durable per coalesced fdatasync — the group-commit win.
-        out.ratio("appends_per_fsync", self.group_synced, self.group_fsyncs);
     }
 }
 
@@ -76,15 +69,12 @@ mod tests {
             "wal",
             &WalStats {
                 appended: 4,
-                group_active: true,
-                group_fsyncs: 2,
-                group_synced: 6,
-                ..WalStats::default()
+                fsyncs: 4,
             },
         );
         let snap = TelemetrySnapshot::from_builder(0, out);
         assert_eq!(snap.gauge("pager.hit_rate"), Some(0.0));
         assert_eq!(snap.counter("wal.appended"), Some(4));
-        assert_eq!(snap.gauge("wal.appends_per_fsync"), Some(3.0));
+        assert_eq!(snap.counter("wal.fsyncs"), Some(4));
     }
 }

@@ -45,11 +45,11 @@
 //! re-running every batch) are refused with a typed [`PersistError::Format`]
 //! error: checkpoint with the build that wrote them before upgrading.
 //!
-//! Appends write the full frame and (by default) return only once an `fdatasync`
-//! has made it durable, so a batch acknowledged by the engine survives power loss
-//! — this is the fsync-on-batch contract; [`WalWriter::set_fsync`] can relax it for
-//! bulk loads.  An engine installs a batch's rewrites only once its record is
-//! durable ([`WalWriter::append_batch`] returns).
+//! One contract holds for every append: **write, sync, install**.  An append writes
+//! the full frame and returns only once an `fdatasync` has made it durable, and an
+//! engine installs a batch's rewrites only after that ([`WalWriter::append_batch`]
+//! returns) — so the walk store never holds a batch its log does not, and a batch
+//! acknowledged by the engine survives power loss.
 //!
 //! A crash mid-append leaves a **torn tail**: a partial frame, or a frame whose CRC
 //! does not match.  [`read_records`] stops at the first invalid frame and reports the
@@ -67,8 +67,6 @@ use ppr_store::{SegmentId, SegmentRewrites, WorkCounter};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 const MAGIC: &[u8; 8] = b"PPRWAL01";
@@ -396,137 +394,37 @@ pub fn read_records(path: &Path) -> PersistResult<WalScan> {
     })
 }
 
-/// The state a [`GroupCommit`] handle shares with the [`WalWriter`] it was begun on:
-/// a duplicated file handle (so a committer thread can `fdatasync` while the writer
-/// keeps appending), the cumulative append count, and the durability watermark.
-#[derive(Debug)]
-struct GroupShared {
-    /// A `try_clone`d handle onto the live WAL file.  `fdatasync` on a duplicate
-    /// descriptor flushes the same kernel file object the writer appends through, so
-    /// one sync covers every append that completed before it.  Rebound under the lock
-    /// when a checkpoint rotates the log.
-    file: Mutex<File>,
-    /// Records appended through the owning writer since group commit began
-    /// (monotone; carried across WAL rotations).
-    appended: AtomicU64,
-    /// Watermark: every append numbered `<= durable` has been covered by a sync.
-    durable: AtomicU64,
-    /// `fdatasync` calls actually issued.
-    fsyncs: AtomicU64,
-    /// Appends covered by those syncs (`synced - fsyncs × 1` is the coalescing win).
-    synced: AtomicU64,
-}
-
-/// A group-commit handle onto a live WAL: appends through the owning [`WalWriter`]
-/// stop fsyncing individually, and callers instead ask [`GroupCommit::sync_upto`] to
-/// make a given append watermark durable — one `fdatasync` covers **every** append
-/// that landed before it, so pipelined commits coalesce their syncs for free.
-///
-/// Durability semantics: a crash can lose only appends past the highest watermark a
-/// `sync_upto` call has returned for, and recovery truncates the torn tail to the
-/// last fully-framed record exactly as before — the loss window widens from
-/// at-most-one batch to at-most-the-unsynced window, which is the contract the
-/// pipelined serving layer advertises.
-#[derive(Debug, Clone)]
-pub struct GroupCommit {
-    shared: Arc<GroupShared>,
-}
-
-impl GroupCommit {
-    /// Records appended through the owning writer since group commit began.
-    pub fn appended(&self) -> u64 {
-        self.shared.appended.load(Ordering::Acquire)
-    }
-
-    /// The durability watermark: appends numbered `<= durable()` survive a crash.
-    pub fn durable(&self) -> u64 {
-        self.shared.durable.load(Ordering::Acquire)
-    }
-
-    /// `fdatasync` calls issued through this group (coalescing makes this smaller
-    /// than the number of `sync_upto` requests).
-    pub fn fsyncs(&self) -> u64 {
-        self.shared.fsyncs.load(Ordering::Relaxed)
-    }
-
-    /// Appends covered by the issued syncs.
-    pub fn synced(&self) -> u64 {
-        self.shared.synced.load(Ordering::Relaxed)
-    }
-
-    /// Makes every append numbered `<= target` durable.  Returns without touching
-    /// the disk when an earlier sync already covered `target`; otherwise issues one
-    /// `fdatasync` that covers everything appended so far (conservatively watermarked
-    /// at the append count loaded *before* the sync — appends racing the sync are
-    /// not credited, the next sync re-covers them).
-    pub fn sync_upto(&self, target: u64) -> PersistResult<()> {
-        if self.durable() >= target {
-            return Ok(());
-        }
-        let file = self.shared.file.lock().expect("group-commit file poisoned");
-        // Re-check under the lock: the sync we queued behind may have covered us.
-        if self.durable() >= target {
-            return Ok(());
-        }
-        let mark = self.shared.appended.load(Ordering::Acquire);
-        crate::shim::notify(crate::shim::IoOp::WalSync, 0);
-        file.sync_data()?;
-        self.shared.fsyncs.fetch_add(1, Ordering::Relaxed);
-        let prev = self.shared.durable.fetch_max(mark, Ordering::AcqRel);
-        self.shared
-            .synced
-            .fetch_add(mark.saturating_sub(prev), Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// Rebinds the group onto `file` (a fresh WAL after rotation) and credits every
-    /// prior append as durable — the checkpoint that rotated the log made them
-    /// obsolete.  Called with the writer quiesced (no in-flight appends).
-    fn rebind(&self, file: File) {
-        let mut slot = self.shared.file.lock().expect("group-commit file poisoned");
-        let mark = self.shared.appended.load(Ordering::Acquire);
-        self.shared.durable.fetch_max(mark, Ordering::AcqRel);
-        *slot = file;
-    }
-}
-
-/// Appends CRC-framed records to a WAL file, fsyncing each batch by default.
+/// Appends CRC-framed records to a WAL file, each synced before its append returns.
 #[derive(Debug)]
 pub struct WalWriter {
     file: File,
-    fsync: bool,
     appended: u64,
-    /// Individual (non-group) `fdatasync` calls issued by the append path.
+    /// `fdatasync` calls issued by the append path.
     fsyncs: u64,
     /// Nanoseconds those calls took since [`WalWriter::take_sync_nanos`] last
     /// drained them; `None` (no clock is read) until it is first called.
     sync_nanos: Option<u64>,
-    /// When set, appends skip their individual fsync and bump the group's append
-    /// counter instead; durability is driven through [`GroupCommit::sync_upto`].
-    group: Option<Arc<GroupShared>>,
 }
 
-/// Point-in-time WAL observability counters, unifying the individual-fsync and
-/// group-commit modes into one view (see [`WalWriter::stats`]).
+/// Point-in-time WAL observability counters (see [`WalWriter::stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WalStats {
     /// Records appended through the writer (this incarnation; resets on rotation).
     pub appended: u64,
-    /// Individual `fdatasync` calls issued by the append path (zero in group mode).
+    /// `fdatasync` calls issued by the append path, one per append.
     pub fsyncs: u64,
-    /// Whether the writer is currently in group-commit mode.
-    pub group_active: bool,
-    /// Group-mode appends published for coalesced syncs (monotone across rotations).
-    pub group_appended: u64,
-    /// The group durability watermark (appends numbered `<=` this survive a crash).
-    pub group_durable: u64,
-    /// Coalesced `fdatasync` calls issued through the group.
-    pub group_fsyncs: u64,
-    /// Appends covered by those coalesced syncs.
-    pub group_synced: u64,
 }
 
 impl WalWriter {
+    fn new(file: File) -> Self {
+        WalWriter {
+            file,
+            appended: 0,
+            fsyncs: 0,
+            sync_nanos: None,
+        }
+    }
+
     /// Creates a fresh WAL file (failing if one already exists) and syncs its header.
     pub fn create(path: &Path) -> PersistResult<Self> {
         let mut file = OpenOptions::new().write(true).create_new(true).open(path)?;
@@ -537,14 +435,7 @@ impl WalWriter {
         header.extend_from_slice(&crc.to_le_bytes());
         file.write_all(&header)?;
         file.sync_all()?;
-        Ok(WalWriter {
-            file,
-            fsync: true,
-            appended: 0,
-            fsyncs: 0,
-            sync_nanos: None,
-            group: None,
-        })
+        Ok(WalWriter::new(file))
     }
 
     /// Re-opens an existing WAL for appending: validates every frame, truncates the
@@ -560,36 +451,18 @@ impl WalWriter {
         }
         let mut file = file;
         file.seek(SeekFrom::Start(scan.valid_len))?;
-        Ok((
-            scan,
-            WalWriter {
-                file,
-                fsync: true,
-                appended: 0,
-                fsyncs: 0,
-                sync_nanos: None,
-                group: None,
-            },
-        ))
+        Ok((scan, WalWriter::new(file)))
     }
 
-    /// Controls whether each append fsyncs before returning (defaults to `true`).
-    /// With fsync off, durability of recent batches depends on the OS page cache —
-    /// only recovery *correctness* is preserved (the tail truncates cleanly either
-    /// way), not the at-most-one-batch loss bound.
-    pub fn set_fsync(&mut self, fsync: bool) {
-        self.fsync = fsync;
-    }
-
-    /// Appends one edges-only record (no effects) and (by default) fsyncs it.
-    /// Encodes straight from the borrowed batch — no clone of the edges.
+    /// Appends one edges-only record (no effects) and fsyncs it.  Encodes straight
+    /// from the borrowed batch — no clone of the edges.
     pub fn append(&mut self, seq: u64, op: WalOp, edges: &[Edge]) -> PersistResult<()> {
         self.append_frame(&encode_frame(seq, op, edges, None))
     }
 
     /// Appends one batch record — the edges plus the effects an engine's recovery
-    /// installs instead of re-running the batch — and (by default) fsyncs it, so
-    /// the caller may install the batch once this returns.
+    /// installs instead of re-running the batch — and fsyncs it, so the caller may
+    /// install the batch once this returns.
     pub fn append_batch(&mut self, record: &BatchRecord<'_>) -> PersistResult<()> {
         self.append_frame(&encode_frame(
             record.seq,
@@ -602,30 +475,23 @@ impl WalWriter {
     fn append_frame(&mut self, frame: &[u8]) -> PersistResult<()> {
         crate::shim::notify(crate::shim::IoOp::WalAppend, frame.len());
         self.file.write_all(frame)?;
-        if let Some(group) = &self.group {
-            // Group commit: publish the append for a later coalesced sync instead of
-            // paying an fsync here.
-            group.appended.fetch_add(1, Ordering::AcqRel);
-        } else if self.fsync {
-            crate::shim::notify(crate::shim::IoOp::WalSync, 0);
-            match &mut self.sync_nanos {
-                Some(total) => {
-                    let started = Instant::now();
-                    self.file.sync_data()?;
-                    *total += started.elapsed().as_nanos() as u64;
-                }
-                None => self.file.sync_data()?,
+        crate::shim::notify(crate::shim::IoOp::WalSync, 0);
+        match &mut self.sync_nanos {
+            Some(total) => {
+                let started = Instant::now();
+                self.file.sync_data()?;
+                *total += started.elapsed().as_nanos() as u64;
             }
-            self.fsyncs += 1;
+            None => self.file.sync_data()?,
         }
+        self.fsyncs += 1;
         self.appended += 1;
         Ok(())
     }
 
     /// Drains the time appends have spent waiting in their own `fdatasync` since the
     /// last call, in nanoseconds.  The first call starts the timing (and returns 0):
-    /// a writer nobody asks pays no clock reads.  Group-commit syncs are not the
-    /// append path's and are not counted.
+    /// a writer nobody asks pays no clock reads.
     pub fn take_sync_nanos(&mut self) -> u64 {
         self.sync_nanos.replace(0).unwrap_or(0)
     }
@@ -635,61 +501,12 @@ impl WalWriter {
         self.appended
     }
 
-    /// Point-in-time WAL counters covering both durability modes: the writer's
-    /// own append/fsync counts plus, in group-commit mode, the group's
-    /// append/watermark/coalesced-sync counters.
+    /// Point-in-time WAL counters: the writer's append and fsync counts.
     pub fn stats(&self) -> WalStats {
-        let mut stats = WalStats {
+        WalStats {
             appended: self.appended,
             fsyncs: self.fsyncs,
-            ..WalStats::default()
-        };
-        if let Some(group) = &self.group {
-            stats.group_active = true;
-            stats.group_appended = group.appended.load(Ordering::Acquire);
-            stats.group_durable = group.durable.load(Ordering::Acquire);
-            stats.group_fsyncs = group.fsyncs.load(Ordering::Relaxed);
-            stats.group_synced = group.synced.load(Ordering::Relaxed);
         }
-        stats
-    }
-
-    /// Switches the writer into group-commit mode: appends stop fsyncing
-    /// individually, and the returned (cloneable) [`GroupCommit`] handle drives
-    /// durability through [`GroupCommit::sync_upto`] — typically from a pipelined
-    /// committer thread, while this writer keeps appending.
-    pub fn begin_group_commit(&mut self) -> PersistResult<GroupCommit> {
-        let shared = Arc::new(GroupShared {
-            file: Mutex::new(self.file.try_clone()?),
-            appended: AtomicU64::new(0),
-            durable: AtomicU64::new(0),
-            fsyncs: AtomicU64::new(0),
-            synced: AtomicU64::new(0),
-        });
-        self.group = Some(Arc::clone(&shared));
-        Ok(GroupCommit { shared })
-    }
-
-    /// Rebinds an existing group-commit handle onto this (freshly rotated) writer:
-    /// appends continue the group's cumulative numbering, and every pre-rotation
-    /// append is credited as durable (the checkpoint superseded them).
-    pub fn adopt_group(&mut self, group: &GroupCommit) -> PersistResult<()> {
-        group.rebind(self.file.try_clone()?);
-        self.group = Some(Arc::clone(&group.shared));
-        Ok(())
-    }
-
-    /// Leaves group-commit mode: issues one final sync covering every outstanding
-    /// append (when per-append fsync is configured), then restores the writer's
-    /// individual-fsync behaviour.
-    pub fn end_group_commit(&mut self) -> PersistResult<()> {
-        if let Some(group) = self.group.take() {
-            let outstanding = group.appended.load(Ordering::Acquire);
-            if self.fsync && group.durable.load(Ordering::Acquire) < outstanding {
-                GroupCommit { shared: group }.sync_upto(outstanding)?;
-            }
-        }
-        Ok(())
     }
 }
 
@@ -723,12 +540,6 @@ mod tests {
             .unwrap();
         assert!(writer.take_sync_nanos() > 0);
         assert_eq!(writer.take_sync_nanos(), 0, "drained");
-        // An unsynced append has nothing to wait for.
-        writer.set_fsync(false);
-        writer
-            .append(3, WalOp::Arrivals, &edges(&[(3, 4)]))
-            .unwrap();
-        assert_eq!(writer.take_sync_nanos(), 0);
         assert_eq!(writer.stats().fsyncs, 3);
     }
 
@@ -819,95 +630,6 @@ mod tests {
         assert!(read_records(&path).is_err());
         std::fs::write(&path, b"short").unwrap();
         assert!(read_records(&path).is_err());
-    }
-
-    #[test]
-    fn group_commit_coalesces_syncs_under_one_watermark() {
-        let dir = TempDir::new("wal-group");
-        let path = dir.path().join("wal.log");
-        let mut writer = WalWriter::create(&path).unwrap();
-        let group = writer.begin_group_commit().unwrap();
-
-        for seq in 0..5 {
-            writer
-                .append(
-                    seq,
-                    WalOp::Arrivals,
-                    &edges(&[(seq as u32, seq as u32 + 1)]),
-                )
-                .unwrap();
-        }
-        assert_eq!(group.appended(), 5);
-        assert_eq!(group.durable(), 0, "nothing synced yet");
-        assert_eq!(group.fsyncs(), 0);
-
-        // One sync covers all five appends…
-        group.sync_upto(5).unwrap();
-        assert_eq!(group.fsyncs(), 1);
-        assert_eq!(group.durable(), 5);
-        assert_eq!(group.synced(), 5);
-        // …and watermarks at or below it are free.
-        group.sync_upto(3).unwrap();
-        group.sync_upto(5).unwrap();
-        assert_eq!(group.fsyncs(), 1, "covered watermarks re-sync nothing");
-
-        // A sync requested mid-window covers the appends racing ahead of it too.
-        writer.append(5, WalOp::Arrivals, &[]).unwrap();
-        writer.append(6, WalOp::Deletions, &[]).unwrap();
-        group.sync_upto(6).unwrap();
-        assert_eq!(group.fsyncs(), 2);
-        assert_eq!(group.durable(), 7, "the sync credited the append beyond it");
-
-        writer.end_group_commit().unwrap();
-        let scan = read_records(&path).unwrap();
-        assert_eq!(scan.records.len(), 7);
-        assert!(!scan.torn_tail);
-    }
-
-    #[test]
-    fn group_rebind_carries_the_watermark_across_rotation() {
-        let dir = TempDir::new("wal-group-rotate");
-        let old_path = dir.path().join("wal-1.log");
-        let new_path = dir.path().join("wal-2.log");
-        let mut writer = WalWriter::create(&old_path).unwrap();
-        let group = writer.begin_group_commit().unwrap();
-        writer
-            .append(0, WalOp::Arrivals, &edges(&[(1, 2)]))
-            .unwrap();
-        assert_eq!(group.durable(), 0);
-
-        // Rotation: a fresh writer adopts the group; the superseded appends are
-        // credited durable and new appends keep the cumulative numbering.
-        let mut rotated = WalWriter::create(&new_path).unwrap();
-        rotated.adopt_group(&group).unwrap();
-        assert_eq!(group.durable(), 1, "pre-rotation appends credited");
-        rotated
-            .append(1, WalOp::Arrivals, &edges(&[(3, 4)]))
-            .unwrap();
-        assert_eq!(group.appended(), 2);
-        group.sync_upto(2).unwrap();
-        assert_eq!(group.durable(), 2);
-        assert_eq!(read_records(&new_path).unwrap().records.len(), 1);
-    }
-
-    #[test]
-    fn ending_group_commit_restores_per_append_fsync() {
-        let dir = TempDir::new("wal-group-end");
-        let path = dir.path().join("wal.log");
-        let mut writer = WalWriter::create(&path).unwrap();
-        let group = writer.begin_group_commit().unwrap();
-        writer
-            .append(0, WalOp::Arrivals, &edges(&[(1, 2)]))
-            .unwrap();
-        writer.end_group_commit().unwrap();
-        assert_eq!(group.durable(), 1, "the final sync covered the tail");
-        // Appends after the group ends are individually fsynced again and no longer
-        // counted against the group.
-        writer
-            .append(1, WalOp::Arrivals, &edges(&[(3, 4)]))
-            .unwrap();
-        assert_eq!(group.appended(), 1);
-        assert_eq!(read_records(&path).unwrap().records.len(), 2);
     }
 
     fn plan(entries: &[(u32, &[u32])]) -> SegmentRewrites {

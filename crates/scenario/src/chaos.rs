@@ -136,21 +136,6 @@ fn tear_snapshot_page(root: &Path) -> bool {
     true
 }
 
-/// Rebuilds a serving session after a crash-recovery, preserving the crashed
-/// session's commit-pipeline window (a recovered server keeps its configuration).
-fn rebuild_session<E: ppr_serve::ServeEngine>(
-    engine: E,
-    query_seed: u64,
-    window: usize,
-) -> QueryEngine<E> {
-    let serving = QueryEngine::new(engine, query_seed);
-    if window > 0 {
-        serving.with_pipeline(window)
-    } else {
-        serving
-    }
-}
-
 /// Chaos hooks for durable PageRank engines over any persistent store layout:
 /// checkpoints on [`crate::trace::Event::Checkpoint`], crash/corrupt/recover on
 /// plan faults, slow-disk stalls through the `ppr-persist` I/O shim.
@@ -225,17 +210,15 @@ where
             }
             Fault::CrashTornWal => {
                 let query_seed = serving.handle().query_seed();
-                let window = serving.pipeline_window();
                 drop(serving.into_engine());
                 self.crashes += 1;
                 tear_wal_tail(&self.root);
                 let engine = IncrementalPageRank::<W>::open(&self.root)
                     .expect("torn-WAL recovery must succeed");
-                rebuild_session(engine, query_seed, window)
+                QueryEngine::new(engine, query_seed)
             }
             Fault::TornSnapshotPage => {
                 let query_seed = serving.handle().query_seed();
-                let window = serving.pipeline_window();
                 drop(serving.into_engine());
                 self.crashes += 1;
                 if tear_snapshot_page(&self.root) {
@@ -243,7 +226,7 @@ where
                 }
                 let engine = IncrementalPageRank::<W>::open(&self.root)
                     .expect("torn-snapshot fallback recovery must succeed");
-                rebuild_session(engine, query_seed, window)
+                QueryEngine::new(engine, query_seed)
             }
         }
     }

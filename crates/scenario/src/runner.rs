@@ -124,8 +124,6 @@ pub struct ScenarioRunner {
     pub query_seed: u64,
     /// Reader threads serving each query batch.
     pub readers: usize,
-    /// Commit-pipeline in-flight window (0 = inline commits).
-    pub pipeline: usize,
     /// Batched-serving width: query tides are chunked into [`QueryBatch`]es of
     /// this many queries and served via [`ReaderPool::serve_batch`] (0 = the
     /// per-query [`ReaderPool::serve_all`] path).  Answers are bit-identical at
@@ -142,7 +140,6 @@ impl ScenarioRunner {
         ScenarioRunner {
             query_seed: 0,
             readers,
-            pipeline: 0,
             batch_width: std::env::var("PPR_BATCH_WIDTH")
                 .ok()
                 .and_then(|v| v.parse().ok())
@@ -182,15 +179,6 @@ impl ScenarioRunner {
         out
     }
 
-    /// Runs commits through a pipelined committer with the given in-flight
-    /// `window` (0 keeps the inline default).  The runner flushes the pipeline
-    /// before every query batch, so answers stay bit-identical to an inline
-    /// replay — which is exactly the property the differential harnesses check.
-    pub fn with_pipeline(mut self, window: usize) -> Self {
-        self.pipeline = window;
-        self
-    }
-
     /// Replays `trace` through `engine` with no chaos and no checkpoint action.
     pub fn replay<E: ServeEngine>(&self, trace: &Trace, engine: E) -> (E, RunOutcome) {
         self.replay_with(trace, engine, &ChaosPlan::none(), &mut NoHooks)
@@ -215,17 +203,12 @@ impl ScenarioRunner {
             trace.scenario.seed
         };
         let mut serving = QueryEngine::new(engine, query_seed).with_telemetry(sampler.tele);
-        if self.pipeline > 0 {
-            serving = serving.with_pipeline(self.pipeline);
-        }
         let pool = ReaderPool::new(self.readers.max(1));
         let mut outcome = RunOutcome::default();
         let mut current_phase = None;
         for event in &trace.events {
             if let Some(prev) = current_phase {
                 if prev != event.phase {
-                    // Snapshot a finished phase with its commit spans drained.
-                    serving.flush_commits();
                     sampler.sample(&serving, &format!("phase{prev}"))?;
                 }
             }
@@ -245,7 +228,6 @@ impl ScenarioRunner {
                 }
                 Event::Queries(jobs) => {
                     if !jobs.is_empty() {
-                        serving.flush_commits();
                         let handle = serving.handle();
                         for served in self.serve_jobs(&pool, &handle, jobs) {
                             if served.budget_exhausted {
@@ -258,7 +240,6 @@ impl ScenarioRunner {
                 Event::Checkpoint => outcome.checkpoints += 1,
             }
         }
-        serving.flush_commits();
         sampler.sample(&serving, "final")?;
         Ok((serving.into_engine(), outcome))
     }
@@ -279,9 +260,6 @@ impl ScenarioRunner {
             trace.scenario.seed
         };
         let mut serving = QueryEngine::new(engine, query_seed);
-        if self.pipeline > 0 {
-            serving = serving.with_pipeline(self.pipeline);
-        }
         let pool = ReaderPool::new(self.readers.max(1));
         let mut outcome = RunOutcome::default();
         for (index, event) in trace.events.iter().enumerate() {
@@ -300,10 +278,6 @@ impl ScenarioRunner {
                 }
                 Event::Queries(jobs) => {
                     if !jobs.is_empty() {
-                        // Queries must see every commit issued so far (pipelined
-                        // commits may still be in flight) — this is what keeps a
-                        // pipelined replay's answers bit-identical to inline.
-                        serving.flush_commits();
                         // Re-acquire the handle each batch: a crash hook may have
                         // replaced the whole serving session since the last one.
                         let handle = serving.handle();

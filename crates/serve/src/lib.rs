@@ -41,9 +41,7 @@ pub mod pool;
 pub mod telem;
 
 pub use batch::{DeadlineBudget, QueryBatch};
-pub use engine::{
-    CommitStats, MirrorOp, OpsRecorder, QueryEngine, ServeEngine, ServeHandle, WriteOp,
-};
+pub use engine::{CommitStats, QueryEngine, ServeEngine, ServeHandle, WriteOp};
 pub use generation::{Answer, EngineKind, Generation, PinnedView, Query, Served};
 pub use pool::ReaderPool;
 
@@ -249,52 +247,6 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_commits_publish_the_same_generations_as_inline() {
-        // Same stream, same seeds: a window-3 pipeline must publish, after a flush,
-        // exactly the generation the inline committer publishes — epoch, walks,
-        // graph, the lot.
-        let stream = edges(110, 941);
-        let config = MonteCarloConfig::new(0.2, 3).with_seed(943);
-        let mut inline = QueryEngine::new(IncrementalPageRank::new_empty(110, config), 11);
-        let mut piped =
-            QueryEngine::new(IncrementalPageRank::new_empty(110, config), 11).with_pipeline(3);
-        for (i, chunk) in stream.chunks(30).enumerate() {
-            inline.commit_arrivals(chunk);
-            piped.commit_arrivals(chunk);
-            if i % 3 == 1 {
-                let victims: Vec<Edge> = chunk.iter().copied().step_by(7).collect();
-                inline.commit_deletions(&victims);
-                piped.commit_deletions(&victims);
-            }
-        }
-        piped.flush_commits();
-        let a = inline.pin();
-        let b = piped.pin();
-        assert_eq!(a.epoch(), b.epoch(), "same number of commits published");
-        assert_walks_equal(b.walks(), inline.engine().walk_store(), "piped final");
-        for node in inline.engine().graph().nodes() {
-            assert_eq!(
-                b.graph().out_neighbors(node),
-                a.graph().out_neighbors(node),
-                "out-adjacency of {node}"
-            );
-            assert_eq!(
-                b.graph().in_neighbors(node),
-                a.graph().in_neighbors(node),
-                "in-adjacency of {node}"
-            );
-        }
-        let stats = piped.commit_stats();
-        assert_eq!(stats.pipelined_commits, stats.commits);
-        assert!(stats.commits > 0);
-        assert_eq!(piped.pipeline_window(), 3);
-        assert_eq!(inline.pipeline_window(), 0);
-        // Tearing the serving layer down returns the engine intact.
-        let engine = piped.into_engine();
-        assert_walks_equal(a.walks(), engine.walk_store(), "returned engine");
-    }
-
-    #[test]
     fn a_one_edge_commit_copies_o1_leaf_chunks() {
         // The two-level spine regression guard: on a store hundreds of chunks wide,
         // publishing a 1-edge batch re-copies only the chunks the batch touched
@@ -388,26 +340,7 @@ mod tests {
         // One snapshot sees the engine layers and the serving layer together.
         assert!(snap.counter("store.fetches").is_some());
         assert!(snap.counter("arena.in_place_writes").is_some());
-        assert_eq!(snap.gauge("serve.pipeline_window"), Some(0.0));
-
-        // Attaching telemetry to a pipelined session bounces the pipeline and
-        // traces the committer on its thread.
-        let tele2 = ppr_telemetry::Telemetry::new();
-        let mut piped = QueryEngine::new(IncrementalPageRank::new_empty(90, config), 21)
-            .with_pipeline(2)
-            .with_telemetry(&tele2);
-        for chunk in stream.chunks(30) {
-            piped.commit_arrivals(chunk);
-        }
-        piped.flush_commits();
-        assert_eq!(piped.handle().serve(5, &query), expected);
-        let snap = piped.telemetry_snapshot().expect("registry attached");
-        assert_eq!(
-            snap.histogram("commit.mirror").expect("mirror").count,
-            piped.epoch(),
-            "the commit thread records its stage spans"
-        );
-        assert_eq!(snap.gauge("serve.pipeline_window"), Some(2.0));
+        assert_eq!(snap.gauge("serve.epoch"), Some(traced.epoch() as f64));
     }
 
     #[test]

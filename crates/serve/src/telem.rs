@@ -17,34 +17,27 @@ use ppr_telemetry::{Counter, Histogram, MetricSource, SnapshotBuilder, Telemetry
 impl MetricSource for CommitStats {
     fn emit(&self, out: &mut SnapshotBuilder) {
         out.counter("commits", self.commits);
-        out.counter("pipelined_commits", self.pipelined_commits);
-        out.gauge("max_inflight", self.max_inflight as f64);
         out.counter("walk_chunks_copied", self.walk_chunks_copied);
         out.counter("count_chunks_copied", self.count_chunks_copied);
         out.counter("graph_chunks_copied", self.graph_chunks_copied);
         out.counter("spine_blocks_copied", self.spine_blocks_copied);
-        out.counter("wal_fsyncs", self.wal_fsyncs);
-        out.counter("wal_appends_synced", self.wal_appends_synced);
-        out.ratio(
-            "wal_appends_per_fsync",
-            self.wal_appends_synced,
-            self.wal_fsyncs,
-        );
     }
 }
 
-/// Pre-created histograms for the commit lifecycle stages.  One bundle lives on
-/// the writer (`commit.apply` wraps the engine apply) and a clone lives on the
-/// committer — inline or on the commit thread — timing the mirror advance, the
-/// coalesced WAL sync, and the generation publish/reclaim swap.
-#[derive(Debug, Clone)]
+/// Pre-created histograms for the commit lifecycle stages: `commit.apply` wraps
+/// the engine apply, `commit.wal_sync` books the WAL sync inside it, and the
+/// committer times the mirror advance and the generation publish/reclaim swap.
+#[derive(Debug)]
 pub(crate) struct CommitSpans {
     pub(crate) tele: Telemetry,
-    /// `commit.apply`: applying the batch to the live engine + recording ops.
+    /// `commit.apply`: applying the batch to the live engine, its WAL sync
+    /// excluded.
     pub(crate) apply: Histogram,
-    /// `commit.mirror`: replaying recorded ops + edges onto the COW mirror.
+    /// `commit.mirror`: replaying the batch's segments + edges onto the COW
+    /// mirror.
     pub(crate) mirror: Histogram,
-    /// `commit.wal_sync`: the coalesced group-commit `fdatasync` (durable only).
+    /// `commit.wal_sync`: the batch's own WAL `fdatasync`, inside the apply
+    /// (durable only).
     pub(crate) wal_sync: Histogram,
     /// `commit.publish`: the generation swap plus ping-pong buffer reclaim.
     pub(crate) publish: Histogram,
@@ -119,14 +112,16 @@ mod tests {
     fn commit_stats_emit_counters_and_coalescing_ratio() {
         let stats = CommitStats {
             commits: 4,
-            wal_fsyncs: 2,
-            wal_appends_synced: 8,
+            walk_chunks_copied: 7,
             ..CommitStats::default()
         };
         let mut out = SnapshotBuilder::new();
         out.source("commit", &stats);
         let snap = TelemetrySnapshot::from_builder(0, out);
         assert_eq!(snap.counter("commit.commits"), Some(4));
-        assert_eq!(snap.gauge("commit.wal_appends_per_fsync"), Some(4.0));
+        assert_eq!(snap.counter("commit.walk_chunks_copied"), Some(7));
+        // Every commit syncs its own WAL record (`wal.fsyncs` counts them), so
+        // there is no coalescing ratio to report.
+        assert_eq!(snap.gauge("commit.wal_appends_per_fsync"), None);
     }
 }

@@ -16,18 +16,15 @@ fn main() {
     let engine = IncrementalPageRank::new_empty(2_000, config);
 
     // One registry observes the whole stack: attach it before the first commit
-    // so the commit-stage spans (apply → mirror → WAL sync → publish) cover
-    // every published generation.
+    // so the commit-stage spans (apply → mirror → publish) cover every published
+    // generation.  This engine is in memory, so `commit.wal_sync` stays empty.
     let tele = Telemetry::new();
-    let mut serving = QueryEngine::new(engine, 4242)
-        .with_telemetry(&tele)
-        .with_pipeline(4);
+    let mut serving = QueryEngine::new(engine, 4242).with_telemetry(&tele);
 
-    // Write path: commit the stream in 256-edge batches.
+    // Write path: commit the stream in 256-edge batches, each published inline.
     for chunk in edges.chunks(256) {
         serving.commit_arrivals(chunk);
     }
-    serving.flush_commits();
 
     // Read path: personalized top-k under a Corollary 9 fetch budget, so the
     // query spans, fetch histogram, and budget-exhausted counter all record.

@@ -78,7 +78,7 @@ pub mod prelude {
     pub use ppr_baselines::power_iteration::{personalized_power_iteration, power_iteration};
     pub use ppr_baselines::salsa_exact::salsa_exact;
     pub use ppr_core::config::MonteCarloConfig;
-    pub use ppr_core::durable::{DurabilityOptions, DurablePageRank};
+    pub use ppr_core::durable::DurablePageRank;
     pub use ppr_core::incremental::IncrementalPageRank;
     pub use ppr_core::personalized::PersonalizedWalker;
     pub use ppr_core::salsa::IncrementalSalsa;

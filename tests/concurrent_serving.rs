@@ -28,9 +28,7 @@ mod common;
 
 use common::thread_counts;
 use fast_ppr::prelude::*;
-use fast_ppr::serve::{
-    Answer, MirrorOp, OpsRecorder, PinnedView, Query, QueryBatch, ServeEngine, Served, WriteOp,
-};
+use fast_ppr::serve::{Answer, PinnedView, Query, QueryBatch, ServeEngine, Served, WriteOp};
 use ppr_core::{WalkEngine, WalkKind};
 use ppr_graph::generators::{preferential_attachment_edges, PreferentialAttachmentConfig};
 use ppr_graph::stream::random_permutation;
@@ -226,125 +224,6 @@ fn concurrent_queries_observe_exactly_one_committed_generation() {
     }
 }
 
-/// The pipeline window to test with: `PPR_PIPELINE_WINDOW` pins one (the CI
-/// matrix forces > 1); default 3 keeps a non-trivial number of commits in flight.
-fn pipeline_window() -> usize {
-    std::env::var("PPR_PIPELINE_WINDOW")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(3)
-        .max(2)
-}
-
-#[test]
-fn pipelined_publishes_are_exactly_batch_prefix_states() {
-    // With the commit pipeline holding a non-trivial in-flight window, readers may
-    // trail the live engine by up to `window` epochs — but every generation they
-    // can pin must still be *exactly* the state after some batch prefix, and every
-    // answer must replay bit-identically against its pinned generation.
-    let ops = schedule(731);
-    let config = MonteCarloConfig::new(0.2, 3).with_seed(733);
-    let window = pipeline_window();
-
-    for readers in thread_counts() {
-        let engine = IncrementalPageRank::new_empty(NODES, config);
-        let mut serving = QueryEngine::new(engine, QUERY_SEED).with_pipeline(window);
-        let handle = serving.handle();
-
-        let done = AtomicBool::new(false);
-        let next_query = AtomicU64::new(0);
-        let recorded: Mutex<Vec<(PinnedView, Served, Query)>> = Mutex::new(Vec::new());
-
-        let serving = std::thread::scope(|scope| {
-            let writer = scope.spawn(|| {
-                for op in &ops {
-                    match op {
-                        Op::Arrive(batch) => serving.commit_arrivals(batch),
-                        Op::Delete(batch) => serving.commit_deletions(batch),
-                    };
-                }
-                serving.flush_commits();
-                done.store(true, Ordering::Release);
-                serving
-            });
-            for _ in 0..readers {
-                scope.spawn(|| loop {
-                    let qid = next_query.fetch_add(1, Ordering::Relaxed);
-                    let query = query_for(qid);
-                    // Keep the pinned view with the answer: the replay oracle and
-                    // the prefix oracle both need the exact generation served from.
-                    let view = handle.pin();
-                    let served = view.answer(QUERY_SEED, qid, &query);
-                    recorded.lock().unwrap().push((view, served, query));
-                    if done.load(Ordering::Acquire) {
-                        break;
-                    }
-                });
-            }
-            writer.join().expect("pipelined writer")
-        });
-
-        // After the flush the published generation is the full schedule's state.
-        let final_view = serving.pin();
-        assert_eq!(
-            final_view.epoch(),
-            ops.len() as u64,
-            "flush drains the window"
-        );
-        let stats = serving.commit_stats();
-        assert_eq!(stats.pipelined_commits, ops.len() as u64);
-        assert_eq!(stats.commits, ops.len() as u64);
-
-        // Prong 1: every pinned generation (dense prefix replay, one reference
-        // engine walked forward) equals its batch-prefix state bit for bit.
-        let recorded = recorded.into_inner().unwrap();
-        assert!(
-            !recorded.is_empty(),
-            "readers must observe the pipelined run"
-        );
-        let mut by_epoch: Vec<&PinnedView> = recorded.iter().map(|(v, _, _)| v).collect();
-        by_epoch.push(&final_view);
-        by_epoch.sort_by_key(|v| v.epoch());
-        by_epoch.dedup_by_key(|v| v.epoch());
-        let mut reference = IncrementalPageRank::new_empty(NODES, config);
-        let mut next = by_epoch.iter().peekable();
-        for epoch in 0..=ops.len() {
-            if epoch > 0 {
-                match &ops[epoch - 1] {
-                    Op::Arrive(batch) => {
-                        reference.apply_arrivals(batch);
-                    }
-                    Op::Delete(batch) => {
-                        reference.apply_deletions(batch);
-                    }
-                }
-            }
-            if next.peek().is_some_and(|v| v.epoch() == epoch as u64) {
-                assert_generation_matches_reference(
-                    next.next().unwrap(),
-                    &reference,
-                    &format!("pipelined epoch {epoch} ({readers} readers, window {window})"),
-                );
-            }
-        }
-        assert!(
-            next.peek().is_none(),
-            "every pinned epoch was a batch prefix"
-        );
-
-        // Prong 2: concurrent answers replay bit-identically on one thread.
-        for (view, served, query) in &recorded {
-            assert_eq!(served.epoch, view.epoch());
-            let replay = view.answer(QUERY_SEED, served.query_id, query);
-            assert_eq!(
-                *served, replay,
-                "query {} served under the pipeline diverges from replay",
-                served.query_id
-            );
-        }
-    }
-}
-
 #[test]
 fn reader_pool_width_never_changes_answers() {
     // Fix one generation, serve the same query batch through pools of different
@@ -499,9 +378,9 @@ fn salsa_serving_is_deterministic_under_a_live_writer() {
 #[test]
 fn salsa_deletion_commit_is_one_plan_and_one_generation() {
     // A 32-edge SALSA deletion batch is one batched repair, like PageRank's: the
-    // engine records one rewrite plan (no per-edge mirror steps), the serving layer
-    // publishes one generation, and that generation equals the single-threaded
-    // replay of the same two batches.
+    // engine leaves one rewrite plan (no per-edge mirror steps) and creates no
+    // node, the serving layer publishes one generation from that plan, and that
+    // generation equals the single-threaded replay of the same two batches.
     let pa = PreferentialAttachmentConfig::new(80, 4, 731);
     let edges = random_permutation(&preferential_attachment_edges(&pa), 733);
     let victims: Vec<Edge> = edges.iter().copied().step_by(5).take(32).collect();
@@ -509,13 +388,16 @@ fn salsa_deletion_commit_is_one_plan_and_one_generation() {
 
     let mut reference = IncrementalSalsa::new_empty(80, config);
     reference.apply_arrivals(&edges);
-    let mut recorder = OpsRecorder::default();
-    let replayed = reference.apply_and_record(WriteOp::Deletions(&victims), &mut recorder);
-    let ops = recorder.take_ops();
+    let nodes = reference.live_walks().node_count();
+    let replayed = reference.apply(WriteOp::Deletions(&victims));
     assert!(
-        matches!(ops.as_slice(), [MirrorOp::Rewrites(plan)] if !plan.is_empty()),
-        "a deletion batch records exactly one rewrite plan, got {} ops",
-        ops.len()
+        !ServeEngine::last_rewrites(&reference).is_empty(),
+        "a deletion batch leaves one non-empty rewrite plan"
+    );
+    assert_eq!(
+        reference.live_walks().node_count(),
+        nodes,
+        "and grows no node"
     );
 
     let mut serving = QueryEngine::new(IncrementalSalsa::new_empty(80, config), QUERY_SEED);

@@ -438,95 +438,6 @@ fn torn_wal_tail_recovers_to_the_last_full_record() {
     assert_stores_identical(reopened.walk_store(), reference.walk_store(), "resumed log");
 }
 
-/// Truncates the last `k` records off a WAL, leaving a torn tail — what the file
-/// looks like after power loss while those appends sat in the group-commit window,
-/// written to the page cache but not yet covered by a coalesced `fdatasync`.
-/// Returns how many full records survive.
-fn cut_wal_records(wal: &std::path::Path, k: usize) -> usize {
-    for _ in 0..k {
-        let scan = ppr_persist::wal::read_records(wal).expect("WAL must scan");
-        if scan.records.is_empty() {
-            break;
-        }
-        // One byte short of the last valid frame: that frame becomes the torn tail.
-        let file = std::fs::OpenOptions::new().write(true).open(wal).unwrap();
-        file.set_len(scan.valid_len - 1).unwrap();
-    }
-    ppr_persist::wal::read_records(wal).unwrap().records.len()
-}
-
-#[test]
-fn group_commit_crash_recovers_to_a_watermark_consistent_prefix() {
-    // The pipelined group-commit durability contract: a crash may lose appends
-    // still inside the coalesced-fsync window, but recovery must land on a state
-    // bit-identical to replaying exactly the batches whose records survived — a
-    // *prefix* of the commit order, never a gap, never a half-applied batch.
-    let ops = schedule(671);
-    let config = MonteCarloConfig::new(0.2, 3).with_seed(673);
-
-    let tmp = TempDir::new("group-commit-crash");
-    let root = tmp.path().join("store");
-    let engine =
-        IncrementalPageRank::create_durable(&root, DynamicGraph::with_nodes(NODES), config)
-            .unwrap();
-    let mut serving = QueryEngine::new(engine, 1).with_pipeline(4);
-    for op in &ops {
-        match op {
-            Op::Arrive(batch) => serving.commit_arrivals(batch),
-            Op::Delete(batch) => serving.commit_deletions(batch),
-        };
-    }
-    let stats = serving.commit_stats();
-    assert!(stats.wal_fsyncs >= 1, "the committer must sync the WAL");
-    assert!(
-        stats.wal_appends_synced >= stats.wal_fsyncs,
-        "every sync covers at least one append: {stats:?}"
-    );
-    drop(serving.into_engine()); // release the store lock; the "crash" is below
-
-    // Power loss inside the group-commit window: the last 3 appends (plus a torn
-    // fourth frame) never hit the platter.
-    let wal = root.join("wal-000000.log");
-    assert_eq!(
-        ppr_persist::wal::read_records(&wal).unwrap().records.len(),
-        ops.len(),
-        "one WAL record per committed batch"
-    );
-    let survivors = cut_wal_records(&wal, 3);
-    assert_eq!(survivors, ops.len() - 3);
-
-    // Recovery lands exactly on the surviving prefix...
-    let mut reference = IncrementalPageRank::new_empty(NODES, config);
-    for op in &ops[..survivors] {
-        apply_op(&mut reference, op);
-    }
-    let recovered =
-        IncrementalPageRank::<WalkStore>::open(&root).expect("watermark-prefix recovery");
-    assert_eq!(recovered.scores(), reference.scores(), "prefix scores");
-    assert_stores_identical(
-        recovered.walk_store(),
-        reference.walk_store(),
-        "group-commit prefix",
-    );
-    recovered.validate_segments().unwrap();
-
-    // ...and resuming the lost batches (the client's redelivery) reconverges with
-    // the never-crashed run, pipelined again.
-    let mut resumed = QueryEngine::new(recovered, 1).with_pipeline(2);
-    for op in &ops[survivors..] {
-        match op {
-            Op::Arrive(batch) => resumed.commit_arrivals(batch),
-            Op::Delete(batch) => resumed.commit_deletions(batch),
-        };
-    }
-    for op in &ops[survivors..] {
-        apply_op(&mut reference, op);
-    }
-    let resumed = resumed.into_engine();
-    assert_eq!(resumed.scores(), reference.scores(), "resumed scores");
-    assert_stores_identical(resumed.walk_store(), reference.walk_store(), "resumed");
-}
-
 #[test]
 fn salsa_engine_survives_crash_recovery() {
     let pa = PreferentialAttachmentConfig::new(80, 4, 641);

@@ -175,54 +175,6 @@ fn steady_mix_survives_chaos_under_tiny_page_budget() {
 }
 
 #[test]
-fn pipelined_commits_survive_chaos_bit_identically() {
-    // The full composition with the commit pipeline on: a durable engine replays a
-    // corpus trace through a pipelined, group-committing serving session while the
-    // chaos plan tears the WAL and corrupts snapshots — and every served answer,
-    // final score, and store bit must still match the clean inline replay.
-    let window: usize = std::env::var("PPR_PIPELINE_WINDOW")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(3)
-        .max(2);
-    let scenario = corpus::spam_wave();
-    let trace = Trace::compile(&scenario);
-    let config = scenario.engine_config();
-    let n = scenario.nodes;
-
-    let (reference, clean) = ScenarioRunner::new(1).replay(
-        &trace,
-        IncrementalPageRank::<WalkStore>::new_empty(n, config),
-    );
-    let plan = ChaosPlan::for_trace(&trace, scenario.seed ^ 0xBEEF);
-
-    for threads in thread_counts() {
-        let dir = ppr_persist::TempDir::new(&format!("corpus-pipelined-{threads}"));
-        let root = dir.path().join("store");
-        let engine = IncrementalPageRank::<WalkStore>::create_durable(
-            &root,
-            DynamicGraph::with_nodes(n),
-            config,
-        )
-        .expect("create flat durable");
-        let mut chaos = DurableChaos::new(&root);
-        let (after, outcome) = ScenarioRunner::new(threads)
-            .with_pipeline(window)
-            .replay_with(&trace, engine, &plan, &mut chaos);
-        let context = format!("spam_wave pipelined (window {window}), {threads} threads");
-        assert!(chaos.crashes() > 0, "{context}: faults must actually fire");
-        assert_eq!(outcome.answers, clean.answers, "{context}: served answers");
-        assert_eq!(
-            StoreDigest::of(after.walk_store()),
-            StoreDigest::of(reference.walk_store()),
-            "{context}: store digest"
-        );
-        assert_eq!(after.scores(), reference.scores(), "{context}: scores");
-        after.validate_segments().expect("segments stay valid");
-    }
-}
-
-#[test]
 fn slow_disk_stalls_shift_timing_but_never_bits() {
     let scenario = corpus::steady_mix();
     let trace = Trace::compile(&scenario);

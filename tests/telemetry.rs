@@ -81,10 +81,10 @@ fn concurrent_recording_merges_every_thread_shard() {
 
 #[test]
 fn an_inline_durable_commit_books_its_fsync_under_wal_sync() {
-    // Inline commits fsync the WAL inside the engine's apply.  With a registry
+    // Commits fsync the WAL inside the engine's apply.  With a registry
     // attached that wait is timed by the WAL writer and recorded as
-    // `commit.wal_sync` — one sample per commit, as on the pipelined path — and
-    // carved out of `commit.apply`; a checkpoint's WAL rotation keeps it so.
+    // `commit.wal_sync` — one sample per commit — and carved out of
+    // `commit.apply`; a checkpoint's WAL rotation keeps it so.
     let edges = preferential_attachment_edges(&PreferentialAttachmentConfig::new(96, 4, 0xF00D));
     let config = MonteCarloConfig::new(0.2, 3).with_seed(0xD15C);
     let dir = TempDir::new("telemetry-inline-sync");
@@ -121,8 +121,8 @@ fn an_inline_durable_commit_books_its_fsync_under_wal_sync() {
 
 #[test]
 fn one_collect_sees_every_layer_of_a_durable_disk_session() {
-    // The tentpole acceptance: a single `telemetry_snapshot()` of a pipelined,
-    // durable, disk-backed serving session must cover the Social Store, the
+    // The tentpole acceptance: a single `telemetry_snapshot()` of a durable,
+    // disk-backed serving session must cover the Social Store, the
     // walk arena, the pager, the WAL, the commit path, and the query path in
     // one sorted view.
     let edges = preferential_attachment_edges(&PreferentialAttachmentConfig::new(96, 4, 0xF00D));
@@ -133,13 +133,10 @@ fn one_collect_sees_every_layer_of_a_durable_disk_session() {
         .expect("create disk durable");
 
     let tele = Telemetry::new();
-    let mut serving = QueryEngine::new(engine, 17)
-        .with_telemetry(&tele)
-        .with_pipeline(2);
+    let mut serving = QueryEngine::new(engine, 17).with_telemetry(&tele);
     for chunk in edges.chunks(48) {
         serving.commit_arrivals(chunk);
     }
-    serving.flush_commits();
     let handle = serving.handle();
     for qid in 0..6u64 {
         handle.serve(
@@ -188,8 +185,8 @@ fn one_collect_sees_every_layer_of_a_durable_disk_session() {
         snap.gauge("pager.hit_rate").expect("hit rate present") >= 0.0,
         "ratios are guarded, never NaN"
     );
-    // Group commit actually coalesced: fsyncs happened and covered appends.
-    assert!(snap.counter("commit.wal_fsyncs").unwrap() > 0);
+    // One sync per commit through the serving path: each batch's own record.
+    assert_eq!(snap.counter("wal.fsyncs"), Some(serving.epoch()));
 
     drop(handle);
     serving.into_engine();
