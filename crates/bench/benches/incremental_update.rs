@@ -1,10 +1,10 @@
 //! Criterion benches for experiment E9 (Theorem 4): per-arrival update cost of the
-//! incremental engine, including the two ablations called out in `DESIGN.md`
-//! (reroute-from-update-point vs rebuild-from-source, and the ε sweep).
+//! incremental engine, which reroutes each invalidated segment from its update
+//! point, plus the ε and R sweeps.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ppr_bench::workloads::twitter_like;
-use ppr_core::{IncrementalPageRank, MonteCarloConfig, RerouteStrategy};
+use ppr_core::{IncrementalPageRank, MonteCarloConfig};
 use ppr_graph::stream::split_at_fraction;
 use ppr_graph::DynamicGraph;
 use std::hint::black_box;
@@ -24,24 +24,17 @@ fn replay_suffix(config: MonteCarloConfig) -> u64 {
     engine.work().walk_steps
 }
 
-/// Ablation: the two segment-repair strategies of Section 2.2.
-fn bench_reroute_strategies(c: &mut Criterion) {
+/// Replaying the last 10 % of the arrivals one edge at a time.
+fn bench_reroute(c: &mut Criterion) {
     let mut group = c.benchmark_group("incremental_update_strategy");
     let suffix_len = (NODES * OUT_DEGREE / 10) as u64;
     group.throughput(Throughput::Elements(suffix_len));
-    for (label, strategy) in [
-        ("from_update_point", RerouteStrategy::FromUpdatePoint),
-        ("from_source", RerouteStrategy::FromSource),
-    ] {
-        group.bench_function(BenchmarkId::from_parameter(label), |b| {
-            b.iter(|| {
-                let config = MonteCarloConfig::new(0.2, 4)
-                    .with_seed(3)
-                    .with_reroute(strategy);
-                black_box(replay_suffix(config))
-            })
-        });
-    }
+    group.bench_function(BenchmarkId::from_parameter("from_update_point"), |b| {
+        b.iter(|| {
+            let config = MonteCarloConfig::new(0.2, 4).with_seed(3);
+            black_box(replay_suffix(config))
+        })
+    });
     group.finish();
 }
 
@@ -81,6 +74,6 @@ fn bench_r_sweep(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_reroute_strategies, bench_epsilon_sweep, bench_r_sweep
+    targets = bench_reroute, bench_epsilon_sweep, bench_r_sweep
 }
 criterion_main!(benches);

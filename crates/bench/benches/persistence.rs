@@ -334,10 +334,9 @@ fn report_cold_start_residency(_c: &mut Criterion) {
             println!(
                 "report cold_start scale=x{scale} ({nodes} nodes, snapshot {snap_kib} KiB) \
                  budget={label}: open {open:.2?}, first_query {first_query:.2?}, \
-                 steady resident {} pages / {} KiB ({} pinned), {} evictions, {} refaults",
+                 steady resident {} pages / {} KiB, {} evictions, {} refaults",
                 residency.resident_pages,
                 residency.resident_page_bytes / 1024,
-                residency.pinned_pages,
                 pager.evictions,
                 pager.refaults,
             );

@@ -34,13 +34,11 @@
 //!    only on its own coordinates, so candidates can be computed in any order with
 //!    bit-identical results.
 //! 2. **Reconciliation** (sequential, cheap): when several groups claim the same
-//!    segment, the candidate with the **smallest reroute position** wins.  Under
-//!    prefix-preserving reroutes this is exactly the fixed point the sequential
+//!    segment, the candidate with the **smallest reroute position** wins.  Since a
+//!    reroute keeps the prefix, this is exactly the fixed point the sequential
 //!    limit-tracking loop reaches — a reroute at position `p` makes later groups skip
 //!    positions `>= p`, so the surviving reroute is always the minimum over first-hit
-//!    positions — but stated order-independently.  Under from-source reroutes any
-//!    winner regenerates the whole segment on the post-batch graph, so the rule only
-//!    selects which RNG stream draws the (identically distributed) replacement.
+//!    positions — but stated order-independently.
 //! 3. **Apply** ([`ppr_store::WalkIndexMut::apply_rewrites`]): the store applies the
 //!    winning rewrites, sorted by segment id.
 

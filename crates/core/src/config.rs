@@ -1,22 +1,7 @@
-//! Configuration of the Monte Carlo engines.
-
-/// How a walk segment is repaired when an arriving or departing edge invalidates it.
-///
-/// Section 2.2 of the paper: *"For each walk segment that needs an update, we can redo
-/// the walk starting at the updated node, or even more simply starting at the
-/// corresponding source node."*  Both strategies cost `O(1/ε)` expected steps per
-/// segment; rerouting from the update point preserves the already-valid prefix of the
-/// segment, rebuilding from the source is simpler and is what the looser analysis
-/// charges.  The choice is exposed so the ablation bench can compare them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RerouteStrategy {
-    /// Keep the prefix of the segment up to (and including) the invalidated visit and
-    /// regenerate only the suffix.
-    #[default]
-    FromUpdatePoint,
-    /// Throw the whole segment away and regenerate it from its source node.
-    FromSource,
-}
+//! Configuration of the Monte Carlo engines: the paper's two parameters, the reset
+//! probability ε and the segment count `R`, plus the RNG seed.  Everything else the
+//! engines need is derived from these — the segment-length cap from ε, the repair
+//! rule from Section 2.2 (reroute each invalidated segment from its update point).
 
 /// Parameters of the Monte Carlo PageRank/SALSA engines.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -29,18 +14,6 @@ pub struct MonteCarloConfig {
     pub r: usize,
     /// RNG seed for reproducible experiments.
     pub seed: u64,
-    /// Repair strategy for invalidated segments.
-    pub reroute: RerouteStrategy,
-    /// Hard cap on the length of a single stored segment, guarding against the
-    /// (probability-zero under ε > 0, but worth bounding) pathological long walk.
-    pub max_segment_length: usize,
-    /// Arena compaction trigger: relocation garbage above this ratio of the live
-    /// walk data compacts the PageRank Store's step arena(s).  `1.0` is the classic
-    /// half-dead rule; a tighter ratio trades more frequent compaction pauses for a
-    /// smaller resident buffer (the `ArenaStats` / `BatchProfile` compaction
-    /// counters measure both sides).  Purely a space/latency knob — results never
-    /// depend on it.
-    pub compaction_threshold: f64,
 }
 
 impl MonteCarloConfig {
@@ -59,9 +32,6 @@ impl MonteCarloConfig {
             epsilon,
             r,
             seed: 0,
-            reroute: RerouteStrategy::default(),
-            max_segment_length: Self::default_max_segment_length(epsilon),
-            compaction_threshold: ppr_store::arena::DEFAULT_COMPACT_RATIO,
         }
     }
 
@@ -76,37 +46,6 @@ impl MonteCarloConfig {
         self
     }
 
-    /// Sets the segment repair strategy.
-    pub fn with_reroute(mut self, reroute: RerouteStrategy) -> Self {
-        self.reroute = reroute;
-        self
-    }
-
-    /// Sets the hard cap on stored segment length.
-    pub fn with_max_segment_length(mut self, max_segment_length: usize) -> Self {
-        assert!(
-            max_segment_length >= 1,
-            "segments must be allowed at least one node"
-        );
-        self.max_segment_length = max_segment_length;
-        self
-    }
-
-    /// Sets the arena compaction trigger ratio (garbage-to-live; see
-    /// [`MonteCarloConfig::compaction_threshold`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `ratio` is finite and positive.
-    pub fn with_compaction_threshold(mut self, ratio: f64) -> Self {
-        assert!(
-            ratio.is_finite() && ratio > 0.0,
-            "compaction threshold must be a positive ratio, got {ratio}"
-        );
-        self.compaction_threshold = ratio;
-        self
-    }
-
     /// Expected length of one stored segment, `1/ε`.
     pub fn expected_segment_length(&self) -> f64 {
         1.0 / self.epsilon
@@ -118,11 +57,12 @@ impl MonteCarloConfig {
         nodes as f64 * self.r as f64 / self.epsilon
     }
 
-    fn default_max_segment_length(epsilon: f64) -> usize {
-        // 60 expected lengths: the probability of a geometric(ε) exceeding this is
-        // (1-ε)^(60/ε) ≤ e^{-60}, i.e. never in practice, so the cap does not bias the
-        // estimates while still bounding memory for adversarial RNG streams.
-        ((60.0 / epsilon).ceil() as usize).max(16)
+    /// Hard cap on the length of a single stored segment: 60 expected lengths.  The
+    /// probability of a geometric(ε) exceeding it is `(1-ε)^(60/ε) ≤ e^{-60}`, i.e.
+    /// never in practice, so the cap does not bias the estimates while still bounding
+    /// memory for adversarial RNG streams.
+    pub fn max_segment_length(&self) -> usize {
+        (60.0 / self.epsilon).ceil() as usize
     }
 }
 
@@ -138,17 +78,10 @@ mod tests {
 
     #[test]
     fn builder_sets_all_fields() {
-        let config = MonteCarloConfig::new(0.25, 7)
-            .with_seed(99)
-            .with_reroute(RerouteStrategy::FromSource)
-            .with_max_segment_length(500)
-            .with_compaction_threshold(0.25);
+        let config = MonteCarloConfig::new(0.25, 7).with_seed(99);
         assert_eq!(config.epsilon, 0.25);
         assert_eq!(config.r, 7);
         assert_eq!(config.seed, 99);
-        assert_eq!(config.reroute, RerouteStrategy::FromSource);
-        assert_eq!(config.max_segment_length, 500);
-        assert_eq!(config.compaction_threshold, 0.25);
     }
 
     #[test]
@@ -166,7 +99,9 @@ mod tests {
             config.expected_initialization_cost(1_000),
             1_000.0 * 4.0 / 0.2
         );
-        assert!(config.max_segment_length >= (60.0 / 0.2) as usize);
+        assert_eq!(config.max_segment_length(), 300);
+        assert_eq!(MonteCarloConfig::new(0.9, 1).max_segment_length(), 67);
+        assert_eq!(MonteCarloConfig::new(0.99, 1).max_segment_length(), 61);
     }
 
     #[test]
@@ -174,7 +109,6 @@ mod tests {
         let d = MonteCarloConfig::default();
         assert_eq!(d.epsilon, 0.2);
         assert_eq!(d.r, 5);
-        assert_eq!(d.reroute, RerouteStrategy::FromUpdatePoint);
     }
 
     #[test]
@@ -193,17 +127,5 @@ mod tests {
     #[should_panic(expected = "at least one walk segment")]
     fn rejects_zero_r() {
         let _ = MonteCarloConfig::new(0.2, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one node")]
-    fn rejects_zero_cap() {
-        let _ = MonteCarloConfig::new(0.2, 1).with_max_segment_length(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive ratio")]
-    fn rejects_non_positive_compaction_threshold() {
-        let _ = MonteCarloConfig::new(0.2, 1).with_compaction_threshold(0.0);
     }
 }

@@ -50,7 +50,7 @@
 //! A lock left behind by a crashed process (the PID no longer runs) is stolen
 //! automatically, so crash recovery never needs manual cleanup.
 
-use crate::config::{MonteCarloConfig, RerouteStrategy};
+use crate::config::MonteCarloConfig;
 use crate::engine::{PageRank, WalkEngine, WalkKind};
 use ppr_graph::{Edge, GraphView};
 use ppr_persist::dir::StoreDir;
@@ -152,12 +152,12 @@ fn encode_meta(m: &EngineMeta) -> Vec<u8> {
     w.put_f64(m.config.epsilon);
     w.put_u64(m.config.r as u64);
     w.put_u64(m.config.seed);
-    w.put_u8(match m.config.reroute {
-        RerouteStrategy::FromUpdatePoint => 0,
-        RerouteStrategy::FromSource => 1,
-    });
-    w.put_u64(m.config.max_segment_length as u64);
-    w.put_f64(m.config.compaction_threshold);
+    // Three retired settings, kept in the bytes as the values every store now runs
+    // with: the repair strategy (0, reroute from the update point), the ε-derived
+    // segment cap, and the arena compaction ratio (1.0, the half-dead rule).
+    w.put_u8(0);
+    w.put_u64(m.config.max_segment_length() as u64);
+    w.put_f64(1.0);
     // A retired worker-thread count: kept in the bytes as 1, ignored on read.
     w.put_u64(1);
     w.put_u64(m.batch_index);
@@ -173,26 +173,25 @@ fn encode_meta(m: &EngineMeta) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Decodes the META section written by container version `version`: version 1
-/// (PR 4) predates the `compaction_threshold` field, which then defaults to the
-/// half-dead rule every version-1 store was built with.
+/// Decodes the META section written by container version `version` (version 1
+/// predates the compaction-ratio field).  The retired settings must hold the values
+/// this build runs with: a store rerouted from the source (byte 1) or capped at
+/// another segment length fails with a `Format` error, since its walks were drawn
+/// under rules this build no longer has.  The compaction ratio only shaped the
+/// arena's memory, never a result, so it is validated and ignored.
 fn decode_meta(payload: &[u8], version: u32) -> PersistResult<EngineMeta> {
     let mut r = ByteReader::new(payload);
     let kind = r.get_u8()?;
     let epsilon = r.get_f64()?;
     let segments = r.get_len()?;
     let seed = r.get_u64()?;
-    let reroute = match r.get_u8()? {
-        0 => RerouteStrategy::FromUpdatePoint,
-        1 => RerouteStrategy::FromSource,
+    match r.get_u8()? {
+        0 => {}
+        1 => return Err(format_err("retired reroute strategy 1")),
         other => return Err(corrupt(format!("unknown reroute strategy {other}"))),
-    };
+    }
     let max_segment_length = r.get_len()?;
-    let compaction_threshold = if version >= 2 {
-        r.get_f64()?
-    } else {
-        ppr_store::arena::DEFAULT_COMPACT_RATIO
-    };
+    let compaction_threshold = if version >= 2 { r.get_f64()? } else { 1.0 };
     if !(epsilon > 0.0 && epsilon < 1.0)
         || segments == 0
         || max_segment_length == 0
@@ -200,11 +199,13 @@ fn decode_meta(payload: &[u8], version: u32) -> PersistResult<EngineMeta> {
     {
         return Err(corrupt("engine config out of range"));
     }
-    let config = MonteCarloConfig::new(epsilon, segments)
-        .with_seed(seed)
-        .with_reroute(reroute)
-        .with_max_segment_length(max_segment_length)
-        .with_compaction_threshold(compaction_threshold);
+    let config = MonteCarloConfig::new(epsilon, segments).with_seed(seed);
+    if max_segment_length != config.max_segment_length() {
+        return Err(format_err(format!(
+            "segment cap {max_segment_length} differs from the ε-derived {}",
+            config.max_segment_length()
+        )));
+    }
     r.get_u64()?; // the retired worker-thread count
     let batch_index = r.get_u64()?;
     let wal_seq = r.get_u64()?;
@@ -783,10 +784,7 @@ mod tests {
     fn meta_round_trips_exactly() {
         let meta = EngineMeta {
             kind: PageRank::TAG,
-            config: MonteCarloConfig::new(0.25, 7)
-                .with_seed(99)
-                .with_reroute(RerouteStrategy::FromSource)
-                .with_max_segment_length(321),
+            config: MonteCarloConfig::new(0.25, 7).with_seed(99),
             batch_index: 17,
             wal_seq: 23,
             rng: [1, 2, 3, 4],
@@ -833,35 +831,73 @@ mod tests {
         assert!(decode_meta(&bad, v).is_err());
     }
 
-    #[test]
-    fn version_1_meta_decodes_with_the_default_compaction_threshold() {
-        // A PR 4 store's META is the current layout minus the compaction_threshold
-        // f64 at bytes 33..41; decoding it as version 1 must succeed and fall back
-        // to the half-dead default, so old directories stay openable.
-        let meta = EngineMeta {
+    /// META bytes of a PageRank store at ε = 0.25, `R` = 7 in the current layout:
+    /// kind u8 | epsilon f64 | r u64 | seed u64 | reroute u8 | max_segment_length
+    /// u64 | compaction_threshold f64 | ...
+    fn meta_bytes() -> Vec<u8> {
+        encode_meta(&EngineMeta {
             kind: PageRank::TAG,
-            config: MonteCarloConfig::new(0.25, 7)
-                .with_seed(99)
-                .with_max_segment_length(321),
+            config: MonteCarloConfig::new(0.25, 7).with_seed(99),
             batch_index: 17,
             wal_seq: 23,
             rng: [1, 2, 3, 4],
             initialization_steps: 555,
             work: WorkCounter::default(),
-        };
-        let current = encode_meta(&meta);
+        })
+    }
+
+    #[test]
+    fn meta_rerouted_from_source_is_a_format_error() {
+        let mut bytes = meta_bytes();
+        assert_eq!(bytes[25], 0);
+        bytes[25] = 1;
+        let err = decode_meta(&bytes, ppr_persist::snapshot::VERSION).unwrap_err();
+        assert!(matches!(err, PersistError::Format(_)), "{err}");
+    }
+
+    #[test]
+    fn meta_with_another_segment_cap_is_a_format_error() {
+        let mut bytes = meta_bytes();
+        assert_eq!(bytes[26..34], 240u64.to_le_bytes());
+        for cap in [239u64, 241, 321] {
+            bytes[26..34].copy_from_slice(&cap.to_le_bytes());
+            let err = decode_meta(&bytes, ppr_persist::snapshot::VERSION).unwrap_err();
+            assert!(matches!(err, PersistError::Format(_)), "cap {cap}: {err}");
+        }
+    }
+
+    #[test]
+    fn meta_compaction_ratio_is_validated_then_ignored() {
+        let clean = meta_bytes();
+        assert_eq!(clean[34..42], 1.0f64.to_le_bytes());
+        let v = ppr_persist::snapshot::VERSION;
+        let expected = decode_meta(&clean, v).unwrap();
+        for ratio in [0.25f64, 3.0] {
+            let mut bytes = clean.clone();
+            bytes[34..42].copy_from_slice(&ratio.to_le_bytes());
+            let decoded = decode_meta(&bytes, v).unwrap();
+            assert_eq!(decoded.config, expected.config, "ratio {ratio}");
+            assert_eq!(decoded.rng, expected.rng);
+        }
+        for ratio in [0.0f64, -1.0, f64::NAN, f64::INFINITY] {
+            let mut bytes = clean.clone();
+            bytes[34..42].copy_from_slice(&ratio.to_le_bytes());
+            assert!(decode_meta(&bytes, v).is_err(), "ratio {ratio}");
+        }
+    }
+
+    #[test]
+    fn version_1_meta_decodes_with_the_default_compaction_threshold() {
+        // A version-1 store's META is the current layout minus the compaction-ratio
+        // f64 at bytes 34..42; decoding it as version 1 must succeed, so old
+        // directories stay openable.
+        let current = meta_bytes();
         let mut v1 = current.clone();
-        // Layout: kind u8 | epsilon f64 | r u64 | seed u64 | reroute u8 |
-        // max_segment_length u64 | compaction_threshold f64 | ...
-        v1.drain(34..42); // strip the appended threshold field
+        v1.drain(34..42); // strip the appended ratio field
         let decoded = decode_meta(&v1, 1).unwrap();
-        assert_eq!(decoded.config.epsilon, meta.config.epsilon);
-        assert_eq!(decoded.config.max_segment_length, 321);
-        assert_eq!(decoded.rng, meta.rng);
-        assert_eq!(
-            decoded.config.compaction_threshold,
-            ppr_store::arena::DEFAULT_COMPACT_RATIO
-        );
+        let expected = decode_meta(&current, 2).unwrap();
+        assert_eq!(decoded.config, expected.config);
+        assert_eq!(decoded.rng, expected.rng);
         // The same bytes read as version 2 are rejected, not misread.
         assert!(decode_meta(&v1, 2).is_err());
     }
@@ -1096,7 +1132,7 @@ mod tests {
 
     fn assert_every_layout_replays_effects_like_edges<K: WalkKind>(config: MonteCarloConfig) {
         let graph = || DynamicGraph::with_nodes(10);
-        let what = format!("{}, {:?}", K::NAME, config.reroute);
+        let what = format!("{}, ε = {}", K::NAME, config.epsilon);
         assert_effect_replay_equals_edge_replay::<K, WalkStore>(
             &|root| WalkEngine::create_durable(root, graph(), config).unwrap(),
             &format!("{what}, flat"),
@@ -1118,9 +1154,7 @@ mod tests {
     fn effect_replay_equals_edge_replay() {
         for config in [
             MonteCarloConfig::new(0.2, 3).with_seed(71),
-            MonteCarloConfig::new(0.25, 2)
-                .with_seed(73)
-                .with_reroute(RerouteStrategy::FromSource),
+            MonteCarloConfig::new(0.25, 2).with_seed(73),
         ] {
             assert_every_layout_replays_effects_like_edges::<PageRank>(config);
             assert_every_layout_replays_effects_like_edges::<Salsa>(config);

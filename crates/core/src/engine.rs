@@ -81,9 +81,6 @@
 //! (and every score downstream of the pivot) low.  If
 //! the pivot has no `d`-edge left the segment ends there, as a fresh walk would.
 //!
-//! Under [`RerouteStrategy::FromSource`] a hit regenerates the whole segment from its
-//! source instead of keeping the prefix.
-//!
 //! # Batches
 //!
 //! [`WalkEngine::apply_arrivals`] and [`WalkEngine::apply_deletions`] run whole batches
@@ -97,11 +94,9 @@
 //! the path *after* its own position, so heads that land on stale suffix positions can
 //! only produce candidates that lose, never a wrong winner; for deletions the minimum
 //! over per-group first hits is the segment's globally earliest invalidated step, so
-//! the kept prefix traverses no deleted edge.  (Under `FromSource` any winner
-//! regenerates the whole segment, and a segment regenerates iff any group hits, so the
-//! rule only selects which stream draws the identically distributed replacement.)  A
-//! candidate that loses wastes its generated walk — rare, and never charged to
-//! [`UpdateStats`]/[`WorkCounter`], which count the work the store absorbed.  Results
+//! the kept prefix traverses no deleted edge.  A candidate that loses wastes its
+//! generated walk — rare, and never charged to [`UpdateStats`]/[`WorkCounter`],
+//! which count the work the store absorbed.  Results
 //! depend only on the engine seed, the batch index and the batch's edges — never on
 //! the order candidates are computed in.  A durable engine logs each batch's
 //! reconciled plan, growth segments and cursors between phases 2 and 3, so recovery
@@ -116,7 +111,7 @@
 //! [`crate::bounds::salsa_total_update_work`] (Theorem 6).
 
 use crate::batch::{self, BatchProfile, CandidateSet, Group, Probes};
-use crate::config::{MonteCarloConfig, RerouteStrategy};
+use crate::config::MonteCarloConfig;
 use crate::walker;
 use ppr_graph::{DynamicGraph, Edge, GraphView, NodeId};
 use ppr_persist::{BatchRecord, WalCursors, WalOp};
@@ -292,9 +287,8 @@ impl<K: WalkKind, W: WalkIndexMut> WalkEngine<K, W> {
     /// Builds the engine around an empty `walks`: draws every node's segments into
     /// one plan, then installs it with a single [`WalkIndexMut::fill`] (see the
     /// [module docs](self#construction)).
-    pub(crate) fn with_store(store: SocialStore, mut walks: W, config: MonteCarloConfig) -> Self {
+    pub(crate) fn with_store(store: SocialStore, walks: W, config: MonteCarloConfig) -> Self {
         let node_count = store.node_count();
-        walks.set_compaction_threshold(config.compaction_threshold);
         let rng = SmallRng::seed_from_u64(config.seed.wrapping_add(K::SEED_SALT));
         let mut engine = Self::assemble(store, walks, config, rng);
         let mut plan = SegmentRewrites::new();
@@ -308,11 +302,10 @@ impl<K: WalkKind, W: WalkIndexMut> WalkEngine<K, W> {
     #[cfg(test)]
     pub(crate) fn with_store_per_segment(
         store: SocialStore,
-        mut walks: W,
+        walks: W,
         config: MonteCarloConfig,
     ) -> Self {
         let node_count = store.node_count();
-        walks.set_compaction_threshold(config.compaction_threshold);
         let rng = SmallRng::seed_from_u64(config.seed.wrapping_add(K::SEED_SALT));
         let mut engine = Self::assemble(store, walks, config, rng);
         for node in 0..node_count {
@@ -819,7 +812,7 @@ fn extend_segment<K: WalkKind>(
         graph,
         path,
         config.epsilon,
-        config.max_segment_length,
+        config.max_segment_length(),
         rng,
         |pos| K::step_forward(config.r, slot, pos),
     )
@@ -914,26 +907,14 @@ fn arrival_candidate<K: WalkKind, W: WalkIndex>(
     let pos = first_eligible_pick::<K>(path, config.r, slot, group, picks)?;
     let mut rng = repair.rng(group, id);
     let target = walker::pick_new_target(&mut rng, &group.targets);
-    let steps = match config.reroute {
-        RerouteStrategy::FromUpdatePoint => {
-            scratch.clear();
-            scratch.extend_from_slice(&path[..=pos]);
-            let mut steps = 0u64;
-            if scratch.len() < config.max_segment_length {
-                scratch.push(target);
-                steps += 1;
-            }
-            steps + extend_segment::<K>(repair.graph, config, slot, &mut rng, scratch)
-        }
-        RerouteStrategy::FromSource => fresh_segment::<K>(
-            repair.graph,
-            config,
-            repair.walks.source_of(id),
-            slot,
-            &mut rng,
-            scratch,
-        ),
-    };
+    scratch.clear();
+    scratch.extend_from_slice(&path[..=pos]);
+    let mut steps = 0u64;
+    if scratch.len() < config.max_segment_length() {
+        scratch.push(target);
+        steps += 1;
+    }
+    steps += extend_segment::<K>(repair.graph, config, slot, &mut rng, scratch);
     Some((pos, steps))
 }
 
@@ -959,32 +940,20 @@ fn deletion_candidate<K: WalkKind, W: WalkIndex>(
             && group.targets.binary_search(&step[1]).is_ok()
     })?;
     let mut rng = repair.rng(group, id);
-    let steps = match config.reroute {
-        RerouteStrategy::FromUpdatePoint => {
-            scratch.clear();
-            scratch.extend_from_slice(&path[..=pos]);
-            let next = if group.forward {
-                repair.graph.random_out_neighbor(group.pivot, &mut rng)
-            } else {
-                repair.graph.random_in_neighbor(group.pivot, &mut rng)
-            };
-            match next {
-                Some(next) => {
-                    scratch.push(next);
-                    1 + extend_segment::<K>(repair.graph, config, slot, &mut rng, scratch)
-                }
-                // The pivot lost its last edge in that direction: the segment ends.
-                None => 0,
-            }
+    scratch.clear();
+    scratch.extend_from_slice(&path[..=pos]);
+    let next = if group.forward {
+        repair.graph.random_out_neighbor(group.pivot, &mut rng)
+    } else {
+        repair.graph.random_in_neighbor(group.pivot, &mut rng)
+    };
+    let steps = match next {
+        Some(next) => {
+            scratch.push(next);
+            1 + extend_segment::<K>(repair.graph, config, slot, &mut rng, scratch)
         }
-        RerouteStrategy::FromSource => fresh_segment::<K>(
-            repair.graph,
-            config,
-            repair.walks.source_of(id),
-            slot,
-            &mut rng,
-            scratch,
-        ),
+        // The pivot lost its last edge in that direction: the segment ends.
+        None => 0,
     };
     Some((pos, steps))
 }

@@ -37,7 +37,7 @@ pub mod telem;
 pub mod walker;
 
 pub use batch::BatchProfile;
-pub use config::{MonteCarloConfig, RerouteStrategy};
+pub use config::MonteCarloConfig;
 pub use durable::{DurablePageRank, PersistError, PersistResult};
 pub use engine::{PageRank, Salsa, UpdateStats, WalkEngine, WalkKind};
 pub use estimator::PageRankEstimates;

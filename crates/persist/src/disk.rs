@@ -9,9 +9,7 @@
 //! through the bounded [`crate::pager::PageCache`] (CRC-verified on every fault and
 //! re-fault), validates the path's shape (starts at its source, visits only known
 //! nodes), and caches the decoded steps until trimmed.  Open latency and the resident
-//! set are therefore governed by the configured [`PageBudget`], not the store size;
-//! the power-law visit skew of the underlying paper means a small pin set of
-//! hot-node pages absorbs most faults (see [`PageBudget::pin_top_nodes`]).
+//! set are therefore governed by the configured [`PageBudget`], not the store size.
 //!
 //! Writes keep the incremental checkpoint machinery of the previous design:
 //!
@@ -56,23 +54,20 @@ use ppr_store::arena::ArenaStats;
 use ppr_store::{SegmentId, SegmentRewrites, WalkIndex, WalkIndexMut, WalkStore};
 use std::borrow::Cow;
 use std::cell::Cell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{Seek, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Residency policy of a demand-paged [`DiskWalkStore`].
+/// Residency policy of a demand-paged [`DiskWalkStore`], fixed when the store is
+/// opened.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PageBudget {
     /// Maximum heap pages resident in the page cache (`None` = unbounded).  The
     /// decoded-path cache is trimmed to the same step-equivalent budget.
     pub max_resident_pages: Option<usize>,
-    /// How many of the hottest nodes (by visit count) get their pages pinned
-    /// unevictable.  `None` pins as many as fit half the page budget; `Some(0)`
-    /// disables pinning.  Ignored when the budget is unbounded.
-    pub pin_top_nodes: Option<usize>,
 }
 
 thread_local! {
@@ -98,13 +93,12 @@ impl PageBudget {
     pub fn bounded(pages: usize) -> Self {
         PageBudget {
             max_resident_pages: Some(pages),
-            pin_top_nodes: None,
         }
     }
 
     /// Reads the budget for this open: the current thread's
     /// [`set_thread_page_budget`] override if set, else the `PPR_PAGE_BUDGET`
-    /// (pages; 0 or unset = unbounded) and `PPR_PIN_NODES` environment variables.
+    /// environment variable (pages; 0 or unset = unbounded).
     pub fn from_env() -> Self {
         if let Some(budget) = THREAD_PAGE_BUDGET.with(|cell| cell.get()) {
             return budget;
@@ -113,13 +107,7 @@ impl PageBudget {
             .ok()
             .and_then(|v| v.trim().parse::<usize>().ok())
             .filter(|&pages| pages > 0);
-        let pin_top_nodes = std::env::var("PPR_PIN_NODES")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok());
-        PageBudget {
-            max_resident_pages,
-            pin_top_nodes,
-        }
+        PageBudget { max_resident_pages }
     }
 
     fn budget_steps(&self) -> Option<u64> {
@@ -153,8 +141,6 @@ pub struct ResidencyStats {
     pub resident_pages: usize,
     /// Bytes of heap pages resident in the page cache.
     pub resident_page_bytes: u64,
-    /// Resident pages that are pinned unevictable.
-    pub pinned_pages: usize,
     /// Steps held by demand-faulted decoded paths (not yet materialized into the
     /// in-memory arena, trimmed against the budget).
     pub cached_path_steps: u64,
@@ -309,22 +295,17 @@ impl DiskWalkStore {
 
     /// Current residency of the page cache and the decoded-path cache.
     pub fn residency(&self) -> ResidencyStats {
-        let (resident_pages, resident_page_bytes, pinned_pages) = self
+        let (resident_pages, resident_page_bytes) = self
             .prev
             .as_ref()
             .map(|p| {
                 let prev = p.lock().expect("page-cache mutex poisoned");
-                (
-                    prev.resident_pages(),
-                    prev.resident_bytes(),
-                    prev.pinned_resident_pages(),
-                )
+                (prev.resident_pages(), prev.resident_bytes())
             })
-            .unwrap_or((0, 0, 0));
+            .unwrap_or((0, 0));
         ResidencyStats {
             resident_pages,
             resident_page_bytes,
-            pinned_pages,
             cached_path_steps: self
                 .fault
                 .as_ref()
@@ -332,40 +313,6 @@ impl DiskWalkStore {
                 .unwrap_or(0),
             arena_steps: self.resident.arena_stats().live_steps,
         }
-    }
-
-    /// The residency policy in force.
-    pub fn page_budget(&self) -> PageBudget {
-        self.budget
-    }
-
-    /// Replaces the residency policy: re-applies the page-cache budget, recomputes
-    /// the hot-node pin set from the current visit counts, and trims the
-    /// decoded-path cache.
-    pub fn set_page_budget(&mut self, budget: PageBudget) -> PersistResult<()> {
-        self.budget = budget;
-        if let Some(fault) = &mut self.fault {
-            fault.budget_steps = budget.budget_steps();
-        }
-        if let Some(prev) = &self.prev {
-            // Pin against the layout faults actually read from (the previous
-            // generation's), not the live directory a relocation may have moved.
-            let pin_dir = self
-                .fault
-                .as_ref()
-                .map(|f| &f.prev_dir[..])
-                .unwrap_or(&self.dir);
-            let mut walks = prev.lock().expect("page-cache mutex poisoned");
-            apply_cache_policy(
-                self.budget,
-                self.resident.visit_counts(),
-                pin_dir,
-                self.resident.r(),
-                &mut walks,
-            )?;
-        }
-        self.trim_fault_cells();
-        Ok(())
     }
 
     /// Current heap geometry as `(heap_len_steps, live_steps, garbage_steps)`.
@@ -795,68 +742,6 @@ pub(crate) fn validate_faulted_path(
     Ok(())
 }
 
-/// Applies a [`PageBudget`] to an open generation: sets the page-cache budget and
-/// pins the pages holding the hottest nodes' segments (visit-count order — the
-/// paper's power-law skew makes a small pin set absorb most faults).  At most half
-/// the budget is spent on pins so demand faults always have unpinned frames to
-/// recycle.
-fn apply_cache_policy(
-    budget: PageBudget,
-    counts: &[u64],
-    dir: &[FileSlot],
-    r: usize,
-    walks: &mut PagedWalks,
-) -> PersistResult<()> {
-    walks.configure_cache(budget.max_resident_pages);
-    let pins = hot_pin_pages(budget, counts, dir, r, walks.header().page_count());
-    walks.pin_pages(&pins)
-}
-
-/// Deterministically derives the pin set: nodes ranked by (visit count desc, id
-/// asc), their segments' heap pages collected until the pin capacity — `min(budget/2,
-/// budget-1)`, further capped by `pin_top_nodes` — is filled.
-fn hot_pin_pages(
-    budget: PageBudget,
-    counts: &[u64],
-    dir: &[FileSlot],
-    r: usize,
-    page_count: u32,
-) -> Vec<u32> {
-    let Some(max_pages) = budget.max_resident_pages else {
-        return Vec::new();
-    };
-    let pin_cap = (max_pages / 2).min(max_pages.saturating_sub(1));
-    let top_k = budget.pin_top_nodes.unwrap_or(usize::MAX);
-    if pin_cap == 0 || page_count == 0 || top_k == 0 {
-        return Vec::new();
-    }
-    let mut ranked: Vec<(u64, usize)> = counts
-        .iter()
-        .enumerate()
-        .filter(|&(_, &c)| c > 0)
-        .map(|(node, &c)| (c, node))
-        .collect();
-    ranked.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-    let mut pages = BTreeSet::new();
-    'nodes: for &(_, node) in ranked.iter().take(top_k) {
-        for slot in node * r..(node + 1) * r {
-            let Some(&s) = dir.get(slot) else { continue };
-            if s.len == 0 {
-                continue;
-            }
-            let first = (s.offset / STEPS_PER_PAGE) as u32;
-            let last = ((s.offset + s.len as u64 - 1) / STEPS_PER_PAGE) as u32;
-            for page in first..=last.min(page_count.saturating_sub(1)) {
-                if pages.len() >= pin_cap && !pages.contains(&page) {
-                    break 'nodes;
-                }
-                pages.insert(page);
-            }
-        }
-    }
-    pages.into_iter().collect()
-}
-
 impl ppr_store::WalkIndexView for DiskWalkStore {
     #[inline]
     fn r(&self) -> usize {
@@ -978,13 +863,6 @@ impl WalkIndexMut for DiskWalkStore {
         }
         self.check_file_layout()
     }
-
-    /// The knob tunes the resident image's in-memory arena; the on-disk heap keeps
-    /// its own half-dead file-compaction rule (a separate cost model: file
-    /// compaction rewrites every page).
-    fn set_compaction_threshold(&mut self, ratio: f64) {
-        self.resident.set_compaction_threshold(ratio);
-    }
 }
 
 impl PersistentWalkStore for DiskWalkStore {
@@ -1005,13 +883,7 @@ impl PersistentWalkStore for DiskWalkStore {
             page_size: WALKS_PAGE_SIZE as u32,
         };
         let mut next = PagedWalks::unwritten(header, self.dir.as_slice().into());
-        apply_cache_policy(
-            self.budget,
-            self.resident.visit_counts(),
-            &self.dir,
-            self.resident.r(),
-            &mut next,
-        )?;
+        next.configure_cache(self.budget.max_resident_pages);
         // The previous generation's frames: a clean page's moves on to `next`, a
         // dirty page's is the buffer its new image is rendered into.  (Its emptied
         // cache stays valid — render_page may fault through it below.)
@@ -1050,8 +922,8 @@ impl PersistentWalkStore for DiskWalkStore {
                 None
             };
             stream.page(&image, crc)?;
-            // Keep the page we just wrote warm (within policy: pins always, the rest
-            // while the budget has room): the next write-back's clean pages then
+            // Keep the page we just wrote warm while the budget has room: the next
+            // write-back's clean pages then
             // move on from memory instead of being re-read (and re-validated).
             if let Some(idle) = next.preload(page, image)? {
                 spare = Some(idle);
@@ -1104,13 +976,7 @@ impl PersistentWalkStore for DiskWalkStore {
             .ok_or_else(|| corrupt("slot reservations exceed the heap"))?;
 
         let budget = PageBudget::from_env();
-        apply_cache_policy(
-            budget,
-            resident.visit_counts(),
-            &dir,
-            header.r as usize,
-            &mut walks,
-        )?;
+        walks.configure_cache(budget.max_resident_pages);
         let fault = FaultState {
             cells: (0..dir.len()).map(|_| FaultCell::new()).collect(),
             prev_dir,

@@ -467,11 +467,6 @@ impl PagedWalks {
         self.cache.set_budget(max_resident_pages);
     }
 
-    /// Replaces the page cache's pin set (pages that are never evicted).
-    pub fn pin_pages(&mut self, pages: &[u32]) -> PersistResult<()> {
-        self.cache.set_pinned_pages(pages)
-    }
-
     /// Number of heap pages currently resident in the cache.
     pub fn resident_pages(&self) -> usize {
         self.cache.resident_pages()
@@ -482,11 +477,6 @@ impl PagedWalks {
         self.cache.resident_bytes()
     }
 
-    /// Number of resident pages that are pinned.
-    pub fn pinned_resident_pages(&self) -> usize {
-        self.cache.pinned_resident_pages()
-    }
-
     /// Byte offset of heap page 0 within the snapshot file (test observability —
     /// corruption tests flip bytes at exact heap positions).
     pub fn heap_file_offset(&self) -> u64 {
@@ -494,9 +484,8 @@ impl PagedWalks {
     }
 
     /// Offers the cache the validated image of page `index` under its admission
-    /// policy (see [`PageCache::preload`]): pinned pages always enter, unpinned pages
-    /// only while there is room under the budget.  The buffer the cache does not
-    /// keep comes back.
+    /// policy (see [`PageCache::preload`]): it enters only while there is room under
+    /// the budget.  The buffer the cache does not keep comes back.
     pub(crate) fn preload(
         &mut self,
         index: u32,

@@ -5,9 +5,7 @@
 //! and verify each faulted image against a caller-supplied CRC — on *every* (re-)fault,
 //! not just the first, so an evicted page that rots on disk is caught the moment it is
 //! needed again.  Residency is bounded: an optional `max_resident_pages` budget is
-//! enforced with CLOCK (second-chance) eviction over the unpinned resident set, and a
-//! caller-supplied pin set marks pages as unevictable (the disk store pins the pages of
-//! its hottest nodes, exploiting the power-law visit skew as the admission policy).
+//! enforced with CLOCK (second-chance) eviction over the resident set.
 //!
 //! Frames live in a flat table indexed by page number (`Vec<Option<Frame>>`), so the
 //! hot read path is two direct slot accesses with zero hashing.  This deliberately
@@ -23,7 +21,7 @@
 //! Frames also travel *between* generations without being copied: a checkpoint
 //! takes the previous generation's frames ([`PageCache::take_frames`]) and offers
 //! each page it writes to the next generation's cache ([`PageCache::preload`]),
-//! which exists — [`PageCache::unwritten`], with its budget and pins — before the
+//! which exists — [`PageCache::unwritten`], with its budget — before the
 //! file it will read from does ([`PageCache::attach`]).
 
 use crate::crc::crc32;
@@ -74,9 +72,7 @@ pub struct PageCache {
     resident: usize,
     /// Residency budget in pages; `None` means unbounded.
     budget: Option<usize>,
-    /// Unevictable pages (admitted past the budget if everything else is pinned).
-    pinned: Vec<bool>,
-    /// CLOCK ring: exactly the resident *unpinned* pages, each once.
+    /// CLOCK ring: exactly the resident pages, each once.
     clock: VecDeque<u32>,
     /// Pages that have been resident at least once (distinguishes re-faults).
     ever_resident: Vec<bool>,
@@ -85,15 +81,15 @@ pub struct PageCache {
 
 impl PageCache {
     /// Wraps `file` from byte offset `base`, exposing `page_count` pages of
-    /// `page_size` bytes each.  The cache starts unbounded with no pins.
+    /// `page_size` bytes each.  The cache starts unbounded.
     pub fn new(file: File, base: u64, page_size: usize, page_count: u32) -> Self {
         let mut cache = PageCache::unwritten(page_size, page_count);
         cache.attach(file, base);
         cache
     }
 
-    /// A cache over `page_count` pages of a file that does not exist yet.  Budget,
-    /// pins and preloads work as on any cache; a miss is an error until
+    /// A cache over `page_count` pages of a file that does not exist yet.  Budget
+    /// and preloads work as on any cache; a miss is an error until
     /// [`PageCache::attach`] supplies the file.
     pub fn unwritten(page_size: usize, page_count: u32) -> Self {
         PageCache {
@@ -104,7 +100,6 @@ impl PageCache {
             frames: (0..page_count).map(|_| None).collect(),
             resident: 0,
             budget: None,
-            pinned: vec![false; page_count as usize],
             clock: VecDeque::new(),
             ever_resident: vec![false; page_count as usize],
             stats: PagerStats::default(),
@@ -147,15 +142,6 @@ impl PageCache {
         self.resident as u64 * self.page_size as u64
     }
 
-    /// Number of resident pages that are pinned.
-    pub fn pinned_resident_pages(&self) -> usize {
-        self.frames
-            .iter()
-            .zip(&self.pinned)
-            .filter(|(f, &p)| f.is_some() && p)
-            .count()
-    }
-
     /// Sets the residency budget (`None` = unbounded), evicting down if the current
     /// resident set exceeds it.  A budget of 0 is clamped to 1 — a cache that can
     /// hold nothing cannot serve reads.
@@ -169,34 +155,6 @@ impl PageCache {
     /// Current residency budget (`None` = unbounded).
     pub fn budget(&self) -> Option<usize> {
         self.budget
-    }
-
-    /// Replaces the pin set.  Pinned pages are never evicted and are admitted even
-    /// at budget (evicting an unpinned page to make room).  Rebuilds the CLOCK ring
-    /// and evicts down if newly-unpinned pages push the set over budget.
-    pub fn set_pinned_pages(&mut self, pages: &[u32]) -> PersistResult<()> {
-        for &page in pages {
-            if page >= self.page_count {
-                return Err(corrupt(format!(
-                    "pinned page {page} out of range ({} pages)",
-                    self.page_count
-                )));
-            }
-        }
-        self.pinned.iter_mut().for_each(|p| *p = false);
-        for &page in pages {
-            self.pinned[page as usize] = true;
-        }
-        self.clock.clear();
-        for index in 0..self.page_count {
-            if self.frames[index as usize].is_some() && !self.pinned[index as usize] {
-                self.clock.push_back(index);
-            }
-        }
-        if let Some(limit) = self.budget {
-            while self.resident > limit && self.evict_one() {}
-        }
-        Ok(())
     }
 
     fn check_range(&self, index: u32) -> PersistResult<()> {
@@ -225,9 +183,9 @@ impl PageCache {
         Ok(())
     }
 
-    /// Evicts one unpinned resident page chosen by CLOCK second-chance: the hand
-    /// skips (and demotes) referenced pages once, then takes the first unreferenced
-    /// one.  Returns `false` when nothing is evictable (all resident pages pinned).
+    /// Evicts one resident page chosen by CLOCK second-chance: the hand skips (and
+    /// demotes) referenced pages once, then takes the first unreferenced one.
+    /// Returns `false` when nothing is resident.
     fn evict_one(&mut self) -> bool {
         // Each ring entry is inspected at most twice (demote, then take), so the
         // loop is bounded even when every page starts referenced.
@@ -259,8 +217,7 @@ impl PageCache {
         }
     }
 
-    /// Installs a verified page image, evicting to budget first.  If every resident
-    /// page is pinned the budget is exceeded rather than failing the read.
+    /// Installs a verified page image, evicting to budget first.
     fn admit(&mut self, index: u32, bytes: Box<[u8]>) {
         if let Some(limit) = self.budget {
             while self.resident >= limit && self.evict_one() {}
@@ -273,9 +230,7 @@ impl PageCache {
         });
         self.resident += 1;
         self.ever_resident[index as usize] = true;
-        if !self.pinned[index as usize] {
-            self.clock.push_back(index);
-        }
+        self.clock.push_back(index);
     }
 
     /// Offers the cache an already-validated page image (a checkpoint keeps the
@@ -286,9 +241,8 @@ impl PageCache {
     ///
     /// Out-of-range indices and wrong-length images are hard errors — a caller that
     /// trips either has corrupted its geometry bookkeeping.  Admission is a policy
-    /// decision, not an error: pinned pages always enter (evicting unpinned ones if
-    /// needed); unpinned pages enter only while there is room under the budget —
-    /// warming the cache never evicts demand-faulted pages.
+    /// decision, not an error: pages enter only while there is room under the
+    /// budget — warming the cache never evicts demand-faulted pages.
     pub fn preload(&mut self, index: u32, bytes: Box<[u8]>) -> PersistResult<Option<Box<[u8]>>> {
         self.check_range(index)?;
         if bytes.len() != self.page_size {
@@ -301,11 +255,9 @@ impl PageCache {
         if let Some(frame) = self.frames[index as usize].as_mut() {
             return Ok(Some(std::mem::replace(&mut frame.bytes, bytes)));
         }
-        if !self.pinned[index as usize] {
-            if let Some(limit) = self.budget {
-                if self.resident >= limit {
-                    return Ok(Some(bytes));
-                }
+        if let Some(limit) = self.budget {
+            if self.resident >= limit {
+                return Ok(Some(bytes));
             }
         }
         self.admit(index, bytes);
@@ -474,22 +426,6 @@ mod tests {
     }
 
     #[test]
-    fn pinned_pages_are_never_evicted() {
-        let pages = [[1u8; 8], [2u8; 8], [3u8; 8]];
-        let (_dir, file, crcs) = setup(&pages);
-        let mut cache = PageCache::new(file, 4, 8, 3);
-        cache.set_budget(Some(1));
-        cache.set_pinned_pages(&[0]).unwrap();
-        cache.read_page(0, crcs[0]).unwrap();
-        cache.read_page(1, crcs[1]).unwrap();
-        cache.read_page(2, crcs[2]).unwrap();
-        // The pinned page rides along past the budget; the unpinned ones thrash.
-        assert!(cache.frames[0].is_some(), "pinned page stays resident");
-        assert_eq!(cache.pinned_resident_pages(), 1);
-        assert!(cache.set_pinned_pages(&[3]).is_err(), "pin out of range");
-    }
-
-    #[test]
     fn preload_misuse_is_a_hard_error_and_never_evicts() {
         let pages = [[1u8; 8], [2u8; 8]];
         let (_dir, file, crcs) = setup(&pages);
@@ -504,7 +440,7 @@ mod tests {
         );
         cache.set_budget(Some(1));
         cache.read_page(0, crcs[0]).unwrap();
-        // At budget: an unpinned preload is declined (and handed back) rather than
+        // At budget: a preload is declined (and handed back) rather than
         // evicting a demand-faulted page.
         let declined = cache.preload(1, Box::new(pages[1])).unwrap();
         assert_eq!(declined.as_deref(), Some(&pages[1][..]));
@@ -529,14 +465,12 @@ mod tests {
 
         let mut next = PageCache::unwritten(8, 3);
         next.set_budget(Some(2));
-        next.set_pinned_pages(&[2]).unwrap();
         for (index, frame) in carried.iter_mut().enumerate() {
             if let Some(frame) = frame.take() {
                 assert!(next.preload(index as u32, frame).unwrap().is_none());
             }
         }
         assert_eq!(next.resident_pages(), 2);
-        assert_eq!(next.pinned_resident_pages(), 1);
         assert_eq!(next.read_page(2, crcs[2]).unwrap(), &pages[2]);
         // A miss has nowhere to go until the file is attached.
         assert!(next.read_page(1, crcs[1]).is_err());

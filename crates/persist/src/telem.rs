@@ -43,7 +43,6 @@ impl MetricSource for ResidencyStats {
     fn emit(&self, out: &mut SnapshotBuilder) {
         out.gauge("resident_pages", self.resident_pages as f64);
         out.gauge("resident_page_bytes", self.resident_page_bytes as f64);
-        out.gauge("pinned_pages", self.pinned_pages as f64);
         out.gauge("cached_path_steps", self.cached_path_steps as f64);
         out.gauge("arena_steps", self.arena_steps as f64);
     }

@@ -185,7 +185,9 @@ impl Committer {
     /// engine (either walk kind) mutates the live graph strictly per edge in batch
     /// order (arrivals push, deletions first-occurrence `swap_remove`, absent
     /// edges skipped), so replay reproduces the live lists element-for-element,
-    /// which queries rely on (sampling picks neighbours by list position).
+    /// which queries rely on (sampling picks neighbours by list position).  The
+    /// mirror keeps its own edge count; a count that disagrees with the live graph's
+    /// means the lists diverged, and the commit stops rather than publish them.
     fn replay_edges(mirror: &mut FrozenGraph, op: WriteOp<'_>, edge_count: usize) {
         match op {
             WriteOp::Arrivals(edges) => {
@@ -199,8 +201,11 @@ impl Committer {
                 }
             }
         }
-        debug_assert_eq!(mirror.edge_count(), edge_count);
-        mirror.set_edge_count(edge_count);
+        assert_eq!(
+            mirror.edge_count(),
+            edge_count,
+            "mirror adjacency diverged from the live graph"
+        );
     }
 
     /// Advances the mirror by `op`, which `engine` has just applied (it held

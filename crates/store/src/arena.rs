@@ -24,10 +24,6 @@ use ppr_graph::NodeId;
 /// but a few percent of segments outright.
 pub const MIN_SLOT_CAP: usize = 16;
 
-/// Default garbage-to-live ratio of the compaction trigger: the classic half-dead
-/// rule (compact when relocation garbage exceeds the live data).
-pub const DEFAULT_COMPACT_RATIO: f64 = 1.0;
-
 /// Filler value for reserved-but-unused arena cells (never read through a slot).
 const FILLER: NodeId = NodeId(u32::MAX);
 
@@ -64,37 +60,17 @@ pub struct ArenaStats {
 }
 
 /// A flat arena of walk steps with per-segment slots.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct StepArena {
     steps: Vec<NodeId>,
     slots: Vec<Slot>,
     live: usize,
     dead: usize,
-    /// Garbage-to-live ratio above which a relocation triggers compaction (the
-    /// half-dead rule generalized; see [`StepArena::set_compaction_threshold`]).
-    compact_ratio: f64,
     in_place_writes: u64,
     relocations: u64,
     compactions: u64,
     compaction_nanos: u64,
     compaction_steps_moved: u64,
-}
-
-impl Default for StepArena {
-    fn default() -> Self {
-        StepArena {
-            steps: Vec::new(),
-            slots: Vec::new(),
-            live: 0,
-            dead: 0,
-            compact_ratio: DEFAULT_COMPACT_RATIO,
-            in_place_writes: 0,
-            relocations: 0,
-            compactions: 0,
-            compaction_nanos: 0,
-            compaction_steps_moved: 0,
-        }
-    }
 }
 
 impl StepArena {
@@ -104,24 +80,6 @@ impl StepArena {
             slots: vec![Slot::default(); slot_count],
             ..StepArena::default()
         }
-    }
-
-    /// Sets the garbage-to-live ratio above which a relocation triggers a compaction
-    /// pass.  The default `1.0` is the classic half-dead rule (compact when garbage
-    /// exceeds the live data); a tighter ratio trades more frequent compaction pauses
-    /// for a smaller buffer — the [`ArenaStats`] counters measure both sides of that
-    /// trade.  A small floor of `MIN_SLOT_CAP / 2` garbage steps per slot always
-    /// applies, so tiny stores do not compact on every relocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `ratio` is finite and positive.
-    pub fn set_compaction_threshold(&mut self, ratio: f64) {
-        assert!(
-            ratio.is_finite() && ratio > 0.0,
-            "compaction threshold must be a positive ratio, got {ratio}"
-        );
-        self.compact_ratio = ratio;
     }
 
     /// Number of slots (segments) addressed by the arena.
@@ -219,13 +177,12 @@ impl StepArena {
         len.next_power_of_two().max(MIN_SLOT_CAP)
     }
 
-    /// Compacts when relocation garbage exceeds `compact_ratio` times the live data
-    /// (at the default ratio of 1.0 this is the classic half-dead rule: amortised O(1)
-    /// per relocated step, and the buffer never exceeds ~2× its packed size for long).
+    /// Compacts when relocation garbage exceeds the live data — the classic half-dead
+    /// rule: amortised O(1) per relocated step, and the buffer never exceeds ~2× its
+    /// packed size for long.  A floor of `MIN_SLOT_CAP / 2` garbage steps per slot
+    /// keeps tiny stores from compacting on every relocation.
     fn maybe_compact(&mut self) {
-        let threshold = (self.live as f64 * self.compact_ratio)
-            .max((MIN_SLOT_CAP * self.slots.len() / 2) as f64);
-        if self.dead as f64 <= threshold {
+        if self.dead <= self.live.max(MIN_SLOT_CAP * self.slots.len() / 2) {
             return;
         }
         let started = std::time::Instant::now();
@@ -352,55 +309,6 @@ mod tests {
         assert_eq!(arena.path(1), nodes(&[9]).as_slice());
         arena.ensure_slots(1);
         assert_eq!(arena.slot_count(), 5);
-    }
-
-    #[test]
-    fn tighter_compaction_threshold_reduces_live_byte_waste_on_churn() {
-        // The satellite regression for the `compaction_threshold` knob: the same
-        // relocation-heavy churn (each write just past the previous power-of-two
-        // cap abandons a region) run at the default half-dead rule and at a 4x
-        // tighter ratio.  The tight arena must compact more often and carry strictly
-        // less garbage — buying a smaller buffer with more (measured) pause time.
-        let run = |ratio: f64| {
-            let mut arena = StepArena::new(16);
-            arena.set_compaction_threshold(ratio);
-            for round in 0..6u32 {
-                let len = 9 * (1 << round); // 9, 18, 36, ... always past the cap
-                for slot in 0..16 {
-                    let path: Vec<NodeId> = (0..len).map(NodeId).collect();
-                    arena.write(slot, &path);
-                }
-            }
-            arena.stats()
-        };
-        let default = run(DEFAULT_COMPACT_RATIO);
-        let tight = run(0.25);
-        assert_eq!(
-            tight.live_steps, default.live_steps,
-            "identical churn stores identical live data"
-        );
-        assert!(
-            tight.compactions > default.compactions,
-            "a tighter ratio must compact more often: {tight:?} vs {default:?}"
-        );
-        assert!(
-            tight.dead_steps < default.dead_steps,
-            "a tighter ratio must leave less garbage: {} vs {}",
-            tight.dead_steps,
-            default.dead_steps
-        );
-        // The knob's invariant: garbage stays below ratio * live (+ the slot floor).
-        let floor = (MIN_SLOT_CAP * 16 / 2) as f64;
-        assert!(
-            tight.dead_steps as f64 <= (tight.live_steps as f64 * 0.25).max(floor),
-            "tight arena exceeded its garbage bound: {tight:?}"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "positive ratio")]
-    fn compaction_threshold_rejects_zero() {
-        StepArena::new(1).set_compaction_threshold(0.0);
     }
 
     #[test]

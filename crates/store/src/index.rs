@@ -268,15 +268,6 @@ pub trait WalkIndexMut: WalkIndex {
             self.set_segment(id, path);
         }
     }
-
-    /// Sets the backing arena's compaction trigger: relocation garbage above `ratio`
-    /// times the live data compacts the arena (see
-    /// [`crate::arena::StepArena::set_compaction_threshold`]).  Purely a
-    /// space/latency trade — results never depend on it.  Default: no-op, for stores
-    /// without a tunable arena.
-    fn set_compaction_threshold(&mut self, ratio: f64) {
-        let _ = ratio;
-    }
 }
 
 impl WalkIndexView for WalkStore {
@@ -357,10 +348,6 @@ impl WalkIndexMut for WalkStore {
 
     fn check_consistency(&self) -> Result<(), String> {
         WalkStore::check_consistency(self)
-    }
-
-    fn set_compaction_threshold(&mut self, ratio: f64) {
-        WalkStore::set_compaction_threshold(self, ratio);
     }
 }
 

@@ -910,12 +910,6 @@ impl FrozenGraph {
         self.edge_count -= 1;
         true
     }
-
-    /// Stamps the view's edge count (the committer sets it to the post-batch value
-    /// the writer recorded).
-    pub fn set_edge_count(&mut self, edges: usize) {
-        self.edge_count = edges;
-    }
 }
 
 impl GraphView for FrozenGraph {

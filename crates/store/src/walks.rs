@@ -475,12 +475,6 @@ impl WalkStore {
         self.arena.stats()
     }
 
-    /// Sets the arena's compaction trigger ratio (see
-    /// [`crate::arena::StepArena::set_compaction_threshold`]).
-    pub fn set_compaction_threshold(&mut self, ratio: f64) {
-        self.arena.set_compaction_threshold(ratio);
-    }
-
     /// The probability `1 - (1 - 1/d)^{W(v)}` used by Section 2.2 to decide, on arrival
     /// of an edge out of `node` whose source now has out-degree `d`, whether the
     /// PageRank Store needs to be consulted at all.

@@ -97,7 +97,6 @@ struct Observed {
 fn run_ops(ops: &[PagedOp], budget: PageBudget, dir: &Path) -> Observed {
     let previous = set_thread_page_budget(Some(budget));
     let mut store = DiskWalkStore::new(N as usize, R);
-    store.set_page_budget(budget).expect("set_page_budget");
     let mut generation = 0u64;
     let mut last_snap: Option<PathBuf> = None;
     let mut reads = Vec::new();

@@ -5,7 +5,6 @@
 use fast_ppr::prelude::*;
 use ppr_analysis::ranking::{top_k_indices, top_k_overlap};
 use ppr_baselines::power_iteration::PowerIterationConfig;
-use ppr_core::RerouteStrategy;
 use ppr_graph::generators::{preferential_attachment_edges, PreferentialAttachmentConfig};
 use ppr_graph::stream::random_permutation;
 use ppr_graph::Edge;
@@ -325,41 +324,26 @@ fn arrival_only_histories_keep_their_pinned_digests() {
     // reroute coins off the per-segment repair stream onto one skip-sampled coin
     // stream per `(batch, pivot, direction)`: this change alters arrival RNG streams
     // (and nothing about deletions).  Deletion histories are deliberately not pinned.
-    const PINNED: [(u64, u64); 4] = [
-        (920, 2357357892586109657),
-        (2526, 8605347573499262585),
-        (343, 450252412985468504),
-        (1134, 5352309793781967337),
-    ];
+    const PINNED: [(u64, u64); 2] = [(920, 2357357892586109657), (2526, 8605347573499262585)];
     let script = pinned_arrival_script();
-    let mut observed = Vec::new();
-    for reroute in [
-        RerouteStrategy::FromUpdatePoint,
-        RerouteStrategy::FromSource,
-    ] {
-        let config = MonteCarloConfig::new(0.2, 3)
-            .with_seed(463)
-            .with_reroute(reroute);
-        let mut pagerank = IncrementalPageRank::new_empty(40, config);
-        let mut salsa = IncrementalSalsa::new_empty(40, config);
-        for batch in &script {
-            pagerank.apply_arrivals(batch);
-            salsa.apply_arrivals(batch);
-        }
-        assert_eq!(
-            pagerank.node_count(),
-            60,
-            "the script must grow the node set"
-        );
-        for digest in [
-            StoreDigest::of(pagerank.walk_store()),
-            StoreDigest::of(salsa.walk_store()),
-        ] {
-            observed.push((digest.total_visits, digest.fingerprint));
-        }
+    let config = MonteCarloConfig::new(0.2, 3).with_seed(463);
+    let mut pagerank = IncrementalPageRank::new_empty(40, config);
+    let mut salsa = IncrementalSalsa::new_empty(40, config);
+    for batch in &script {
+        pagerank.apply_arrivals(batch);
+        salsa.apply_arrivals(batch);
     }
     assert_eq!(
-        observed, PINNED,
-        "order: PageRank, SALSA under FromUpdatePoint; then under FromSource"
+        pagerank.node_count(),
+        60,
+        "the script must grow the node set"
     );
+    let observed: Vec<(u64, u64)> = [
+        StoreDigest::of(pagerank.walk_store()),
+        StoreDigest::of(salsa.walk_store()),
+    ]
+    .iter()
+    .map(|digest| (digest.total_visits, digest.fingerprint))
+    .collect();
+    assert_eq!(observed, PINNED, "order: PageRank, SALSA");
 }
