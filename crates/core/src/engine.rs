@@ -461,8 +461,8 @@ impl<K: WalkKind, W: WalkIndexMut> WalkEngine<K, W> {
         let (stats, work) = self.repair(
             &groups,
             edges,
-            arrival_probes::<W>,
-            arrival_candidate::<K, W>,
+            arrival_probes::<DynamicGraph, W>,
+            arrival_candidate::<K, DynamicGraph, W>,
         );
         self.install(WalOp::Arrivals, edges, &work, grown, started, &arena_before);
         stats
@@ -552,7 +552,7 @@ impl<K: WalkKind, W: WalkIndexMut> WalkEngine<K, W> {
                     probes,
                 )
             },
-            deletion_candidate::<K, W>,
+            deletion_candidate::<K, DynamicGraph, W>,
         );
         self.install(WalOp::Deletions, edges, &work, 0, started, &arena_before);
         stats
@@ -620,7 +620,7 @@ impl<K: WalkKind, W: WalkIndexMut> WalkEngine<K, W> {
         for node in nodes {
             let node = NodeId::from_index(node);
             for slot in 0..segments {
-                self.initialization_steps += fresh_segment::<K>(
+                self.initialization_steps += fresh_segment::<K, _>(
                     self.store.graph(),
                     &self.config,
                     node,
@@ -637,7 +637,7 @@ impl<K: WalkKind, W: WalkIndexMut> WalkEngine<K, W> {
     fn generate_segments_for(&mut self, node: NodeId) {
         let segments = K::segments_per_node(self.config.r);
         for slot in 0..segments {
-            let steps = fresh_segment::<K>(
+            let steps = fresh_segment::<K, _>(
                 self.store.graph(),
                 &self.config,
                 node,
@@ -661,9 +661,9 @@ impl<K: WalkKind, W: WalkIndexMut> WalkEngine<K, W> {
         &mut self,
         groups: &[Group],
         edges: &[Edge],
-        detect: impl Fn(&Repair<'_, W>, usize, &Group, &mut Probes),
+        detect: impl Fn(&Repair<'_, DynamicGraph, W>, usize, &Group, &mut Probes),
         candidate: impl Fn(
-            &Repair<'_, W>,
+            &Repair<'_, DynamicGraph, W>,
             &Group,
             SegmentId,
             &[u32],
@@ -766,14 +766,14 @@ impl<K: WalkKind, W: WalkIndexMut> WalkEngine<K, W> {
 
 /// What a candidate decision reads: the post-batch graph, the pre-batch walks, and
 /// the coordinates of the batch's split RNG streams.
-struct Repair<'a, W> {
-    graph: &'a DynamicGraph,
+struct Repair<'a, G: ?Sized, W> {
+    graph: &'a G,
     walks: &'a W,
     config: &'a MonteCarloConfig,
     batch_index: u64,
 }
 
-impl<W: WalkIndex> Repair<'_, W> {
+impl<G: ?Sized, W: WalkIndex> Repair<'_, G, W> {
     /// The repair's own split stream.
     fn rng(&self, group: &Group, id: SegmentId) -> SmallRng {
         SmallRng::seed_from_u64(batch::repair_seed(
@@ -787,8 +787,8 @@ impl<W: WalkIndex> Repair<'_, W> {
 }
 
 /// Generates segment `slot` of `source` from scratch into `buf`; returns its steps.
-fn fresh_segment<K: WalkKind>(
-    graph: &DynamicGraph,
+fn fresh_segment<K: WalkKind, G: GraphView + ?Sized>(
+    graph: &G,
     config: &MonteCarloConfig,
     source: NodeId,
     slot: usize,
@@ -797,12 +797,12 @@ fn fresh_segment<K: WalkKind>(
 ) -> u64 {
     buf.clear();
     buf.push(source);
-    extend_segment::<K>(graph, config, slot, rng, buf)
+    extend_segment::<K, _>(graph, config, slot, rng, buf)
 }
 
 /// Continues the segment in `slot` whose path so far is `path` until it ends.
-fn extend_segment<K: WalkKind>(
-    graph: &DynamicGraph,
+fn extend_segment<K: WalkKind, G: GraphView + ?Sized>(
+    graph: &G,
     config: &MonteCarloConfig,
     slot: usize,
     rng: &mut SmallRng,
@@ -835,8 +835,8 @@ fn arrival_coin_probability(group: &Group, epsilon: f64) -> f64 {
 
 /// The detection scan of one arrival group: skip-samples the group's coin stream over
 /// the pivot's visit slots.
-fn arrival_probes<W: WalkIndex>(
-    repair: &Repair<'_, W>,
+fn arrival_probes<G: ?Sized, W: WalkIndex>(
+    repair: &Repair<'_, G, W>,
     gi: usize,
     group: &Group,
     probes: &mut Probes,
@@ -894,8 +894,8 @@ fn first_eligible_pick<K: WalkKind>(
 /// heads its coin stream drew among the segment's visits to the pivot, and on a hit
 /// generates the full replacement path into `scratch` against the post-batch graph
 /// from the repair's own stream.  Returns `(reroute position, steps)`.
-fn arrival_candidate<K: WalkKind, W: WalkIndex>(
-    repair: &Repair<'_, W>,
+fn arrival_candidate<K: WalkKind, G: GraphView + ?Sized, W: WalkIndex>(
+    repair: &Repair<'_, G, W>,
     group: &Group,
     id: SegmentId,
     picks: &[u32],
@@ -914,7 +914,7 @@ fn arrival_candidate<K: WalkKind, W: WalkIndex>(
         scratch.push(target);
         steps += 1;
     }
-    steps += extend_segment::<K>(repair.graph, config, slot, &mut rng, scratch);
+    steps += extend_segment::<K, _>(repair.graph, config, slot, &mut rng, scratch);
     Some((pos, steps))
 }
 
@@ -924,8 +924,8 @@ fn arrival_candidate<K: WalkKind, W: WalkIndex>(
 /// generates the replacement path into `scratch` against the post-deletion graph —
 /// the invalidated step re-sampled with no reset coin — and returns `(reroute
 /// position, steps)`.
-fn deletion_candidate<K: WalkKind, W: WalkIndex>(
-    repair: &Repair<'_, W>,
+fn deletion_candidate<K: WalkKind, G: GraphView + ?Sized, W: WalkIndex>(
+    repair: &Repair<'_, G, W>,
     group: &Group,
     id: SegmentId,
     _picks: &[u32],
@@ -950,7 +950,7 @@ fn deletion_candidate<K: WalkKind, W: WalkIndex>(
     let steps = match next {
         Some(next) => {
             scratch.push(next);
-            1 + extend_segment::<K>(repair.graph, config, slot, &mut rng, scratch)
+            1 + extend_segment::<K, _>(repair.graph, config, slot, &mut rng, scratch)
         }
         // The pivot lost its last edge in that direction: the segment ends.
         None => 0,

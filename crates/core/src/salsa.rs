@@ -136,23 +136,16 @@ fn authority_walk<G: GraphView + ?Sized>(
                 forward = true;
                 continue;
             }
-            let out = graph.out_neighbors(current);
-            if out.is_empty() {
-                current = seed;
-                forward = true;
-            } else {
-                let next = out[rng.gen_range(0..out.len())];
-                authority_visit(next);
-                current = next;
-                forward = false;
+            match graph.random_out_neighbor(current, rng) {
+                Some(next) => {
+                    authority_visit(next);
+                    current = next;
+                    forward = false;
+                }
+                None => current = seed,
             }
         } else {
-            let incoming = graph.in_neighbors(current);
-            if incoming.is_empty() {
-                current = seed;
-            } else {
-                current = incoming[rng.gen_range(0..incoming.len())];
-            }
+            current = graph.random_in_neighbor(current, rng).unwrap_or(seed);
             forward = true;
         }
     }

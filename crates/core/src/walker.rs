@@ -11,7 +11,7 @@
 //! SALSA segments alternate forward (out-edge) and backward (in-edge) steps, resetting
 //! only before forward steps, giving an expected length of `2/ε` (Section 2.3).
 
-use ppr_graph::{DynamicGraph, NodeId};
+use ppr_graph::{GraphView, NodeId};
 use rand::Rng;
 
 /// A freshly generated walk and the number of random steps it took to produce it.
@@ -27,8 +27,8 @@ pub struct GeneratedWalk {
 /// Generates one PageRank walk segment starting at `start`: the segment always contains
 /// `start` and continues until the first ε-reset, a dangling node, or `max_length`
 /// visits.
-pub fn pagerank_segment<R: Rng + ?Sized>(
-    graph: &DynamicGraph,
+pub fn pagerank_segment<G: GraphView + ?Sized, R: Rng + ?Sized>(
+    graph: &G,
     start: NodeId,
     epsilon: f64,
     max_length: usize,
@@ -43,8 +43,8 @@ pub fn pagerank_segment<R: Rng + ?Sized>(
 /// (cleared first) and returns the number of steps taken.  The engines' reroute paths
 /// reuse one scratch buffer across repairs so that steady-state maintenance performs no
 /// per-segment heap allocation.
-pub fn pagerank_segment_into<R: Rng + ?Sized>(
-    graph: &DynamicGraph,
+pub fn pagerank_segment_into<G: GraphView + ?Sized, R: Rng + ?Sized>(
+    graph: &G,
     start: NodeId,
     epsilon: f64,
     max_length: usize,
@@ -65,8 +65,8 @@ pub fn pagerank_segment_into<R: Rng + ?Sized>(
 /// follow a uniformly random in-edge unconditionally.  Every stored segment is drawn
 /// by this loop — a PageRank walk never steps backward, a SALSA walk alternates — so
 /// the two kinds draw from `rng` in the same order for the same sequence of directions.
-pub fn extend_walk<R: Rng + ?Sized>(
-    graph: &DynamicGraph,
+pub fn extend_walk<G: GraphView + ?Sized, R: Rng + ?Sized>(
+    graph: &G,
     path: &mut Vec<NodeId>,
     epsilon: f64,
     max_length: usize,
@@ -100,8 +100,8 @@ pub fn extend_walk<R: Rng + ?Sized>(
 /// Continues a PageRank walk whose current node is `path.last()`, pushing newly visited
 /// nodes onto `path` until the first reset / dangling node / the `max_length` cap.
 /// Returns the number of steps taken.
-pub fn extend_pagerank_walk<R: Rng + ?Sized>(
-    graph: &DynamicGraph,
+pub fn extend_pagerank_walk<G: GraphView + ?Sized, R: Rng + ?Sized>(
+    graph: &G,
     path: &mut Vec<NodeId>,
     epsilon: f64,
     max_length: usize,
@@ -116,8 +116,8 @@ pub fn extend_pagerank_walk<R: Rng + ?Sized>(
 /// are hub visits, odd positions authority visits); otherwise it starts with a backward
 /// step (even positions are authority visits).  Resets happen only before forward steps,
 /// with probability ε, so the expected segment length is `2/ε`.
-pub fn salsa_segment<R: Rng + ?Sized>(
-    graph: &DynamicGraph,
+pub fn salsa_segment<G: GraphView + ?Sized, R: Rng + ?Sized>(
+    graph: &G,
     start: NodeId,
     start_forward: bool,
     epsilon: f64,
@@ -139,8 +139,8 @@ pub fn salsa_segment<R: Rng + ?Sized>(
 
 /// Allocation-free variant of [`salsa_segment`]: generates the walk into `buf` (cleared
 /// first) and returns the number of steps taken.
-pub fn salsa_segment_into<R: Rng + ?Sized>(
-    graph: &DynamicGraph,
+pub fn salsa_segment_into<G: GraphView + ?Sized, R: Rng + ?Sized>(
+    graph: &G,
     start: NodeId,
     start_forward: bool,
     epsilon: f64,
@@ -158,8 +158,8 @@ pub fn salsa_segment_into<R: Rng + ?Sized>(
 /// `forward` is the direction of the next step.  Resets (probability ε) are rolled only
 /// before forward steps; the walk also ends on a node with no edge in the required
 /// direction or at the `max_length` cap.  Returns the number of steps taken.
-pub fn extend_salsa_walk<R: Rng + ?Sized>(
-    graph: &DynamicGraph,
+pub fn extend_salsa_walk<G: GraphView + ?Sized, R: Rng + ?Sized>(
+    graph: &G,
     path: &mut Vec<NodeId>,
     forward: bool,
     epsilon: f64,
@@ -189,8 +189,8 @@ pub(crate) fn pick_new_target<R: Rng + ?Sized>(rng: &mut R, targets: &[NodeId]) 
 /// Empirical mean length of `samples` PageRank segments started from `start`; used by
 /// tests to check the geometric-length property (`E[length] ≈ 1/ε` counted in steps,
 /// i.e. `1 + (1-ε)/ε` visits on a graph with no dangling nodes).
-pub fn mean_segment_length<R: Rng + ?Sized>(
-    graph: &DynamicGraph,
+pub fn mean_segment_length<G: GraphView + ?Sized, R: Rng + ?Sized>(
+    graph: &G,
     start: NodeId,
     epsilon: f64,
     max_length: usize,

@@ -173,36 +173,6 @@ impl DynamicGraph {
         true
     }
 
-    /// Returns `true` if at least one copy of the edge is present.
-    pub fn has_edge(&self, edge: Edge) -> bool {
-        edge.source.index() < self.out_adj.len()
-            && self.out_adj[edge.source.index()].contains(&edge.target)
-    }
-
-    /// Picks a uniformly random out-neighbour of `node`, or `None` if it has none.
-    pub fn random_out_neighbor<R: Rng + ?Sized>(
-        &self,
-        node: NodeId,
-        rng: &mut R,
-    ) -> Option<NodeId> {
-        let neighbors = &self.out_adj[node.index()];
-        if neighbors.is_empty() {
-            None
-        } else {
-            Some(neighbors[rng.gen_range(0..neighbors.len())])
-        }
-    }
-
-    /// Picks a uniformly random in-neighbour of `node`, or `None` if it has none.
-    pub fn random_in_neighbor<R: Rng + ?Sized>(&self, node: NodeId, rng: &mut R) -> Option<NodeId> {
-        let neighbors = &self.in_adj[node.index()];
-        if neighbors.is_empty() {
-            None
-        } else {
-            Some(neighbors[rng.gen_range(0..neighbors.len())])
-        }
-    }
-
     /// Returns a uniformly random node id, or `None` for an empty graph.
     pub fn random_node<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<NodeId> {
         if self.out_adj.is_empty() {

@@ -1,10 +1,12 @@
 //! The [`GraphView`] trait: a read-only view over a directed graph.
 //!
-//! Both the mutable [`crate::DynamicGraph`] and the immutable [`crate::CsrGraph`]
-//! implement this trait, so that algorithms (power iteration, HITS, SALSA, random
-//! walks) can be written once and run against either representation.
+//! The mutable [`crate::DynamicGraph`], the immutable [`crate::CsrGraph`] and the
+//! serving layer's copy-on-write adjacency implement this trait, so that algorithms
+//! (power iteration, HITS, SALSA, random walks) are written once — neighbour sampling
+//! included — and run against any representation.
 
 use crate::{Edge, NodeId};
+use rand::Rng;
 
 /// Read-only access to a directed graph with dense node ids `0..node_count()`.
 pub trait GraphView {
@@ -38,6 +40,26 @@ pub trait GraphView {
         self.out_degree(node) == 0
     }
 
+    /// Returns `true` if at least one copy of the edge is present.
+    fn has_edge(&self, edge: Edge) -> bool {
+        edge.source.index() < self.node_count()
+            && self.out_neighbors(edge.source).contains(&edge.target)
+    }
+
+    /// Picks a uniformly random out-neighbour of `node` — list position
+    /// `gen_range(0..out_degree)` — or `None` if it has none.
+    #[inline]
+    fn random_out_neighbor<R: Rng + ?Sized>(&self, node: NodeId, rng: &mut R) -> Option<NodeId> {
+        pick(self.out_neighbors(node), rng)
+    }
+
+    /// Picks a uniformly random in-neighbour of `node` — list position
+    /// `gen_range(0..in_degree)` — or `None` if it has none.
+    #[inline]
+    fn random_in_neighbor<R: Rng + ?Sized>(&self, node: NodeId, rng: &mut R) -> Option<NodeId> {
+        pick(self.in_neighbors(node), rng)
+    }
+
     /// Iterates over every node id in the graph.
     fn nodes(&self) -> NodeIter {
         NodeIter {
@@ -68,6 +90,17 @@ pub trait GraphView {
     /// Sum of in-degrees, which must equal the edge count for a consistent graph.
     fn total_in_degree(&self) -> usize {
         self.nodes().map(|u| self.in_degree(u)).sum()
+    }
+}
+
+/// A uniformly random entry of `neighbors`, picked by position: sampling is part of
+/// a graph's observable behaviour, so every representation draws through this.
+#[inline]
+fn pick<R: Rng + ?Sized>(neighbors: &[NodeId], rng: &mut R) -> Option<NodeId> {
+    if neighbors.is_empty() {
+        None
+    } else {
+        Some(neighbors[rng.gen_range(0..neighbors.len())])
     }
 }
 

@@ -11,9 +11,10 @@ use crate::snapshot::{check_shard_count, SHARD_COUNT};
 use ppr_graph::{DynamicGraph, GraphView, NodeId};
 
 /// Encodes `graph` as a graph-section payload, handed to `emit` in bounded chunks as
-/// it is produced.
-pub fn encode_graph(
-    graph: &DynamicGraph,
+/// it is produced.  The bytes depend only on the lists, so every graph type holding
+/// the same lists in the same order encodes identically.
+pub fn encode_graph<G: GraphView + ?Sized>(
+    graph: &G,
     mut emit: impl FnMut(&[u8]) -> PersistResult<()>,
 ) -> PersistResult<()> {
     let mut w = ByteWriter::with_capacity(SPILL_BYTES + 8);

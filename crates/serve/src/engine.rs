@@ -525,8 +525,8 @@ impl<E: ServeEngine> QueryEngine<E> {
     }
 
     /// Mutable access to the wrapped engine for maintenance that leaves its
-    /// *logical* state untouched — durable checkpoints, WAL rotation, compaction
-    /// tuning.  Applying edge batches here instead of through
+    /// *logical* state untouched — durable checkpoints, WAL rotation.  Applying
+    /// edge batches here instead of through
     /// [`Self::commit_arrivals`] / [`Self::commit_deletions`] would desync the
     /// published mirror from the live store.
     pub fn engine_mut(&mut self) -> &mut E {

@@ -81,6 +81,36 @@ mod tests {
         }
     }
 
+    /// Every out- and in-list of a graph, in node order, entries in list order.
+    fn lists<G: GraphView>(graph: &G) -> Vec<(Vec<NodeId>, Vec<NodeId>)> {
+        let both = |v| {
+            (
+                graph.out_neighbors(v).to_vec(),
+                graph.in_neighbors(v).to_vec(),
+            )
+        };
+        graph.nodes().map(both).collect()
+    }
+
+    /// Commits `batch` and applies it, edge by edge, to `reference`: a
+    /// `DynamicGraph` the published graphs are held to, list order included.
+    fn commit<E: ServeEngine>(
+        serving: &mut QueryEngine<E>,
+        reference: &mut DynamicGraph,
+        arrivals: bool,
+        batch: &[Edge],
+    ) {
+        if arrivals {
+            serving.commit_arrivals(batch);
+            batch.iter().for_each(|&e| reference.add_edge_growing(e));
+        } else {
+            serving.commit_deletions(batch);
+            batch.iter().for_each(|&e| {
+                reference.remove_edge(e);
+            });
+        }
+    }
+
     #[test]
     fn published_generations_track_the_live_engine_exactly() {
         let stream = edges(120, 901);
@@ -203,8 +233,11 @@ mod tests {
         let config = MonteCarloConfig::new(0.2, 3).with_seed(929);
         let engine = IncrementalPageRank::new_empty(100, config);
         let mut serving = QueryEngine::new(engine, 7);
-        serving.commit_arrivals(&stream[..300.min(stream.len())]);
+        let mut reference = DynamicGraph::with_nodes(100);
+        let (head, tail) = stream.split_at(300);
+        commit(&mut serving, &mut reference, true, head);
         let pinned = serving.pin();
+        let pinned_lists = lists(&reference);
         let query = Query::PersonalizedTopK {
             seed: NodeId(2),
             k: 4,
@@ -212,14 +245,40 @@ mod tests {
             fetch_budget: None,
         };
         let before = pinned.answer(7, 11, &query);
-        // Keep writing: the pinned generation must not change under the reader.
-        for chunk in stream[300.min(stream.len())..].chunks(64) {
-            serving.commit_arrivals(chunk);
+        // Keep writing: the pinned generation must not change under the reader,
+        // through arrivals and through deletions, absent edges among them.
+        let mut victims: Vec<Edge> = stream.iter().copied().step_by(5).collect();
+        victims.extend((0..20).map(|u| Edge::new(u, 99 - u)));
+        for (arrivals, batch) in [
+            (true, &tail[..32]),
+            (true, &tail[32..48]),
+            (false, &victims),
+        ] {
+            commit(&mut serving, &mut reference, arrivals, batch);
+            assert_eq!(lists(pinned.graph()), pinned_lists, "first pin");
         }
-        let after = pinned.answer(7, 11, &query);
-        assert_eq!(before, after, "a pinned generation is immutable");
-        // The current generation differs (the graph moved on).
+        // A commit while a second reader pins a later generation leaves both alone.
+        let (second, second_lists) = (serving.pin(), lists(&reference));
+        commit(&mut serving, &mut reference, true, &tail[48..72]);
+        assert_eq!(lists(pinned.graph()), pinned_lists, "first pin, two held");
+        assert_eq!(lists(second.graph()), second_lists, "second pin, two held");
+        assert_eq!(
+            before,
+            pinned.answer(7, 11, &query),
+            "a pinned generation is immutable"
+        );
         assert!(serving.pin().epoch() > pinned.epoch());
+        // With every reader gone the superseded generations are reclaimed; the
+        // generation the next commit publishes is exact, and later commits leave
+        // it alone too.
+        drop((pinned, second));
+        commit(&mut serving, &mut reference, true, &tail[72..]);
+        let third = serving.pin();
+        let third_lists = lists(&reference);
+        assert_eq!(lists(third.graph()), third_lists, "after every pin dropped");
+        commit(&mut serving, &mut reference, false, &tail[72..80]);
+        assert_eq!(lists(third.graph()), third_lists, "third pin");
+        assert_eq!(lists(serving.pin().graph()), lists(&reference), "live");
     }
 
     #[test]

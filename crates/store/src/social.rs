@@ -138,11 +138,6 @@ impl SocialStore {
     pub fn reset_metrics(&self) {
         self.metrics.reset();
     }
-
-    /// Consumes the store and returns the underlying graph.
-    pub fn into_graph(self) -> DynamicGraph {
-        self.graph
-    }
 }
 
 /// The walker-facing fetch surface: one fetch copies the node's out-adjacency and is
@@ -240,13 +235,5 @@ mod tests {
         assert_eq!(store.node_count(), 10);
         assert_eq!(store.out_degree(NodeId(0)), 1);
         assert_eq!(store.in_degree(NodeId(9)), 1);
-    }
-
-    #[test]
-    fn into_graph_returns_underlying_graph() {
-        let store = SocialStore::from_graph(directed_cycle(4));
-        let graph = store.into_graph();
-        assert_eq!(graph.node_count(), 4);
-        assert_eq!(graph.edge_count(), 4);
     }
 }
