@@ -267,10 +267,10 @@ fn report_scenario_durability(_c: &mut Criterion) {
 
 /// The demand-paging regime: cold-open latency, first-query latency, and
 /// steady-state residency of the disk engine as the store grows 8×, at several
-/// page-cache budgets.  Before demand paging, open cost tracked the walk heap
-/// (every page was faulted warm); now open maps slot metadata only, the first
-/// query pays a handful of page faults, and steady-state resident bytes are
-/// capped by the budget instead of the store size.
+/// page-cache budgets.  Open reads the heap once, to check its pages and count
+/// the visit index, and keeps no path: a bounded cache admits nothing then, the
+/// first query pays a handful of page faults, and steady-state resident bytes
+/// are capped by the budget and the index instead of the store size.
 fn report_cold_start_residency(_c: &mut Criterion) {
     use ppr_persist::{set_thread_page_budget, PageBudget};
     use ppr_store::{SegmentId, WalkIndexView};

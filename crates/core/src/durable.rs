@@ -26,13 +26,15 @@
 //!    leaves the previous generation authoritative.  A crash mid-append leaves a
 //!    torn WAL tail that recovery truncates at the last CRC-valid record.
 //!
-//! Recovery therefore is: read `CURRENT` → load that generation's snapshot (falling
-//! back to the previous generation if the file is corrupt) → apply the WAL tail's
-//! edges to the graph and install its effects as one collapsed plan (see
-//! [`WalkEngine::open`]) → truncate the torn tail, if any → attach the writer and
-//! continue.  The restart-equivalence differential test (`tests/durability.rs`)
-//! holds the whole stack to "crash anywhere, recover, resume ≡ never crashed", and
-//! this module's tests hold effect replay to re-running the edge batches.
+//! Recovery therefore is: read `CURRENT` → open that generation's snapshot as far as
+//! its walk heap → apply the WAL tail's edges to the graph and fold its effects into
+//! one plan of final paths → open the walk store with the plan installed, counting
+//! the visit index once as every heap page is checked (falling back to the previous
+//! generation if the snapshot is corrupt) → truncate the torn tail, if any → attach
+//! the writer and continue (see [`WalkEngine::open`]).  The restart-equivalence
+//! differential test (`tests/durability.rs`) holds the whole stack to "crash
+//! anywhere, recover, resume ≡ never crashed", and this module's tests hold effect
+//! replay to re-running the edge batches.
 //!
 //! # Durability semantics
 //!
@@ -52,7 +54,7 @@
 
 use crate::config::MonteCarloConfig;
 use crate::engine::{PageRank, WalkEngine, WalkKind};
-use ppr_graph::{Edge, GraphView};
+use ppr_graph::{DynamicGraph, Edge, GraphView};
 use ppr_persist::dir::StoreDir;
 use ppr_persist::graph::{decode_graph, encode_graph};
 use ppr_persist::io::{corrupt, format_err, ByteReader, ByteWriter};
@@ -62,12 +64,11 @@ use ppr_persist::snapshot::{
     AtomicFile, SnapshotFile, SnapshotWriter, SECTION_GRAPH, SECTION_META,
 };
 use ppr_persist::wal::{self, WalRecord, WalWriter};
-use ppr_persist::{BatchRecord, DiskWalkStore, PagedWalks, WalCursors, WalEffects, WalOp};
+use ppr_persist::{BatchRecord, DiskWalkStore, PagedWalks, WalEffects, WalOp};
 use ppr_store::{SegmentId, SegmentRewrites, SocialStore, WalkIndexMut, WalkStore, WorkCounter};
 use rand::rngs::SmallRng;
 use std::io::{Seek, Write};
 use std::path::Path;
-use std::time::Instant;
 
 pub use ppr_persist::{PersistError, PersistResult};
 
@@ -173,13 +174,12 @@ fn encode_meta(m: &EngineMeta) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Decodes the META section written by container version `version` (version 1
-/// predates the compaction-ratio field).  The retired settings must hold the values
-/// this build runs with: a store rerouted from the source (byte 1) or capped at
-/// another segment length fails with a `Format` error, since its walks were drawn
-/// under rules this build no longer has.  The compaction ratio only shaped the
-/// arena's memory, never a result, so it is validated and ignored.
-fn decode_meta(payload: &[u8], version: u32) -> PersistResult<EngineMeta> {
+/// Decodes the META section.  The retired settings must hold the values this build
+/// runs with: a store rerouted from the source (byte 1) or capped at another segment
+/// length fails with a `Format` error, since its walks were drawn under rules this
+/// build no longer has.  The compaction ratio only shaped the arena's memory, never
+/// a result, so it is validated and ignored.
+fn decode_meta(payload: &[u8]) -> PersistResult<EngineMeta> {
     let mut r = ByteReader::new(payload);
     let kind = r.get_u8()?;
     let epsilon = r.get_f64()?;
@@ -191,7 +191,7 @@ fn decode_meta(payload: &[u8], version: u32) -> PersistResult<EngineMeta> {
         other => return Err(corrupt(format!("unknown reroute strategy {other}"))),
     }
     let max_segment_length = r.get_len()?;
-    let compaction_threshold = if version >= 2 { r.get_f64()? } else { 1.0 };
+    let compaction_threshold = r.get_f64()?;
     if !(epsilon > 0.0 && epsilon < 1.0)
         || segments == 0
         || max_segment_length == 0
@@ -265,112 +265,36 @@ fn write_generation<W: PersistentWalkStore>(
     walks.after_checkpoint(&path)
 }
 
-/// Everything recovered from a store directory, before engine assembly.
-struct Recovered<W> {
+/// A generation's snapshot opened as far as its walk heap: META and the graph
+/// decoded, the walks section's directory and page-CRC table read and checked.
+struct OpenedSnapshot {
     meta: EngineMeta,
-    lock: StoreLock,
-    social: SocialStore,
-    walks: W,
-    replay: Vec<WalRecord>,
-    writer: WalWriter,
-    dir: StoreDir,
-    current_gen: u64,
-    /// Generation of the snapshot actually loaded (differs from `current_gen` after
-    /// a fallback recovery) — the known-good base pruning must preserve.
-    snap_gen: u64,
+    graph: DynamicGraph,
+    walks: PagedWalks,
 }
 
-fn try_load_generation<W: PersistentWalkStore>(
-    dir: &StoreDir,
-    gen: u64,
-) -> PersistResult<(EngineMeta, SocialStore, W)> {
+fn open_snapshot(dir: &StoreDir, gen: u64) -> PersistResult<OpenedSnapshot> {
     let mut snap = SnapshotFile::open(&dir.snapshot_path(gen))?;
-    let meta = decode_meta(&snap.read_section(SECTION_META)?, snap.version())?;
+    let meta = decode_meta(&snap.read_section(SECTION_META)?)?;
     let graph = decode_graph(&snap.read_section(SECTION_GRAPH)?)?;
-    let walks = W::decode_walks(PagedWalks::from_snapshot(snap)?)?;
-    // Surface deferred corruption (a demand-paged store leaves its heap unread)
-    // while generation fallback is still possible; see `verify_walks`.
-    walks.verify_walks()?;
-    if walks.node_count() != graph.node_count() {
+    let walks = PagedWalks::from_snapshot(snap)?;
+    if walks.header().node_count != graph.node_count() as u64 {
         return Err(corrupt(format!(
             "walk store addresses {} nodes but the graph has {}",
-            walks.node_count(),
+            walks.header().node_count,
             graph.node_count()
         )));
     }
-    let social = SocialStore::from_graph(graph);
-    Ok((meta, social, walks))
-}
-
-/// Loads the latest valid generation of `dir` and collects the WAL records to
-/// replay.  If the current snapshot is corrupt, falls back to older generations
-/// (scanning down while their snapshot files exist — after a fallback recovery the
-/// directory legitimately holds more than two) and replays every log from the
-/// loaded snapshot forward; sequence numbers dedupe against the older snapshot.
-fn load_store<W: PersistentWalkStore>(dir: StoreDir) -> PersistResult<Recovered<W>> {
-    let lock = StoreLock::acquire(dir.root())?;
-    let current_gen = dir.current_gen()?;
-    // Bit rot can land in format-sensitive bytes (a version field corrupts into a
-    // Format error just as easily as a payload byte corrupts into a Corrupt one),
-    // so *every* load failure falls back to older generations.  A store this build
-    // cannot read — one written split across shards — fails identically at every
-    // generation, so the scan ends by returning the primary error anyway.
-    let (snap_gen, (meta, social, walks)) = match try_load_generation::<W>(&dir, current_gen) {
-        Ok(parts) => (current_gen, parts),
-        Err(primary) => {
-            let mut recovered = None;
-            for gen in (0..current_gen).rev() {
-                if !dir.snapshot_path(gen).exists() {
-                    break;
-                }
-                if let Ok(parts) = try_load_generation::<W>(&dir, gen) {
-                    recovered = Some((gen, parts));
-                    break;
-                }
-            }
-            match recovered {
-                Some(parts) => parts,
-                None => return Err(primary),
-            }
-        }
-    };
-
-    let mut replay = Vec::new();
-    // Logs of generations between the loaded snapshot and the current one were
-    // sealed by later checkpoints, and a log is always complete when sealed (a
-    // crash mid-append is truncated by the recovery that precedes the sealing
-    // checkpoint).  A torn tail here is therefore post-seal corruption of records
-    // the newer (corrupt) snapshot had absorbed — a hard error, never silent loss
-    // of acknowledged batches.
-    for gen in snap_gen..current_gen {
-        let scan = wal::read_records(&dir.wal_path(gen))?;
-        if scan.torn_tail {
-            return Err(corrupt(format!(
-                "sealed WAL of generation {gen} is corrupt past record {}",
-                scan.records.len()
-            )));
-        }
-        replay.extend(scan.records);
-    }
-    let (scan, writer) = WalWriter::open_truncating(&dir.wal_path(current_gen))?;
-    replay.extend(scan.records);
-    Ok(Recovered {
-        meta,
-        lock,
-        social,
-        walks,
-        replay,
-        writer,
-        dir,
-        current_gen,
-        snap_gen,
-    })
+    Ok(OpenedSnapshot { meta, graph, walks })
 }
 
 /// The recovered WAL records the snapshot has not absorbed, checked for sequence
 /// contiguity: records with seq < `start_seq` are skipped, the rest must count up
 /// from it.
-fn tail_records(start_seq: u64, records: &[WalRecord]) -> PersistResult<Vec<&WalRecord>> {
+fn tail_records<'a>(
+    start_seq: u64,
+    records: impl IntoIterator<Item = &'a WalRecord>,
+) -> PersistResult<Vec<&'a WalRecord>> {
     let mut tail = Vec::new();
     for record in records {
         if record.seq < start_seq {
@@ -386,6 +310,140 @@ fn tail_records(start_seq: u64, records: &[WalRecord]) -> PersistResult<Vec<&Wal
         tail.push(record);
     }
     Ok(tail)
+}
+
+/// Folds a WAL tail into the state it leaves, drawing no random number and reading
+/// no path:
+///
+/// 1. every record's edges are applied to `social`, in order;
+/// 2. the records' growth segments and rewrites fold into one plan holding each
+///    touched segment's final path — the last write wins — in segment-id order;
+/// 3. `meta`'s cursors advance to the last record's: the generator and the batch
+///    index as logged, the work counter and `initialization_steps` by every
+///    record's deltas.
+///
+/// Every record is checked before it counts — node counts against the edges and
+/// the growth, segments against the store shape (see
+/// [`WalEffects::check_segments`]) — and a record that fails returns
+/// [`PersistError::Corrupt`].
+fn fold_tail(
+    social: &mut SocialStore,
+    meta: &mut EngineMeta,
+    segments: usize,
+    tail: &[&WalRecord],
+) -> PersistResult<SegmentRewrites> {
+    // Every segment write of the tail: (segment, record, from rewrites, entry).
+    let mut writes: Vec<(SegmentId, u32, bool, u32)> = Vec::new();
+    for (ri, record) in tail.iter().enumerate() {
+        let effects = record
+            .effects
+            .as_ref()
+            .ok_or_else(|| corrupt(format!("WAL record {} logs no effects", record.seq)))?;
+        let cursors = &effects.cursors;
+        if !matches!(
+            cursors.batch_index.checked_sub(meta.batch_index),
+            Some(0 | 1)
+        ) || cursors.rng.iter().all(|&w| w == 0)
+        {
+            return Err(corrupt(format!(
+                "WAL record {} logs impossible cursors",
+                record.seq
+            )));
+        }
+        apply_logged_edges(social, record, effects, segments)?;
+        effects.check_segments(segments, social.node_count())?;
+        meta.work
+            .checked_merge(&cursors.work)
+            .ok_or_else(|| corrupt("WAL work overflow"))?;
+        meta.initialization_steps = meta
+            .initialization_steps
+            .checked_add(cursors.initialization_steps)
+            .ok_or_else(|| corrupt("WAL initialization steps overflow"))?;
+        meta.rng = cursors.rng;
+        meta.batch_index = cursors.batch_index;
+        for (rewrite, plan) in [(false, &effects.growth), (true, &effects.rewrites)] {
+            writes.extend(
+                plan.iter()
+                    .enumerate()
+                    .map(|(k, (id, _))| (id, ri as u32, rewrite, k as u32)),
+            );
+        }
+    }
+    writes.sort_unstable();
+    let mut plan = SegmentRewrites::new();
+    for (i, &(id, ri, rewrite, k)) in writes.iter().enumerate() {
+        if writes.get(i + 1).is_some_and(|next| next.0 == id) {
+            continue; // a later write of the same segment wins
+        }
+        let effects = tail[ri as usize].effects.as_ref().expect("checked above");
+        let source = if rewrite {
+            &effects.rewrites
+        } else {
+            &effects.growth
+        };
+        plan.push(id, source.get(k as usize).1);
+    }
+    Ok(plan)
+}
+
+/// Applies one logged batch's edges to the Social Store as the engine did, once the
+/// record's growth plan is checked against them: it holds the segments of the nodes
+/// the batch created, in slot order, and an arrival record's endpoints lie below the
+/// node count it leaves — the count before plus the plan's whole nodes (a trailing
+/// partial node's segments then lie past the store [`WalEffects::check_segments`]
+/// checks); a deletion record creates no node.
+fn apply_logged_edges(
+    social: &mut SocialStore,
+    record: &WalRecord,
+    effects: &WalEffects,
+    segments: usize,
+) -> PersistResult<()> {
+    let before = social.node_count();
+    let grown = effects.growth.len();
+    let nodes = before + grown.checked_div(segments).unwrap_or(0);
+    let in_range = |edge: &Edge| edge.source.index() < nodes && edge.target.index() < nodes;
+    let grown_ok = match record.op {
+        WalOp::Arrivals => record.edges.iter().all(in_range),
+        WalOp::Deletions => grown == 0,
+    };
+    if !grown_ok
+        || effects
+            .growth
+            .iter()
+            .enumerate()
+            .any(|(i, (id, _))| id.index() != before * segments + i)
+    {
+        return Err(corrupt(format!(
+            "WAL record {} grows {before} nodes to {nodes} with {} segments",
+            record.seq,
+            effects.growth.len()
+        )));
+    }
+    match record.op {
+        WalOp::Arrivals => {
+            social.ensure_nodes(nodes);
+            for &edge in &record.edges {
+                social.add_edge(edge);
+            }
+        }
+        WalOp::Deletions => {
+            for &edge in &record.edges {
+                social.remove_edge(edge);
+            }
+        }
+    }
+    Ok(())
+}
+
+/// How [`WalkEngine::open`] brings a snapshot up to the end of its log.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Replay {
+    /// Fold the tail's effects and install them as the store opens.
+    Effects,
+    /// Re-run the tail's edge batches through the engine: the reference the
+    /// effect replay is held to.
+    #[cfg(test)]
+    Edges,
 }
 
 /// Shared checkpoint driver: writes generation `gen + 1`, rotates the WAL, publishes
@@ -486,213 +544,151 @@ impl<K: WalkKind, W: WalkIndexMut + PersistentWalkStore> WalkEngine<K, W> {
     /// Opens a durable engine from `root`, performing full crash recovery: latest
     /// valid snapshot, then the WAL tail's effects, torn-tail truncation.  The tail
     /// is not re-run: its edges are applied to the graph, its growth segments and
-    /// rewrites fold into one plan of each touched segment's final path, installed
-    /// with one [`WalkIndexMut::apply_rewrites`], and the cursors come from its last
-    /// record — no random number is drawn and no postings list is read.  The
-    /// recovered engine is bit-identical to the one that crashed (up to the
-    /// at-most-one unsynced batch); a disk store's heap layout may differ, since each
-    /// touched segment reserves its file slot once.  A record that fails its checks
-    /// returns [`PersistError::Corrupt`], a version-1 log [`PersistError::Format`].
-    /// Fails if the directory holds the other walk kind.
+    /// rewrites fold into one plan of each touched segment's final path, and the
+    /// cursors come from its last record — no random number is drawn.  The walk
+    /// store opens with the plan's paths installed, paths only, and counts its
+    /// visit index once, from the final paths, in the pass that checks every heap
+    /// page ([`PersistentWalkStore::open_walks`]).  The recovered engine is
+    /// bit-identical to the one that crashed (up to the at-most-one unsynced
+    /// batch); a disk store's heap layout may differ, since each touched segment
+    /// reserves its file slot once.
+    ///
+    /// A snapshot that fails any check — including a heap page or path found bad
+    /// while the index is counted — sends recovery to the previous generation,
+    /// scanning down while snapshot files exist, with every log from that one
+    /// forward replayed (sequence numbers dedupe against the older snapshot).  A
+    /// log that fails is an error, since every older generation replays it too: a
+    /// record that fails its checks, or a torn sealed log, returns
+    /// [`PersistError::Corrupt`], a version-1 log [`PersistError::Format`].  Fails
+    /// if the directory holds the other walk kind.
     pub fn open(root: impl AsRef<Path>) -> PersistResult<Self> {
-        Self::open_replaying(root.as_ref(), Self::replay_effects)
+        Self::open_replaying(root.as_ref(), Replay::Effects)
     }
 
-    /// [`Self::open`] with the tail replayed by `replay`.
-    fn open_replaying(
-        root: &Path,
-        replay: impl FnOnce(&mut Self, &[&WalRecord]) -> PersistResult<()>,
-    ) -> PersistResult<Self> {
-        let recovered = load_store::<W>(StoreDir::open(root.to_path_buf())?)?;
-        let meta = recovered.meta;
-        if meta.kind != K::TAG {
-            return Err(format_err(format!(
-                "store directory holds an engine of kind {}, not {} (kind {})",
-                meta.kind,
-                K::NAME,
-                K::TAG
-            )));
-        }
-        let mut engine = WalkEngine::assemble(
-            recovered.social,
-            recovered.walks,
-            meta.config,
-            SmallRng::from_state(meta.rng),
-        );
-        engine.work = meta.work;
-        engine.initialization_steps = meta.initialization_steps;
-        engine.batch_index = meta.batch_index;
-        let tail = tail_records(meta.wal_seq, &recovered.replay)?;
-        replay(&mut engine, &tail)?;
-        engine.wal_seq = meta.wal_seq + tail.len() as u64;
-        engine.durability = Some(DurableLog {
-            dir: recovered.dir,
-            lock: recovered.lock,
-            gen: recovered.current_gen,
-            last_good: recovered.snap_gen,
-            writer: recovered.writer,
-            times_syncs: false,
-        });
-        Ok(engine)
-    }
-
-    /// Recovers a WAL tail from its logged effects, drawing no random number and
-    /// reading no postings list:
-    ///
-    /// 1. every record's edges are applied to the graph, in order;
-    /// 2. the records' growth segments and rewrites fold into one plan holding each
-    ///    touched segment's final path — the last write wins — in segment-id order;
-    /// 3. the walk store installs that plan with one
-    ///    [`WalkIndexMut::apply_rewrites`];
-    /// 4. the cursors are set from the last record, the work counter and
-    ///    `initialization_steps` advanced by every record's deltas.
-    ///
-    /// The plan equals the sequential batches' end state, so every digest does;
-    /// a disk store's heap layout may differ, because each touched segment
-    /// reserves its file slot once instead of once per write.  Every record is
-    /// checked before anything is installed — node counts against the edges and
-    /// the growth, segments against the store shape (see
-    /// [`WalEffects::check_segments`]) — and a record that fails returns
-    /// [`PersistError::Corrupt`].
-    fn replay_effects(&mut self, tail: &[&WalRecord]) -> PersistResult<()> {
-        let segments = K::segments_per_node(self.config.r);
-        // Every segment write of the tail: (segment, record, from rewrites, entry).
-        let mut writes: Vec<(SegmentId, u32, bool, u32)> = Vec::new();
-        let (mut work, mut initialization_steps) = (self.work, self.initialization_steps);
-        let mut last: Option<&WalCursors> = None;
-        for (ri, record) in tail.iter().enumerate() {
-            let effects = record
-                .effects
-                .as_ref()
-                .ok_or_else(|| corrupt(format!("WAL record {} logs no effects", record.seq)))?;
-            let cursors = &effects.cursors;
-            let batch_index = last.map_or(self.batch_index, |c| c.batch_index);
-            if !matches!(cursors.batch_index.checked_sub(batch_index), Some(0 | 1))
-                || cursors.rng.iter().all(|&w| w == 0)
-            {
-                return Err(corrupt(format!(
-                    "WAL record {} logs impossible cursors",
-                    record.seq
+    fn open_replaying(root: &Path, replay: Replay) -> PersistResult<Self> {
+        let dir = StoreDir::open(root.to_path_buf())?;
+        let lock = StoreLock::acquire(dir.root())?;
+        let current_gen = dir.current_gen()?;
+        // The current generation's log, opened — a torn tail cut — by the first
+        // attempt that gets that far; every attempt replays it.
+        let mut log: Option<(Vec<WalRecord>, WalWriter)> = None;
+        // Bit rot can land in format-sensitive bytes (a version field corrupts into
+        // a Format error just as easily as a payload byte corrupts into a Corrupt
+        // one), so *every* snapshot failure falls back.  A store this build cannot
+        // read fails identically at every generation, so the scan ends by returning
+        // the primary error anyway.
+        let mut primary: Option<PersistError> = None;
+        for gen in (0..=current_gen).rev() {
+            if gen < current_gen && !dir.snapshot_path(gen).exists() {
+                break;
+            }
+            let OpenedSnapshot {
+                mut meta,
+                graph,
+                walks,
+            } = match open_snapshot(&dir, gen) {
+                Ok(snapshot) => snapshot,
+                Err(e) => {
+                    primary.get_or_insert(e);
+                    continue;
+                }
+            };
+            if meta.kind != K::TAG {
+                return Err(format_err(format!(
+                    "store directory holds an engine of kind {}, not {} (kind {})",
+                    meta.kind,
+                    K::NAME,
+                    K::TAG
                 )));
             }
-            self.apply_logged_edges(record, effects, segments)?;
-            effects.check_segments(segments, self.store.node_count())?;
-            work.checked_merge(&cursors.work)
-                .ok_or_else(|| corrupt("WAL work overflow"))?;
-            initialization_steps = initialization_steps
-                .checked_add(cursors.initialization_steps)
-                .ok_or_else(|| corrupt("WAL initialization steps overflow"))?;
-            for (rewrite, plan) in [(false, &effects.growth), (true, &effects.rewrites)] {
-                writes.extend(
-                    plan.iter()
-                        .enumerate()
-                        .map(|(k, (id, _))| (id, ri as u32, rewrite, k as u32)),
-                );
+            let segments = K::segments_per_node(meta.config.r);
+            if walks.header().r as usize != segments {
+                primary.get_or_insert(corrupt(format!(
+                    "walks section stores {} segments per node, the engine {segments}",
+                    walks.header().r
+                )));
+                continue;
             }
-            last = Some(cursors);
-        }
-        let Some(last) = last else {
-            return Ok(());
-        };
 
-        writes.sort_unstable();
-        let mut plan = SegmentRewrites::new();
-        for (i, &(id, ri, rewrite, k)) in writes.iter().enumerate() {
-            if writes.get(i + 1).is_some_and(|next| next.0 == id) {
-                continue; // a later write of the same segment wins
+            // Logs of generations between this snapshot and the current one were
+            // sealed by later checkpoints, and a log is always complete when sealed
+            // (a crash mid-append is truncated by the recovery that precedes the
+            // sealing checkpoint).  A torn tail here is therefore post-seal
+            // corruption of records a newer snapshot had absorbed — a hard error,
+            // never silent loss of acknowledged batches.
+            let mut sealed = Vec::new();
+            for g in gen..current_gen {
+                let scan = wal::read_records(&dir.wal_path(g))?;
+                if scan.torn_tail {
+                    return Err(corrupt(format!(
+                        "sealed WAL of generation {g} is corrupt past record {}",
+                        scan.records.len()
+                    )));
+                }
+                sealed.extend(scan.records);
             }
-            let effects = tail[ri as usize].effects.as_ref().expect("checked above");
-            let source = if rewrite {
-                &effects.rewrites
-            } else {
-                &effects.growth
+            if log.is_none() {
+                let (scan, writer) = WalWriter::open_truncating(&dir.wal_path(current_gen))?;
+                log = Some((scan.records, writer));
+            }
+            let current = &log.as_ref().expect("opened above").0;
+            let tail = tail_records(meta.wal_seq, sealed.iter().chain(current))?;
+
+            let mut social = SocialStore::from_graph(graph);
+            let plan = match replay {
+                Replay::Effects => fold_tail(&mut social, &mut meta, segments, &tail)?,
+                #[cfg(test)]
+                Replay::Edges => SegmentRewrites::new(),
             };
-            plan.push(id, source.get(k as usize).1);
+            let walks = match W::open_walks(walks, social.node_count(), &plan) {
+                Ok(walks) => walks,
+                Err(e) => {
+                    primary.get_or_insert(e);
+                    continue;
+                }
+            };
+            let mut engine =
+                WalkEngine::assemble(social, walks, meta.config, SmallRng::from_state(meta.rng));
+            engine.work = meta.work;
+            engine.initialization_steps = meta.initialization_steps;
+            engine.batch_index = meta.batch_index;
+            #[cfg(test)]
+            if replay == Replay::Edges {
+                engine.replay_edges(&tail);
+            }
+            engine.wal_seq = meta.wal_seq + tail.len() as u64;
+            let (_, writer) = log.take().expect("opened above");
+            engine.durability = Some(DurableLog {
+                dir,
+                lock,
+                gen: current_gen,
+                // The snapshot actually loaded (older than `current_gen` after a
+                // fallback) is the known-good base pruning must preserve.
+                last_good: gen,
+                writer,
+                times_syncs: false,
+            });
+            return Ok(engine);
         }
-        let started = Instant::now();
-        let arena_before = self.walks.arena_stats();
-        self.walks.ensure_nodes(self.store.node_count());
-        self.walks.apply_rewrites(&plan);
-        let installed = started.elapsed();
-        self.profile.apply += installed;
-        self.profile.total += installed;
-        self.profile
-            .record_compactions(&arena_before, &self.walks.arena_stats());
-
-        self.rng = SmallRng::from_state(last.rng);
-        self.batch_index = last.batch_index;
-        self.work = work;
-        self.initialization_steps = initialization_steps;
-        Ok(())
+        Err(primary.expect("the current generation is always tried"))
     }
 
-    /// Applies one logged batch's edges to the Social Store as the engine did, once
-    /// the record's growth plan is checked against them: it holds the segments of
-    /// the nodes the batch created, in slot order, and an arrival record's
-    /// endpoints lie below the node count it leaves — the count before plus the
-    /// plan's whole nodes (a trailing partial node's segments then lie past the
-    /// store [`WalEffects::check_segments`] checks); a deletion record creates no
-    /// node.
-    fn apply_logged_edges(
-        &mut self,
-        record: &WalRecord,
-        effects: &WalEffects,
-        segments: usize,
-    ) -> PersistResult<()> {
-        let before = self.store.node_count();
-        let grown = effects.growth.len();
-        let nodes = before + grown.checked_div(segments).unwrap_or(0);
-        let in_range = |edge: &Edge| edge.source.index() < nodes && edge.target.index() < nodes;
-        let grown_ok = match record.op {
-            WalOp::Arrivals => record.edges.iter().all(in_range),
-            WalOp::Deletions => grown == 0,
-        };
-        if !grown_ok
-            || effects
-                .growth
-                .iter()
-                .enumerate()
-                .any(|(i, (id, _))| id.index() != before * segments + i)
-        {
-            return Err(corrupt(format!(
-                "WAL record {} grows {before} nodes to {nodes} with {} segments",
-                record.seq,
-                effects.growth.len()
-            )));
-        }
-        match record.op {
-            WalOp::Arrivals => {
-                self.store.ensure_nodes(nodes);
-                for &edge in &record.edges {
-                    self.store.add_edge(edge);
-                }
-            }
-            WalOp::Deletions => {
-                for &edge in &record.edges {
-                    self.store.remove_edge(edge);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The edge replay [`Self::replay_effects`] replaced, kept as its reference:
-    /// every tail record re-run through the ordinary batch pipeline.
+    /// The edge replay [`Self::open`] replaced, kept as its reference: every tail
+    /// record re-run through the ordinary batch pipeline.
     #[cfg(test)]
-    fn replay_edges(&mut self, tail: &[&WalRecord]) -> PersistResult<()> {
+    fn replay_edges(&mut self, tail: &[&WalRecord]) {
         for record in tail {
             match record.op {
                 WalOp::Arrivals => self.apply_arrivals(&record.edges),
                 WalOp::Deletions => self.apply_deletions(&record.edges),
             };
         }
-        Ok(())
     }
 
     /// [`Self::open`] with the tail re-run by [`Self::replay_edges`].
     #[cfg(test)]
     fn open_replaying_edges(root: &Path) -> PersistResult<Self> {
-        Self::open_replaying(root, Self::replay_edges)
+        Self::open_replaying(root, Replay::Edges)
     }
 
     /// Writes a new snapshot generation, rotates the WAL, and publishes it as
@@ -796,7 +792,7 @@ mod tests {
                 arrivals_filtered: 4,
             },
         };
-        let decoded = decode_meta(&encode_meta(&meta), ppr_persist::snapshot::VERSION).unwrap();
+        let decoded = decode_meta(&encode_meta(&meta)).unwrap();
         assert_eq!(decoded.kind, meta.kind);
         assert_eq!(decoded.config, meta.config);
         assert_eq!(decoded.batch_index, meta.batch_index);
@@ -818,17 +814,13 @@ mod tests {
             work: WorkCounter::default(),
         };
         let clean = encode_meta(&meta);
-        let v = ppr_persist::snapshot::VERSION;
-        assert!(
-            decode_meta(&clean[..clean.len() - 1], v).is_err(),
-            "truncated"
-        );
+        assert!(decode_meta(&clean[..clean.len() - 1]).is_err(), "truncated");
         let mut bad = clean.clone();
         bad[1..9].fill(0xFF); // epsilon = NaN-ish bits
-        assert!(decode_meta(&bad, v).is_err());
+        assert!(decode_meta(&bad).is_err());
         let mut bad = clean;
         bad[25] = 9; // reroute discriminant
-        assert!(decode_meta(&bad, v).is_err());
+        assert!(decode_meta(&bad).is_err());
     }
 
     /// META bytes of a PageRank store at ε = 0.25, `R` = 7 in the current layout:
@@ -851,7 +843,7 @@ mod tests {
         let mut bytes = meta_bytes();
         assert_eq!(bytes[25], 0);
         bytes[25] = 1;
-        let err = decode_meta(&bytes, ppr_persist::snapshot::VERSION).unwrap_err();
+        let err = decode_meta(&bytes).unwrap_err();
         assert!(matches!(err, PersistError::Format(_)), "{err}");
     }
 
@@ -861,7 +853,7 @@ mod tests {
         assert_eq!(bytes[26..34], 240u64.to_le_bytes());
         for cap in [239u64, 241, 321] {
             bytes[26..34].copy_from_slice(&cap.to_le_bytes());
-            let err = decode_meta(&bytes, ppr_persist::snapshot::VERSION).unwrap_err();
+            let err = decode_meta(&bytes).unwrap_err();
             assert!(matches!(err, PersistError::Format(_)), "cap {cap}: {err}");
         }
     }
@@ -870,36 +862,46 @@ mod tests {
     fn meta_compaction_ratio_is_validated_then_ignored() {
         let clean = meta_bytes();
         assert_eq!(clean[34..42], 1.0f64.to_le_bytes());
-        let v = ppr_persist::snapshot::VERSION;
-        let expected = decode_meta(&clean, v).unwrap();
+        let expected = decode_meta(&clean).unwrap();
         for ratio in [0.25f64, 3.0] {
             let mut bytes = clean.clone();
             bytes[34..42].copy_from_slice(&ratio.to_le_bytes());
-            let decoded = decode_meta(&bytes, v).unwrap();
+            let decoded = decode_meta(&bytes).unwrap();
             assert_eq!(decoded.config, expected.config, "ratio {ratio}");
             assert_eq!(decoded.rng, expected.rng);
         }
         for ratio in [0.0f64, -1.0, f64::NAN, f64::INFINITY] {
             let mut bytes = clean.clone();
             bytes[34..42].copy_from_slice(&ratio.to_le_bytes());
-            assert!(decode_meta(&bytes, v).is_err(), "ratio {ratio}");
+            assert!(decode_meta(&bytes).is_err(), "ratio {ratio}");
         }
     }
 
     #[test]
-    fn version_1_meta_decodes_with_the_default_compaction_threshold() {
-        // A version-1 store's META is the current layout minus the compaction-ratio
-        // f64 at bytes 34..42; decoding it as version 1 must succeed, so old
-        // directories stay openable.
-        let current = meta_bytes();
-        let mut v1 = current.clone();
-        v1.drain(34..42); // strip the appended ratio field
-        let decoded = decode_meta(&v1, 1).unwrap();
-        let expected = decode_meta(&current, 2).unwrap();
-        assert_eq!(decoded.config, expected.config);
-        assert_eq!(decoded.rng, expected.rng);
-        // The same bytes read as version 2 are rejected, not misread.
-        assert!(decode_meta(&v1, 2).is_err());
+    fn a_snapshot_older_than_version_3_fails_open_with_a_format_error() {
+        // Versions 1 and 2 stored the postings in the walks section; this build
+        // counts them at open and reads neither layout.
+        let tmp = TempDir::new("old-snapshot");
+        let root = tmp.path().join("store");
+        let config = MonteCarloConfig::new(0.25, 2).with_seed(7);
+        drop(
+            WalkEngine::<PageRank>::create_durable(&root, DynamicGraph::with_nodes(5), config)
+                .unwrap(),
+        );
+        let path = StoreDir::open(root.clone()).unwrap().snapshot_path(0);
+        let clean = std::fs::read(&path).unwrap();
+        assert_eq!(clean[8..12], 3u32.to_le_bytes());
+        for version in [1u32, 2] {
+            let mut old = clean.clone();
+            old[8..12].copy_from_slice(&version.to_le_bytes());
+            std::fs::write(&path, &old).unwrap();
+            match WalkEngine::<PageRank>::open(&root) {
+                Err(PersistError::Format(why)) => assert!(why.contains("version"), "{why}"),
+                other => panic!("version {version}: {:?}", other.map(|e| state_of(&e))),
+            }
+        }
+        std::fs::write(&path, &clean).unwrap();
+        assert!(WalkEngine::<PageRank>::open(&root).is_ok());
     }
 
     /// Builds an engine over `graph` into `walks(node_count, segments per node)` in
@@ -1191,7 +1193,7 @@ mod tests {
         for tag in tags {
             let mut payload = snap.read_section(tag).unwrap();
             if tag == SECTION_META {
-                let mut meta = decode_meta(&payload, snap.version()).unwrap();
+                let mut meta = decode_meta(&payload).unwrap();
                 assert_ne!(meta.config.seed, seed);
                 meta.config = meta.config.with_seed(seed);
                 payload = encode_meta(&meta);

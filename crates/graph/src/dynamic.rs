@@ -8,7 +8,6 @@
 
 use crate::view::GraphView;
 use crate::{Edge, NodeId};
-use rand::Rng;
 
 /// A mutable directed graph with dense node ids.
 ///
@@ -77,37 +76,7 @@ impl DynamicGraph {
                 in_adj.len()
             ));
         }
-        let n = out_adj.len();
-        let mut forward: Vec<(u32, u32)> = Vec::new();
-        for (u, targets) in out_adj.iter().enumerate() {
-            for &v in targets {
-                if v.index() >= n {
-                    return Err(format!(
-                        "out-edge {u} -> {v} references a node outside 0..{n}"
-                    ));
-                }
-                forward.push((u as u32, v.0));
-            }
-        }
-        let mut backward: Vec<(u32, u32)> = Vec::new();
-        for (v, sources) in in_adj.iter().enumerate() {
-            for &u in sources {
-                if u.index() >= n {
-                    return Err(format!(
-                        "in-edge {u} -> {v} references a node outside 0..{n}"
-                    ));
-                }
-                backward.push((u.0, v as u32));
-            }
-        }
-        forward.sort_unstable();
-        backward.sort_unstable();
-        if forward != backward {
-            return Err(
-                "out- and in-adjacency lists describe different edge multisets".to_string(),
-            );
-        }
-        let edge_count = forward.len();
+        let edge_count = same_edge_multiset(&out_adj, &in_adj)?;
         Ok(DynamicGraph {
             out_adj,
             in_adj,
@@ -173,26 +142,6 @@ impl DynamicGraph {
         true
     }
 
-    /// Returns a uniformly random node id, or `None` for an empty graph.
-    pub fn random_node<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<NodeId> {
-        if self.out_adj.is_empty() {
-            None
-        } else {
-            Some(NodeId::from_index(rng.gen_range(0..self.out_adj.len())))
-        }
-    }
-
-    /// Removes every edge while keeping the node set.
-    pub fn clear_edges(&mut self) {
-        for list in &mut self.out_adj {
-            list.clear();
-        }
-        for list in &mut self.in_adj {
-            list.clear();
-        }
-        self.edge_count = 0;
-    }
-
     /// Out-degree distribution as a vector indexed by node.
     pub fn out_degrees(&self) -> Vec<usize> {
         self.out_adj.iter().map(Vec::len).collect()
@@ -239,6 +188,100 @@ impl DynamicGraph {
         }
         Ok(())
     }
+}
+
+/// Checks that `out_adj` and `in_adj`, over the same node count, hold the same edge
+/// multiset and reference no node outside it; returns the edge count.  A counting
+/// transpose groups the out-lists' sources by target, and each group is held to
+/// that target's in-list with one balance counter per source: O(E + n), no sort.
+fn same_edge_multiset(out_adj: &[Vec<NodeId>], in_adj: &[Vec<NodeId>]) -> Result<usize, String> {
+    let n = out_adj.len();
+    // `start[v + 1]` counts the out-entries naming `v`, then becomes the end of
+    // `v`'s group of sources.
+    let mut start = vec![0usize; n + 1];
+    for (u, targets) in out_adj.iter().enumerate() {
+        for &v in targets {
+            if v.index() >= n {
+                return Err(format!(
+                    "out-edge {u} -> {v} references a node outside 0..{n}"
+                ));
+            }
+            start[v.index() + 1] += 1;
+        }
+    }
+    for (v, sources) in in_adj.iter().enumerate() {
+        if let Some(u) = sources.iter().find(|u| u.index() >= n) {
+            return Err(format!(
+                "in-edge {u} -> {v} references a node outside 0..{n}"
+            ));
+        }
+    }
+    let mismatch = || "out- and in-adjacency lists describe different edge multisets".to_string();
+    if (0..n).any(|v| start[v + 1] != in_adj[v].len()) {
+        return Err(mismatch());
+    }
+    for v in 0..n {
+        start[v + 1] += start[v];
+    }
+    let mut sources = vec![NodeId(0); start[n]];
+    let mut next = start.clone();
+    for (u, targets) in out_adj.iter().enumerate() {
+        for &v in targets {
+            sources[next[v.index()]] = NodeId::from_index(u);
+            next[v.index()] += 1;
+        }
+    }
+    drop(next);
+    // Each group and in-list have the same length, so a balance that never goes
+    // negative ends at zero for every source.
+    let mut balance = vec![0u32; n];
+    for (v, inn) in in_adj.iter().enumerate() {
+        for &u in &sources[start[v]..start[v + 1]] {
+            balance[u.index()] += 1;
+        }
+        for &u in inn {
+            let held = &mut balance[u.index()];
+            *held = held.checked_sub(1).ok_or_else(mismatch)?;
+        }
+    }
+    Ok(start[n])
+}
+
+/// The sort-based check [`same_edge_multiset`] replaced, kept as its reference.
+#[cfg(test)]
+fn same_edge_multiset_by_sorting(
+    out_adj: &[Vec<NodeId>],
+    in_adj: &[Vec<NodeId>],
+) -> Result<usize, String> {
+    let n = out_adj.len();
+    let mut forward: Vec<(u32, u32)> = Vec::new();
+    for (u, targets) in out_adj.iter().enumerate() {
+        for &v in targets {
+            if v.index() >= n {
+                return Err(format!(
+                    "out-edge {u} -> {v} references a node outside 0..{n}"
+                ));
+            }
+            forward.push((u as u32, v.0));
+        }
+    }
+    let mut backward: Vec<(u32, u32)> = Vec::new();
+    for (v, sources) in in_adj.iter().enumerate() {
+        for &u in sources {
+            if u.index() >= n {
+                return Err(format!(
+                    "in-edge {u} -> {v} references a node outside 0..{n}"
+                ));
+            }
+            backward.push((u.0, v as u32));
+        }
+    }
+    forward.sort_unstable();
+    backward.sort_unstable();
+    if forward != backward {
+        return Err("out- and in-adjacency lists describe different edge multisets".to_string());
+    }
+    Ok(forward.len())
 }
 
 impl GraphView for DynamicGraph {
@@ -350,28 +393,6 @@ mod tests {
     }
 
     #[test]
-    fn random_node_covers_range() {
-        let g = DynamicGraph::with_nodes(3);
-        let mut rng = SmallRng::seed_from_u64(3);
-        let mut seen = [false; 3];
-        for _ in 0..200 {
-            seen[g.random_node(&mut rng).unwrap().index()] = true;
-        }
-        assert!(seen.iter().all(|&s| s));
-        assert!(DynamicGraph::new().random_node(&mut rng).is_none());
-    }
-
-    #[test]
-    fn clear_edges_keeps_nodes() {
-        let mut g = DynamicGraph::with_nodes(3);
-        g.add_edge(Edge::new(0, 1));
-        g.clear_edges();
-        assert_eq!(g.node_count(), 3);
-        assert_eq!(g.edge_count(), 0);
-        assert!(g.check_consistency().is_ok());
-    }
-
-    #[test]
     fn degree_vectors_match_graphview() {
         let mut g = DynamicGraph::with_nodes(3);
         g.add_edge(Edge::new(0, 1));
@@ -421,6 +442,99 @@ mod tests {
         assert!(DynamicGraph::from_adjacency(vec![vec![]], vec![])
             .unwrap_err()
             .contains("node count"));
+    }
+
+    /// Adjacency lists of a small random graph, mutated by `kind` at entry `at`
+    /// (and `to`): 0 leaves them as they are, 1 reorders a list (the multiset is
+    /// unchanged), 2 retargets an out-entry, 3 resources an in-entry, 4 drops an
+    /// in-entry, 5 duplicates an out-entry, 6 moves an in-entry to another list,
+    /// 7 names a node past the end.
+    fn mutated_lists(
+        n: usize,
+        edges: &[(u32, u32)],
+        kind: u32,
+        at: usize,
+        to: u32,
+    ) -> (Vec<Vec<NodeId>>, Vec<Vec<NodeId>>) {
+        let mut g = DynamicGraph::with_nodes(n);
+        for &(u, v) in edges {
+            g.add_edge(Edge::new(u % n as u32, v % n as u32));
+        }
+        let mut out: Vec<Vec<NodeId>> = g.nodes().map(|u| g.out_neighbors(u).to_vec()).collect();
+        let mut inn: Vec<Vec<NodeId>> = g.nodes().map(|u| g.in_neighbors(u).to_vec()).collect();
+        let to = NodeId(to % n as u32);
+        let pick = |lists: &[Vec<NodeId>]| -> Option<(usize, usize)> {
+            let total: usize = lists.iter().map(Vec::len).sum();
+            let mut k = at % total.max(1);
+            for (i, list) in lists.iter().enumerate() {
+                if k < list.len() {
+                    return Some((i, k));
+                }
+                k -= list.len();
+            }
+            None
+        };
+        match kind {
+            1 => out.iter_mut().for_each(|list| list.reverse()),
+            2 => {
+                if let Some((u, k)) = pick(&out) {
+                    out[u][k] = to;
+                }
+            }
+            3 => {
+                if let Some((v, k)) = pick(&inn) {
+                    inn[v][k] = to;
+                }
+            }
+            4 => {
+                if let Some((v, k)) = pick(&inn) {
+                    inn[v].remove(k);
+                }
+            }
+            5 => {
+                if let Some((u, k)) = pick(&out) {
+                    let entry = out[u][k];
+                    out[u].push(entry);
+                }
+            }
+            6 => {
+                if let Some((v, k)) = pick(&inn) {
+                    let entry = inn[v].remove(k);
+                    inn[to.index()].push(entry);
+                }
+            }
+            7 => {
+                let side = if at % 2 == 0 { &mut out } else { &mut inn };
+                side[to.index()].push(NodeId(n as u32 + at as u32 % 3));
+            }
+            _ => {}
+        }
+        (out, inn)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// The counting check and the sorting one agree on every pair of lists —
+        /// the edge count when the directions match, the same error otherwise.
+        #[test]
+        fn the_counting_check_agrees_with_the_sorting_one(
+            n in 1usize..9,
+            edges in proptest::collection::vec((0u32..9, 0u32..9), 0..30),
+            kind in 0u32..8,
+            at in 0usize..64,
+            to in 0u32..9,
+        ) {
+            let (out, inn) = mutated_lists(n, &edges, kind, at, to);
+            let counted = same_edge_multiset(&out, &inn);
+            proptest::prop_assert_eq!(&counted, &same_edge_multiset_by_sorting(&out, &inn));
+            match kind {
+                0 | 1 => proptest::prop_assert_eq!(counted, Ok(edges.len())),
+                4 | 5 if !edges.is_empty() => proptest::prop_assert!(counted.is_err()),
+                7 => proptest::prop_assert!(counted.unwrap_err().contains("outside")),
+                _ => {}
+            }
+        }
     }
 
     #[test]

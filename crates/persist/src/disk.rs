@@ -3,13 +3,15 @@
 //!
 //! The store implements the full `WalkIndex`/`WalkIndexMut` surface, so every engine
 //! adopts it without change.  A store opened from a snapshot is **demand-paged**:
-//! [`PersistentWalkStore::decode_walks`] installs only the slot directory and the
-//! visit-postings index (O(metadata), independent of heap size) and leaves every walk
-//! path on disk.  A path is faulted in on first touch — the read pulls its heap pages
-//! through the bounded [`crate::pager::PageCache`] (CRC-verified on every fault and
-//! re-fault), validates the path's shape (starts at its source, visits only known
-//! nodes), and caches the decoded steps until trimmed.  Open latency and the resident
-//! set are therefore governed by the configured [`PageBudget`], not the store size.
+//! [`PersistentWalkStore::open_walks`] installs the slot directory and the WAL tail's
+//! final paths, and counts the visit index in the one pass that checks every heap
+//! page against its CRC — streamed through a page of scratch under a bounded
+//! budget — while every other walk path stays on disk.  A path is faulted in on
+//! first touch — the read pulls its heap pages through the bounded
+//! [`crate::pager::PageCache`] (CRC-verified on every fault and re-fault), validates
+//! the path's shape (starts at its source, visits only known nodes), and caches the
+//! decoded steps until trimmed.  The resident set is therefore governed by the
+//! configured [`PageBudget`] and the index, not the heap size.
 //!
 //! Writes keep the incremental checkpoint machinery of the previous design:
 //!
@@ -51,6 +53,7 @@ use crate::pager::PagerStats;
 use crate::snapshot::SnapshotWriter;
 use ppr_graph::NodeId;
 use ppr_store::arena::ArenaStats;
+use ppr_store::walks::check_path;
 use ppr_store::{SegmentId, SegmentRewrites, WalkIndex, WalkIndexMut, WalkStore};
 use std::borrow::Cow;
 use std::cell::Cell;
@@ -195,7 +198,7 @@ struct FaultState {
     /// compactions never redirect a fault at a region the previous generation's
     /// file doesn't have.  Slots past its end were created since and live in the
     /// arena.
-    prev_dir: Arc<[FileSlot]>,
+    prev_dir: Arc<Vec<FileSlot>>,
     /// Steps currently held by cached decoded paths.
     resident_steps: AtomicU64,
     /// Trim threshold for `resident_steps` (the page budget in step equivalents).
@@ -207,8 +210,11 @@ struct FaultState {
 #[derive(Debug)]
 pub struct DiskWalkStore {
     resident: WalkStore,
-    /// On-disk slot layout, indexed by segment id (offsets/caps in steps).
-    dir: Vec<FileSlot>,
+    /// On-disk slot layout, indexed by segment id (offsets/caps in steps).  A
+    /// checkpoint freezes it for the generation it writes by sharing it; the first
+    /// write after copies it ([`Self::dir_mut`]), once the previous generation's
+    /// copy is gone.
+    dir: Arc<Vec<FileSlot>>,
     /// Slots with reserved heap space, keyed by their heap offset (regions are
     /// disjoint, so the predecessor lookup per page is unambiguous).
     by_offset: BTreeMap<u64, u32>,
@@ -263,7 +269,7 @@ impl DiskWalkStore {
     pub fn new(node_count: usize, r: usize) -> Self {
         DiskWalkStore {
             resident: WalkStore::new(node_count, r),
-            dir: vec![FileSlot::default(); node_count * r],
+            dir: Arc::new(vec![FileSlot::default(); node_count * r]),
             by_offset: BTreeMap::new(),
             heap_len: 0,
             live: 0,
@@ -354,11 +360,16 @@ impl DiskWalkStore {
         }
     }
 
+    /// The live directory, to write: copied first if a generation still shares it.
+    fn dir_mut(&mut self) -> &mut Vec<FileSlot> {
+        Arc::make_mut(&mut self.dir)
+    }
+
     fn update_file_slot(&mut self, slot: usize, new_len: usize) {
         let s = self.dir[slot];
         self.live = self.live - s.len as u64 + new_len as u64;
         if (new_len as u64) <= s.cap as u64 {
-            self.dir[slot].len = new_len as u32;
+            self.dir_mut()[slot].len = new_len as u32;
             if new_len > 0 {
                 self.mark_dirty_region(s.offset, s.cap);
             }
@@ -377,7 +388,7 @@ impl DiskWalkStore {
         };
         let offset = self.heap_len;
         self.heap_len += cap as u64;
-        self.dir[slot] = FileSlot {
+        self.dir_mut()[slot] = FileSlot {
             offset,
             len: new_len as u32,
             cap,
@@ -399,7 +410,7 @@ impl DiskWalkStore {
         let started = std::time::Instant::now();
         self.by_offset.clear();
         let mut offset = 0u64;
-        for (slot, s) in self.dir.iter_mut().enumerate() {
+        for (slot, s) in Arc::make_mut(&mut self.dir).iter_mut().enumerate() {
             let cap = file_reservation(s.len as usize);
             s.cap = cap;
             if cap == 0 {
@@ -465,8 +476,13 @@ impl DiskWalkStore {
         }
         let mut path = Vec::with_capacity(s.len as usize);
         walks.read_steps(s.offset, s.len, &mut path)?;
-        validate_faulted_path(&path, slot, self.resident.r(), self.resident.node_count())
-            .map_err(corrupt)?;
+        check_path(
+            SegmentId(slot as u32),
+            &path,
+            self.resident.r(),
+            self.resident.node_count(),
+        )
+        .map_err(corrupt)?;
         let raw = Box::into_raw(Box::new(path));
         cell.path.store(raw, Ordering::Release);
         drop(walks);
@@ -531,7 +547,7 @@ impl DiskWalkStore {
                         panic!("materializing segment {slot} for write failed: {e}")
                     });
                 drop(walks);
-                validate_faulted_path(&path, slot, self.resident.r(), self.resident.node_count())
+                check_path(id, &path, self.resident.r(), self.resident.node_count())
                     .unwrap_or_else(|e| panic!("segment {slot} corrupt on disk: {e}"));
                 self.resident.install_indexed_path(id, &path);
             }
@@ -610,8 +626,6 @@ impl DiskWalkStore {
     }
 
     fn check_file_layout(&self) -> Result<(), String> {
-        let mut expected_live = 0u64;
-        let mut reserved = 0u64;
         for (slot, s) in self.dir.iter().enumerate() {
             let tracked = self.tracked_len(slot as u32) as u32;
             if s.len != tracked {
@@ -620,44 +634,18 @@ impl DiskWalkStore {
                     s.len
                 ));
             }
-            if s.cap == 0 && s.len != 0 {
-                return Err(format!("slot {slot} has data but no reservation"));
-            }
-            expected_live += s.len as u64;
-            reserved += s.cap as u64;
         }
-        if expected_live != self.live {
-            return Err(format!(
-                "live counter {} disagrees with the directory ({expected_live})",
-                self.live
-            ));
-        }
-        if reserved + self.dead != self.heap_len {
-            return Err(format!(
-                "heap accounting off: {reserved} reserved + {} dead != {} total",
-                self.dead, self.heap_len
-            ));
-        }
-        let mut prev_end = 0u64;
-        for (&offset, &slot) in &self.by_offset {
-            if offset < prev_end {
-                return Err(format!("slot {slot} overlaps its predecessor"));
-            }
-            // Checked: a crafted directory entry must be rejected, not overflow.
-            prev_end = offset
-                .checked_add(self.dir[slot as usize].cap as u64)
-                .ok_or_else(|| format!("slot {slot} region overflows the address space"))?;
-        }
-        if prev_end > self.heap_len {
-            return Err("slot regions exceed the heap".to_string());
-        }
-        Ok(())
+        check_heap_layout(
+            &self.dir,
+            &self.by_offset,
+            self.live,
+            self.dead,
+            self.heap_len,
+        )
     }
 
     /// Full-store consistency for a demand-paged store: faults every segment and
-    /// recomputes counters and postings from the actual paths (the cross-check
-    /// [`WalkStore::bulk_load`] runs eagerly on the flat decode path, deferred here
-    /// to explicit verification).
+    /// recomputes counters and postings from the actual paths.
     fn check_demand_paths(&self) -> Result<(), String> {
         let node_count = self.resident.node_count();
         let mut counts = vec![0u64; node_count];
@@ -720,24 +708,47 @@ impl DiskWalkStore {
     }
 }
 
-/// Structural validation of a path read off disk, mirroring what
-/// [`WalkStore::bulk_load`] checks per segment on the eager decode path.
-pub(crate) fn validate_faulted_path(
-    path: &[NodeId],
-    slot: usize,
-    r: usize,
-    node_count: usize,
+/// The directory's own invariants: a slot with data has a reservation, `live` and
+/// `dead` account for every step of the heap, and the reserved regions, in offset
+/// order (`by_offset`), are disjoint and inside the heap.
+fn check_heap_layout(
+    dir: &[FileSlot],
+    by_offset: &BTreeMap<u64, u32>,
+    live: u64,
+    dead: u64,
+    heap_len: u64,
 ) -> Result<(), String> {
-    let id = SegmentId(slot as u32);
-    if let Some(&first) = path.first() {
-        if first != id.source(r) {
-            return Err(format!("segment {slot} does not start at its source"));
+    let mut expected_live = 0u64;
+    let mut reserved = 0u64;
+    for (slot, s) in dir.iter().enumerate() {
+        if s.cap == 0 && s.len != 0 {
+            return Err(format!("slot {slot} has data but no reservation"));
         }
+        expected_live += s.len as u64;
+        reserved += s.cap as u64;
     }
-    for &v in path {
-        if v.index() >= node_count {
-            return Err(format!("segment {slot} visits node {v} outside the store"));
+    if expected_live != live {
+        return Err(format!(
+            "live counter {live} disagrees with the directory ({expected_live})"
+        ));
+    }
+    if reserved + dead != heap_len {
+        return Err(format!(
+            "heap accounting off: {reserved} reserved + {dead} dead != {heap_len} total"
+        ));
+    }
+    let mut prev_end = 0u64;
+    for (&offset, &slot) in by_offset {
+        if offset < prev_end {
+            return Err(format!("slot {slot} overlaps its predecessor"));
         }
+        // Checked: a crafted directory entry must be rejected, not overflow.
+        prev_end = offset
+            .checked_add(dir[slot as usize].cap as u64)
+            .ok_or_else(|| format!("slot {slot} region overflows the address space"))?;
+    }
+    if prev_end > heap_len {
+        return Err("slot regions exceed the heap".to_string());
     }
     Ok(())
 }
@@ -816,7 +827,7 @@ impl WalkIndexMut for DiskWalkStore {
         self.resident.ensure_nodes(n);
         let slots = self.resident.node_count() * self.resident.r();
         if slots > self.dir.len() {
-            self.dir.resize(slots, FileSlot::default());
+            self.dir_mut().resize(slots, FileSlot::default());
             self.in_arena.resize(slots, true);
             if let Some(fault) = &mut self.fault {
                 fault.cells.resize_with(slots, FaultCell::new);
@@ -882,7 +893,7 @@ impl PersistentWalkStore for DiskWalkStore {
             heap_len: self.heap_len,
             page_size: WALKS_PAGE_SIZE as u32,
         };
-        let mut next = PagedWalks::unwritten(header, self.dir.as_slice().into());
+        let mut next = PagedWalks::unwritten(header, Arc::clone(&self.dir));
         next.configure_cache(self.budget.max_resident_pages);
         // The previous generation's frames: a clean page's moves on to `next`, a
         // dirty page's is the buffer its new image is rendered into.  (Its emptied
@@ -896,7 +907,7 @@ impl PersistentWalkStore for DiskWalkStore {
         };
         let prev_pages = carried.len() as u32;
 
-        let mut stream = WalksStream::begin(out, header, &self.dir, &self.resident)?;
+        let mut stream = WalksStream::begin(out, header, &self.dir)?;
         let (mut rewritten, mut reused) = (0u64, 0u64);
         let mut spare: Option<Box<[u8]>> = None;
         for page in 0..header.page_count() {
@@ -942,49 +953,71 @@ impl PersistentWalkStore for DiskWalkStore {
         Ok(())
     }
 
-    /// Demand-paged open: installs the slot directory and the postings index only —
-    /// O(metadata), independent of the heap size at any budget.  Walk paths stay on
-    /// disk and fault in on first touch; the full path/index cross-check the flat
-    /// decode runs eagerly is deferred to per-fault validation plus
-    /// [`WalkIndexMut::check_consistency`].
-    fn decode_walks(mut walks: PagedWalks) -> PersistResult<Self> {
+    /// Demand-paged open.  The plan's paths go into the resident arena, paths
+    /// only, and the visit index is counted from them and from every other heap
+    /// path, which the one pass that checks each heap page against its CRC hands
+    /// over (an unbounded cache keeps what it checks, a bounded one streams it
+    /// through a page of scratch).  No heap path is kept past the count: each
+    /// faults in on first touch.  Then the plan's segments take their file slots,
+    /// in plan order, as a write would.
+    fn open_walks(
+        mut walks: PagedWalks,
+        node_count: usize,
+        plan: &SegmentRewrites,
+    ) -> PersistResult<Self> {
         let header = *walks.header();
-        let (postings, total) = walks.parse_postings()?;
-        let resident = WalkStore::from_postings_index(
-            header.node_count as usize,
-            header.r as usize,
-            postings,
-            total,
-        )
-        .map_err(corrupt)?;
-
+        let r = header.r as usize;
         let prev_dir = walks.frozen_dir();
-        let dir = prev_dir.to_vec();
-        let mut by_offset = BTreeMap::new();
         let mut live = 0u64;
         let mut reserved = 0u64;
-        for (slot, s) in dir.iter().enumerate() {
+        let mut regions: Vec<(u64, u32)> = Vec::new();
+        for (slot, s) in prev_dir.iter().enumerate() {
             live += s.len as u64;
             reserved += s.cap as u64;
-            if s.cap > 0 && by_offset.insert(s.offset, slot as u32).is_some() {
-                return Err(corrupt(format!("two slots share heap offset {}", s.offset)));
+            if s.cap > 0 {
+                regions.push((s.offset, slot as u32));
             }
         }
+        // Sorted first, the map is built in bulk instead of by one insert per slot.
+        regions.sort_unstable();
+        if let Some(pair) = regions.windows(2).find(|pair| pair[0].0 == pair[1].0) {
+            return Err(corrupt(format!(
+                "two slots share heap offset {}",
+                pair[0].0
+            )));
+        }
+        let by_offset: BTreeMap<u64, u32> = regions.into_iter().collect();
         let dead = header
             .heap_len
             .checked_sub(reserved)
             .ok_or_else(|| corrupt("slot reservations exceed the heap"))?;
+        check_heap_layout(&prev_dir, &by_offset, live, dead, header.heap_len).map_err(corrupt)?;
 
         let budget = PageBudget::from_env();
         walks.configure_cache(budget.max_resident_pages);
+        let mut loader = WalkStore::loader(node_count, r);
+        for (id, path) in plan.iter() {
+            loader.write(id, path).map_err(corrupt)?;
+        }
+        let resident = loader.finish_with(|count| {
+            walks.scan_paths(plan, |id, path| count(id, path).map_err(corrupt))
+        })?;
+
+        let slots = node_count * r;
+        let mut dir = Arc::clone(&prev_dir);
+        if slots > dir.len() {
+            Arc::make_mut(&mut dir).resize(slots, FileSlot::default());
+        }
+        let in_arena: Vec<bool> = (0..slots)
+            .map(|slot| prev_dir.get(slot).is_none_or(|s| s.len == 0))
+            .collect();
         let fault = FaultState {
-            cells: (0..dir.len()).map(|_| FaultCell::new()).collect(),
+            cells: (0..slots).map(|_| FaultCell::new()).collect(),
             prev_dir,
             resident_steps: AtomicU64::new(0),
             budget_steps: budget.budget_steps(),
         };
-        let in_arena: Vec<bool> = dir.iter().map(|s| s.len == 0).collect();
-        let store = DiskWalkStore {
+        let mut store = DiskWalkStore {
             resident,
             dir,
             by_offset,
@@ -1000,21 +1033,11 @@ impl PersistentWalkStore for DiskWalkStore {
             next: None,
             stats: DiskStoreStats::default(),
         };
-        store.check_file_layout().map_err(corrupt)?;
+        for (id, path) in plan.iter() {
+            store.in_arena[id.index()] = true;
+            store.update_file_slot(id.index(), path.len());
+        }
         Ok(store)
-    }
-
-    /// Reads every heap page against the CRC table (an unbounded cache keeps what
-    /// this validates, a bounded one streams it through a page of scratch).  Called
-    /// by the durable open so a rotted or torn heap fails the load (and triggers
-    /// generation fallback) instead of panicking at some later demand fault.
-    fn verify_walks(&self) -> PersistResult<()> {
-        let Some(prev) = &self.prev else {
-            return Ok(());
-        };
-        prev.lock()
-            .expect("page-cache mutex poisoned")
-            .verify_heap()
     }
 
     /// Completes the reader the encode put together — it only lacked the published
@@ -1043,8 +1066,8 @@ impl PersistentWalkStore for DiskWalkStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layout::reference::{assemble_walks_payload, encode_postings};
-    use crate::layout::tests::write_snapshot;
+    use crate::layout::reference::assemble_walks_payload;
+    use crate::layout::tests::{open_walks, write_snapshot};
     use crate::snapshot::tests::{reference_file, FailAfter};
     use crate::snapshot::{AtomicFile, SnapshotFile, SECTION_GRAPH, SECTION_META, SECTION_WALKS};
     use crate::tempdir::TempDir;
@@ -1103,8 +1126,7 @@ mod tests {
             heap_len: store.heap_len,
             page_size: WALKS_PAGE_SIZE as u32,
         };
-        let postings = encode_postings(&store.resident);
-        assemble_walks_payload(&header, &store.dir, &postings, &heap)
+        assemble_walks_payload(&header, &store.dir, &heap)
     }
 
     /// Checkpoints `store` to `path` and holds the file to the reference encoder.
@@ -1159,8 +1181,7 @@ mod tests {
 
         // Reopened under a two-page cache: clean pages now come from the file.
         let old = set_thread_page_budget(Some(PageBudget::bounded(2)));
-        let reopened =
-            DiskWalkStore::decode_walks(PagedWalks::open(&tmp.path().join("snap-2.ppr")).unwrap());
+        let reopened = open_walks::<DiskWalkStore>(&tmp.path().join("snap-2.ppr"));
         set_thread_page_budget(old);
         let mut reopened = reopened.unwrap();
         reopened.set_segment(SegmentId(8), &grown_path(8, 5, n as u32));
@@ -1212,38 +1233,18 @@ mod tests {
             encoded,
             "after_checkpoint re-read or re-checksummed something"
         );
-        // Header, directory, postings and page-CRC table once — and of the heap, the
-        // one dirty page.
+        // Header, directory and page-CRC table once — and of the heap, the one dirty
+        // page.
         let file_len = std::fs::metadata(&path).unwrap().len();
         let pages = store.page_count() as u64;
         let ahead_of_heap = file_len - 32 - pages * WALKS_PAGE_SIZE as u64;
         assert_eq!(encoded, ahead_of_heap + WALKS_PAGE_SIZE as u64);
 
         // The published generation was put together from the parts in hand: nothing
-        // was loaded, every page is warm, and no postings bytes ride along.
+        // was loaded and every page is warm.
         assert_eq!(store.pager_stats(), PagerStats::default());
         assert_eq!(store.residency().resident_pages, pages as usize);
-        assert_eq!(
-            store
-                .prev
-                .as_ref()
-                .unwrap()
-                .lock()
-                .unwrap()
-                .postings_bytes_held(),
-            0
-        );
-        let reopened = DiskWalkStore::decode_walks(PagedWalks::open(&path).unwrap()).unwrap();
-        assert_eq!(
-            reopened
-                .prev
-                .as_ref()
-                .unwrap()
-                .lock()
-                .unwrap()
-                .postings_bytes_held(),
-            0
-        );
+        let reopened = open_walks::<DiskWalkStore>(&path).unwrap();
         assert!(WalkIndexMut::check_consistency(&reopened).is_ok());
     }
 
@@ -1255,10 +1256,9 @@ mod tests {
         checkpoint_to(&mut store, &snap);
         let pages = store.page_count() as u64;
 
-        // Unbounded: the integrity pass is the one read and the one checksum a page
+        // Unbounded: the open's pass is the one read and the one checksum a page
         // gets — touching every path afterwards reads nothing more.
-        let unbounded = DiskWalkStore::decode_walks(PagedWalks::open(&snap).unwrap()).unwrap();
-        unbounded.verify_walks().unwrap();
+        let unbounded = open_walks::<DiskWalkStore>(&snap).unwrap();
         let verified = unbounded.pager_stats();
         assert_eq!((verified.loads, verified.streamed), (pages, 0));
         assert_eq!(unbounded.residency().resident_pages, pages as usize);
@@ -1267,14 +1267,11 @@ mod tests {
 
         // Bounded: streamed through scratch, nothing admitted, nothing evicted.
         let old = set_thread_page_budget(Some(PageBudget::bounded(2)));
-        let bounded = DiskWalkStore::decode_walks(PagedWalks::open(&snap).unwrap());
+        let bounded = open_walks::<DiskWalkStore>(&snap);
         set_thread_page_budget(old);
-        let bounded = bounded.unwrap();
-        bounded.verify_walks().unwrap();
-        let verified = bounded.pager_stats();
+        let verified = bounded.unwrap().pager_stats();
         assert_eq!((verified.loads, verified.streamed), (0, pages));
         assert_eq!(verified.evictions, 0);
-        assert_eq!(bounded.residency().resident_pages, 0);
     }
 
     #[test]
@@ -1283,7 +1280,7 @@ mod tests {
         let mut store = many_pages(64);
         let snap = tmp.path().join("snap-0.ppr");
         checkpoint_to(&mut store, &snap);
-        let mut reopened = DiskWalkStore::decode_walks(PagedWalks::open(&snap).unwrap()).unwrap();
+        let mut reopened = open_walks::<DiskWalkStore>(&snap).unwrap();
         let shared = |store: &DiskWalkStore| {
             let pager = store.prev.as_ref().unwrap().lock().unwrap().frozen_dir();
             Arc::ptr_eq(&pager, &store.fault.as_ref().unwrap().prev_dir)
@@ -1458,11 +1455,12 @@ mod tests {
         }
         checkpoint_to(&mut store, &snap);
 
-        let reopened = DiskWalkStore::decode_walks(PagedWalks::open(&snap).unwrap()).unwrap();
+        let reopened = open_walks::<DiskWalkStore>(&snap).unwrap();
         assert_eq!(reopened.visit_counts(), store.visit_counts());
         assert_eq!(reopened.heap_geometry(), store.heap_geometry());
-        // Open is metadata-only: nothing faulted yet.
-        assert_eq!(reopened.pager_stats().loads, 0);
+        // The open read the heap once to count the index, and kept no path.
+        assert_eq!(reopened.pager_stats().loads, 1);
+        assert_eq!(reopened.residency().cached_path_steps, 0);
         for slot in 0..5u32 {
             assert_eq!(
                 WalkIndexView::segment_path(&reopened, SegmentId(slot)),
@@ -1470,8 +1468,9 @@ mod tests {
             );
         }
         assert!(WalkIndexMut::check_consistency(&reopened).is_ok());
-        // The reads above demand-faulted the heap in through the cache.
-        assert!(reopened.pager_stats().loads > 0);
+        // The reads above demand-faulted every path in from the cached page.
+        assert_eq!(reopened.pager_stats().loads, 1);
+        assert_eq!(reopened.residency().cached_path_steps, 10);
     }
 
     #[test]
@@ -1504,7 +1503,7 @@ mod tests {
         assert!(after_second.pages_reused >= 4);
 
         // And the reused-page snapshot still decodes to the exact store.
-        let reopened = DiskWalkStore::decode_walks(PagedWalks::open(&snap1).unwrap()).unwrap();
+        let reopened = open_walks::<DiskWalkStore>(&snap1).unwrap();
         assert_eq!(reopened.visit_counts(), store.visit_counts());
         assert_eq!(
             WalkIndexView::segment_path(&reopened, SegmentId(7)),
@@ -1565,9 +1564,9 @@ mod tests {
         }
         checkpoint_to(&mut store, &snap);
 
-        let unbounded = DiskWalkStore::decode_walks(PagedWalks::open(&snap).unwrap()).unwrap();
+        let unbounded = open_walks::<DiskWalkStore>(&snap).unwrap();
         let old = set_thread_page_budget(Some(PageBudget::bounded(2)));
-        let bounded = DiskWalkStore::decode_walks(PagedWalks::open(&snap).unwrap()).unwrap();
+        let bounded = open_walks::<DiskWalkStore>(&snap).unwrap();
         set_thread_page_budget(old);
 
         for slot in (0..n as u32).rev() {
@@ -1595,7 +1594,7 @@ mod tests {
             store.set_segment(id, &path_of(&[node, (node + 1) % 8, (node + 2) % 8]));
         }
         checkpoint_to(&mut store, &snap);
-        let mut reopened = DiskWalkStore::decode_walks(PagedWalks::open(&snap).unwrap()).unwrap();
+        let mut reopened = open_walks::<DiskWalkStore>(&snap).unwrap();
         // Overwrite a slot that was never read: the write path must unindex the old
         // on-disk path (materializing it first), not corrupt the counters.
         reopened.set_segment(SegmentId(3), &path_of(&[3, 3]));
@@ -1604,7 +1603,7 @@ mod tests {
         // And a follow-up checkpoint round-trips the mixed arena/disk state.
         let snap1 = tmp.path().join("snap-1.ppr");
         checkpoint_to(&mut reopened, &snap1);
-        let again = DiskWalkStore::decode_walks(PagedWalks::open(&snap1).unwrap()).unwrap();
+        let again = open_walks::<DiskWalkStore>(&snap1).unwrap();
         assert_eq!(
             WalkIndexView::segment_path(&again, SegmentId(3)),
             path_of(&[3, 3]).as_slice()
@@ -1624,7 +1623,7 @@ mod tests {
             store.set_segment(id, &path_of(&[node, (node + 1) % n as u32]));
         }
         checkpoint_to(&mut store, &snap);
-        let reopened = DiskWalkStore::decode_walks(PagedWalks::open(&snap).unwrap()).unwrap();
+        let reopened = open_walks::<DiskWalkStore>(&snap).unwrap();
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 scope.spawn(|| {

@@ -1,16 +1,15 @@
 //! The walks-section codec: a paged on-disk layout for the PageRank Store, aligned
 //! to arena segments.
 //!
-//! The section serializes everything the `WalkIndex` surface exposes — every segment
-//! path, the visit postings, and the exact counters — in a layout designed for
-//! page-granular write-back:
+//! The section serializes every segment path in a layout designed for page-granular
+//! write-back.  The visit index is not stored: it is a function of the paths, and
+//! every open counts it from them (see *Reading*).
 //!
 //! ```text
-//! payload := header | dir | postings | page_crcs | heap
+//! payload := header | dir | page_crcs | heap
 //! header  := r u32 | shard_count u32 (always 1) | node_count u64 | slot_count u64
 //!          | heap_len u64 (steps) | page_size u32 | meta_crc u32
 //! dir     := slot_count × (offset u64 | len u32 | cap u32)      (steps, not bytes)
-//! postings:= per node (count u32 | (segment u32, visits u32)*count) | total_visits u64
 //! page_crcs := ceil(heap_len·4 / page_size) × u32
 //! heap    := the walk steps as u32 words, padded to whole pages with the filler word
 //! ```
@@ -20,17 +19,16 @@
 //! segment that is rewritten without outgrowing its reservation dirties only its own
 //! pages and every other page of the heap can be carried into the next snapshot
 //! byte-for-byte — that reuse is what [`crate::disk::DiskWalkStore`]'s checkpoint
-//! measures.  `meta_crc` covers the directory, postings, and page-CRC table, and each
-//! heap page carries its own CRC, so the paged reader ([`PagedWalks`]) fully
-//! validates everything it touches without ever reading the whole section.
+//! measures.  `meta_crc` covers the directory and the page-CRC table, and each heap
+//! page carries its own CRC, so the paged reader ([`PagedWalks`]) validates
+//! everything it touches without reading the whole section at once.
 //!
 //! # Writing
 //!
 //! Every layout encodes through the one [`WalksStream`], and nothing section-sized
 //! is ever held in memory.  The header (it holds `meta_crc`) and the page-CRC table
 //! (it holds what the pages after it will checksum to) are [deferred] in the
-//! [`SnapshotWriter`]; the directory and the postings — read straight off
-//! [`WalkIndex::segments_visiting`] — go out through one bounded scratch buffer; the
+//! [`SnapshotWriter`]; the directory goes out through one bounded scratch buffer; the
 //! caller then produces the heap one page at a time through a page-sized buffer,
 //! handing over the CRC of any page it carries unchanged from a validated
 //! generation, and [`WalksStream::finish`] fills the two deferred runs in.  Each
@@ -39,13 +37,17 @@
 //!
 //! # Reading
 //!
-//! [`PagedWalks::open`] reads and checksums the directory, postings and page-CRC
-//! table once; the postings bytes are consumed (and freed) by whichever decode
-//! parses them.  Decoding always cross-checks the serialized postings against the
-//! stored paths, so index corruption is detected at open time instead of surfacing
-//! as silently wrong scores.  The flat store takes the bulk-load fast path
-//! ([`PagedWalks::decode_flat_store`]): the serialized runs become the index
-//! directly and one global sorted pass verifies them.
+//! [`PagedWalks::open`] reads and checksums the directory and the page-CRC table.
+//! [`PersistentWalkStore::open_walks`] then installs the final paths a WAL tail left
+//! (its plan), paths only, and reads every heap page once, in order, against its
+//! CRC (`PagedWalks::scan_paths`): the heap path of every segment the plan does
+//! not rewrite is checked against the store's shape — it starts at its source and
+//! visits only known nodes — and handed to [`ppr_store::WalkLoader`], which counts
+//! the visit index from it and the plan's paths with the kernel that builds a fresh
+//! store.  A rotted page, a torn heap or a path that breaks the
+//! shape therefore fails the open, while an older generation can still be tried,
+//! and no index can disagree with the paths it was counted from.  The flat store
+//! keeps the heap paths it reads; a demand-paged store leaves them on disk.
 //!
 //! [deferred]: SnapshotWriter::defer
 
@@ -56,7 +58,7 @@ use crate::snapshot::{
     check_shard_count, Deferred, SnapshotFile, SnapshotWriter, SECTION_WALKS, SHARD_COUNT,
 };
 use ppr_graph::NodeId;
-use ppr_store::{SegmentId, WalkIndex, WalkIndexMut, WalkStore};
+use ppr_store::{SegmentId, SegmentRewrites, WalkIndex, WalkIndexMut, WalkStore};
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
@@ -161,8 +163,8 @@ pub(crate) fn render_steps(image: &mut [u8], page: u32, offset: u64, path: &[Nod
     }
 }
 
-/// One walks section in the writing: begun with the directory and postings, fed the
-/// heap page by page, finished by filling in the header and the page-CRC table (see
+/// One walks section in the writing: begun with the directory, fed the heap page by
+/// page, finished by filling in the header and the page-CRC table (see
 /// the [module docs](self)).
 #[derive(Debug)]
 pub struct WalksStream<'a, S: Write + Seek> {
@@ -170,21 +172,19 @@ pub struct WalksStream<'a, S: Write + Seek> {
     header: WalksHeader,
     head: Deferred,
     table: Deferred,
-    /// CRC-32 of the directory and postings bytes, the front of what `meta_crc`
-    /// covers.
+    /// CRC-32 of the directory bytes, the front of what `meta_crc` covers.
     meta_crc: u32,
     page_crcs: Vec<u32>,
     heap_at: u64,
 }
 
 impl<'a, S: Write + Seek> WalksStream<'a, S> {
-    /// Begins the walks section of `out` and streams everything ahead of the heap:
-    /// `dir` as the slot directory, `index`'s postings and total.
+    /// Begins the walks section of `out` and streams `dir`, the slot directory,
+    /// ahead of the heap.
     pub fn begin(
         out: &'a mut SnapshotWriter<S>,
         header: WalksHeader,
         dir: &[FileSlot],
-        index: &impl WalkIndex,
     ) -> PersistResult<Self> {
         assert_eq!(dir.len() as u64, header.slot_count);
         out.begin_section(SECTION_WALKS)?;
@@ -202,17 +202,6 @@ impl<'a, S: Write + Seek> WalksStream<'a, S> {
             w.put_u32(slot.cap);
             w.spill(SPILL_BYTES, &mut emit)?;
         }
-        for node in 0..index.node_count() {
-            let run = index.segments_visiting(NodeId::from_index(node));
-            w.put_u32(run.remaining() as u32);
-            for (seg, count) in run {
-                w.put_u32(seg.0);
-                w.put_u32(count);
-                w.spill(SPILL_BYTES, &mut emit)?;
-            }
-            w.spill(SPILL_BYTES, &mut emit)?;
-        }
-        w.put_u64(index.total_visits());
         w.spill(0, &mut emit)?;
         let table = out.defer(header.page_count() as usize * 4)?;
         let heap_at = out.position();
@@ -267,7 +256,7 @@ pub fn stream_walks_fresh<S: Write + Seek>(
         heap_len,
         page_size: WALKS_PAGE_SIZE as u32,
     };
-    let mut stream = WalksStream::begin(out, header, &dir, store)?;
+    let mut stream = WalksStream::begin(out, header, &dir)?;
     let mut image = vec![0u8; WALKS_PAGE_SIZE];
     // Slots lie in id order, so one cursor sweeps them as the pages go by.
     let mut slot = 0;
@@ -294,16 +283,14 @@ pub fn stream_walks_fresh<S: Write + Seek>(
     Ok(())
 }
 
-/// A walks section opened for paged reading: directory and postings eagerly read and
-/// validated, heap pages faulted in (and CRC-checked) on first touch.
+/// A walks section opened for paged reading: directory and page-CRC table eagerly
+/// read and validated, heap pages faulted in (and CRC-checked) on first touch.
 #[derive(Debug)]
 pub struct PagedWalks {
     header: WalksHeader,
     /// Frozen: the layout of the generation on disk, shared with whoever faults
     /// paths out of it.
-    dir: Arc<[FileSlot]>,
-    /// The serialized postings, held only until a decode parses them.
-    postings_raw: Vec<u8>,
+    dir: Arc<Vec<FileSlot>>,
     page_crcs: Vec<u32>,
     cache: PageCache,
 }
@@ -359,34 +346,27 @@ impl PagedWalks {
             return Err(corrupt("walks heap larger than its own section"));
         }
         let page_count = header.page_count();
-        let dir_len = header.slot_count as usize * 16;
-        let crc_len = page_count as usize * 4;
-        let meta_end = HEADER_LEN + dir_len;
+        let dir_len = header.slot_count * 16;
+        let crc_len = page_count as u64 * 4;
         let heap_bytes = page_count as u64 * header.page_size as u64;
-        let expected_tail = heap_bytes + crc_len as u64;
-        let Some(postings_len) = (info.len)
-            .checked_sub(meta_end as u64)
-            .and_then(|rest| rest.checked_sub(expected_tail))
-        else {
-            return Err(corrupt("walks section too short for its own directory"));
-        };
-        let postings_len = usize::try_from(postings_len)
-            .map_err(|_| corrupt("walks postings too large for this platform"))?;
+        if info.len != HEADER_LEN as u64 + dir_len + crc_len + heap_bytes {
+            return Err(corrupt("walks section length disagrees with its header"));
+        }
 
-        // Each region is read into its own buffer and checksummed as it arrives, so
-        // the postings can be handed on (and freed) without a copy.
+        // Each region is read into its own buffer and checksummed as it arrives.
         let mut running = Crc32::new();
-        let mut read_region = |len: usize| -> PersistResult<Vec<u8>> {
+        let mut read_region = |len: u64| -> PersistResult<Vec<u8>> {
+            let len = usize::try_from(len)
+                .map_err(|_| corrupt("walks directory too large for this platform"))?;
             let mut bytes = vec![0u8; len];
             file.read_exact(&mut bytes)?;
             running.update(&bytes);
             Ok(bytes)
         };
         let dir_bytes = read_region(dir_len)?;
-        let postings_raw = read_region(postings_len)?;
         let crc_bytes = read_region(crc_len)?;
         if running.finish() != meta_crc {
-            return Err(corrupt("walks directory/postings checksum mismatch"));
+            return Err(corrupt("walks directory checksum mismatch"));
         }
         let mut dir = Vec::with_capacity(header.slot_count as usize);
         let mut reader = ByteReader::new(&dir_bytes);
@@ -402,26 +382,23 @@ impl PagedWalks {
         for _ in 0..page_count {
             page_crcs.push(reader.get_u32()?);
         }
-        let heap_base = info.offset + (meta_end + postings_len + crc_len) as u64;
+        let heap_base = info.offset + HEADER_LEN as u64 + dir_len + crc_len;
         let cache = PageCache::new(file, heap_base, WALKS_PAGE_SIZE, page_count);
         Ok(PagedWalks {
             header,
-            dir: dir.into(),
-            postings_raw,
+            dir: Arc::new(dir),
             page_crcs,
             cache,
         })
     }
 
     /// The reader of a generation that is being written: geometry and layout known,
-    /// no postings bytes (its writer holds the live index), no page CRCs and no file
-    /// yet.  Cache policy and [`PagedWalks::preload`] work at once;
+    /// no page CRCs and no file yet.  Cache policy and [`PagedWalks::preload`] work at once;
     /// [`PagedWalks::written_to`] completes it.
-    pub(crate) fn unwritten(header: WalksHeader, dir: Arc<[FileSlot]>) -> Self {
+    pub(crate) fn unwritten(header: WalksHeader, dir: Arc<Vec<FileSlot>>) -> Self {
         PagedWalks {
             header,
             dir,
-            postings_raw: Vec::new(),
             page_crcs: Vec::new(),
             cache: PageCache::unwritten(WALKS_PAGE_SIZE, header.page_count()),
         }
@@ -446,14 +423,8 @@ impl PagedWalks {
     }
 
     /// The slot directory as the shared, frozen allocation the reader itself holds.
-    pub(crate) fn frozen_dir(&self) -> Arc<[FileSlot]> {
+    pub(crate) fn frozen_dir(&self) -> Arc<Vec<FileSlot>> {
         Arc::clone(&self.dir)
-    }
-
-    /// Serialized postings bytes still held (none once a decode has parsed them).
-    #[cfg(test)]
-    pub(crate) fn postings_bytes_held(&self) -> usize {
-        self.postings_raw.len()
     }
 
     /// Page-cache access counters.
@@ -522,21 +493,96 @@ impl PagedWalks {
         self.cache.read_page_into(index, crc, out)
     }
 
-    /// Reads every heap page against the CRC table, so a rotted or torn heap fails
-    /// here and not at some later demand fault.  An unbounded cache keeps what it
-    /// has just validated — admission can never cost it an eviction, and the first
-    /// touch of a page is then not a second read and a second checksum; a bounded
-    /// one streams through a page of scratch and admits nothing.
-    pub(crate) fn verify_heap(&mut self) -> PersistResult<()> {
-        let admit = self.cache.budget().is_none();
-        let mut scratch = vec![0u8; WALKS_PAGE_SIZE];
-        for page in 0..self.header.page_count() {
-            if admit {
-                self.read_page(page)?;
-            } else {
-                self.stream_page(page, &mut scratch)?;
+    /// Reads every heap page once, in order, against the CRC table, so a rotted or
+    /// torn heap fails here and not at some later demand fault, and hands `visit`
+    /// the stored path of every non-empty slot `plan` does not rewrite, in heap
+    /// order.  An unbounded cache keeps what it has just validated — admission can
+    /// never cost it an eviction, and the first touch of a page is then not a second
+    /// read and a second checksum; a bounded one streams through a page of scratch
+    /// and admits nothing.  A slot region that runs past the heap or overlaps the
+    /// one before it is corrupt.
+    pub(crate) fn scan_paths(
+        &mut self,
+        plan: &SegmentRewrites,
+        mut visit: impl FnMut(SegmentId, &[NodeId]) -> PersistResult<()>,
+    ) -> PersistResult<()> {
+        let mut rewritten = vec![false; self.dir.len()];
+        for (id, _) in plan.iter() {
+            if let Some(flag) = rewritten.get_mut(id.index()) {
+                *flag = true;
             }
         }
+        // (offset, slot) of every region to read, in heap order.
+        let mut regions: Vec<(u64, u32)> = Vec::new();
+        for (slot, s) in self.dir.iter().enumerate() {
+            if s.len == 0 || rewritten[slot] {
+                continue;
+            }
+            if s.offset
+                .checked_add(s.len as u64)
+                .is_none_or(|end| end > self.header.heap_len)
+            {
+                return Err(corrupt(format!(
+                    "slot {slot} region [{}, +{}) exceeds the heap ({} steps)",
+                    s.offset, s.len, self.header.heap_len
+                )));
+            }
+            regions.push((s.offset, slot as u32));
+        }
+        drop(rewritten);
+        regions.sort_unstable();
+
+        let admit = self.cache.budget().is_none();
+        let mut scratch = vec![0u8; if admit { 0 } else { WALKS_PAGE_SIZE }];
+        let mut regions = regions.into_iter().peekable();
+        let mut path = Vec::new();
+        // The region being read, as (slot, first step, end step), and the end of
+        // the last region read.
+        let mut open: Option<(u32, u64, u64)> = None;
+        let mut covered = 0u64;
+        for page in 0..self.header.page_count() {
+            let crc = self.page_crc(page)?;
+            let bytes: &[u8] = if admit {
+                self.cache.read_page(page, crc)?
+            } else {
+                self.cache.read_page_into(page, crc, &mut scratch)?;
+                &scratch
+            };
+            let page_start = page as u64 * STEPS_PER_PAGE;
+            let page_end = page_start + STEPS_PER_PAGE;
+            loop {
+                let (slot, start, end) = match open.take() {
+                    Some(region) => region,
+                    None => match regions.next_if(|&(offset, _)| offset < page_end) {
+                        Some((offset, slot)) => {
+                            if offset < covered {
+                                return Err(corrupt(format!(
+                                    "slot {slot} overlaps the region before it"
+                                )));
+                            }
+                            path.clear();
+                            (slot, offset, offset + self.dir[slot as usize].len as u64)
+                        }
+                        None => break,
+                    },
+                };
+                let from = (start.max(page_start) - page_start) as usize;
+                let to = (end.min(page_end) - page_start) as usize;
+                path.extend(
+                    bytes[from * 4..to * 4]
+                        .chunks_exact(4)
+                        .map(|word| NodeId(u32::from_le_bytes(word.try_into().unwrap()))),
+                );
+                if end > page_end {
+                    open = Some((slot, start, end));
+                    break;
+                }
+                covered = end;
+                visit(SegmentId(slot), &path)?;
+            }
+        }
+        // Every region ends inside the heap, so the last page closed them all.
+        debug_assert!(open.is_none() && regions.peek().is_none());
         Ok(())
     }
 
@@ -577,73 +623,6 @@ impl PagedWalks {
         }
         Ok(())
     }
-
-    /// Parses the serialized visit postings into per-node [`ppr_store::VisitPostings`] plus the
-    /// claimed total visit count.  This is the index half of the walks section —
-    /// demand-paged opens install it directly (paths stay on disk), the flat decode
-    /// pairs it with a full heap scan.  The serialized bytes are consumed: they are
-    /// freed when this returns.
-    pub fn parse_postings(&mut self) -> PersistResult<(Vec<ppr_store::VisitPostings>, u64)> {
-        let raw = std::mem::take(&mut self.postings_raw);
-        let mut reader = ByteReader::new(&raw);
-        let mut postings = Vec::with_capacity(self.header.node_count as usize);
-        for _ in 0..self.header.node_count {
-            let count = reader.get_u32()? as usize;
-            let mut run = Vec::with_capacity(count);
-            for _ in 0..count {
-                let seg = SegmentId(reader.get_u32()?);
-                let visits = reader.get_u32()?;
-                run.push((seg, visits));
-            }
-            postings.push(ppr_store::VisitPostings::from_sorted_run(run).map_err(corrupt)?);
-        }
-        let total = reader.get_u64()?;
-        reader.expect_end("postings")?;
-        Ok((postings, total))
-    }
-
-    /// Decodes the section into a flat [`WalkStore`] on the bulk-load fast path:
-    /// paths stream out of the paged heap, the serialized postings become the index
-    /// **directly** (packed blocks, no `record` call per stored step), and paths and
-    /// index are cross-checked in one sorted pass inside
-    /// [`WalkStore::bulk_load`] — cold open costs a file scan plus one sort instead
-    /// of an incremental index rebuild.
-    pub fn decode_flat_store(&mut self) -> PersistResult<WalkStore> {
-        let header = *self.header();
-        // Stream every non-empty slot's path into one flat buffer.
-        let mut steps: Vec<NodeId> = Vec::new();
-        let mut bounds: Vec<(SegmentId, usize, usize)> = Vec::new();
-        let mut path = Vec::new();
-        for slot in 0..header.slot_count as u32 {
-            let file_slot = self.dir[slot as usize];
-            if file_slot.len == 0 {
-                continue;
-            }
-            self.read_steps(file_slot.offset, file_slot.len, &mut path)?;
-            let start = steps.len();
-            steps.extend_from_slice(&path);
-            bounds.push((SegmentId(slot), start, path.len()));
-        }
-        // The serialized postings become the index verbatim.
-        let (postings, total) = self.parse_postings()?;
-
-        let store = WalkStore::bulk_load(
-            header.node_count as usize,
-            header.r as usize,
-            bounds
-                .iter()
-                .map(|&(id, start, len)| (id, &steps[start..start + len])),
-            postings,
-        )
-        .map_err(corrupt)?;
-        if store.total_visits() != total {
-            return Err(corrupt(format!(
-                "serialized total_visits {total} disagrees with the loaded {}",
-                store.total_visits()
-            )));
-        }
-        Ok(store)
-    }
 }
 
 /// A store layout that can round-trip through the snapshot walks section.
@@ -657,23 +636,24 @@ pub trait PersistentWalkStore: WalkIndexMut + Sized {
     /// from their previous generation.)
     fn encode_walks<S: Write + Seek>(&mut self, out: &mut SnapshotWriter<S>) -> PersistResult<()>;
 
-    /// Rebuilds the store from an open walks section.
-    fn decode_walks(walks: PagedWalks) -> PersistResult<Self>;
+    /// Rebuilds the store from an open walks section of `node_count` nodes — the
+    /// section's own plus any a WAL tail created — with `plan`, the final paths the
+    /// tail left, installed over it, paths only.  Every heap page is read once,
+    /// against its CRC, and the visit index is counted once from the final paths:
+    /// `plan`'s for the segments it names, the heap's for the rest.  Anything on
+    /// disk that fails a check is an error, returned while the caller can still fall
+    /// back to an older generation.
+    fn open_walks(
+        walks: PagedWalks,
+        node_count: usize,
+        plan: &SegmentRewrites,
+    ) -> PersistResult<Self>;
 
     /// Hook invoked after the snapshot `encode_walks` streamed into has been durably
     /// published at `snap_path`; file-backed stores re-anchor their fault and
     /// clean-page source here.
     fn after_checkpoint(&mut self, snap_path: &Path) -> PersistResult<()> {
         let _ = snap_path;
-        Ok(())
-    }
-
-    /// Verifies whatever payload bytes `decode_walks` deferred reading.  The durable
-    /// open path calls this so that a corrupt generation is detected *while fallback
-    /// to an older generation is still possible* — a demand-paged store streams its
-    /// unread heap pages against the CRC table here (bounded memory, no admission).
-    /// Stores whose decode already read everything have nothing left to check.
-    fn verify_walks(&self) -> PersistResult<()> {
         Ok(())
     }
 }
@@ -683,8 +663,21 @@ impl PersistentWalkStore for WalkStore {
         stream_walks_fresh(self, out)
     }
 
-    fn decode_walks(mut walks: PagedWalks) -> PersistResult<Self> {
-        walks.decode_flat_store()
+    /// Reads the heap paths into the arena as the scan goes by, then the plan's;
+    /// the index is counted with the construction kernel.  Nothing of the file
+    /// outlives the open, so its pages stream through scratch.
+    fn open_walks(
+        mut walks: PagedWalks,
+        node_count: usize,
+        plan: &SegmentRewrites,
+    ) -> PersistResult<Self> {
+        walks.configure_cache(Some(1));
+        let mut loader = WalkStore::loader(node_count, walks.header().r as usize);
+        walks.scan_paths(plan, |id, path| loader.write(id, path).map_err(corrupt))?;
+        for (id, path) in plan.iter() {
+            loader.write(id, path).map_err(corrupt)?;
+        }
+        Ok(loader.finish())
     }
 }
 
@@ -694,28 +687,11 @@ impl PersistentWalkStore for WalkStore {
 pub(crate) mod reference {
     use super::*;
 
-    /// Serializes a store's visit postings (per-node sorted runs plus `total_visits`).
-    pub(crate) fn encode_postings(store: &impl WalkIndex) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        for node in 0..store.node_count() {
-            let node = NodeId::from_index(node);
-            let run: Vec<(SegmentId, u32)> = store.segments_visiting(node).collect();
-            w.put_u32(run.len() as u32);
-            for (seg, count) in run {
-                w.put_u32(seg.0);
-                w.put_u32(count);
-            }
-        }
-        w.put_u64(store.total_visits());
-        w.into_bytes()
-    }
-
     /// Assembles a complete walks-section payload from its parts.  `heap` must
     /// already be padded to whole pages of `page_size` bytes.
     pub(crate) fn assemble_walks_payload(
         header: &WalksHeader,
         dir: &[FileSlot],
-        postings: &[u8],
         heap: &[u8],
     ) -> Vec<u8> {
         let page_count = header.page_count() as usize;
@@ -738,12 +714,10 @@ pub(crate) mod reference {
 
         let mut meta_crc = Crc32::new();
         meta_crc.update(&dir_bytes);
-        meta_crc.update(postings);
         meta_crc.update(&crc_table);
 
-        let mut payload = ByteWriter::with_capacity(
-            HEADER_LEN + dir_bytes.len() + postings.len() + crc_table.len() + heap.len(),
-        );
+        let mut payload =
+            ByteWriter::with_capacity(HEADER_LEN + dir_bytes.len() + crc_table.len() + heap.len());
         payload.put_u32(header.r);
         payload.put_u32(SHARD_COUNT);
         payload.put_u64(header.node_count);
@@ -752,7 +726,6 @@ pub(crate) mod reference {
         payload.put_u32(header.page_size);
         payload.put_u32(meta_crc.finish());
         payload.put_bytes(&dir_bytes);
-        payload.put_bytes(postings);
         payload.put_bytes(&crc_table);
         payload.put_bytes(heap);
         payload.into_bytes()
@@ -788,8 +761,7 @@ pub(crate) mod reference {
             page_size: WALKS_PAGE_SIZE as u32,
         };
         let heap = render_heap(store, &dir, heap_len);
-        let postings = encode_postings(store);
-        assemble_walks_payload(&header, &dir, &postings, &heap)
+        assemble_walks_payload(&header, &dir, &heap)
     }
 }
 
@@ -829,6 +801,13 @@ pub(crate) mod tests {
         let mut w = SnapshotWriter::new(AtomicFile::create(path).unwrap()).unwrap();
         store.encode_walks(&mut w).unwrap();
         w.finish().unwrap().publish().unwrap();
+    }
+
+    /// Opens the walks section of the snapshot at `path` as a `W` with no plan.
+    pub(crate) fn open_walks<W: PersistentWalkStore>(path: &Path) -> PersistResult<W> {
+        let walks = PagedWalks::open(path)?;
+        let node_count = walks.header().node_count as usize;
+        W::open_walks(walks, node_count, &SegmentRewrites::new())
     }
 
     fn write_payload(path: &Path, payload: Vec<u8>) {
@@ -884,8 +863,7 @@ pub(crate) mod tests {
 
         let walks = PagedWalks::open(&path).unwrap();
         assert_eq!(walks.header().node_count, 6);
-        assert!(walks.postings_bytes_held() > 0);
-        let rebuilt = WalkStore::decode_walks(walks).unwrap();
+        let rebuilt = open_walks::<WalkStore>(&path).unwrap();
         assert_eq!(rebuilt.total_visits(), store.total_visits());
         assert_eq!(rebuilt.visit_counts(), store.visit_counts());
         for slot in 0..12u32 {
@@ -896,18 +874,6 @@ pub(crate) mod tests {
             );
         }
         assert!(rebuilt.check_consistency().is_ok());
-    }
-
-    #[test]
-    fn parsing_consumes_the_postings_bytes() {
-        let dir = TempDir::new("layout-consume");
-        let path = dir.path().join("snap.ppr");
-        write_snapshot(&path, &mut sample_store());
-        let mut walks = PagedWalks::open(&path).unwrap();
-        let (postings, total) = walks.parse_postings().unwrap();
-        assert_eq!(postings.len(), 6);
-        assert_eq!(total, sample_store().total_visits());
-        assert_eq!(walks.postings_bytes_held(), 0);
     }
 
     #[test]
@@ -956,16 +922,15 @@ pub(crate) mod tests {
         bytes[n - 100] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
 
-        let result = WalkStore::decode_walks(PagedWalks::open(&path).unwrap());
+        let result = open_walks::<WalkStore>(&path);
         assert!(matches!(result, Err(crate::io::PersistError::Corrupt(_))));
     }
 
     #[test]
-    fn postings_verification_catches_index_drift() {
-        let dir = TempDir::new("layout-postings");
+    fn heap_paths_that_break_the_store_shape_are_refused() {
+        let dir = TempDir::new("layout-shape");
         let path = dir.path().join("snap.ppr");
         let mut store = sample_store();
-        // Hand-assemble a payload whose postings disagree with the paths.
         let (slot_dir, heap_len) = fresh_layout(&store);
         let header = WalksHeader {
             r: 2,
@@ -975,18 +940,38 @@ pub(crate) mod tests {
             page_size: WALKS_PAGE_SIZE as u32,
         };
         let heap = render_heap(&store, &slot_dir, heap_len);
-        let mut bogus = encode_postings(&store);
-        let len = bogus.len();
-        bogus[len - 9] ^= 0x01; // corrupt total_visits
-        write_payload(
-            &path,
-            assemble_walks_payload(&header, &slot_dir, &bogus, &heap),
-        );
-
-        let result = WalkStore::decode_walks(PagedWalks::open(&path).unwrap());
-        assert!(matches!(result, Err(crate::io::PersistError::Corrupt(_))));
+        // Segment 6 (node 3, slot 0) holds [3, 4, 5, 4, 3] from step 32.
+        assert_eq!(slot_dir[6].offset, 32);
+        let word = |step: u64| step as usize * 4..step as usize * 4 + 4;
+        let mut cases = Vec::new();
+        let mut off_source = heap.clone();
+        off_source[word(32)].copy_from_slice(&4u32.to_le_bytes());
+        cases.push(("start at its source", slot_dir.clone(), off_source));
+        let mut unknown_node = heap.clone();
+        unknown_node[word(34)].copy_from_slice(&6u32.to_le_bytes());
+        cases.push(("outside the store", slot_dir.clone(), unknown_node));
+        let mut overlapping = slot_dir.clone();
+        overlapping[6].offset = slot_dir[0].offset + 1;
+        cases.push(("overlaps", overlapping, heap.clone()));
+        let mut past_the_heap = slot_dir.clone();
+        past_the_heap[11].offset = heap_len - 1;
+        cases.push(("exceed", past_the_heap, heap.clone()));
+        for (what, slots, heap) in cases {
+            write_payload(&path, assemble_walks_payload(&header, &slots, &heap));
+            for result in [
+                open_walks::<WalkStore>(&path).map(|_| ()),
+                open_walks::<crate::DiskWalkStore>(&path).map(|_| ()),
+            ] {
+                match result {
+                    Err(crate::io::PersistError::Corrupt(why)) => {
+                        assert!(why.contains(what), "{what}: {why}")
+                    }
+                    other => panic!("{what}: {other:?}"),
+                }
+            }
+        }
         // The unmodified encode still loads.
         write_snapshot(&path, &mut store);
-        assert!(WalkStore::decode_walks(PagedWalks::open(&path).unwrap()).is_ok());
+        assert!(open_walks::<WalkStore>(&path).is_ok());
     }
 }

@@ -41,19 +41,19 @@ use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 8] = b"PPRSNAP1";
 /// Oldest container version this build can still read.
-/// History: 1 = PR 4 layout; 2 = PR 5 (`compaction_threshold` f64 added to META).
-pub const MIN_VERSION: u32 = 1;
+/// History: 1 = the first layout; 2 = a `compaction_threshold` f64 added to META;
+/// 3 = the walks section stores no postings (the visit index is counted at open).
+pub const MIN_VERSION: u32 = 3;
 /// Container format version written by this build.  Bump whenever any section's
-/// byte layout changes (readers branch on [`SnapshotFile::version`]); versions
-/// outside `MIN_VERSION..=VERSION` fail with a clean `Format` error instead of
-/// being misdiagnosed as bit rot by the decoders.
-pub const VERSION: u32 = 2;
+/// byte layout changes; versions outside `MIN_VERSION..=VERSION` fail with a clean
+/// `Format` error instead of being misdiagnosed as bit rot by the decoders.
+pub const VERSION: u32 = 3;
 
 /// Section tag: engine metadata (config, RNG state, counters).
 pub const SECTION_META: u32 = 1;
 /// Section tag: the Social Store's graph (both adjacency directions, exact order).
 pub const SECTION_GRAPH: u32 = 2;
-/// Section tag: the PageRank Store's walk data (paged heap + postings).
+/// Section tag: the PageRank Store's walk data (slot directory + paged heap).
 pub const SECTION_WALKS: u32 = 3;
 
 /// The shard count the graph section and the walks header carry.  Both fields date
@@ -320,7 +320,6 @@ pub struct SectionInfo {
 #[derive(Debug)]
 pub struct SnapshotFile {
     file: File,
-    version: u32,
     sections: Vec<SectionInfo>,
 }
 
@@ -377,17 +376,7 @@ impl SnapshotFile {
                 file_len - pos
             )));
         }
-        Ok(SnapshotFile {
-            file,
-            version,
-            sections,
-        })
-    }
-
-    /// The container version the file was written with (decoders of versioned
-    /// sections branch on it).
-    pub fn version(&self) -> u32 {
-        self.version
+        Ok(SnapshotFile { file, sections })
     }
 
     /// Locations of every section, in file order.

@@ -142,7 +142,7 @@ impl WalEffects {
                     path.len()
                 )));
             }
-            crate::disk::validate_faulted_path(path, id.index(), segments_per_node, nodes)
+            ppr_store::walks::check_path(id, path, segments_per_node, nodes)
                 .map_err(|e| corrupt(format!("WAL record: {e}")))?;
         }
         Ok(())

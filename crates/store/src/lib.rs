@@ -47,4 +47,4 @@ pub use postings::VisitPostings;
 pub use segment::SegmentId;
 pub use social::SocialStore;
 pub use view::{AdjacencyFetch, FrozenGraph, FrozenWalks, SpineCopyStats, TouchedChunks};
-pub use walks::WalkStore;
+pub use walks::{WalkLoader, WalkStore};

@@ -42,7 +42,7 @@ fn forget_visits(counts: &mut [u64], node: usize, visits: u64) {
     });
 }
 
-/// The visit index of a whole set of segment paths, counted in bulk: the per-node
+/// The visit index of a set of segment paths, counted in bulk: the per-node
 /// `(segment, visits)` runs, the `W(v)` counters and their sum.  Two sweeps over the
 /// paths in segment order — one counts each node's visits and distinct visiting
 /// segments, the other fills runs allocated at exactly that length — so building it
@@ -55,12 +55,12 @@ struct CountedIndex {
 }
 
 impl CountedIndex {
-    /// Indexes segments `0..segments`, whose paths `path_of` returns; every visit must
-    /// address one of `node_count` nodes.
-    fn count<'a>(
+    /// Indexes the paths `sweep` yields, in increasing segment order; every visit
+    /// must address one of `node_count` nodes.  `sweep` is called once per sweep and
+    /// yields the same paths each time.
+    fn count<'a, I: Iterator<Item = (SegmentId, &'a [NodeId])>>(
         node_count: usize,
-        segments: usize,
-        path_of: impl Fn(usize) -> &'a [NodeId],
+        sweep: impl Fn() -> I,
     ) -> Self {
         /// One node's first-sweep tally, kept together so a visit touches one line.
         #[derive(Clone, Copy, Default)]
@@ -71,9 +71,9 @@ impl CountedIndex {
             last_visitor: u32,
         }
         let mut tallies = vec![Tally::default(); node_count];
-        for segment in 0..segments {
-            let tag = segment as u32 + 1;
-            for &v in path_of(segment) {
+        for (id, path) in sweep() {
+            let tag = id.0 + 1;
+            for &v in path {
                 let tally = &mut tallies[v.index()];
                 tally.visits += 1;
                 if tally.last_visitor != tag {
@@ -88,9 +88,8 @@ impl CountedIndex {
             .collect();
         let visit_counts: Vec<u64> = tallies.iter().map(|tally| tally.visits).collect();
         drop(tallies);
-        for segment in 0..segments {
-            let id = SegmentId(segment as u32);
-            for &v in path_of(segment) {
+        for (id, path) in sweep() {
+            for &v in path {
                 let run = &mut runs[v.index()];
                 match run.last_mut() {
                     Some((last, count)) if *last == id => *count += 1,
@@ -106,12 +105,111 @@ impl CountedIndex {
         }
     }
 
-    /// The runs as packed [`VisitPostings`], node by node.
-    fn postings(runs: Vec<Vec<(SegmentId, u32)>>) -> impl Iterator<Item = VisitPostings> {
-        runs.into_iter().map(|run| {
-            VisitPostings::from_sorted_run(run)
-                .expect("a counted run is strictly increasing with positive counts")
-        })
+    /// Installs the counted index into `store`, every node's run packed into
+    /// [`VisitPostings`].
+    fn install(self, store: &mut WalkStore) {
+        store.postings = self
+            .runs
+            .into_iter()
+            .map(|run| {
+                VisitPostings::from_sorted_run(run)
+                    .expect("a counted run is strictly increasing with positive counts")
+            })
+            .collect();
+        store.visit_counts = self.visit_counts;
+        store.total_visits = self.total_visits;
+    }
+}
+
+/// Checks `path` against the shape of a store of `node_count` nodes with `r`
+/// segments each: the segment exists, the path starts at its source and visits
+/// only the store's nodes.
+pub fn check_path(
+    id: SegmentId,
+    path: &[NodeId],
+    r: usize,
+    node_count: usize,
+) -> Result<(), String> {
+    if id.index() >= node_count * r {
+        return Err(format!("segment {id:?} outside the store"));
+    }
+    if path.first().is_some_and(|&first| first != id.source(r)) {
+        return Err(format!("segment {id:?} does not start at its source"));
+    }
+    if let Some(v) = path.iter().find(|v| v.index() >= node_count) {
+        return Err(format!("segment {id:?} visits node {v} outside the store"));
+    }
+    Ok(())
+}
+
+/// A [`WalkStore`] being loaded from storage: paths go into the step arena as they
+/// are read, unindexed, and the visit index is counted once, from the final paths,
+/// by [`Self::finish`] or [`Self::finish_with`].
+#[derive(Debug)]
+pub struct WalkLoader {
+    /// The store under construction; its index stays empty until the finish.
+    store: WalkStore,
+}
+
+impl WalkLoader {
+    /// Stores `path` as segment `id`'s, unindexed.  Fails, storing nothing, if the
+    /// path does not fit the store's shape: the segment exists, the path starts at
+    /// its source and visits only the store's nodes.
+    pub fn write(&mut self, id: SegmentId, path: &[NodeId]) -> Result<(), String> {
+        let store = &mut self.store;
+        check_path(id, path, store.r, store.node_count())?;
+        store.arena.write(id.index(), path);
+        Ok(())
+    }
+
+    /// Counts the visit index of every written path with the kernel of
+    /// [`WalkStore::fill`] and returns the store.
+    pub fn finish(self) -> WalkStore {
+        let mut store = self.store;
+        store.index_arena();
+        store
+    }
+
+    /// Counts the visit index of the written paths together with the paths of
+    /// segments held elsewhere (on disk, say), with the kernel of
+    /// [`WalkStore::fill`].  `held` hands every held path, once, to the callback it
+    /// is given, in any order; none of them may also be written here.  The callback
+    /// checks the path as [`Self::write`] does and keeps a copy for the count, or
+    /// returns why not; `held`'s own error is returned as it is.  The copies are
+    /// dropped once the index is counted: the store keeps only the written paths.
+    pub fn finish_with<E>(
+        self,
+        held: impl FnOnce(&mut dyn FnMut(SegmentId, &[NodeId]) -> Result<(), String>) -> Result<(), E>,
+    ) -> Result<WalkStore, E> {
+        let mut store = self.store;
+        let (r, node_count) = (store.r, store.node_count());
+        // Every held path, one after another, and (segment, first step, length).
+        let mut steps: Vec<NodeId> = Vec::new();
+        let mut entries: Vec<(SegmentId, usize, usize)> = Vec::new();
+        held(&mut |id, path| {
+            check_path(id, path, r, node_count)?;
+            entries.push((id, steps.len(), path.len()));
+            steps.extend_from_slice(path);
+            Ok(())
+        })?;
+        entries.sort_unstable_by_key(|&(id, _, _)| id);
+        assert!(
+            entries.windows(2).all(|pair| pair[0].0 != pair[1].0),
+            "a held segment was handed over twice"
+        );
+        let (arena, steps) = (&store.arena, &steps);
+        let counted = CountedIndex::count(node_count, || {
+            let mut held = entries.iter().peekable();
+            (0..arena.slot_count()).map(move |slot| {
+                let id = SegmentId(slot as u32);
+                match held.next_if(|&&(held_id, _, _)| held_id == id) {
+                    Some(&(_, start, len)) => (id, &steps[start..start + len]),
+                    None => (id, arena.path(slot)),
+                }
+            })
+        });
+        counted.install(&mut store);
+        Ok(store)
     }
 }
 
@@ -142,65 +240,16 @@ impl WalkStore {
         }
     }
 
-    /// Bulk-load constructor for decode paths: installs every segment path and a
-    /// **pre-computed** postings index in one pass, instead of replaying one `record`
-    /// call per stored step.  The supplied index is fully cross-checked against the
-    /// paths — the index [`Self::fill`] would count from them, compared run by run
-    /// against the postings — so a divergent index is rejected, never installed.
-    pub fn bulk_load<'a>(
-        node_count: usize,
-        r: usize,
-        segments: impl Iterator<Item = (SegmentId, &'a [NodeId])>,
-        postings: Vec<VisitPostings>,
-    ) -> Result<Self, String> {
-        if r == 0 {
-            return Err("need at least one walk segment per node".to_string());
+    /// A store of `node_count` nodes with `r` segments each, to be loaded path by
+    /// path and indexed once (see [`WalkLoader`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` is zero.
+    pub fn loader(node_count: usize, r: usize) -> WalkLoader {
+        WalkLoader {
+            store: WalkStore::new(node_count, r),
         }
-        if postings.len() != node_count {
-            return Err(format!(
-                "got postings for {} nodes, expected {node_count}",
-                postings.len()
-            ));
-        }
-        let mut arena = StepArena::new(node_count * r);
-        for (id, path) in segments {
-            if id.index() >= node_count * r {
-                return Err(format!("segment {id:?} outside the store"));
-            }
-            if let Some(&first) = path.first() {
-                if first != id.source(r) {
-                    return Err(format!("segment {id:?} does not start at its source"));
-                }
-            }
-            if let Some(v) = path.iter().find(|v| v.index() >= node_count) {
-                return Err(format!("segment {id:?} visits node {v} outside the store"));
-            }
-            arena.write(id.index(), path);
-        }
-        let counted = CountedIndex::count(node_count, node_count * r, |slot| arena.path(slot));
-        for (v, (run, node_postings)) in counted.runs.iter().zip(&postings).enumerate() {
-            let mut expect = node_postings.iter();
-            for &(segment, count) in run {
-                if expect.next() != Some((segment, count)) {
-                    return Err(format!(
-                        "postings of node {v} disagree with the stored paths at segment {}",
-                        segment.0
-                    ));
-                }
-            }
-            if expect.next().is_some() {
-                return Err(format!(
-                    "postings of node {v} index visits no path contains"
-                ));
-            }
-        }
-        Ok(WalkStore {
-            r,
-            arena,
-            postings,
-            visit_counts: counted.visit_counts,
-            total_visits: counted.total_visits,
-        })
     }
 
     /// Installs a whole plan into a store that holds no visits yet, observationally
@@ -230,60 +279,23 @@ impl WalkStore {
             }
             self.arena.write(id.index(), path);
         }
-        let arena = &self.arena;
-        let counted = CountedIndex::count(node_count, arena.slot_count(), |slot| arena.path(slot));
-        self.postings = CountedIndex::postings(counted.runs).collect();
-        self.visit_counts = counted.visit_counts;
-        self.total_visits = counted.total_visits;
+        self.index_arena();
     }
 
-    /// Demand-paging constructor: installs a pre-parsed postings index and the visit
-    /// counters it implies over an **empty** step arena.  The paths themselves stay
-    /// on disk; the owner faults them in lazily and installs each one with
-    /// [`Self::install_indexed_path`].  The only cross-check possible without the
-    /// paths is the aggregate one — per-node totals summing to `total_visits`; path
-    /// shape is validated per segment at fault time instead.
-    pub fn from_postings_index(
-        node_count: usize,
-        r: usize,
-        postings: Vec<VisitPostings>,
-        total_visits: u64,
-    ) -> Result<Self, String> {
-        if r == 0 {
-            return Err("need at least one walk segment per node".to_string());
-        }
-        if postings.len() != node_count {
-            return Err(format!(
-                "got postings for {} nodes, expected {node_count}",
-                postings.len()
-            ));
-        }
-        let mut visit_counts = vec![0u64; node_count];
-        let mut sum = 0u64;
-        for (v, node_postings) in postings.iter().enumerate() {
-            let total = node_postings.total();
-            visit_counts[v] = total;
-            sum += total;
-        }
-        if sum != total_visits {
-            return Err(format!(
-                "postings sum to {sum} visits but the index claims {total_visits}"
-            ));
-        }
-        Ok(WalkStore {
-            r,
-            arena: StepArena::new(node_count * r),
-            postings,
-            visit_counts,
-            total_visits,
-        })
+    /// Counts the visit index of the paths in the arena and installs it.
+    fn index_arena(&mut self) {
+        let arena = &self.arena;
+        let counted = CountedIndex::count(self.node_count(), || {
+            (0..arena.slot_count()).map(|slot| (SegmentId(slot as u32), arena.path(slot)))
+        });
+        counted.install(self);
     }
 
     /// Installs `path` into segment `id`'s arena slot **without touching the visit
     /// index** — the postings and counters must already account for exactly this
     /// path.  This is the materialization half of demand paging: the index was
-    /// installed wholesale by [`Self::from_postings_index`], the paths arrive one at
-    /// a time as the disk store faults them.
+    /// counted wholesale by [`WalkLoader::finish_with`], the paths arrive one at a
+    /// time as the disk store faults them.
     pub fn install_indexed_path(&mut self, id: SegmentId, path: &[NodeId]) {
         debug_assert_eq!(
             self.arena.len_of(id.index()),
@@ -734,41 +746,61 @@ mod tests {
         let _ = WalkStore::new(3, 0);
     }
 
-    #[test]
-    fn bulk_load_reproduces_an_incrementally_built_store() {
-        let mut reference = WalkStore::new(5, 2);
-        reference.set_segment(SegmentId::new(NodeId(0), 0, 2), &path(&[0, 1, 2, 1]));
-        reference.set_segment(SegmentId::new(NodeId(3), 1, 2), &path(&[3, 3]));
-        reference.set_segment(SegmentId::new(NodeId(4), 0, 2), &path(&[4, 0]));
+    /// Holds `loaded`'s index to `reference`'s posting by posting, and every path
+    /// it stores to the reference's.
+    fn assert_same_index(loaded: &WalkStore, reference: &WalkStore) {
+        assert_eq!(loaded.visit_counts(), reference.visit_counts());
+        assert_eq!(loaded.total_visits(), reference.total_visits());
+        for s in 0..reference.arena.slot_count() as u32 {
+            let stored = loaded.segment_path(SegmentId(s));
+            assert!(stored.is_empty() || stored == reference.segment_path(SegmentId(s)));
+        }
+        for v in 0..reference.node_count() as u32 {
+            assert!(loaded
+                .segments_visiting(NodeId(v))
+                .eq(reference.segments_visiting(NodeId(v))));
+        }
+        assert!(loaded.postings.iter().all(|p| p.cost.records == 0));
+        assert!(loaded.postings.iter().all(VisitPostings::is_packed));
+    }
 
-        let segments: Vec<(SegmentId, Vec<NodeId>)> = (0..10u32)
+    #[test]
+    fn loaded_paths_index_like_the_set_segment_loop() {
+        let plan = construction_plan(60, 2);
+        let mut reference = WalkStore::new(60, 2);
+        for (id, p) in plan.iter() {
+            reference.set_segment(id, p);
+        }
+        let final_paths: Vec<(SegmentId, Vec<NodeId>)> = (0..120u32)
             .map(|s| (SegmentId(s), reference.segment_path(SegmentId(s)).to_vec()))
             .filter(|(_, p)| !p.is_empty())
             .collect();
-        let postings: Vec<crate::VisitPostings> = (0..5)
-            .map(|v| {
-                crate::VisitPostings::from_sorted_run(
-                    reference.segments_visiting(NodeId(v)).collect(),
-                )
-                .unwrap()
-            })
-            .collect();
-        let loaded = WalkStore::bulk_load(
-            5,
-            2,
-            segments.iter().map(|(id, p)| (*id, p.as_slice())),
-            postings,
-        )
-        .unwrap();
-        assert_eq!(loaded.visit_counts(), reference.visit_counts());
-        assert_eq!(loaded.total_visits(), reference.total_visits());
-        for s in 0..10u32 {
-            assert_eq!(
-                loaded.segment_path(SegmentId(s)),
-                reference.segment_path(SegmentId(s))
-            );
+
+        // Everything written: the construction kernel.
+        let mut loader = WalkStore::loader(60, 2);
+        for (id, p) in &final_paths {
+            loader.write(*id, p).unwrap();
         }
+        let loaded = loader.finish();
+        assert_same_index(&loaded, &reference);
         assert!(loaded.check_consistency().is_ok());
+
+        // Every third segment written, the rest held elsewhere and handed over
+        // backwards, so every run the hub's visitors make is out of order.
+        let mut loader = WalkStore::loader(60, 2);
+        for (id, p) in final_paths.iter().step_by(3) {
+            loader.write(*id, p).unwrap();
+        }
+        let held: Vec<_> = final_paths
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| i % 3 != 0)
+            .map(|(_, entry)| entry)
+            .collect();
+        let loaded = loader
+            .finish_with(|count| held.iter().rev().try_for_each(|(id, p)| count(*id, p)))
+            .unwrap();
+        assert_same_index(&loaded, &reference);
     }
 
     /// A construction-shaped plan over `n` nodes: every segment visits hub node 0
@@ -842,33 +874,34 @@ mod tests {
     }
 
     #[test]
-    fn bulk_load_rejects_an_index_that_disagrees_with_the_paths() {
-        let segments = [(SegmentId(0), path(&[0, 1]))];
-        // Postings claim a visit to node 2 that no path contains.
-        let postings: Vec<crate::VisitPostings> = vec![
-            crate::VisitPostings::from_sorted_run(vec![(SegmentId(0), 1)]).unwrap(),
-            crate::VisitPostings::from_sorted_run(vec![(SegmentId(0), 1)]).unwrap(),
-            crate::VisitPostings::from_sorted_run(vec![(SegmentId(0), 1)]).unwrap(),
-        ];
-        let result = WalkStore::bulk_load(
-            3,
-            1,
-            segments.iter().map(|(id, p)| (*id, p.as_slice())),
-            postings,
-        );
-        assert!(result.unwrap_err().contains("no path contains"));
-        // Wrong count is also rejected.
-        let postings: Vec<crate::VisitPostings> = vec![
-            crate::VisitPostings::from_sorted_run(vec![(SegmentId(0), 2)]).unwrap(),
-            crate::VisitPostings::from_sorted_run(vec![(SegmentId(0), 1)]).unwrap(),
-            crate::VisitPostings::new(),
-        ];
-        let result = WalkStore::bulk_load(
-            3,
-            1,
-            segments.iter().map(|(id, p)| (*id, p.as_slice())),
-            postings,
-        );
-        assert!(result.unwrap_err().contains("disagree"));
+    fn the_loader_refuses_paths_that_break_the_store_shape() {
+        let mut loader = WalkStore::loader(3, 1);
+        assert!(loader
+            .write(SegmentId(3), &path(&[0]))
+            .unwrap_err()
+            .contains("outside"));
+        assert!(loader
+            .write(SegmentId(0), &path(&[1, 2]))
+            .unwrap_err()
+            .contains("source"));
+        assert!(loader
+            .write(SegmentId(0), &path(&[0, 3]))
+            .unwrap_err()
+            .contains("outside"));
+
+        // A held path is checked the same way.
+        for (id, bad, why) in [
+            (SegmentId(1), path(&[2]), "source"),
+            (SegmentId(2), path(&[2, 7]), "outside"),
+            (SegmentId(3), path(&[0]), "outside"),
+        ] {
+            let mut loader = WalkStore::loader(3, 1);
+            loader.write(SegmentId(0), &path(&[0, 1])).unwrap();
+            let err = loader.finish_with(|count| count(id, &bad)).unwrap_err();
+            assert!(err.contains(why), "{err}");
+        }
+        // The holder's own error comes back as it is.
+        let loader = WalkStore::loader(3, 1);
+        assert_eq!(loader.finish_with(|_| Err(7)).unwrap_err(), 7);
     }
 }

@@ -14,10 +14,18 @@ use ppr_graph::NodeId;
 use ppr_persist::layout::{PagedWalks, PersistentWalkStore, WALKS_PAGE_SIZE};
 use ppr_persist::snapshot::SnapshotWriter;
 use ppr_persist::{set_thread_page_budget, DiskWalkStore, PageBudget, TempDir};
-use ppr_store::{SegmentId, StoreDigest, WalkIndexMut, WalkIndexView};
+use ppr_store::{SegmentId, SegmentRewrites, StoreDigest, WalkIndexMut, WalkIndexView};
 use proptest::prelude::*;
 use std::io::{Cursor, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+
+/// Opens the walks section of the snapshot at `snap` as a disk store under the
+/// thread's page budget, with no WAL tail to install.
+fn reopen(snap: &Path) -> DiskWalkStore {
+    let walks = PagedWalks::open(snap).expect("open");
+    let nodes = walks.header().node_count as usize;
+    DiskWalkStore::open_walks(walks, nodes, &SegmentRewrites::new()).expect("open_walks")
+}
 
 const N: u32 = 48;
 const R: usize = 2;
@@ -126,8 +134,7 @@ fn run_ops(ops: &[PagedOp], budget: PageBudget, dir: &Path) -> Observed {
             }
             PagedOp::Reopen => {
                 if let Some(snap) = &last_snap {
-                    store = DiskWalkStore::decode_walks(PagedWalks::open(snap).expect("open"))
-                        .expect("decode_walks");
+                    store = reopen(snap);
                 }
             }
         }
@@ -193,8 +200,7 @@ fn reopen_at_one_page_tiny_and_unbounded_digest_identically() {
         PageBudget::unbounded(),
     ] {
         let previous = set_thread_page_budget(Some(budget));
-        let reopened =
-            DiskWalkStore::decode_walks(PagedWalks::open(&snap).unwrap()).expect("decode");
+        let reopened = reopen(&snap);
         // Read back-to-front so a bounded cache must thrash.
         for slot in (0..n as u32).rev() {
             assert_eq!(
@@ -250,8 +256,7 @@ fn byte_flip_on_evicted_page_is_caught_on_refault() {
     drop(layout);
 
     let previous = set_thread_page_budget(Some(PageBudget::bounded(1)));
-    let mut reopened =
-        DiskWalkStore::decode_walks(PagedWalks::open(&snap).unwrap()).expect("decode");
+    let mut reopened = reopen(&snap);
     set_thread_page_budget(previous);
 
     // Fault slot 0 in (clean CRC), then evict its page by faulting a slot two or

@@ -17,13 +17,18 @@
 
 use fast_ppr::prelude::*;
 use ppr_core::durable::DurablePageRank;
+use ppr_core::{PageRank, Salsa, WalkEngine, WalkKind};
 use ppr_graph::generators::{preferential_attachment_edges, PreferentialAttachmentConfig};
 use ppr_graph::stream::random_permutation;
 use ppr_graph::Edge;
 use ppr_persist::dir::StoreDir;
-use ppr_persist::layout::PersistentWalkStore;
+use ppr_persist::layout::{PagedWalks, PersistentWalkStore, WALKS_PAGE_SIZE};
 use ppr_persist::snapshot::{SnapshotFile, SnapshotWriter, SECTION_GRAPH, SECTION_WALKS};
 use ppr_persist::TempDir;
+use ppr_persist::{set_thread_page_budget, DiskWalkStore, PageBudget};
+use ppr_store::StoreDigest;
+use std::collections::BTreeSet;
+use std::path::Path;
 
 const NODES: usize = 120;
 
@@ -56,7 +61,7 @@ fn schedule(seed: u64) -> Vec<Op> {
     ops
 }
 
-fn apply_op<W: WalkIndexMut>(engine: &mut IncrementalPageRank<W>, op: &Op) {
+fn apply_op<K: WalkKind, W: WalkIndexMut>(engine: &mut WalkEngine<K, W>, op: &Op) {
     match op {
         Op::Arrive(batch) => {
             engine.apply_arrivals(batch);
@@ -216,6 +221,94 @@ fn restart_equivalence_disk_layout_with_page_reuse() {
         rewritten < reused / 2,
         "rewritten pages must be the small minority after a one-edge update: \
          {rewritten} rewritten vs {reused} reused"
+    );
+}
+
+/// The heap pages of generation `gen`'s snapshot under `root` that hold a segment
+/// the generation's WAL rewrites.
+fn pages_the_tail_rewrites(root: &Path, gen: u64) -> BTreeSet<u64> {
+    let dir = StoreDir::open(root.to_path_buf()).unwrap();
+    let walks = PagedWalks::open(&dir.snapshot_path(gen)).unwrap();
+    let records = ppr_persist::wal::read_records(&dir.wal_path(gen))
+        .unwrap()
+        .records;
+    let steps_per_page = (WALKS_PAGE_SIZE / 4) as u64;
+    records
+        .iter()
+        .flat_map(|record| record.effects.as_ref().unwrap().rewrites.iter())
+        .filter_map(|(id, _)| walks.dir().get(id.index()).filter(|slot| slot.len > 0))
+        .flat_map(|slot| {
+            let first = slot.offset / steps_per_page;
+            let last = (slot.offset + slot.len as u64 - 1) / steps_per_page;
+            first..=last
+        })
+        .collect()
+}
+
+/// Runs the schedule into a durable engine `create` builds at `root`, checkpoints a
+/// third of the way in, crashes, and recovers under a two-page cache: the tail
+/// rewrites segments on more heap pages than the cache holds, and the recovered
+/// store must equal the uninterrupted run's by digest and pass its own checks.
+fn assert_bounded_recovery_equals_the_uninterrupted_run<K, W>(
+    create: &dyn Fn(&Path) -> WalkEngine<K, W>,
+    what: &str,
+) where
+    K: WalkKind,
+    W: WalkIndexMut + PersistentWalkStore,
+{
+    let ops = schedule(661);
+    let tmp = TempDir::new("bounded-recovery");
+    let root = tmp.path().join("store");
+    let mut engine = create(&root);
+    let third = ops.len() / 3;
+    for op in &ops[..third] {
+        apply_op(&mut engine, op);
+    }
+    let gen = engine.checkpoint().unwrap();
+    for op in &ops[third..] {
+        apply_op(&mut engine, op);
+    }
+    let uninterrupted = StoreDigest::of(engine.walk_store());
+    drop(engine);
+
+    let pages = pages_the_tail_rewrites(&root, gen).len();
+    assert!(
+        pages > 2,
+        "{what}: the tail rewrites segments on {pages} heap pages"
+    );
+    let previous = set_thread_page_budget(Some(PageBudget::bounded(2)));
+    let recovered = WalkEngine::<K, W>::open(&root);
+    set_thread_page_budget(previous);
+    let recovered = recovered.unwrap_or_else(|e| panic!("{what}: recovery failed: {e}"));
+    assert_eq!(
+        StoreDigest::of(recovered.walk_store()),
+        uninterrupted,
+        "{what}"
+    );
+    recovered
+        .validate_segments()
+        .unwrap_or_else(|e| panic!("{what}: {e}"));
+}
+
+#[test]
+fn bounded_budget_recovery_equals_the_uninterrupted_run() {
+    let config = MonteCarloConfig::new(0.2, 3).with_seed(663);
+    let graph = || DynamicGraph::with_nodes(NODES);
+    assert_bounded_recovery_equals_the_uninterrupted_run::<PageRank, WalkStore>(
+        &|root| WalkEngine::create_durable(root, graph(), config).unwrap(),
+        "PageRank, flat",
+    );
+    assert_bounded_recovery_equals_the_uninterrupted_run::<PageRank, DiskWalkStore>(
+        &|root| WalkEngine::create_durable_disk(root, graph(), config).unwrap(),
+        "PageRank, disk",
+    );
+    assert_bounded_recovery_equals_the_uninterrupted_run::<Salsa, WalkStore>(
+        &|root| WalkEngine::create_durable(root, graph(), config).unwrap(),
+        "SALSA, flat",
+    );
+    assert_bounded_recovery_equals_the_uninterrupted_run::<Salsa, DiskWalkStore>(
+        &|root| WalkEngine::create_durable_disk(root, graph(), config).unwrap(),
+        "SALSA, disk",
     );
 }
 
@@ -779,5 +872,144 @@ fn store_lock_rejects_a_second_live_writer_and_releases_on_drop() {
         let recovered = IncrementalPageRank::<WalkStore>::open(&root)
             .expect("stale lock of a dead process must be stolen");
         assert!(recovered.is_durable());
+    }
+}
+
+/// A store directory whose current snapshot (generation 1) has a WAL tail behind
+/// it and generation 0 below it; returns the directory and the digest of the
+/// engine that crashed.
+fn two_generations(root: &Path, disk: bool) -> StoreDigest {
+    let ops = schedule(671);
+    let config = MonteCarloConfig::new(0.2, 2).with_seed(673);
+    let graph = DynamicGraph::with_nodes(NODES);
+    fn run<W: WalkIndexMut + PersistentWalkStore>(
+        mut engine: IncrementalPageRank<W>,
+        ops: &[Op],
+    ) -> StoreDigest {
+        let third = ops.len() / 3;
+        for op in &ops[..third] {
+            apply_op(&mut engine, op);
+        }
+        assert_eq!(engine.checkpoint().unwrap(), 1);
+        for op in &ops[third..] {
+            apply_op(&mut engine, op);
+        }
+        StoreDigest::of(engine.walk_store())
+    }
+    if disk {
+        run(
+            DurablePageRank::create_durable_disk(root, graph, config).unwrap(),
+            &ops,
+        )
+    } else {
+        run(
+            IncrementalPageRank::create_durable(root, graph, config).unwrap(),
+            &ops,
+        )
+    }
+}
+
+/// Where the walks section of the snapshot at `path` keeps its parts: the
+/// header's file offset, the directory's, the page-CRC table's and the heap's.
+fn walks_parts(path: &Path) -> (usize, usize, usize, usize) {
+    let section = SnapshotFile::open(path)
+        .unwrap()
+        .section(SECTION_WALKS)
+        .unwrap();
+    let walks = PagedWalks::open(path).unwrap();
+    let heap = walks.heap_file_offset() as usize;
+    let table = heap - walks.header().page_count() as usize * 4;
+    let dir = table - walks.header().slot_count as usize * 16;
+    assert_eq!(dir, section.offset as usize + 40, "a 40-byte walks header");
+    (section.offset as usize, dir, table, heap)
+}
+
+/// Sets heap step `step` of the snapshot at `path` to `word` and re-frames every
+/// checksum over it — the page's table entry, the header's `meta_crc` and the
+/// section's CRC — so only the path checks can catch it.
+fn reframe_heap_word(path: &Path, step: u64, word: u32) {
+    let (header, dir, table, heap) = walks_parts(path);
+    let section = SnapshotFile::open(path)
+        .unwrap()
+        .section(SECTION_WALKS)
+        .unwrap();
+    let mut bytes = std::fs::read(path).unwrap();
+    let at = heap + step as usize * 4;
+    bytes[at..at + 4].copy_from_slice(&word.to_le_bytes());
+    let page = step as usize / (WALKS_PAGE_SIZE / 4);
+    let page_at = heap + page * WALKS_PAGE_SIZE;
+    let crc = ppr_persist::crc32(&bytes[page_at..page_at + WALKS_PAGE_SIZE]);
+    bytes[table + page * 4..table + page * 4 + 4].copy_from_slice(&crc.to_le_bytes());
+    let meta_crc = ppr_persist::crc32(&bytes[dir..heap]);
+    bytes[header + 36..header + 40].copy_from_slice(&meta_crc.to_le_bytes());
+    let end = header + section.len as usize;
+    let section_crc = ppr_persist::crc32(&bytes[header..end]);
+    bytes[header - 4..header].copy_from_slice(&section_crc.to_le_bytes());
+    std::fs::write(path, &bytes).unwrap();
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(48))]
+
+    /// A walks section is disk bytes: flipped or cut anywhere in its directory,
+    /// page-CRC table or heap — or re-framed around a heap path that names a node
+    /// past the store or leaves its source — `open` must refuse the snapshot and
+    /// recover from the generation below it, or return a typed error; it never
+    /// panics and never serves another store.
+    #[test]
+    fn a_mutated_walks_section_is_refused_never_served(
+        kind in 0u32..6,
+        position in 0.0f64..1.0,
+        bit in 0u32..8,
+        disk in 0u32..2,
+    ) {
+        let tmp = TempDir::new("walks-mutation");
+        let root = tmp.path().join("store");
+        let crashed = two_generations(&root, disk == 1);
+        let snap = root.join("snap-000001.ppr");
+        let (_, dir, table, heap) = walks_parts(&snap);
+        let file_len = std::fs::metadata(&snap).unwrap().len() as usize;
+        let within = |from: usize, to: usize| from + ((to - from - 1) as f64 * position) as usize;
+        let walks = PagedWalks::open(&snap).unwrap();
+        let slots: Vec<(usize, ppr_persist::layout::FileSlot)> = walks
+            .dir()
+            .iter()
+            .copied()
+            .enumerate()
+            .filter(|(_, slot)| slot.len > 0)
+            .collect();
+        let (slot, region) = slots[within(0, slots.len())];
+        let node_count = walks.header().node_count as u32;
+        drop(walks);
+        match kind {
+            0..=2 => {
+                let at = [within(dir, table), within(table, heap), within(heap, file_len)];
+                let mut bytes = std::fs::read(&snap).unwrap();
+                bytes[at[kind as usize]] ^= 1 << bit;
+                std::fs::write(&snap, &bytes).unwrap();
+            }
+            3 => {
+                let bytes = std::fs::read(&snap).unwrap();
+                std::fs::write(&snap, &bytes[..within(dir, file_len)]).unwrap();
+            }
+            4 => {
+                let step = region.offset + (position * region.len as f64) as u64 % region.len as u64;
+                reframe_heap_word(&snap, step, node_count + bit);
+            }
+            _ => {
+                let source = slot as u32 / 2;
+                reframe_heap_word(&snap, region.offset, (source + 1 + bit) % node_count);
+            }
+        }
+        let opened = if disk == 1 {
+            DurablePageRank::open(&root).map(|e| (StoreDigest::of(e.walk_store()), e.validate_segments()))
+        } else {
+            IncrementalPageRank::<WalkStore>::open(&root)
+                .map(|e| (StoreDigest::of(e.walk_store()), e.validate_segments()))
+        };
+        if let Ok((digest, valid)) = opened {
+            proptest::prop_assert_eq!(digest, crashed);
+            proptest::prop_assert!(valid.is_ok());
+        }
     }
 }

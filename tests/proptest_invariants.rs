@@ -387,12 +387,20 @@ fn write_walks_snapshot<W: PersistentWalkStore>(store: &mut W, path: &std::path:
     std::fs::write(path, file).expect("write snapshot");
 }
 
-/// Writes one store's walks section into a snapshot file and decodes it back.
+/// Opens the walks section of the snapshot at `path` as a `W`, with no WAL tail to
+/// install.
+fn open_walks<W: PersistentWalkStore>(path: &std::path::Path) -> ppr_persist::PersistResult<W> {
+    let walks = PagedWalks::open(path)?;
+    let nodes = walks.header().node_count as usize;
+    W::open_walks(walks, nodes, &ppr_store::SegmentRewrites::new())
+}
+
+/// Writes one store's walks section into a snapshot file and opens it back.
 fn roundtrip_walks<W: PersistentWalkStore>(store: &mut W, tag: &str) -> W {
     let dir = TempDir::new(tag);
     let path = dir.path().join("snap.ppr");
     write_walks_snapshot(store, &path);
-    W::decode_walks(PagedWalks::open(&path).expect("open walks")).expect("decode")
+    open_walks(&path).expect("open walks")
 }
 
 /// Byte-identical store comparison over the `WalkIndex` surface.
@@ -464,7 +472,7 @@ proptest! {
             SnapshotFile::verify_all(&path).is_err(),
             "flip at byte {} bit {} survived full validation", flip_at, bit
         );
-        let paged = PagedWalks::open(&path).and_then(WalkStore::decode_walks);
+        let paged = open_walks::<WalkStore>(&path);
         prop_assert!(
             paged.is_err(),
             "flip at byte {} bit {} survived the paged decode", flip_at, bit
