@@ -1,5 +1,5 @@
 //! Criterion benches for the durability layer (`ppr-persist` + `ppr_core::durable`):
-//! snapshot-write throughput, incremental (dirty-page) checkpoints, WAL append and
+//! snapshot-write throughput of the flat and the disk engine, WAL append and
 //! recovery-replay rates, and the cold-open-vs-rebuild speedup that is the whole
 //! point of persisting walk segments.
 //!
@@ -32,8 +32,8 @@ fn snapshot_bytes(root: &std::path::Path, gen: u64) -> u64 {
         .unwrap_or(0)
 }
 
-/// Full-snapshot checkpoint of the flat engine vs dirty-page checkpoint of the
-/// disk-backed engine after a small update.
+/// Checkpoint of the flat engine, and of the disk-backed engine after a small
+/// update.
 fn bench_snapshot_write(c: &mut Criterion) {
     let edges = workload();
     let mut group = c.benchmark_group("snapshot");
@@ -57,8 +57,9 @@ fn bench_snapshot_write(c: &mut Criterion) {
         b.iter(|| black_box(engine.checkpoint().unwrap()))
     });
 
-    // Disk engine: the same store, but only pages dirtied since the last checkpoint
-    // are re-rendered; clean pages stream from the previous generation.
+    // Disk engine: the same store, checkpointed after a one-edge update — the
+    // rewritten segments come from memory, every other path's bytes from the
+    // previous generation's heap.
     let tmp = TempDir::new("bench-snap-disk");
     let mut disk = DurablePageRank::create_durable_disk(
         tmp.path().join("s"),
@@ -69,7 +70,7 @@ fn bench_snapshot_write(c: &mut Criterion) {
     disk.apply_arrivals(&edges);
     disk.checkpoint().unwrap();
     let mut hot = 0u32;
-    group.bench_function(BenchmarkId::from_parameter("dirty_page_checkpoint"), |b| {
+    group.bench_function(BenchmarkId::from_parameter("disk_checkpoint"), |b| {
         b.iter(|| {
             hot = (hot + 1) % NODES as u32;
             disk.apply_arrivals(&[Edge::new(hot, (hot + 7) % NODES as u32)]);
@@ -77,17 +78,6 @@ fn bench_snapshot_write(c: &mut Criterion) {
         })
     });
     group.finish();
-
-    let stats = disk.walk_store().stats();
-    println!(
-        "[persistence] disk write-back totals: {} pages rewritten, {} reused \
-         ({}% clean-page reuse), {} relocations, {} file compactions",
-        stats.pages_rewritten,
-        stats.pages_reused,
-        100 * stats.pages_reused / (stats.pages_reused + stats.pages_rewritten).max(1),
-        stats.relocations,
-        stats.file_compactions,
-    );
 }
 
 /// WAL append (each record fsynced) of the records an engine writes — each batch's edges

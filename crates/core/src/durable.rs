@@ -73,7 +73,7 @@ use std::path::Path;
 pub use ppr_persist::{PersistError, PersistResult};
 
 /// A PageRank engine whose walk store is the file-backed
-/// [`ppr_persist::DiskWalkStore`] — checkpoints write back only dirty pages.
+/// [`ppr_persist::DiskWalkStore`] — demand-paged reads, packed checkpoints.
 pub type DurablePageRank = WalkEngine<PageRank, DiskWalkStore>;
 
 /// The durability state attached to a running engine: its store directory, active
@@ -153,14 +153,6 @@ fn encode_meta(m: &EngineMeta) -> Vec<u8> {
     w.put_f64(m.config.epsilon);
     w.put_u64(m.config.r as u64);
     w.put_u64(m.config.seed);
-    // Three retired settings, kept in the bytes as the values every store now runs
-    // with: the repair strategy (0, reroute from the update point), the ε-derived
-    // segment cap, and the arena compaction ratio (1.0, the half-dead rule).
-    w.put_u8(0);
-    w.put_u64(m.config.max_segment_length() as u64);
-    w.put_f64(1.0);
-    // A retired worker-thread count: kept in the bytes as 1, ignored on read.
-    w.put_u64(1);
     w.put_u64(m.batch_index);
     w.put_u64(m.wal_seq);
     for word in m.rng {
@@ -174,39 +166,17 @@ fn encode_meta(m: &EngineMeta) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Decodes the META section.  The retired settings must hold the values this build
-/// runs with: a store rerouted from the source (byte 1) or capped at another segment
-/// length fails with a `Format` error, since its walks were drawn under rules this
-/// build no longer has.  The compaction ratio only shaped the arena's memory, never
-/// a result, so it is validated and ignored.
+/// Decodes the META section.
 fn decode_meta(payload: &[u8]) -> PersistResult<EngineMeta> {
     let mut r = ByteReader::new(payload);
     let kind = r.get_u8()?;
     let epsilon = r.get_f64()?;
     let segments = r.get_len()?;
     let seed = r.get_u64()?;
-    match r.get_u8()? {
-        0 => {}
-        1 => return Err(format_err("retired reroute strategy 1")),
-        other => return Err(corrupt(format!("unknown reroute strategy {other}"))),
-    }
-    let max_segment_length = r.get_len()?;
-    let compaction_threshold = r.get_f64()?;
-    if !(epsilon > 0.0 && epsilon < 1.0)
-        || segments == 0
-        || max_segment_length == 0
-        || !(compaction_threshold.is_finite() && compaction_threshold > 0.0)
-    {
+    if !(epsilon > 0.0 && epsilon < 1.0) || segments == 0 {
         return Err(corrupt("engine config out of range"));
     }
     let config = MonteCarloConfig::new(epsilon, segments).with_seed(seed);
-    if max_segment_length != config.max_segment_length() {
-        return Err(format_err(format!(
-            "segment cap {max_segment_length} differs from the ε-derived {}",
-            config.max_segment_length()
-        )));
-    }
-    r.get_u64()?; // the retired worker-thread count
     let batch_index = r.get_u64()?;
     let wal_seq = r.get_u64()?;
     let rng = [r.get_u64()?, r.get_u64()?, r.get_u64()?, r.get_u64()?];
@@ -550,8 +520,7 @@ impl<K: WalkKind, W: WalkIndexMut + PersistentWalkStore> WalkEngine<K, W> {
     /// visit index once, from the final paths, in the pass that checks every heap
     /// page ([`PersistentWalkStore::open_walks`]).  The recovered engine is
     /// bit-identical to the one that crashed (up to the at-most-one unsynced
-    /// batch); a disk store's heap layout may differ, since each touched segment
-    /// reserves its file slot once.
+    /// batch), and so is the next snapshot it writes.
     ///
     /// A snapshot that fails any check — including a heap page or path found bad
     /// while the index is counted — sends recovery to the previous generation,
@@ -754,7 +723,9 @@ impl<K: WalkKind> WalkEngine<K, WalkStore> {
 impl<K: WalkKind> WalkEngine<K, DiskWalkStore> {
     /// Builds an engine over the file-backed [`DiskWalkStore`] and initialises a
     /// durable store directory at `root`.  Subsequent [`Self::checkpoint`] calls
-    /// write back only the heap pages the batches since the last checkpoint dirtied.
+    /// write every path once, packed: the segments the batches since the last
+    /// checkpoint rewrote from memory, every other segment's bytes copied from the
+    /// last generation's heap.
     pub fn create_durable_disk(
         root: impl AsRef<Path>,
         graph: impl Into<SocialStore>,
@@ -819,68 +790,14 @@ mod tests {
         bad[1..9].fill(0xFF); // epsilon = NaN-ish bits
         assert!(decode_meta(&bad).is_err());
         let mut bad = clean;
-        bad[25] = 9; // reroute discriminant
+        bad[9..17].fill(0); // no segments per node
         assert!(decode_meta(&bad).is_err());
     }
 
-    /// META bytes of a PageRank store at ε = 0.25, `R` = 7 in the current layout:
-    /// kind u8 | epsilon f64 | r u64 | seed u64 | reroute u8 | max_segment_length
-    /// u64 | compaction_threshold f64 | ...
-    fn meta_bytes() -> Vec<u8> {
-        encode_meta(&EngineMeta {
-            kind: PageRank::TAG,
-            config: MonteCarloConfig::new(0.25, 7).with_seed(99),
-            batch_index: 17,
-            wal_seq: 23,
-            rng: [1, 2, 3, 4],
-            initialization_steps: 555,
-            work: WorkCounter::default(),
-        })
-    }
-
     #[test]
-    fn meta_rerouted_from_source_is_a_format_error() {
-        let mut bytes = meta_bytes();
-        assert_eq!(bytes[25], 0);
-        bytes[25] = 1;
-        let err = decode_meta(&bytes).unwrap_err();
-        assert!(matches!(err, PersistError::Format(_)), "{err}");
-    }
-
-    #[test]
-    fn meta_with_another_segment_cap_is_a_format_error() {
-        let mut bytes = meta_bytes();
-        assert_eq!(bytes[26..34], 240u64.to_le_bytes());
-        for cap in [239u64, 241, 321] {
-            bytes[26..34].copy_from_slice(&cap.to_le_bytes());
-            let err = decode_meta(&bytes).unwrap_err();
-            assert!(matches!(err, PersistError::Format(_)), "cap {cap}: {err}");
-        }
-    }
-
-    #[test]
-    fn meta_compaction_ratio_is_validated_then_ignored() {
-        let clean = meta_bytes();
-        assert_eq!(clean[34..42], 1.0f64.to_le_bytes());
-        let expected = decode_meta(&clean).unwrap();
-        for ratio in [0.25f64, 3.0] {
-            let mut bytes = clean.clone();
-            bytes[34..42].copy_from_slice(&ratio.to_le_bytes());
-            let decoded = decode_meta(&bytes).unwrap();
-            assert_eq!(decoded.config, expected.config, "ratio {ratio}");
-            assert_eq!(decoded.rng, expected.rng);
-        }
-        for ratio in [0.0f64, -1.0, f64::NAN, f64::INFINITY] {
-            let mut bytes = clean.clone();
-            bytes[34..42].copy_from_slice(&ratio.to_le_bytes());
-            assert!(decode_meta(&bytes).is_err(), "ratio {ratio}");
-        }
-    }
-
-    #[test]
-    fn a_snapshot_older_than_version_3_fails_open_with_a_format_error() {
-        // Versions 1 and 2 stored the postings in the walks section; this build
-        // counts them at open and reads neither layout.
+    fn a_snapshot_older_than_version_4_fails_open_with_a_format_error() {
+        // Versions 1 and 2 stored the postings in the walks section, and version 3
+        // a heap of capacity-reserved slots; this build reads none of them.
         let tmp = TempDir::new("old-snapshot");
         let root = tmp.path().join("store");
         let config = MonteCarloConfig::new(0.25, 2).with_seed(7);
@@ -890,8 +807,8 @@ mod tests {
         );
         let path = StoreDir::open(root.clone()).unwrap().snapshot_path(0);
         let clean = std::fs::read(&path).unwrap();
-        assert_eq!(clean[8..12], 3u32.to_le_bytes());
-        for version in [1u32, 2] {
+        assert_eq!(clean[8..12], 4u32.to_le_bytes());
+        for version in [1u32, 2, 3] {
             let mut old = clean.clone();
             old[8..12].copy_from_slice(&version.to_le_bytes());
             std::fs::write(&path, &old).unwrap();
@@ -907,8 +824,8 @@ mod tests {
     /// Builds an engine over `graph` into `walks(node_count, segments per node)` in
     /// bulk and through the per-segment reference, holds the two to each other —
     /// draws, digest, every path and posting, arena geometry, and through `Debug`
-    /// every remaining field (slot offsets and capacities, postings blocks, file
-    /// slots) — then makes both durable and compares their first snapshot files byte
+    /// every remaining field (slot offsets and capacities, postings blocks, written
+    /// flags) — then makes both durable and compares their first snapshot files byte
     /// for byte.
     fn assert_bulk_build_equals_reference<K: WalkKind, W>(
         graph: &DynamicGraph,

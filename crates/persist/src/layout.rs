@@ -1,27 +1,26 @@
-//! The walks-section codec: a paged on-disk layout for the PageRank Store, aligned
-//! to arena segments.
+//! The walks-section codec: the PageRank Store's segment paths, packed into pages.
 //!
-//! The section serializes every segment path in a layout designed for page-granular
-//! write-back.  The visit index is not stored: it is a function of the paths, and
-//! every open counts it from them (see *Reading*).
+//! The section stores every segment path exactly once, back to back in segment-id
+//! order.  The visit index is not stored: it is a function of the paths, and every
+//! open counts it from them (see *Reading*).
 //!
 //! ```text
 //! payload := header | dir | page_crcs | heap
 //! header  := r u32 | shard_count u32 (always 1) | node_count u64 | slot_count u64
 //!          | heap_len u64 (steps) | page_size u32 | meta_crc u32
-//! dir     := slot_count × (offset u64 | len u32 | cap u32)      (steps, not bytes)
+//! dir     := slot_count × len u32                         (steps of each slot's path)
 //! page_crcs := ceil(heap_len·4 / page_size) × u32
-//! heap    := the walk steps as u32 words, padded to whole pages with the filler word
+//! heap    := every path's steps as u32 words, in slot order, padded to whole pages
+//!            with the filler word
 //! ```
 //!
-//! Like the in-memory [`ppr_store::arena::StepArena`], every segment owns a
-//! **capacity-reserved slot** of the heap (power-of-two, at least 16 steps), so a
-//! segment that is rewritten without outgrowing its reservation dirties only its own
-//! pages and every other page of the heap can be carried into the next snapshot
-//! byte-for-byte — that reuse is what [`crate::disk::DiskWalkStore`]'s checkpoint
-//! measures.  `meta_crc` covers the directory and the page-CRC table, and each heap
-//! page carries its own CRC, so the paged reader ([`PagedWalks`]) validates
-//! everything it touches without reading the whole section at once.
+//! A slot's path starts where the one before it ends, so its heap offset is the sum
+//! of the lengths before it; the lengths, summed with checked arithmetic, must end
+//! exactly at `heap_len`, and a directory that disagrees with its heap is corrupt.
+//! In memory a [`Directory`] keeps the lengths and every 64th slot's offset.
+//! `meta_crc` covers the directory and the page-CRC table, and each heap page
+//! carries its own CRC, so the paged reader ([`PagedWalks`]) validates everything it
+//! touches without reading the whole section at once.
 //!
 //! # Writing
 //!
@@ -29,11 +28,12 @@
 //! is ever held in memory.  The header (it holds `meta_crc`) and the page-CRC table
 //! (it holds what the pages after it will checksum to) are [deferred] in the
 //! [`SnapshotWriter`]; the directory goes out through one bounded scratch buffer; the
-//! caller then produces the heap one page at a time through a page-sized buffer,
-//! handing over the CRC of any page it carries unchanged from a validated
-//! generation, and [`WalksStream::finish`] fills the two deferred runs in.  Each
-//! byte passes through the CRC kernel once: `meta_crc` and the section's own CRC
-//! are both glued from the pieces' checksums ([`crc32_concat`]).
+//! caller then pushes every slot's path in slot order — decoded steps, or the raw
+//! words of a previous generation's heap — and the stream packs them into a
+//! page-sized buffer, checksums and writes each page once as it fills, and
+//! [`WalksStream::finish`] fills the two deferred runs in.  Each byte passes through
+//! the CRC kernel once: `meta_crc` and the section's own CRC are both glued from
+//! the pieces' checksums ([`crc32_concat`]).
 //!
 //! # Reading
 //!
@@ -67,32 +67,89 @@ use std::sync::Arc;
 /// Page size of the walk heap, in bytes (1024 steps per page).
 pub const WALKS_PAGE_SIZE: usize = 4096;
 
-/// Filler word for reserved-but-unused heap cells (matches the arena's filler).
+/// Filler word for the heap cells past its last step (matches the arena's filler).
 pub const FILLER_WORD: u32 = u32::MAX;
 
 const HEADER_LEN: usize = 4 + 4 + 8 + 8 + 8 + 4 + 4;
 
 pub(crate) const STEPS_PER_PAGE: u64 = (WALKS_PAGE_SIZE / 4) as u64;
 
-/// One segment's region of the on-disk heap, in steps.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FileSlot {
-    /// First step of the slot's region.
-    pub offset: u64,
-    /// Stored path length.
-    pub len: u32,
-    /// Reserved capacity (power of two; 0 for never-written slots).
-    pub cap: u32,
+/// Slots per offset a [`Directory`] keeps.
+const MARK_EVERY: usize = 64;
+
+/// A generation's slot directory in memory: every slot's path length, and the heap
+/// offset of every 64th slot, so any slot's region is found with at most 63
+/// additions while the whole costs about one `u32` per slot.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Directory {
+    lens: Vec<u32>,
+    /// `marks[b]`: heap offset of slot `b · 64`.
+    marks: Vec<u64>,
+    heap_len: u64,
 }
 
-/// Capacity reserved on disk for a path of `len` steps: next power of two, at least
-/// 16 — the same rule as the in-memory arena, so steady-state rewrites stay within
-/// their reservation on disk exactly when they do in memory.
-pub fn file_reservation(len: usize) -> u32 {
-    if len == 0 {
-        0
-    } else {
-        (len.next_power_of_two().max(16)) as u32
+impl Directory {
+    /// The directory of a heap whose slots hold paths of `lens` steps, or `None` if
+    /// the lengths overflow a `u64` sum.
+    fn from_lens(lens: Vec<u32>) -> Option<Self> {
+        let mut dir = Directory {
+            lens,
+            marks: Vec::new(),
+            heap_len: 0,
+        };
+        dir.index()?;
+        Some(dir)
+    }
+
+    /// Recomputes the marks and the heap length from the lengths.
+    fn index(&mut self) -> Option<()> {
+        self.marks.clear();
+        self.marks.reserve(self.lens.len().div_ceil(MARK_EVERY));
+        let mut offset = 0u64;
+        for block in self.lens.chunks(MARK_EVERY) {
+            self.marks.push(offset);
+            for &len in block {
+                offset = offset.checked_add(len as u64)?;
+            }
+        }
+        self.heap_len = offset;
+        Some(())
+    }
+
+    /// Every slot's stored path length, indexed by segment id.
+    pub fn lens(&self) -> &[u32] {
+        &self.lens
+    }
+
+    /// Number of slots.
+    pub fn slots(&self) -> usize {
+        self.lens.len()
+    }
+
+    /// Heap length in steps: the sum of the lengths.
+    pub fn heap_len(&self) -> u64 {
+        self.heap_len
+    }
+
+    /// The heap region of `slot`: its first step and its length.  Panics past the
+    /// last slot.
+    pub fn region(&self, slot: usize) -> (u64, u32) {
+        let start = slot - slot % MARK_EVERY;
+        let before: u64 = self.lens[start..slot].iter().map(|&len| len as u64).sum();
+        (self.marks[slot / MARK_EVERY] + before, self.lens[slot])
+    }
+
+    /// Grows the directory to `slots` slots (new ones empty) and gives every slot
+    /// `new_len` names a new length.
+    pub(crate) fn update(&mut self, slots: usize, new_len: impl Fn(usize) -> Option<u32>) {
+        self.lens.resize(slots, 0);
+        for (slot, len) in self.lens.iter_mut().enumerate() {
+            if let Some(new) = new_len(slot) {
+                *len = new;
+            }
+        }
+        // At most `u32::MAX` slots of at most `u32::MAX` steps each.
+        self.index().expect("slot lengths sum within u64");
     }
 }
 
@@ -106,13 +163,25 @@ pub struct WalksHeader {
     pub node_count: u64,
     /// Total segment slots (`node_count * r`).
     pub slot_count: u64,
-    /// Heap length in steps (live + reserved + garbage).
+    /// Heap length in steps: the sum of the slot lengths.
     pub heap_len: u64,
     /// Heap page size in bytes.
     pub page_size: u32,
 }
 
 impl WalksHeader {
+    /// The header of a section over `node_count` nodes with `r` slots each, whose
+    /// paths have the lengths `lens`, in slot order.
+    pub fn packed(r: usize, node_count: usize, lens: impl IntoIterator<Item = u32>) -> Self {
+        WalksHeader {
+            r: r as u32,
+            node_count: node_count as u64,
+            slot_count: (node_count * r) as u64,
+            heap_len: lens.into_iter().map(u64::from).sum(),
+            page_size: WALKS_PAGE_SIZE as u32,
+        }
+    }
+
     /// Number of heap pages the section holds.
     pub fn page_count(&self) -> u32 {
         let bytes = self.heap_len * 4;
@@ -132,40 +201,9 @@ impl WalksHeader {
     }
 }
 
-/// Computes a tight fresh layout for `store`: slots in segment-id order, each with
-/// its power-of-two reservation.  Returns the directory and the heap length.
-pub fn fresh_layout(store: &impl WalkIndex) -> (Vec<FileSlot>, u64) {
-    let slot_count = store.node_count() * store.r();
-    let mut dir = Vec::with_capacity(slot_count);
-    let mut offset = 0u64;
-    for slot in 0..slot_count {
-        let len = store.segment_len(SegmentId(slot as u32)) as u32;
-        let cap = file_reservation(len as usize);
-        dir.push(FileSlot {
-            offset: if cap == 0 { 0 } else { offset },
-            len,
-            cap,
-        });
-        offset += cap as u64;
-    }
-    (dir, offset)
-}
-
-/// Copies the part of `path`, stored from heap step `offset`, that falls on heap
-/// page `page` into that page's image.
-pub(crate) fn render_steps(image: &mut [u8], page: u32, offset: u64, path: &[NodeId]) {
-    let page_start = page as u64 * STEPS_PER_PAGE;
-    let from = offset.max(page_start);
-    let to = (offset + path.len() as u64).min(page_start + STEPS_PER_PAGE);
-    for step in from..to {
-        let at = ((step - page_start) * 4) as usize;
-        image[at..at + 4].copy_from_slice(&path[(step - offset) as usize].0.to_le_bytes());
-    }
-}
-
-/// One walks section in the writing: begun with the directory, fed the heap page by
-/// page, finished by filling in the header and the page-CRC table (see
-/// the [module docs](self)).
+/// One walks section in the writing: begun with the directory, fed every slot's
+/// path in slot order, finished by filling in the header and the page-CRC table
+/// (see the [module docs](self)).
 #[derive(Debug)]
 pub struct WalksStream<'a, S: Write + Seek> {
     out: &'a mut SnapshotWriter<S>,
@@ -176,17 +214,25 @@ pub struct WalksStream<'a, S: Write + Seek> {
     meta_crc: u32,
     page_crcs: Vec<u32>,
     heap_at: u64,
+    /// The next generation's reader, offered every page as it is written.
+    warm: Option<&'a mut PagedWalks>,
+    /// The page being filled, and how many of its bytes are.
+    image: Box<[u8]>,
+    filled: usize,
+    /// Page buffers free for reuse.
+    spare: Vec<Box<[u8]>>,
 }
 
 impl<'a, S: Write + Seek> WalksStream<'a, S> {
-    /// Begins the walks section of `out` and streams `dir`, the slot directory,
-    /// ahead of the heap.
+    /// Begins the walks section of `out` and streams the directory — `lens`, one
+    /// length per slot, which must agree with `header` — ahead of the heap.  Every
+    /// heap page is offered to `warm`'s cache once written, when a reader is given.
     pub fn begin(
         out: &'a mut SnapshotWriter<S>,
         header: WalksHeader,
-        dir: &[FileSlot],
+        lens: impl IntoIterator<Item = u32>,
+        warm: Option<&'a mut PagedWalks>,
     ) -> PersistResult<Self> {
-        assert_eq!(dir.len() as u64, header.slot_count);
         out.begin_section(SECTION_WALKS)?;
         let head = out.defer(HEADER_LEN)?;
         let mut meta_crc = 0;
@@ -195,14 +241,20 @@ impl<'a, S: Write + Seek> WalksStream<'a, S> {
             meta_crc = crc32_concat(meta_crc, crc, chunk.len() as u64);
             out.write_checksummed(chunk, crc)
         };
-        let mut w = ByteWriter::with_capacity(SPILL_BYTES + 16);
-        for slot in dir {
-            w.put_u64(slot.offset);
-            w.put_u32(slot.len);
-            w.put_u32(slot.cap);
+        let mut w = ByteWriter::with_capacity(SPILL_BYTES + 4);
+        let (mut slots, mut steps) = (0u64, 0u64);
+        for len in lens {
+            w.put_u32(len);
+            slots += 1;
+            steps += len as u64;
             w.spill(SPILL_BYTES, &mut emit)?;
         }
         w.spill(0, &mut emit)?;
+        assert_eq!(
+            (slots, steps),
+            (header.slot_count, header.heap_len),
+            "the directory disagrees with its header"
+        );
         let table = out.defer(header.page_count() as usize * 4)?;
         let heap_at = out.position();
         Ok(WalksStream {
@@ -213,23 +265,95 @@ impl<'a, S: Write + Seek> WalksStream<'a, S> {
             meta_crc,
             page_crcs: Vec::with_capacity(header.page_count() as usize),
             heap_at,
+            warm,
+            image: vec![0u8; WALKS_PAGE_SIZE].into_boxed_slice(),
+            filled: 0,
+            spare: Vec::new(),
         })
     }
 
-    /// Appends the next heap page.  `crc` is the page's table entry when the caller
-    /// carries the page unchanged from a validated generation; a rendered page
-    /// (`None`) is checksummed here.
-    pub fn page(&mut self, image: &[u8], crc: Option<u32>) -> PersistResult<()> {
-        assert_eq!(image.len(), self.header.page_size as usize);
-        let crc = crc.unwrap_or_else(|| crc32(image));
+    /// Appends the next slot's path.
+    pub fn put_path(&mut self, mut path: &[NodeId]) -> PersistResult<()> {
+        while !path.is_empty() {
+            let take = path.len().min((WALKS_PAGE_SIZE - self.filled) / 4);
+            let (now, rest) = path.split_at(take);
+            let words = &mut self.image[self.filled..self.filled + take * 4];
+            for (word, step) in words.chunks_exact_mut(4).zip(now) {
+                word.copy_from_slice(&step.0.to_le_bytes());
+            }
+            self.advance(take * 4)?;
+            path = rest;
+        }
+        Ok(())
+    }
+
+    /// Appends steps already encoded as little-endian words: a slot's bytes in a
+    /// previous generation's heap.
+    pub(crate) fn put_words(&mut self, mut words: &[u8]) -> PersistResult<()> {
+        debug_assert_eq!(words.len() % 4, 0);
+        while !words.is_empty() {
+            let take = words.len().min(WALKS_PAGE_SIZE - self.filled);
+            self.image[self.filled..self.filled + take].copy_from_slice(&words[..take]);
+            self.advance(take)?;
+            words = &words[take..];
+        }
+        Ok(())
+    }
+
+    /// A page-sized buffer to read into: a spare one if the stream has it.
+    pub(crate) fn spare_page(&mut self) -> Box<[u8]> {
+        self.spare
+            .pop()
+            .unwrap_or_else(|| vec![0u8; WALKS_PAGE_SIZE].into_boxed_slice())
+    }
+
+    /// Hands the stream a page-sized buffer the caller is done with.
+    pub(crate) fn recycle(&mut self, page: Box<[u8]>) {
+        debug_assert_eq!(page.len(), WALKS_PAGE_SIZE);
+        self.spare.push(page);
+    }
+
+    fn advance(&mut self, bytes: usize) -> PersistResult<()> {
+        self.filled += bytes;
+        if self.filled == WALKS_PAGE_SIZE {
+            self.write_page()?;
+        }
+        Ok(())
+    }
+
+    /// Pads the page being filled with the filler word, checksums and writes it, and
+    /// offers it to the warm reader.
+    fn write_page(&mut self) -> PersistResult<()> {
+        debug_assert_eq!(FILLER_WORD, u32::MAX);
+        self.image[self.filled..].fill(0xFF);
+        let crc = crc32(&self.image);
+        let page = self.page_crcs.len() as u32;
         self.page_crcs.push(crc);
-        self.out.write_checksummed(image, crc)
+        self.out.write_checksummed(&self.image, crc)?;
+        let image = std::mem::take(&mut self.image);
+        let idle = match &mut self.warm {
+            Some(warm) => warm.preload(page, image)?,
+            None => Some(image),
+        };
+        if let Some(idle) = idle {
+            self.spare.push(idle);
+        }
+        self.image = self.spare_page();
+        self.filled = 0;
+        Ok(())
     }
 
     /// Ends the section.  Returns the page-CRC table and the absolute offset of heap
     /// page 0 in the sink — what a [`PagedWalks`] over the written bytes needs.
-    pub fn finish(self) -> PersistResult<(Vec<u32>, u64)> {
-        assert_eq!(self.page_crcs.len(), self.header.page_count() as usize);
+    pub fn finish(mut self) -> PersistResult<(Vec<u32>, u64)> {
+        let pushed = self.page_crcs.len() as u64 * STEPS_PER_PAGE + self.filled as u64 / 4;
+        assert_eq!(
+            pushed, self.header.heap_len,
+            "the heap disagrees with its directory"
+        );
+        if self.filled > 0 {
+            self.write_page()?;
+        }
         let mut table = ByteWriter::with_capacity(self.page_crcs.len() * 4);
         for &crc in &self.page_crcs {
             table.put_u32(crc);
@@ -243,41 +367,17 @@ impl<'a, S: Write + Seek> WalksStream<'a, S> {
     }
 }
 
-/// Streams any store's walk data as a fresh, tightly laid-out walks section.
-pub fn stream_walks_fresh<S: Write + Seek>(
+/// Streams any store's walk data as a walks section, every path from memory.
+pub fn stream_walks<S: Write + Seek>(
     store: &impl WalkIndex,
     out: &mut SnapshotWriter<S>,
 ) -> PersistResult<()> {
-    let (dir, heap_len) = fresh_layout(store);
-    let header = WalksHeader {
-        r: store.r() as u32,
-        node_count: store.node_count() as u64,
-        slot_count: dir.len() as u64,
-        heap_len,
-        page_size: WALKS_PAGE_SIZE as u32,
-    };
-    let mut stream = WalksStream::begin(out, header, &dir)?;
-    let mut image = vec![0u8; WALKS_PAGE_SIZE];
-    // Slots lie in id order, so one cursor sweeps them as the pages go by.
-    let mut slot = 0;
-    for page in 0..header.page_count() {
-        image.fill(0xFF);
-        let page_end = (page as u64 + 1) * STEPS_PER_PAGE;
-        while let Some(s) = dir.get(slot) {
-            if s.cap > 0 {
-                if s.offset >= page_end {
-                    break;
-                }
-                let path = store.segment_path(SegmentId(slot as u32));
-                debug_assert_eq!(path.len(), s.len as usize);
-                render_steps(&mut image, page, s.offset, path);
-                if s.offset + s.cap as u64 > page_end {
-                    break; // the rest of this slot is the next page's
-                }
-            }
-            slot += 1;
-        }
-        stream.page(&image, None)?;
+    let slots = store.node_count() * store.r();
+    let len = |slot: usize| store.segment_len(SegmentId(slot as u32)) as u32;
+    let header = WalksHeader::packed(store.r(), store.node_count(), (0..slots).map(len));
+    let mut stream = WalksStream::begin(out, header, (0..slots).map(len), None)?;
+    for slot in 0..slots {
+        stream.put_path(store.segment_path(SegmentId(slot as u32)))?;
     }
     stream.finish()?;
     Ok(())
@@ -288,9 +388,8 @@ pub fn stream_walks_fresh<S: Write + Seek>(
 #[derive(Debug)]
 pub struct PagedWalks {
     header: WalksHeader,
-    /// Frozen: the layout of the generation on disk, shared with whoever faults
-    /// paths out of it.
-    dir: Arc<Vec<FileSlot>>,
+    /// The generation's directory, shared with whoever faults paths out of it.
+    dir: Arc<Directory>,
     page_crcs: Vec<u32>,
     cache: PageCache,
 }
@@ -346,7 +445,7 @@ impl PagedWalks {
             return Err(corrupt("walks heap larger than its own section"));
         }
         let page_count = header.page_count();
-        let dir_len = header.slot_count * 16;
+        let dir_len = header.slot_count * 4;
         let crc_len = page_count as u64 * 4;
         let heap_bytes = page_count as u64 * header.page_size as u64;
         if info.len != HEADER_LEN as u64 + dir_len + crc_len + heap_bytes {
@@ -368,20 +467,17 @@ impl PagedWalks {
         if running.finish() != meta_crc {
             return Err(corrupt("walks directory checksum mismatch"));
         }
-        let mut dir = Vec::with_capacity(header.slot_count as usize);
-        let mut reader = ByteReader::new(&dir_bytes);
-        for _ in 0..header.slot_count {
-            dir.push(FileSlot {
-                offset: reader.get_u64()?,
-                len: reader.get_u32()?,
-                cap: reader.get_u32()?,
-            });
-        }
-        let mut page_crcs = Vec::with_capacity(page_count as usize);
-        let mut reader = ByteReader::new(&crc_bytes);
-        for _ in 0..page_count {
-            page_crcs.push(reader.get_u32()?);
-        }
+        let words = |bytes: &[u8]| -> Vec<u32> {
+            bytes
+                .chunks_exact(4)
+                .map(|word| u32::from_le_bytes(word.try_into().unwrap()))
+                .collect()
+        };
+        let dir = Directory::from_lens(words(&dir_bytes))
+            .filter(|dir| dir.heap_len() == header.heap_len)
+            .ok_or_else(|| corrupt("walks directory lengths disagree with the heap"))?;
+        drop(dir_bytes);
+        let page_crcs = words(&crc_bytes);
         let heap_base = info.offset + HEADER_LEN as u64 + dir_len + crc_len;
         let cache = PageCache::new(file, heap_base, WALKS_PAGE_SIZE, page_count);
         Ok(PagedWalks {
@@ -392,23 +488,35 @@ impl PagedWalks {
         })
     }
 
-    /// The reader of a generation that is being written: geometry and layout known,
-    /// no page CRCs and no file yet.  Cache policy and [`PagedWalks::preload`] work at once;
-    /// [`PagedWalks::written_to`] completes it.
-    pub(crate) fn unwritten(header: WalksHeader, dir: Arc<Vec<FileSlot>>) -> Self {
+    /// The reader of a generation that is being written: geometry known, no
+    /// directory, page CRCs or file yet.  Cache policy and [`PagedWalks::preload`]
+    /// work at once; [`PagedWalks::written_to`] completes it.
+    pub(crate) fn unwritten(header: WalksHeader) -> Self {
         PagedWalks {
             header,
-            dir,
+            dir: Arc::default(),
             page_crcs: Vec::new(),
             cache: PageCache::unwritten(WALKS_PAGE_SIZE, header.page_count()),
         }
     }
 
     /// Completes an [`unwritten`](Self::unwritten) reader once its generation is
-    /// published: what [`WalksStream::finish`] returned, and the file to fault from.
-    pub(crate) fn written_to(&mut self, file: File, page_crcs: Vec<u32>, heap_at: u64) {
+    /// published: what [`WalksStream::finish`] returned, the generation's
+    /// directory, and the file to fault from.
+    pub(crate) fn written_to(
+        &mut self,
+        file: File,
+        page_crcs: Vec<u32>,
+        heap_at: u64,
+        dir: Arc<Directory>,
+    ) {
         assert_eq!(page_crcs.len(), self.header.page_count() as usize);
+        assert_eq!(
+            (dir.slots() as u64, dir.heap_len()),
+            (self.header.slot_count, self.header.heap_len)
+        );
         self.page_crcs = page_crcs;
+        self.dir = dir;
         self.cache.attach(file, heap_at);
     }
 
@@ -418,12 +526,12 @@ impl PagedWalks {
     }
 
     /// The slot directory, indexed by segment id.
-    pub fn dir(&self) -> &[FileSlot] {
+    pub fn dir(&self) -> &Directory {
         &self.dir
     }
 
-    /// The slot directory as the shared, frozen allocation the reader itself holds.
-    pub(crate) fn frozen_dir(&self) -> Arc<Vec<FileSlot>> {
+    /// The slot directory as the shared allocation the reader itself holds.
+    pub(crate) fn shared_dir(&self) -> Arc<Directory> {
         Arc::clone(&self.dir)
     }
 
@@ -471,8 +579,7 @@ impl PagedWalks {
         self.cache.take_frames()
     }
 
-    /// The CRC-table entry of page `index`.
-    pub(crate) fn page_crc(&self, index: u32) -> PersistResult<u32> {
+    fn page_crc(&self, index: u32) -> PersistResult<u32> {
         self.page_crcs
             .get(index as usize)
             .copied()
@@ -487,7 +594,7 @@ impl PagedWalks {
 
     /// Copies one validated heap page into `out` without admitting it to the cache
     /// (cache hits are served from memory; misses stream from the file).  This is
-    /// the checkpoint write-back path for clean pages.
+    /// how a checkpoint reads the pages it has no frame of.
     pub fn stream_page(&mut self, index: u32, out: &mut [u8]) -> PersistResult<()> {
         let crc = self.page_crc(index)?;
         self.cache.read_page_into(index, crc, out)
@@ -495,51 +602,32 @@ impl PagedWalks {
 
     /// Reads every heap page once, in order, against the CRC table, so a rotted or
     /// torn heap fails here and not at some later demand fault, and hands `visit`
-    /// the stored path of every non-empty slot `plan` does not rewrite, in heap
+    /// the stored path of every non-empty slot `plan` does not rewrite, in slot
     /// order.  An unbounded cache keeps what it has just validated — admission can
     /// never cost it an eviction, and the first touch of a page is then not a second
     /// read and a second checksum; a bounded one streams through a page of scratch
-    /// and admits nothing.  A slot region that runs past the heap or overlaps the
-    /// one before it is corrupt.
+    /// and admits nothing.
     pub(crate) fn scan_paths(
         &mut self,
         plan: &SegmentRewrites,
         mut visit: impl FnMut(SegmentId, &[NodeId]) -> PersistResult<()>,
     ) -> PersistResult<()> {
-        let mut rewritten = vec![false; self.dir.len()];
+        let dir = Arc::clone(&self.dir);
+        let mut rewritten = vec![false; dir.slots()];
         for (id, _) in plan.iter() {
             if let Some(flag) = rewritten.get_mut(id.index()) {
                 *flag = true;
             }
         }
-        // (offset, slot) of every region to read, in heap order.
-        let mut regions: Vec<(u64, u32)> = Vec::new();
-        for (slot, s) in self.dir.iter().enumerate() {
-            if s.len == 0 || rewritten[slot] {
-                continue;
-            }
-            if s.offset
-                .checked_add(s.len as u64)
-                .is_none_or(|end| end > self.header.heap_len)
-            {
-                return Err(corrupt(format!(
-                    "slot {slot} region [{}, +{}) exceeds the heap ({} steps)",
-                    s.offset, s.len, self.header.heap_len
-                )));
-            }
-            regions.push((s.offset, slot as u32));
-        }
-        drop(rewritten);
-        regions.sort_unstable();
-
         let admit = self.cache.budget().is_none();
         let mut scratch = vec![0u8; if admit { 0 } else { WALKS_PAGE_SIZE }];
-        let mut regions = regions.into_iter().peekable();
+        // The non-empty slots in heap order; the directory sums to the heap length,
+        // so they run out exactly where the heap does.
+        let mut slots = dir.lens().iter().enumerate().filter(|&(_, &len)| len > 0);
+        // The slot being read and how many of its steps are still to come.
+        let mut open: Option<(usize, usize)> = None;
         let mut path = Vec::new();
-        // The region being read, as (slot, first step, end step), and the end of
-        // the last region read.
-        let mut open: Option<(u32, u64, u64)> = None;
-        let mut covered = 0u64;
+        let mut unread = self.header.heap_len;
         for page in 0..self.header.page_count() {
             let crc = self.page_crc(page)?;
             let bytes: &[u8] = if admit {
@@ -548,41 +636,32 @@ impl PagedWalks {
                 self.cache.read_page_into(page, crc, &mut scratch)?;
                 &scratch
             };
-            let page_start = page as u64 * STEPS_PER_PAGE;
-            let page_end = page_start + STEPS_PER_PAGE;
-            loop {
-                let (slot, start, end) = match open.take() {
-                    Some(region) => region,
-                    None => match regions.next_if(|&(offset, _)| offset < page_end) {
-                        Some((offset, slot)) => {
-                            if offset < covered {
-                                return Err(corrupt(format!(
-                                    "slot {slot} overlaps the region before it"
-                                )));
-                            }
-                            path.clear();
-                            (slot, offset, offset + self.dir[slot as usize].len as u64)
-                        }
-                        None => break,
-                    },
-                };
-                let from = (start.max(page_start) - page_start) as usize;
-                let to = (end.min(page_end) - page_start) as usize;
-                path.extend(
-                    bytes[from * 4..to * 4]
-                        .chunks_exact(4)
-                        .map(|word| NodeId(u32::from_le_bytes(word.try_into().unwrap()))),
-                );
-                if end > page_end {
-                    open = Some((slot, start, end));
-                    break;
+            let words = unread.min(STEPS_PER_PAGE) as usize;
+            unread -= words as u64;
+            let mut at = 0;
+            while at < words {
+                let (slot, left) = open.take().unwrap_or_else(|| {
+                    let (slot, &len) = slots.next().expect("the lengths sum to the heap");
+                    path.clear();
+                    (slot, len as usize)
+                });
+                let take = left.min(words - at);
+                if !rewritten[slot] {
+                    path.extend(
+                        bytes[at * 4..(at + take) * 4]
+                            .chunks_exact(4)
+                            .map(|word| NodeId(u32::from_le_bytes(word.try_into().unwrap()))),
+                    );
                 }
-                covered = end;
-                visit(SegmentId(slot), &path)?;
+                at += take;
+                if take < left {
+                    open = Some((slot, left - take));
+                } else if !rewritten[slot] {
+                    visit(SegmentId(slot as u32), &path)?;
+                }
             }
         }
-        // Every region ends inside the heap, so the last page closed them all.
-        debug_assert!(open.is_none() && regions.peek().is_none());
+        debug_assert!(open.is_none() && slots.next().is_none());
         Ok(())
     }
 
@@ -607,13 +686,12 @@ impl PagedWalks {
                 self.header.heap_len
             )));
         }
-        let steps_per_page = (WALKS_PAGE_SIZE / 4) as u64;
         let mut remaining = len as u64;
         let mut step = offset;
         while remaining > 0 {
-            let page = (step / steps_per_page) as u32;
-            let within = (step % steps_per_page) as usize;
-            let take = remaining.min(steps_per_page - within as u64) as usize;
+            let page = (step / STEPS_PER_PAGE) as u32;
+            let within = (step % STEPS_PER_PAGE) as usize;
+            let take = remaining.min(STEPS_PER_PAGE - within as u64) as usize;
             let bytes = self.read_page(page)?;
             for word in bytes[within * 4..(within + take) * 4].chunks_exact(4) {
                 out.push(NodeId(u32::from_le_bytes(word.try_into().unwrap())));
@@ -632,8 +710,8 @@ impl PagedWalks {
 /// [`crate::disk::DiskWalkStore`].
 pub trait PersistentWalkStore: WalkIndexMut + Sized {
     /// Streams this store's walk data into `out` as its walks section (through a
-    /// [`WalksStream`]).  (`&mut` so file-backed stores can carry clean pages over
-    /// from their previous generation.)
+    /// [`WalksStream`]).  (`&mut` so file-backed stores can take their previous
+    /// generation's page frames and reuse them.)
     fn encode_walks<S: Write + Seek>(&mut self, out: &mut SnapshotWriter<S>) -> PersistResult<()>;
 
     /// Rebuilds the store from an open walks section of `node_count` nodes — the
@@ -650,8 +728,8 @@ pub trait PersistentWalkStore: WalkIndexMut + Sized {
     ) -> PersistResult<Self>;
 
     /// Hook invoked after the snapshot `encode_walks` streamed into has been durably
-    /// published at `snap_path`; file-backed stores re-anchor their fault and
-    /// clean-page source here.
+    /// published at `snap_path`; file-backed stores re-anchor their faults and
+    /// their next write-back on it here.
     fn after_checkpoint(&mut self, snap_path: &Path) -> PersistResult<()> {
         let _ = snap_path;
         Ok(())
@@ -660,7 +738,7 @@ pub trait PersistentWalkStore: WalkIndexMut + Sized {
 
 impl PersistentWalkStore for WalkStore {
     fn encode_walks<S: Write + Seek>(&mut self, out: &mut SnapshotWriter<S>) -> PersistResult<()> {
-        stream_walks_fresh(self, out)
+        stream_walks(self, out)
     }
 
     /// Reads the heap paths into the arena as the scan goes by, then the plan's;
@@ -691,18 +769,16 @@ pub(crate) mod reference {
     /// already be padded to whole pages of `page_size` bytes.
     pub(crate) fn assemble_walks_payload(
         header: &WalksHeader,
-        dir: &[FileSlot],
+        lens: &[u32],
         heap: &[u8],
     ) -> Vec<u8> {
         let page_count = header.page_count() as usize;
         assert_eq!(heap.len(), page_count * header.page_size as usize);
-        assert_eq!(dir.len() as u64, header.slot_count);
+        assert_eq!(lens.len() as u64, header.slot_count);
 
-        let mut dir_bytes = ByteWriter::with_capacity(dir.len() * 16);
-        for slot in dir {
-            dir_bytes.put_u64(slot.offset);
-            dir_bytes.put_u32(slot.len);
-            dir_bytes.put_u32(slot.cap);
+        let mut dir_bytes = ByteWriter::with_capacity(lens.len() * 4);
+        for &len in lens {
+            dir_bytes.put_u32(len);
         }
         let dir_bytes = dir_bytes.into_bytes();
 
@@ -731,37 +807,28 @@ pub(crate) mod reference {
         payload.into_bytes()
     }
 
-    /// Renders the heap bytes for `dir` by copying every slot's path out of `store`,
-    /// filling reservations and holes with the filler word, padded to whole pages.
-    pub(crate) fn render_heap(store: &impl WalkIndex, dir: &[FileSlot], heap_len: u64) -> Vec<u8> {
-        let page_count = (heap_len * 4).div_ceil(WALKS_PAGE_SIZE as u64) as usize;
-        let mut heap = vec![0xFFu8; page_count * WALKS_PAGE_SIZE];
-        for (slot, file_slot) in dir.iter().enumerate() {
-            if file_slot.len == 0 {
-                continue;
-            }
+    /// Every slot's path length in `store`, and the heap bytes: the paths back to
+    /// back in slot order, padded to whole pages with the filler word.
+    pub(crate) fn render_heap(store: &impl WalkIndex) -> (Vec<u32>, Vec<u8>) {
+        let slots = store.node_count() * store.r();
+        let mut lens = Vec::with_capacity(slots);
+        let mut heap = Vec::new();
+        for slot in 0..slots {
             let path = store.segment_path(SegmentId(slot as u32));
-            let mut pos = file_slot.offset as usize * 4;
+            lens.push(path.len() as u32);
             for step in path {
-                heap[pos..pos + 4].copy_from_slice(&step.0.to_le_bytes());
-                pos += 4;
+                heap.extend_from_slice(&step.0.to_le_bytes());
             }
         }
-        heap
+        heap.resize(heap.len().next_multiple_of(WALKS_PAGE_SIZE), 0xFF);
+        (lens, heap)
     }
 
-    /// Encodes any store's walk data as a fresh, tightly laid-out walks payload.
+    /// Encodes any store's walk data as a walks payload.
     pub(crate) fn encode_walks_fresh(store: &impl WalkIndex) -> Vec<u8> {
-        let (dir, heap_len) = fresh_layout(store);
-        let header = WalksHeader {
-            r: store.r() as u32,
-            node_count: store.node_count() as u64,
-            slot_count: dir.len() as u64,
-            heap_len,
-            page_size: WALKS_PAGE_SIZE as u32,
-        };
-        let heap = render_heap(store, &dir, heap_len);
-        assemble_walks_payload(&header, &dir, &heap)
+        let (lens, heap) = render_heap(store);
+        let header = WalksHeader::packed(store.r(), store.node_count(), lens.iter().copied());
+        assemble_walks_payload(&header, &lens, &heap)
     }
 }
 
@@ -814,8 +881,8 @@ pub(crate) mod tests {
         std::fs::write(path, reference_file(&[(SECTION_WALKS, payload)])).unwrap();
     }
 
-    /// A store whose slots straddle page ends, leave a page half empty and skip ids:
-    /// `n` nodes, `r` = 2, slot lengths cycling through the reservation classes.
+    /// A store whose paths straddle page ends and skip ids: `n` nodes, `r` = 2,
+    /// path lengths cycling from empty to longer than a page.
     fn paged_store<W: WalkIndexMut>(mut store: W) -> W {
         let n = store.node_count() as u32;
         for node in 0..n {
@@ -892,23 +959,30 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn slot_reservations_are_power_of_two_aligned() {
-        assert_eq!(file_reservation(0), 0);
-        assert_eq!(file_reservation(1), 16);
-        assert_eq!(file_reservation(16), 16);
-        assert_eq!(file_reservation(17), 32);
-        let dir = TempDir::new("layout-caps");
+    fn paths_lie_back_to_back_in_slot_order() {
+        let dir = TempDir::new("layout-packed");
         let path = dir.path().join("snap.ppr");
-        write_snapshot(&path, &mut sample_store());
-        let walks = PagedWalks::open(&path).unwrap();
-        for slot in walks.dir() {
-            if slot.cap != 0 {
-                assert!(slot.cap.is_power_of_two() && slot.cap >= 16);
-                assert!(slot.len <= slot.cap);
-            } else {
-                assert_eq!(slot.len, 0);
-            }
+        let mut store = paged_store(WalkStore::new(97, 2));
+        write_snapshot(&path, &mut store);
+        let mut walks = PagedWalks::open(&path).unwrap();
+        let directory = walks.dir().clone();
+        assert_eq!(directory.slots(), 194);
+        let mut offset = 0u64;
+        let mut read = Vec::new();
+        for slot in 0..directory.slots() {
+            let id = SegmentId(slot as u32);
+            let (at, len) = directory.region(slot);
+            assert_eq!(
+                (at, len as usize),
+                (offset, store.segment_len(id)),
+                "{slot}"
+            );
+            walks.read_steps(at, len, &mut read).unwrap();
+            assert_eq!(read, store.segment_path(id), "slot {slot}");
+            offset += len as u64;
         }
+        assert_eq!(offset, walks.header().heap_len);
+        assert_eq!(directory.heap_len(), offset);
     }
 
     #[test]
@@ -919,7 +993,7 @@ pub(crate) mod tests {
         // Flip a byte in the last page of the file (heap region).
         let mut bytes = std::fs::read(&path).unwrap();
         let n = bytes.len();
-        bytes[n - 100] ^= 0x01;
+        bytes[n - 4090] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
 
         let result = open_walks::<WalkStore>(&path);
@@ -931,33 +1005,27 @@ pub(crate) mod tests {
         let dir = TempDir::new("layout-shape");
         let path = dir.path().join("snap.ppr");
         let mut store = sample_store();
-        let (slot_dir, heap_len) = fresh_layout(&store);
-        let header = WalksHeader {
-            r: 2,
-            node_count: 6,
-            slot_count: 12,
-            heap_len,
-            page_size: WALKS_PAGE_SIZE as u32,
-        };
-        let heap = render_heap(&store, &slot_dir, heap_len);
-        // Segment 6 (node 3, slot 0) holds [3, 4, 5, 4, 3] from step 32.
-        assert_eq!(slot_dir[6].offset, 32);
+        let (lens, heap) = render_heap(&store);
+        let header = WalksHeader::packed(2, 6, lens.iter().copied());
+        // Segment 6 (node 3, slot 0) holds [3, 4, 5, 4, 3] from step 5, after the
+        // four steps of segment 0 and the one of segment 1.
+        assert_eq!((lens[0], lens[1], lens[6]), (4, 1, 5));
         let word = |step: u64| step as usize * 4..step as usize * 4 + 4;
         let mut cases = Vec::new();
         let mut off_source = heap.clone();
-        off_source[word(32)].copy_from_slice(&4u32.to_le_bytes());
-        cases.push(("start at its source", slot_dir.clone(), off_source));
+        off_source[word(5)].copy_from_slice(&4u32.to_le_bytes());
+        cases.push(("start at its source", lens.clone(), off_source));
         let mut unknown_node = heap.clone();
-        unknown_node[word(34)].copy_from_slice(&6u32.to_le_bytes());
-        cases.push(("outside the store", slot_dir.clone(), unknown_node));
-        let mut overlapping = slot_dir.clone();
-        overlapping[6].offset = slot_dir[0].offset + 1;
-        cases.push(("overlaps", overlapping, heap.clone()));
-        let mut past_the_heap = slot_dir.clone();
-        past_the_heap[11].offset = heap_len - 1;
-        cases.push(("exceed", past_the_heap, heap.clone()));
-        for (what, slots, heap) in cases {
-            write_payload(&path, assemble_walks_payload(&header, &slots, &heap));
+        unknown_node[word(7)].copy_from_slice(&6u32.to_le_bytes());
+        cases.push(("outside the store", lens.clone(), unknown_node));
+        let mut past_the_heap = lens.clone();
+        past_the_heap[6] += 1;
+        cases.push(("disagree with the heap", past_the_heap, heap.clone()));
+        let mut short_of_the_heap = lens.clone();
+        short_of_the_heap[11] -= 1;
+        cases.push(("disagree with the heap", short_of_the_heap, heap.clone()));
+        for (what, lens, heap) in cases {
+            write_payload(&path, assemble_walks_payload(&header, &lens, &heap));
             for result in [
                 open_walks::<WalkStore>(&path).map(|_| ()),
                 open_walks::<crate::DiskWalkStore>(&path).map(|_| ()),

@@ -9,8 +9,8 @@
 //! * [`snapshot`] — a versioned, sectioned, checksummed **snapshot container**,
 //!   streamed section by section and published atomically per generation (temp
 //!   file + rename), holding the engine metadata, the Social Store's graph
-//!   ([`graph`]), and the PageRank Store's walk data in a paged layout aligned to
-//!   arena segments ([`layout`]) — every byte through the [`crc`] kernel once;
+//!   ([`graph`]), and the PageRank Store's walk paths packed into checksummed
+//!   pages ([`layout`]) — every byte through the [`crc`] kernel once;
 //! * [`wal`] — an append-only, CRC-framed **write-ahead log** of the
 //!   `&[Edge]` batches the engines consume together with their effects (growth
 //!   segments, reconciled rewrites, engine cursors), fsynced per batch, with
@@ -18,8 +18,9 @@
 //!   snapshot reproduces the engine **bit-identically** without re-running a
 //!   reroute;
 //! * [`disk`] — [`disk::DiskWalkStore`], a file-backed `WalkIndex`/`WalkIndexMut`
-//!   implementation whose checkpoints re-encode only dirty heap pages and carry
-//!   clean pages over from the previous generation through a page cache ([`pager`]);
+//!   implementation that demand-faults its paths through a page cache ([`pager`])
+//!   and whose checkpoints copy the paths nothing rewrote out of the previous
+//!   generation's heap;
 //! * [`dir`] — the generation-numbered store directory with its atomically published
 //!   `CURRENT` pointer and previous-generation fallback;
 //! * [`lock`] — the `LOCK` file enforcing the single-writer-per-directory contract

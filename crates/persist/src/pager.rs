@@ -13,16 +13,18 @@
 //! a map cannot hand back a borrow from a single probe on stable Rust once eviction
 //! needs `&mut` access mid-function (NLL problem case #3); the frame table can.
 //!
-//! Checkpoint write-back uses [`PageCache::read_page_into`], which serves cache hits
-//! from memory but streams misses file-to-file **without admission** — cloning a
-//! generation never faults the whole store resident.  Hit/miss/eviction/streamed
-//! counters make every regime observable in the persistence bench.
+//! A checkpoint reads the previous generation through [`PageCache::read_page_into`],
+//! which serves cache hits from memory but streams misses file-to-file **without
+//! admission** — writing a generation never faults the whole store resident.
+//! Hit/miss/eviction/streamed counters make every regime observable in the
+//! persistence bench.
 //!
 //! Frames also travel *between* generations without being copied: a checkpoint
-//! takes the previous generation's frames ([`PageCache::take_frames`]) and offers
-//! each page it writes to the next generation's cache ([`PageCache::preload`]),
-//! which exists — [`PageCache::unwritten`], with its budget — before the
-//! file it will read from does ([`PageCache::attach`]).
+//! takes the previous generation's frames ([`PageCache::take_frames`]), reuses
+//! them as the buffers of the pages it writes, and offers each written page to the
+//! next generation's cache ([`PageCache::preload`]), which exists —
+//! [`PageCache::unwritten`], with its budget — before the file it will read from
+//! does ([`PageCache::attach`]).
 
 use crate::crc::crc32;
 use crate::io::{corrupt, PersistResult};
@@ -44,7 +46,7 @@ pub struct PagerStats {
     /// Subset of `loads` that re-faulted a page evicted earlier.
     pub refaults: u64,
     /// Pages served to streaming readers straight from the file, bypassing admission
-    /// (checkpoint write-back of clean pages).
+    /// (a checkpoint reading the previous generation).
     pub streamed: u64,
 }
 
@@ -266,8 +268,8 @@ impl PageCache {
 
     /// Hands every resident frame to the caller, indexed by page, and leaves the
     /// cache empty — still valid: a later read faults from the file again.  The
-    /// checkpoint encoder takes the previous generation's frames this way, so a
-    /// page carried into the next generation is moved, not duplicated.
+    /// checkpoint encoder takes the previous generation's frames this way, so their
+    /// buffers move on into the next generation instead of being duplicated.
     pub fn take_frames(&mut self) -> Vec<Option<Box<[u8]>>> {
         self.clock.clear();
         self.resident = 0;
@@ -305,8 +307,8 @@ impl PageCache {
 
     /// Copies page `index` into `out` without admitting it: cache hits are served
     /// from memory, misses stream from the file (CRC-verified) and leave the
-    /// resident set untouched.  This is the checkpoint write-back path — cloning a
-    /// generation must not fault the whole store resident.
+    /// resident set untouched.  This is how a checkpoint reads the previous
+    /// generation — writing the next must not fault the whole store resident.
     pub fn read_page_into(
         &mut self,
         index: u32,

@@ -42,12 +42,14 @@ use std::path::{Path, PathBuf};
 const MAGIC: &[u8; 8] = b"PPRSNAP1";
 /// Oldest container version this build can still read.
 /// History: 1 = the first layout; 2 = a `compaction_threshold` f64 added to META;
-/// 3 = the walks section stores no postings (the visit index is counted at open).
-pub const MIN_VERSION: u32 = 3;
+/// 3 = the walks section stores no postings (the visit index is counted at open);
+/// 4 = the walks heap is packed (paths back to back under one length per slot) and
+/// META drops its four retired settings.
+pub const MIN_VERSION: u32 = 4;
 /// Container format version written by this build.  Bump whenever any section's
 /// byte layout changes; versions outside `MIN_VERSION..=VERSION` fail with a clean
 /// `Format` error instead of being misdiagnosed as bit rot by the decoders.
-pub const VERSION: u32 = 3;
+pub const VERSION: u32 = 4;
 
 /// Section tag: engine metadata (config, RNG state, counters).
 pub const SECTION_META: u32 = 1;

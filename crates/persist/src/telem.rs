@@ -26,16 +26,6 @@ impl MetricSource for PagerStats {
 impl MetricSource for DiskStoreStats {
     fn emit(&self, out: &mut SnapshotBuilder) {
         out.counter("pages_rewritten", self.pages_rewritten);
-        out.counter("pages_reused", self.pages_reused);
-        out.counter("relocations", self.relocations);
-        out.counter("file_compactions", self.file_compactions);
-        out.counter("compaction_steps_moved", self.compaction_steps_moved);
-        out.counter("compaction_nanos", self.compaction_nanos);
-        out.ratio(
-            "page_reuse_rate",
-            self.pages_reused,
-            self.pages_reused + self.pages_rewritten,
-        );
     }
 }
 

@@ -1,11 +1,11 @@
 //! Cost oracle: a checkpoint *streams* its generation.
 //!
 //! A snapshot is written section by section through bounded scratch — the heap one
-//! page at a time, page images moved (not copied) from the previous generation's
-//! cache into the next one's — so what `checkpoint()` adds to the live heap while it
-//! runs is a small fraction of the file it writes.  The assemble-then-write path
-//! this replaced held the heap twice plus the whole walks payload: more than two
-//! file sizes.
+//! page at a time, in page buffers moved (not copied) from the previous
+//! generation's cache on into the next one's — so what `checkpoint()` adds to the
+//! live heap while it runs is a small fraction of the file it writes.  The
+//! assemble-then-write path this replaced held the heap twice plus the whole walks
+//! payload: more than two file sizes.
 //!
 //! The binary counts allocations itself, so it holds this one test only.
 
@@ -64,7 +64,7 @@ static ALLOCATOR: Counting = Counting;
 
 #[test]
 fn a_checkpoint_raises_the_live_heap_by_a_fraction_of_the_file_it_writes() {
-    const NODES: usize = 5_000;
+    const NODES: usize = 15_000;
     let tmp = TempDir::new("checkpoint-memory");
     let root = tmp.path().join("store");
     let pa = PreferentialAttachmentConfig::new(NODES, 5, 29);
@@ -73,7 +73,8 @@ fn a_checkpoint_raises_the_live_heap_by_a_fraction_of_the_file_it_writes() {
     let graph = DynamicGraph::from_edges(initial, NODES);
     let config = MonteCarloConfig::new(0.2, 10).with_seed(37);
     let mut engine = DurablePageRank::create_durable_disk(&root, graph, config).unwrap();
-    // Clean, dirty and relocated pages for the generation about to be written.
+    // Rewritten segments among untouched ones for the generation about to be
+    // written.
     for batch in stream.chunks(64).take(12) {
         engine.apply_arrivals(batch);
     }

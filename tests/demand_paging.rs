@@ -236,8 +236,8 @@ fn byte_flip_on_evicted_page_is_caught_on_refault() {
     let mut store = DiskWalkStore::new(n, 1);
     for node in 0..n as u32 {
         let id = SegmentId::new(NodeId(node), 0, 1);
-        // 8 steps -> a 16-step file reservation: slot k lives at step offset 16k,
-        // so slots 0 and 500 sit ~31 KiB apart, far beyond one 4 KiB page.
+        // 8 steps each, packed: slot k lives at step offset 8k, so slots 0 and 500
+        // sit ~16 KiB apart, far beyond one 4 KiB page.
         let path: Vec<NodeId> = (0..8).map(|i| NodeId((node + i) % n as u32)).collect();
         store.set_segment(id, &path);
     }
@@ -245,13 +245,11 @@ fn byte_flip_on_evicted_page_is_caught_on_refault() {
 
     // Locate slot 0's bytes in the snapshot file before reopening.
     let layout = PagedWalks::open(&snap).unwrap();
-    let slot0 = layout.dir()[0];
-    assert!(slot0.len > 0, "slot 0 must hold a path");
-    let victim_byte = layout.heap_file_offset() + slot0.offset * 4 + 2;
-    let far_slot = layout
-        .dir()
-        .iter()
-        .position(|s| s.offset * 4 >= 2 * WALKS_PAGE_SIZE as u64)
+    let (offset0, len0) = layout.dir().region(0);
+    assert!(len0 > 0, "slot 0 must hold a path");
+    let victim_byte = layout.heap_file_offset() + offset0 * 4 + 2;
+    let far_slot = (0..n)
+        .find(|&slot| layout.dir().region(slot).0 * 4 >= 2 * WALKS_PAGE_SIZE as u64)
         .expect("a slot at least two pages past slot 0") as u32;
     drop(layout);
 

@@ -11,7 +11,9 @@
 //!
 //! with **byte-identical** scores, visit counts, postings, stored paths, and work
 //! counters — at the flat and disk-backed store layouts, for checkpoint positions
-//! k ∈ {0, mid, N}.  The corruption half: a flipped byte in the current snapshot falls back to the
+//! k ∈ {0, mid, N}.  The snapshot files are held to the same standard: the two
+//! layouts fed one history write the same bytes, and a recovered engine's next
+//! checkpoint writes the file an engine that never crashed writes.  The corruption half: a flipped byte in the current snapshot falls back to the
 //! previous generation (replaying both WALs), and a torn WAL tail recovers cleanly
 //! to the last fully synced batch.
 
@@ -133,6 +135,53 @@ where
     recovered
 }
 
+/// The bytes of generation `gen`'s snapshot under `root`.
+fn snapshot_file(root: &Path, gen: u64) -> Vec<u8> {
+    std::fs::read(
+        StoreDir::open(root.to_path_buf())
+            .unwrap()
+            .snapshot_path(gen),
+    )
+    .unwrap()
+}
+
+/// Holds the snapshots of an engine `crash_recover_resume` recovered at `root` to
+/// `twin`, a durable engine of the other layout fed the same schedule without a
+/// crash: at the checkpoint after `ops[..k]` the two wrote byte-identical files,
+/// and the recovered engine's next checkpoint, after the whole schedule, writes the
+/// file the twin writes after it — walks section, META and graph alike.
+fn assert_snapshots_match_an_uninterrupted_twin<W, T>(
+    recovered: &mut IncrementalPageRank<W>,
+    root: &Path,
+    mut twin: IncrementalPageRank<T>,
+    twin_root: &Path,
+    ops: &[Op],
+    k: usize,
+    context: &str,
+) where
+    W: WalkIndexMut + PersistentWalkStore,
+    T: WalkIndexMut + PersistentWalkStore,
+{
+    for op in &ops[..k] {
+        apply_op(&mut twin, op);
+    }
+    assert_eq!(twin.checkpoint().unwrap(), 1);
+    assert!(
+        snapshot_file(root, 1) == snapshot_file(twin_root, 1),
+        "{context}: the layouts wrote different snapshots of one history"
+    );
+    for op in &ops[k..] {
+        apply_op(&mut twin, op);
+    }
+    assert_eq!(twin.checkpoint().unwrap(), 2);
+    assert_eq!(recovered.checkpoint().unwrap(), 2);
+    assert!(
+        snapshot_file(root, 2) == snapshot_file(twin_root, 2),
+        "{context}: the recovered engine's next snapshot differs from the \
+         uninterrupted twin's"
+    );
+}
+
 #[test]
 fn restart_equivalence_flat_layout() {
     let ops = schedule(601);
@@ -153,7 +202,7 @@ fn restart_equivalence_flat_layout() {
             apply_op(&mut engine, op);
         }
         let context = format!("flat, checkpoint at {k}/{}", ops.len());
-        let recovered = crash_recover_resume(engine, &root, &ops, k, &context);
+        let mut recovered = crash_recover_resume(engine, &root, &ops, k, &context);
         assert_eq!(recovered.scores(), reference.scores(), "{context}: scores");
         assert_eq!(
             recovered.work(),
@@ -162,11 +211,27 @@ fn restart_equivalence_flat_layout() {
         );
         assert_stores_identical(recovered.walk_store(), reference.walk_store(), &context);
         recovered.validate_segments().unwrap();
+        let twin_root = tmp.path().join("disk-twin");
+        let twin = DurablePageRank::create_durable_disk(
+            &twin_root,
+            DynamicGraph::with_nodes(NODES),
+            config,
+        )
+        .expect("create_durable_disk");
+        assert_snapshots_match_an_uninterrupted_twin(
+            &mut recovered,
+            &root,
+            twin,
+            &twin_root,
+            &ops,
+            k,
+            &context,
+        );
     }
 }
 
 #[test]
-fn restart_equivalence_disk_layout_with_page_reuse() {
+fn restart_equivalence_disk_layout() {
     let ops = schedule(613);
     let config = MonteCarloConfig::new(0.2, 3).with_seed(617);
     let mut reference = IncrementalPageRank::new_empty(NODES, config);
@@ -184,7 +249,7 @@ fn restart_equivalence_disk_layout_with_page_reuse() {
             apply_op(&mut engine, op);
         }
         let context = format!("disk, checkpoint at {k}/{}", ops.len());
-        let recovered = crash_recover_resume(engine, &root, &ops, k, &context);
+        let mut recovered = crash_recover_resume(engine, &root, &ops, k, &context);
         assert_eq!(recovered.scores(), reference.scores(), "{context}: scores");
         assert_stores_identical(recovered.walk_store(), reference.walk_store(), &context);
         recovered.validate_segments().unwrap();
@@ -193,35 +258,25 @@ fn restart_equivalence_disk_layout_with_page_reuse() {
             recovered.walk_store().pager_stats().loads > 0,
             "{context}: cold open must fault pages in"
         );
+        // Its next checkpoint copies the segments the resumed schedule left alone
+        // out of the recovered generation's heap.
+        let twin_root = tmp.path().join("flat-twin");
+        let twin = IncrementalPageRank::create_durable(
+            &twin_root,
+            DynamicGraph::with_nodes(NODES),
+            config,
+        )
+        .expect("create_durable");
+        assert_snapshots_match_an_uninterrupted_twin(
+            &mut recovered,
+            &root,
+            twin,
+            &twin_root,
+            &ops,
+            k,
+            &context,
+        );
     }
-
-    // Incremental write-back: on a store big enough that one batch touches only a
-    // small fraction of the heap pages, a follow-up checkpoint re-renders the dirty
-    // minority and streams the clean majority out of the previous generation.
-    let big = 1_500usize;
-    let pa = PreferentialAttachmentConfig::new(big, 5, 619);
-    let edges = preferential_attachment_edges(&pa);
-    let tmp = TempDir::new("disk-reuse");
-    let root = tmp.path().join("store");
-    let mut engine =
-        DurablePageRank::create_durable_disk(&root, DynamicGraph::with_nodes(big), config).unwrap();
-    engine.apply_arrivals(&edges);
-    engine.checkpoint().unwrap();
-    let baseline = engine.walk_store().stats();
-    engine.apply_arrivals(&[Edge::new(40, 1_200)]);
-    engine.checkpoint().unwrap();
-    let after = engine.walk_store().stats();
-    let reused = after.pages_reused - baseline.pages_reused;
-    let rewritten = after.pages_rewritten - baseline.pages_rewritten;
-    assert!(
-        reused > 0,
-        "a small update must reuse clean pages: {baseline:?} -> {after:?}"
-    );
-    assert!(
-        rewritten < reused / 2,
-        "rewritten pages must be the small minority after a one-edge update: \
-         {rewritten} rewritten vs {reused} reused"
-    );
 }
 
 /// The heap pages of generation `gen`'s snapshot under `root` that hold a segment
@@ -236,10 +291,12 @@ fn pages_the_tail_rewrites(root: &Path, gen: u64) -> BTreeSet<u64> {
     records
         .iter()
         .flat_map(|record| record.effects.as_ref().unwrap().rewrites.iter())
-        .filter_map(|(id, _)| walks.dir().get(id.index()).filter(|slot| slot.len > 0))
-        .flat_map(|slot| {
-            let first = slot.offset / steps_per_page;
-            let last = (slot.offset + slot.len as u64 - 1) / steps_per_page;
+        .filter(|(id, _)| id.index() < walks.dir().slots())
+        .map(|(id, _)| walks.dir().region(id.index()))
+        .filter(|&(_, len)| len > 0)
+        .flat_map(|(offset, len)| {
+            let first = offset / steps_per_page;
+            let last = (offset + len as u64 - 1) / steps_per_page;
             first..=last
         })
         .collect()
@@ -292,7 +349,7 @@ fn assert_bounded_recovery_equals_the_uninterrupted_run<K, W>(
 
 #[test]
 fn bounded_budget_recovery_equals_the_uninterrupted_run() {
-    let config = MonteCarloConfig::new(0.2, 3).with_seed(663);
+    let config = MonteCarloConfig::new(0.2, 8).with_seed(663);
     let graph = || DynamicGraph::with_nodes(NODES);
     assert_bounded_recovery_equals_the_uninterrupted_run::<PageRank, WalkStore>(
         &|root| WalkEngine::create_durable(root, graph(), config).unwrap(),
@@ -761,9 +818,9 @@ fn checkpoint_retries_after_a_crash_between_wal_create_and_publish() {
 
 #[test]
 fn a_checkpoint_that_fails_mid_stream_leaves_no_debris_and_retries() {
-    // Under a two-page cache a checkpoint carries its clean pages out of the
-    // previous generation's *file*; a rotted one is met mid-stream, long after the
-    // temp file of the new generation was started.
+    // Under a two-page cache a checkpoint copies the paths nothing rewrote out of
+    // the previous generation's *file*; a rotted page is met mid-stream, long after
+    // the temp file of the new generation was started.
     let tmp = TempDir::new("failed-checkpoint");
     let root = tmp.path().join("store");
     let budget = ppr_persist::PageBudget::bounded(2);
@@ -772,10 +829,14 @@ fn a_checkpoint_that_fails_mid_stream_leaves_no_debris_and_retries() {
     let graph = DynamicGraph::from_edges(&preferential_attachment_edges(&pa), 400);
     let config = MonteCarloConfig::new(0.2, 4).with_seed(673);
     let mut engine = DurablePageRank::create_durable_disk(&root, graph, config).unwrap();
-    // One arrival out of a cold node: a few pages dirty, most of the heap clean.
+    // One arrival out of a cold node: a few segments rewritten, the rest of the
+    // heap to be copied from the previous generation.
     engine.apply_arrivals(&[Edge::new(399, 398)]);
-    let dirty = engine.walk_store().dirty_pages();
-    assert!(dirty < 8, "{dirty} dirty pages");
+    let logged = ppr_persist::wal::read_records(&root.join("wal-000000.log"))
+        .unwrap()
+        .records;
+    let rewritten = logged[0].effects.as_ref().unwrap().rewrites.iter().count();
+    assert!(rewritten < 16, "{rewritten} segments rewritten");
     let listing = || {
         let mut names: Vec<String> = std::fs::read_dir(&root)
             .unwrap()
@@ -789,11 +850,14 @@ fn a_checkpoint_that_fails_mid_stream_leaves_no_debris_and_retries() {
     let snap0 = root.join("snap-000000.ppr");
     let clean = std::fs::read(&snap0).unwrap();
     let mut rotted = clean.clone();
-    // The heap is the tail of the file: one flipped byte in each of its last pages
-    // (whichever of them the arrival left clean will be read).
-    for page in 0..16 {
-        rotted[clean.len() - 100 - page * 4096] ^= 0x10;
+    // One flipped byte in every heap page (whichever of them the copy reads past
+    // the two the cache holds).
+    let walks = PagedWalks::open(&snap0).unwrap();
+    let heap = walks.heap_file_offset() as usize;
+    for page in 0..walks.header().page_count() as usize {
+        rotted[heap + page * WALKS_PAGE_SIZE + 100] ^= 0x10;
     }
+    drop(walks);
     std::fs::write(&snap0, &rotted).unwrap();
     let error = engine.checkpoint().unwrap_err();
     assert!(
@@ -919,7 +983,7 @@ fn walks_parts(path: &Path) -> (usize, usize, usize, usize) {
     let walks = PagedWalks::open(path).unwrap();
     let heap = walks.heap_file_offset() as usize;
     let table = heap - walks.header().page_count() as usize * 4;
-    let dir = table - walks.header().slot_count as usize * 16;
+    let dir = table - walks.header().slot_count as usize * 4;
     assert_eq!(dir, section.offset as usize + 40, "a 40-byte walks header");
     (section.offset as usize, dir, table, heap)
 }
@@ -971,14 +1035,21 @@ proptest::proptest! {
         let file_len = std::fs::metadata(&snap).unwrap().len() as usize;
         let within = |from: usize, to: usize| from + ((to - from - 1) as f64 * position) as usize;
         let walks = PagedWalks::open(&snap).unwrap();
-        let slots: Vec<(usize, ppr_persist::layout::FileSlot)> = walks
+        // Every non-empty slot's region, its offset the sum of the lengths before it.
+        let slots: Vec<(usize, u64, u32)> = walks
             .dir()
+            .lens()
             .iter()
-            .copied()
+            .scan(0u64, |offset, &len| {
+                let at = *offset;
+                *offset += len as u64;
+                Some((at, len))
+            })
             .enumerate()
-            .filter(|(_, slot)| slot.len > 0)
+            .filter(|&(_, (_, len))| len > 0)
+            .map(|(slot, (offset, len))| (slot, offset, len))
             .collect();
-        let (slot, region) = slots[within(0, slots.len())];
+        let (slot, offset, len) = slots[within(0, slots.len())];
         let node_count = walks.header().node_count as u32;
         drop(walks);
         match kind {
@@ -993,12 +1064,12 @@ proptest::proptest! {
                 std::fs::write(&snap, &bytes[..within(dir, file_len)]).unwrap();
             }
             4 => {
-                let step = region.offset + (position * region.len as f64) as u64 % region.len as u64;
+                let step = offset + (position * len as f64) as u64 % len as u64;
                 reframe_heap_word(&snap, step, node_count + bit);
             }
             _ => {
                 let source = slot as u32 / 2;
-                reframe_heap_word(&snap, region.offset, (source + 1 + bit) % node_count);
+                reframe_heap_word(&snap, offset, (source + 1 + bit) % node_count);
             }
         }
         let opened = if disk == 1 {
